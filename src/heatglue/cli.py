@@ -10,10 +10,6 @@ the report alone: pass exactly when residual <= max(tolerance, bound).
 Output is JSON lines by default, CSV with ``--format csv``.  Exit codes:
 0 all cases pass, 1 at least one tolerance failure, 2 unusable input,
 3 an internal numerical failure (reported with status "error").
-
-``HEATGLUE_THREADS`` caps how many verify cases run concurrently; report
-lines are only written after all cases finish, so the output order and
-bytes do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -22,11 +18,10 @@ import csv
 import importlib.resources
 import json
 import math
-import os
 import pathlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import click
 import numpy as np
@@ -173,38 +168,37 @@ def _load_input(name: str) -> dict:
     return doc
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HEATGLUE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise InputError(f"HEATGLUE_THREADS must be an integer, got {raw!r}") from exc
-
-
 # ---------------------------------------------------------------------------
 # case runners (shared between direct subcommands and verify)
 # ---------------------------------------------------------------------------
 
 
-def run_graph_glue(doc: dict, label: str, t: float, method: str, k_max: int,
-                   tol: float, prefix: str = "") -> list[Report]:
+def _guarded(case: str, geometry: str, inputs: dict,
+             run: Callable[[], list[Report]]) -> list[Report]:
+    """The error policy of every single-case runner: a numerical failure
+    becomes one report with status "error", a domain error unusable input."""
     try:
-        d = decomposition_from_dict(doc)
+        return run()
+    except _NUMERICAL as exc:
+        return [_error_report(case, geometry, inputs, exc)]
     except (ValueError, KeyError) as exc:
         raise InputError(str(exc)) from exc
+
+
+def run_graph_glue(doc: dict, label: str, t: float, method: str, k_max: int,
+                   tol: float, prefix: str = "") -> list[Report]:
     base = {"input": label, "t": t, "method": method, "tol": tol}
     if method == "series":
         base["kmax"] = k_max
-    try:
+
+    def run():
+        d = decomposition_from_dict(doc)
         if method == "series":
-            km, bound_fn = glue_II(d, k_max)
-            bound = float(bound_fn(t))
+            km, _ = glue_II(d, k_max)
+            values, bound = km.evaluate_with_bound(t)
         else:
             km = glue_I(d)
-            bound = 0.0
-        values = km.evaluate(t)
+            values, bound = km.evaluate(t), 0.0
         refs = {}
         if isinstance(doc.get("references"), dict):
             refs = doc["references"].get("entries") or {}
@@ -224,26 +218,23 @@ def run_graph_glue(doc: dict, label: str, t: float, method: str, k_max: int,
                 reports.append(_report(f"{prefix}glue[{u},{v}]", "graph",
                                        inputs, value, ref, bound))
         return reports
-    except _NUMERICAL as exc:
-        return [_error_report(f"{prefix}glue", "graph", base, exc)]
-    except (ValueError, KeyError) as exc:
-        raise InputError(str(exc)) from exc
+
+    return _guarded(f"{prefix}glue", "graph", base, run)
 
 
 def run_graph_pathsum(doc: dict, label: str, u: str, v: str, t: float,
                       eps: float, tol: float, prefix: str = "") -> list[Report]:
     inputs = {"input": label, "u": u, "v": v, "t": t, "eps": eps, "tol": tol}
     case = f"{prefix}pathsum[{u},{v}]"
-    try:
+
+    def run():
         g = graph_from_dict(doc)
         value, cutoff, tail = pathsum_heat(g, u, v, t, eps)
         ref = evaluate(heat_kernel(g).entry(u, v), t)
         extra = {"u": u, "v": v, "t": t, "cutoff": cutoff, "tail_bound": tail}
         return [_report(case, "graph", inputs, value, ref, tail, extra)]
-    except _NUMERICAL as exc:
-        return [_error_report(case, "graph", inputs, exc)]
-    except (ValueError, KeyError) as exc:
-        raise InputError(str(exc)) from exc
+
+    return _guarded(case, "graph", inputs, run)
 
 
 def run_graph_cut(doc: dict, label: str, interface: tuple | None, m2: float,
@@ -255,7 +246,8 @@ def run_graph_cut(doc: dict, label: str, interface: tuple | None, m2: float,
                 f"{label}: no --interface given and no boundary in the input")
     base = {"input": label, "interface": ",".join(interface), "m2": m2,
             "tol": tol}
-    try:
+
+    def run():
         g = graph_from_dict(doc)
         direct, gap = schur_cut(g, interface, m2)
         reports = [_report(f"{prefix}schur-gap", "graph", dict(base),
@@ -266,10 +258,8 @@ def run_graph_cut(doc: dict, label: str, interface: tuple | None, m2: float,
             reports.extend(_green_sinh_reports(g, interface, direct, m2,
                                                base, prefix))
         return reports
-    except _NUMERICAL as exc:
-        return [_error_report(f"{prefix}schur-gap", "graph", base, exc)]
-    except (ValueError, KeyError) as exc:
-        raise InputError(str(exc)) from exc
+
+    return _guarded(f"{prefix}schur-gap", "graph", base, run)
 
 
 def _green_sinh_reports(g, interface, direct, m2, base, prefix) -> list[Report]:
@@ -283,7 +273,8 @@ def _green_sinh_reports(g, interface, direct, m2, base, prefix) -> list[Report]:
     n_top = max(positions.values())
     if sorted(positions.values()) != list(range(n_top + 1)):
         raise InputError("green_sinh reference needs labels 0..N")
-    th = math.acosh(1.0 + m2 / 2.0)
+    # cosh(th) = 1 + m2/2, solved without the cancellation of acosh near 1
+    th = 2.0 * math.asinh(0.5 * math.sqrt(m2))
     denom = math.sinh(th) * math.sinh(th * n_top)
     killed = set(interface)
     comp = [v for v in g.vertices if v not in killed]
@@ -307,54 +298,52 @@ def run_interval_glue(L1: float, L2: float, x: float, y: float, t: float,
               "x": x, "y": y, "t": t}
     if formula == "II":
         inputs["nmax"] = n_max
-    try:
+
+    def run():
         if formula == "II":
             value, bound, _ = heat1d.glue_intervals_II(L1, L2, x, y, t, n_max)
         else:
             value, _ = heat1d.glue_intervals_I(L1, L2, x, y, t)
             bound = 0.0
-        if reference is None:
-            reference = (heat1d.k_interval(L1 + L2, L1 + x, L1 + y, t)[0]
-                         - heat1d.k_interval(L2, x, y, t)[0])
-        return [_report(case, "interval", inputs, value, reference, bound)]
-    except _NUMERICAL as exc:
-        return [_error_report(case, "interval", inputs, exc)]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        ref = reference
+        if ref is None:
+            ref = (heat1d.k_interval(L1 + L2, L1 + x, L1 + y, t)[0]
+                   - heat1d.k_interval(L2, x, y, t)[0])
+        return [_report(case, "interval", inputs, value, ref, bound)]
+
+    return _guarded(case, "interval", inputs, run)
 
 
 def run_interval_interface(L1: float, L2: float, t: float, tol: float,
                            reference: float | None = None,
                            case: str = "interval-interface") -> list[Report]:
     inputs = {"L1": L1, "L2": L2, "tol": tol, "t": t}
-    try:
-        value, b_res = heat1d.interface_two_intervals(L1, L2, t, "residues")
-        bound = b_res
-        if reference is None:
-            reference, b_poi = heat1d.interface_two_intervals(
-                L1, L2, t, "poisson")
-            bound = b_res + b_poi
-        return [_report(case, "interval", inputs, value, reference, bound)]
-    except _NUMERICAL as exc:
-        return [_error_report(case, "interval", inputs, exc)]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+
+    def run():
+        value, bound = heat1d.interface_two_intervals(L1, L2, t, "residues")
+        ref = reference
+        if ref is None:
+            ref, b_poi = heat1d.interface_two_intervals(L1, L2, t, "poisson")
+            bound += b_poi
+        return [_report(case, "interval", inputs, value, ref, bound)]
+
+    return _guarded(case, "interval", inputs, run)
 
 
 def run_ray_glue(x: float, y: float, t: float, tol: float,
                  reference: float | None = None,
                  case: str = "ray-glue") -> list[Report]:
     inputs = {"tol": tol, "x": x, "y": y, "t": t}
-    try:
+
+    def run():
         value, _ = heat1d.glue_rays(x, y, t)
-        if reference is None:
-            reference = math.exp(-(x + y) ** 2 / (4.0 * t)) \
+        ref = reference
+        if ref is None:
+            ref = math.exp(-(x + y) ** 2 / (4.0 * t)) \
                 / math.sqrt(4.0 * math.pi * t)
-        return [_report(case, "ray", inputs, value, reference, 0.0)]
-    except _NUMERICAL as exc:
-        return [_error_report(case, "ray", inputs, exc)]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        return [_report(case, "ray", inputs, value, ref, 0.0)]
+
+    return _guarded(case, "ray", inputs, run)
 
 
 def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
@@ -362,7 +351,8 @@ def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
                    case: str = "circle-cut") -> list[Report]:
     inputs = {"L": L, "cuts": f"{cuts[0]},{cuts[1]}", "kmax": k_max,
               "tol": tol, "x": x, "y": y, "t": t}
-    try:
+
+    def run():
         value, _ = heat1d.cut_circle_to_arc(L, cuts, x, y, t, k_max)
         c0, c1 = sorted(float(c) % L for c in cuts)
         if c0 < x < c1 and c0 < y < c1:
@@ -373,10 +363,8 @@ def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
             yl = (y - c1) % L
         reference = heat1d.k_interval(ell, xl, yl, t)[0]
         return [_report(case, "circle", inputs, value, reference, 0.0)]
-    except _NUMERICAL as exc:
-        return [_error_report(case, "circle", inputs, exc)]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+
+    return _guarded(case, "circle", inputs, run)
 
 
 def run_cylinder_check(L1: float, L2: float, circle_L: float, t: float,
@@ -387,20 +375,20 @@ def run_cylinder_check(L1: float, L2: float, circle_L: float, t: float,
         (0.7 * L2, 0.3 * L2, 0.6 * circle_L, 0.2 * circle_L),
         (0.5 * L2, 0.5 * L2, 0.25 * circle_L, 0.25 * circle_L),
     )
-    try:
+
+    def run():
         worst = heat1d.cylinder_factorization_check(L1, L2, circle_L,
                                                     points, t)
         return [_report(case, "cylinder", inputs, worst, 0.0, 0.0)]
-    except _NUMERICAL as exc:
-        return [_error_report(case, "cylinder", inputs, exc)]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+
+    return _guarded(case, "cylinder", inputs, run)
 
 
 def run_dn_cylinder(L: float, m2: float, k_max: int, circle_L: float,
                     tol: float, prefix: str = "") -> list[Report]:
     base = {"L": L, "m2": m2, "circleL": circle_L, "tol": tol}
-    try:
+
+    def run():
         omegas = [(2.0 * math.pi * k / circle_L) ** 2
                   for k in range(k_max + 1)]
         rep = heat1d.dn_cylinder(L, omegas, m2)
@@ -415,10 +403,8 @@ def run_dn_cylinder(L: float, m2: float, k_max: int, circle_L: float,
             out.append(_report(f"{prefix}dn[{k:03d}]", "cylinder", inputs,
                                rep.lambdas[k], mu, bound))
         return out
-    except _NUMERICAL as exc:
-        return [_error_report(f"{prefix}dn", "cylinder", base, exc)]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+
+    return _guarded(f"{prefix}dn", "cylinder", base, run)
 
 
 def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
@@ -747,15 +733,8 @@ def verify_cmd(suite: str, input_: str | None, seed: int, tol: float,
             raise InputError(f"case {i}: unknown kind {kind!r}")
         if suite == "all" or _SUITE_OF_KIND[kind] == suite:
             selected.append((i, case))
-    threads = _thread_count()
-    if threads > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(
-                lambda pair: _verify_case(pair[1], pair[0], seed, tol),
-                selected))
-    else:
-        chunks = [_verify_case(case, i, seed, tol) for i, case in selected]
-    reports = [r for chunk in chunks for r in chunk]
+    reports = [r for i, case in selected
+               for r in _verify_case(case, i, seed, tol)]
     n_pass = sum(r.status == "pass" for r in reports)
     n_fail = sum(r.status == "fail" for r in reports)
     n_err = sum(r.status == "error" for r in reports)

@@ -276,10 +276,6 @@ def _table_add(a: _Table, b: _Table) -> _Table:
     return _Table(a.universe, coef, a.atom + b.atom)
 
 
-def _table_scale(a: _Table, c: float) -> _Table:
-    return _Table(a.universe, a.coef * c, a.atom * c)
-
-
 def _row_degrees(coef: np.ndarray) -> np.ndarray:
     """Highest nonzero power per row, -1 for empty rows."""
     nz = coef != 0.0

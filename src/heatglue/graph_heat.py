@@ -579,10 +579,11 @@ class SeriesKernel:
     ``evaluate(t)`` returns its values at t > 0; ``bound(t)`` a certified
     bound on their entrywise error against the exact glued kernel, from the
     row sums of the truncated kernel (every dropped piece is nonnegative
-    and the exact kernel is stochastic) plus a rounding allowance.  Both
-    cost one step per Taylor order kept, until the Poisson(theta t) weights
-    left hold less than 1e-20 (theta the largest valency; for large theta t
-    about theta t + 10 sqrt(theta t) orders).  Past 65536 orders the rest
+    and the exact kernel is stochastic) plus a rounding allowance;
+    ``evaluate_with_bound(t)`` returns both.  Each call walks the series
+    once, at one step per Taylor order kept, until the Poisson(theta t)
+    weights left hold less than 1e-20 (theta the largest valency; for large
+    theta t about theta t + 10 sqrt(theta t) orders).  Past 65536 orders the rest
     is left out and shows in the bound.
     """
 
@@ -651,9 +652,14 @@ class SeriesKernel:
 
     def bound(self, t: float) -> float:
         """Certified bound on the entrywise error of :meth:`evaluate` at t > 0."""
+        return self.evaluate_with_bound(t)[1]
+
+    def evaluate_with_bound(self, t: float) -> tuple[np.ndarray, float]:
+        """:meth:`evaluate` and :meth:`bound` at t > 0 from one walk."""
         vals, gamma = self._rows_at(_check_t(t))
         sums = [math.fsum(row) for row in vals.tolist()]
-        return max(1.0 - s for s in sums) + 3.0 * gamma * max(1.0, max(sums))
+        bound = max(1.0 - s for s in sums) + 3.0 * gamma * max(1.0, max(sums))
+        return vals[:, self._start], bound
 
 
 def interface_kernel_series(d: Decomposition, k_max: int):

@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from heatglue.expmix import ExpMix, evaluate as _mix_evaluate, simplex_convolve
-from heatglue.path_sum import _exp_tail
+from heatglue.path_sum import exp_tail
 from heatglue.quadsim import (
     MAX_PANELS,
     TimeFactor,
-    _adaptive,
-    _half_integral,
+    adaptive,
     conv_n,
+    half_integral,
     inverse_pow_gaussian,
 )
 
@@ -588,14 +589,9 @@ def echo_rate(L: float, t):
     return out if np.ndim(t) else float(out[0])
 
 
-_ECHO_SUP_CACHE: dict = {}
-
-
+@lru_cache(maxsize=32)
 def echo_sup(L1: float, L2: float) -> float:
     """Supremum over t of echo_density(L1, t) + echo_density(L2, t)."""
-    key = (float(L1), float(L2))
-    if key in _ECHO_SUP_CACHE:
-        return _ECHO_SUP_CACHE[key]
     lo = 1e-3 * min(L1, L2) ** 2
     hi = 50.0 * max(L1, L2) ** 2
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), 4001))
@@ -613,9 +609,7 @@ def echo_sup(L1: float, L2: float) -> float:
         else:
             b = m2
     tm = 0.5 * (a + b)
-    sup = (echo_density(L1, tm) + echo_density(L2, tm)) * (1.0 + 1e-9)
-    _ECHO_SUP_CACHE[key] = sup
-    return sup
+    return (echo_density(L1, tm) + echo_density(L2, tm)) * (1.0 + 1e-9)
 
 
 class _DecayInterp:
@@ -689,17 +683,14 @@ def _flux_factor(L: float, z: float) -> TimeFactor | None:
                                 c=min(z, 2.0 * L - z) ** 2 / 4.0, alpha=1.5)
 
 
-_GLUE2_CACHE: dict = {}
-
-
+# one entry per echo order: the chains up to order 6 of four (L1, L2, t_build)
+# fit, so a request that glues one (L1, L2) twice builds its chain once
+@lru_cache(maxsize=32)
 def _echo_chain_factor(L1: float, L2: float, t_build: float,
                        n: int) -> TimeFactor:
     """n-fold echo convolution smoothed by the flat pulse, as a factor."""
     if n == 0:
         return _FLAT
-    key = (L1, L2, t_build, n)
-    if key in _GLUE2_CACHE:
-        return _GLUE2_CACHE[key]
     min_l2 = min(L1, L2) ** 2
     phi_fac = inverse_pow_gaussian(
         _vec(lambda tau: echo_density(L1, tau) + echo_density(L2, tau)),
@@ -710,14 +701,11 @@ def _echo_chain_factor(L1: float, L2: float, t_build: float,
         return conv_n([phi_fac, prev], tau, 1e-10)[0]
 
     interp = _DecayInterp(fn, t_build, 0.8 * n * n * min_l2, n_nodes=97)
-    fac = inverse_pow_gaussian(_vec(interp), c=0.8 * n * n * min_l2, alpha=1.5)
-    _GLUE2_CACHE[key] = fac
-    return fac
+    return inverse_pow_gaussian(_vec(interp), c=0.8 * n * n * min_l2, alpha=1.5)
 
 
 def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
-                      n_max: int, p: EvalParams | None = None
-                      ) -> tuple[float, float, float]:
+                      n_max: int) -> tuple[float, float, float]:
     """Glued-interval correction as an alternating series of echo orders.
 
     Term n convolves the flux pulse out of x, n round-trip echo factors
@@ -736,7 +724,6 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    _params(p)
     t_build = 4.0 if t <= 4.0 else 2.0 ** math.ceil(math.log2(t))
     fx = _flux_factor(L2, x)
     fy = _flux_factor(L2, y)
@@ -750,7 +737,7 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
             term = conv_n(factors, t, 3e-9)[0]
         value += (-1.0) ** n * term
     C = echo_sup(L1, L2)
-    tail_bound = C * _exp_tail(C * t, n_max)
+    tail_bound = C * exp_tail(C * t, n_max)
     residual = abs(value - _glue_direct(L1, L2, x, y, t))
     return value, tail_bound, residual
 
@@ -838,8 +825,8 @@ def _dn_flat_conv(psi: Callable, tau: float, tol: float,
         v = np.asarray(v, dtype=float)
         return (tau - v)**-1.5 * (np.atleast_1d(psi(v)) - pt)
 
-    lv, _ = _half_integral(left, half, ("power", 0.5), 0.5 * tol, max_panels)
-    rv, _ = _adaptive(right, 0.0, half, 0.5 * tol, max_panels)
+    lv, _ = half_integral(left, half, ("power", 0.5), 0.5 * tol, max_panels)
+    rv, _ = adaptive(right, 0.0, half, 0.5 * tol, max_panels)
     return -(lv + rv) / _ROOT_PI + 2.0 * pt / (_ROOT_PI * math.sqrt(tau))
 
 
@@ -925,12 +912,16 @@ class _CutChain:
         return self.terms[k]
 
 
-_CUT_CACHE: dict = {}
+@lru_cache(maxsize=8)
+def _cut_chain(L: float, c0: float, c1: float, x: float, y: float,
+               t: float) -> _CutChain:
+    """The cut series at one geometry and time, kept so that a larger k_max
+    extends the terms already computed."""
+    return _CutChain(L, (c0, c1), x, y, t, tol=1e-9)
 
 
 def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
-                      y: float, t: float, k_max: int,
-                      p: EvalParams | None = None) -> tuple[float, float]:
+                      y: float, t: float, k_max: int) -> tuple[float, float]:
     """Arc kernel rebuilt by cutting the circle at two points.
 
     Subtracts from the circle kernel the alternating interface series:
@@ -942,7 +933,6 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     """
     L = _check_length(L_total, "L_total")
     t = _check_time(t)
-    _params(p)
     if len(cuts) != 2:
         raise ValueError("exactly two cut points are required; one point "
                          "does not separate the circle")
@@ -962,13 +952,7 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
         if not (0.0 < xs < ell and 0.0 < ys < ell):
             raise ValueError("x and y must lie strictly inside one arc")
         xl, yl = xs, ys
-    key = (L, c0, c1, x, y, t)
-    chain = _CUT_CACHE.get(key)
-    if chain is None:
-        if len(_CUT_CACHE) > 8:
-            _CUT_CACHE.clear()
-        chain = _CutChain(L, (c0, c1), x, y, t, tol=1e-9)
-        _CUT_CACHE[key] = chain
+    chain = _cut_chain(L, c0, c1, x, y, t)
     correction = sum((-1.0) ** k * chain.term(k) for k in range(k_max + 1))
     circle_val, _ = k_circle(L, x, y, t, "auto", _TIGHT)
     value = circle_val - correction

@@ -42,6 +42,7 @@ __all__ = [
     "LENGTH_CAP",
     "CLASS_TAGS",
     "LengthCapError",
+    "exp_tail",
     "Path",
     "PathClassSpec",
     "check_path",
@@ -352,7 +353,7 @@ def _layer_step(g: Graph, cur: dict, allowed) -> dict:
     }
 
 
-def _exp_tail(x: float, m0: int) -> float:
+def exp_tail(x: float, m0: int) -> float:
     """Upper bound for sum_{m >= m0} x^m / m!."""
     if x <= 0.0:
         return 0.0
@@ -418,7 +419,7 @@ def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
             counts.append(float(ones @ vec))
 
     def bound(k: int) -> float:
-        crude = _exp_tail(d_max * t, k + 1)
+        crude = exp_tail(d_max * t, k + 1)
         if counts is None:
             return crude
         return crude * counts[k] / d_max**k
@@ -455,7 +456,7 @@ def _positive_partial_sum(g: Graph, u, v, t: float, k: int) -> float:
     # series order: coefficients are bounded by (2 theta)^p, so this tail
     # controls what the truncation of the basis drops
     order = k + 2
-    while order < 2048 and _exp_tail(2.0 * theta * t, order) > 1e-20:
+    while order < 2048 and exp_tail(2.0 * theta * t, order) > 1e-20:
         order += 16
 
     powers = np.arange(order, dtype=float)

@@ -32,6 +32,8 @@ __all__ = [
     "MAX_PANELS",
     "ConvergenceError",
     "TimeFactor",
+    "adaptive",
+    "half_integral",
     "regular",
     "inverse_pow_gaussian",
     "conv_n",
@@ -114,9 +116,11 @@ def _gk15(f: Callable, a: float, b: float) -> tuple[float, float, float]:
     return vk, abs(vk - vg), half * float(_KW @ np.abs(fv))
 
 
-def _adaptive(f: Callable, a: float, b: float, tol: float,
-              max_panels: int) -> tuple[float, float]:
-    """Worst-panel-first bisection; deterministic tie order."""
+def adaptive(f: Callable, a: float, b: float, tol: float,
+             max_panels: int) -> tuple[float, float]:
+    """Integral of f over (a, b) and its error estimate, by Gauss-Kronrod
+    7/15 panels bisected worst first (deterministic tie order) until the
+    summed estimate is below tol; ConvergenceError past max_panels."""
     if not (b > a):
         return 0.0, 0.0
     vk, err, mass = _gk15(f, a, b)
@@ -180,11 +184,11 @@ def _endpoint_tag(factors: Sequence[TimeFactor]):
     return ("power", -net) if net < 0.0 else ("regular",)
 
 
-def _half_integral(integrand: Callable, half: float, tag, tol: float,
-                   max_panels: int) -> tuple[float, float]:
+def half_integral(integrand: Callable, half: float, tag, tol: float,
+                  max_panels: int) -> tuple[float, float]:
     """Integrate over (0, half) with the singular end at 0 handled by tag."""
     if tag[0] == "regular":
-        return _adaptive(integrand, 0.0, half, tol, max_panels)
+        return adaptive(integrand, 0.0, half, tol, max_panels)
     if tag[0] == "power":
         alpha = tag[1]
         q = 1.0 / (1.0 - alpha)
@@ -193,7 +197,7 @@ def _half_integral(integrand: Callable, half: float, tag, tol: float,
             s = sigma**q
             return integrand(s) * q * sigma**(q - 1.0)
 
-        return _adaptive(g, 0.0, half**(1.0 - alpha), tol, max_panels)
+        return adaptive(g, 0.0, half**(1.0 - alpha), tol, max_panels)
     # inverse: u = c/s maps (0, half] to [c/half, infinity)
     _, c, alpha = tag
     lo = c / half
@@ -204,7 +208,7 @@ def _half_integral(integrand: Callable, half: float, tag, tol: float,
         s = c / u
         return integrand(s) * (c / u**2)
 
-    val, est = _adaptive(g, lo, hi, tol, max_panels)
+    val, est = adaptive(g, lo, hi, tol, max_panels)
     tail = abs(float(np.asarray(g(np.array([hi])))[0])) * 2.0
     return val, est + tail
 
@@ -272,9 +276,9 @@ def conv_n(factors: Sequence[TimeFactor], t: float, tol: float, *,
             return head.evaluator(remaining - v) * bundle_eval(rest, v,
                                                                depth + 1)
 
-        lv, le = _half_integral(from_head, half, _endpoint_tag([head]),
+        lv, le = half_integral(from_head, half, _endpoint_tag([head]),
                                 0.5 * tol_lv, max_panels)
-        rv, re_ = _half_integral(from_tail, half, _endpoint_tag(rest),
+        rv, re_ = half_integral(from_tail, half, _endpoint_tag(rest),
                                  0.5 * tol_lv, max_panels)
         inner = max(inner_ests[mark:], default=0.0)
         del inner_ests[mark:]

@@ -28,7 +28,7 @@ from heatglue.graph_heat import (
     random_decomposition,
     schur_cut,
 )
-from heatglue.path_sum import _exp_tail, pathsum_heat, pathsum_operators
+from heatglue.path_sum import exp_tail, pathsum_heat, pathsum_operators
 
 LINE3 = Graph(("1", "2", "3"), (("1", "2"), ("2", "3")))
 LINE3_SPLIT = Decomposition(LINE3, ("2",), ("1",), ("3",))
@@ -169,7 +169,7 @@ def test_gate_05_path_sum_operators_within_tails():
         exact_if = interface_kernel(d)
         exact_dn = _one_step_interface_mixes(d)
         for t in (0.5, 1.0):
-            tail_ext = d_max * _exp_tail(d_max * t, max_length)
+            tail_ext = d_max * exp_tail(d_max * t, max_length)
             for side in d.side_graphs:
                 exact_ext = extension_kernel(side, d.interface)
                 for u in side.vertices:
@@ -179,10 +179,10 @@ def test_gate_05_path_sum_operators_within_tails():
                         gv = evaluate(got, t) if got.terms else 0.0
                         rv = evaluate(ref, t) if ref.terms else 0.0
                         assert abs(gv - rv) <= tail_ext + 1e-11
-            tail_if = _exp_tail(d_max * t, max_length + 1)
+            tail_if = exp_tail(d_max * t, max_length + 1)
             diff = np.abs(ifk.evaluate(t) - exact_if.evaluate(t)).max()
             assert diff <= tail_if + 1e-11
-            tail_dn = d_max**2 * _exp_tail(d_max * t, max_length - 1)
+            tail_dn = d_max**2 * exp_tail(d_max * t, max_length - 1)
             for p, y1 in enumerate(d.interface):
                 for q, y2 in enumerate(d.interface):
                     got = dnp.entry(y1, y2)

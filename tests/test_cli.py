@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from heatglue.cli import main
+from heatglue.graph_heat import SeriesKernel
 
 
 def invoke(args, env=None):
@@ -56,6 +57,30 @@ def test_graph_glue_series_bound_is_true():
         assert r["bound"] < 2.0
 
 
+def test_graph_glue_series_walks_the_kernel_once_per_case(tmp_path,
+                                                         monkeypatch):
+    walks = []
+    walk = SeriesKernel._rows_at
+
+    def spy(self, t):
+        walks.append(t)
+        return walk(self, t)
+
+    monkeypatch.setattr(SeriesKernel, "_rows_at", spy)
+    res = invoke(["graph", "glue", "--input", "line3", "--t", "1",
+                  "--method", "series", "--kmax", "8"])
+    assert res.exit_code == 0
+    assert walks == [1.0]
+    problems = tmp_path / "series.json"
+    problems.write_text(json.dumps({"cases": [
+        {"id": f"s{i}", "kind": "graph-glue", "input": "line3", "t": t,
+         "method": "series", "kmax": 8} for i, t in enumerate((0.25, 4.0))]}))
+    walks.clear()
+    res = invoke(["verify", "--input", str(problems)])
+    assert res.exit_code == 0
+    assert walks == [0.25, 4.0]
+
+
 def test_graph_pathsum_report_shape():
     res = invoke(["graph", "pathsum", "--input", "line3", "--u", "1",
                   "--v", "3", "--t", "0.7", "--eps", "1e-9"])
@@ -80,6 +105,21 @@ def test_graph_cut_dirichlet_line_green_entries():
     th = math.acosh(1.5)
     center = math.sinh(3 * th) ** 2 / (math.sinh(th) * math.sinh(6 * th))
     assert by_case["green[3,3]"]["value"] == pytest.approx(center, abs=1e-13)
+
+
+def test_graph_cut_tiny_mass_keeps_the_closed_form_finite():
+    # cosh(theta) = 1 + m2/2 rounds to 1 here, so theta must not come from
+    # acosh; the Schur gap may fail, since the full Green's matrix has a
+    # condition number of about 1/m2
+    res = invoke(["graph", "cut", "--input", "line_dirichlet",
+                  "--m2", "1e-17"])
+    reports = json_lines(res.stdout)
+    assert len(reports) == 26
+    greens = [r for r in reports if r["case"].startswith("green[")]
+    assert len(greens) == 25
+    assert all(r["status"] == "pass" for r in greens)
+    failed = any(r["status"] == "fail" for r in reports)
+    assert res.exit_code == (1 if failed else 0)
 
 
 def test_graph_cut_explicit_interface_skips_closed_form():
@@ -214,13 +254,6 @@ def test_verify_random_graph_cases_deterministic_per_seed(tmp_path):
     assert a.stdout != c.stdout
     for r in json_lines(a.stdout):
         assert r["residual"] < 1e-9
-
-
-def test_verify_threads_env_does_not_change_bytes(tmp_path):
-    args = ["verify", "--input", "intervals", "--seed", "3"]
-    plain = invoke(args)
-    threaded = invoke(args, env={"HEATGLUE_THREADS": "4"})
-    assert plain.stdout == threaded.stdout
 
 
 def test_exit_one_on_tolerance_failure():

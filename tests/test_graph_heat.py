@@ -406,6 +406,15 @@ def test_series_matches_assembled_on_random_splits():
             assert diff <= bound(t)
 
 
+def test_series_evaluate_with_bound_equals_separate_calls():
+    d = random_decomposition(np.random.default_rng(101), 12)
+    kern, bound = glue_II(d, 20)
+    for t in (0.25, 1.0, 4.0):
+        values, b = kern.evaluate_with_bound(t)
+        assert np.array_equal(values, kern.evaluate(t))
+        assert b == bound(t)
+
+
 # ---------------------------------------------------------------------------
 # gluing
 # ---------------------------------------------------------------------------

@@ -433,6 +433,22 @@ def test_echo_series_far_wall_is_zero():
     assert res < 1e-12
 
 
+def test_second_gluing_of_an_interval_pair_reuses_its_echo_chain():
+    h.glue_intervals_II(1.3, 0.9, 0.2, 0.5, 0.3, 6)
+    before = h._echo_chain_factor.cache_info()
+    h.glue_intervals_II(1.3, 0.9, 0.6, 0.4, 0.6, 6)
+    after = h._echo_chain_factor.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+
+
+def test_echo_sup_cache_is_bounded():
+    maxsize = h.echo_sup.cache_info().maxsize
+    for i in range(maxsize + 1):
+        h.echo_sup(1.0, 1.0 + 0.01 * (i + 1))
+    assert h.echo_sup.cache_info().currsize <= maxsize
+
+
 # ---------------------------------------------------------------------------
 # gluing two rays
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from heatglue.path_sum import (
     trim_start,
     weight,
 )
-from heatglue.path_sum import _exp_tail
+from heatglue.path_sum import exp_tail
 
 LINE3 = Graph(("1", "2", "3"), (("1", "2"), ("2", "3")))
 LINE2 = Graph(("1", "2"), (("1", "2"),))
@@ -427,7 +427,7 @@ def test_pathsum_cap_error_carries_bound():
     with pytest.raises(LengthCapError) as info:
         pathsum_heat(LINE3, "1", "3", 40.0, 1e-10)
     err = info.value
-    assert err.achievable == _exp_tail(2.0 * 40.0, LENGTH_CAP + 1)
+    assert err.achievable == exp_tail(2.0 * 40.0, LENGTH_CAP + 1)
     assert math.isfinite(err.achievable)
 
 
@@ -490,7 +490,7 @@ def test_operator_interface_line3_truncated():
     ifk = pathsum_operators(d, "interface", 12)
     t = 1.0
     ref = (1.0 + 2.0 * math.exp(-3.0)) / 3.0
-    tail = _exp_tail(2.0 * t, 13)
+    tail = exp_tail(2.0 * t, 13)
     assert abs(evaluate(ifk.entry("2", "2"), t) - ref) <= tail
 
 
@@ -545,7 +545,7 @@ def test_operator_extension_matches_side_kernels():
             for u in side.vertices:
                 for yv in d.interface:
                     for t in (0.5, 1.0):
-                        tail = d_max * _exp_tail(d_max * t, max_length)
+                        tail = d_max * exp_tail(d_max * t, max_length)
                         got = evaluate(ext.entry(u, yv), t) \
                             if ext.entry(u, yv).terms else 0.0
                         ref_mix = exact.entry(u, yv)
@@ -563,7 +563,7 @@ def test_operator_interface_matches_spectral_kernel():
         got = pathsum_operators(d, "interface", max_length)
         exact = interface_kernel(d)
         for t in (0.5, 1.0):
-            tail = _exp_tail(d_max * t, max_length + 1)
+            tail = exp_tail(d_max * t, max_length + 1)
             diff = np.abs(got.evaluate(t) - exact.evaluate(t)).max()
             assert diff <= tail + 1e-11
 
@@ -579,7 +579,7 @@ def test_operator_dn_prime_matches_one_step_factor():
         exact = _one_step_interface_mixes(d)
         ny = len(d.interface)
         for t in (0.5, 1.0):
-            tail = d_max**2 * _exp_tail(d_max * t, max_length - 1)
+            tail = d_max**2 * exp_tail(d_max * t, max_length - 1)
             for p in range(ny):
                 for q in range(ny):
                     e = exact[p][q]
