@@ -26,8 +26,8 @@ from typing import Callable
 import click
 import numpy as np
 
-from heatglue import heat1d
-from heatglue.expmix import evaluate, from_dict
+from heatglue import heat1d, symlin
+from heatglue.expmix import ConfluentOverflowError, evaluate, from_dict
 from heatglue.graph_heat import (
     decomposition_from_dict,
     glue_I,
@@ -43,6 +43,8 @@ from heatglue.quadsim import ConvergenceError
 _NUMERICAL = (
     heat1d.TruncationError,
     ConvergenceError,
+    symlin.ConvergenceError,
+    ConfluentOverflowError,
     LengthCapError,
     FloatingPointError,
     OverflowError,

@@ -49,7 +49,9 @@ __all__ = [
     "dn_total",
     "interface_kernel",
     "interface_kernel_series",
+    "one_step_interface_kernel",
     "SeriesKernel",
+    "uniformized_walk",
     "glue_I",
     "glue_II",
     "schur_cut",
@@ -286,15 +288,6 @@ class KernelMatrix:
                 out[i, j] = laplace(m, s)
         return out
 
-    def transpose(self) -> "KernelMatrix":
-        ent = tuple(tuple(self.entries[i][j] for i in range(len(self.rows)))
-                    for j in range(len(self.cols)))
-        return KernelMatrix(self.cols, self.rows, ent)
-
-    def restrict(self, rows: Sequence, cols: Sequence) -> "KernelMatrix":
-        ent = tuple(tuple(self.entry(u, v) for v in cols) for u in rows)
-        return KernelMatrix(tuple(rows), tuple(cols), ent)
-
 
 # ---------------------------------------------------------------------------
 # basic kernels
@@ -433,11 +426,15 @@ def dn_total(g1: Graph, g2: Graph, y: Sequence, m2: float) -> np.ndarray:
 def interface_kernel(d: Decomposition) -> KernelMatrix:
     """Interface block of the glued heat kernel (the assembled route).
 
-    Uses the glued graph directly; the series route below reaches the same
-    object from one-sided data only.
+    Uses the glued graph directly, from the interface rows of its
+    eigenvectors; the series route below reaches the same object from
+    one-sided data only.
     """
-    k = heat_kernel(d.ordered_graph)
-    return k.restrict(d.interface, d.interface)
+    og = d.ordered_graph
+    eig = symlin.eigh(laplacian(og))
+    yidx = [og.index[v] for v in d.interface]
+    ent = _spectral_mix_matrix(eig.eigenvectors[yidx], eig.eigenvalues)
+    return KernelMatrix(d.interface, d.interface, tuple(map(tuple, ent)))
 
 
 def _tmatmul(a, b, nrows, ncols, ninner):
@@ -466,15 +463,16 @@ def _to_tables(mixes, universe, width):
     return out
 
 
-def _one_step_interface_mixes(d: Decomposition, rel: KernelMatrix | None = None):
+def one_step_interface_kernel(d: Decomposition) -> list[list[ExpMix]]:
     """One-step interface update: delta times A restricted to the interface,
     plus the relative kernels of the two sides sandwiched between adjacency
-    rows, as an interface-indexed matrix of mixes."""
+    rows, as an interface-indexed matrix of mixes.
+
+    The exact reference for the ``dn_prime`` path-sum operator."""
     og = d.ordered_graph
     ny = len(d.interface)
     n1 = len(d.side1)
-    if rel is None:
-        rel = relative_heat_kernel(og, d.interface)
+    rel = relative_heat_kernel(og, d.interface)
     a = og.adjacency
     yidx = [og.index[v] for v in d.interface]
     ay = a[np.ix_(yidx, yidx)]
@@ -501,37 +499,27 @@ def _one_step_interface_mixes(d: Decomposition, rel: KernelMatrix | None = None)
 
 
 # ---------------------------------------------------------------------------
-# the one-sided series, in the rate-shifted positive basis
+# walks in the rate-shifted positive basis
 # ---------------------------------------------------------------------------
 #
 # Multiplying every time factor by e^{theta t}, theta >= the largest
-# valency, commutes with convolution and leaves atoms alone.  The interface
-# decay factors become e^{(theta - d_y) t} and the relative kernel becomes
-# exp(t (theta I - L_C)) with theta I - L_C >= 0 entrywise, so every object
-# is an atom plus a series in t^p/p! with nonnegative coefficients.
-# Coefficient p is stored divided by theta^p.  Convolving against an
-# exponential factor e^{tM} is then the Cauchy product with its coefficients
-# (M/theta)^p shifted by one slot, i.e. the recurrence
-# g_{p+1} = (f_p + g_p M) / theta.  Run for the whole series at once, with
-# layer k holding the part of a row that has left the interface k times,
-# this is one block-bidiagonal step per Taylor order:
+# valency, commutes with convolution and leaves atoms alone, and turns the
+# heat flow e^{-tL} into exp(t (theta I - L)) with theta I - L >= 0
+# entrywise: a series in t^p/p! with nonnegative coefficients
+# (theta I - L)^p.  Coefficient p is stored divided by theta^p, so values at
+# t are sums against the Poisson(theta t) weights (uniformization, Jensen
+# 1953).  Both the series of the second gluing formula and the path sum of
+# the graph kernel sort the walks behind these coefficients into layers by
+# how often they take a step of a given kind: splitting
+# theta I - L = S + B into the steps that keep a walk in its layer (S) and
+# those that move it to the next (B), layer k of order p + 1 is
 #
-#   c_k <- c_k Mc + y_{k-1} A_yc              (in a side after departure k)
-#   y_k <- y_k Dy + c_k A_cy + y_{k-1} A_yy   (on the interface, sojourn k)
+#   x_k <- (x_k S + x_{k-1} B) / theta,
 #
-# with every matrix divided by theta.  c_0 starts at the identity on the
-# sides (the relative kernel), y_0 at the identity atom of the extension
-# kernel.  The y layers, read on the interface columns, sum to the series
-# dressed on the left by the extension kernel; c_1 .. c_{k_max+1}, read on
-# the side columns, add its dressing on the right.  Values at t are sums
-# against the Poisson(theta t) weights (uniformization, Jensen 1953).
-#
-# Certificate: e^{-tL} has unit row sums, and everything left out (series
-# terms past k_max, Taylor orders past the cut) is entrywise nonnegative,
-# so the error of each entry of row i is at most 1 - rowsum_i of the
-# truncated kernel.  All arithmetic is on nonnegative numbers, so rounding
-# is a relative error gamma per computed entry, charged to both the entry
-# and its row sum.
+# one matrix step per Taylor order for all layers at once.  Summed over the
+# orders, layer k is the part of e^{-tL} made of walks that took exactly k
+# B-steps.  All arithmetic is on nonnegative numbers, so rounding is a
+# relative error gamma per computed entry.
 
 _U = 2.0**-53  # unit roundoff of float64
 _POISSON_TAIL = 1e-20  # Taylor orders are kept until the weights left hold less
@@ -558,6 +546,73 @@ def _poisson_order(lam: float) -> int:
     return _MAX_ORDER
 
 
+def uniformized_walk(step: np.ndarray, advance: np.ndarray, start: np.ndarray,
+                     layers: int, theta: float,
+                     t: float) -> tuple[np.ndarray, float]:
+    """Layered walk of e^{-tL} in the rate-shifted positive basis.
+
+    ``step + advance`` is theta I - L on n vertices, split entrywise into
+    the nonnegative steps that keep a walk in its layer (``step``) and
+    those that move it to the next layer (``advance``); theta is at least
+    the largest diagonal entry of L.  ``start`` holds m rows over the n
+    vertices, all in layer 0.  Returns ``(sums, gamma)``: ``sums[k]`` (m by
+    n) is the Poisson(theta t)-weighted sum over the Taylor orders of layer
+    k, for k < ``layers``, and gamma a relative rounding error that covers
+    each entry of ``sums`` and of its sum over the layers.  Orders are kept until the Poisson weights left hold less
+    than 1e-20 (for large theta t about theta t + 10 sqrt(theta t) of them),
+    at most 65536.  At theta t = 0 the Poisson law is a unit mass at order
+    0, and the walk stays at ``start``.
+    """
+    m, n = start.shape
+    x = np.zeros((layers * m, n))
+    x[:m] = start
+    lam = theta * t
+    if lam == 0.0:
+        return x.reshape(layers, m, n), 0.0
+    step = step / theta
+    advance = advance / theta
+    order = _poisson_order(lam)
+    acc = np.zeros_like(x)
+    log_lam = math.log(lam)
+    for p in range(order):
+        w = math.exp(p * log_lam - math.lgamma(p + 1.0) - lam)
+        if w > 0.0:
+            acc += w * x
+        if p + 1 == order:
+            break
+        nxt = x @ step
+        nxt[m:] += x[:-m] @ advance
+        x = nxt
+    # rounding, relative to each entry: step and advance have disjoint
+    # supports, so order p of a layer has been through p steps of at most
+    # n + 4 roundings; the sums over orders and layers add order + layers
+    # more, and each weight is off by the absolute error of its log-space
+    # argument (that of lam included), a few ulps of its largest parts
+    log_mag = (order - 1) * (abs(log_lam) + 1.0) + math.lgamma(order) + lam
+    gamma = _U * (order * (n + 5) + layers + 2 + 8.0 * log_mag)
+    return acc.reshape(layers, m, n), gamma
+
+
+# ---------------------------------------------------------------------------
+# the one-sided series of the second gluing formula
+# ---------------------------------------------------------------------------
+#
+# Term k of the series has left the interface k times.  Taking the
+# off-diagonal entries of the interface rows as the steps that advance a
+# layer, layer k of :func:`uniformized_walk` holds exactly those walks.
+# Started from rows of the identity, the interface columns of layers
+# 0 .. k_max sum to the truncated series dressed on the left by the
+# extension kernel, and the side columns of layers 0 .. k_max + 1 add its
+# dressing on the right (on layer 0, the relative kernel).  The interface
+# columns of layer k_max + 1 belong to term k_max + 1 and are dropped.
+#
+# Certificate: e^{-tL} has unit row sums, and everything left out (series
+# terms past k_max, Taylor orders past the cut) is entrywise nonnegative,
+# so the error of each entry of row i is at most 1 - rowsum_i of the
+# truncated kernel.  Rounding is a relative error gamma per computed entry,
+# charged to both the entry and its row sum.
+
+
 def _check_t(t: float) -> float:
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
@@ -580,11 +635,10 @@ class SeriesKernel:
     bound on their entrywise error against the exact glued kernel, from the
     row sums of the truncated kernel (every dropped piece is nonnegative
     and the exact kernel is stochastic) plus a rounding allowance;
-    ``evaluate_with_bound(t)`` returns both.  Each call walks the series
-    once, at one step per Taylor order kept, until the Poisson(theta t)
-    weights left hold less than 1e-20 (theta the largest valency; for large
-    theta t about theta t + 10 sqrt(theta t) orders).  Past 65536 orders the rest
-    is left out and shows in the bound.
+    ``evaluate_with_bound(t)`` returns both.  Each call runs one
+    :func:`uniformized_walk` with theta the largest valency (at least 1),
+    whose layers are the terms of the series; past 65536 Taylor orders the
+    rest is left out and shows in the bound.
     """
 
     def __init__(self, d: Decomposition, k_max: int, labels: Sequence):
@@ -594,56 +648,24 @@ class SeriesKernel:
         n1, ny = len(d.side1), len(d.interface)
         self.rows = self.cols = tuple(labels)
         self._k_max = k_max
-        self._n = og.n
         self._y = np.arange(n1, n1 + ny)
-        self._c = np.setdiff1d(np.arange(og.n), self._y)
         self._start = np.array([og.index[v] for v in self.rows])
         self._theta = max(float(og.valencies.max()), 1.0)
-        shifted = (self._theta * np.eye(og.n) - laplacian(og).entries) / self._theta
-        adj = og.adjacency / self._theta
-        self._mc = shifted[np.ix_(self._c, self._c)]
-        self._dy = np.diag(shifted)[self._y]
-        self._acy = adj[np.ix_(self._c, self._y)]
-        self._ayc = adj[np.ix_(self._y, self._c)]
-        self._ayy = adj[np.ix_(self._y, self._y)]
+        shifted = self._theta * np.eye(og.n) - laplacian(og).entries
+        # a step off an interface vertex starts the next term of the series
+        self._advance = np.zeros_like(shifted)
+        self._advance[self._y] = shifted[self._y]
+        self._advance[self._y, self._y] = 0.0
+        self._step = shifted - self._advance
 
     def _rows_at(self, t: float) -> tuple[np.ndarray, float]:
         """Rows of the truncated glued kernel at t over all vertices (in
         decomposition order), and the relative rounding error of each entry."""
-        lam = self._theta * t
-        order = _poisson_order(lam)
-        k = self._k_max
-        start = np.eye(self._n)[self._start]
-        cl = np.zeros((k + 2, len(self._start), len(self._c)))
-        yl = np.zeros((k + 1, len(self._start), len(self._y)))
-        cl[0] = start[:, self._c]
-        yl[0] = start[:, self._y]
-        acc_c = np.zeros_like(cl)
-        acc_y = np.zeros_like(yl)
-        log_lam = math.log(lam)
-        for p in range(order):
-            w = math.exp(p * log_lam - math.lgamma(p + 1.0) - lam)
-            if w > 0.0:
-                acc_c += w * cl
-                acc_y += w * yl
-            if p + 1 == order:
-                break
-            next_c = cl @ self._mc
-            next_c[1:] += yl @ self._ayc
-            next_y = yl * self._dy + cl[: k + 1] @ self._acy
-            next_y[1:] += yl[:-1] @ self._ayy
-            cl, yl = next_c, next_y
-        out = np.empty((len(self._start), self._n))
-        out[:, self._c] = acc_c.sum(axis=0)
-        out[:, self._y] = acc_y.sum(axis=0)
-        # rounding, relative to each entry: order p of a layer has been
-        # through p steps of at most n + 4 roundings, the sums over orders
-        # and layers add order + k + 2 more, and each weight is off by the
-        # absolute error of its log-space argument (that of lam included),
-        # a few ulps of the argument's largest parts
-        log_mag = (order - 1) * (abs(log_lam) + 1.0) + math.lgamma(order) + lam
-        gamma = _U * (order * (self._n + 5) + k + 8.0 * log_mag + 4.0)
-        return out, gamma
+        start = np.eye(len(self._step))[self._start]
+        layers, gamma = uniformized_walk(self._step, self._advance, start,
+                                         self._k_max + 2, self._theta, t)
+        layers[-1][:, self._y] = 0.0
+        return layers.sum(axis=0), gamma
 
     def evaluate(self, t: float) -> np.ndarray:
         """Values of the block at t > 0."""

@@ -36,7 +36,12 @@ from heatglue.expmix import (
     mix_sum,
     simplex_convolve,
 )
-from heatglue.graph_heat import Decomposition, Graph, KernelMatrix
+from heatglue.graph_heat import (
+    Decomposition,
+    Graph,
+    KernelMatrix,
+    uniformized_walk,
+)
 
 __all__ = [
     "LENGTH_CAP",
@@ -385,11 +390,13 @@ def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
     replaced by the exact count, scaling the bound down accordingly.
 
     Sums over the exponentially many paths are accumulated length by
-    length and vertex by vertex, which gives exactly the same value as
-    summing path weights one at a time.  Internally the accumulation is
-    carried in the power series of e^{d_max t} times the partial sum,
-    whose coefficients are all nonnegative, so the evaluation is free of
-    cancellation and the float error stays near machine precision.
+    length and vertex by vertex, which gives the same value as summing
+    path weights one at a time.  The accumulation is the layered walk
+    :func:`heatglue.graph_heat.uniformized_walk` with theta = d_max, every
+    edge step advancing a layer: it runs in the power series of
+    e^{d_max t} times the partial sum, whose coefficients are all
+    nonnegative, so the evaluation is free of cancellation and the float
+    error stays near machine precision.
 
     Returns (value, cutoff used, tail bound actually achieved); raises
     :class:`LengthCapError` carrying the best achievable bound when no
@@ -435,54 +442,14 @@ def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
             f"eps={eps:g} needs paths longer than the cap {cap}; "
             f"best achievable tail bound is {best:g}", best)
 
-    value = _positive_partial_sum(g, u, v, t, k_used)
+    # paths of length j are the walks with j adjacency steps, so the sum
+    # over lengths <= k is layers 0 .. k of the walk advancing on every edge
+    start = np.zeros((1, g.n))
+    start[0, g.index[u]] = 1.0
+    layers, _ = uniformized_walk(np.diag(d_max - vals), g.adjacency, start,
+                                 k_used + 1, d_max, t)
+    value = math.fsum(layers[:, 0, g.index[v]].tolist())
     return value, k_used, bound(k_used)
-
-
-def _positive_partial_sum(g: Graph, u, v, t: float, k: int) -> float:
-    """Sum of path weights of length <= k from u to v, evaluated at t.
-
-    Works in the Taylor basis t^p/p! of e^{theta t} times the partial
-    sum, theta being the largest valency: offsetting every decay rate by
-    theta makes all series coefficients nonnegative, and a convolution
-    against a segment factor becomes a nonnegative Cauchy product with a
-    one-slot shift.  Cancellation-free, unlike the canonical exponential
-    form of the same sum, whose coefficients grow with the cutoff.
-    """
-    vals = g.valencies
-    theta = float(vals.max()) if g.n else 0.0
-    rho = theta - vals  # componentwise >= 0
-
-    # series order: coefficients are bounded by (2 theta)^p, so this tail
-    # controls what the truncation of the basis drops
-    order = k + 2
-    while order < 2048 and exp_tail(2.0 * theta * t, order) > 1e-20:
-        order += 16
-
-    powers = np.arange(order, dtype=float)
-    geom = np.power.outer(rho, powers)  # row i: rho_i^p
-    a = g.adjacency
-    cur = np.zeros((g.n, order))
-    cur[g.index[u]] = geom[g.index[u]]
-    acc = cur[g.index[v]].copy()
-    for _ in range(k):
-        incoming = a @ cur
-        nxt = np.zeros_like(cur)
-        for i in range(g.n):
-            if incoming[i].any():
-                prod = np.convolve(incoming[i], geom[i])[: order - 1]
-                nxt[i, 1:] = prod
-        cur = nxt
-        acc += cur[g.index[v]]
-        if not cur.any():
-            break
-
-    log_fact = np.concatenate(
-        ([0.0], np.cumsum(np.log(np.arange(1.0, order)))))
-    with np.errstate(divide="ignore"):
-        log_t = math.log(t) if t > 0 else -math.inf
-    weights = np.exp(powers * log_t - log_fact - theta * t)
-    return math.fsum((acc * weights).tolist())
 
 
 def pathsum_operators(d: Decomposition, which: str,

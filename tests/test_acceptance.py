@@ -18,13 +18,13 @@ from heatglue.expmix import ExpMix, evaluate, laplace, structural_max_diff
 from heatglue.graph_heat import (
     Decomposition,
     Graph,
-    _one_step_interface_mixes,
     extension_kernel,
     glue_I,
     glue_II,
     heat_kernel,
     interface_kernel,
     laplacian,
+    one_step_interface_kernel,
     random_decomposition,
     schur_cut,
 )
@@ -167,7 +167,7 @@ def test_gate_05_path_sum_operators_within_tails():
         ifk = pathsum_operators(d, "interface", max_length)
         dnp = pathsum_operators(d, "dn_prime", max_length)
         exact_if = interface_kernel(d)
-        exact_dn = _one_step_interface_mixes(d)
+        exact_dn = one_step_interface_kernel(d)
         for t in (0.5, 1.0):
             tail_ext = d_max * exp_tail(d_max * t, max_length)
             for side in d.side_graphs:

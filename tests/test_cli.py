@@ -6,8 +6,11 @@ import math
 import pytest
 from click.testing import CliRunner
 
+import heatglue.cli
 from heatglue.cli import main
+from heatglue.expmix import ConfluentOverflowError
 from heatglue.graph_heat import SeriesKernel
+from heatglue.symlin import ConvergenceError
 
 
 def invoke(args, env=None):
@@ -289,6 +292,26 @@ def test_exit_three_on_numerical_failure():
     (r,) = json_lines(res.stdout)
     assert r["status"] == "error"
     assert r["value"] is None
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, ConfluentOverflowError])
+def test_exit_three_on_eigensolver_and_confluent_failures(error, tmp_path,
+                                                          monkeypatch):
+    def fail(d):
+        raise error("injected")
+
+    monkeypatch.setattr(heatglue.cli, "glue_I", fail)
+    res = invoke(["graph", "glue", "--input", "line3", "--t", "1"])
+    assert res.exit_code == 3
+    (r,) = json_lines(res.stdout)
+    assert r["status"] == "error"
+    assert r["message"] == f"{error.__name__}: injected"
+    problems = tmp_path / "random.json"
+    problems.write_text(json.dumps({"cases": [
+        {"id": "rand", "kind": "random-graph-glue", "count": 2, "nmax": 6}]}))
+    res = invoke(["verify", "--input", str(problems)])
+    assert res.exit_code == 3
+    assert [r["status"] for r in json_lines(res.stdout)] == ["error"] * 2
 
 
 def test_cuts_option_rejects_malformed_values():

@@ -20,9 +20,9 @@ from heatglue.expmix import (
 from heatglue.graph_heat import (
     Decomposition,
     Graph,
-    _one_step_interface_mixes,
     extension_kernel,
     interface_kernel,
+    one_step_interface_kernel,
     random_decomposition,
 )
 from heatglue.path_sum import (
@@ -465,6 +465,26 @@ def test_pathsum_edgeless_graph():
     assert val == 0.0
 
 
+def test_pathsum_equals_its_truncated_path_sum():
+    # the value at the chosen cutoff is the sum of the path weights up to
+    # that length, not only close to the limit.  The reference evaluates
+    # each weight in its canonical exponential form, which cancels when
+    # valencies differ by one (2.5e-14 relative on a single path of the
+    # 5-vertex line at t = 0.3); on the cycle (one valency) and the star
+    # (valencies 4 and 1) it is accurate to a few ulps
+    v5 = tuple("abcde")
+    cycle = Graph(v5, tuple(zip(v5, v5[1:] + v5[:1])))
+    star = Graph(v5, tuple(("a", w) for w in v5[1:]))
+    for g in (cycle, star):
+        for u, v in (("a", "c"), ("b", "e")):
+            for t in (0.3, 0.7):
+                val, k, _ = pathsum_heat(g, u, v, t, 1e-2)
+                paths = enumerate_paths(
+                    g, PathClassSpec("P", u, v, max_length=k))
+                want = math.fsum(evaluate(weight(g, p), t) for p in paths)
+                assert abs(val - want) <= 1e-14 * want
+
+
 # ---------------------------------------------------------------------------
 # operators as truncated class sums
 # ---------------------------------------------------------------------------
@@ -481,7 +501,7 @@ def test_operator_dn_prime_line3():
     d = Decomposition(LINE3, ("2",), ("1",), ("3",))
     dn = pathsum_operators(d, "dn_prime", 12)
     assert allclose(dn.entry("2", "2"), exponential(2.0, 1.0), atol=1e-13)
-    exact = _one_step_interface_mixes(d)
+    exact = one_step_interface_kernel(d)
     assert structural_max_diff(dn.entry("2", "2"), exact[0][0]) < 1e-12
 
 
@@ -576,7 +596,7 @@ def test_operator_dn_prime_matches_one_step_factor():
         d_max = float(og.valencies.max()) if og.edges else 0.0
         max_length = 12
         got = pathsum_operators(d, "dn_prime", max_length)
-        exact = _one_step_interface_mixes(d)
+        exact = one_step_interface_kernel(d)
         ny = len(d.interface)
         for t in (0.5, 1.0):
             tail = d_max**2 * exp_tail(d_max * t, max_length - 1)

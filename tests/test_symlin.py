@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import taylor_expm
 from heatglue.graph_heat import laplacian, random_decomposition
-from heatglue.symlin import SymMatrix, block, eigh, spectral_apply
+from heatglue.symlin import (
+    ConvergenceError,
+    SymMatrix,
+    block,
+    eigh,
+    spectral_apply,
+)
 
 RESIDUAL_TOL = 1e-11
 ORTHO_TOL = 1e-12
@@ -162,7 +168,7 @@ def test_matrices_are_immutable():
 
 def _gate_draw_side_block() -> np.ndarray:
     """Side block of the glued Laplacian of the 14th gate-02 decomposition
-    (seed 20260822); its Jacobi sweep meets a subnormal off-diagonal entry."""
+    (seed 20260822); rotations on it meet a subnormal off-diagonal entry."""
     rng = np.random.default_rng(20260822)
     for _ in range(14):
         d = random_decomposition(rng, 12)
@@ -176,8 +182,8 @@ def _gate_draw_side_block() -> np.ndarray:
     _gate_draw_side_block,
 ], ids=["subnormal-entry", "gate-draw"])
 def test_eigh_tiny_offdiagonal_does_not_overflow(make):
-    # (a_rr - a_pp) / (2 a_pq) overflows for such a_pq; the rotation must
-    # take the small-angle form instead
+    # (a_rr - a_pp) / (2 a_pq) overflows for such a_pq; the solver must
+    # neither warn nor lose accuracy on them
     a = make()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -185,3 +191,12 @@ def test_eigh_tiny_offdiagonal_does_not_overflow(make):
     q, w = d.eigenvectors, d.eigenvalues
     assert np.abs(a @ q - q * w[None, :]).max() < RESIDUAL_TOL
     assert np.abs(q.T @ q - np.eye(len(w))).max() < ORTHO_TOL
+
+
+def test_eigh_lapack_failure_is_a_convergence_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eigh(SymMatrix(LINE3))
