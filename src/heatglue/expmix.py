@@ -5,11 +5,13 @@ The class handled here is
     f(t) = atom * delta(t) + sum_j coef_j * t^power_j * exp(-rate_j * t)
 
 with integer powers >= 0 and rates >= 0.  It is closed under convolution on
-[0, inf): Laplace images are rational with poles at the negated rates, so a
-convolution is a product of images followed by a partial-fraction re-expansion,
-which is done here with closed-form residue/derivative formulas rather than
-linear solves.  Rates closer than a relative tolerance are treated as one pole
-(confluent), which is what keeps the re-expansion well conditioned.
+[0, inf), and every convolution here is built from one primitive,
+:func:`convolve_exponential`: in the basis t^p/p! * exp(-u t), convolving
+with a pure exponential exp(-z t) moves the row at z up one power and
+re-expands every other row by Horner in 1/(z - u), the divided difference of
+exp(-x t).  A term t^q/q! * exp(-z t) is q + 1 such convolutions.  Rates
+closer than a relative tolerance are treated as one pole (confluent), which
+is what keeps the re-expansion well conditioned.
 
 Everything is immutable; all functions are pure and safe to call concurrently.
 """
@@ -38,12 +40,15 @@ __all__ = [
     "delta",
     "evaluate",
     "evaluate_grid",
+    "convolve_exponential",
     "exponential",
+    "from_basis",
     "from_dict",
     "from_json",
     "integrate_against_exp",
     "laplace",
     "mix_sum",
+    "rate_universe",
     "scale",
     "simplex_convolve",
     "to_dict",
@@ -53,12 +58,14 @@ __all__ = [
 EPS_MERGE = 1e-9
 MAX_POWER = 64
 
-# Hard ceiling on representable powers.  Convolving two terms of power p needs
-# factorials up to (2p+2)!, and 170! is the largest factorial a double holds,
-# so 84 is the largest power for which every internal table entry stays finite.
+# Hard ceiling on representable powers.  The confluent product of two terms of
+# power p has power 2p + 1, and its coefficient carries 1/(2p+1)!; 170! is the
+# largest factorial a double holds, so 84 is the largest power at which the
+# product of any two representable terms still has a finite factorial.
 POWER_LIMIT = 84
 
-_FACT = np.array([float(math.factorial(k)) for k in range(2 * POWER_LIMIT + 3)])
+# p! for every power such a product reaches: the t^p/p! basis of the dense arrays
+_FACT = np.array([float(math.factorial(k)) for k in range(2 * POWER_LIMIT + 2)])
 
 
 class ConfluentOverflowError(ValueError):
@@ -97,34 +104,23 @@ class ExpTerm:
         object.__setattr__(self, "rate", rate + 0.0)  # normalize -0.0
 
 
-def _cluster_sorted(values: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Chain-merge sorted rates; returns (representatives, assignment)."""
-    n = len(values)
-    assign = np.zeros(n, dtype=int)
-    cid = 0
-    for i in range(1, n):
-        gap = values[i] - values[i - 1]
-        if gap >= eps * (1.0 + values[i]):
-            cid += 1
-        assign[i] = cid
-    reps = np.zeros(cid + 1)
-    for c in range(cid + 1):
-        reps[c] = values[assign == c].mean()
+def _cluster_sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chain-merge sorted rates at relative ``EPS_MERGE``; returns
+    (cluster means, cluster of each rate)."""
+    split = np.diff(values) >= EPS_MERGE * (1.0 + values[1:])
+    assign = np.concatenate([[0], np.cumsum(split)])[: len(values)]
+    reps = np.bincount(assign, weights=values) / np.bincount(assign)
     return reps, assign
 
 
-def _canonical_terms(
-    raw: Iterable[tuple[float, int, float]],
-    eps_merge: float,
-    max_power: int,
-) -> tuple[ExpTerm, ...]:
+def _canonical_terms(raw: Iterable[tuple[float, int, float]]) -> tuple[ExpTerm, ...]:
     triples = [(float(c), int(p), float(r)) for (c, p, r) in raw if float(c) != 0.0]
     if not triples:
         return ()
     for c, p, r in triples:
-        if p > max_power:
+        if p > POWER_LIMIT:
             raise ConfluentOverflowError(
-                f"power {p} exceeds the limit {max_power}"
+                f"power {p} exceeds the limit {POWER_LIMIT}"
             )
         if not math.isfinite(c) or not math.isfinite(r):
             raise ValueError("non-finite coefficient or rate")
@@ -134,7 +130,7 @@ def _canonical_terms(
             raise ValueError(f"negative power {p}")
     triples.sort(key=lambda t: (t[2], t[1]))
     rates = np.array([t[2] for t in triples])
-    reps, assign = _cluster_sorted(rates, eps_merge)
+    reps, assign = _cluster_sorted(rates)
     buckets: dict[tuple[int, int], list[float]] = {}
     for (c, p, _), a in zip(triples, assign):
         buckets.setdefault((a, p), []).append(c)
@@ -171,7 +167,7 @@ class ExpMix:
                 c, p, r = t
                 raw.append((float(c), int(p), float(r)))
         object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "terms", _canonical_terms(raw, EPS_MERGE, POWER_LIMIT))
+        object.__setattr__(self, "terms", _canonical_terms(raw))
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,181 +217,89 @@ def mix_sum(mixes: Iterable[ExpMix]) -> ExpMix:
 
 
 # ---------------------------------------------------------------------------
-# Internal dense representation on a shared rate universe.
+# Dense coefficients on a shared rate universe.
 #
-# A table is (coef, atom) where coef has shape (n_rates, n_powers); row r holds
-# the polynomial in t multiplying exp(-universe[r] * t).  All table operations
-# assume the same universe, which is what lets repeated convolutions (series
-# summation, matrix products) skip re-clustering.
+# A coefficient array coef[..., x, p] holds the profile
+# sum coef[x, p] * t^p/p! * exp(-universe[x] * t).  In this basis the
+# convolution with one pure exponential is a single Horner step
+# (:func:`convolve_exponential`), and every other convolution is built from it.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Table:
-    universe: np.ndarray  # sorted cluster representative rates
-    coef: np.ndarray  # (len(universe), width)
-    atom: float
+def rate_universe(rates: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Merged rates of ``rates`` and the row of each input rate among them.
+
+    Rates are chain-merged at relative ``EPS_MERGE``, each cluster
+    represented by its mean, as the canonical form does; the universe is
+    sorted.
+    """
+    rates = np.asarray(rates, dtype=float)
+    order = np.argsort(rates, kind="stable")
+    universe, assign = _cluster_sorted(rates[order])
+    rows = np.empty(len(rates), dtype=int)
+    rows[order] = assign
+    return universe, rows
 
 
-def _universe_from_rates(rate_sets: Sequence[np.ndarray], eps_merge: float) -> np.ndarray:
-    nonempty = [np.asarray(r, dtype=float) for r in rate_sets if len(r)]
-    if not nonempty:
-        return np.zeros(0)
-    allr = np.sort(np.concatenate(nonempty))
-    reps, _ = _cluster_sorted(allr, eps_merge)
-    return reps
+def convolve_exponential(coef: np.ndarray, universe: np.ndarray,
+                         rows: np.ndarray) -> np.ndarray:
+    """Convolve a batch of profiles, each with one exponential of the universe.
 
-
-def _table_from_mix(f: ExpMix, universe: np.ndarray, width: int) -> _Table:
-    coef = np.zeros((len(universe), width))
-    if f.terms:
-        cs, ps, rs = f._arrays
-        if len(universe):
-            mids = (universe[1:] + universe[:-1]) / 2.0
-            rows = np.searchsorted(mids, rs)
-        else:
-            raise ValueError("empty universe for mix with terms")
-        np.add.at(coef, (rows, ps), cs)
-    return _Table(universe, coef, f.atom)
-
-
-def _table_to_mix(tab: _Table) -> ExpMix:
-    rows, pows = np.nonzero(tab.coef)
-    raw = [
-        (tab.coef[r, p], int(p), float(tab.universe[r]))
-        for r, p in zip(rows, pows)
-    ]
-    return ExpMix(tab.atom, tuple(raw))
-
-
-def _table_add(a: _Table, b: _Table) -> _Table:
-    w = max(a.coef.shape[1], b.coef.shape[1])
-    coef = np.zeros((len(a.universe), w))
-    coef[:, : a.coef.shape[1]] += a.coef
-    coef[:, : b.coef.shape[1]] += b.coef
-    return _Table(a.universe, coef, a.atom + b.atom)
-
-
-def _row_degrees(coef: np.ndarray) -> np.ndarray:
-    """Highest nonzero power per row, -1 for empty rows."""
-    nz = coef != 0.0
-    width = coef.shape[1]
-    return np.where(nz.any(axis=1), width - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
-
-
-def _table_convolve(a: _Table, b: _Table, max_power: int = MAX_POWER) -> _Table:
-    """Convolution of two profiles over a shared rate universe."""
-    rates = a.universe
-    da = _row_degrees(a.coef)
-    db = _row_degrees(b.coef)
-    rows_a = np.nonzero(da >= 0)[0]
-    rows_b = np.nonzero(db >= 0)[0]
-
-    conf = np.intersect1d(rows_a, rows_b)
-    if len(conf):
-        top = int((da[conf] + db[conf]).max()) + 1
-        if top > max_power:
-            raise ConfluentOverflowError(
-                f"confluent convolution needs power {top} > max_power={max_power}; "
-                "raise max_power or loosen the rate merge"
-            )
-    width = 1
-    if len(rows_a):
-        width = max(width, int(da[rows_a].max()) + 1)
-    if len(rows_b):
-        width = max(width, int(db[rows_b].max()) + 1)
-    if len(conf):
-        width = max(width, int((da[conf] + db[conf]).max()) + 2)
-    out = np.zeros((len(rates), width))
-    atom = a.atom * b.atom
-    if a.atom != 0.0 and len(rows_b):
-        bw = int(db[rows_b].max()) + 1
-        out[:, :bw] += a.atom * b.coef[:, :bw]
-    if b.atom != 0.0 and len(rows_a):
-        aw = int(da[rows_a].max()) + 1
-        out[:, :aw] += b.atom * a.coef[:, :aw]
-
-    if len(rows_a) == 0 or len(rows_b) == 0:
-        return _Table(rates, out, atom)
-
-    a0 = rows_a[da[rows_a] == 0]
-    ahi = rows_a[da[rows_a] > 0]
-    b0 = rows_b[db[rows_b] == 0]
-    bhi = rows_b[db[rows_b] > 0]
-
-    # pure-exponential pairs at distinct rates, all at once
-    if len(a0) and len(b0):
-        ca = a.coef[a0, 0]
-        cb = b.coef[b0, 0]
-        drate = rates[b0][None, :] - rates[a0][:, None]
-        same = a0[:, None] == b0[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(same, 0.0, (ca[:, None] * cb[None, :]) / drate)
-        np.add.at(out[:, 0], a0, w.sum(axis=1))
-        np.add.at(out[:, 0], b0, -w.sum(axis=0))
-
-    # confluent pairs (same pole): weighted polynomial product, degree grows
-    for r in conf:
-        u = a.coef[r, : da[r] + 1] * _FACT[: da[r] + 1]
-        v = b.coef[r, : db[r] + 1] * _FACT[: db[r] + 1]
-        w = np.convolve(u, v)
-        out[r, 1 : len(w) + 1] += w / _FACT[1 : len(w) + 1]
-
-    # polynomial row against exponential rows: Horner in 1/(rate gap)
-    def _poly_vs_exp(i: int, poly: np.ndarray, other_rows: np.ndarray,
-                     other_coefs: np.ndarray) -> None:
-        mask = other_rows != i
-        rows_o = other_rows[mask]
-        if len(rows_o) == 0:
-            return
-        co = other_coefs[mask]
-        dr = rates[rows_o] - rates[i]
-        wpoly = poly * _FACT[: len(poly)]
-        npow = len(wpoly)
-        R = np.zeros((npow, len(rows_o)))
-        R[npow - 1] = wpoly[npow - 1] / dr
-        for p in range(npow - 2, -1, -1):
-            R[p] = (wpoly[p] - R[p + 1]) / dr
-        out[i, :npow] += (R * co[None, :]).sum(axis=1) / _FACT[:npow]
-        np.add.at(out[:, 0], rows_o, -co * R[0])
-
-    for i in ahi:
-        _poly_vs_exp(i, a.coef[i, : da[i] + 1], b0, b.coef[b0, 0])
-    for j in bhi:
-        _poly_vs_exp(j, b.coef[j, : db[j] + 1], a0, a.coef[a0, 0])
-
-    # two polynomial rows at distinct rates: full residue re-expansion.
-    # With gap = mu - lambda, the lambda-side coefficient of t^p is
-    #   C_p = (1/p!) sum_u pa[p+u] (p+u)! S_u,
-    #   S_u = ((-1)^u / u!) sum_k pb[k] (u+k)! gap^-(u+k+1),
-    # and the mu side is the mirror (roles swapped, gap negated).
-    def _one_side(pa: np.ndarray, pb: np.ndarray, gap: float) -> np.ndarray:
-        A, B = len(pa), len(pb)
-        m = np.arange(A + B - 1)
-        with np.errstate(over="ignore"):
-            h = _FACT[m] * (1.0 / gap) ** (m + 1)
-        idx = np.arange(A)[:, None] + np.arange(B)[None, :]
-        S = ((-1.0) ** np.arange(A)) / _FACT[:A] * (h[idx] @ pb)
-        wa = pa * _FACT[:A]
-        return np.array([wa[p:].dot(S[: A - p]) for p in range(A)]) / _FACT[:A]
-
-    def _poly_vs_poly(i: int, j: int, pa: np.ndarray, pb: np.ndarray) -> None:
-        gap = rates[j] - rates[i]
-        out[i, : len(pa)] += _one_side(pa, pb, gap)
-        out[j, : len(pb)] += _one_side(pb, pa, -gap)
-
-    if len(ahi) and len(bhi):
-        for i in ahi:
-            for j in bhi:
-                if i != j:
-                    _poly_vs_poly(i, j, a.coef[i, : da[i] + 1], b.coef[j, : db[j] + 1])
-
+    ``coef[..., x, p]`` is the coefficient of ``t^p/p! * exp(-u_x t)`` with
+    ``u = universe``; ``rows`` broadcasts against ``coef.shape[:-2]`` and
+    names the rate z = u[rows] that each profile is convolved with.  Returns
+    the coefficients of ``coef * exp(-z t)``, one power wider: the row at z
+    moves up one power, every other row is re-expanded by Horner in
+    1/(z - u_x), and the row at z collects minus the order-0 Horner value.
+    Raises :class:`ConfluentOverflowError` on a non-finite result, which
+    means two rates too close for the re-expansion.
+    """
+    coef = np.asarray(coef, dtype=float)
+    rows = np.asarray(rows)[..., None]
+    shape = np.broadcast_shapes(coef.shape[:-1], rows.shape)
+    same = rows == np.arange(len(universe))
+    out = np.zeros(shape + (coef.shape[-1] + 1,))
+    acc = np.zeros(shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = np.where(same, 0.0, 1.0 / (universe[rows] - universe))
+        for p in range(coef.shape[-1] - 1, -1, -1):
+            acc = (coef[..., p] - acc) * inv
+            out[..., p] = acc
+        out[..., 1:] += np.where(same[..., None], coef, 0.0)
+        out[..., 0] -= same * acc.sum(axis=-1, keepdims=True)
     if not np.all(np.isfinite(out)):
         raise ConfluentOverflowError(
-            "non-finite coefficients from near-confluent partial fractions; "
-            "loosen eps_merge so the colliding rates merge"
+            "non-finite coefficients from near-confluent rates"
         )
-    return _Table(rates, out, atom)
+    return out
+
+
+def from_basis(coef: np.ndarray, universe: np.ndarray, atom: float = 0.0) -> ExpMix:
+    """The profile ``atom*delta(t) + sum coef[x, p] * t^p/p! * exp(-u_x t)``.
+
+    Powers up to ``2 * POWER_LIMIT + 1`` convert; the result keeps the
+    canonical form's limit ``POWER_LIMIT``.
+    """
+    rows, pows = np.nonzero(coef)
+    vals = coef[rows, pows] / _FACT[pows]
+    return ExpMix(atom, tuple(zip(vals.tolist(), pows.tolist(),
+                                  universe[rows].tolist())))
+
+
+def _dense(f: ExpMix, rows: np.ndarray, size: int, width: int) -> np.ndarray:
+    """Coefficients of ``t^p`` of f, term j in row ``rows[j]``."""
+    out = np.zeros((size, width))
+    cs, ps, _ = f._arrays
+    np.add.at(out, (rows, ps), cs)
+    return out
+
+
+def _joint(f: ExpMix, g: ExpMix) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Joint rate universe of f and g, the universe rows of their terms, and
+    the width that holds every power of either."""
+    universe, rows = rate_universe(np.concatenate([f._arrays[2], g._arrays[2]]))
+    width = 1 + max([0] + [t.power for t in f.terms + g.terms])
+    return universe, rows[: len(f.terms)], rows[len(f.terms):], width
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +307,15 @@ def _table_convolve(a: _Table, b: _Table, max_power: int = MAX_POWER) -> _Table:
 # ---------------------------------------------------------------------------
 
 
-def convolve(f: ExpMix, g: ExpMix, *, eps_merge: float = EPS_MERGE,
-             max_power: int = MAX_POWER) -> ExpMix:
+def convolve(f: ExpMix, g: ExpMix, *, max_power: int = MAX_POWER) -> ExpMix:
     """Convolution ``(f * g)(t) = int_0^t f(s) g(t-s) ds`` plus atom rules.
 
-    Computed by multiplying Laplace images and re-expanding in partial
-    fractions; rates of the two operands within ``eps_merge`` (relative) are
-    treated as the same pole.  Raises :class:`ConfluentOverflowError` when the
-    confluent degree growth would exceed ``max_power``.
+    A term ``t^q/q! * exp(-zt)`` of g is q + 1 convolutions with
+    ``exp(-zt)``, so the product is a loop of :func:`convolve_exponential`
+    over the powers of the factor of lower degree.  Rates of the two
+    operands within ``EPS_MERGE`` (relative) are treated as the same pole.
+    Raises :class:`ConfluentOverflowError` when the confluent degree growth
+    would exceed ``max_power``.
     """
     if max_power > POWER_LIMIT:
         raise ValueError(
@@ -418,15 +323,31 @@ def convolve(f: ExpMix, g: ExpMix, *, eps_merge: float = EPS_MERGE,
         )
     if f.is_zero() or g.is_zero():
         return ZERO
-    universe = _universe_from_rates([f._arrays[2], g._arrays[2]], eps_merge)
-    width = int(max([1] + [t.power + 1 for t in f.terms + g.terms]))
-    ta = _table_from_mix(f, universe, width)
-    tb = _table_from_mix(g, universe, width)
-    return _table_to_mix(_table_convolve(ta, tb, max_power))
+    universe, rows_f, rows_g, width = _joint(f, g)
+    pf, pg = f._arrays[1], g._arrays[1]
+    same = rows_f[:, None] == rows_g[None, :]
+    top = int((pf[:, None] + pg[None, :] + 1)[same].max(initial=0))
+    if top > max_power:
+        raise ConfluentOverflowError(
+            f"confluent convolution needs power {top} > max_power={max_power}"
+        )
+    size = len(universe)
+    a = _dense(f, rows_f, size, width) * _FACT[:width]
+    b = _dense(g, rows_g, size, width) * _FACT[:width]
+    out = np.zeros((size, 2 * width))
+    out[:, :width] = f.atom * b + g.atom * a
+    if f.terms and g.terms:
+        if pg.max() > pf.max():
+            a, b = b, a
+        chain = np.nonzero(b.any(axis=1))[0]
+        h = a
+        for q in range(1 + min(pf.max(), pg.max())):
+            h = convolve_exponential(h, universe, chain)
+            out[:, : h.shape[-1]] += np.einsum("r,rxp->xp", b[chain, q], h)
+    return from_basis(out, universe, f.atom * g.atom)
 
 
-def simplex_convolve(fs: Sequence[ExpMix], *, eps_merge: float = EPS_MERGE,
-                     max_power: int = MAX_POWER) -> ExpMix:
+def simplex_convolve(fs: Sequence[ExpMix], *, max_power: int = MAX_POWER) -> ExpMix:
     """Iterated convolution of ``fs``; a single factor is returned unchanged.
 
     Equals the integral of the product of the factors over the simplex
@@ -437,7 +358,7 @@ def simplex_convolve(fs: Sequence[ExpMix], *, eps_merge: float = EPS_MERGE,
         raise ValueError("simplex_convolve needs at least one factor")
     acc = fs[0]
     for g in fs[1:]:
-        acc = convolve(acc, g, eps_merge=eps_merge, max_power=max_power)
+        acc = convolve(acc, g, max_power=max_power)
     return acc
 
 
@@ -519,14 +440,13 @@ def cumulative(f: ExpMix, t: float) -> float:
     return math.fsum(total)
 
 
-def allclose(f: ExpMix, g: ExpMix, *, atol: float = 1e-12, rtol: float = 1e-9,
-             eps_merge: float = EPS_MERGE) -> bool:
+def allclose(f: ExpMix, g: ExpMix, *, atol: float = 1e-12, rtol: float = 1e-9) -> bool:
     """Structural comparison after joint rate clustering.
 
     Coefficients are compared per (rate cluster, power) with an absent term
     treated as zero; atoms are compared with the same tolerances.
     """
-    diff = structural_max_diff(f, g, eps_merge=eps_merge)
+    diff = structural_max_diff(f, g)
     scale_ref = max(
         [abs(f.atom), abs(g.atom)]
         + [abs(t.coef) for t in f.terms]
@@ -536,18 +456,12 @@ def allclose(f: ExpMix, g: ExpMix, *, atol: float = 1e-12, rtol: float = 1e-9,
     return diff <= atol + rtol * scale_ref
 
 
-def structural_max_diff(f: ExpMix, g: ExpMix, *, eps_merge: float = EPS_MERGE) -> float:
+def structural_max_diff(f: ExpMix, g: ExpMix) -> float:
     """Max absolute coefficient difference after joint canonicalization."""
-    universe = _universe_from_rates([f._arrays[2], g._arrays[2]], eps_merge) \
-        if (f.terms or g.terms) else np.zeros(0)
-    width = int(max([1] + [t.power + 1 for t in f.terms + g.terms]))
-    if len(universe):
-        ta = _table_from_mix(f, universe, width)
-        tb = _table_from_mix(g, universe, width)
-        dmat = float(np.abs(ta.coef - tb.coef).max())
-    else:
-        dmat = 0.0
-    return max(dmat, abs(f.atom - g.atom))
+    universe, rows_f, rows_g, width = _joint(f, g)
+    dmat = np.abs(_dense(f, rows_f, len(universe), width)
+                  - _dense(g, rows_g, len(universe), width))
+    return max(float(dmat.max(initial=0.0)), abs(f.atom - g.atom))
 
 
 # ---------------------------------------------------------------------------

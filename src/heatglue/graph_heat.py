@@ -23,17 +23,13 @@ import numpy as np
 
 from heatglue import symlin
 from heatglue.expmix import (
-    EPS_MERGE,
-    POWER_LIMIT,
     ExpMix,
     ZERO,
-    _table_add,
-    _table_convolve,
-    _table_from_mix,
-    _table_to_mix,
-    _universe_from_rates,
+    convolve_exponential,
+    from_basis,
     laplace,
     mix_sum,
+    rate_universe,
 )
 
 __all__ = [
@@ -437,32 +433,6 @@ def interface_kernel(d: Decomposition) -> KernelMatrix:
     return KernelMatrix(d.interface, d.interface, tuple(map(tuple, ent)))
 
 
-def _tmatmul(a, b, nrows, ncols, ninner):
-    out = [[None] * ncols for _ in range(nrows)]
-    for i in range(nrows):
-        for j in range(ncols):
-            acc = None
-            for z in range(ninner):
-                ta = a[i][z]
-                tb = b[z][j]
-                if ta is None or tb is None:
-                    continue
-                c = _table_convolve(ta, tb, POWER_LIMIT)
-                acc = c if acc is None else _table_add(acc, c)
-            out[i][j] = acc
-    return out
-
-
-def _to_tables(mixes, universe, width):
-    out = []
-    for row in mixes:
-        out.append([
-            None if (m.is_zero()) else _table_from_mix(m, universe, width)
-            for m in row
-        ])
-    return out
-
-
 def one_step_interface_kernel(d: Decomposition) -> list[list[ExpMix]]:
     """One-step interface update: delta times A restricted to the interface,
     plus the relative kernels of the two sides sandwiched between adjacency
@@ -704,49 +674,43 @@ def interface_kernel_series(d: Decomposition, k_max: int):
 
 
 def glue_I(d: Decomposition) -> KernelMatrix:
-    """First gluing formula: Dirichlet kernel plus extension-dressed interface
-    kernel.  Exact as ExpMix coefficients, up to rate-merge rounding."""
+    """First gluing formula: K = K_rel + E * K_Y * E^T, exact as ExpMix
+    coefficients up to rate-merge rounding.
+
+    Everything comes from two eigendecompositions: L = Q diag(w) Q^T of the
+    glued Laplacian and L_C = V diag(mu) V^T of its block off the interface,
+    C.  The interface kernel is K_Y = Q_Y e^{-wt} Q_Y^T, the relative kernel
+    is V e^{-mu t} V^T on C, and the extension kernel is E = V e^{-mu t} B
+    with B = V^T A_CY on C (the identity atom on the interface).  All three
+    are pure exponentials on one rate universe, so each time convolution is
+    one batched :func:`~heatglue.expmix.convolve_exponential` over the rates
+    mu_m, weighted by V and B with einsum; each entry becomes an ExpMix once.
+    """
     og = d.ordered_graph
-    y = d.interface
-    n, ny = og.n, len(y)
-    ifk = interface_kernel(d)
-    rel = relative_heat_kernel(og, y)
-    eps = extension_kernel(og, y)
-    rates = set()
-    for row in ifk.entries:
-        for m in row:
-            rates.update(t.rate for t in m.terms)
-    rel_rates = set()
-    for row in rel.entries:
-        for m in row:
-            rel_rates.update(t.rate for t in m.terms)
-    universe = _universe_from_rates(
-        [np.array(sorted(rates)), np.array(sorted(rel_rates))], EPS_MERGE
-    )
-
-    width = 1
-    for row in eps.entries:
-        for m in row:
-            for t in m.terms:
-                width = max(width, t.power + 1)
-    eps_t = _to_tables(eps.entries, universe, width)
-    eps_tt = [[eps_t[i][j] for i in range(n)] for j in range(ny)]
-    half = _tmatmul(eps_t, _to_tables(ifk.entries, universe, 1), n, ny, ny)
-    corr = _tmatmul(half, eps_tt, n, n, ny)
-
-    ent = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            base = rel.entries[i][j]
-            c = corr[i][j]
-            if c is None:
-                row.append(base)
-            else:
-                m = _table_to_mix(c)
-                row.append(m if base.is_zero() else mix_sum([base, m]))
-        ent.append(tuple(row))
-    return KernelMatrix(og.vertices, og.vertices, tuple(ent))
+    n, n1, ny = og.n, len(d.side1), len(d.interface)
+    y = np.arange(n1, n1 + ny)
+    c = np.setdiff1d(np.arange(n), y)
+    lap = laplacian(og)
+    full = symlin.eigh(lap)
+    blk = symlin.eigh(symlin.SymMatrix(lap.entries[np.ix_(c, c)]))
+    rates = [_safe_rate(x) for x in np.concatenate([full.eigenvalues, blk.eigenvalues])]
+    universe, rows = rate_universe(rates)
+    onehot = np.eye(len(universe))[rows]
+    q, v = full.eigenvectors[y], blk.eigenvectors
+    b = v.T @ og.adjacency[np.ix_(c, y)]
+    mu = rows[n:, None, None]
+    ky = np.einsum("pk,qk,kx->pqx", q, q, onehot[:n])[..., None]
+    eky = np.einsum("im,mp,mpqxa->iqxa", v, b, convolve_exponential(ky, universe, mu))
+    ekye = np.einsum("jm,mq,miqxa->ijxa", v, b, convolve_exponential(eky, universe, mu))
+    ekye[..., 0] += np.einsum("im,jm,mx->ijx", v, v, onehot[n:])
+    coef = np.zeros((n, n, len(universe), 3))
+    coef[y[:, None], y, :, :1] = ky
+    coef[c[:, None], y, :, :2] = eky
+    coef[y[:, None], c, :, :2] = eky.transpose(1, 0, 2, 3)
+    coef[c[:, None], c] = ekye
+    ent = tuple(tuple(from_basis(coef[i, j], universe) for j in range(n))
+                for i in range(n))
+    return KernelMatrix(og.vertices, og.vertices, ent)
 
 
 def glue_II(d: Decomposition, k_max: int):

@@ -16,11 +16,13 @@ from heatglue.expmix import (
     ExpTerm,
     allclose,
     convolve,
+    convolve_exponential,
     cumulative,
     delta,
     evaluate,
     evaluate_grid,
     exponential,
+    from_basis,
     from_dict,
     from_json,
     integrate_against_exp,
@@ -243,6 +245,52 @@ def test_polynomial_cross_pair_against_quadrature():
     h = convolve(f, g)
     for t in (0.25, 1.0, 3.0):
         assert evaluate(h, t) == pytest.approx(gl_convolve_value(f, g, t), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the convolution primitive
+# ---------------------------------------------------------------------------
+
+UNIVERSE = np.array([0.0, 0.5, 1.25, 3.0])
+
+
+def test_convolve_exponential_confluent_row_moves_up_one_power():
+    coef = np.zeros((4, 3))
+    coef[2] = [0.7, -1.5, 2.0]
+    out = convolve_exponential(coef, UNIVERSE, 2)
+    expected = np.zeros((4, 4))
+    expected[2, 1:] = coef[2]
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("row", [0, 1, 3])
+def test_convolve_exponential_distinct_row_against_quadrature(row):
+    coef = np.zeros((4, 3))
+    coef[2] = [0.7, -1.5, 2.0]
+    coef[0, 0] = 0.4
+    out = convolve_exponential(coef, UNIVERSE, row)
+    f = from_basis(coef, UNIVERSE)
+    g = exponential(1.0, UNIVERSE[row])
+    for t in (0.25, 1.0, 3.0):
+        assert evaluate(from_basis(out, UNIVERSE), t) == pytest.approx(
+            gl_convolve_value(f, g, t), abs=1e-12)
+
+
+def test_convolve_exponential_batch_equals_single_calls():
+    rng = np.random.default_rng(7)
+    coef = rng.normal(size=(5, 4, 3))
+    rows = np.array([0, 3, 1, 1, 2])
+    out = convolve_exponential(coef, UNIVERSE, rows)
+    for b, r in enumerate(rows):
+        assert np.array_equal(out[b], convolve_exponential(coef[b], UNIVERSE, r))
+
+
+def test_convolve_exponential_non_finite_raises():
+    universe = np.array([1.0, 1.0 + 1e-8])
+    coef = np.zeros((2, 41))
+    coef[0, 40] = 1.0
+    with pytest.raises(ConfluentOverflowError):
+        convolve_exponential(coef, universe, 1)
 
 
 # ---------------------------------------------------------------------------

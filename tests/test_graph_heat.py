@@ -435,10 +435,27 @@ def test_glue_I_line3_closed_forms():
     )
 
 
+def symmetric_splits() -> list[Decomposition]:
+    """Splits whose glued and interface-killed spectra share eigenvalues
+    exactly, so gluing I meets confluent rates."""
+    cycle = Graph(tuple(range(8)), tuple((i, (i + 1) % 8) for i in range(8)))
+    star = Graph(tuple(range(7)), tuple((0, i) for i in range(1, 7)))
+    cells = tuple((r, c) for r in range(4) for c in range(3))
+    grid = Graph(cells, tuple(((r, c), (r, c + 1)) for r in range(4) for c in range(2))
+                 + tuple(((r, c), (r + 1, c)) for r in range(3) for c in range(3)))
+    k6 = Graph(tuple(range(6)), tuple((i, j) for i in range(6) for j in range(i + 1, 6)))
+    return [
+        Decomposition(cycle, (0, 4)),
+        Decomposition(star, (0,)),
+        Decomposition(grid, tuple((r, 1) for r in range(4))),
+        Decomposition(k6, (0,)),
+    ]
+
+
 def test_glue_I_equals_assembled_kernel():
     rng = np.random.default_rng(2024)
-    for _ in range(8):
-        d = random_decomposition(rng, 12)
+    draws = [random_decomposition(rng, 12) for _ in range(8)]
+    for d in draws + symmetric_splits():
         glued = glue_I(d)
         assembled = heat_kernel(d.ordered_graph)
         worst = 0.0

@@ -1,4 +1,5 @@
-"""Module boundaries of the package: no private name crosses a module."""
+"""Module boundaries of the package: no private name crosses a module, and
+no module-level import goes unused."""
 
 import ast
 import pathlib
@@ -7,38 +8,51 @@ import heatglue
 
 SRC = pathlib.Path(heatglue.__file__).resolve().parent
 
-# graph_heat's exact gluing convolves expmix tables directly.  Debt of
-# ROADMAP item 2: these go once the table arithmetic has a public home.
-ALLOWED = {
-    ("graph_heat", "heatglue.expmix", "_table_add"),
-    ("graph_heat", "heatglue.expmix", "_table_convolve"),
-    ("graph_heat", "heatglue.expmix", "_table_from_mix"),
-    ("graph_heat", "heatglue.expmix", "_table_to_mix"),
-    ("graph_heat", "heatglue.expmix", "_universe_from_rates"),
-}
+
+def modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
 def private_imports():
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for stem, tree in modules():
         for node in ast.walk(tree):
             if not isinstance(node, ast.ImportFrom):
                 continue
             module = node.module or ""
             if node.level:
                 module = f"heatglue.{module}".rstrip(".")
-            if not module.startswith("heatglue.") or module == f"heatglue.{path.stem}":
+            if not module.startswith("heatglue.") or module == f"heatglue.{stem}":
                 continue
             for alias in node.names:
                 if alias.name.startswith("_"):
-                    yield path.stem, module, alias.name
+                    yield stem, module, alias.name
+
+
+def exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports():
+    for stem, tree in modules():
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for name in sorted(bound - used - exported(tree)):
+            yield stem, name
 
 
 def test_no_private_name_is_imported_across_modules():
-    found = set(private_imports())
-    assert found - ALLOWED == set()
+    assert set(private_imports()) == set()
 
 
-def test_allowed_private_imports_are_still_in_use():
-    # an entry left here after its import is gone would let it come back
-    assert ALLOWED <= set(private_imports())
+def test_no_unused_imports():
+    assert list(unused_imports()) == []
