@@ -364,6 +364,8 @@ def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
             xl = (x - c1) % L
             yl = (y - c1) % L
         reference = heat1d.k_interval(ell, xl, yl, t)[0]
+        # bound 0.0: the cut series has no truncation bound yet (see
+        # cut_circle_to_arc), so the report passes on its residual alone
         return [_report(case, "circle", inputs, value, reference, 0.0)]
 
     return _guarded(case, "circle", inputs, run)

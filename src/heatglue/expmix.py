@@ -45,7 +45,6 @@ __all__ = [
     "from_basis",
     "from_dict",
     "from_json",
-    "integrate_against_exp",
     "laplace",
     "mix_sum",
     "rate_universe",
@@ -404,11 +403,6 @@ def laplace(f: ExpMix, s: float) -> float:
     cs, ps, rs = f._arrays
     vals = cs * _FACT[ps] / (s + rs) ** (ps + 1.0)
     return f.atom + math.fsum(vals.tolist())
-
-
-def integrate_against_exp(f: ExpMix, m2: float) -> float:
-    """``int_0^inf f(t) exp(-m2*t) dt`` including the atom; needs m2 > -min rate."""
-    return laplace(f, m2)
 
 
 def cumulative(f: ExpMix, t: float) -> float:

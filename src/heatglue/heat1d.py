@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from heatglue.expmix import ExpMix, evaluate as _mix_evaluate, simplex_convolve
 from heatglue.path_sum import exp_tail
 from heatglue.quadsim import (
     MAX_PANELS,
@@ -33,7 +32,6 @@ from heatglue.quadsim import (
 
 __all__ = [
     "EvalParams",
-    "Kernel1D",
     "TruncationError",
     "k_line",
     "k_ray",
@@ -43,7 +41,6 @@ __all__ = [
     "k_circle",
     "interface_two_intervals",
     "glue_intervals_I",
-    "glue_intervals_modal",
     "glue_intervals_II",
     "glue_rays",
     "cut_circle_to_arc",
@@ -51,7 +48,6 @@ __all__ = [
     "dn_cylinder",
     "DnCylinderReport",
     "echo_density",
-    "echo_rate",
     "echo_sup",
 ]
 
@@ -351,34 +347,6 @@ def k_circle(L: float, x: float, y: float, t: float, rep: str = "auto",
     raise ValueError(f"unknown representation {rep!r}")
 
 
-@dataclass(frozen=True)
-class Kernel1D:
-    """Geometry plus representation tag, dispatching to the kernel series."""
-
-    geometry: str
-    L: float | None = None
-    representation: str = "images"
-
-    def __post_init__(self) -> None:
-        if self.geometry not in ("line", "ray", "interval", "circle"):
-            raise ValueError(f"unknown geometry {self.geometry!r}")
-        if self.geometry in ("interval", "circle"):
-            if self.L is None or not (float(self.L) > 0.0):
-                raise ValueError(f"{self.geometry} geometry requires L > 0")
-        if self.representation not in ("images", "spectral"):
-            raise ValueError(f"unknown representation {self.representation!r}")
-
-    def evaluate(self, x: float, y: float, t: float,
-                 p: EvalParams | None = None) -> tuple[float, float]:
-        if self.geometry == "line":
-            return k_line(x, y, t), 0.0
-        if self.geometry == "ray":
-            return k_ray(x, y, t), 0.0
-        if self.geometry == "interval":
-            return k_interval(self.L, x, y, t, self.representation, p)
-        return k_circle(self.L, x, y, t, self.representation, p)
-
-
 # ---------------------------------------------------------------------------
 # interface kernel of two joined intervals
 # ---------------------------------------------------------------------------
@@ -494,38 +462,6 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float, t: float,
     return value, abs(value - _glue_direct(L1, L2, x, y, t))
 
 
-def glue_intervals_modal(L1: float, L2: float, x: float, y: float, t: float,
-                         k_max: int) -> float:
-    """Glued-interval correction through the exact mixture algebra.
-
-    Every factor is a truncated eigenmode sum, an exponential mixture in
-    time, so the triple simplex convolution evaluates in closed form and
-    truncation is the only error source.  That error decays only like
-    1/k_max (the sharp mode cutoff leaves a slowly damped sawtooth in the
-    flux factors), so this route cross-checks structure; use
-    glue_intervals_I when accuracy matters.
-    """
-    L1 = _check_length(L1, "L1")
-    L2 = _check_length(L2, "L2")
-    t = _check_time(t)
-    if not (0.0 < x < L2 and 0.0 < y < L2):
-        raise ValueError("x and y must lie strictly inside (0, L2)")
-    if int(k_max) < 1:
-        raise ValueError("k_max must be at least 1")
-    S = L1 + L2
-
-    def flux(z: float) -> ExpMix:
-        return ExpMix(0.0, tuple(
-            ((2.0 * math.pi * k / (L2 * L2)) * math.sin(math.pi * k * z / L2),
-             0, (math.pi * k / L2) ** 2) for k in range(1, int(k_max) + 1)))
-
-    mid = ExpMix(0.0, tuple(
-        ((2.0 / S) * (-1.0) ** (k + 1) * math.sin(math.pi * k * L1 / S)
-         * math.sin(math.pi * k * L2 / S), 0, (math.pi * k / S) ** 2)
-        for k in range(1, int(k_max) + 1)))
-    return _mix_evaluate(simplex_convolve([flux(x), mid, flux(y)]), t)
-
-
 # ---------------------------------------------------------------------------
 # gluing two intervals, route II: alternating flux series through quadrature
 # ---------------------------------------------------------------------------
@@ -568,27 +504,6 @@ def echo_density(L: float, t):
     return out if np.ndim(t) else float(out[0])
 
 
-def echo_rate(L: float, t):
-    """Sharp-pulse form of the round trips, before flat smoothing.
-
-    Convolving this with the flat half-line pulse 1/sqrt(4 pi t)
-    reproduces echo_density exactly; the identity is one of the
-    quadrature cross-checks.
-    """
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    if pos.any():
-        tp = arr[pos]
-        kcap = int(math.ceil(math.sqrt(70.0 * float(tp.max())) / L)) + 2
-        ks = np.arange(1.0, kcap + 1.0)
-        kk = np.square(ks[:, None] * L)
-        pulses = (2.0 / math.sqrt(4.0 * math.pi)) \
-            * (2.0 * kk / tp[None, :] - 1.0) * np.exp(-kk / tp[None, :])
-        out[pos] = pulses.sum(axis=0) * tp**-1.5
-    return out if np.ndim(t) else float(out[0])
-
-
 @lru_cache(maxsize=32)
 def echo_sup(L1: float, L2: float) -> float:
     """Supremum over t of echo_density(L1, t) + echo_density(L2, t)."""
@@ -618,10 +533,15 @@ class _DecayInterp:
     The declared envelope exp(-c/tau) is peeled off before fitting so the
     interpolated part stays tame; below the point where the envelope is
     negligible the profile is treated as zero.  Works for signed values.
+    fn is called once, on the array of all node times, and returns the
+    profile there.  Evaluation runs in blocks of _BLOCK points so that its
+    (points x nodes) temporaries stay small.
     """
 
-    def __init__(self, fn: Callable[[float], float], t_max: float, c: float,
-                 n_nodes: int = 65):
+    _BLOCK = 256
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], t_max: float,
+                 c: float, n_nodes: int = 65):
         if not (c > 0.0):
             raise ValueError("envelope constant must be positive")
         self.c = c
@@ -630,12 +550,26 @@ class _DecayInterp:
         j = np.arange(n_nodes)
         self.u = self.ulo + (self.uhi - self.ulo) * 0.5 \
             * (1.0 - np.cos(math.pi * j / (n_nodes - 1)))
-        vals = np.array([fn(1.0 / uj) for uj in self.u])
+        vals = np.asarray(fn(1.0 / self.u), dtype=float)
         self.h = vals * np.exp(c * (self.u - self.ulo))
         w = np.where(j % 2 == 0, 1.0, -1.0)
         w[0] *= 0.5
         w[-1] *= 0.5
         self.w = w
+
+    def _inside(self, uu: np.ndarray) -> np.ndarray:
+        # a point within rounding of a node takes that node's value; the
+        # sorted nodes give the nearest one without a pass over the table
+        k = np.searchsorted(self.u, uu).clip(1, self.u.size - 1)
+        near = np.where(uu - self.u[k - 1] < self.u[k] - uu, k - 1, k)
+        hit = np.flatnonzero(
+            np.abs(uu - self.u[near]) < 1e-14 * (self.uhi - self.ulo))
+        diff = uu[:, None] - self.u[None, :]
+        diff[hit, near[hit]] = 1.0
+        wd = self.w[None, :] / diff
+        vals = (wd @ self.h) / wd.sum(axis=1)
+        vals[hit] = self.h[near[hit]]
+        return vals * np.exp(-self.c * (uu - self.ulo))
 
     def __call__(self, tau):
         arr = np.atleast_1d(np.asarray(tau, dtype=float))
@@ -646,15 +580,9 @@ class _DecayInterp:
         inside = u <= self.uhi
         if inside.any():
             uu = np.clip(u[inside], self.ulo, self.uhi)
-            diff = uu[:, None] - self.u[None, :]
-            hit = np.abs(diff) < 1e-14 * (self.uhi - self.ulo)
-            safe = np.where(hit, 1.0, diff)
-            wd = self.w[None, :] / safe
-            vals = (wd @ self.h) / wd.sum(axis=1)
-            rows = hit.any(axis=1)
-            if rows.any():
-                vals[rows] = self.h[hit[rows].argmax(axis=1)]
-            out[inside] = vals * np.exp(-self.c * (uu - self.ulo))
+            out[inside] = np.concatenate([
+                self._inside(uu[i:i + self._BLOCK])
+                for i in range(0, uu.size, self._BLOCK)])
         return out if np.ndim(tau) else float(out[0])
 
 
@@ -697,7 +625,7 @@ def _echo_chain_factor(L1: float, L2: float, t_build: float,
         c=min_l2, alpha=1.5)
     prev = _echo_chain_factor(L1, L2, t_build, n - 1)
 
-    def fn(tau: float) -> float:
+    def fn(tau: np.ndarray) -> np.ndarray:
         return conv_n([phi_fac, prev], tau, 1e-10)[0]
 
     interp = _DecayInterp(fn, t_build, 0.8 * n * n * min_l2, n_nodes=97)
@@ -711,10 +639,13 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     Term n convolves the flux pulse out of x, n round-trip echo factors
     smoothed by the flat junction pulse, and the flux pulse into y; the
     sign alternates with n.  All convolutions run through the adaptive
-    simplex quadrature.  Returns (value, tail bound for the dropped
-    orders, residual against the direct two-kernel difference).  The tail
-    bound sums C^n t^(n-1) / (n-1)! over n > n_max with C the echo
-    supremum, so it is loose at large t and sharp at small t.
+    simplex quadrature.  Returns (value, bound, residual against the
+    direct two-kernel difference).  The bound is the truncation tail plus
+    the quadrature error: the tail sums C^n t^(n-1) / (n-1)! over
+    n > n_max with C the echo supremum, so it is loose at large t and
+    sharp at small t; the quadrature part sums the error estimates of the
+    kept terms' convolutions.  The error of the echo-chain interpolants
+    that stand in for the middle factors is not yet part of the bound.
     """
     L1 = _check_length(L1, "L1")
     L2 = _check_length(L2, "L2")
@@ -728,18 +659,20 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     fx = _flux_factor(L2, x)
     fy = _flux_factor(L2, y)
     value = 0.0
+    quadrature = 0.0
     for n in range(n_max + 1):
         mid = _echo_chain_factor(L1, L2, t_build, n)
         factors = [f for f in (fx, mid, fy) if f is not None]
         if len(factors) == 1:
             term = float(np.atleast_1d(factors[0].evaluator(np.array([t])))[0])
         else:
-            term = conv_n(factors, t, 3e-9)[0]
+            term, est = conv_n(factors, t, 3e-9)
+            quadrature += est
         value += (-1.0) ** n * term
     C = echo_sup(L1, L2)
-    tail_bound = C * exp_tail(C * t, n_max)
+    bound = C * exp_tail(C * t, n_max) + quadrature
     residual = abs(value - _glue_direct(L1, L2, x, y, t))
-    return value, tail_bound, residual
+    return value, bound, residual
 
 
 # ---------------------------------------------------------------------------
@@ -806,28 +739,29 @@ def _circle_pulse(L: float, delta: float, drop_center: bool = False) -> Callable
     return ev
 
 
-def _dn_flat_conv(psi: Callable, tau: float, tol: float,
-                  max_panels: int = MAX_PANELS) -> float:
-    """Convolve psi with the flat-boundary response pulse.
+def _dn_flat_conv(psi: Callable, tau, tol: float,
+                  max_panels: int = MAX_PANELS):
+    """Convolve psi with the flat-boundary response pulse, at a time or an
+    array of times tau.
 
     The pulse is the inverse transform of 2 sqrt(s), a finite-part kernel
     -(1/sqrt(pi)) s^(-3/2); subtracting psi(tau) regularizes the endpoint
     and leaves an integrable square-root singularity.
     """
-    pt = float(np.atleast_1d(psi(np.array([tau])))[0])
-    half = 0.5 * tau
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    pt = np.asarray(psi(taus), dtype=float)
 
-    def left(s):
-        s = np.asarray(s, dtype=float)
-        return s**-1.5 * (np.atleast_1d(psi(tau - s)) - pt)
+    def left(s, rows):
+        return s**-1.5 * (psi(taus[rows, None] - s) - pt[rows, None])
 
-    def right(v):
-        v = np.asarray(v, dtype=float)
-        return (tau - v)**-1.5 * (np.atleast_1d(psi(v)) - pt)
+    def right(v, rows):
+        return (taus[rows, None] - v)**-1.5 * (psi(v) - pt[rows, None])
 
+    half = 0.5 * taus
     lv, _ = half_integral(left, half, ("power", 0.5), 0.5 * tol, max_panels)
     rv, _ = adaptive(right, 0.0, half, 0.5 * tol, max_panels)
-    return -(lv + rv) / _ROOT_PI + 2.0 * pt / (_ROOT_PI * math.sqrt(tau))
+    out = -(lv + rv) / _ROOT_PI + 2.0 * pt / (_ROOT_PI * np.sqrt(taus))
+    return out if np.ndim(tau) else float(out[0])
 
 
 class _CutChain:
@@ -887,7 +821,7 @@ class _CutChain:
                                             alpha=1.5)
                 parts.append((qfac, fac))
 
-            def fn(tt: float, pieces=tuple(parts)) -> float:
+            def fn(tt: np.ndarray, pieces=tuple(parts)) -> np.ndarray:
                 return sum(conv_n([q, f], tt, self.tol)[0] for q, f in pieces)
 
             c_new = min((math.sqrt(prev[u][1]) + self._tilde[u, v][1] / 2.0) ** 2
@@ -930,6 +864,16 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     residual against the Dirichlet kernel of the arc containing x and y).
     Partial sums approach the arc kernel, so the residual is expected to
     fall as k_max grows.
+
+    No truncation bound is returned, because none is known for this
+    series yet.  Each hop composes the flat-boundary response pulse, a
+    finite-part kernel of no fixed sign, with the comparison kernel, so
+    the terms neither sit under a positive envelope that the factors
+    supply nor alternate with falling size.  A bound would need an
+    envelope E of one composed hop, |hop(s)| <= E(s) with mass q < 1 on
+    (0, t), which makes the dropped terms a geometric tail of ratio q,
+    plus the quadrature and interpolation errors of the stored hop
+    profiles, which the chain does not keep.
     """
     L = _check_length(L_total, "L_total")
     t = _check_time(t)

@@ -14,6 +14,17 @@ transformed away before the quadrature sees them:
     u; with c = 0 (requires alpha < 1) the power substitution
     t = sigma^(1/(1-alpha)) absorbs the algebraic singularity.
 
+Every routine runs many integrals in lockstep.  :func:`adaptive` refines
+each integral of a batch on its own, in the panel order a one-integral
+run would take, but evaluates the panels that one round splits together:
+the integrand is called as ``f(x, rows)`` with x of shape (k, p), the
+nodes of k panels, and ``rows[j]`` the index of the integral that row j
+belongs to; it returns values of x's shape.  No call sees more than
+``BLOCK_POINTS`` nodes, which bounds the temporaries of the integrand.
+:func:`conv_n` takes an array of times; each level integrates all its
+remaining times as one batch, and the nodes of one evaluation block
+become one batch of the level below.  A scalar is a batch of one.
+
 Delta atoms are deliberately not representable here; convolving against
 an atom collapses one simplex dimension and belongs to the exact algebra,
 not to quadrature.
@@ -22,13 +33,13 @@ not to quadrature.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
+    "BLOCK_POINTS",
     "MAX_PANELS",
     "ConvergenceError",
     "TimeFactor",
@@ -39,8 +50,11 @@ __all__ = [
     "conv_n",
 ]
 
-#: Subdivision budget of a single adaptive level.
+#: Subdivision budget of each integral of an adaptive batch.
 MAX_PANELS = 2**14
+
+#: Most nodes handed to an integrand in one call: 64 panels of 15 nodes.
+BLOCK_POINTS = 960
 
 
 class ConvergenceError(RuntimeError):
@@ -106,54 +120,88 @@ _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _GW = np.concatenate([_WG, [_WG_CENTER], _WG[::-1]])
 
 
-def _gk15(f: Callable, a: float, b: float) -> tuple[float, float, float]:
-    """Kronrod value, |Kronrod - Gauss| estimate, absolute mass."""
+def _evaluate(f: Callable, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """f on the (k, p) node array x, at most BLOCK_POINTS nodes per call."""
+    step = max(1, BLOCK_POINTS // x.shape[1])
+    return np.concatenate([np.asarray(f(x[i:i + step], rows[i:i + step]),
+                                      dtype=float)
+                           for i in range(0, x.shape[0], step)])
+
+
+def _gk15(f: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
+    """Kronrod value, |Kronrod - Gauss| estimate and absolute mass of each
+    panel (a[i], b[i]) of integral rows[i]."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fv = np.asarray(f(mid + half * _NODES), dtype=float)
-    vk = half * float(_KW @ fv)
-    vg = half * float(_GW @ fv[_GAUSS_IDX])
-    return vk, abs(vk - vg), half * float(_KW @ np.abs(fv))
+    fv = _evaluate(f, mid[:, None] + half[:, None] * _NODES, rows)
+    vk = half * (fv * _KW).sum(axis=1)
+    vg = half * (fv[:, _GAUSS_IDX] * _GW).sum(axis=1)
+    return vk, np.abs(vk - vg), half * (np.abs(fv) * _KW).sum(axis=1)
 
 
-def adaptive(f: Callable, a: float, b: float, tol: float,
-             max_panels: int) -> tuple[float, float]:
-    """Integral of f over (a, b) and its error estimate, by Gauss-Kronrod
-    7/15 panels bisected worst first (deterministic tie order) until the
-    summed estimate is below tol; ConvergenceError past max_panels."""
-    if not (b > a):
-        return 0.0, 0.0
-    vk, err, mass = _gk15(f, a, b)
-    counter = 0
-    heap = [(-err, counter, a, b, vk, err)]
-    total = vk
-    total_err = err
-    total_mass = mass
+def _per_integral(*arrays) -> list[np.ndarray]:
+    return [np.array(v, dtype=float).ravel()
+            for v in np.broadcast_arrays(*arrays)]
+
+
+def adaptive(f: Callable, a, b, tol, max_panels: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of f over (a[i], b[i]) and their error estimates.
+
+    Each integral is refined on its own by Gauss-Kronrod 7/15 panels,
+    bisecting its worst panel first (ties go to the older panel) until its
+    summed estimate is below tol[i] or a rounding floor; rows with
+    b[i] <= a[i] are 0.  The integrals run in lockstep: each round calls
+    f(x, rows) on the nodes of every panel split in that round, x of shape
+    (k, 15) and rows[j] the integral that row j belongs to, in blocks of
+    at most BLOCK_POINTS nodes.  Raises ConvergenceError when an integral
+    needs more than max_panels panels or a panel too narrow to split.
+    """
+    a, b, tol = _per_integral(a, b, tol)
+    total, total_err, total_mass = np.zeros((3, a.size))
+    active = np.flatnonzero(b > a)
+    if not active.size:
+        return total, total_err
+    total[active], total_err[active], total_mass[active] = _gk15(
+        f, a[active], b[active], active)
+    heaps = {i: [(-total_err[i], 0, a[i], b[i], total[i], total_err[i])]
+             for i in active.tolist()}
     panels = 1
     while True:
-        floor = 50.0 * 2.220446049250313e-16 * (total_mass + 1e-300)
-        if total_err <= max(tol, floor):
+        floor = 50.0 * 2.220446049250313e-16 * (total_mass[active] + 1e-300)
+        active = active[~(total_err[active] <= np.maximum(tol[active], floor))]
+        if not active.size:
             return total, total_err
         if panels >= max_panels:
+            i = active[0]
             raise ConvergenceError(
                 f"no convergence after {panels} panels "
-                f"(error {total_err:.3e}, target {tol:.3e})")
-        neg, _, pa, pb, pval, perr = heapq.heappop(heap)
+                f"(error {total_err[i]:.3e}, target {tol[i]:.3e})")
+        _, _, pa, pb, pval, perr = (np.array(c) for c in zip(
+            *[heapq.heappop(heaps[i]) for i in active.tolist()]))
         pm = 0.5 * (pa + pb)
-        if not (pa < pm < pb):  # interval at float resolution
+        stuck = ~((pa < pm) & (pm < pb))  # interval at float resolution
+        if stuck.any():
+            j = int(np.argmax(stuck))
             raise ConvergenceError(
-                f"panel [{pa!r}, {pb!r}] cannot be split further "
-                f"(error {total_err:.3e}, target {tol:.3e})")
-        v1, e1, m1 = _gk15(f, pa, pm)
-        v2, e2, m2 = _gk15(f, pm, pb)
-        total += v1 + v2 - pval
-        total_err += e1 + e2 - perr
-        total_mass += m1 + m2
-        counter += 1
-        heap.append((-e1, counter, pa, pm, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, pm, pb, v2, e2))
-        heapq.heapify(heap)
+                f"panel [{pa[j]!r}, {pb[j]!r}] cannot be split further "
+                f"(error {total_err[active[j]]:.3e}, "
+                f"target {tol[active[j]]:.3e})")
+        n = active.size
+        v, e, m = _gk15(f, np.concatenate([pa, pm]), np.concatenate([pm, pb]),
+                        np.concatenate([active, active]))
+        total[active] += v[:n] + v[n:] - pval
+        total_err[active] += e[:n] + e[n:] - perr
+        total_mass[active] += m[:n] + m[n:]
+        # every live integral has split once per round, so all share one
+        # panel count and one pair of tie counters
+        c1, c2 = 2 * panels - 1, 2 * panels
+        cut = (pa.tolist(), pm.tolist(), pb.tolist())
+        for i, lo, mid, hi, v1, v2, e1, e2 in zip(
+                active.tolist(), *cut, v[:n].tolist(), v[n:].tolist(),
+                e[:n].tolist(), e[n:].tolist()):
+            heapq.heappush(heaps[i], (-e1, c1, lo, mid, v1, e1))
+            heapq.heappush(heaps[i], (-e2, c2, mid, hi, v2, e2))
         panels += 1
 
 
@@ -184,33 +232,50 @@ def _endpoint_tag(factors: Sequence[TimeFactor]):
     return ("power", -net) if net < 0.0 else ("regular",)
 
 
-def half_integral(integrand: Callable, half: float, tag, tol: float,
-                  max_panels: int) -> tuple[float, float]:
-    """Integrate over (0, half) with the singular end at 0 handled by tag."""
+def half_integral(integrand: Callable, half, tag, tol,
+                  max_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over (0, half[i]) with the singular end at 0 handled by tag.
+
+    integrand(s, rows) follows the contract of :func:`adaptive`; rows with
+    half[i] <= 0 are 0.
+    """
+    half, tol = _per_integral(half, tol)
+    val, est = np.zeros((2, half.size))
+    live = np.flatnonzero(half > 0.0)
+    if not live.size:
+        return val, est
+    half, tol = half[live], tol[live]
+
+    def at(x, rows):
+        return integrand(x, live[rows])
+
     if tag[0] == "regular":
-        return adaptive(integrand, 0.0, half, tol, max_panels)
+        val[live], est[live] = adaptive(at, 0.0, half, tol, max_panels)
+        return val, est
     if tag[0] == "power":
         alpha = tag[1]
         q = 1.0 / (1.0 - alpha)
 
-        def g(sigma):
-            s = sigma**q
-            return integrand(s) * q * sigma**(q - 1.0)
+        def g(sigma, rows):
+            return at(sigma**q, rows) * q * sigma**(q - 1.0)
 
-        return adaptive(g, 0.0, half**(1.0 - alpha), tol, max_panels)
+        val[live], est[live] = adaptive(g, 0.0, half**(1.0 - alpha), tol,
+                                        max_panels)
+        return val, est
     # inverse: u = c/s maps (0, half] to [c/half, infinity)
     _, c, alpha = tag
     lo = c / half
-    span = max(40.0, -math.log(max(tol, 1e-300)) + 8.0 * (1.0 + abs(alpha)))
+    span = np.maximum(40.0, -np.log(np.maximum(tol, 1e-300))
+                      + 8.0 * (1.0 + abs(alpha)))
     hi = lo + span
 
-    def g(u):
-        s = c / u
-        return integrand(s) * (c / u**2)
+    def g(u, rows):
+        return at(c / u, rows) * (c / u**2)
 
-    val, est = adaptive(g, lo, hi, tol, max_panels)
-    tail = abs(float(np.asarray(g(np.array([hi])))[0])) * 2.0
-    return val, est + tail
+    v, e = adaptive(g, lo, hi, tol, max_panels)
+    tail = np.abs(_evaluate(g, hi[:, None], np.arange(hi.size))[:, 0]) * 2.0
+    val[live], est[live] = v, e + tail
+    return val, est
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +283,20 @@ def half_integral(integrand: Callable, half: float, tag, tol: float,
 # ---------------------------------------------------------------------------
 
 
-def conv_n(factors: Sequence[TimeFactor], t: float, tol: float, *,
-           max_panels: int = MAX_PANELS) -> tuple[float, float]:
+def conv_n(factors: Sequence[TimeFactor], t, tol: float, *,
+           max_panels: int = MAX_PANELS):
     """Iterated adaptive quadrature of the n-fold convolution at time t.
 
-    Each level integrates its factor's duration over (0, remaining time),
-    split at the midpoint so that each half has at most one singular
-    endpoint, handled by that side's declared substitution.  Error
-    targets halve per level and inner evaluation errors are propagated
-    into the returned estimate.
+    t is a scalar or an array of times; the result has its shape.  Each
+    level integrates its factor's duration over (0, remaining time), split
+    at the midpoint so that each half has at most one singular endpoint,
+    handled by that side's declared substitution.  A level runs the
+    integrals of all its remaining times as one :func:`adaptive` batch,
+    and the nodes of each evaluation block become one batch of the next
+    level.  Error targets halve per level, and each integral's estimate
+    takes in the largest estimate of the inner integrals at its nodes,
+    times its remaining time.  Factor evaluators are called on 1-d arrays
+    of at most BLOCK_POINTS times.
 
     Returns (value, error estimate); raises :class:`ConvergenceError`
     when some level exhausts its panel budget.
@@ -237,52 +307,46 @@ def conv_n(factors: Sequence[TimeFactor], t: float, tol: float, *,
     for f in factors:
         if not isinstance(f, TimeFactor):
             raise TypeError("factors must be TimeFactor instances")
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
+    times = np.asarray(t, dtype=float)
+    if not np.all((times > 0.0) & np.isfinite(times)):
         raise ValueError(f"need t > 0, got {t}")
     if not (tol > 0.0):
         raise ValueError(f"need tol > 0, got {tol}")
 
-    inner_ests: list[float] = []
+    def ev(factor: TimeFactor, tau: np.ndarray) -> np.ndarray:
+        return np.asarray(factor.evaluator(tau.ravel()),
+                          dtype=float).reshape(tau.shape)
 
-    def bundle_eval(rest: list, tau, depth: int):
-        # value of the convolution of `rest` at scalar or array times
-        if len(rest) == 1:
-            return rest[0].evaluator(tau)
-        tau = np.asarray(tau, dtype=float)
-        scalar = tau.ndim == 0
-        taus = np.atleast_1d(tau)
-        out = np.empty_like(taus)
-        for i, tv in enumerate(taus):
-            v, e = level(rest, float(tv), depth)
-            out[i] = v
-            inner_ests.append(e)
-        return out[0] if scalar else out
-
-    def level(fs: list, remaining: float, depth: int) -> tuple[float, float]:
-        if remaining <= 0.0:
-            return 0.0, 0.0
-        tol_lv = tol / (2.0**(depth + 1) * (1.0 + t))
+    def level(fs: list, remaining: np.ndarray, t_root: np.ndarray,
+              depth: int) -> tuple[np.ndarray, np.ndarray]:
+        tol_lv = tol / (2.0**(depth + 1) * (1.0 + t_root))
         head, rest = fs[0], fs[1:]
+        inner = np.zeros(remaining.size)
+
+        def bundle(tau, rows):
+            # the convolution of `rest` at the (k, p) times tau
+            if len(rest) == 1:
+                return ev(rest[0], tau)
+            owner = np.repeat(rows, tau.shape[1])
+            v, e = level(rest, tau.ravel(), t_root[owner], depth + 1)
+            np.maximum.at(inner, owner, e)
+            return v.reshape(tau.shape)
+
+        def from_head(s, rows):
+            return ev(head, s) * bundle(remaining[rows, None] - s, rows)
+
+        def from_tail(v, rows):
+            return ev(head, remaining[rows, None] - v) * bundle(v, rows)
+
         half = 0.5 * remaining
-
-        mark = len(inner_ests)
-
-        def from_head(s):
-            return head.evaluator(s) * bundle_eval(rest, remaining - s,
-                                                   depth + 1)
-
-        def from_tail(v):
-            return head.evaluator(remaining - v) * bundle_eval(rest, v,
-                                                               depth + 1)
-
         lv, le = half_integral(from_head, half, _endpoint_tag([head]),
-                                0.5 * tol_lv, max_panels)
+                               0.5 * tol_lv, max_panels)
         rv, re_ = half_integral(from_tail, half, _endpoint_tag(rest),
-                                 0.5 * tol_lv, max_panels)
-        inner = max(inner_ests[mark:], default=0.0)
-        del inner_ests[mark:]
+                                0.5 * tol_lv, max_panels)
         return lv + rv, le + re_ + remaining * inner
 
-    value, est = level(factors, t, 0)
-    return value, float(est)
+    flat = times.ravel()
+    value, est = level(factors, flat, flat, 0)
+    if times.ndim == 0:
+        return float(value[0]), float(est[0])
+    return value.reshape(times.shape), est.reshape(times.shape)

@@ -25,7 +25,6 @@ from heatglue.expmix import (
     from_basis,
     from_dict,
     from_json,
-    integrate_against_exp,
     laplace,
     mix_sum,
     scale,
@@ -130,11 +129,6 @@ def test_laplace_values_and_pole_guard():
     with pytest.raises(ValueError):
         laplace(f, -2.5)
     assert laplace(delta(2.0), -100.0) == 2.0
-
-
-def test_integrate_against_exp_matches_laplace():
-    f = ExpMix(0.5, ((1.0, 0, 1.0), (2.0, 3, 4.0)))
-    assert integrate_against_exp(f, 0.7) == laplace(f, 0.7)
 
 
 def test_cumulative_against_quadrature():

@@ -266,18 +266,15 @@ def test_truncation_error_reports_achievable_bound():
 
 
 def test_kernel_dispatch_and_validation():
-    assert h.Kernel1D("line").evaluate(0.0, 0.0, 1.0) == (1.0 / SQRT_4PI, 0.0)
-    v, b = h.Kernel1D("interval", L=1.0, representation="spectral") \
-        .evaluate(0.3, 0.7, 0.5)
-    assert abs(v - h.k_interval(1.0, 0.3, 0.7, 0.5, "spectral")[0]) == 0.0
-    with pytest.raises(ValueError, match="geometry"):
-        h.Kernel1D("plane")
-    with pytest.raises(ValueError, match="L > 0"):
-        h.Kernel1D("interval")
-    with pytest.raises(ValueError, match="representation"):
-        h.Kernel1D("circle", L=1.0, representation="modal")
-    with pytest.raises(ValueError, match="unknown representation"):
-        h.k_interval(1.0, 0.3, 0.7, 0.5, "modal")
+    # "auto" takes the image sum below t = L^2/pi and the mode sum above
+    for t, rep in ((0.2, "images"), (0.5, "spectral")):
+        assert h.k_interval(1.0, 0.3, 0.7, t) == h.k_interval(1.0, 0.3, 0.7, t, rep)
+        assert h.dk_interval(1.0, 0.3, t) == h.dk_interval(1.0, 0.3, t, rep)
+    for kernel in (lambda rep: h.k_interval(1.0, 0.3, 0.7, 0.5, rep),
+                   lambda rep: h.dk_interval(1.0, 0.3, 0.5, rep),
+                   lambda rep: h.k_circle(1.0, 0.3, 0.7, 0.5, rep)):
+        with pytest.raises(ValueError, match="unknown representation"):
+            kernel("modal")
 
 
 # ---------------------------------------------------------------------------
@@ -362,30 +359,24 @@ def test_glue_intervals_domain_validation():
         h.glue_intervals_I(1.0, 1.0, 1.2, 0.5, 0.3)
 
 
-def test_modal_route_converges_slowly_but_surely():
-    exact = h._glue_direct(1.0, 1.0, 0.4, 0.6, 0.7)
-    e50 = abs(h.glue_intervals_modal(1.0, 1.0, 0.4, 0.6, 0.7, 50) - exact)
-    e200 = abs(h.glue_intervals_modal(1.0, 1.0, 0.4, 0.6, 0.7, 200) - exact)
-    assert e50 < 5e-3
-    assert e200 < e50
-    assert e200 > 1e-5  # the mode-cutoff error floor: this route is O(1/k)
-
-
-def test_modal_route_validation():
-    with pytest.raises(ValueError, match="strictly inside"):
-        h.glue_intervals_modal(1.0, 1.0, 0.0, 0.5, 0.3, 10)
-    with pytest.raises(ValueError, match="k_max"):
-        h.glue_intervals_modal(1.0, 1.0, 0.4, 0.5, 0.3, 0)
-
-
 # ---------------------------------------------------------------------------
 # gluing two intervals, echo-series route
 # ---------------------------------------------------------------------------
 
 
+def echo_rate(L, t):
+    """Sharp-pulse form of the round trips, before flat smoothing: its
+    convolution with the flat pulse 1/sqrt(4 pi t) is echo_density."""
+    tp = np.asarray(t, dtype=float)
+    kcap = int(math.ceil(math.sqrt(70.0 * float(tp.max())) / L)) + 2
+    kk = np.square(np.arange(1.0, kcap + 1.0)[:, None] * L)
+    pulses = (2.0 / SQRT_4PI) * (2.0 * kk / tp - 1.0) * np.exp(-kk / tp)
+    return pulses.sum(axis=0) * tp**-1.5
+
+
 def test_echo_density_two_routes_agree():
-    rate = inverse_pow_gaussian(
-        h._vec(lambda tau: h.echo_rate(1.0, tau)), c=1.0, alpha=2.5)
+    rate = inverse_pow_gaussian(lambda tau: echo_rate(1.0, tau), c=1.0,
+                                alpha=2.5)
     got, _ = conv_n([h._FLAT, rate], 1.0, 1e-11)
     direct = h.echo_density(1.0, 1.0)
     term_sum = 2.0 * sum(
@@ -405,6 +396,16 @@ def test_echo_series_reference_point():
     v, tail, res = h.glue_intervals_II(1.0, 1.0, 0.4, 0.6, 0.7, 6)
     assert res < max(1e-6, tail)
     assert tail < 1e-5
+
+
+@pytest.mark.parametrize("L1,L2,x,y,t", [(1.0, 2.0, 1 / 3, 1 / 3, 0.7),
+                                         (1.0, 1.0, 1 / 6, 1 / 6, 0.2)])
+def test_echo_series_bound_covers_its_residual(L1, L2, x, y, t):
+    # at n_max 8 the truncation tail alone is below the residual here
+    # (5.4e-12 against 3.1e-10, and 7.9e-14 against 1.3e-11); the
+    # quadrature estimates of the kept terms make up the difference
+    _, bound, res = h.glue_intervals_II(L1, L2, x, y, t, 8)
+    assert res <= bound
 
 
 def test_echo_series_first_correction_is_bounded_by_sup_times_time():

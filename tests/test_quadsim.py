@@ -1,5 +1,6 @@
 """Tests for adaptive simplex convolution quadrature."""
 
+import heapq
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from heatglue.expmix import ExpMix, evaluate, simplex_convolve
 from heatglue.quadsim import (
+    BLOCK_POINTS,
     MAX_PANELS,
     ConvergenceError,
     TimeFactor,
@@ -16,7 +18,9 @@ from heatglue.quadsim import (
     _GW,
     _KW,
     _NODES,
+    adaptive,
     conv_n,
+    half_integral,
     inverse_pow_gaussian,
     regular,
 )
@@ -271,3 +275,132 @@ def test_convergence_error_on_small_budget():
     with pytest.raises(ConvergenceError, match="panels"):
         conv_n([rough, smooth], 1.0, 1e-13, max_panels=64)
     assert MAX_PANELS == 2**14
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+# ---------------------------------------------------------------------------
+
+
+def scalar_adaptive(f, a, b, tol, max_panels=MAX_PANELS):
+    """One integral at a time, worst panel first: the reference rule.
+
+    Returns (value, error estimate, panel count)."""
+    def panel(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fv = f(mid + half * _NODES)
+        vk = half * float(_KW @ fv)
+        vg = half * float(_GW @ fv[_GAUSS_IDX])
+        return vk, abs(vk - vg), half * float(_KW @ np.abs(fv))
+
+    total, err, mass = panel(a, b)
+    heap, counter, panels = [(-err, 0, a, b, total, err)], 0, 1
+    while err > max(tol, 50.0 * 2.220446049250313e-16 * (mass + 1e-300)):
+        assert panels < max_panels
+        _, _, lo, hi, pv, pe = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1, m1 = panel(lo, mid)
+        v2, e2, m2 = panel(mid, hi)
+        total += v1 + v2 - pv
+        err += e1 + e2 - pe
+        mass += m1 + m2
+        heapq.heappush(heap, (-e1, counter + 1, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, counter + 2, mid, hi, v2, e2))
+        counter += 2
+        panels += 1
+    return total, err, panels
+
+
+def test_batched_adaptive_follows_the_scalar_panel_sequence():
+    ks = np.array([0.5, 3.0, 20.0, 60.0])
+    b = np.array([1.0, 2.0, 0.7, 3.0])
+    tol = np.array([1e-12, 1e-10, 1e-12, 1e-9])
+    rows_seen = np.zeros(ks.size, dtype=int)
+
+    def f(x, rows):
+        np.add.at(rows_seen, rows, 1)
+        return np.sin(ks[rows, None] * x) * np.exp(-x)
+
+    val, est = adaptive(f, 0.0, b, tol, MAX_PANELS)
+    for i, k in enumerate(ks):
+        ref, ref_err, panels = scalar_adaptive(
+            lambda x, k=k: np.sin(k * x) * np.exp(-x), 0.0, b[i], tol[i])
+        assert abs(val[i] - ref) <= 1e-14 * abs(ref)
+        assert abs(est[i] - ref_err) <= 1e-14 * abs(ref)
+        assert rows_seen[i] == 2 * panels - 1  # the first panel, then pairs
+
+
+def test_conv_n_at_array_of_times_matches_per_time_calls():
+    two = [regular(lambda t: np.exp(-0.7 * t)), crossing_density(1.0)]
+    three = [crossing_density(0.8),
+             inverse_pow_gaussian(lambda t: 1.0 / np.sqrt(4.0 * math.pi * t),
+                                  c=0.0, alpha=0.5),
+             crossing_density(1.3)]
+    times = np.array([[0.3, 0.9], [1.7, 2.6]])
+    for factors in (two, three):
+        val, est = conv_n(factors, times, 1e-9)
+        assert val.shape == est.shape == times.shape
+        for idx, t in np.ndenumerate(times):
+            v, e = conv_n(factors, float(t), 1e-9)
+            assert abs(val[idx] - v) <= 1e-14 * abs(v)
+            assert abs(est[idx] - e) <= 1e-14 * abs(v)
+
+
+def test_batch_with_one_unconvergent_integral_raises():
+    def f(x, rows):
+        rough = np.where(np.sin(1e3 / np.maximum(x, 1e-12)) > 0, 1.0, 0.0)
+        return np.where(rows[:, None] == 1, rough, 1.0) * np.exp(-x)
+
+    with pytest.raises(ConvergenceError, match="panels"):
+        adaptive(f, 0.0, np.ones(3), 1e-13, 64)
+
+
+def test_zero_width_rows_and_nonpositive_times_are_zero():
+    def f(x, rows):
+        assert np.all(x > 0.0)
+        return np.exp(-x)
+
+    val, est = adaptive(f, np.array([0.0, 1.0, 2.0]),
+                        np.array([1.0, 1.0, 1.0]), 1e-12, MAX_PANELS)
+    assert abs(val[0] - (1.0 - math.exp(-1.0))) < 1e-14
+    assert val[1] == val[2] == est[1] == est[2] == 0.0
+    for tag in (("regular",), ("power", 0.5), ("inverse", 0.3, 1.5)):
+        val, est = half_integral(f, np.array([0.0, -1.0, 0.5]), tag, 1e-12,
+                                 MAX_PANELS)
+        assert val[0] == val[1] == est[0] == est[1] == 0.0
+        assert val[2] > 0.0
+
+
+def test_repeated_batched_calls_are_bitwise_identical():
+    fs = [crossing_density(1.0), crossing_density(0.5)]
+    times = np.linspace(0.2, 2.0, 23)
+    v1, e1 = conv_n(fs, times, 1e-9)
+    v2, e2 = conv_n(fs, times, 1e-9)
+    assert np.array_equal(v1, v2)
+    assert np.array_equal(e1, e2)
+
+
+def test_evaluators_see_bounded_blocks():
+    sizes = []
+
+    def counted(ev):
+        def wrapped(t):
+            sizes.append(np.size(t))
+            return ev(t)
+        return wrapped
+
+    mid = inverse_pow_gaussian(
+        counted(lambda t: 1.0 / np.sqrt(4.0 * math.pi * t)), c=0.0, alpha=0.5)
+    fs = [crossing_density(1.0), mid, regular(counted(lambda t: np.exp(-t)))]
+    conv_n(fs, np.linspace(0.5, 2.0, 97), 1e-9)
+    assert max(sizes) == BLOCK_POINTS
+
+    rows_per_call = []
+
+    def f(x, rows):
+        rows_per_call.append(x.size)
+        return np.exp(-x)
+
+    adaptive(f, 0.0, np.linspace(0.1, 3.0, 500), 1e-12, MAX_PANELS)
+    assert max(rows_per_call) <= BLOCK_POINTS
+    assert len(rows_per_call) > 1
