@@ -214,8 +214,8 @@ def run_graph_glue(doc: dict, label: str, t: float, method: str, k_max: int,
                     ref = evaluate(from_dict(refs[key]), t)
                 else:
                     if assembled is None:
-                        assembled = heat_kernel(d.ordered_graph)
-                    ref = evaluate(assembled.entry(u, v), t)
+                        assembled = heat_kernel(d.ordered_graph).evaluate(t)
+                    ref = float(assembled[i, j])
                 inputs = dict(base, x=str(u), y=str(v))
                 reports.append(_report(f"{prefix}glue[{u},{v}]", "graph",
                                        inputs, value, ref, bound))
@@ -232,7 +232,7 @@ def run_graph_pathsum(doc: dict, label: str, u: str, v: str, t: float,
     def run():
         g = graph_from_dict(doc)
         value, cutoff, tail = pathsum_heat(g, u, v, t, eps)
-        ref = evaluate(heat_kernel(g).entry(u, v), t)
+        ref = float(heat_kernel(g).evaluate(t)[g.index[u], g.index[v]])
         extra = {"u": u, "v": v, "t": t, "cutoff": cutoff, "tail_bound": tail}
         return [_report(case, "graph", inputs, value, ref, tail, extra)]
 

@@ -39,6 +39,7 @@ __all__ = [
     "cumulative",
     "delta",
     "evaluate",
+    "evaluate_basis",
     "evaluate_grid",
     "convolve_exponential",
     "exponential",
@@ -46,6 +47,7 @@ __all__ = [
     "from_dict",
     "from_json",
     "laplace",
+    "laplace_basis",
     "mix_sum",
     "rate_universe",
     "scale",
@@ -283,6 +285,41 @@ def from_basis(coef: np.ndarray, universe: np.ndarray, atom: float = 0.0) -> Exp
     vals = coef[rows, pows] / _FACT[pows]
     return ExpMix(atom, tuple(zip(vals.tolist(), pows.tolist(),
                                   universe[rows].tolist())))
+
+
+def evaluate_basis(coef: np.ndarray, universe: np.ndarray, t: float) -> np.ndarray:
+    """Values at ``t > 0`` of the batch of profiles ``coef[..., x, p]``.
+
+    Each profile is ``sum coef[x, p] * t^p/p! * exp(-u_x t)`` and is summed
+    compensated, as :func:`evaluate` sums one mix; returns an array of shape
+    ``coef.shape[:-2]``.
+    """
+    t = float(t)
+    if not (t > 0.0) or not math.isfinite(t):
+        raise ValueError(f"evaluate needs t > 0, got {t}; the atom sits at t=0")
+    width = coef.shape[-1]
+    basis = np.exp(-universe * t)[:, None] * (t ** np.arange(width) / _FACT[:width])
+    terms = (coef * basis).reshape(-1, basis.size)
+    return np.array([math.fsum(r) for r in terms.tolist()]).reshape(coef.shape[:-2])
+
+
+def laplace_basis(coef: np.ndarray, universe: np.ndarray, s: float) -> np.ndarray:
+    """Laplace images at s of the batch of profiles ``coef[..., x, p]``:
+    ``sum coef[x, p] / (s + u_x)^(p+1)``, without atoms.
+
+    ``s`` must lie strictly right of every pole that carries a coefficient.
+    """
+    s = float(s)
+    if not math.isfinite(s):
+        raise ValueError(f"need finite s, got {s}")
+    live = coef.reshape(-1, *coef.shape[-2:]).any(axis=(0, 2))
+    if live.any() and s <= -universe[live].min():
+        raise ValueError(
+            f"s={s} is at or below the rightmost pole {-universe[live].min()}"
+        )
+    base = np.where(live, s + universe, 1.0)
+    return np.einsum("...xp,xp->...", coef,
+                     base[:, None] ** -np.arange(1.0, coef.shape[-1] + 1.0))
 
 
 def _dense(f: ExpMix, rows: np.ndarray, size: int, width: int) -> np.ndarray:

@@ -4,9 +4,11 @@ Covers the discrete toolkit: graph Laplacians, Dirichlet (relative) kernels,
 extension kernels, discrete Dirichlet-to-Neumann matrices, Green's matrices,
 the interface kernel by two routes (assembled, and as a convolution series
 built only from one-sided data), the two gluing formulas, and the Schur-cut
-identity.  Every exact time-dependent object is an
-:class:`~heatglue.expmix.ExpMix` per matrix entry, so gluing identities can be
-checked coefficient-wise rather than on a sample grid.  The series route
+identity.  Every exact time-dependent object is a :class:`KernelMatrix`: one
+coefficient tensor on one rate universe, built and evaluated as arrays, so
+gluing identities can be checked coefficient-wise rather than on a sample
+grid; an :class:`~heatglue.expmix.ExpMix` is made only for an entry that is
+asked for.  The series route
 (:func:`interface_kernel_series`, :func:`glue_II`) instead returns a
 :class:`SeriesKernel`: values at t with a certified error bound, summed in a
 cancellation-free positive basis.
@@ -24,11 +26,10 @@ import numpy as np
 from heatglue import symlin
 from heatglue.expmix import (
     ExpMix,
-    ZERO,
     convolve_exponential,
+    evaluate_basis,
     from_basis,
-    laplace,
-    mix_sum,
+    laplace_basis,
     rate_universe,
 )
 
@@ -179,9 +180,9 @@ class Decomposition:
 
         s1, s2 = self.side1, self.side2
         if s1 is None and s2 is None:
-            comp = self._component_of(rest[0], yset)
-            s1 = tuple(v for v in g.vertices if v in comp)
-            s2 = tuple(v for v in rest if v not in comp)
+            labels = _component_labels(g.induced(rest))
+            s1 = tuple(v for v, c in zip(rest, labels) if c == 0)
+            s2 = tuple(v for v, c in zip(rest, labels) if c != 0)
         elif s1 is None:
             s2 = tuple(s2)
             s1 = tuple(v for v in rest if v not in set(s2))
@@ -203,17 +204,6 @@ class Decomposition:
         object.__setattr__(self, "interface", y)
         object.__setattr__(self, "side1", s1)
         object.__setattr__(self, "side2", s2)
-
-    def _component_of(self, start, forbidden: set) -> set:
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in self.graph.neighbors(u):
-                if w not in forbidden and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
 
     @cached_property
     def ordered_graph(self) -> Graph:
@@ -247,13 +237,58 @@ def decomposition_from_dict(d: dict) -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Matrix of ExpMix entries with row and column labels."""
+    """Matrix of exact time profiles with row and column labels, held as one
+    coefficient tensor on one rate universe.
+
+    Entry ``(rows[i], cols[j])`` is the profile
+
+        atom[i, j] * delta(t)
+            + sum_{x, p} coef[i, j, x, p] * t^p/p! * exp(-universe[x] * t),
+
+    in the basis of :func:`~heatglue.expmix.convolve_exponential`; ``coef``
+    has shape ``(len(rows), len(cols), len(universe), powers)``.  The arrays
+    are read-only.  :meth:`entry` builds the canonical
+    :class:`~heatglue.expmix.ExpMix` of one entry when it is asked for;
+    :meth:`evaluate` and :meth:`laplace` work on the whole tensor.
+    """
 
     rows: tuple
     cols: tuple
-    entries: tuple  # tuple of row tuples of ExpMix
+    universe: np.ndarray
+    coef: np.ndarray
+    atom: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "cols", tuple(self.cols))
+        for name in ("universe", "coef", "atom"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        shape = (len(self.rows), len(self.cols))
+        if (self.coef.ndim != 4 or self.coef.shape[:3] != shape + self.universe.shape
+                or self.atom.shape != shape):
+            raise ValueError(
+                f"coef {self.coef.shape} and atom {self.atom.shape} do not fit "
+                f"{shape} entries on {len(self.universe)} rates")
+
+    @classmethod
+    def from_mixes(cls, rows: Sequence, cols: Sequence,
+                   mixes: Sequence[Sequence[ExpMix]]) -> "KernelMatrix":
+        """The matrix whose entry (i, j) is ``mixes[i][j]``, with the terms of
+        all entries placed on their joint :func:`~heatglue.expmix.rate_universe`."""
+        flat = [m for row in mixes for m in row]
+        terms = [(e, term) for e, m in enumerate(flat) for term in m.terms]
+        universe, at = rate_universe([term.rate for _, term in terms])
+        width = 1 + max((term.power for _, term in terms), default=0)
+        coef = np.zeros((len(flat), len(universe), width))
+        for (e, term), x in zip(terms, at):
+            coef[e, x, term.power] += term.coef * math.factorial(term.power)
+        shape = (len(rows), len(cols))
+        return cls(rows, cols, universe, coef.reshape(shape + coef.shape[1:]),
+                   np.array([m.atom for m in flat]).reshape(shape))
 
     @cached_property
     def _row_index(self) -> dict:
@@ -264,25 +299,16 @@ class KernelMatrix:
         return {v: i for i, v in enumerate(self.cols)}
 
     def entry(self, u, v) -> ExpMix:
-        return self.entries[self._row_index[u]][self._col_index[v]]
+        i, j = self._row_index[u], self._col_index[v]
+        return from_basis(self.coef[i, j], self.universe, float(self.atom[i, j]))
 
     def evaluate(self, t: float) -> np.ndarray:
         """Pointwise values at t > 0 (atoms do not contribute there)."""
-        from heatglue.expmix import evaluate as ev
-
-        out = np.zeros((len(self.rows), len(self.cols)))
-        for i, row in enumerate(self.entries):
-            for j, m in enumerate(row):
-                if m.terms:
-                    out[i, j] = ev(m, t)
-        return out
+        return evaluate_basis(self.coef, self.universe, t)
 
     def laplace(self, s: float) -> np.ndarray:
-        out = np.zeros((len(self.rows), len(self.cols)))
-        for i, row in enumerate(self.entries):
-            for j, m in enumerate(row):
-                out[i, j] = laplace(m, s)
-        return out
+        """Laplace images at s, atoms included."""
+        return self.atom + laplace_basis(self.coef, self.universe, s)
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +329,21 @@ def _safe_rate(w: float) -> float:
     return w
 
 
-def _spectral_mix_matrix(q: np.ndarray, w: np.ndarray) -> list[list[ExpMix]]:
-    n = q.shape[0]
-    rates = [_safe_rate(x) for x in w]
-    entries: list[list[ExpMix]] = [[ZERO] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u, n):
-            m = ExpMix(0.0, tuple((q[u, k] * q[v, k], 0, rates[k]) for k in range(len(rates))))
-            entries[u][v] = entries[v][u] = m
-    return entries
+def _spectral(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rate universe and coefficient tensor of sum_k q_k q_k^T exp(-w_k t),
+    the q_k the columns of q; the tensor is bitwise symmetric."""
+    universe, at = rate_universe([_safe_rate(x) for x in w])
+    coef = np.einsum("ik,jk,kx->ijx", q, q, np.eye(len(universe))[at])
+    i, j = np.triu_indices(len(q), 1)
+    coef[j, i] = coef[i, j]
+    return universe, coef[..., None]
 
 
 def heat_kernel(g: Graph) -> KernelMatrix:
     """The full heat flow of the graph, entrywise exact in t."""
     d = symlin.eigh(laplacian(g))
-    ent = _spectral_mix_matrix(d.eigenvectors, d.eigenvalues)
-    return KernelMatrix(g.vertices, g.vertices, tuple(map(tuple, ent)))
+    universe, coef = _spectral(d.eigenvectors, d.eigenvalues)
+    return KernelMatrix(g.vertices, g.vertices, universe, coef, np.zeros((g.n, g.n)))
 
 
 def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:
@@ -334,13 +359,10 @@ def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:
     full = laplacian(g).entries
     blk = symlin.SymMatrix(full[np.ix_(comp, comp)])
     d = symlin.eigh(blk)
-    small = _spectral_mix_matrix(d.eigenvectors, d.eigenvalues)
-    n = g.n
-    ent = [[ZERO] * n for _ in range(n)]
-    for a, i in enumerate(comp):
-        for b, j in enumerate(comp):
-            ent[i][j] = small[a][b]
-    return KernelMatrix(g.vertices, g.vertices, tuple(map(tuple, ent)))
+    universe, small = _spectral(d.eigenvectors, d.eigenvalues)
+    coef = np.zeros((g.n, g.n) + small.shape[2:])
+    coef[np.ix_(comp, comp)] = small
+    return KernelMatrix(g.vertices, g.vertices, universe, coef, np.zeros((g.n, g.n)))
 
 
 def green(g: Graph, m2: float) -> np.ndarray:
@@ -362,24 +384,11 @@ def extension_kernel(g: Graph, y: Sequence) -> KernelMatrix:
     if not y:
         raise ValueError("y must be nonempty")
     rel = relative_heat_kernel(g, y)
-    a = g.adjacency
     yidx = [g.index[v] for v in y]
-    n = g.n
-    yset = set(y)
-    ent: list[list[ExpMix]] = [[ZERO] * len(y) for _ in range(n)]
-    for i, u in enumerate(g.vertices):
-        if u in yset:
-            ent[i][y.index(u)] = ExpMix(1.0)
-            continue
-        for jy, yv in enumerate(y):
-            parts = []
-            for k in np.nonzero(a[:, yidx[jy]])[0]:
-                m = rel.entries[i][k]
-                if m.terms:
-                    parts.append(m)
-            if parts:
-                ent[i][jy] = mix_sum(parts)
-    return KernelMatrix(g.vertices, y, tuple(map(tuple, ent)))
+    coef = np.einsum("ikxp,kj->ijxp", rel.coef, g.adjacency[:, yidx])
+    atom = np.zeros((g.n, len(y)))
+    atom[yidx, np.arange(len(y))] = 1.0
+    return KernelMatrix(g.vertices, y, rel.universe, coef, atom)
 
 
 # ---------------------------------------------------------------------------
@@ -429,43 +438,27 @@ def interface_kernel(d: Decomposition) -> KernelMatrix:
     og = d.ordered_graph
     eig = symlin.eigh(laplacian(og))
     yidx = [og.index[v] for v in d.interface]
-    ent = _spectral_mix_matrix(eig.eigenvectors[yidx], eig.eigenvalues)
-    return KernelMatrix(d.interface, d.interface, tuple(map(tuple, ent)))
+    universe, coef = _spectral(eig.eigenvectors[yidx], eig.eigenvalues)
+    ny = len(yidx)
+    return KernelMatrix(d.interface, d.interface, universe, coef, np.zeros((ny, ny)))
 
 
-def one_step_interface_kernel(d: Decomposition) -> list[list[ExpMix]]:
+def one_step_interface_kernel(d: Decomposition) -> KernelMatrix:
     """One-step interface update: delta times A restricted to the interface,
-    plus the relative kernels of the two sides sandwiched between adjacency
-    rows, as an interface-indexed matrix of mixes.
+    plus the relative kernel of each side sandwiched between the adjacency
+    rows of the interface into that side, as an interface-indexed matrix.
 
     The exact reference for the ``dn_prime`` path-sum operator."""
     og = d.ordered_graph
-    ny = len(d.interface)
-    n1 = len(d.side1)
+    n1, ny = len(d.side1), len(d.interface)
     rel = relative_heat_kernel(og, d.interface)
-    a = og.adjacency
-    yidx = [og.index[v] for v in d.interface]
-    ay = a[np.ix_(yidx, yidx)]
-    dprime: list[list[ExpMix]] = [[ZERO] * ny for _ in range(ny)]
-    for sa, sb in ((0, n1), (n1 + ny, og.n)):
-        cols = list(range(sa, sb))
-        if not cols:
-            continue
-        for p in range(ny):
-            up = [u for u in cols if a[u, yidx[p]] != 0.0]
-            if not up:
-                continue
-            for q in range(ny):
-                vq = [v for v in cols if a[v, yidx[q]] != 0.0]
-                parts = [rel.entries[u][v] for u in up for v in vq
-                         if rel.entries[u][v].terms]
-                if parts:
-                    dprime[p][q] = mix_sum([dprime[p][q]] + parts)
-    for p in range(ny):
-        for q in range(ny):
-            if ay[p, q] != 0.0:
-                dprime[p][q] = ExpMix(dprime[p][q].atom + ay[p, q], dprime[p][q].terms)
-    return dprime
+    y = np.arange(n1, n1 + ny)
+    coef = np.zeros((ny, ny) + rel.coef.shape[2:])
+    for side in (np.arange(n1), np.arange(n1 + ny, og.n)):
+        ays = og.adjacency[np.ix_(y, side)]
+        coef += np.einsum("pu,uvxw,qv->pqxw", ays, rel.coef[np.ix_(side, side)], ays)
+    return KernelMatrix(d.interface, d.interface, rel.universe, coef,
+                        og.adjacency[np.ix_(y, y)])
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +667,8 @@ def interface_kernel_series(d: Decomposition, k_max: int):
 
 
 def glue_I(d: Decomposition) -> KernelMatrix:
-    """First gluing formula: K = K_rel + E * K_Y * E^T, exact as ExpMix
-    coefficients up to rate-merge rounding.
+    """First gluing formula: K = K_rel + E * K_Y * E^T, exact as
+    coefficients on one rate universe up to rate-merge rounding.
 
     Everything comes from two eigendecompositions: L = Q diag(w) Q^T of the
     glued Laplacian and L_C = V diag(mu) V^T of its block off the interface,
@@ -684,7 +677,8 @@ def glue_I(d: Decomposition) -> KernelMatrix:
     with B = V^T A_CY on C (the identity atom on the interface).  All three
     are pure exponentials on one rate universe, so each time convolution is
     one batched :func:`~heatglue.expmix.convolve_exponential` over the rates
-    mu_m, weighted by V and B with einsum; each entry becomes an ExpMix once.
+    mu_m, weighted by V and B with einsum, and the coefficient tensor is
+    the :class:`KernelMatrix` itself.
     """
     og = d.ordered_graph
     n, n1, ny = og.n, len(d.side1), len(d.interface)
@@ -708,9 +702,7 @@ def glue_I(d: Decomposition) -> KernelMatrix:
     coef[c[:, None], y, :, :2] = eky
     coef[y[:, None], c, :, :2] = eky.transpose(1, 0, 2, 3)
     coef[c[:, None], c] = ekye
-    ent = tuple(tuple(from_basis(coef[i, j], universe) for j in range(n))
-                for i in range(n))
-    return KernelMatrix(og.vertices, og.vertices, ent)
+    return KernelMatrix(og.vertices, og.vertices, universe, coef, np.zeros((n, n)))
 
 
 def glue_II(d: Decomposition, k_max: int):
@@ -728,7 +720,19 @@ def glue_II(d: Decomposition, k_max: int):
 
 def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
     """Green's matrix of the y-killed graph, both directly and by Schur
-    complement of the full Green's matrix; returns (matrix, max abs gap)."""
+    complement of the full Green's matrix; returns (matrix, max abs gap).
+
+    The full Green's matrix is G = Z Z^T / m2 + P, with Z the zero modes of
+    the Laplacian (one per connected component) and P the rest of its
+    spectrum.  At small m2 the first part swamps P, so the Schur complement
+    of the block a off y against the block b on y applies Z as a low-rank
+    Woodbury update instead of solving against G_bb:
+
+        S = P_aa - P_ab M P_ba + V (m2 I + Z_b^T M Z_b)^-1 V^T,
+
+    with M = P_bb^-1 and V = Z_a - P_ab M Z_b.  Vertices of y whose
+    component lies inside y decouple from a and are left out of b.
+    """
     if not (m2 > 0.0):
         raise ValueError(f"need m2 > 0, got {m2}")
     y = tuple(y)
@@ -738,27 +742,46 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
             raise ValueError(f"unknown vertex {v!r}")
     if not y:
         return green(g, m2), 0.0
-    comp = [i for i, v in enumerate(g.vertices) if v not in yset]
-    yi = [g.index[v] for v in y]
+    a = [i for i, v in enumerate(g.vertices) if v not in yset]
+    if not a:
+        return np.zeros((0, 0)), 0.0
 
-    full = laplacian(g).entries
-    if comp:
-        blk = symlin.SymMatrix(full[np.ix_(comp, comp)] + m2 * np.eye(len(comp)))
-        direct = symlin.spectral_apply(symlin.eigh(blk), lambda w: 1.0 / w)
-    else:
-        direct = np.zeros((0, 0))
+    lap = laplacian(g)
+    blk = symlin.SymMatrix(lap.entries[np.ix_(a, a)] + m2 * np.eye(len(a)))
+    direct = symlin.spectral_apply(symlin.eigh(blk), lambda w: 1.0 / w)
 
-    gm = green(g, m2)
-    gaa = symlin.block(gm, comp, comp)
-    if yi and comp:
-        gab = symlin.block(gm, comp, yi)
-        gbb = symlin.block(gm, yi, yi)
-        gba = symlin.block(gm, yi, comp)
-        via_schur = gaa - gab @ np.linalg.solve(gbb, gba)
-    else:
-        via_schur = gaa
-    residual = float(np.abs(direct - via_schur).max()) if comp else 0.0
-    return direct, residual
+    labels = _component_labels(g)
+    touched = set(labels[a])
+    b = [i for i, v in enumerate(g.vertices) if v in yset and labels[i] in touched]
+    r = int(labels.max()) + 1
+    eig = symlin.eigh(lap)
+    z, q = eig.eigenvectors[:, :r], eig.eigenvectors[:, r:]
+    p = (q / (eig.eigenvalues[r:] + m2)) @ q.T
+    m = np.linalg.inv(p[np.ix_(b, b)])
+    pab = p[np.ix_(a, b)]
+    v = z[a] - pab @ m @ z[b]
+    cap = m2 * np.eye(r) + z[b].T @ m @ z[b]
+    via_schur = (p[np.ix_(a, a)] - pab @ m @ p[np.ix_(b, a)]
+                 + v @ np.linalg.solve(cap, v.T))
+    return direct, float(np.abs(direct - via_schur).max())
+
+
+def _component_labels(g: Graph) -> np.ndarray:
+    """Connected component of each vertex, numbered 0, 1, ... in vertex order."""
+    labels = np.full(g.n, -1)
+    count = 0
+    for s in range(g.n):
+        if labels[s] >= 0:
+            continue
+        labels[s] = count
+        stack = [s]
+        while stack:
+            for w in np.nonzero(g.adjacency[stack.pop()])[0]:
+                if labels[w] < 0:
+                    labels[w] = count
+                    stack.append(w)
+        count += 1
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -501,7 +501,7 @@ def pathsum_operators(d: Decomposition, which: str,
             for q, jy in enumerate(yidx):
                 if jy in acc:
                     ent[p][q] = mix_sum(acc[jy])
-        return KernelMatrix(y, y, tuple(tuple(r) for r in ent))
+        return KernelMatrix.from_mixes(y, y, ent)
 
     if which == "extension":
         ent = [[ZERO] * len(y) for _ in range(og.n)]
@@ -526,7 +526,7 @@ def pathsum_operators(d: Decomposition, which: str,
                         break
             for q, parts in collected.items():
                 ent[p][q] = mix_sum(parts)
-        return KernelMatrix(og.vertices, y, tuple(tuple(r) for r in ent))
+        return KernelMatrix.from_mixes(og.vertices, y, ent)
 
     # dn_prime
     ny = len(y)
@@ -554,4 +554,4 @@ def pathsum_operators(d: Decomposition, which: str,
         for q, parts in collected.items():
             base = ent[p][q]
             ent[p][q] = mix_sum([base] + parts)
-    return KernelMatrix(y, y, tuple(tuple(r) for r in ent))
+    return KernelMatrix.from_mixes(y, y, ent)

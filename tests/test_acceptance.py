@@ -95,11 +95,11 @@ def test_gate_02_first_formula_matches_matrix_exponential():
             diff = np.abs(km.evaluate(t) - _expm_oracle(d.ordered_graph, t))
             worst = max(worst, float(diff.max()))
     dt = time.perf_counter() - t0
-    ok = worst < 1e-10 and dt < 30.0
+    ok = worst < 1e-10 and dt < 5.0
     _gate(2, "first formula on 50 random splits", ok,
           f"worst entry diff {worst:.2e}, {dt:.1f}s")
     assert worst < 1e-10
-    assert dt < 30.0
+    assert dt < 5.0
 
 
 def test_gate_03_second_formula_series_and_bound():
@@ -183,10 +183,10 @@ def test_gate_05_path_sum_operators_within_tails():
             diff = np.abs(ifk.evaluate(t) - exact_if.evaluate(t)).max()
             assert diff <= tail_if + 1e-11
             tail_dn = d_max**2 * exp_tail(d_max * t, max_length - 1)
-            for p, y1 in enumerate(d.interface):
-                for q, y2 in enumerate(d.interface):
+            for y1 in d.interface:
+                for y2 in d.interface:
                     got = dnp.entry(y1, y2)
-                    ref = exact_dn[p][q]
+                    ref = exact_dn.entry(y1, y2)
                     gv = evaluate(got, t) if got.terms else 0.0
                     rv = evaluate(ref, t) if ref.terms else 0.0
                     assert abs(gv - rv) <= tail_dn + 1e-11

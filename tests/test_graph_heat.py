@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.resources
+import json
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from heatglue.expmix import (
 from heatglue.graph_heat import (
     Decomposition,
     Graph,
+    KernelMatrix,
     decomposition_from_dict,
     dn_single,
     dn_total,
@@ -33,6 +36,7 @@ from heatglue.graph_heat import (
     relative_heat_kernel,
     schur_cut,
 )
+from heatglue.path_sum import pathsum_operators
 
 LINE3 = Graph(("1", "2", "3"), (("1", "2"), ("2", "3")))
 LINE3_SPLIT = Decomposition(LINE3, ("2",), ("1",), ("3",))
@@ -149,6 +153,75 @@ def test_laplace_duality_with_green():
     k = heat_kernel(g)
     for m2 in (0.5, 1.0, 2.0):
         assert np.abs(k.laplace(m2) - green(g, m2)).max() < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# the coefficient tensor of a kernel matrix
+# ---------------------------------------------------------------------------
+
+
+def gate_02_draws() -> list[Decomposition]:
+    """The 50 random splits of the first-formula gate."""
+    rng = np.random.default_rng(20260822)
+    return [random_decomposition(rng, 12) for _ in range(50)]
+
+
+def test_kernel_tensor_evaluate_and_laplace_match_entries():
+    for d in gate_02_draws():
+        for k in (glue_I(d), heat_kernel(d.ordered_graph)):
+            mixes = [[k.entry(u, v) for v in k.cols] for u in k.rows]
+            for t in (0.25, 1.0, 4.0):
+                want = np.array([[evaluate(m, t) for m in row] for row in mixes])
+                assert np.abs(k.evaluate(t) - want).max() <= 1e-15
+            # relative to the largest entry: an entry that cancels (4e-5 from
+            # terms of 0.1) moves by more than 1e-14 of itself between the
+            # contraction and the compensated sum of the ExpMix
+            for s in (0.5, 2.0):
+                want = np.array([[laplace(m, s) for m in row] for row in mixes])
+                assert np.abs(k.laplace(s) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_heat_kernel_tensor_is_bitwise_symmetric():
+    for d in gate_02_draws():
+        k = heat_kernel(d.ordered_graph)
+        assert np.array_equal(k.coef, k.coef.transpose(1, 0, 2, 3))
+        assert k.entry(k.rows[0], k.rows[-1]) == k.entry(k.rows[-1], k.rows[0])
+
+
+def test_kernel_evaluate_is_repeatable():
+    for d in gate_02_draws():
+        k = glue_I(d)
+        for t in (0.25, 1.0, 4.0):
+            assert np.array_equal(k.evaluate(t), k.evaluate(t))
+
+
+BULL = Decomposition(
+    Graph(("a", "b", "c", "p", "q"),
+          (("a", "b"), ("b", "c"), ("a", "c"), ("a", "p"), ("b", "q"))),
+    ("a", "b"))
+HOUSE = Decomposition(
+    Graph(("1", "2", "3", "4", "5"),
+          (("1", "2"), ("2", "3"), ("3", "4"), ("4", "1"), ("5", "1"), ("5", "2"))),
+    ("1", "2"))
+
+
+@pytest.mark.parametrize("d", [BULL, HOUSE], ids=["bull", "house"])
+@pytest.mark.parametrize("which", ["extension", "interface", "dn_prime"])
+def test_from_mixes_round_trips_path_sum_operators(d, which):
+    op = pathsum_operators(d, which, 12)
+    mixes = [[op.entry(u, v) for v in op.cols] for u in op.rows]
+    back = KernelMatrix.from_mixes(op.rows, op.cols, mixes)
+    assert back.rows == op.rows and back.cols == op.cols
+    assert any(m.terms for row in mixes for m in row)
+    for u, row in zip(op.rows, mixes):
+        for v, m in zip(op.cols, row):
+            assert allclose(back.entry(u, v), m, atol=1e-15, rtol=1e-15)
+
+
+def test_kernel_matrix_rejects_a_misshapen_tensor():
+    with pytest.raises(ValueError):
+        KernelMatrix(("a",), ("b", "c"), np.zeros(2), np.zeros((1, 2, 3, 1)),
+                     np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +607,24 @@ def test_schur_empty_interface():
     mat, residual = schur_cut(LINE3, (), 1.0)
     assert residual == 0.0
     assert np.abs(mat - green(LINE3, 1.0)).max() == 0.0
+
+
+@pytest.mark.parametrize("m2", [1.0, 1e-8, 1e-17])
+def test_schur_gap_stays_small_at_tiny_mass(m2):
+    # the full Green's matrix holds 11^T/(n m2); its zero mode must not
+    # swamp the Schur complement
+    doc = json.loads(importlib.resources.files("heatglue")
+                     .joinpath("fixtures", "line_dirichlet.json").read_text())
+    _, gap = schur_cut(graph_from_dict(doc), ("0", "6"), m2)
+    assert gap < 1e-12
+
+
+@pytest.mark.parametrize("m2", [1.0, 1e-17])
+def test_schur_gap_with_a_component_inside_the_interface(m2):
+    g = Graph(("1", "2", "3", "x", "p", "q"),
+              (("1", "2"), ("2", "3"), ("p", "q")))
+    _, gap = schur_cut(g, ("2", "x", "p"), m2)
+    assert gap < 1e-12
 
 
 def test_schur_random_graphs():

@@ -502,7 +502,7 @@ def test_operator_dn_prime_line3():
     dn = pathsum_operators(d, "dn_prime", 12)
     assert allclose(dn.entry("2", "2"), exponential(2.0, 1.0), atol=1e-13)
     exact = one_step_interface_kernel(d)
-    assert structural_max_diff(dn.entry("2", "2"), exact[0][0]) < 1e-12
+    assert structural_max_diff(dn.entry("2", "2"), exact.entry("2", "2")) < 1e-12
 
 
 def test_operator_interface_line3_truncated():
@@ -602,7 +602,7 @@ def test_operator_dn_prime_matches_one_step_factor():
             tail = d_max**2 * exp_tail(d_max * t, max_length - 1)
             for p in range(ny):
                 for q in range(ny):
-                    e = exact[p][q]
+                    e = exact.entry(d.interface[p], d.interface[q])
                     ref = evaluate(e, t) if e.terms else 0.0
                     m = got.entry(d.interface[p], d.interface[q])
                     val = evaluate(m, t) if m.terms else 0.0
