@@ -748,7 +748,17 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
 
     lap = laplacian(g)
     blk = symlin.SymMatrix(lap.entries[np.ix_(a, a)] + m2 * np.eye(len(a)))
-    direct = symlin.spectral_apply(symlin.eigh(blk), lambda w: 1.0 / w)
+    spec = symlin.eigh(blk)
+    # L_aa + m2 I is positive definite, but on a component with no vertex
+    # of y its smallest eigenvalue is m2, and eigh resolves an eigenvalue
+    # only above its rounding level
+    w_min = float(spec.eigenvalues[0])
+    floor = len(a) * np.finfo(float).eps * float(np.abs(spec.eigenvalues).max())
+    if not w_min > floor:
+        raise FloatingPointError(
+            f"L_aa + m2 I is singular at working precision: smallest "
+            f"eigenvalue {w_min:.3e}, rounding level {floor:.3e}")
+    direct = symlin.spectral_apply(spec, lambda w: 1.0 / w)
 
     labels = _component_labels(g)
     touched = set(labels[a])

@@ -497,10 +497,10 @@ def echo_density(L: float, t):
     if pos.any():
         tp = arr[pos]
         kcap = int(math.ceil(math.sqrt(60.0 * float(tp.max())) / L)) + 2
-        ks = np.arange(1.0, kcap + 1.0)
-        pulses = (2.0 * ks[:, None] * L / math.sqrt(4.0 * math.pi)) \
-            * np.exp(-np.square(ks[:, None] * L) / tp[None, :])
-        out[pos] = pulses.sum(axis=0) * tp**-1.5
+        kl = np.arange(1.0, kcap + 1.0) * L
+        pulses = np.exp(np.multiply.outer(-np.square(kl), 1.0 / tp))
+        out[pos] = ((2.0 / math.sqrt(4.0 * math.pi)) * kl) @ pulses \
+            / (tp * np.sqrt(tp))
     return out if np.ndim(t) else float(out[0])
 
 
@@ -532,10 +532,18 @@ class _DecayInterp:
 
     The declared envelope exp(-c/tau) is peeled off before fitting so the
     interpolated part stays tame; below the point where the envelope is
-    negligible the profile is treated as zero.  Works for signed values.
-    fn is called once, on the array of all node times, and returns the
-    profile there.  Evaluation runs in blocks of _BLOCK points so that its
-    (points x nodes) temporaries stay small.
+    negligible (u > uhi) the profile is treated as zero, and past t_max
+    (u < ulo) it keeps its value at t_max.  Works for signed values.  fn is
+    called once, on the array of all node times, and returns the profile
+    there.
+
+    Evaluation is the second barycentric formula (Berrut and Trefethen,
+    SIAM Review 46, 2004) with the table [w*h, w] stored once: a block of
+    points takes the reciprocals of u - u_j in place and one matmul
+    against the table gives numerator and denominator together.  A point
+    within rounding of a node takes that node's value; the sorted interior
+    nodes bracket each point, so no pass over the table finds it.  Blocks
+    hold _BLOCK points so that the (points x nodes) temporary stays small.
     """
 
     _BLOCK = 256
@@ -555,35 +563,47 @@ class _DecayInterp:
         w = np.where(j % 2 == 0, 1.0, -1.0)
         w[0] *= 0.5
         w[-1] *= 0.5
-        self.w = w
+        self._table = np.column_stack([w * self.h, w])
+        self._shift = np.vstack([np.ones(n_nodes), -self.u])
+        self._interior = self.u[1:-1]
+        self._hit_tol = 1e-14 * (self.uhi - self.ulo)
 
-    def _inside(self, uu: np.ndarray) -> np.ndarray:
-        # a point within rounding of a node takes that node's value; the
-        # sorted nodes give the nearest one without a pass over the table
-        k = np.searchsorted(self.u, uu).clip(1, self.u.size - 1)
-        near = np.where(uu - self.u[k - 1] < self.u[k] - uu, k - 1, k)
-        hit = np.flatnonzero(
-            np.abs(uu - self.u[near]) < 1e-14 * (self.uhi - self.ulo))
-        diff = uu[:, None] - self.u[None, :]
-        diff[hit, near[hit]] = 1.0
-        wd = self.w[None, :] / diff
-        vals = (wd @ self.h) / wd.sum(axis=1)
-        vals[hit] = self.h[near[hit]]
-        return vals * np.exp(-self.c * (uu - self.ulo))
+    def _inside(self, uu: np.ndarray, out: np.ndarray) -> None:
+        """Interpolant at the points uu of [ulo, uhi], written to out."""
+        u = self.u
+        # u[k] <= uu <= u[k + 1] for every point, ends included
+        k = np.searchsorted(self._interior, uu)
+        lo = np.flatnonzero(uu - u[k] < self._hit_tol)
+        hi = np.flatnonzero(u[k + 1] - uu < self._hit_tol)
+        # uu - u_j as the product [uu, 1] @ [1; -u]: both products are by
+        # 1.0, so every entry is uu - u_j rounded once, as a subtraction
+        # gives, and BLAS forms it faster than a broadcast subtraction
+        pts = np.ones((uu.size, 2))
+        pts[:, 0] = uu
+        r = pts @ self._shift
+        r[lo, k[lo]] = 1.0
+        r[hi, k[hi] + 1] = 1.0
+        np.reciprocal(r, out=r)
+        nd = r @ self._table
+        np.divide(nd[:, 0], nd[:, 1], out=out)
+        out[lo] = self.h[k[lo]]
+        out[hi] = self.h[k[hi] + 1]
+        out *= np.exp(self.c * (self.ulo - uu))
 
     def __call__(self, tau):
-        arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = np.zeros_like(arr)
-        pos = arr > 0.0
-        u = np.full_like(arr, np.inf)
-        u[pos] = 1.0 / arr[pos]
-        inside = u <= self.uhi
-        if inside.any():
-            uu = np.clip(u[inside], self.ulo, self.uhi)
-            out[inside] = np.concatenate([
-                self._inside(uu[i:i + self._BLOCK])
-                for i in range(0, uu.size, self._BLOCK)])
-        return out if np.ndim(tau) else float(out[0])
+        arr = np.asarray(tau, dtype=float)
+        out = np.zeros(arr.shape)
+        flat = out.reshape(-1)
+        t = arr.reshape(-1)
+        idx = np.flatnonzero(t > 0.0)
+        uu = 1.0 / t[idx]
+        keep = uu <= self.uhi
+        idx, uu = idx[keep], np.maximum(uu[keep], self.ulo)
+        vals = np.empty(uu.size)
+        for i in range(0, uu.size, self._BLOCK):
+            self._inside(uu[i:i + self._BLOCK], vals[i:i + self._BLOCK])
+        flat[idx] = vals
+        return out if np.ndim(tau) else float(out)
 
 
 def _flux_pulse_eval(L: float, z: float) -> Callable:
@@ -595,11 +615,9 @@ def _flux_pulse_eval(L: float, z: float) -> Callable:
             tp = tau[pos]
             K = int(math.ceil((math.sqrt(200.0 * float(tp.max())) + z)
                               / (2.0 * L))) + 2
-            ks = np.arange(-K, K + 1)
-            a = z + 2.0 * ks * L
-            out[pos] = (a[:, None] * np.exp(
-                -np.square(a)[:, None] / (4.0 * tp[None, :]))).sum(axis=0) \
-                / (math.sqrt(4.0 * math.pi) * tp**1.5)
+            a = z + 2.0 * L * np.arange(-K, K + 1)
+            pulses = np.exp(np.multiply.outer(-0.25 * np.square(a), 1.0 / tp))
+            out[pos] = a @ pulses / (math.sqrt(4.0 * math.pi) * tp * np.sqrt(tp))
         return out
     return ev
 
@@ -621,7 +639,7 @@ def _echo_chain_factor(L1: float, L2: float, t_build: float,
         return _FLAT
     min_l2 = min(L1, L2) ** 2
     phi_fac = inverse_pow_gaussian(
-        _vec(lambda tau: echo_density(L1, tau) + echo_density(L2, tau)),
+        lambda tau: echo_density(L1, tau) + echo_density(L2, tau),
         c=min_l2, alpha=1.5)
     prev = _echo_chain_factor(L1, L2, t_build, n - 1)
 
@@ -629,7 +647,7 @@ def _echo_chain_factor(L1: float, L2: float, t_build: float,
         return conv_n([phi_fac, prev], tau, 1e-10)[0]
 
     interp = _DecayInterp(fn, t_build, 0.8 * n * n * min_l2, n_nodes=97)
-    return inverse_pow_gaussian(_vec(interp), c=0.8 * n * n * min_l2, alpha=1.5)
+    return inverse_pow_gaussian(interp, c=0.8 * n * n * min_l2, alpha=1.5)
 
 
 def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
@@ -731,9 +749,8 @@ def _circle_pulse(L: float, delta: float, drop_center: bool = False) -> Callable
             if drop_center:
                 ns = ns[ns != 0]
             a = d + ns * L
-            out[pos] = np.exp(
-                -np.square(a)[:, None] / (4.0 * tp[None, :])).sum(axis=0) \
-                / np.sqrt(4.0 * math.pi * tp)
+            pulses = np.exp(np.multiply.outer(-0.25 * np.square(a), 1.0 / tp))
+            out[pos] = np.ones(a.size) @ pulses / np.sqrt(4.0 * math.pi * tp)
         return out if np.ndim(tau) else float(out[0])
 
     return ev

@@ -123,9 +123,12 @@ _GW = np.concatenate([_WG, [_WG_CENTER], _WG[::-1]])
 def _evaluate(f: Callable, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """f on the (k, p) node array x, at most BLOCK_POINTS nodes per call."""
     step = max(1, BLOCK_POINTS // x.shape[1])
-    return np.concatenate([np.asarray(f(x[i:i + step], rows[i:i + step]),
-                                      dtype=float)
-                           for i in range(0, x.shape[0], step)])
+    if x.shape[0] <= step:
+        return np.asarray(f(x, rows), dtype=float)
+    out = np.empty(x.shape)
+    for i in range(0, x.shape[0], step):
+        out[i:i + step] = f(x[i:i + step], rows[i:i + step])
+    return out
 
 
 def _gk15(f: Callable, a: np.ndarray, b: np.ndarray, rows: np.ndarray):
@@ -164,8 +167,13 @@ def adaptive(f: Callable, a, b, tol, max_panels: int
         return total, total_err
     total[active], total_err[active], total_mass[active] = _gk15(
         f, a[active], b[active], active)
-    heaps = {i: [(-total_err[i], 0, a[i], b[i], total[i], total_err[i])]
-             for i in active.tolist()}
+    # a heap entry is [-err, tie counter, lo, hi, value]; the counters of
+    # one integral are distinct, so the payload is never compared
+    heaps = [None] * a.size
+    for i, lo, hi, v0, e0 in zip(active.tolist(), a[active].tolist(),
+                                 b[active].tolist(), total[active].tolist(),
+                                 total_err[active].tolist()):
+        heaps[i] = [[-e0, 0, lo, hi, v0]]
     panels = 1
     while True:
         floor = 50.0 * 2.220446049250313e-16 * (total_mass[active] + 1e-300)
@@ -177,8 +185,10 @@ def adaptive(f: Callable, a, b, tol, max_panels: int
             raise ConvergenceError(
                 f"no convergence after {panels} panels "
                 f"(error {total_err[i]:.3e}, target {tol[i]:.3e})")
-        _, _, pa, pb, pval, perr = (np.array(c) for c in zip(
-            *[heapq.heappop(heaps[i]) for i in active.tolist()]))
+        live = [heaps[i] for i in active.tolist()]
+        popped = np.array([heapq.heappop(h) for h in live])
+        perr = -popped[:, 0]
+        pa, pb, pval = popped[:, 2:].T
         pm = 0.5 * (pa + pb)
         stuck = ~((pa < pm) & (pm < pb))  # interval at float resolution
         if stuck.any():
@@ -196,12 +206,11 @@ def adaptive(f: Callable, a, b, tol, max_panels: int
         # every live integral has split once per round, so all share one
         # panel count and one pair of tie counters
         c1, c2 = 2 * panels - 1, 2 * panels
-        cut = (pa.tolist(), pm.tolist(), pb.tolist())
-        for i, lo, mid, hi, v1, v2, e1, e2 in zip(
-                active.tolist(), *cut, v[:n].tolist(), v[n:].tolist(),
-                e[:n].tolist(), e[n:].tolist()):
-            heapq.heappush(heaps[i], (-e1, c1, lo, mid, v1, e1))
-            heapq.heappush(heaps[i], (-e2, c2, mid, hi, v2, e2))
+        for h, lo, mid, hi, v1, v2, e1, e2 in zip(
+                live, pa.tolist(), pm.tolist(), pb.tolist(), v[:n].tolist(),
+                v[n:].tolist(), e[:n].tolist(), e[n:].tolist()):
+            heapq.heappush(h, [-e1, c1, lo, mid, v1])
+            heapq.heappush(h, [-e2, c2, mid, hi, v2])
         panels += 1
 
 

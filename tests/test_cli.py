@@ -126,6 +126,22 @@ def test_graph_cut_tiny_mass_keeps_the_closed_form_finite():
     assert res.exit_code == 0
 
 
+def test_graph_cut_unresolved_block_is_a_numerical_error(tmp_path):
+    # the triangle p-q-r has no interface vertex, so L_aa + m2 I has the
+    # eigenvalue m2 there, which rounds to 0 at this mass
+    graph = tmp_path / "line_and_triangle.json"
+    graph.write_text(json.dumps({
+        "vertices": ["1", "2", "3", "p", "q", "r"],
+        "edges": [["1", "2"], ["2", "3"], ["p", "q"], ["q", "r"],
+                  ["r", "p"]]}))
+    res = invoke(["graph", "cut", "--input", str(graph), "--interface", "2",
+                  "--m2", "1e-17"])
+    assert res.exit_code == 3
+    (r,) = json_lines(res.stdout)
+    assert r["status"] == "error"
+    assert r["message"].startswith("FloatingPointError: ")
+
+
 def test_graph_cut_explicit_interface_skips_closed_form():
     res = invoke(["graph", "cut", "--input", "line_dirichlet",
                   "--interface", "3", "--m2", "0.5"])

@@ -451,6 +451,110 @@ def test_echo_sup_cache_is_bounded():
 
 
 # ---------------------------------------------------------------------------
+# route-II integrand kernels against plain per-point and per-image loops
+# ---------------------------------------------------------------------------
+
+
+def barycentric_reference(interp, tau):
+    """The decay interpolant at one time, one node at a time."""
+    if not tau > 0.0 or 1.0 / tau > interp.uhi:
+        return 0.0
+    u = max(1.0 / tau, interp.ulo)
+    n = interp.u.size
+    weights = [(0.5 if j in (0, n - 1) else 1.0) * (-1.0) ** j
+               for j in range(n)]
+    num = den = 0.0
+    for uj, hj, wj in zip(interp.u, interp.h, weights):
+        if abs(u - uj) < 1e-14 * (interp.uhi - interp.ulo):
+            num, den = hj, 1.0
+            break
+        num += wj * hj / (u - uj)
+        den += wj / (u - uj)
+    return num / den * math.exp(-interp.c * (u - interp.ulo))
+
+
+@pytest.mark.parametrize("n_nodes", [97, 161])
+def test_decay_interp_matches_a_per_point_barycentric_sum(n_nodes):
+    def profile(tau):
+        return np.exp(-0.5 / tau) * np.cos(3.0 * tau) / tau
+
+    interp = h._DecayInterp(profile, 4.0, 0.4, n_nodes=n_nodes)
+    span = interp.uhi - interp.ulo
+    rng = np.random.default_rng(n_nodes)
+    u_near = np.concatenate([interp.u + 1e-15 * span * rng.uniform(-1, 1, n_nodes),
+                             interp.u[1:] - 1e-15])
+    taus = np.concatenate([
+        1.0 / rng.uniform(interp.ulo, interp.uhi, 600),  # several blocks
+        1.0 / interp.u,                                   # the nodes
+        1.0 / np.clip(u_near, interp.ulo, interp.uhi),    # within 1e-15
+        [0.0, -1.0, 0.5 / interp.uhi, 0.9 / interp.uhi,   # outside [ulo, uhi]
+         4.0, 7.5],
+    ])
+    got = interp(taus)
+    scale = float(np.abs(interp.h).max())
+    ref = np.array([barycentric_reference(interp, t) for t in taus])
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+    assert np.all(got[-6:-2] == 0.0)
+    assert got[-1] == got[-2] == interp.h[0]  # past t_max: the value there
+    assert np.array_equal(interp(taus[:600].reshape(40, 15)),
+                          interp(taus[:600]).reshape(40, 15))
+    one = interp(float(taus[3]))
+    assert isinstance(one, float) and abs(one - ref[3]) <= 1e-14 * scale
+
+
+def flux_reference(L, z, tau):
+    total = math.fsum(a * math.exp(-a * a / (4.0 * tau))
+                      for a in (z + 2.0 * k * L for k in range(-60, 61)))
+    return total / (math.sqrt(4.0 * math.pi) * tau**1.5)
+
+
+def circle_reference(L, d, tau, drop_center):
+    total = math.fsum(math.exp(-(d + n * L) ** 2 / (4.0 * tau))
+                      for n in range(-60, 61) if n or not drop_center)
+    return total / math.sqrt(4.0 * math.pi * tau)
+
+
+def echo_reference(L, tau):
+    total = math.fsum(2.0 * k * L * math.exp(-k * k * L * L / tau)
+                      for k in range(1, 121))
+    return total / (math.sqrt(4.0 * math.pi) * tau**1.5)
+
+
+# every sum below is well conditioned at its times: its terms share one
+# sign or its leading term dominates, and no exponent that matters passes
+# about 25, so 1e-14 relative is within reach of any summation order
+TAUS = np.concatenate([np.geomspace(0.15, 1.0, 41), [0.0, -0.3]])
+
+
+@pytest.mark.parametrize("L,z", [(1.0, 0.3), (1.7, 1.1), (0.6, 0.45)])
+def test_flux_pulse_image_sum_matches_a_per_image_loop(L, z):
+    # the signed images cancel once tau passes about L^2/4
+    taus = np.concatenate([L * L * np.geomspace(0.02, 0.15, 41), [0.0, -0.3]])
+    got = h._flux_pulse_eval(L, z)(taus)
+    ref = [flux_reference(L, z, t) for t in taus[:-2]]
+    assert np.allclose(got[:-2], ref, rtol=1e-14, atol=0.0)
+    assert np.all(got[-2:] == 0.0)
+
+
+@pytest.mark.parametrize("L,delta,drop", [(2.0, 0.0, True), (2.0, 0.7, False),
+                                          (3.1, -1.2, False)])
+def test_circle_pulse_image_sum_matches_a_per_image_loop(L, delta, drop):
+    got = h._circle_pulse(L, delta, drop_center=drop)(TAUS)
+    d = h._wrap_diff(delta, L)
+    ref = [circle_reference(L, d, t, drop) for t in TAUS[:-2]]
+    assert np.allclose(got[:-2], ref, rtol=1e-14, atol=0.0)
+    assert np.all(got[-2:] == 0.0)
+
+
+@pytest.mark.parametrize("L", [0.5, 1.0, 1.9])
+def test_echo_density_matches_a_per_image_loop(L):
+    got = h.echo_density(L, TAUS)
+    ref = [echo_reference(L, t) for t in TAUS[:-2]]
+    assert np.allclose(got[:-2], ref, rtol=1e-14, atol=0.0)
+    assert np.all(got[-2:] == 0.0)
+
+
+# ---------------------------------------------------------------------------
 # gluing two rays
 # ---------------------------------------------------------------------------
 
