@@ -274,22 +274,6 @@ class KernelMatrix:
                 f"coef {self.coef.shape} and atom {self.atom.shape} do not fit "
                 f"{shape} entries on {len(self.universe)} rates")
 
-    @classmethod
-    def from_mixes(cls, rows: Sequence, cols: Sequence,
-                   mixes: Sequence[Sequence[ExpMix]]) -> "KernelMatrix":
-        """The matrix whose entry (i, j) is ``mixes[i][j]``, with the terms of
-        all entries placed on their joint :func:`~heatglue.expmix.rate_universe`."""
-        flat = [m for row in mixes for m in row]
-        terms = [(e, term) for e, m in enumerate(flat) for term in m.terms]
-        universe, at = rate_universe([term.rate for _, term in terms])
-        width = 1 + max((term.power for _, term in terms), default=0)
-        coef = np.zeros((len(flat), len(universe), width))
-        for (e, term), x in zip(terms, at):
-            coef[e, x, term.power] += term.coef * math.factorial(term.power)
-        shape = (len(rows), len(cols))
-        return cls(rows, cols, universe, coef.reshape(shape + coef.shape[1:]),
-                   np.array([m.atom for m in flat]).reshape(shape))
-
     @cached_property
     def _row_index(self) -> dict:
         return {v: i for i, v in enumerate(self.rows)}

@@ -5,7 +5,9 @@ weight is the iterated convolution of one decaying exponential per visited
 vertex, with rate equal to that vertex's valency; summing weights over
 suitable path classes reproduces the heat kernel of the graph and the
 interface operators from :mod:`heatglue.graph_heat`, truncated by path
-length with an explicit tail bound.
+length with an explicit tail bound.  A single weight is an exact
+:class:`~heatglue.expmix.ExpMix`, since splitting is a coefficient
+identity; the class sums are values at t, summed as layered walks.
 
 Four path classes are supported, all relative to a marked vertex subset Y:
 
@@ -28,20 +30,13 @@ import numpy as np
 
 from heatglue.expmix import (
     ExpMix,
-    ZERO,
     convolve,
     delta,
     evaluate,
     exponential,
-    mix_sum,
     simplex_convolve,
 )
-from heatglue.graph_heat import (
-    Decomposition,
-    Graph,
-    KernelMatrix,
-    uniformized_walk,
-)
+from heatglue.graph_heat import Decomposition, Graph, uniformized_walk
 
 __all__ = [
     "LENGTH_CAP",
@@ -61,6 +56,7 @@ __all__ = [
     "split_at_visits",
     "split_check",
     "pathsum_heat",
+    "PathSumOperator",
     "pathsum_operators",
 ]
 
@@ -191,8 +187,7 @@ def segment_weight(g: Graph, seg: Path | None) -> ExpMix:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_paths(g: Graph, spec: PathClassSpec, *,
-                    cap: int = LENGTH_CAP) -> tuple[Path, ...]:
+def enumerate_paths(g: Graph, spec: PathClassSpec) -> tuple[Path, ...]:
     """All paths of the class with length <= spec.max_length.
 
     Depth first with class pruning applied while extending, so walks that
@@ -200,9 +195,9 @@ def enumerate_paths(g: Graph, spec: PathClassSpec, *,
     sorted by length, then lexicographically in the graph's vertex order,
     hence deterministic.
     """
-    if spec.max_length > cap:
+    if spec.max_length > LENGTH_CAP:
         raise LengthCapError(
-            f"max_length {spec.max_length} exceeds cap {cap}")
+            f"max_length {spec.max_length} exceeds cap {LENGTH_CAP}")
     for v in (spec.start, spec.end):
         if v not in g.index:
             raise ValueError(f"endpoint {v!r} not in graph")
@@ -331,31 +326,8 @@ def split_check(g: Graph, p1: Path, p2: Path) -> float:
 
 
 # ---------------------------------------------------------------------------
-# layered class sums
+# truncated path sums
 # ---------------------------------------------------------------------------
-
-
-def _layer_step(g: Graph, cur: dict, allowed) -> dict:
-    """One length increment of the class sum, keyed by end vertex index.
-
-    cur[i] is the summed weight of all class walks of the current length
-    ending at vertex i; appending an edge multiplies (convolves) by the
-    new endpoint's exponential, so sums can be pushed forward without
-    touching individual walks.
-    """
-    vals = g.valencies
-    a = g.adjacency
-    incoming: dict[int, list] = {}
-    for i, mix in cur.items():
-        for nb in np.nonzero(a[i])[0]:
-            j = int(nb)
-            if allowed is not None and j not in allowed:
-                continue
-            incoming.setdefault(j, []).append(mix)
-    return {
-        j: convolve(mix_sum(parts), exponential(1.0, float(vals[j])))
-        for j, parts in incoming.items()
-    }
 
 
 def exp_tail(x: float, m0: int) -> float:
@@ -378,8 +350,7 @@ def exp_tail(x: float, m0: int) -> float:
 
 
 def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
-                 sharp_tail: bool = False,
-                 cap: int = LENGTH_CAP) -> tuple[float, int, float]:
+                 sharp_tail: bool = False) -> tuple[float, int, float]:
     """Heat kernel entry as a truncated sum over paths from u to v.
 
     Every path of length j contributes a positive weight bounded by
@@ -421,7 +392,7 @@ def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
         vec = np.zeros(g.n)
         vec[g.index[u]] = 1.0
         counts = [float(ones @ vec)]
-        for _ in range(cap):
+        for _ in range(LENGTH_CAP):
             vec = a @ vec
             counts.append(float(ones @ vec))
 
@@ -432,14 +403,14 @@ def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
         return crude * counts[k] / d_max**k
 
     k_used = None
-    for k in range(cap + 1):
+    for k in range(LENGTH_CAP + 1):
         if bound(k) < eps:
             k_used = k
             break
     if k_used is None:
-        best = bound(cap)
+        best = bound(LENGTH_CAP)
         raise LengthCapError(
-            f"eps={eps:g} needs paths longer than the cap {cap}; "
+            f"eps={eps:g} needs paths longer than the cap {LENGTH_CAP}; "
             f"best achievable tail bound is {best:g}", best)
 
     # paths of length j are the walks with j adjacency steps, so the sum
@@ -452,106 +423,89 @@ def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
     return value, k_used, bound(k_used)
 
 
+class PathSumOperator:
+    """An interface operator as values at t of a length-truncated class sum.
+
+    ``rows`` and ``cols`` are vertex labels, and ``atom`` holds the point
+    masses: the paths whose trimmed weight is empty.  Every other path is a
+    start row, a walk inside a vertex set S, and a closing matrix;
+    ``evaluate(t)`` sums layers 0 .. layers - 1 of the walk (one layer per
+    edge inside S) by one :func:`~heatglue.graph_heat.uniformized_walk`
+    with theta the largest valency, so every coefficient is nonnegative and
+    the values are free of cancellation.  With no layers they are zero.
+    """
+
+    def __init__(self, rows: tuple, cols: tuple, atom: np.ndarray, g: Graph,
+                 s: np.ndarray, start: np.ndarray, close: np.ndarray,
+                 layers: int) -> None:
+        self.rows, self.cols = tuple(rows), tuple(cols)
+        self.atom = np.array(atom, dtype=float)
+        self.atom.setflags(write=False)
+        vals = g.valencies
+        self._theta = float(vals.max()) if g.n else 0.0
+        self._step = np.diag(self._theta - vals[s])
+        self._advance = g.adjacency[np.ix_(s, s)]
+        self._start, self._close, self._layers = start, close, layers
+
+    def evaluate(self, t: float) -> np.ndarray:
+        """Pointwise values at t > 0 (atoms do not contribute there)."""
+        t = float(t)
+        if not (t > 0.0) or not math.isfinite(t):
+            raise ValueError(f"evaluate needs t > 0, got {t}; the atom sits at t=0")
+        if self._layers == 0:
+            return np.zeros((len(self.rows), len(self.cols)))
+        sums, _ = uniformized_walk(self._step, self._advance, self._start,
+                                   self._layers, self._theta, t)
+        return sums.sum(axis=0) @ self._close
+
+
 def pathsum_operators(d: Decomposition, which: str,
-                      max_length: int, *, cap: int = LENGTH_CAP) -> KernelMatrix:
+                      max_length: int) -> PathSumOperator:
     """Interface operators as length-truncated class path sums.
 
-    which selects the class and trimming:
+    which selects the class and trimming (Y the interface, C its
+    complement, A the adjacency):
 
     ``extension``
         rows are all vertices, columns the interface; entry (u, y) sums,
         over paths from u meeting the interface only in their final
-        vertex y, the weight with that final vertex dropped.  The
-        diagonal interface entries are pure delta atoms.
+        vertex y, the weight with that final vertex dropped: a walk of
+        length at most max_length - 1 inside C, then A_CY.  The diagonal
+        interface entries are pure delta atoms.
     ``interface``
         square on the interface; entry (y1, y2) sums full path weights
         over all paths between the two vertices in the whole graph.
     ``dn_prime``
         square on the interface; paths of length >= 1 meeting the
         interface exactly at both endpoints, weighted after dropping
-        both endpoint vertices; the single edge case contributes a
-        delta atom.
+        both endpoint vertices: A_YC, a walk of length at most
+        max_length - 2 inside C, then A_CY; the single edge case is the
+        delta atom A_YY.
 
-    All sums run over lengths up to max_length.
+    All sums run over lengths up to max_length, so the truncation is that
+    of the path sum, not of a series in t.
     """
     if which not in ("extension", "interface", "dn_prime"):
         raise ValueError(f"unknown operator {which!r}")
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
-    if max_length > cap:
-        raise LengthCapError(f"max_length {max_length} exceeds cap {cap}")
+    if max_length > LENGTH_CAP:
+        raise LengthCapError(f"max_length {max_length} exceeds cap {LENGTH_CAP}")
 
     og = d.ordered_graph
     y = d.interface
-    yidx = [og.index[w] for w in y]
-    yset = set(yidx)
-    comp = set(range(og.n)) - yset
-    vals = og.valencies
+    yi = np.array([og.index[w] for w in y])
+    ci = np.setdiff1d(np.arange(og.n), yi)
     a = og.adjacency
-
+    eye = np.eye(og.n)
     if which == "interface":
-        ent = [[ZERO] * len(y) for _ in range(len(y))]
-        for p, iy in enumerate(yidx):
-            cur = {iy: exponential(1.0, float(vals[iy]))}
-            acc: dict[int, list] = {j: [m] for j, m in cur.items()}
-            for _ in range(max_length):
-                cur = _layer_step(og, cur, None)
-                for j, m in cur.items():
-                    acc.setdefault(j, []).append(m)
-            for q, jy in enumerate(yidx):
-                if jy in acc:
-                    ent[p][q] = mix_sum(acc[jy])
-        return KernelMatrix.from_mixes(y, y, ent)
-
+        return PathSumOperator(y, y, np.zeros((len(y), len(y))), og,
+                               np.arange(og.n), eye[yi], eye[:, yi],
+                               max_length + 1)
+    a_cy = a[np.ix_(ci, yi)]
     if which == "extension":
-        ent = [[ZERO] * len(y) for _ in range(og.n)]
-        for q, jy in enumerate(yidx):
-            for p, w in enumerate(og.vertices):
-                if og.index[w] == jy:
-                    ent[p][q] = delta(1.0)
-        for p, w in enumerate(og.vertices):
-            i = og.index[w]
-            if i in yset:
-                continue
-            cur = {i: exponential(1.0, float(vals[i]))}
-            collected: dict[int, list] = {}
-            for step in range(max_length):
-                for j, m in cur.items():
-                    for q, jy in enumerate(yidx):
-                        if a[j, jy] != 0.0:
-                            collected.setdefault(q, []).append(m)
-                if step + 1 < max_length:
-                    cur = _layer_step(og, cur, comp)
-                    if not cur:
-                        break
-            for q, parts in collected.items():
-                ent[p][q] = mix_sum(parts)
-        return KernelMatrix.from_mixes(og.vertices, y, ent)
-
-    # dn_prime
-    ny = len(y)
-    ent = [[ZERO] * ny for _ in range(ny)]
-    for p, iy in enumerate(yidx):
-        for q, jy in enumerate(yidx):
-            if a[iy, jy] != 0.0 and max_length >= 1:
-                ent[p][q] = delta(1.0)
-    for p, iy in enumerate(yidx):
-        cur = {
-            int(j): exponential(1.0, float(vals[int(j)]))
-            for j in np.nonzero(a[iy])[0] if int(j) in comp
-        }
-        collected: dict[int, list] = {}
-        # a leg of length m has m - 1 interior vertices
-        for step in range(max(0, max_length - 1)):
-            for j, m in cur.items():
-                for q, jy in enumerate(yidx):
-                    if a[j, jy] != 0.0:
-                        collected.setdefault(q, []).append(m)
-            if step + 2 < max_length:
-                cur = _layer_step(og, cur, comp)
-                if not cur:
-                    break
-        for q, parts in collected.items():
-            base = ent[p][q]
-            ent[p][q] = mix_sum([base] + parts)
-    return KernelMatrix.from_mixes(y, y, ent)
+        return PathSumOperator(og.vertices, y, eye[:, yi], og, ci, eye[:, ci],
+                               a_cy, max_length)
+    atom = a[np.ix_(yi, yi)] if max_length >= 1 else np.zeros((len(y), len(y)))
+    return PathSumOperator(y, y, atom, og, ci, a[np.ix_(yi, ci)], a_cy,
+                           max(0, max_length - 1))

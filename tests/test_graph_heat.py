@@ -36,7 +36,6 @@ from heatglue.graph_heat import (
     relative_heat_kernel,
     schur_cut,
 )
-from heatglue.path_sum import pathsum_operators
 
 LINE3 = Graph(("1", "2", "3"), (("1", "2"), ("2", "3")))
 LINE3_SPLIT = Decomposition(LINE3, ("2",), ("1",), ("3",))
@@ -193,29 +192,6 @@ def test_kernel_evaluate_is_repeatable():
         k = glue_I(d)
         for t in (0.25, 1.0, 4.0):
             assert np.array_equal(k.evaluate(t), k.evaluate(t))
-
-
-BULL = Decomposition(
-    Graph(("a", "b", "c", "p", "q"),
-          (("a", "b"), ("b", "c"), ("a", "c"), ("a", "p"), ("b", "q"))),
-    ("a", "b"))
-HOUSE = Decomposition(
-    Graph(("1", "2", "3", "4", "5"),
-          (("1", "2"), ("2", "3"), ("3", "4"), ("4", "1"), ("5", "1"), ("5", "2"))),
-    ("1", "2"))
-
-
-@pytest.mark.parametrize("d", [BULL, HOUSE], ids=["bull", "house"])
-@pytest.mark.parametrize("which", ["extension", "interface", "dn_prime"])
-def test_from_mixes_round_trips_path_sum_operators(d, which):
-    op = pathsum_operators(d, which, 12)
-    mixes = [[op.entry(u, v) for v in op.cols] for u in op.rows]
-    back = KernelMatrix.from_mixes(op.rows, op.cols, mixes)
-    assert back.rows == op.rows and back.cols == op.cols
-    assert any(m.terms for row in mixes for m in row)
-    for u, row in zip(op.rows, mixes):
-        for v, m in zip(op.cols, row):
-            assert allclose(back.entry(u, v), m, atol=1e-15, rtol=1e-15)
 
 
 def test_kernel_matrix_rejects_a_misshapen_tensor():

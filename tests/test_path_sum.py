@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import taylor_expm
+from mpmath import mp
+
 from heatglue.expmix import (
     ExpMix,
     allclose,
@@ -14,8 +16,6 @@ from heatglue.expmix import (
     delta,
     evaluate,
     exponential,
-    mix_sum,
-    structural_max_diff,
 )
 from heatglue.graph_heat import (
     Decomposition,
@@ -47,6 +47,7 @@ from heatglue.path_sum import exp_tail
 
 LINE3 = Graph(("1", "2", "3"), (("1", "2"), ("2", "3")))
 LINE2 = Graph(("1", "2"), (("1", "2"),))
+LINE3_SPLIT = Decomposition(LINE3, ("2",), ("1",), ("3",))
 
 GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -493,63 +494,67 @@ def test_pathsum_equals_its_truncated_path_sum():
 def test_operator_extension_two_vertex():
     d = Decomposition(LINE2, ("2",))
     ext = pathsum_operators(d, "extension", 12)
-    assert allclose(ext.entry("1", "2"), exponential(1.0, 1.0), atol=1e-13)
-    assert ext.entry("2", "2") == delta(1.0)
+    i, j = ext.rows.index("1"), ext.rows.index("2")
+    for t in GRID:
+        vals = ext.evaluate(t)
+        assert abs(vals[i, 0] - math.exp(-t)) <= 1e-13
+        assert vals[j, 0] == 0.0
+    assert ext.atom[i, 0] == 0.0 and ext.atom[j, 0] == 1.0
 
 
 def test_operator_dn_prime_line3():
-    d = Decomposition(LINE3, ("2",), ("1",), ("3",))
+    d = LINE3_SPLIT
     dn = pathsum_operators(d, "dn_prime", 12)
-    assert allclose(dn.entry("2", "2"), exponential(2.0, 1.0), atol=1e-13)
     exact = one_step_interface_kernel(d)
-    assert structural_max_diff(dn.entry("2", "2"), exact.entry("2", "2")) < 1e-12
+    for t in GRID:
+        assert abs(dn.evaluate(t)[0, 0] - 2.0 * math.exp(-t)) <= 1e-13
+        assert np.abs(dn.evaluate(t) - exact.evaluate(t)).max() < 1e-12
+    assert np.array_equal(dn.atom, [[0.0]])
+    assert np.array_equal(dn.atom, exact.atom)
 
 
 def test_operator_interface_line3_truncated():
-    d = Decomposition(LINE3, ("2",), ("1",), ("3",))
+    d = LINE3_SPLIT
     ifk = pathsum_operators(d, "interface", 12)
     t = 1.0
     ref = (1.0 + 2.0 * math.exp(-3.0)) / 3.0
     tail = exp_tail(2.0 * t, 13)
-    assert abs(evaluate(ifk.entry("2", "2"), t) - ref) <= tail
+    assert abs(ifk.evaluate(t)[0, 0] - ref) <= tail
+    assert np.array_equal(ifk.atom, [[0.0]])
+
+
+def _inner_segment(p: Path) -> Path | None:
+    seg = trim_start(p)
+    return None if seg is None else trim_end(seg)
 
 
 def test_operators_equal_per_path_sums():
-    # the layered accumulation must agree with literally summing weights
+    # the layered walk must agree with literally summing weights; a path
+    # whose trimmed segment is empty is a unit atom
     rng = np.random.default_rng(61)
     for _ in range(3):
         d = random_decomposition(rng, 7)
         og = d.ordered_graph
         y = d.interface
         max_length = 5
-        ext = pathsum_operators(d, "extension", max_length)
-        for u in og.vertices:
-            for yv in y:
-                paths = enumerate_paths(
-                    og, PathClassSpec("P_prime_end", u, yv, y, max_length))
-                want = mix_sum(
-                    [segment_weight(og, trim_end(p)) for p in paths]
-                    or [ExpMix()])
-                assert structural_max_diff(ext.entry(u, yv), want) < 1e-11
-        ifk = pathsum_operators(d, "interface", max_length)
-        for y1 in y:
-            for y2 in y:
-                paths = enumerate_paths(
-                    og, PathClassSpec("P", y1, y2, (), max_length))
-                want = mix_sum([weight(og, p) for p in paths] or [ExpMix()])
-                assert structural_max_diff(ifk.entry(y1, y2), want) < 1e-11
-        dn = pathsum_operators(d, "dn_prime", max_length)
-        for y1 in y:
-            for y2 in y:
-                paths = enumerate_paths(
-                    og, PathClassSpec("P_double_prime", y1, y2, y, max_length))
-                parts = []
-                for p in paths:
-                    seg = trim_start(p)
-                    seg = None if seg is None else trim_end(seg)
-                    parts.append(segment_weight(og, seg))
-                want = mix_sum(parts or [ExpMix()])
-                assert structural_max_diff(dn.entry(y1, y2), want) < 1e-11
+        for which, tag, rows, marked, trim in (
+                ("extension", "P_prime_end", og.vertices, y, trim_end),
+                ("interface", "P", y, (), lambda p: p),
+                ("dn_prime", "P_double_prime", y, y, _inner_segment)):
+            op = pathsum_operators(d, which, max_length)
+            assert op.rows == rows and op.cols == y
+            segs = [[[trim(p) for p in enumerate_paths(
+                          og, PathClassSpec(tag, u, v, marked, max_length))]
+                     for v in y] for u in rows]
+            atom = [[sum(seg is None for seg in cell) for cell in row]
+                    for row in segs]
+            assert np.array_equal(op.atom, atom)
+            weights = [[[weight(og, seg) for seg in cell if seg is not None]
+                        for cell in row] for row in segs]
+            for t in GRID:
+                want = [[math.fsum(evaluate(w, t) for w in cell) for cell in row]
+                        for row in weights]
+                assert np.abs(op.evaluate(t) - want).max() < 1e-11
 
 
 def test_operator_extension_matches_side_kernels():
@@ -562,15 +567,12 @@ def test_operator_extension_matches_side_kernels():
         ext = pathsum_operators(d, "extension", max_length)
         for side in d.side_graphs:
             exact = extension_kernel(side, d.interface)
-            for u in side.vertices:
-                for yv in d.interface:
-                    for t in (0.5, 1.0):
-                        tail = d_max * exp_tail(d_max * t, max_length)
-                        got = evaluate(ext.entry(u, yv), t) \
-                            if ext.entry(u, yv).terms else 0.0
-                        ref_mix = exact.entry(u, yv)
-                        ref = evaluate(ref_mix, t) if ref_mix.terms else 0.0
-                        assert abs(got - ref) <= tail + 1e-11
+            for t in (0.5, 1.0):
+                tail = d_max * exp_tail(d_max * t, max_length)
+                got, ref = ext.evaluate(t), exact.evaluate(t)
+                for u in side.vertices:
+                    diff = np.abs(got[og.index[u]] - ref[side.index[u]]).max()
+                    assert diff <= tail + 1e-11
 
 
 def test_operator_interface_matches_spectral_kernel():
@@ -597,33 +599,118 @@ def test_operator_dn_prime_matches_one_step_factor():
         max_length = 12
         got = pathsum_operators(d, "dn_prime", max_length)
         exact = one_step_interface_kernel(d)
-        ny = len(d.interface)
         for t in (0.5, 1.0):
             tail = d_max**2 * exp_tail(d_max * t, max_length - 1)
-            for p in range(ny):
-                for q in range(ny):
-                    e = exact.entry(d.interface[p], d.interface[q])
-                    ref = evaluate(e, t) if e.terms else 0.0
-                    m = got.entry(d.interface[p], d.interface[q])
-                    val = evaluate(m, t) if m.terms else 0.0
-                    assert abs(val - ref) <= tail + 1e-11
-                    assert m.atom == e.atom
+            diff = np.abs(got.evaluate(t) - exact.evaluate(t)).max()
+            assert diff <= tail + 1e-11
+        assert np.array_equal(got.atom, exact.atom)
 
 
 def test_operator_validation():
-    d = Decomposition(LINE3, ("2",), ("1",), ("3",))
+    d = LINE3_SPLIT
     with pytest.raises(ValueError):
         pathsum_operators(d, "schur", 5)
     with pytest.raises(ValueError):
         pathsum_operators(d, "interface", -1)
     with pytest.raises(LengthCapError):
         pathsum_operators(d, "interface", LENGTH_CAP + 1)
+    with pytest.raises(ValueError):
+        pathsum_operators(d, "interface", 5).evaluate(0.0)
+
+
+BULL = Decomposition(
+    Graph(("a", "b", "c", "p", "q"),
+          (("a", "b"), ("b", "c"), ("a", "c"), ("a", "p"), ("b", "q"))),
+    ("a", "b"))
+HOUSE = Decomposition(
+    Graph(("1", "2", "3", "4", "5"),
+          (("1", "2"), ("2", "3"), ("3", "4"), ("4", "1"), ("5", "1"), ("5", "2"))),
+    ("1", "2"))
 
 
 def test_operator_zero_cutoff():
-    d = Decomposition(LINE3, ("2",), ("1",), ("3",))
-    ext = pathsum_operators(d, "extension", 0)
-    assert ext.entry("2", "2") == delta(1.0)
-    assert ext.entry("1", "2") == ExpMix()
-    dn = pathsum_operators(d, "dn_prime", 0)
-    assert dn.entry("2", "2") == ExpMix()
+    # with no walk layer left the values are zero and only the atoms stay:
+    # the identity on Y for the extension, and the single edges A_YY of
+    # dn_prime once paths of length 1 are allowed
+    for d in (LINE3_SPLIT, BULL):
+        og = d.ordered_graph
+        yi = [og.index[v] for v in d.interface]
+        ny = len(yi)
+        for which, max_length, atom in (
+                ("extension", 0, np.eye(og.n)[:, yi]),
+                ("dn_prime", 0, np.zeros((ny, ny))),
+                ("dn_prime", 1, og.adjacency[np.ix_(yi, yi)])):
+            op = pathsum_operators(d, which, max_length)
+            assert np.array_equal(op.atom, atom)
+            for t in GRID:
+                assert np.array_equal(op.evaluate(t), np.zeros_like(atom))
+
+
+def _mp_layers(vals, adj, layers: int, t: float) -> list:
+    """Blocks 0 .. layers - 1 of the first block row of exp(tM), to 40 digits.
+
+    M is the layered generator on the given vertices: -diag(vals) on the
+    diagonal blocks and adj on the superdiagonal ones.  Summed by its Taylor
+    series until the terms, bounded by (t |M|)^p / p! with |M| <= 2 max(vals),
+    fall below 1e-45.
+    """
+    n = len(vals)
+    nbrs = [[k for k in range(n) if adj[k][j]] for j in range(n)]
+    with mp.workdps(40):
+        t = mp.mpf(t)
+        x = 2 * t * max([1] + [int(v) for v in vals])
+        term = [[[mp.mpf(int(i == j and k == 0)) for j in range(n)]
+                 for i in range(n)] for k in range(layers)]
+        acc = [[[mp.mpf(0)] * n for _ in range(n)] for _ in range(layers)]
+        p, size = 0, mp.mpf(1)
+        while p <= x or size > mp.mpf(10) ** -45:
+            for k in range(layers):
+                for i in range(n):
+                    for j in range(n):
+                        acc[k][i][j] += term[k][i][j]
+            p += 1
+            size *= x / p
+            term = [[[(-int(vals[j]) * term[k][i][j]
+                       + (mp.fsum(term[k - 1][i][m] for m in nbrs[j]) if k else 0))
+                      * t / p
+                      for j in range(n)] for i in range(n)] for k in range(layers)]
+    return acc
+
+
+def _mp_closed(start, blocks, close) -> list:
+    """start @ (sum of the blocks) @ close, with 0/1 integer start and close."""
+    total = [[mp.fsum(b[i][j] for b in blocks) for j in range(len(blocks[0]))]
+             for i in range(len(blocks[0]))]
+    return [[mp.fsum(start[r][i] * total[i][j] * close[j][c]
+                     for i in range(len(total)) for j in range(len(total))
+                     if start[r][i] and close[j][c])
+             for c in range(len(close[0]))] for r in range(len(start))]
+
+
+@pytest.mark.parametrize("d", [BULL, HOUSE], ids=["bull", "house"])
+def test_operators_match_a_40_digit_reference(d):
+    # every nonzero entry to 1e-14 relative; zeros are exact
+    og = d.ordered_graph
+    yi = [og.index[v] for v in d.interface]
+    ci = [i for i in range(og.n) if i not in yi]
+    a = og.adjacency.astype(int)
+    vals = og.valencies.astype(int)
+    eye = np.eye(og.n, dtype=int)
+    max_length = 12
+    for t in (0.3, 0.7):
+        whole = _mp_layers(vals, a, max_length + 1, t)
+        inner = _mp_layers(vals[ci], a[np.ix_(ci, ci)], max_length, t)
+        a_cy = a[np.ix_(ci, yi)]
+        refs = {
+            "interface": _mp_closed(eye[yi], whole, eye[:, yi]),
+            "extension": _mp_closed(eye[:, ci], inner, a_cy),
+            "dn_prime": _mp_closed(a[np.ix_(yi, ci)], inner[:-1], a_cy),
+        }
+        for which, ref in refs.items():
+            got = pathsum_operators(d, which, max_length).evaluate(t)
+            assert got.shape == (len(ref), len(ref[0]))
+            assert any(r for row in ref for r in row)
+            for got_row, ref_row in zip(got.tolist(), ref):
+                for g, r in zip(got_row, ref_row):
+                    with mp.workdps(40):
+                        assert abs(mp.mpf(g) - r) <= mp.mpf("1e-14") * abs(r)
