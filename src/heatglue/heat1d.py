@@ -467,14 +467,6 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float, t: float,
 # ---------------------------------------------------------------------------
 
 
-def _vec(ev: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    def wrapped(tau):
-        arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = ev(arr)
-        return out if np.ndim(tau) else float(out[0])
-    return wrapped
-
-
 def _flat_eval(tau: np.ndarray) -> np.ndarray:
     out = np.zeros_like(tau)
     pos = tau > 0.0
@@ -482,7 +474,7 @@ def _flat_eval(tau: np.ndarray) -> np.ndarray:
     return out
 
 
-_FLAT = inverse_pow_gaussian(_vec(_flat_eval), c=0.0, alpha=0.5)
+_FLAT = inverse_pow_gaussian(_flat_eval, c=0.0, alpha=0.5)
 
 
 def echo_density(L: float, t):
@@ -606,27 +598,48 @@ class _DecayInterp:
         return out if np.ndim(tau) else float(out)
 
 
-def _flux_pulse_eval(L: float, z: float) -> Callable:
-    """Positive image-sum form of the boundary flux magnitude at depth z."""
+def _flux_pair_eval(L: float, x: float, y: float) -> Callable:
+    """The flux pulse out of depth x convolved with the one into depth y.
+
+    The pulse at depth z is the signed image sum sum_k sign(a_k) h_|a_k|,
+    a_k = z + 2kL, of the first-passage densities
+    h_a(tau) = a (4 pi)^(-1/2) tau^(-3/2) exp(-a^2/4tau).  These add their
+    distances under convolution, h_a * h_b = h_(a+b) (the stable-1/2
+    semigroup), so the pair is one signed sum over the distances
+    |a_k| + |b_l|, with the pairs that share a distance merged.  A depth
+    of 0 is the delta at the junction, which leaves the other pulse
+    (y = 0 gives the flux pulse at x alone); x and y must not both be 0.
+    Distances run out to sqrt(200 tau_max), past which exp(-d^2/4tau)
+    is below e^-50.
+    """
     def ev(tau: np.ndarray) -> np.ndarray:
         out = np.zeros_like(tau)
         pos = tau > 0.0
         if pos.any():
             tp = tau[pos]
-            K = int(math.ceil((math.sqrt(200.0 * float(tp.max())) + z)
-                              / (2.0 * L))) + 2
-            a = z + 2.0 * L * np.arange(-K, K + 1)
-            pulses = np.exp(np.multiply.outer(-0.25 * np.square(a), 1.0 / tp))
-            out[pos] = a @ pulses / (math.sqrt(4.0 * math.pi) * tp * np.sqrt(tp))
+            reach = math.sqrt(200.0 * float(tp.max()))
+            ax, sx = _reflection_legs(x, L, int(math.ceil(
+                (reach + x) / (2.0 * L))) + 2)
+            ay, sy = _reflection_legs(y, L, int(math.ceil(
+                (reach + y) / (2.0 * L))) + 2)
+            d, pair = np.unique(np.add.outer(ax, ay), return_inverse=True)
+            s = np.bincount(pair.ravel(), weights=np.outer(sx, sy).ravel())
+            keep = (d <= reach) & (s != 0.0)
+            d, s = d[keep], s[keep]
+            pulses = np.exp(np.multiply.outer(-0.25 * np.square(d), 1.0 / tp))
+            out[pos] = (s * d) @ pulses \
+                / (math.sqrt(4.0 * math.pi) * tp * np.sqrt(tp))
         return out
     return ev
 
 
-def _flux_factor(L: float, z: float) -> TimeFactor | None:
-    if z == 0.0:
+def _flux_pair_factor(L: float, x: float, y: float) -> TimeFactor | None:
+    """:func:`_flux_pair_eval` as a factor; None when x = y = 0, where both
+    pulses are the delta at the junction."""
+    if x == 0.0 and y == 0.0:
         return None
-    return inverse_pow_gaussian(_vec(_flux_pulse_eval(L, z)),
-                                c=min(z, 2.0 * L - z) ** 2 / 4.0, alpha=1.5)
+    c = (min(x, 2.0 * L - x) + min(y, 2.0 * L - y)) ** 2 / 4.0
+    return inverse_pow_gaussian(_flux_pair_eval(L, x, y), c=c, alpha=1.5)
 
 
 # one entry per echo order: the chains up to order 6 of four (L1, L2, t_build)
@@ -656,14 +669,17 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
 
     Term n convolves the flux pulse out of x, n round-trip echo factors
     smoothed by the flat junction pulse, and the flux pulse into y; the
-    sign alternates with n.  All convolutions run through the adaptive
-    simplex quadrature.  Returns (value, bound, residual against the
-    direct two-kernel difference).  The bound is the truncation tail plus
-    the quadrature error: the tail sums C^n t^(n-1) / (n-1)! over
-    n > n_max with C the echo supremum, so it is loose at large t and
-    sharp at small t; the quadrature part sums the error estimates of the
-    kept terms' convolutions.  The error of the echo-chain interpolants
-    that stand in for the middle factors is not yet part of the bound.
+    sign alternates with n.  The two flux pulses enter as one factor,
+    their convolution summed exactly over images (:func:`_flux_pair_eval`),
+    so each term is a single level of the adaptive simplex quadrature
+    against the echo chain, itself built by that quadrature.  Returns
+    (value, bound, residual against the direct two-kernel difference).
+    The bound is the truncation tail plus the quadrature error: the tail
+    sums C^n t^(n-1) / (n-1)! over n > n_max with C the echo supremum, so
+    it is loose at large t and sharp at small t; the quadrature part sums
+    the error estimates of the kept terms' convolutions.  The error of the
+    echo-chain interpolants that stand in for the middle factors is not
+    yet part of the bound.
     """
     L1 = _check_length(L1, "L1")
     L2 = _check_length(L2, "L2")
@@ -674,17 +690,15 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     t_build = 4.0 if t <= 4.0 else 2.0 ** math.ceil(math.log2(t))
-    fx = _flux_factor(L2, x)
-    fy = _flux_factor(L2, y)
+    pair = _flux_pair_factor(L2, x, y)
     value = 0.0
     quadrature = 0.0
     for n in range(n_max + 1):
         mid = _echo_chain_factor(L1, L2, t_build, n)
-        factors = [f for f in (fx, mid, fy) if f is not None]
-        if len(factors) == 1:
-            term = float(np.atleast_1d(factors[0].evaluator(np.array([t])))[0])
+        if pair is None:
+            term = float(mid.evaluator(np.array([t]))[0])
         else:
-            term, est = conv_n(factors, t, 3e-9)
+            term, est = conv_n([mid, pair], t, 3e-9)
             quadrature += est
         value += (-1.0) ** n * term
     C = echo_sup(L1, L2)
@@ -717,7 +731,7 @@ def glue_rays(x: float, y: float, t: float) -> tuple[float, float]:
             out[pos] = (z / math.sqrt(4.0 * math.pi)) * tau[pos]**-1.5 \
                 * np.exp(-z * z / (4.0 * tau[pos]))
             return out
-        return inverse_pow_gaussian(_vec(ev), c=z * z / 4.0, alpha=1.5)
+        return inverse_pow_gaussian(ev, c=z * z / 4.0, alpha=1.5)
 
     value, _ = conv_n([pulse(x), _FLAT, pulse(y)], t, 1e-10)
     closed = math.exp(-((x + y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)

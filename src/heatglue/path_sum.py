@@ -369,9 +369,12 @@ def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
     nonnegative, so the evaluation is free of cancellation and the float
     error stays near machine precision.
 
-    Returns (value, cutoff used, tail bound actually achieved); raises
-    :class:`LengthCapError` carrying the best achievable bound when no
-    cutoff within the cap reaches eps.
+    Returns (value, cutoff used, bound); the bound is the tail bound at
+    the cutoff plus a rounding part, 3 gamma max(1, value) with gamma the
+    relative rounding error of the walk, as in
+    :meth:`heatglue.graph_heat.SeriesKernel.bound`.  Raises
+    :class:`LengthCapError` carrying the best achievable tail bound when
+    no cutoff within the cap reaches eps.
     """
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
@@ -417,10 +420,10 @@ def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
     # over lengths <= k is layers 0 .. k of the walk advancing on every edge
     start = np.zeros((1, g.n))
     start[0, g.index[u]] = 1.0
-    layers, _ = uniformized_walk(np.diag(d_max - vals), g.adjacency, start,
-                                 k_used + 1, d_max, t)
+    layers, gamma = uniformized_walk(np.diag(d_max - vals), g.adjacency,
+                                     start, k_used + 1, d_max, t)
     value = math.fsum(layers[:, 0, g.index[v]].tolist())
-    return value, k_used, bound(k_used)
+    return value, k_used, bound(k_used) + 3.0 * gamma * max(1.0, value)
 
 
 class PathSumOperator:

@@ -21,7 +21,6 @@ from heatglue.graph_heat import (
     Graph,
     KernelMatrix,
     decomposition_from_dict,
-    dn_single,
     dn_total,
     extension_kernel,
     glue_I,

@@ -402,10 +402,50 @@ def test_echo_series_reference_point():
                                          (1.0, 1.0, 1 / 6, 1 / 6, 0.2)])
 def test_echo_series_bound_covers_its_residual(L1, L2, x, y, t):
     # at n_max 8 the truncation tail alone is below the residual here
-    # (5.4e-12 against 3.1e-10, and 7.9e-14 against 1.3e-11); the
+    # (5.4e-12 against 1.9e-10, and 7.9e-14 against 2.1e-12); the
     # quadrature estimates of the kept terms make up the difference
     _, bound, res = h.glue_intervals_II(L1, L2, x, y, t, 8)
     assert res <= bound
+
+
+def test_echo_series_bound_covers_its_residual_on_the_gate_08_sweep():
+    # the cases of gate 08 at three orders; the largest residual/bound
+    # among them is 0.38
+    for n_max in (4, 6, 8):
+        for L1, L2 in ((1.0, 1.0), (1.0, 2.0)):
+            zs = [L2 * i / 6.0 for i in range(1, 6)]
+            for x in zs:
+                for y in zs:
+                    for t in (0.2, 0.7, 2.0):
+                        _, bound, res = h.glue_intervals_II(L1, L2, x, y, t,
+                                                            n_max)
+                        assert res <= bound, (n_max, L1, L2, x, y, t)
+
+
+def flux_factor(L, z):
+    return inverse_pow_gaussian(h._flux_pair_eval(L, z, 0.0),
+                                c=min(z, 2.0 * L - z) ** 2 / 4.0, alpha=1.5)
+
+
+@pytest.mark.parametrize("L,x,y", [(1.0, 0.4, 0.6), (2.0, 1 / 3, 5 / 3),
+                                   (1.0, 1.0, 0.3), (1.0, 0.5, 0.5),
+                                   (0.7, 0.1, 0.7)])
+def test_flux_pair_is_the_convolution_of_its_two_pulses(L, x, y):
+    pair = h._flux_pair_factor(L, x, y)
+    taus = np.array([0.05, 0.2, 0.7, 2.0])
+    got = pair.evaluator(taus)
+    want, _ = conv_n([flux_factor(L, x), flux_factor(L, y)], taus, 1e-13)
+    assert np.all(np.abs(got - want) <= 1e-12)
+
+
+@pytest.mark.parametrize("L,z", [(1.0, 0.3), (1.7, 1.1)])
+def test_flux_pair_at_the_junction_is_the_other_pulse(L, z):
+    taus = np.array([0.02, 0.05, 0.2, 0.7, 2.0])
+    ref = np.array([flux_reference(L, z, t) for t in taus])
+    for x, y in ((0.0, z), (z, 0.0)):
+        got = h._flux_pair_factor(L, x, y).evaluator(taus)
+        assert np.all(np.abs(got - ref) <= 1e-12)
+    assert h._flux_pair_factor(L, 0.0, 0.0) is None
 
 
 def test_echo_series_first_correction_is_bounded_by_sup_times_time():
@@ -530,7 +570,7 @@ TAUS = np.concatenate([np.geomspace(0.15, 1.0, 41), [0.0, -0.3]])
 def test_flux_pulse_image_sum_matches_a_per_image_loop(L, z):
     # the signed images cancel once tau passes about L^2/4
     taus = np.concatenate([L * L * np.geomspace(0.02, 0.15, 41), [0.0, -0.3]])
-    got = h._flux_pulse_eval(L, z)(taus)
+    got = h._flux_pair_eval(L, z, 0.0)(taus)  # y = 0: the pulse at z alone
     ref = [flux_reference(L, z, t) for t in taus[:-2]]
     assert np.allclose(got[:-2], ref, rtol=1e-14, atol=0.0)
     assert np.all(got[-2:] == 0.0)

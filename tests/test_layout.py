@@ -1,5 +1,5 @@
 """Module boundaries of the package: no private name crosses a module, and
-no module-level import goes unused."""
+no module-level import goes unused, in the package or in its tests."""
 
 import ast
 import pathlib
@@ -7,10 +7,11 @@ import pathlib
 import heatglue
 
 SRC = pathlib.Path(heatglue.__file__).resolve().parent
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
-def modules():
-    for path in sorted(SRC.glob("*.py")):
+def modules(dirs=(SRC,)):
+    for path in sorted(p for d in dirs for p in d.glob("*.py")):
         yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
@@ -38,7 +39,7 @@ def exported(tree):
 
 
 def unused_imports():
-    for stem, tree in modules():
+    for stem, tree in modules((SRC, TESTS)):
         bound = set()
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":

@@ -714,3 +714,23 @@ def test_operators_match_a_40_digit_reference(d):
                 for g, r in zip(got_row, ref_row):
                     with mp.workdps(40):
                         assert abs(mp.mpf(g) - r) <= mp.mpf("1e-14") * abs(r)
+
+
+@pytest.mark.parametrize("d", [BULL, HOUSE], ids=["bull", "house"])
+def test_pathsum_bound_covers_rounding(d):
+    # at eps 1e-16 the truncation tail is below the rounding of the walk:
+    # the residual against a 40-digit expm reaches 2.7 times the tail
+    # alone, and the rounding part of the bound covers it
+    g = d.ordered_graph
+    d_max = float(g.valencies.max())
+    with mp.workdps(40):
+        lap = mp.matrix((np.diag(g.valencies) - g.adjacency).astype(int).tolist())
+    for t in (0.3, 0.7):
+        with mp.workdps(40):
+            exact = mp.expm(-mp.mpf(t) * lap)
+        for i, u in enumerate(g.vertices):
+            for j, v in enumerate(g.vertices):
+                val, k, bound = pathsum_heat(g, u, v, t, 1e-16)
+                assert bound > exp_tail(d_max * t, k + 1)
+                with mp.workdps(40):
+                    assert abs(mp.mpf(val) - exact[i, j]) <= bound
