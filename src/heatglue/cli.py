@@ -355,18 +355,10 @@ def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
               "tol": tol, "x": x, "y": y, "t": t}
 
     def run():
-        value, _ = heat1d.cut_circle_to_arc(L, cuts, x, y, t, k_max)
-        c0, c1 = sorted(float(c) % L for c in cuts)
-        if c0 < x < c1 and c0 < y < c1:
-            ell, xl, yl = c1 - c0, x - c0, y - c0
-        else:
-            ell = L - (c1 - c0)
-            xl = (x - c1) % L
-            yl = (y - c1) % L
+        value, bound, _ = heat1d.cut_circle_to_arc(L, cuts, x, y, t, k_max)
+        ell, xl, yl = heat1d.arc_coordinates(L, cuts, x, y)
         reference = heat1d.k_interval(ell, xl, yl, t)[0]
-        # bound 0.0: the cut series has no truncation bound yet (see
-        # cut_circle_to_arc), so the report passes on its residual alone
-        return [_report(case, "circle", inputs, value, reference, 0.0)]
+        return [_report(case, "circle", inputs, value, reference, bound)]
 
     return _guarded(case, "circle", inputs, run)
 

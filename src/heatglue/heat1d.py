@@ -21,14 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from heatglue.path_sum import exp_tail
-from heatglue.quadsim import (
-    MAX_PANELS,
-    TimeFactor,
-    adaptive,
-    conv_n,
-    half_integral,
-    inverse_pow_gaussian,
-)
+from heatglue.quadsim import TimeFactor, conv_n, inverse_pow_gaussian
 
 __all__ = [
     "EvalParams",
@@ -43,6 +36,7 @@ __all__ = [
     "glue_intervals_I",
     "glue_intervals_II",
     "glue_rays",
+    "arc_coordinates",
     "cut_circle_to_arc",
     "cylinder_factorization_check",
     "dn_cylinder",
@@ -291,11 +285,6 @@ def _wrap_diff(d: float, L: float) -> float:
     return (d + 0.5 * L) % L - 0.5 * L
 
 
-def _circle_dist(a: float, b: float, L: float) -> float:
-    d = abs(a - b) % L
-    return min(d, L - d)
-
-
 def _circle_images(L: float, d: float, t: float,
                    p: EvalParams) -> tuple[float, float]:
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
@@ -467,14 +456,97 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float, t: float,
 # ---------------------------------------------------------------------------
 
 
-def _flat_eval(tau: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(tau)
-    pos = tau > 0.0
-    out[pos] = 1.0 / np.sqrt(4.0 * math.pi * tau[pos])
-    return out
+_ROOT_4PI = math.sqrt(4.0 * math.pi)
 
 
-_FLAT = inverse_pow_gaussian(_flat_eval, c=0.0, alpha=0.5)
+def _reach(t_max: float) -> float:
+    """Distance past which exp(-d^2/4tau) is below e^-50 for every
+    tau <= t_max."""
+    return math.sqrt(200.0 * t_max)
+
+
+@dataclass(frozen=True, eq=False)
+class _ImageSum:
+    """The sum sum_i w_i k_(d_i)(tau) of one kernel at merged distances.
+
+    kind "g" sums Gaussians g_d(tau) = (4 pi tau)^(-1/2) exp(-d^2/4tau),
+    kind "h" first-passage densities h_d(tau) = d (4 pi)^(-1/2)
+    tau^(-3/2) exp(-d^2/4tau), h_0 being the delta at 0.  Distances add
+    under convolution, h_a * h_b = h_(a+b) and h_a * g_b = g_(a+b) (the
+    stable-1/2 semigroup, Feller vol. II): :meth:`compose`.  Exactly equal
+    distances are merged, their weights added in the order given, and
+    distances past reach and zero weights are dropped; a finite reach
+    stands for the images negligible up to its time (:func:`_reach`).
+    """
+
+    kind: str
+    d: np.ndarray
+    w: np.ndarray
+    reach: float = math.inf
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("g", "h"):
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        d, pos = np.unique(np.asarray(self.d, dtype=float).ravel(),
+                           return_inverse=True)
+        w = np.bincount(pos.ravel(), minlength=d.size,
+                        weights=np.asarray(self.w, dtype=float).ravel())
+        keep = (d <= self.reach) & (w != 0.0)
+        object.__setattr__(self, "d", d[keep])
+        object.__setattr__(self, "w", w[keep])
+
+    def __add__(self, other: _ImageSum) -> _ImageSum:
+        if self.kind != other.kind:
+            raise ValueError("only sums of one kind add")
+        return _ImageSum(self.kind, np.concatenate([self.d, other.d]),
+                         np.concatenate([self.w, other.w]),
+                         min(self.reach, other.reach))
+
+    def compose(self, other: _ImageSum) -> _ImageSum:
+        """The convolution of two sums, one of them of kind h at least:
+        distances add and weights multiply."""
+        if "h" not in (self.kind, other.kind):
+            raise ValueError("Gaussians do not compose into an image sum")
+        return _ImageSum("h" if self.kind == other.kind else "g",
+                         np.add.outer(self.d, other.d),
+                         np.outer(self.w, other.w),
+                         min(self.reach, other.reach))
+
+    def __call__(self, tau: np.ndarray) -> np.ndarray:
+        """The sum at an array of times, zero at times <= 0."""
+        tau = np.asarray(tau, dtype=float)
+        out = np.zeros(tau.shape)
+        pos = tau > 0.0
+        if pos.any():
+            tp = tau[pos]
+            pulses = np.exp(np.divide.outer(-0.25 * np.square(self.d), tp))
+            if self.kind == "g":
+                out[pos] = self.w @ pulses / np.sqrt(4.0 * math.pi * tp)
+            else:
+                out[pos] = (self.w * self.d) @ pulses \
+                    / (_ROOT_4PI * tp * np.sqrt(tp))
+        return out
+
+    @property
+    def factor(self) -> TimeFactor:
+        """The sum as a quadrature factor, with its small-time envelope
+        tau^(-alpha) exp(-c/tau): c = d_min^2/4, and alpha 1/2 for
+        Gaussians, 3/2 for first-passage densities."""
+        c = (self.d[0] if self.d.size else self.reach) ** 2 / 4.0
+        return inverse_pow_gaussian(self, c=c,
+                                    alpha=0.5 if self.kind == "g" else 1.5)
+
+
+_FLAT = _ImageSum("g", [0.0], [1.0]).factor
+
+
+def _echo_pulse(t_max: float, *lengths: float) -> _ImageSum:
+    """Round trips across intervals of the given lengths: the pulses
+    h_2kL, k >= 1, of each length."""
+    reach = _reach(t_max)
+    d = np.concatenate([2.0 * L * np.arange(1.0, reach / (2.0 * L) + 1.0)
+                        for L in lengths])
+    return _ImageSum("h", d, np.ones(d.size), reach)
 
 
 def echo_density(L: float, t):
@@ -484,15 +556,7 @@ def echo_density(L: float, t):
     exp(-k^2 L^2 / t).  Accepts scalars or arrays.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    if pos.any():
-        tp = arr[pos]
-        kcap = int(math.ceil(math.sqrt(60.0 * float(tp.max())) / L)) + 2
-        kl = np.arange(1.0, kcap + 1.0) * L
-        pulses = np.exp(np.multiply.outer(-np.square(kl), 1.0 / tp))
-        out[pos] = ((2.0 / math.sqrt(4.0 * math.pi)) * kl) @ pulses \
-            / (tp * np.sqrt(tp))
+    out = _echo_pulse(max(float(arr.max()), 0.0), L)(arr)
     return out if np.ndim(t) else float(out[0])
 
 
@@ -598,48 +662,19 @@ class _DecayInterp:
         return out if np.ndim(tau) else float(out)
 
 
-def _flux_pair_eval(L: float, x: float, y: float) -> Callable:
+def _flux_pair_eval(L: float, x: float, y: float, t_max: float) -> _ImageSum:
     """The flux pulse out of depth x convolved with the one into depth y.
 
-    The pulse at depth z is the signed image sum sum_k sign(a_k) h_|a_k|,
-    a_k = z + 2kL, of the first-passage densities
-    h_a(tau) = a (4 pi)^(-1/2) tau^(-3/2) exp(-a^2/4tau).  These add their
-    distances under convolution, h_a * h_b = h_(a+b) (the stable-1/2
-    semigroup), so the pair is one signed sum over the distances
-    |a_k| + |b_l|, with the pairs that share a distance merged.  A depth
-    of 0 is the delta at the junction, which leaves the other pulse
-    (y = 0 gives the flux pulse at x alone); x and y must not both be 0.
-    Distances run out to sqrt(200 tau_max), past which exp(-d^2/4tau)
-    is below e^-50.
+    The pulse at depth z is sum_k sign(a_k) h_|a_k|, a_k = z + 2kL, so the
+    pair is one signed sum over the distances |a_k| + |b_l|, out to
+    _reach(t_max).  A depth of 0 is the delta at the junction, which
+    leaves the other pulse.
     """
-    def ev(tau: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(tau)
-        pos = tau > 0.0
-        if pos.any():
-            tp = tau[pos]
-            reach = math.sqrt(200.0 * float(tp.max()))
-            ax, sx = _reflection_legs(x, L, int(math.ceil(
-                (reach + x) / (2.0 * L))) + 2)
-            ay, sy = _reflection_legs(y, L, int(math.ceil(
-                (reach + y) / (2.0 * L))) + 2)
-            d, pair = np.unique(np.add.outer(ax, ay), return_inverse=True)
-            s = np.bincount(pair.ravel(), weights=np.outer(sx, sy).ravel())
-            keep = (d <= reach) & (s != 0.0)
-            d, s = d[keep], s[keep]
-            pulses = np.exp(np.multiply.outer(-0.25 * np.square(d), 1.0 / tp))
-            out[pos] = (s * d) @ pulses \
-                / (math.sqrt(4.0 * math.pi) * tp * np.sqrt(tp))
-        return out
-    return ev
-
-
-def _flux_pair_factor(L: float, x: float, y: float) -> TimeFactor | None:
-    """:func:`_flux_pair_eval` as a factor; None when x = y = 0, where both
-    pulses are the delta at the junction."""
-    if x == 0.0 and y == 0.0:
-        return None
-    c = (min(x, 2.0 * L - x) + min(y, 2.0 * L - y)) ** 2 / 4.0
-    return inverse_pow_gaussian(_flux_pair_eval(L, x, y), c=c, alpha=1.5)
+    reach = _reach(t_max)
+    fx, fy = (_ImageSum("h", *_reflection_legs(
+        z, L, int(math.ceil((reach + z) / (2.0 * L))) + 2), reach)
+        for z in (x, y))
+    return fx.compose(fy)
 
 
 # one entry per echo order: the chains up to order 6 of four (L1, L2, t_build)
@@ -651,9 +686,7 @@ def _echo_chain_factor(L1: float, L2: float, t_build: float,
     if n == 0:
         return _FLAT
     min_l2 = min(L1, L2) ** 2
-    phi_fac = inverse_pow_gaussian(
-        lambda tau: echo_density(L1, tau) + echo_density(L2, tau),
-        c=min_l2, alpha=1.5)
+    phi_fac = _echo_pulse(t_build, L1, L2).factor
     prev = _echo_chain_factor(L1, L2, t_build, n - 1)
 
     def fn(tau: np.ndarray) -> np.ndarray:
@@ -690,7 +723,8 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     t_build = 4.0 if t <= 4.0 else 2.0 ** math.ceil(math.log2(t))
-    pair = _flux_pair_factor(L2, x, y)
+    # at x = y = 0 both pulses are the delta at the junction
+    pair = None if x == y == 0.0 else _flux_pair_eval(L2, x, y, t).factor
     value = 0.0
     quadrature = 0.0
     for n in range(n_max + 1):
@@ -724,16 +758,8 @@ def glue_rays(x: float, y: float, t: float) -> tuple[float, float]:
     if not (x > 0.0 and y > 0.0):
         raise ValueError("x and y must be positive")
 
-    def pulse(z: float) -> TimeFactor:
-        def ev(tau: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(tau)
-            pos = tau > 0.0
-            out[pos] = (z / math.sqrt(4.0 * math.pi)) * tau[pos]**-1.5 \
-                * np.exp(-z * z / (4.0 * tau[pos]))
-            return out
-        return inverse_pow_gaussian(ev, c=z * z / 4.0, alpha=1.5)
-
-    value, _ = conv_n([pulse(x), _FLAT, pulse(y)], t, 1e-10)
+    value, _ = conv_n([_ImageSum("h", [x], [1.0]).factor, _FLAT,
+                       _ImageSum("h", [y], [1.0]).factor], t, 1e-10)
     closed = math.exp(-((x + y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
     return value, abs(value - closed)
 
@@ -743,196 +769,142 @@ def glue_rays(x: float, y: float, t: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _circle_pulse(L: float, delta: float, drop_center: bool = False) -> Callable:
-    """Vectorized image-sum evaluator of the circle kernel at offset delta.
+def _ring(kind: str, L: float, delta: float, reach: float,
+          skip_zero: bool = False) -> _ImageSum:
+    """sum_n k_|delta + nL| over the images within reach: the circle kernel
+    (kind g) or the first-passage pulses around the circle (kind h) at
+    offset delta.  skip_zero leaves out n = 0."""
+    n = int(math.ceil((reach + abs(delta)) / L)) + 1
+    ns = np.arange(-n, n + 1)
+    if skip_zero:
+        ns = ns[ns != 0]
+    return _ImageSum(kind, np.abs(delta + ns * L), np.ones(ns.size), reach)
 
-    drop_center removes the n = 0 image, which turns the diagonal into
-    the comparison kernel of the cut interface.
+
+def _log_ring_transform(L: float, delta: float, r: np.ndarray) -> np.ndarray:
+    """log sum_n exp(-r |delta + nL|) over all n, in closed form: the
+    Laplace transform at s = r^2 of the kind-h ring."""
+    d = delta % L
+    return (-r * min(d, L - d) + np.log1p(np.exp(-r * abs(L - 2.0 * d)))
+            - np.log(-np.expm1(-r * L)))
+
+
+_R_SQRT_T = np.geomspace(1e-2, 1e4, 601)  # the cut bound's search grid
+_U = 2.0**-53  # unit roundoff
+
+
+def _cut_tail(L: float, cuts: Sequence[float], x: float, y: float,
+              close: Sequence[_ImageSum], t: float, k_max: int) -> float:
+    """Bound on what the cut series at order k_max leaves out.
+
+    Every term is nonnegative.  At s = r^2 the pulses h_d transform to
+    exp(-r d), so the states after k hops transform to a^T H^k, with
+    a_u = sum_n exp(-r |x - c_u + nL|) and H_uv = sum_n exp(-r |c_u - c_v
+    + nL|), n != 0 when u = v; every row of H sums to lam = H_00 + H_01.
+    A state's mass on (0, t) is at most e^(st) times its transform, so the
+    terms past k_max sum to at most
+    e^(st) sup_(0,t) close · sum(a) lam^(k_max+1) / (1 - lam) when lam < 1.
+    The kept terms drop their images at D > R = _reach(t), where
+    exp(-D^2/4t) <= exp(r (R - D) - R^2/4t) for r <= R/2t, so they drop
+    at most (4 pi t)^(-1/2) e^(rR - R^2/4t) sum(a) max(b) sum_k lam^k,
+    b_u = sum_n exp(-r |c_u - y + nL|).  Each part takes its least value
+    over the fixed grid of r.
     """
-    d = _wrap_diff(delta, L)
-
-    def ev(tau):
-        arr = np.atleast_1d(np.asarray(tau, dtype=float))
-        out = np.zeros_like(arr)
-        pos = arr > 0.0
-        if pos.any():
-            tp = arr[pos]
-            n_img = int(math.ceil(
-                (math.sqrt(200.0 * float(tp.max())) + abs(d)) / L)) + 2
-            ns = np.arange(-n_img, n_img + 1)
-            if drop_center:
-                ns = ns[ns != 0]
-            a = d + ns * L
-            pulses = np.exp(np.multiply.outer(-0.25 * np.square(a), 1.0 / tp))
-            out[pos] = np.ones(a.size) @ pulses / np.sqrt(4.0 * math.pi * tp)
-        return out if np.ndim(tau) else float(out[0])
-
-    return ev
-
-
-def _dn_flat_conv(psi: Callable, tau, tol: float,
-                  max_panels: int = MAX_PANELS):
-    """Convolve psi with the flat-boundary response pulse, at a time or an
-    array of times tau.
-
-    The pulse is the inverse transform of 2 sqrt(s), a finite-part kernel
-    -(1/sqrt(pi)) s^(-3/2); subtracting psi(tau) regularizes the endpoint
-    and leaves an integrable square-root singularity.
-    """
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    pt = np.asarray(psi(taus), dtype=float)
-
-    def left(s, rows):
-        return s**-1.5 * (psi(taus[rows, None] - s) - pt[rows, None])
-
-    def right(v, rows):
-        return (taus[rows, None] - v)**-1.5 * (psi(v) - pt[rows, None])
-
-    half = 0.5 * taus
-    lv, _ = half_integral(left, half, ("power", 0.5), 0.5 * tol, max_panels)
-    rv, _ = adaptive(right, 0.0, half, 0.5 * tol, max_panels)
-    out = -(lv + rv) / _ROOT_PI + 2.0 * pt / (_ROOT_PI * np.sqrt(taus))
-    return out if np.ndim(tau) else float(out[0])
+    r = _R_SQRT_T / math.sqrt(t)
+    log_a = np.logaddexp(*(_log_ring_transform(L, x - c, r) for c in cuts))
+    log_b = np.maximum(*(_log_ring_transform(L, c - y, r) for c in cuts))
+    log_self = math.log(2.0) - r * L - np.log(-np.expm1(-r * L))
+    log_lam = np.logaddexp(log_self, _log_ring_transform(L, cuts[0] - cuts[1], r))
+    # the supremum of each close over (0, t), image by image: g_d rises
+    # until d^2/2; the images past the reach add at most their values at t
+    reach = _reach(t)
+    sup = 0.0
+    for c in close:
+        peak = np.minimum(t, 0.5 * c.d**2)
+        sup = max(sup, float(np.sum(c.w * np.exp(-c.d**2 / (4.0 * peak))
+                                    / np.sqrt(4.0 * math.pi * peak))))
+    sup += 2.0 * math.exp(-reach**2 / (4.0 * t)) \
+        / (-math.expm1(-reach * L / (2.0 * t)) * math.sqrt(4.0 * math.pi * t))
+    conv = log_lam < 0.0
+    log_past = (r * r * t + log_a + (k_max + 1) * log_lam
+                - np.log(-np.expm1(np.where(conv, log_lam, -1.0))))
+    past = sup * math.exp(float(log_past[conv].min())) if conv.any() \
+        else math.inf
+    near = r <= reach / (2.0 * t)
+    log_kept = np.logaddexp.reduce(
+        np.multiply.outer(np.arange(k_max + 1.0), log_lam[near]), axis=0)
+    log_drop = (r[near] * reach - reach**2 / (4.0 * t) + log_a[near]
+                + log_b[near] + log_kept)
+    return past + math.exp(float(log_drop.min())) / math.sqrt(4.0 * math.pi * t)
 
 
-class _CutChain:
-    """Shared state of the cut-circle series at one geometry and time.
-
-    Keeps the two-component pulse profiles of the interface chain as
-    interpolants so that extending k_max reuses every earlier hop.
-    """
-
-    def __init__(self, L: float, cuts: tuple[float, float], x: float,
-                 y: float, t: float, tol: float):
-        self.L, self.t, self.tol = L, t, tol
-        dcut = _circle_dist(cuts[0], cuts[1], L)
-        self._tilde = {}
-        for i in range(2):
-            for j in range(2):
-                if i == j:
-                    fac = inverse_pow_gaussian(
-                        _circle_pulse(L, 0.0, drop_center=True),
-                        c=L * L / 4.0, alpha=0.5)
-                    self._tilde[i, j] = (fac, L)
-                else:
-                    fac = inverse_pow_gaussian(
-                        _circle_pulse(L, cuts[i] - cuts[j]),
-                        c=dcut * dcut / 4.0, alpha=0.5)
-                    self._tilde[i, j] = (fac, dcut)
-        self._close = []
-        for u in range(2):
-            dyu = _circle_dist(cuts[u], y, L)
-            self._close.append(inverse_pow_gaussian(
-                _circle_pulse(L, cuts[u] - y), c=dyu * dyu / 4.0, alpha=0.5))
-        self._state = []
-        for u in range(2):
-            dxu = _circle_dist(x, cuts[u], L)
-            self._state.append((_circle_pulse(L, x - cuts[u]),
-                                dxu * dxu / 4.0))
-        self._after_flux: list | None = None
-        self.terms: list[float] = []
-
-    def _apply_flux(self) -> None:
-        out = []
-        for psi, c in self._state:
-            interp = _DecayInterp(
-                lambda tt, f=psi: _dn_flat_conv(f, tt, self.tol),
-                self.t, 0.8 * c, n_nodes=161)
-            out.append((interp, c))
-        self._after_flux = out
-
-    def _advance(self) -> None:
-        prev = self._after_flux
-        new = []
-        for v in range(2):
-            parts = []
-            for u in range(2):
-                fac, _ = self._tilde[u, v]
-                qfac = inverse_pow_gaussian(prev[u][0], c=0.8 * prev[u][1],
-                                            alpha=1.5)
-                parts.append((qfac, fac))
-
-            def fn(tt: np.ndarray, pieces=tuple(parts)) -> np.ndarray:
-                return sum(conv_n([q, f], tt, self.tol)[0] for q, f in pieces)
-
-            c_new = min((math.sqrt(prev[u][1]) + self._tilde[u, v][1] / 2.0) ** 2
-                        for u in range(2))
-            new.append((_DecayInterp(fn, self.t, 0.8 * c_new, n_nodes=161),
-                        c_new))
-        self._state = new
-        self._after_flux = None
-
-    def term(self, k: int) -> float:
-        while len(self.terms) <= k:
-            if self.terms:
-                self._advance()
-            if self._after_flux is None:
-                self._apply_flux()
-            total = 0.0
-            for u in range(2):
-                interp, c = self._after_flux[u]
-                qfac = inverse_pow_gaussian(interp, c=0.8 * c, alpha=1.5)
-                total += conv_n([qfac, self._close[u]], self.t, self.tol)[0]
-            self.terms.append(total)
-        return self.terms[k]
-
-
-@lru_cache(maxsize=8)
-def _cut_chain(L: float, c0: float, c1: float, x: float, y: float,
-               t: float) -> _CutChain:
-    """The cut series at one geometry and time, kept so that a larger k_max
-    extends the terms already computed."""
-    return _CutChain(L, (c0, c1), x, y, t, tol=1e-9)
-
-
-def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
-                      y: float, t: float, k_max: int) -> tuple[float, float]:
-    """Arc kernel rebuilt by cutting the circle at two points.
-
-    Subtracts from the circle kernel the alternating interface series:
-    transport to a cut point, the flat-boundary response pulse, and k
-    comparison-kernel hops between the cut points.  Returns (value,
-    residual against the Dirichlet kernel of the arc containing x and y).
-    Partial sums approach the arc kernel, so the residual is expected to
-    fall as k_max grows.
-
-    No truncation bound is returned, because none is known for this
-    series yet.  Each hop composes the flat-boundary response pulse, a
-    finite-part kernel of no fixed sign, with the comparison kernel, so
-    the terms neither sit under a positive envelope that the factors
-    supply nor alternate with falling size.  A bound would need an
-    envelope E of one composed hop, |hop(s)| <= E(s) with mass q < 1 on
-    (0, t), which makes the dropped terms a geometric tail of ratio q,
-    plus the quadrature and interpolation errors of the stored hop
-    profiles, which the chain does not keep.
-    """
+def arc_coordinates(L_total: float, cuts: Sequence[float], x: float,
+                    y: float) -> tuple[float, float, float]:
+    """(length, x, y) on the arc that holds x and y of a circle cut at two
+    distinct points; ValueError unless both lie strictly inside one arc."""
     L = _check_length(L_total, "L_total")
-    t = _check_time(t)
     if len(cuts) != 2:
         raise ValueError("exactly two cut points are required; one point "
                          "does not separate the circle")
     c0, c1 = sorted(float(c) % L for c in cuts)
     if c0 == c1:
         raise ValueError("cut points must be distinct")
-    k_max = int(k_max)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
     x = float(x) % L
     y = float(y) % L
     if c0 < x < c1 and c0 < y < c1:
-        ell, xl, yl = c1 - c0, x - c0, y - c0
-    else:
-        xs, ys = (x - c1) % L, (y - c1) % L
-        ell = L - (c1 - c0)
-        if not (0.0 < xs < ell and 0.0 < ys < ell):
-            raise ValueError("x and y must lie strictly inside one arc")
-        xl, yl = xs, ys
-    chain = _cut_chain(L, c0, c1, x, y, t)
-    correction = sum((-1.0) ** k * chain.term(k) for k in range(k_max + 1))
-    circle_val, _ = k_circle(L, x, y, t, "auto", _TIGHT)
+        return c1 - c0, x - c0, y - c0
+    xs, ys = (x - c1) % L, (y - c1) % L
+    ell = L - (c1 - c0)
+    if not (0.0 < xs < ell and 0.0 < ys < ell):
+        raise ValueError("x and y must lie strictly inside one arc")
+    return ell, xs, ys
+
+
+def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
+                      y: float, t: float, k_max: int
+                      ) -> tuple[float, float, float]:
+    """Arc kernel rebuilt by cutting the circle at two points.
+
+    Subtracts from the circle kernel the alternating interface series.
+    Term k composes the flux state sum_n h_|x - c_u + nL| at the cut points
+    c_u, k hops sum_n h_|c_u - c_v + nL| (n != 0 when u = v) and the close
+    sum_n g_|c_u - y + nL| into one exact Gaussian sum at t, images out to
+    _reach(t).  Returns (value, bound, residual against the Dirichlet
+    kernel of the arc of x and y); the bound adds :func:`_cut_tail`, the
+    circle kernel's bound and a rounding part 3 gamma max(1, scale).
+    """
+    ell, xl, yl = arc_coordinates(L_total, cuts, x, y)
+    L = float(L_total)
+    t = _check_time(t)
+    k_max = int(k_max)
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    reach = _reach(t)
+    state = [_ring("h", L, x - c, reach) for c in cuts]
+    same = _ring("h", L, 0.0, reach, skip_zero=True)
+    cross = _ring("h", L, cuts[0] - cuts[1], reach)
+    close = [_ring("g", L, c - y, reach) for c in cuts]
+    at_t = np.array([t])
+    terms = []
+    images = 0
+    for k in range(k_max + 1):
+        if k:
+            state = [state[0].compose(same) + state[1].compose(cross),
+                     state[0].compose(cross) + state[1].compose(same)]
+        closed = state[0].compose(close[0]) + state[1].compose(close[1])
+        images = max(images, closed.d.size)
+        terms.append(float(closed(at_t)[0]))
+    correction = sum((-1.0) ** k * term for k, term in enumerate(terms))
+    circle_val, circle_bound = k_circle(L, x, y, t, "auto", _TIGHT)
     value = circle_val - correction
+    # a distance sums k_max + 2 images of two roundings each and its
+    # exponent stays below 50, so a Gaussian is off by 100 (k_max + 5) + 4
+    # roundings; a term adds one per image, the alternating sum k_max + 2
+    gamma = _U * (101.0 * (k_max + 6) + images)
+    bound = (_cut_tail(L, cuts, x, y, close, t, k_max) + circle_bound
+             + 3.0 * gamma * max(1.0, circle_val + sum(terms)))
     oracle, _ = k_interval(ell, xl, yl, t, "auto", _TIGHT)
-    return value, abs(value - oracle)
+    return value, bound, abs(value - oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,7 @@ def test_circle_cut_reference_point():
     assert res.exit_code == 0
     (r,) = json_lines(res.stdout)
     assert r["residual"] < 1e-5
+    assert r["residual"] <= r["bound"] < 1e-5
     assert r["status"] == "pass"
 
 

@@ -423,7 +423,7 @@ def test_echo_series_bound_covers_its_residual_on_the_gate_08_sweep():
 
 
 def flux_factor(L, z):
-    return inverse_pow_gaussian(h._flux_pair_eval(L, z, 0.0),
+    return inverse_pow_gaussian(h._flux_pair_eval(L, z, 0.0, 2.0),
                                 c=min(z, 2.0 * L - z) ** 2 / 4.0, alpha=1.5)
 
 
@@ -431,7 +431,7 @@ def flux_factor(L, z):
                                    (1.0, 1.0, 0.3), (1.0, 0.5, 0.5),
                                    (0.7, 0.1, 0.7)])
 def test_flux_pair_is_the_convolution_of_its_two_pulses(L, x, y):
-    pair = h._flux_pair_factor(L, x, y)
+    pair = h._flux_pair_eval(L, x, y, 2.0).factor
     taus = np.array([0.05, 0.2, 0.7, 2.0])
     got = pair.evaluator(taus)
     want, _ = conv_n([flux_factor(L, x), flux_factor(L, y)], taus, 1e-13)
@@ -443,9 +443,10 @@ def test_flux_pair_at_the_junction_is_the_other_pulse(L, z):
     taus = np.array([0.02, 0.05, 0.2, 0.7, 2.0])
     ref = np.array([flux_reference(L, z, t) for t in taus])
     for x, y in ((0.0, z), (z, 0.0)):
-        got = h._flux_pair_factor(L, x, y).evaluator(taus)
+        got = h._flux_pair_eval(L, x, y, 2.0)(taus)
         assert np.all(np.abs(got - ref) <= 1e-12)
-    assert h._flux_pair_factor(L, 0.0, 0.0) is None
+    delta = h._flux_pair_eval(L, 0.0, 0.0, 2.0)  # both at the junction
+    assert delta.d.tolist() == [0.0] and delta.w.tolist() == [1.0]
 
 
 def test_echo_series_first_correction_is_bounded_by_sup_times_time():
@@ -570,7 +571,8 @@ TAUS = np.concatenate([np.geomspace(0.15, 1.0, 41), [0.0, -0.3]])
 def test_flux_pulse_image_sum_matches_a_per_image_loop(L, z):
     # the signed images cancel once tau passes about L^2/4
     taus = np.concatenate([L * L * np.geomspace(0.02, 0.15, 41), [0.0, -0.3]])
-    got = h._flux_pair_eval(L, z, 0.0)(taus)  # y = 0: the pulse at z alone
+    # y = 0: the pulse at z alone
+    got = h._flux_pair_eval(L, z, 0.0, float(taus.max()))(taus)
     ref = [flux_reference(L, z, t) for t in taus[:-2]]
     assert np.allclose(got[:-2], ref, rtol=1e-14, atol=0.0)
     assert np.all(got[-2:] == 0.0)
@@ -579,7 +581,7 @@ def test_flux_pulse_image_sum_matches_a_per_image_loop(L, z):
 @pytest.mark.parametrize("L,delta,drop", [(2.0, 0.0, True), (2.0, 0.7, False),
                                           (3.1, -1.2, False)])
 def test_circle_pulse_image_sum_matches_a_per_image_loop(L, delta, drop):
-    got = h._circle_pulse(L, delta, drop_center=drop)(TAUS)
+    got = h._ring("g", L, delta, h._reach(1.0), skip_zero=drop)(TAUS)
     d = h._wrap_diff(delta, L)
     ref = [circle_reference(L, d, t, drop) for t in TAUS[:-2]]
     assert np.allclose(got[:-2], ref, rtol=1e-14, atol=0.0)
@@ -643,60 +645,90 @@ def test_glue_rays_validation():
 
 
 # ---------------------------------------------------------------------------
-# flat-boundary response pulse (the s^(-3/2) finite-part kernel)
-# ---------------------------------------------------------------------------
-
-
-def test_flat_boundary_response_on_erfc_profile():
-    # erfc((x+y)/2 sqrt(t))/4 under the response pulse must reproduce the
-    # free kernel at separation x+y; closed-form oracle via math.erfc
-    for z, tau in [(1.2, 0.4), (2.0, 1.0), (1.0, 0.25)]:
-        def psi(tt, z=z):
-            tt = np.atleast_1d(np.asarray(tt, dtype=float))
-            out = np.zeros_like(tt)
-            pos = tt > 0
-            out[pos] = 0.25 * np.array(
-                [math.erfc(z / (2.0 * math.sqrt(s))) for s in tt[pos]])
-            return out
-        got = h._dn_flat_conv(psi, tau, 1e-10)
-        ref = math.exp(-z * z / (4.0 * tau)) / math.sqrt(4.0 * math.pi * tau)
-        assert abs(got - ref) < 1e-11
-
-
-# ---------------------------------------------------------------------------
 # cutting a circle into an arc
 # ---------------------------------------------------------------------------
 
 
 def test_cut_circle_reference_point():
-    v, res = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 4)
+    v, _, res = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 4)
     assert res < 1e-5
     oracle, _ = h.k_interval(1.0, 0.3, 0.7, 0.4, "auto", TIGHT)
     assert abs(v - oracle) == res
 
 
 def test_cut_circle_residual_is_non_increasing_in_depth():
-    residuals = [h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, k)[1]
+    residuals = [h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, k)[2]
                  for k in range(5)]
     assert all(b <= a for a, b in zip(residuals, residuals[1:]))
     assert residuals[0] > 1e-2  # depth zero misses the interface entirely
 
 
 def test_cut_circle_antipodal_symmetry():
-    chain = h._CutChain(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, tol=1e-9)
-    taus = np.array([0.05, 0.2, 0.4])
-    a = chain._tilde[0, 1][0].evaluator(taus)
-    b = chain._tilde[1, 0][0].evaluator(taus)
-    assert np.allclose(a, b, rtol=0.0, atol=1e-15)
-    v_xy, _ = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 2)
-    v_yx, _ = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.7, 0.3, 0.4, 2)
-    assert abs(v_xy - v_yx) < 1e-7
+    # cuts at 0 and 1 on a circle of length 2 sit antipodally: the half
+    # turn z -> z + 1 swaps them and maps each arc onto the other, and the
+    # reflection z -> 1 - z swaps x and y
+    v, bound, _ = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 2)
+    for x, y in ((0.7, 0.3), (1.3, 1.7), (1.7, 1.3)):
+        vv, bb, _ = h.cut_circle_to_arc(2.0, (0.0, 1.0), x, y, 0.4, 2)
+        assert abs(vv - v) < 1e-15
+        assert abs(bb - bound) <= 1e-12 * bound
 
 
 def test_cut_circle_other_arc():
-    v, res = h.cut_circle_to_arc(2.0, (0.0, 1.0), 1.2, 1.9, 0.3, 3)
+    v, _, res = h.cut_circle_to_arc(2.0, (0.0, 1.0), 1.2, 1.9, 0.3, 3)
     assert res < 1e-4
     assert v > 0.0
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.7, 1.3])
+def test_cut_hop_and_close_are_the_convolutions_of_their_pieces(delta):
+    # h * h = h over summed distances for a hop, h * g = g for a close
+    L, reach = 2.0, h._reach(1.0)
+    taus = np.array([0.05, 0.2, 0.7, 1.0])
+    state = h._ring("h", L, 0.3, reach)
+    hop = h._ring("h", L, delta, reach, skip_zero=delta == 0.0)
+    close = h._ring("g", L, delta - 0.45, reach)
+    for piece in (hop, close):
+        got = state.compose(piece)(taus)
+        want, _ = conv_n([state.factor, piece.factor], taus, 1e-13)
+        assert np.all(np.abs(got - want) <= 1e-12)
+
+
+def continuum_cuts(seed, count):
+    """Circle cuts from the ranges of the continuum benchmark workload."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        L = round(rng.uniform(1.5, 3.0), 3)
+        c1 = round(L * rng.uniform(0.3, 0.7), 4)
+        a, b = (0.0, c1) if rng.random() < 0.5 else (c1, L)
+        x, y = (round(a + (b - a) * rng.uniform(0.1, 0.9), 4) for _ in "xy")
+        yield L, (0.0, c1), x, y, round(rng.uniform(0.1, 0.8), 3)
+
+
+def test_cut_circle_bound_covers_the_dropped_terms():
+    # the terms past k_max come from a run 30 orders deeper than any k_max
+    for L, cuts, x, y, t in continuum_cuts(7919, 30):
+        deep, _, _ = h.cut_circle_to_arc(L, cuts, x, y, t, 36)
+        for k_max in range(7):
+            v, bound, res = h.cut_circle_to_arc(L, cuts, x, y, t, k_max)
+            assert abs(v - deep) <= bound, (L, cuts, x, y, t, k_max)
+            assert res <= bound, (L, cuts, x, y, t, k_max)
+
+
+def test_cut_circle_converges_to_rounding_at_depth_eight():
+    _, bound, res = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 8)
+    assert res <= 1e-13
+    assert res <= bound < 1e-11
+
+
+def test_arc_coordinates_measure_along_the_arc_of_both_points():
+    assert h.arc_coordinates(2.0, (1.0, 0.0), 0.3, 0.7) == (1.0, 0.3, 0.7)
+    ell, xl, yl = h.arc_coordinates(2.0, (0.0, 1.0), 1.2, 1.9)
+    assert (ell, round(xl, 12), round(yl, 12)) == (1.0, 0.2, 0.9)
+    ell, xl, yl = h.arc_coordinates(3.0, (2.5, 0.5), -0.25, 0.25)
+    assert (ell, round(xl, 12), round(yl, 12)) == (1.0, 0.25, 0.75)
+    with pytest.raises(ValueError, match="inside one arc"):
+        h.arc_coordinates(2.0, (0.0, 1.0), 0.5, 1.0)
 
 
 def test_cut_circle_validation():
