@@ -343,7 +343,7 @@ def _joint(f: ExpMix, g: ExpMix) -> tuple[np.ndarray, np.ndarray, np.ndarray, in
 # ---------------------------------------------------------------------------
 
 
-def convolve(f: ExpMix, g: ExpMix, *, max_power: int = MAX_POWER) -> ExpMix:
+def convolve(f: ExpMix, g: ExpMix) -> ExpMix:
     """Convolution ``(f * g)(t) = int_0^t f(s) g(t-s) ds`` plus atom rules.
 
     A term ``t^q/q! * exp(-zt)`` of g is q + 1 convolutions with
@@ -351,21 +351,17 @@ def convolve(f: ExpMix, g: ExpMix, *, max_power: int = MAX_POWER) -> ExpMix:
     over the powers of the factor of lower degree.  Rates of the two
     operands within ``EPS_MERGE`` (relative) are treated as the same pole.
     Raises :class:`ConfluentOverflowError` when the confluent degree growth
-    would exceed ``max_power``.
+    would exceed ``MAX_POWER``.
     """
-    if max_power > POWER_LIMIT:
-        raise ValueError(
-            f"max_power={max_power} exceeds the representable limit {POWER_LIMIT}"
-        )
     if f.is_zero() or g.is_zero():
         return ZERO
     universe, rows_f, rows_g, width = _joint(f, g)
     pf, pg = f._arrays[1], g._arrays[1]
     same = rows_f[:, None] == rows_g[None, :]
     top = int((pf[:, None] + pg[None, :] + 1)[same].max(initial=0))
-    if top > max_power:
+    if top > MAX_POWER:
         raise ConfluentOverflowError(
-            f"confluent convolution needs power {top} > max_power={max_power}"
+            f"confluent convolution needs power {top} > MAX_POWER={MAX_POWER}"
         )
     size = len(universe)
     a = _dense(f, rows_f, size, width) * _FACT[:width]
@@ -383,7 +379,7 @@ def convolve(f: ExpMix, g: ExpMix, *, max_power: int = MAX_POWER) -> ExpMix:
     return from_basis(out, universe, f.atom * g.atom)
 
 
-def simplex_convolve(fs: Sequence[ExpMix], *, max_power: int = MAX_POWER) -> ExpMix:
+def simplex_convolve(fs: Sequence[ExpMix]) -> ExpMix:
     """Iterated convolution of ``fs``; a single factor is returned unchanged.
 
     Equals the integral of the product of the factors over the simplex
@@ -394,7 +390,7 @@ def simplex_convolve(fs: Sequence[ExpMix], *, max_power: int = MAX_POWER) -> Exp
         raise ValueError("simplex_convolve needs at least one factor")
     acc = fs[0]
     for g in fs[1:]:
-        acc = convolve(acc, g, max_power=max_power)
+        acc = convolve(acc, g)
     return acc
 
 

@@ -72,8 +72,9 @@ _SPLIT_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 class LengthCapError(ValueError):
     """Raised when a requested accuracy needs paths longer than the cap.
 
-    ``achievable`` holds the best tail bound reachable at the cap, so the
-    caller can decide whether the truncated answer is still useful.
+    ``achievable`` holds the row-sum deficit at the cap, the best
+    truncation bound reachable there, so the caller can decide whether the
+    truncated answer is still useful.
     """
 
     def __init__(self, message: str, achievable: float | None = None) -> None:
@@ -349,16 +350,9 @@ def exp_tail(x: float, m0: int) -> float:
     return math.inf  # pragma: no cover
 
 
-def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
-                 sharp_tail: bool = False) -> tuple[float, int, float]:
+def pathsum_heat(g: Graph, u, v, t: float,
+                 eps: float) -> tuple[float, int, float]:
     """Heat kernel entry as a truncated sum over paths from u to v.
-
-    Every path of length j contributes a positive weight bounded by
-    t^j / j!, and there are at most d_max^j such paths, so dropping all
-    lengths beyond k costs at most the exponential tail of d_max * t past
-    k.  The cutoff is the smallest k pushing that bound below eps; with
-    ``sharp_tail`` the d_max^k path count estimate at the cutoff is
-    replaced by the exact count, scaling the bound down accordingly.
 
     Sums over the exponentially many paths are accumulated length by
     length and vertex by vertex, which gives the same value as summing
@@ -369,12 +363,19 @@ def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
     nonnegative, so the evaluation is free of cancellation and the float
     error stays near machine precision.
 
-    Returns (value, cutoff used, bound); the bound is the tail bound at
-    the cutoff plus a rounding part, 3 gamma max(1, value) with gamma the
+    Every path weight is nonnegative and row u of e^{-tL} sums to 1, so the
+    row-sum deficit of row u through length k bounds the weight of all the
+    longer paths to every v.  One walk over lengths 0 .. LENGTH_CAP gives
+    that deficit at each k; the cutoff is the smallest k where it falls
+    below eps or to the rounding part, past which more lengths cannot
+    tighten the bound.
+
+    Returns (value, cutoff used, bound); the bound is the deficit at the
+    cutoff plus a rounding part, 3 gamma max(1, row sum) with gamma the
     relative rounding error of the walk, as in
-    :meth:`heatglue.graph_heat.SeriesKernel.bound`.  Raises
-    :class:`LengthCapError` carrying the best achievable tail bound when
-    no cutoff within the cap reaches eps.
+    :meth:`heatglue.graph_heat.SeriesKernel.evaluate_with_bound`.  Raises
+    :class:`LengthCapError` carrying the deficit at the cap when no cutoff
+    within it qualifies.
     """
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
@@ -385,45 +386,27 @@ def pathsum_heat(g: Graph, u, v, t: float, eps: float, *,
         if w not in g.index:
             raise ValueError(f"vertex {w!r} not in graph")
 
-    vals = g.valencies
-    d_max = float(vals.max()) if g.n else 0.0
-
-    counts = None
-    if sharp_tail and d_max > 0.0:
-        ones = np.ones(g.n)
-        a = g.adjacency
-        vec = np.zeros(g.n)
-        vec[g.index[u]] = 1.0
-        counts = [float(ones @ vec)]
-        for _ in range(LENGTH_CAP):
-            vec = a @ vec
-            counts.append(float(ones @ vec))
-
-    def bound(k: int) -> float:
-        crude = exp_tail(d_max * t, k + 1)
-        if counts is None:
-            return crude
-        return crude * counts[k] / d_max**k
-
-    k_used = None
-    for k in range(LENGTH_CAP + 1):
-        if bound(k) < eps:
-            k_used = k
-            break
-    if k_used is None:
-        best = bound(LENGTH_CAP)
-        raise LengthCapError(
-            f"eps={eps:g} needs paths longer than the cap {LENGTH_CAP}; "
-            f"best achievable tail bound is {best:g}", best)
-
     # paths of length j are the walks with j adjacency steps, so the sum
     # over lengths <= k is layers 0 .. k of the walk advancing on every edge
+    vals = g.valencies
+    d_max = float(vals.max())
     start = np.zeros((1, g.n))
     start[0, g.index[u]] = 1.0
     layers, gamma = uniformized_walk(np.diag(d_max - vals), g.adjacency,
-                                     start, k_used + 1, d_max, t)
-    value = math.fsum(layers[:, 0, g.index[v]].tolist())
-    return value, k_used, bound(k_used) + 3.0 * gamma * max(1.0, value)
+                                     start, LENGTH_CAP + 1, d_max, t)
+    rows = layers[:, 0, :].tolist()
+    seen: list[float] = []
+    for k, row in enumerate(rows):
+        seen.extend(row)
+        total = math.fsum(seen)
+        deficit = 1.0 - total
+        rounding = 3.0 * gamma * max(1.0, total)
+        if deficit < eps or deficit <= rounding:
+            value = math.fsum(r[g.index[v]] for r in rows[: k + 1])
+            return value, k, deficit + rounding
+    raise LengthCapError(
+        f"eps={eps:g} needs paths longer than the cap {LENGTH_CAP}; "
+        f"row-sum deficit there is {deficit:g}", deficit)
 
 
 class PathSumOperator:

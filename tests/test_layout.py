@@ -1,5 +1,6 @@
-"""Module boundaries of the package: no private name crosses a module, and
-no module-level import goes unused, in the package or in its tests."""
+"""Module boundaries of the package: no private name crosses a module, no
+module-level import goes unused, in the package or in its tests, and no
+function of the package accepts a parameter it never reads."""
 
 import ast
 import pathlib
@@ -51,9 +52,30 @@ def unused_imports():
             yield stem, name
 
 
+def unused_parameters():
+    for stem, tree in modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for b in body for n in ast.walk(b)
+                    if isinstance(n, ast.Name)}
+            for name in params:
+                if name not in read and name not in ("self", "cls"):
+                    yield stem, getattr(node, "name", "<lambda>"), name
+
+
 def test_no_private_name_is_imported_across_modules():
     assert set(private_imports()) == set()
 
 
 def test_no_unused_imports():
     assert list(unused_imports()) == []
+
+
+def test_no_parameter_is_accepted_and_ignored():
+    assert list(unused_parameters()) == []

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import taylor_expm
 from mpmath import mp
@@ -24,6 +25,7 @@ from heatglue.graph_heat import (
     interface_kernel,
     one_step_interface_kernel,
     random_decomposition,
+    uniformized_walk,
 )
 from heatglue.path_sum import (
     LENGTH_CAP,
@@ -428,8 +430,16 @@ def test_pathsum_cap_error_carries_bound():
     with pytest.raises(LengthCapError) as info:
         pathsum_heat(LINE3, "1", "3", 40.0, 1e-10)
     err = info.value
-    assert err.achievable == exp_tail(2.0 * 40.0, LENGTH_CAP + 1)
-    assert math.isfinite(err.achievable)
+    assert 0.0 < err.achievable <= 1.0
+    lap = np.diag(LINE3.valencies) - LINE3.adjacency
+    exact = scipy.linalg.expm(-40.0 * lap)[0, 2]
+    # the deficit at the cap covers what the truncated entry misses
+    start = np.zeros((1, 3))
+    start[0, 0] = 1.0
+    layers, _ = uniformized_walk(np.diag(2.0 - LINE3.valencies),
+                                 LINE3.adjacency, start, LENGTH_CAP + 1,
+                                 2.0, 40.0)
+    assert exact - math.fsum(layers[:, 0, 2].tolist()) <= err.achievable
 
 
 def test_pathsum_argument_validation():
@@ -441,21 +451,20 @@ def test_pathsum_argument_validation():
         pathsum_heat(LINE3, "1", "x", 1.0, 1e-6)
 
 
-def test_pathsum_sharp_tail_never_looser():
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        g = random_graph(rng, 5)
-        if not g.edges:
-            continue
-        u = g.vertices[0]
-        v = g.vertices[-1]
-        _, k_c, b_c = pathsum_heat(g, u, v, 0.7, 1e-7)
-        val, k_s, b_s = pathsum_heat(g, u, v, 0.7, 1e-7, sharp_tail=True)
-        assert k_s <= k_c
-        assert b_s < 1e-7
+def test_pathsum_deficit_cutoff_on_random_decompositions():
+    # 60 graphs of up to 12 vertices, valencies up to 11: the crude tail
+    # sum (d_max t)^j / j! needed lengths past the cap on 27 of these 120
+    # requests, while the row-sum deficit reaches eps by length 21
+    rng = np.random.default_rng(1)
+    for _ in range(60):
+        g = random_decomposition(rng, 12).graph
+        u, v = g.vertices[0], g.vertices[-1]
         lap = np.diag(g.valencies) - g.adjacency
-        ref = taylor_expm(-lap * 0.7)[g.index[u], g.index[v]]
-        assert abs(val - ref) <= b_s + 1e-11
+        for t in (0.3, 0.7):
+            val, k, bound = pathsum_heat(g, u, v, t, 1e-9)
+            assert k <= 21
+            exact = scipy.linalg.expm(-t * lap)[g.index[u], g.index[v]]
+            assert abs(exact - val) <= bound
 
 
 def test_pathsum_edgeless_graph():
@@ -718,11 +727,10 @@ def test_operators_match_a_40_digit_reference(d):
 
 @pytest.mark.parametrize("d", [BULL, HOUSE], ids=["bull", "house"])
 def test_pathsum_bound_covers_rounding(d):
-    # at eps 1e-16 the truncation tail is below the rounding of the walk:
-    # the residual against a 40-digit expm reaches 2.7 times the tail
-    # alone, and the rounding part of the bound covers it
+    # at eps 1e-16 the cutoff stops where the row-sum deficit falls to the
+    # rounding of the walk, and the rounding part of the bound covers the
+    # residual against a 40-digit expm
     g = d.ordered_graph
-    d_max = float(g.valencies.max())
     with mp.workdps(40):
         lap = mp.matrix((np.diag(g.valencies) - g.adjacency).astype(int).tolist())
     for t in (0.3, 0.7):
@@ -730,7 +738,6 @@ def test_pathsum_bound_covers_rounding(d):
             exact = mp.expm(-mp.mpf(t) * lap)
         for i, u in enumerate(g.vertices):
             for j, v in enumerate(g.vertices):
-                val, k, bound = pathsum_heat(g, u, v, t, 1e-16)
-                assert bound > exp_tail(d_max * t, k + 1)
+                val, _, bound = pathsum_heat(g, u, v, t, 1e-16)
                 with mp.workdps(40):
                     assert abs(mp.mpf(val) - exact[i, j]) <= bound
