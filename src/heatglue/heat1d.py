@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from heatglue.path_sum import exp_tail
 from heatglue.quadsim import TimeFactor, conv_n, inverse_pow_gaussian
 
 __all__ = [
@@ -41,8 +39,6 @@ __all__ = [
     "cylinder_factorization_check",
     "dn_cylinder",
     "DnCylinderReport",
-    "echo_density",
-    "echo_sup",
 ]
 
 _ROOT_PI = math.sqrt(math.pi)
@@ -527,6 +523,14 @@ class _ImageSum:
                     / (_ROOT_4PI * tp * np.sqrt(tp))
         return out
 
+    def sup(self, t: float) -> float:
+        """Bound on |sum| over (0, t] for a sum of Gaussians with no image
+        at distance 0, image by image: g_d rises until d^2/2, so
+        sum_i |w_i| g_(d_i)(min(t, d_i^2/2))."""
+        peak = np.minimum(t, 0.5 * self.d**2)
+        return float(np.sum(np.abs(self.w) * np.exp(-self.d**2 / (4.0 * peak))
+                            / np.sqrt(4.0 * math.pi * peak)))
+
     @property
     def factor(self) -> TimeFactor:
         """The sum as a quadrature factor, with its small-time envelope
@@ -537,7 +541,8 @@ class _ImageSum:
                                     alpha=0.5 if self.kind == "g" else 1.5)
 
 
-_FLAT = _ImageSum("g", [0.0], [1.0]).factor
+_G0 = _ImageSum("g", [0.0], [1.0])  # the flat junction pulse
+_FLAT = _G0.factor
 
 
 def _echo_pulse(t_max: float, *lengths: float) -> _ImageSum:
@@ -549,117 +554,21 @@ def _echo_pulse(t_max: float, *lengths: float) -> _ImageSum:
     return _ImageSum("h", d, np.ones(d.size), reach)
 
 
-def echo_density(L: float, t):
-    """Pulse train of round trips across an interval of length L.
-
-    The k-th pulse sits at distance 2kL: (2kL/sqrt(4 pi)) t^(-3/2)
-    exp(-k^2 L^2 / t).  Accepts scalars or arrays.
-    """
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = _echo_pulse(max(float(arr.max()), 0.0), L)(arr)
-    return out if np.ndim(t) else float(out[0])
+_R_SQRT_T = np.geomspace(1e-2, 1e4, 601)  # the Laplace tails' search grid
 
 
-@lru_cache(maxsize=32)
-def echo_sup(L1: float, L2: float) -> float:
-    """Supremum over t of echo_density(L1, t) + echo_density(L2, t)."""
-    lo = 1e-3 * min(L1, L2) ** 2
-    hi = 50.0 * max(L1, L2) ** 2
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), 4001))
-    vals = echo_density(L1, grid) + echo_density(L2, grid)
-    i = int(np.argmax(vals))
-    a, b = grid[max(0, i - 1)], grid[min(grid.size - 1, i + 1)]
-    phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    for _ in range(80):
-        m1 = b - phi * (b - a)
-        m2 = a + phi * (b - a)
-        f1 = echo_density(L1, m1) + echo_density(L2, m1)
-        f2 = echo_density(L1, m2) + echo_density(L2, m2)
-        if f1 < f2:
-            a = m1
-        else:
-            b = m2
-    tm = 0.5 * (a + b)
-    return (echo_density(L1, tm) + echo_density(L2, tm)) * (1.0 + 1e-9)
-
-
-class _DecayInterp:
-    """Chebyshev interpolant in u = 1/tau for exponentially dying profiles.
-
-    The declared envelope exp(-c/tau) is peeled off before fitting so the
-    interpolated part stays tame; below the point where the envelope is
-    negligible (u > uhi) the profile is treated as zero, and past t_max
-    (u < ulo) it keeps its value at t_max.  Works for signed values.  fn is
-    called once, on the array of all node times, and returns the profile
-    there.
-
-    Evaluation is the second barycentric formula (Berrut and Trefethen,
-    SIAM Review 46, 2004) with the table [w*h, w] stored once: a block of
-    points takes the reciprocals of u - u_j in place and one matmul
-    against the table gives numerator and denominator together.  A point
-    within rounding of a node takes that node's value; the sorted interior
-    nodes bracket each point, so no pass over the table finds it.  Blocks
-    hold _BLOCK points so that the (points x nodes) temporary stays small.
-    """
-
-    _BLOCK = 256
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], t_max: float,
-                 c: float, n_nodes: int = 65):
-        if not (c > 0.0):
-            raise ValueError("envelope constant must be positive")
-        self.c = c
-        self.ulo = 1.0 / t_max
-        self.uhi = self.ulo + 46.0 / c
-        j = np.arange(n_nodes)
-        self.u = self.ulo + (self.uhi - self.ulo) * 0.5 \
-            * (1.0 - np.cos(math.pi * j / (n_nodes - 1)))
-        vals = np.asarray(fn(1.0 / self.u), dtype=float)
-        self.h = vals * np.exp(c * (self.u - self.ulo))
-        w = np.where(j % 2 == 0, 1.0, -1.0)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        self._table = np.column_stack([w * self.h, w])
-        self._shift = np.vstack([np.ones(n_nodes), -self.u])
-        self._interior = self.u[1:-1]
-        self._hit_tol = 1e-14 * (self.uhi - self.ulo)
-
-    def _inside(self, uu: np.ndarray, out: np.ndarray) -> None:
-        """Interpolant at the points uu of [ulo, uhi], written to out."""
-        u = self.u
-        # u[k] <= uu <= u[k + 1] for every point, ends included
-        k = np.searchsorted(self._interior, uu)
-        lo = np.flatnonzero(uu - u[k] < self._hit_tol)
-        hi = np.flatnonzero(u[k + 1] - uu < self._hit_tol)
-        # uu - u_j as the product [uu, 1] @ [1; -u]: both products are by
-        # 1.0, so every entry is uu - u_j rounded once, as a subtraction
-        # gives, and BLAS forms it faster than a broadcast subtraction
-        pts = np.ones((uu.size, 2))
-        pts[:, 0] = uu
-        r = pts @ self._shift
-        r[lo, k[lo]] = 1.0
-        r[hi, k[hi] + 1] = 1.0
-        np.reciprocal(r, out=r)
-        nd = r @ self._table
-        np.divide(nd[:, 0], nd[:, 1], out=out)
-        out[lo] = self.h[k[lo]]
-        out[hi] = self.h[k[hi] + 1]
-        out *= np.exp(self.c * (self.ulo - uu))
-
-    def __call__(self, tau):
-        arr = np.asarray(tau, dtype=float)
-        out = np.zeros(arr.shape)
-        flat = out.reshape(-1)
-        t = arr.reshape(-1)
-        idx = np.flatnonzero(t > 0.0)
-        uu = 1.0 / t[idx]
-        keep = uu <= self.uhi
-        idx, uu = idx[keep], np.maximum(uu[keep], self.ulo)
-        vals = np.empty(uu.size)
-        for i in range(0, uu.size, self._BLOCK):
-            self._inside(uu[i:i + self._BLOCK], vals[i:i + self._BLOCK])
-        flat[idx] = vals
-        return out if np.ndim(tau) else float(out)
+def _geometric_tail(sup: float, t: float, r: np.ndarray, log_lam: np.ndarray,
+                    m: int, log_a: np.ndarray | float = 0.0) -> float:
+    """sup · min_r e^(r^2 t) a lam^m / (1 - lam) over the r with lam < 1,
+    infinite when there are none.  This bounds the orders m, m + 1, ... of
+    a nonnegative series whose order k transforms at s = r^2 to at most
+    a lam^k, once convolved with a factor bounded by sup on (0, t): the
+    mass of a density on (0, t) is at most e^(st) times its transform."""
+    conv = log_lam < 0.0
+    log_past = (r * r * t + log_a + m * log_lam
+                - np.log(-np.expm1(np.where(conv, log_lam, -1.0))))
+    return sup * math.exp(float(log_past[conv].min())) if conv.any() \
+        else math.inf
 
 
 def _flux_pair_eval(L: float, x: float, y: float, t_max: float) -> _ImageSum:
@@ -677,42 +586,45 @@ def _flux_pair_eval(L: float, x: float, y: float, t_max: float) -> _ImageSum:
     return fx.compose(fy)
 
 
-# one entry per echo order: the chains up to order 6 of four (L1, L2, t_build)
-# fit, so a request that glues one (L1, L2) twice builds its chain once
-@lru_cache(maxsize=32)
-def _echo_chain_factor(L1: float, L2: float, t_build: float,
-                       n: int) -> TimeFactor:
-    """n-fold echo convolution smoothed by the flat pulse, as a factor."""
-    if n == 0:
-        return _FLAT
-    min_l2 = min(L1, L2) ** 2
-    phi_fac = _echo_pulse(t_build, L1, L2).factor
-    prev = _echo_chain_factor(L1, L2, t_build, n - 1)
+def _echo_tail(L1: float, L2: float, pair: _ImageSum | None, t: float,
+               n_max: int) -> float:
+    """Bound on what the echo series at order n_max leaves out at t; pair
+    None stands for the delta at the junction.
 
-    def fn(tau: np.ndarray) -> np.ndarray:
-        return conv_n([phi_fac, prev], tau, 1e-10)[0]
-
-    interp = _DecayInterp(fn, t_build, 0.8 * n * n * min_l2, n_nodes=97)
-    return inverse_pow_gaussian(interp, c=0.8 * n * n * min_l2, alpha=1.5)
+    At s = r^2 the round trips phi = sum_k h_2kL1 + h_2kL2 transform to
+    lam = sum_L e^(-2Lr) / (1 - e^(-2Lr)).  So order n is at most
+    sup_(0,t)(|pair| * g_0) int_0^t phi^(*n) <= S e^(st) lam^n, and the
+    orders past n_max sum to at most S e^(st) lam^(n_max+1) / (1 - lam).
+    With pair the delta, the bounded factor is phi * g_0 instead: S is its
+    supremum and the power of lam one less.  The tail takes its least value
+    over the fixed grid of r.
+    """
+    r = _R_SQRT_T / math.sqrt(t)
+    log_lam = np.logaddexp(*(-2.0 * L * r - np.log(-np.expm1(-2.0 * L * r))
+                             for L in (L1, L2)))
+    if pair is None:
+        sup = _echo_pulse(t, L1, L2).compose(_G0).sup(t)
+        return _geometric_tail(sup, t, r, log_lam, n_max)
+    sup = _ImageSum("h", pair.d, np.abs(pair.w)).compose(_G0).sup(t)
+    return _geometric_tail(sup, t, r, log_lam, n_max + 1)
 
 
 def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
                       n_max: int) -> tuple[float, float, float]:
     """Glued-interval correction as an alternating series of echo orders.
 
-    Term n convolves the flux pulse out of x, n round-trip echo factors
-    smoothed by the flat junction pulse, and the flux pulse into y; the
-    sign alternates with n.  The two flux pulses enter as one factor,
-    their convolution summed exactly over images (:func:`_flux_pair_eval`),
-    so each term is a single level of the adaptive simplex quadrature
-    against the echo chain, itself built by that quadrature.  Returns
-    (value, bound, residual against the direct two-kernel difference).
-    The bound is the truncation tail plus the quadrature error: the tail
-    sums C^n t^(n-1) / (n-1)! over n > n_max with C the echo supremum, so
-    it is loose at large t and sharp at small t; the quadrature part sums
-    the error estimates of the kept terms' convolutions.  The error of the
-    echo-chain interpolants that stand in for the middle factors is not
-    yet part of the bound.
+    Term n convolves the flux pulse out of x, the echo chain E_n and the
+    flux pulse into y; the sign alternates with n.  E_n composes n round
+    trips phi = sum_k h_2kL1 + h_2kL2 (:func:`_echo_pulse`) with the flat
+    junction pulse g_0 into one exact Gaussian sum, and the two flux pulses
+    enter as one factor, their convolution summed exactly over images
+    (:func:`_flux_pair_eval`), so each term is a single level of the
+    adaptive simplex quadrature; at x = y = 0 the pair is the delta at the
+    junction and the term is E_n at t.  Images past _reach(t) are dropped,
+    and with them every order whose images all lie past it.  Returns
+    (value, bound, residual against the direct two-kernel difference); the
+    bound is the truncation tail (:func:`_echo_tail`) plus the error
+    estimates of the kept terms' quadratures.
     """
     L1 = _check_length(L1, "L1")
     L2 = _check_length(L2, "L2")
@@ -722,23 +634,25 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    t_build = 4.0 if t <= 4.0 else 2.0 ** math.ceil(math.log2(t))
+    phi = _echo_pulse(t, L1, L2)
     # at x = y = 0 both pulses are the delta at the junction
-    pair = None if x == y == 0.0 else _flux_pair_eval(L2, x, y, t).factor
+    pair = None if x == y == 0.0 else _flux_pair_eval(L2, x, y, t)
+    chain = _G0
     value = 0.0
     quadrature = 0.0
     for n in range(n_max + 1):
-        mid = _echo_chain_factor(L1, L2, t_build, n)
+        if n:
+            chain = phi.compose(chain)
+            if not chain.d.size:  # every later order lies past the reach too
+                break
         if pair is None:
-            term = float(mid.evaluator(np.array([t]))[0])
+            term = float(chain(np.array([t]))[0])
         else:
-            term, est = conv_n([mid, pair], t, 3e-9)
+            term, est = conv_n([chain.factor, pair.factor], t, 3e-9)
             quadrature += est
         value += (-1.0) ** n * term
-    C = echo_sup(L1, L2)
-    bound = C * exp_tail(C * t, n_max) + quadrature
-    residual = abs(value - _glue_direct(L1, L2, x, y, t))
-    return value, bound, residual
+    bound = _echo_tail(L1, L2, pair, t, n_max) + quadrature
+    return value, bound, abs(value - _glue_direct(L1, L2, x, y, t))
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +703,6 @@ def _log_ring_transform(L: float, delta: float, r: np.ndarray) -> np.ndarray:
             - np.log(-np.expm1(-r * L)))
 
 
-_R_SQRT_T = np.geomspace(1e-2, 1e4, 601)  # the cut bound's search grid
 _U = 2.0**-53  # unit roundoff
 
 
@@ -815,21 +728,13 @@ def _cut_tail(L: float, cuts: Sequence[float], x: float, y: float,
     log_b = np.maximum(*(_log_ring_transform(L, c - y, r) for c in cuts))
     log_self = math.log(2.0) - r * L - np.log(-np.expm1(-r * L))
     log_lam = np.logaddexp(log_self, _log_ring_transform(L, cuts[0] - cuts[1], r))
-    # the supremum of each close over (0, t), image by image: g_d rises
-    # until d^2/2; the images past the reach add at most their values at t
+    # the supremum of each close over (0, t); the images past the reach
+    # add at most their values at t
     reach = _reach(t)
-    sup = 0.0
-    for c in close:
-        peak = np.minimum(t, 0.5 * c.d**2)
-        sup = max(sup, float(np.sum(c.w * np.exp(-c.d**2 / (4.0 * peak))
-                                    / np.sqrt(4.0 * math.pi * peak))))
+    sup = max(c.sup(t) for c in close)
     sup += 2.0 * math.exp(-reach**2 / (4.0 * t)) \
         / (-math.expm1(-reach * L / (2.0 * t)) * math.sqrt(4.0 * math.pi * t))
-    conv = log_lam < 0.0
-    log_past = (r * r * t + log_a + (k_max + 1) * log_lam
-                - np.log(-np.expm1(np.where(conv, log_lam, -1.0))))
-    past = sup * math.exp(float(log_past[conv].min())) if conv.any() \
-        else math.inf
+    past = _geometric_tail(sup, t, r, log_lam, k_max + 1, log_a)
     near = r <= reach / (2.0 * t)
     log_kept = np.logaddexp.reduce(
         np.multiply.outer(np.arange(k_max + 1.0), log_lam[near]), axis=0)

@@ -366,7 +366,7 @@ def test_glue_intervals_domain_validation():
 
 def echo_rate(L, t):
     """Sharp-pulse form of the round trips, before flat smoothing: its
-    convolution with the flat pulse 1/sqrt(4 pi t) is echo_density."""
+    convolution with the flat pulse 1/sqrt(4 pi t) is the echo pulse."""
     tp = np.asarray(t, dtype=float)
     kcap = int(math.ceil(math.sqrt(70.0 * float(tp.max())) / L)) + 2
     kk = np.square(np.arange(1.0, kcap + 1.0)[:, None] * L)
@@ -378,18 +378,11 @@ def test_echo_density_two_routes_agree():
     rate = inverse_pow_gaussian(lambda tau: echo_rate(1.0, tau), c=1.0,
                                 alpha=2.5)
     got, _ = conv_n([h._FLAT, rate], 1.0, 1e-11)
-    direct = h.echo_density(1.0, 1.0)
+    direct = float(h._echo_pulse(1.0, 1.0)(np.array([1.0]))[0])
     term_sum = 2.0 * sum(
         k * math.exp(-k * k) for k in range(1, 12)) / SQRT_4PI
     assert abs(direct - term_sum) < 1e-15
     assert abs(got - direct) < 1e-9
-
-
-def test_echo_sup_dominates_samples():
-    C = h.echo_sup(1.0, 1.0)
-    for t in np.linspace(0.05, 10.0, 117):
-        assert h.echo_density(1.0, t) + h.echo_density(1.0, t) <= C * (1 + 1e-9)
-    assert 0.4 < C < 0.6
 
 
 def test_echo_series_reference_point():
@@ -402,7 +395,7 @@ def test_echo_series_reference_point():
                                          (1.0, 1.0, 1 / 6, 1 / 6, 0.2)])
 def test_echo_series_bound_covers_its_residual(L1, L2, x, y, t):
     # at n_max 8 the truncation tail alone is below the residual here
-    # (5.4e-12 against 1.9e-10, and 7.9e-14 against 2.1e-12); the
+    # (2.0e-51 against 4.0e-13, and 5.0e-174 against 3.8e-12); the
     # quadrature estimates of the kept terms make up the difference
     _, bound, res = h.glue_intervals_II(L1, L2, x, y, t, 8)
     assert res <= bound
@@ -410,7 +403,7 @@ def test_echo_series_bound_covers_its_residual(L1, L2, x, y, t):
 
 def test_echo_series_bound_covers_its_residual_on_the_gate_08_sweep():
     # the cases of gate 08 at three orders; the largest residual/bound
-    # among them is 0.38
+    # among them is 0.094
     for n_max in (4, 6, 8):
         for L1, L2 in ((1.0, 1.0), (1.0, 2.0)):
             zs = [L2 * i / 6.0 for i in range(1, 6)]
@@ -449,13 +442,6 @@ def test_flux_pair_at_the_junction_is_the_other_pulse(L, z):
     assert delta.d.tolist() == [0.0] and delta.w.tolist() == [1.0]
 
 
-def test_echo_series_first_correction_is_bounded_by_sup_times_time():
-    t = 0.7
-    v0, _, _ = h.glue_intervals_II(1.0, 1.0, 0.4, 0.6, t, 0)
-    v1, _, _ = h.glue_intervals_II(1.0, 1.0, 0.4, 0.6, t, 1)
-    assert abs(v0 - v1) <= h.echo_sup(1.0, 1.0) * t
-
-
 def test_echo_series_tail_bound_shrinks_with_order():
     tails = [h.glue_intervals_II(1.0, 1.0, 0.4, 0.6, 0.7, n)[1]
              for n in (0, 2, 4, 6)]
@@ -475,72 +461,65 @@ def test_echo_series_far_wall_is_zero():
     assert res < 1e-12
 
 
-def test_second_gluing_of_an_interval_pair_reuses_its_echo_chain():
-    h.glue_intervals_II(1.3, 0.9, 0.2, 0.5, 0.3, 6)
-    before = h._echo_chain_factor.cache_info()
-    h.glue_intervals_II(1.3, 0.9, 0.6, 0.4, 0.6, 6)
-    after = h._echo_chain_factor.cache_info()
-    assert after.misses == before.misses
-    assert after.hits > before.hits
+def echo_chains(L1, L2, t_max, n_last):
+    """The echo chains E_0 .. E_n_last at reach _reach(t_max), composed
+    one round trip at a time; empty past the reach."""
+    phi = h._echo_pulse(t_max, L1, L2)
+    chains = [h._G0]
+    for _ in range(n_last):
+        chains.append(phi.compose(chains[-1]))
+    return chains
 
 
-def test_echo_sup_cache_is_bounded():
-    maxsize = h.echo_sup.cache_info().maxsize
-    for i in range(maxsize + 1):
-        h.echo_sup(1.0, 1.0 + 0.01 * (i + 1))
-    assert h.echo_sup.cache_info().currsize <= maxsize
+@pytest.mark.parametrize("L1,L2", [(1.0, 1.0), (1.0, 2.0)])
+def test_echo_tail_covers_the_dropped_orders_summed_exactly(L1, L2):
+    # the dropped orders summed out to order 60 at a wider reach, pair and
+    # chain composed exactly; at most 0.27 of the tail off the junction,
+    # 0.68 at it, over a grid that also had (L1, L2) = (0.6, 1.3)
+    zs = [L2 * i / 6.0 for i in (1, 3, 5)]
+    for t in (0.2, 0.7, 2.0):
+        chains = echo_chains(L1, L2, 4.0 * t, 60)
+        for x, y in [(x, y) for x in zs for y in zs] + [(0.0, 0.0)]:
+            junction = x == y == 0.0
+            wide = None if junction else h._flux_pair_eval(L2, x, y, 4.0 * t)
+            terms = [abs(float((c if junction else wide.compose(c))(
+                np.array([t]))[0])) for c in chains]
+            pair = None if junction else h._flux_pair_eval(L2, x, y, t)
+            for n_max in (0, 2, 4, 6, 8):
+                tail = h._echo_tail(L1, L2, pair, t, n_max)
+                assert math.fsum(terms[n_max + 1:]) <= tail, (x, y, t, n_max)
+
+
+def test_echo_series_bound_is_informative_at_large_time():
+    # twice the squared lengths: the bound is 2.8e-9, the residual 2.1e-11
+    _, bound, res = h.glue_intervals_II(1.0, 1.0, 0.5, 0.5, 2.0, 6)
+    assert res <= bound < 1e-8
+
+
+def test_echo_terms_match_the_exact_composition_on_the_gate_08_cases():
+    # each kept term of gate 08 at n_max 6 is one conv_n level; the exact
+    # composition pair * E_n misses it by at most 0.22 of the allowance
+    for L1, L2 in ((1.0, 1.0), (1.0, 2.0)):
+        zs = [L2 * i / 6.0 for i in range(1, 6)]
+        for t in (0.2, 0.7, 2.0):
+            chains = [c for c in echo_chains(L1, L2, t, 6) if c.d.size]
+            for x in zs:
+                for y in zs:
+                    pair = h._flux_pair_eval(L2, x, y, t)
+                    value = 0.0
+                    for n, chain in enumerate(chains):
+                        term, est = conv_n([chain.factor, pair.factor], t,
+                                           3e-9)
+                        exact = float(pair.compose(chain)(np.array([t]))[0])
+                        assert abs(term - exact) <= est + 1e-14, \
+                            (L1, L2, x, y, t, n)
+                        value += (-1.0) ** n * term
+                    assert value == h.glue_intervals_II(L1, L2, x, y, t, 6)[0]
 
 
 # ---------------------------------------------------------------------------
 # route-II integrand kernels against plain per-point and per-image loops
 # ---------------------------------------------------------------------------
-
-
-def barycentric_reference(interp, tau):
-    """The decay interpolant at one time, one node at a time."""
-    if not tau > 0.0 or 1.0 / tau > interp.uhi:
-        return 0.0
-    u = max(1.0 / tau, interp.ulo)
-    n = interp.u.size
-    weights = [(0.5 if j in (0, n - 1) else 1.0) * (-1.0) ** j
-               for j in range(n)]
-    num = den = 0.0
-    for uj, hj, wj in zip(interp.u, interp.h, weights):
-        if abs(u - uj) < 1e-14 * (interp.uhi - interp.ulo):
-            num, den = hj, 1.0
-            break
-        num += wj * hj / (u - uj)
-        den += wj / (u - uj)
-    return num / den * math.exp(-interp.c * (u - interp.ulo))
-
-
-@pytest.mark.parametrize("n_nodes", [97, 161])
-def test_decay_interp_matches_a_per_point_barycentric_sum(n_nodes):
-    def profile(tau):
-        return np.exp(-0.5 / tau) * np.cos(3.0 * tau) / tau
-
-    interp = h._DecayInterp(profile, 4.0, 0.4, n_nodes=n_nodes)
-    span = interp.uhi - interp.ulo
-    rng = np.random.default_rng(n_nodes)
-    u_near = np.concatenate([interp.u + 1e-15 * span * rng.uniform(-1, 1, n_nodes),
-                             interp.u[1:] - 1e-15])
-    taus = np.concatenate([
-        1.0 / rng.uniform(interp.ulo, interp.uhi, 600),  # several blocks
-        1.0 / interp.u,                                   # the nodes
-        1.0 / np.clip(u_near, interp.ulo, interp.uhi),    # within 1e-15
-        [0.0, -1.0, 0.5 / interp.uhi, 0.9 / interp.uhi,   # outside [ulo, uhi]
-         4.0, 7.5],
-    ])
-    got = interp(taus)
-    scale = float(np.abs(interp.h).max())
-    ref = np.array([barycentric_reference(interp, t) for t in taus])
-    assert np.all(np.abs(got - ref) <= 1e-14 * scale)
-    assert np.all(got[-6:-2] == 0.0)
-    assert got[-1] == got[-2] == interp.h[0]  # past t_max: the value there
-    assert np.array_equal(interp(taus[:600].reshape(40, 15)),
-                          interp(taus[:600]).reshape(40, 15))
-    one = interp(float(taus[3]))
-    assert isinstance(one, float) and abs(one - ref[3]) <= 1e-14 * scale
 
 
 def flux_reference(L, z, tau):
@@ -590,7 +569,7 @@ def test_circle_pulse_image_sum_matches_a_per_image_loop(L, delta, drop):
 
 @pytest.mark.parametrize("L", [0.5, 1.0, 1.9])
 def test_echo_density_matches_a_per_image_loop(L):
-    got = h.echo_density(L, TAUS)
+    got = h._echo_pulse(float(TAUS.max()), L)(TAUS)
     ref = [echo_reference(L, t) for t in TAUS[:-2]]
     assert np.allclose(got[:-2], ref, rtol=1e-14, atol=0.0)
     assert np.all(got[-2:] == 0.0)
