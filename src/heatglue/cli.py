@@ -338,12 +338,12 @@ def run_ray_glue(x: float, y: float, t: float, tol: float,
     inputs = {"tol": tol, "x": x, "y": y, "t": t}
 
     def run():
-        value, _ = heat1d.glue_rays(x, y, t)
+        value, bound, _ = heat1d.glue_rays(x, y, t)
         ref = reference
         if ref is None:
             ref = math.exp(-(x + y) ** 2 / (4.0 * t)) \
                 / math.sqrt(4.0 * math.pi * t)
-        return [_report(case, "ray", inputs, value, ref, 0.0)]
+        return [_report(case, "ray", inputs, value, ref, bound)]
 
     return _guarded(case, "ray", inputs, run)
 

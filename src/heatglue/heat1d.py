@@ -616,15 +616,16 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     Term n convolves the flux pulse out of x, the echo chain E_n and the
     flux pulse into y; the sign alternates with n.  E_n composes n round
     trips phi = sum_k h_2kL1 + h_2kL2 (:func:`_echo_pulse`) with the flat
-    junction pulse g_0 into one exact Gaussian sum, and the two flux pulses
-    enter as one factor, their convolution summed exactly over images
-    (:func:`_flux_pair_eval`), so each term is a single level of the
-    adaptive simplex quadrature; at x = y = 0 the pair is the delta at the
-    junction and the term is E_n at t.  Images past _reach(t) are dropped,
-    and with them every order whose images all lie past it.  Returns
-    (value, bound, residual against the direct two-kernel difference); the
-    bound is the truncation tail (:func:`_echo_tail`) plus the error
-    estimates of the kept terms' quadratures.
+    junction pulse g_0 into one exact Gaussian sum, and the kept orders
+    add, signed, into one Gaussian sum sum_n (-1)^n E_n.  The two flux
+    pulses enter as one factor, their convolution summed exactly over
+    images (:func:`_flux_pair_eval`), so the whole series is a single
+    level of the adaptive simplex quadrature; at x = y = 0 the pair is the
+    delta at the junction and the series is that sum at t.  Images past
+    _reach(t) are dropped, and with them every order whose images all lie
+    past it.  Returns (value, bound, residual against the direct
+    two-kernel difference); the bound is the truncation tail
+    (:func:`_echo_tail`) plus the quadrature's error estimate.
     """
     L1 = _check_length(L1, "L1")
     L2 = _check_length(L2, "L2")
@@ -637,20 +638,17 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     phi = _echo_pulse(t, L1, L2)
     # at x = y = 0 both pulses are the delta at the junction
     pair = None if x == y == 0.0 else _flux_pair_eval(L2, x, y, t)
-    chain = _G0
-    value = 0.0
-    quadrature = 0.0
-    for n in range(n_max + 1):
-        if n:
-            chain = phi.compose(chain)
-            if not chain.d.size:  # every later order lies past the reach too
-                break
-        if pair is None:
-            term = float(chain(np.array([t]))[0])
-        else:
-            term, est = conv_n([chain.factor, pair.factor], t, 3e-9)
-            quadrature += est
-        value += (-1.0) ** n * term
+    chain = total = _G0
+    for n in range(1, n_max + 1):
+        chain = phi.compose(chain)
+        if not chain.d.size:  # every later order lies past the reach too
+            break
+        total = total + _ImageSum("g", chain.d, (-1.0) ** n * chain.w,
+                                  chain.reach)
+    if pair is None:
+        value, quadrature = float(total(np.array([t]))[0]), 0.0
+    else:
+        value, quadrature = conv_n([total.factor, pair.factor], t, 3e-9)
     bound = _echo_tail(L1, L2, pair, t, n_max) + quadrature
     return value, bound, abs(value - _glue_direct(L1, L2, x, y, t))
 
@@ -660,22 +658,23 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
 # ---------------------------------------------------------------------------
 
 
-def glue_rays(x: float, y: float, t: float) -> tuple[float, float]:
-    """Two half lines joined at the origin, rebuilt by triple quadrature.
+def glue_rays(x: float, y: float, t: float) -> tuple[float, float, float]:
+    """Two half lines joined at the origin, rebuilt by one quadrature level.
 
-    Convolves the flux pulse at distance x, the flat junction pulse, and
-    the flux pulse at distance y over the time simplex and compares with
-    the closed form (4 pi t)^(-1/2) exp(-(x+y)^2/4t).  Returns
-    (value, residual).
+    The flux pulses at distances x and y compose exactly into h_(x+y)
+    (:meth:`_ImageSum.compose`), which one level of the adaptive simplex
+    quadrature convolves with the flat junction pulse; the result is
+    compared with the closed form (4 pi t)^(-1/2) exp(-(x+y)^2/4t).
+    Returns (value, bound, residual); the bound is the quadrature's error
+    estimate.
     """
     t = _check_time(t)
     if not (x > 0.0 and y > 0.0):
         raise ValueError("x and y must be positive")
-
-    value, _ = conv_n([_ImageSum("h", [x], [1.0]).factor, _FLAT,
-                       _ImageSum("h", [y], [1.0]).factor], t, 1e-10)
+    pair = _ImageSum("h", [x], [1.0]).compose(_ImageSum("h", [y], [1.0]))
+    value, bound = conv_n([_FLAT, pair.factor], t, 1e-10)
     closed = math.exp(-((x + y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-    return value, abs(value - closed)
+    return value, bound, abs(value - closed)
 
 
 # ---------------------------------------------------------------------------

@@ -252,16 +252,16 @@ def test_gate_09_ray_gluing_gaussian():
     for x in (0.5, 1.0, 2.0):
         for y in (0.5, 1.0, 2.0):
             for t in (0.5, 1.0):
-                value, _ = heat1d.glue_rays(x, y, t)
+                value, _, _ = heat1d.glue_rays(x, y, t)
                 ref = math.exp(-(x + y) ** 2 / (4.0 * t)) \
                     / math.sqrt(4.0 * math.pi * t)
                 worst = max(worst, abs(value - ref))
     dt = time.perf_counter() - t0
-    ok = worst < 1e-8 and dt < 30.0
+    ok = worst < 1e-8 and dt < 2.0
     _gate(9, "ray gluing against the Gaussian", ok,
           f"worst err {worst:.2e}, {dt:.1f}s")
     assert worst < 1e-8
-    assert dt < 30.0
+    assert dt < 2.0
 
 
 def test_gate_10_circle_cut_series():

@@ -278,8 +278,9 @@ def test_verify_random_graph_cases_deterministic_per_seed(tmp_path):
 
 
 def test_exit_one_on_tolerance_failure():
-    res = invoke(["ray", "glue", "--x", "1", "--y", "1", "--t", "0.5",
-                  "--tol", "1e-30"])
+    # formula I reports no bound, so its rounding residual fails this tol
+    res = invoke(["interval", "glue", "--L1", "1", "--L2", "1", "--x", "0.5",
+                  "--y", "0.5", "--t", "0.5", "--tol", "1e-30"])
     assert res.exit_code == 1
     (r,) = json_lines(res.stdout)
     assert r["status"] == "fail"

@@ -395,8 +395,8 @@ def test_echo_series_reference_point():
                                          (1.0, 1.0, 1 / 6, 1 / 6, 0.2)])
 def test_echo_series_bound_covers_its_residual(L1, L2, x, y, t):
     # at n_max 8 the truncation tail alone is below the residual here
-    # (2.0e-51 against 4.0e-13, and 5.0e-174 against 3.8e-12); the
-    # quadrature estimates of the kept terms make up the difference
+    # (2.0e-51 against 1.7e-16, and 5.0e-174 against 1.1e-16); the
+    # quadrature estimate makes up the difference
     _, bound, res = h.glue_intervals_II(L1, L2, x, y, t, 8)
     assert res <= bound
 
@@ -496,25 +496,61 @@ def test_echo_series_bound_is_informative_at_large_time():
     assert res <= bound < 1e-8
 
 
+def signed_echo_sum(L1, L2, t, n_max):
+    """sum_n (-1)^n E_n over the kept orders, as one Gaussian sum."""
+    total = h._G0
+    for n, chain in enumerate(echo_chains(L1, L2, t, n_max)[1:], 1):
+        if not chain.d.size:
+            break
+        total = total + h._ImageSum("g", chain.d, (-1.0) ** n * chain.w,
+                                    chain.reach)
+    return total
+
+
 def test_echo_terms_match_the_exact_composition_on_the_gate_08_cases():
-    # each kept term of gate 08 at n_max 6 is one conv_n level; the exact
-    # composition pair * E_n misses it by at most 0.22 of the allowance
+    # the kept terms of gate 08 at n_max 6 are one conv_n level of their
+    # signed sum against the flux pair; the exact composition misses it by
+    # at most its estimate
     for L1, L2 in ((1.0, 1.0), (1.0, 2.0)):
         zs = [L2 * i / 6.0 for i in range(1, 6)]
         for t in (0.2, 0.7, 2.0):
-            chains = [c for c in echo_chains(L1, L2, t, 6) if c.d.size]
+            total = signed_echo_sum(L1, L2, t, 6)
             for x in zs:
                 for y in zs:
                     pair = h._flux_pair_eval(L2, x, y, t)
-                    value = 0.0
-                    for n, chain in enumerate(chains):
-                        term, est = conv_n([chain.factor, pair.factor], t,
-                                           3e-9)
-                        exact = float(pair.compose(chain)(np.array([t]))[0])
-                        assert abs(term - exact) <= est + 1e-14, \
-                            (L1, L2, x, y, t, n)
-                        value += (-1.0) ** n * term
+                    value, est = conv_n([total.factor, pair.factor], t, 3e-9)
+                    exact = float(pair.compose(total)(np.array([t]))[0])
+                    assert abs(value - exact) <= est + 1e-14, (L1, L2, x, y, t)
                     assert value == h.glue_intervals_II(L1, L2, x, y, t, 6)[0]
+
+
+@pytest.fixture
+def conv_n_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return conv_n(*args, **kwargs)
+
+    monkeypatch.setattr(h, "conv_n", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_max", range(9))
+def test_echo_series_is_one_quadrature_level(conv_n_calls, n_max):
+    for L1, L2, x, y, t in ((1.0, 1.0, 0.4, 0.6, 0.7), (1.0, 2.0, 0.0, 1.5, 0.2),
+                            (0.6, 1.3, 1.3, 0.0, 2.0)):
+        del conv_n_calls[:]
+        h.glue_intervals_II(L1, L2, x, y, t, n_max)
+        assert len(conv_n_calls) == 1
+    del conv_n_calls[:]
+    h.glue_intervals_II(1.0, 1.0, 0.0, 0.0, 0.7, n_max)
+    assert not conv_n_calls
+
+
+def test_glue_rays_is_one_quadrature_level(conv_n_calls):
+    h.glue_rays(0.8, 1.1, 0.6)
+    assert len(conv_n_calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +617,7 @@ def test_echo_density_matches_a_per_image_loop(L):
 
 
 def test_glue_rays_reference_point():
-    v, res = h.glue_rays(1.0, 1.0, 1.0)
+    v, _, res = h.glue_rays(1.0, 1.0, 1.0)
     assert abs(v - math.exp(-1.0) / SQRT_4PI) < 1e-8
     assert res < 1e-8
 
@@ -590,7 +626,7 @@ def test_glue_rays_grid():
     for x in (0.5, 2.0):
         for y in (0.5, 1.0):
             for t in (0.5, 1.0):
-                _, res = h.glue_rays(x, y, t)
+                _, _, res = h.glue_rays(x, y, t)
                 assert res < 1e-8
 
 
@@ -600,7 +636,7 @@ def test_glue_rays_reconstructs_a_linearly_vanishing_wall_kernel():
     y, t = 0.8, 0.5
     gaps = []
     for x in (4e-3, 2e-3, 1e-3):
-        v, _ = h.glue_rays(x, y, t)
+        v, _, _ = h.glue_rays(x, y, t)
         gaps.append((h.k_line(x, y, t) - v) / x)
     assert abs(gaps[1] / gaps[2] - 1.0) < 5e-3
     assert abs(gaps[2] - (-2.0 * h.dk_ray(y, t) / 2.0)) / abs(gaps[2]) < 1e-2
@@ -612,10 +648,21 @@ def test_glue_rays_extends_to_half_space_products():
     x = (0.7, 0.2, -0.4)
     y = (0.5, -0.1, 0.3)
     t = 0.6
-    v, _ = h.glue_rays(x[0], y[0], t)
+    v, _, _ = h.glue_rays(x[0], y[0], t)
     rest = h.k_line(x[1], y[1], t) * h.k_line(x[2], y[2], t)
     direct = (h.k_line(x[0], y[0], t) - h.k_ray(x[0], y[0], t)) * rest
     assert abs(v * rest - direct) < 1e-12
+
+
+@pytest.mark.parametrize("x,y,t", [(x, y, t) for x in (0.5, 1.0, 2.0)
+                                   for y in (0.5, 1.0, 2.0) for t in (0.5, 1.0)]
+                         + [(x, 0.8, 0.5) for x in (4e-3, 2e-3, 1e-3)])
+def test_glue_rays_bound_covers_its_residual(x, y, t):
+    # the gate-09 grid and the points near the wall
+    v, bound, res = h.glue_rays(x, y, t)
+    exact = float(h._ImageSum("g", [x + y], [1.0])(np.array([t]))[0])
+    assert res <= bound < 1e-8
+    assert abs(v - exact) <= bound
 
 
 def test_glue_rays_validation():
