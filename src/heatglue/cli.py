@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import itertools
 import json
 import math
 import pathlib
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from json.encoder import encode_basestring_ascii as escape
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import click
 import numpy as np
@@ -65,79 +68,133 @@ class InputError(click.ClickException):
 # ---------------------------------------------------------------------------
 
 
+class Axis(NamedTuple):
+    """Entry coordinate: its input key, values and labels in the case id."""
+
+    key: str
+    values: Sequence
+    labels: Sequence[str]
+
+
+_FIXED_KEYS = frozenset({"case", "geometry", "inputs", "value", "reference",
+                         "residual", "bound", "status"})
+_JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null"}
+
+
+def _json_floats(values: list) -> list[str]:
+    """Floats or None as json.dumps writes them, from one repr of the list."""
+    return [_JSON_TOKENS.get(s, s) for s in repr(values)[1:-1].split(", ")]
+
+
 @dataclass
-class Report:
+class Reports:
+    """The report lines of one case, as columns.
+
+    The entries run over the product of ``axes`` in row-major order.  Entry
+    i has the case id ``case[label, ...]`` (``case`` without axes), the
+    inputs ``inputs`` followed by its value on each axis, ``value[i]``,
+    ``reference[i]``, ``bound`` (a scalar or one per entry) and ``extra``.
+    Residuals and statuses are arrays; an error report has no value.
+    """
+
     case: str
     geometry: str
     inputs: dict
-    value: float | None
-    reference: float | None
-    residual: float | None
-    bound: float
-    status: str
+    value: np.ndarray | None
+    reference: np.ndarray | None
+    bound: float | np.ndarray = 0.0
+    axes: tuple[Axis, ...] = ()
     extra: dict = field(default_factory=dict)
 
-    def json_line(self) -> str:
-        obj = {
-            "case": self.case,
-            "geometry": self.geometry,
-            "inputs": self.inputs,
-            "value": self.value,
-            "reference": self.reference,
-            "residual": self.residual,
-            "bound": self.bound,
-            "status": self.status,
-        }
-        obj.update(self.extra)
-        return json.dumps(obj)
+    def __post_init__(self) -> None:
+        if clash := (_FIXED_KEYS & self.extra.keys()
+                     | {a.key for a in self.axes} & self.inputs.keys()):
+            raise ValueError(f"report keys {sorted(clash)} would be shadowed")
+        if self.value is None:
+            self.residual, self.status = None, ["error"]
+            return
+        self.value = np.asarray(self.value, dtype=float).ravel()
+        self.reference = np.asarray(self.reference, dtype=float).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+            self.residual = np.abs(self.value - self.reference)
+        bound = np.asarray(self.bound, dtype=float)
+        self.bound = bound = bound.ravel() if bound.ndim else float(bound)
+        # max(tol, bound) as Python takes it: tol unless bound > tol
+        tol = float(self.inputs.get("tol", 0.0))
+        passed = self.residual <= np.where(bound > tol, bound, tol)
+        self.status = ["pass" if p else "fail" for p in passed.tolist()]
 
-    def csv_row(self) -> list:
+    @classmethod
+    def error(cls, case: str, geometry: str, inputs: dict, exc: Exception) -> Reports:
+        return cls(case, geometry, inputs, None, None,
+                   extra={"message": f"{type(exc).__name__}: {exc}"})
+
+    def _ids(self) -> tuple[list[str], list[str], list[str]]:
+        """Per entry: the case id, JSON-escaped too, and its axis inputs
+        encoded.  Each label and axis value is encoded once: JSON escapes
+        character by character, so the pieces join exactly."""
+        ids, escaped, coords = [self.case], [escape(self.case)[1:-1]], [""]
+        for n, axis in enumerate(self.axes):
+            close = "]" if n == len(self.axes) - 1 else ""
+            labels = [f"{',' if n else '['}{label}{close}" for label in axis.labels]
+            ids = [a + b for a in ids for b in labels]
+            labels = [escape(label)[1:-1] for label in labels]
+            escaped = [a + b for a in escaped for b in labels]
+            pairs = [(", " if n else "") + json.dumps({axis.key: v})[1:-1]
+                     for v in axis.values]
+            coords = [a + b for a in coords for b in pairs]
+        return ids, escaped, coords
+
+    def _columns(self, encode) -> list[list]:
+        """value, reference, residual and bound, one list of cells each, from
+        one call of ``encode`` on all their floats (or None)."""
+        n = len(self.status)
+        cells = encode(sum((c.tolist() if isinstance(c, np.ndarray) else [c] * n
+                            for c in (self.value, self.reference,
+                                      self.residual, self.bound)), []))
+        return [cells[i * n:(i + 1) * n] for i in range(4)]
+
+    def json_lines(self) -> list[tuple[str, str]]:
+        """(case id, line) per entry; each line is what json.dumps writes
+        for the report object with the fixed keys first."""
+        head = (f'", "geometry": {escape(self.geometry)}, "inputs": '
+                + json.dumps(self.inputs)[:-1]
+                + (", " if self.inputs and self.axes else ""))
+        tail = f", {json.dumps(self.extra)[1:-1]}" if self.extra else ""
+        return [(cid, f'{{"case": "{e}{head}{c}}}, "value": {v}, '
+                      f'"reference": {r}, "residual": {d}, "bound": {b}, '
+                      f'"status": "{s}"{tail}}}')
+                for cid, e, c, v, r, d, b, s in zip(
+                    *self._ids(), *self._columns(_json_floats), self.status)]
+
+    def csv_rows(self) -> Iterator[list]:
         def cell(v):
             return "" if v is None else (repr(v) if isinstance(v, float) else v)
 
-        coords = {k: self.inputs.get(k) for k in ("x", "y", "t")}
-        params = ";".join(
-            f"{k}={cell(v)}" for k, v in self.inputs.items()
-            if k not in ("x", "y", "t")
-        )
-        return [self.case, self.geometry, params,
-                cell(coords["x"]), cell(coords["y"]), cell(coords["t"]),
-                cell(self.value), cell(self.bound),
-                cell(self.reference), cell(self.residual), self.status]
+        points = itertools.product(*(a.values for a in self.axes))
+        floats = self._columns(lambda values: [cell(v) for v in values])
+        for cid, point, v, r, d, b, s in zip(self._ids()[0], points, *floats,
+                                              self.status):
+            inputs = dict(self.inputs, **{a.key: x for a, x in zip(self.axes, point)})
+            params = ";".join(f"{k}={cell(x)}" for k, x in inputs.items()
+                              if k not in ("x", "y", "t"))
+            yield [cid, self.geometry, params,
+                   *(cell(inputs.get(k)) for k in ("x", "y", "t")),
+                   v, b, r, d, s]
 
 
-def _report(case: str, geometry: str, inputs: dict, value: float,
-            reference: float, bound: float, extra: dict | None = None) -> Report:
-    tol = float(inputs.get("tol", 0.0))
-    residual = abs(float(value) - float(reference))
-    status = "pass" if residual <= max(tol, float(bound)) else "fail"
-    return Report(case, geometry, inputs, float(value), float(reference),
-                  residual, float(bound), status, dict(extra or {}))
-
-
-def _error_report(case: str, geometry: str, inputs: dict,
-                  exc: Exception) -> Report:
-    return Report(case, geometry, inputs, None, None, None, 0.0, "error",
-                  {"message": f"{type(exc).__name__}: {exc}"})
-
-
-def _finish(reports: list[Report], fmt: str) -> None:
-    reports = sorted(reports, key=lambda r: r.case)
-    out = sys.stdout
+def _finish(reports: list[Reports], fmt: str) -> None:
+    rows = sorted((row for r in reports for row in
+                   (r.csv_rows() if fmt == "csv" else r.json_lines())),
+                  key=lambda row: row[0])
     if fmt == "csv":
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(_CSV_COLUMNS)
-        for r in reports:
-            w.writerow(r.csv_row())
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            [_CSV_COLUMNS, *rows])
     else:
-        for r in reports:
-            out.write(r.json_line() + "\n")
-    out.flush()
-    if any(r.status == "error" for r in reports):
-        sys.exit(3)
-    if any(r.status == "fail" for r in reports):
-        sys.exit(1)
-    sys.exit(0)
+        sys.stdout.write("".join(line + "\n" for _, line in rows))
+    sys.stdout.flush()
+    statuses = {s for r in reports for s in r.status}
+    sys.exit(3 if "error" in statuses else 1 if "fail" in statuses else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +233,19 @@ def _load_input(name: str) -> dict:
 
 
 def _guarded(case: str, geometry: str, inputs: dict,
-             run: Callable[[], list[Report]]) -> list[Report]:
+             run: Callable[[], list[Reports]]) -> list[Reports]:
     """The error policy of every single-case runner: a numerical failure
     becomes one report with status "error", a domain error unusable input."""
     try:
         return run()
     except _NUMERICAL as exc:
-        return [_error_report(case, geometry, inputs, exc)]
+        return [Reports.error(case, geometry, inputs, exc)]
     except (ValueError, KeyError) as exc:
         raise InputError(str(exc)) from exc
 
 
 def run_graph_glue(doc: dict, label: str, t: float, method: str, k_max: int,
-                   tol: float, prefix: str = "") -> list[Report]:
+                   tol: float, prefix: str = "") -> list[Reports]:
     base = {"input": label, "t": t, "method": method, "tol": tol}
     if method == "series":
         base["kmax"] = k_max
@@ -201,31 +258,25 @@ def run_graph_glue(doc: dict, label: str, t: float, method: str, k_max: int,
         else:
             km = glue_I(d)
             values, bound = km.evaluate(t), 0.0
-        refs = {}
-        if isinstance(doc.get("references"), dict):
-            refs = doc["references"].get("entries") or {}
-        assembled = None
-        reports = []
-        for i, u in enumerate(km.rows):
-            for j, v in enumerate(km.cols):
-                value = float(values[i, j])
-                key = f"{u},{v}"
-                if key in refs:
-                    ref = evaluate(from_dict(refs[key]), t)
-                else:
-                    if assembled is None:
-                        assembled = heat_kernel(d.ordered_graph).evaluate(t)
-                    ref = float(assembled[i, j])
-                inputs = dict(base, x=str(u), y=str(v))
-                reports.append(_report(f"{prefix}glue[{u},{v}]", "graph",
-                                       inputs, value, ref, bound))
-        return reports
+        refs = doc.get("references")
+        refs = (refs.get("entries") or {}) if isinstance(refs, dict) else {}
+        given = {(i, j): refs[f"{u},{v}"] for i, u in enumerate(km.rows)
+                 for j, v in enumerate(km.cols) if f"{u},{v}" in refs} \
+            if refs else {}
+        reference = np.empty(values.shape)
+        if len(given) < reference.size:
+            reference = heat_kernel(d.ordered_graph).evaluate(t)
+        for (i, j), mix in given.items():
+            reference[i, j] = evaluate(from_dict(mix), t)
+        rows, cols = [str(u) for u in km.rows], [str(v) for v in km.cols]
+        return [Reports(f"{prefix}glue", "graph", base, values, reference,
+                        bound, (Axis("x", rows, rows), Axis("y", cols, cols)))]
 
     return _guarded(f"{prefix}glue", "graph", base, run)
 
 
 def run_graph_pathsum(doc: dict, label: str, u: str, v: str, t: float,
-                      eps: float, tol: float, prefix: str = "") -> list[Report]:
+                      eps: float, tol: float, prefix: str = "") -> list[Reports]:
     inputs = {"input": label, "u": u, "v": v, "t": t, "eps": eps, "tol": tol}
     case = f"{prefix}pathsum[{u},{v}]"
 
@@ -234,13 +285,13 @@ def run_graph_pathsum(doc: dict, label: str, u: str, v: str, t: float,
         value, cutoff, tail = pathsum_heat(g, u, v, t, eps)
         ref = float(heat_kernel(g).evaluate(t)[g.index[u], g.index[v]])
         extra = {"u": u, "v": v, "t": t, "cutoff": cutoff, "tail_bound": tail}
-        return [_report(case, "graph", inputs, value, ref, tail, extra)]
+        return [Reports(case, "graph", inputs, value, ref, tail, extra=extra)]
 
     return _guarded(case, "graph", inputs, run)
 
 
 def run_graph_cut(doc: dict, label: str, interface: tuple | None, m2: float,
-                  tol: float, prefix: str = "") -> list[Report]:
+                  tol: float, prefix: str = "") -> list[Reports]:
     if interface is None:
         interface = tuple(doc.get("boundary") or ())
         if not interface:
@@ -252,19 +303,18 @@ def run_graph_cut(doc: dict, label: str, interface: tuple | None, m2: float,
     def run():
         g = graph_from_dict(doc)
         direct, gap = schur_cut(g, interface, m2)
-        reports = [_report(f"{prefix}schur-gap", "graph", dict(base),
-                           gap, 0.0, 0.0)]
+        reports = [Reports(f"{prefix}schur-gap", "graph", base, gap, 0.0)]
         refs = doc.get("references") or {}
         boundary = set(doc.get("boundary") or ())
         if refs.get("green_sinh") and boundary and set(interface) == boundary:
-            reports.extend(_green_sinh_reports(g, interface, direct, m2,
+            reports.append(_green_sinh_reports(g, interface, direct, m2,
                                                base, prefix))
         return reports
 
     return _guarded(f"{prefix}schur-gap", "graph", base, run)
 
 
-def _green_sinh_reports(g, interface, direct, m2, base, prefix) -> list[Report]:
+def _green_sinh_reports(g, interface, direct, m2, base, prefix) -> Reports:
     """Per-entry comparison of the killed Green's matrix on an integer
     labeled path against its product-of-sinh closed form."""
     try:
@@ -280,22 +330,18 @@ def _green_sinh_reports(g, interface, direct, m2, base, prefix) -> list[Report]:
     denom = math.sinh(th) * math.sinh(th * n_top)
     killed = set(interface)
     comp = [v for v in g.vertices if v not in killed]
-    out = []
-    for a, uu in enumerate(comp):
-        for b, vv in enumerate(comp):
-            lo = min(positions[uu], positions[vv])
-            hi = max(positions[uu], positions[vv])
-            ref = math.sinh(th * lo) * math.sinh(th * (n_top - hi)) / denom
-            inputs = dict(base, x=str(uu), y=str(vv))
-            out.append(_report(f"{prefix}green[{uu},{vv}]", "graph", inputs,
-                               direct[a, b], ref, 0.0))
-    return out
+    pos = [positions[v] for v in comp]
+    reference = [math.sinh(th * min(p, q)) * math.sinh(th * (n_top - max(p, q)))
+                 / denom for p in pos for q in pos]
+    labels = [str(v) for v in comp]
+    return Reports(f"{prefix}green", "graph", base, direct, reference,
+                   axes=(Axis("x", labels, labels), Axis("y", labels, labels)))
 
 
 def run_interval_glue(L1: float, L2: float, x: float, y: float, t: float,
                       formula: str, n_max: int, tol: float,
                       reference: float | None = None,
-                      case: str = "interval-glue") -> list[Report]:
+                      case: str = "interval-glue") -> list[Reports]:
     inputs = {"L1": L1, "L2": L2, "formula": formula, "tol": tol,
               "x": x, "y": y, "t": t}
     if formula == "II":
@@ -311,14 +357,14 @@ def run_interval_glue(L1: float, L2: float, x: float, y: float, t: float,
         if ref is None:
             ref = (heat1d.k_interval(L1 + L2, L1 + x, L1 + y, t)[0]
                    - heat1d.k_interval(L2, x, y, t)[0])
-        return [_report(case, "interval", inputs, value, ref, bound)]
+        return [Reports(case, "interval", inputs, value, ref, bound)]
 
     return _guarded(case, "interval", inputs, run)
 
 
 def run_interval_interface(L1: float, L2: float, t: float, tol: float,
                            reference: float | None = None,
-                           case: str = "interval-interface") -> list[Report]:
+                           case: str = "interval-interface") -> list[Reports]:
     inputs = {"L1": L1, "L2": L2, "tol": tol, "t": t}
 
     def run():
@@ -327,14 +373,14 @@ def run_interval_interface(L1: float, L2: float, t: float, tol: float,
         if ref is None:
             ref, b_poi = heat1d.interface_two_intervals(L1, L2, t, "poisson")
             bound += b_poi
-        return [_report(case, "interval", inputs, value, ref, bound)]
+        return [Reports(case, "interval", inputs, value, ref, bound)]
 
     return _guarded(case, "interval", inputs, run)
 
 
 def run_ray_glue(x: float, y: float, t: float, tol: float,
                  reference: float | None = None,
-                 case: str = "ray-glue") -> list[Report]:
+                 case: str = "ray-glue") -> list[Reports]:
     inputs = {"tol": tol, "x": x, "y": y, "t": t}
 
     def run():
@@ -343,14 +389,14 @@ def run_ray_glue(x: float, y: float, t: float, tol: float,
         if ref is None:
             ref = math.exp(-(x + y) ** 2 / (4.0 * t)) \
                 / math.sqrt(4.0 * math.pi * t)
-        return [_report(case, "ray", inputs, value, ref, bound)]
+        return [Reports(case, "ray", inputs, value, ref, bound)]
 
     return _guarded(case, "ray", inputs, run)
 
 
 def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
                    t: float, k_max: int, tol: float,
-                   case: str = "circle-cut") -> list[Report]:
+                   case: str = "circle-cut") -> list[Reports]:
     inputs = {"L": L, "cuts": f"{cuts[0]},{cuts[1]}", "kmax": k_max,
               "tol": tol, "x": x, "y": y, "t": t}
 
@@ -358,13 +404,13 @@ def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
         value, bound, _ = heat1d.cut_circle_to_arc(L, cuts, x, y, t, k_max)
         ell, xl, yl = heat1d.arc_coordinates(L, cuts, x, y)
         reference = heat1d.k_interval(ell, xl, yl, t)[0]
-        return [_report(case, "circle", inputs, value, reference, bound)]
+        return [Reports(case, "circle", inputs, value, reference, bound)]
 
     return _guarded(case, "circle", inputs, run)
 
 
 def run_cylinder_check(L1: float, L2: float, circle_L: float, t: float,
-                       tol: float, case: str = "cylinder-check") -> list[Report]:
+                       tol: float, case: str = "cylinder-check") -> list[Reports]:
     inputs = {"L1": L1, "L2": L2, "circleL": circle_L, "tol": tol, "t": t}
     points = (
         (0.3 * L2, 0.7 * L2, 0.2 * circle_L, 0.6 * circle_L),
@@ -375,37 +421,33 @@ def run_cylinder_check(L1: float, L2: float, circle_L: float, t: float,
     def run():
         worst = heat1d.cylinder_factorization_check(L1, L2, circle_L,
                                                     points, t)
-        return [_report(case, "cylinder", inputs, worst, 0.0, 0.0)]
+        return [Reports(case, "cylinder", inputs, worst, 0.0)]
 
     return _guarded(case, "cylinder", inputs, run)
 
 
 def run_dn_cylinder(L: float, m2: float, k_max: int, circle_L: float,
-                    tol: float, prefix: str = "") -> list[Report]:
+                    tol: float, prefix: str = "") -> list[Reports]:
     base = {"L": L, "m2": m2, "circleL": circle_L, "tol": tol}
 
     def run():
-        omegas = [(2.0 * math.pi * k / circle_L) ** 2
-                  for k in range(k_max + 1)]
+        ks = range(k_max + 1)
+        omegas = [(2.0 * math.pi * k / circle_L) ** 2 for k in ks]
         rep = heat1d.dn_cylinder(L, omegas, m2)
-        out = []
-        for k, omega in enumerate(omegas):
-            mu = math.sqrt(omega + m2)
-            # the analytic gap plus the rounding of the reported sum mu + gap,
-            # so that |value - reference| stays certified
-            bound = (2.0 * mu / math.expm1(2.0 * L * mu)
-                     + 0.5 * math.ulp(rep.lambdas[k]))
-            inputs = dict(base, k=k)
-            out.append(_report(f"{prefix}dn[{k:03d}]", "cylinder", inputs,
-                               rep.lambdas[k], mu, bound))
-        return out
+        mus = [math.sqrt(omega + m2) for omega in omegas]
+        # the analytic gap plus the rounding of the reported sum mu + gap,
+        # so that |value - reference| stays certified
+        bounds = [2.0 * mu / math.expm1(2.0 * L * mu) + 0.5 * math.ulp(lam)
+                  for mu, lam in zip(mus, rep.lambdas)]
+        return [Reports(f"{prefix}dn", "cylinder", base, rep.lambdas, mus,
+                        bounds, (Axis("k", ks, [f"{k:03d}" for k in ks]),))]
 
     return _guarded(f"{prefix}dn", "cylinder", base, run)
 
 
 def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
                           seed: int, index: int, tol: float,
-                          prefix: str) -> list[Report]:
+                          prefix: str) -> list[Reports]:
     rng = np.random.default_rng([seed, index])
     out = []
     for i in range(count):
@@ -420,9 +462,9 @@ def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
                 float(np.abs(km.evaluate(s) - assembled.evaluate(s)).max())
                 for s in times
             )
-            out.append(_report(case, "graph", inputs, worst, 0.0, 0.0))
+            out.append(Reports(case, "graph", inputs, worst, 0.0))
         except _NUMERICAL as exc:
-            out.append(_error_report(case, "graph", inputs, exc))
+            out.append(Reports.error(case, "graph", inputs, exc))
     return out
 
 
@@ -445,7 +487,7 @@ _SUITE_OF_KIND = {
 
 
 def _verify_case(case: dict, index: int, seed: int,
-                 default_tol: float) -> list[Report]:
+                 default_tol: float) -> list[Reports]:
     if not isinstance(case, dict) or "kind" not in case:
         raise InputError(f"case {index}: expected an object with a kind")
     kind = case["kind"]
@@ -731,11 +773,9 @@ def verify_cmd(suite: str, input_: str | None, seed: int, tol: float,
             selected.append((i, case))
     reports = [r for i, case in selected
                for r in _verify_case(case, i, seed, tol)]
-    n_pass = sum(r.status == "pass" for r in reports)
-    n_fail = sum(r.status == "fail" for r in reports)
-    n_err = sum(r.status == "error" for r in reports)
-    print(f"{len(reports)} cases: {n_pass} pass, {n_fail} fail, "
-          f"{n_err} error", file=sys.stderr)
+    tally = Counter(s for r in reports for s in r.status)
+    print(f"{tally.total()} cases: {tally['pass']} pass, {tally['fail']} fail, "
+          f"{tally['error']} error", file=sys.stderr)
     _finish(reports, fmt)
 
 

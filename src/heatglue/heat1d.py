@@ -430,7 +430,14 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float, t: float,
     L1 = _check_length(L1, "L1")
     L2 = _check_length(L2, "L2")
     t = _check_time(t)
-    p = _params(p)
+    value = _reflection_sum(L1, L2, x, y, t, _params(p))
+    return value, abs(value - _glue_direct(L1, L2, x, y, t))
+
+
+def _reflection_sum(L1: float, L2: float, x: float, y: float, t: float,
+                    p: EvalParams) -> float:
+    """The signed Gaussian triple sum of :func:`glue_intervals_I`, for
+    checked lengths and time."""
     if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
         raise ValueError("x and y must lie in [0, L2]")
     S = L1 + L2
@@ -443,8 +450,7 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float, t: float,
     smid = np.concatenate([np.ones(ns.size), -np.ones(ns.size)])
     total = a0[:, None, None] + dmid[None, :, None] + a2[None, None, :]
     gauss = np.exp(-np.square(total) / (4.0 * t))
-    value = pref * float(np.einsum("i,j,k,ijk->", s0, smid, s2, gauss))
-    return value, abs(value - _glue_direct(L1, L2, x, y, t))
+    return pref * float(np.einsum("i,j,k,ijk->", s0, smid, s2, gauss))
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +866,7 @@ def cylinder_factorization_check(L1: float, L2: float, circle_L: float,
         kc, _ = k_circle(circle_L, g1, g2, t, "auto", _TIGHT)
         joint = _cylinder_joint(S, circle_L, L1 + xx, L1 + yy, g1, g2, t)
         worst = max(worst, abs(joint - ki * kc))
-        glue_val, _ = glue_intervals_I(L1, L2, xx, yy, t)
+        glue_val = _reflection_sum(L1, L2, xx, yy, t, _DEFAULT)
         part, _ = k_interval(L2, xx, yy, t, "auto", _TIGHT)
         worst = max(worst, abs((glue_val + part) * kc - ki * kc))
     return worst

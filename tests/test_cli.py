@@ -1,13 +1,21 @@
 """End-to-end checks of the command line front end through CliRunner."""
 
+import csv
+import io
+import itertools
 import json
 import math
+import pathlib
+import shlex
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatglue.cli
-from heatglue.cli import main
+from heatglue.cli import Axis, Reports, main
 from heatglue.expmix import ConfluentOverflowError
 from heatglue.graph_heat import SeriesKernel
 from heatglue.symlin import ConvergenceError
@@ -340,3 +348,173 @@ def test_cuts_option_rejects_malformed_values():
     res = invoke(["circle", "cut", "--L", "2", "--cuts", "0,a",
                   "--x", "0.3", "--y", "0.7", "--t", "0.4"])
     assert res.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# report encoding
+# ---------------------------------------------------------------------------
+
+FIXED_KEYS = ["case", "geometry", "inputs", "value", "reference", "residual",
+              "bound", "status"]
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    return [shlex.split(line)[1:] for line in README.read_text().splitlines()
+            if line.startswith("heatglue ")]
+
+
+def every_kind_set(tmp_path):
+    """A verify set with one case of every kind, an error report, a failing
+    case, and vertex labels and case ids that JSON must escape."""
+    labels = ['q"', "b\\", "c\x07", "dé\U0001d53e"]
+    edges = [[labels[0], labels[1]], [labels[1], labels[2]],
+             [labels[2], labels[3]]]
+    (tmp_path / "odd.json").write_text(json.dumps(
+        {"vertices": labels, "edges": edges, "interface": [labels[1]]}))
+    odd, pid = str(tmp_path / "odd.json"), 'p"\\\x02é'
+    cases = [
+        {"id": pid + "a", "kind": "graph-glue", "input": odd, "t": 0.7},
+        {"id": pid + "b", "kind": "graph-glue", "input": odd, "t": 0.7,
+         "method": "series", "kmax": 8},
+        {"id": "ps", "kind": "graph-pathsum", "input": odd, "u": labels[0],
+         "v": labels[3], "t": 0.5},
+        {"id": "ps-err", "kind": "graph-pathsum", "input": "line3", "u": "1",
+         "v": "3", "t": 50, "eps": 1e-300},
+        {"id": "cut", "kind": "graph-cut", "input": "line_dirichlet", "m2": 1.0},
+        {"id": "rand", "kind": "random-graph-glue", "count": 2, "nmax": 6},
+        {"id": "ig-fail", "kind": "interval-glue", "L1": 1, "L2": 1, "x": 0.5,
+         "y": 0.5, "t": 0.5, "tol": 1e-30},
+        {"id": "ig2", "kind": "interval-glue", "L1": 1, "L2": 2, "x": 0.5,
+         "y": 0.7, "t": 0.4, "formula": "II"},
+        {"id": "ii", "kind": "interval-interface", "L1": 1, "L2": 2, "t": 0.5},
+        {"id": "ray", "kind": "ray-glue", "x": 0.8, "y": 1.1, "t": 0.6},
+        {"id": "circ", "kind": "circle-cut", "L": 2, "cuts": [0, 1], "x": 0.3,
+         "y": 0.7, "t": 0.4},
+        {"id": "cyl", "kind": "cylinder-check", "L1": 1, "L2": 2, "t": 0.5},
+        {"id": "dn", "kind": "dn-cylinder", "L": 2, "m2": 1, "kmax": 3},
+    ]
+    assert {c["kind"] for c in cases} == set(heatglue.cli._SUITE_OF_KIND)
+    path = tmp_path / "every_kind.json"
+    path.write_text(json.dumps({"cases": cases}))
+    return ["verify", "--input", str(path), "--seed", "5"]
+
+
+def test_every_report_line_is_canonical_json(tmp_path):
+    commands = readme_commands()
+    assert len(commands) >= 10
+    commands.append(every_kind_set(tmp_path))
+    statuses = set()
+    for args in commands:
+        res = invoke(args)
+        lines = res.stdout.splitlines()
+        for line in lines:
+            obj = json.loads(line)
+            assert json.dumps(obj) == line
+            assert list(obj)[:8] == FIXED_KEYS
+            statuses.add(obj["status"])
+        csv_out = invoke(args + ["--format", "csv"])
+        assert csv_out.exit_code == res.exit_code
+        rows = list(csv.reader(io.StringIO(csv_out.stdout)))
+        assert rows[0] == list(heatglue.cli._CSV_COLUMNS)
+        assert [r[0] for r in rows[1:]] == [json.loads(x)["case"] for x in lines]
+        rewritten = io.StringIO()
+        csv.writer(rewritten, lineterminator="\n").writerows(rows)
+        assert rewritten.getvalue() == csv_out.stdout
+    assert statuses == {"pass", "fail", "error"}
+    assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["graph", "glue", "--input", "line3", "--t", "1"],
+    ["graph", "cut", "--input", "line_dirichlet", "--m2", "1"],
+    ["dn", "cylinder", "--L", "2", "--m2", "1", "--kmax", "5"],
+])
+def test_csv_and_json_render_the_same_columns(args):
+    lines = json_lines(invoke(args).stdout)
+    header, *rows = csv.reader(io.StringIO(
+        invoke(args + ["--format", "csv"]).stdout))
+    assert len(rows) == len(lines) > 1
+    for row, r in zip(rows, lines):
+        cells = dict(zip(header, row))
+        assert cells["case"] == r["case"]
+        for key in ("value", "bound", "reference", "residual"):
+            assert cells[key] == repr(r[key])
+        assert cells["status"] == r["status"]
+
+
+def old_json_lines(rep):
+    """The lines of ``rep`` built one entry at a time, as one report object
+    per entry passed to json.dumps."""
+    points = itertools.product(*(a.values for a in rep.axes))
+    names = itertools.product(*(a.labels for a in rep.axes))
+    bounds = (itertools.repeat(float(rep.bound)) if np.ndim(rep.bound) == 0
+              else rep.bound.tolist())
+    out = []
+    for i, (point, name, bound) in enumerate(zip(points, names, bounds)):
+        case = rep.case + (f"[{','.join(name)}]" if rep.axes else "")
+        inputs = dict(rep.inputs, **dict(zip([a.key for a in rep.axes], point)))
+        if rep.value is None:
+            value = reference = residual = None
+            status = "error"
+        else:
+            value, reference = rep.value.tolist()[i], rep.reference.tolist()[i]
+            residual = abs(value - reference)
+            tol = float(inputs.get("tol", 0.0))
+            status = "pass" if residual <= max(tol, bound) else "fail"
+        obj = {"case": case, "geometry": rep.geometry, "inputs": inputs,
+               "value": value, "reference": reference, "residual": residual,
+               "bound": bound, "status": status}
+        obj.update(rep.extra)
+        out.append((case, json.dumps(obj)))
+    return out
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) \
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+json_scalar = st.none() | st.booleans() | st.integers() | any_float | st.text()
+json_value = json_scalar | st.lists(json_scalar, max_size=3)
+
+
+@st.composite
+def column_reports(draw):
+    keys = st.text(max_size=4).filter(lambda k: k != "tol")
+    inputs = draw(st.dictionaries(keys, json_value, max_size=4))
+    if draw(st.booleans()):
+        inputs["tol"] = draw(any_float)
+    axis_keys = draw(st.lists(keys.filter(lambda k: k not in inputs),
+                              max_size=2, unique=True))
+    axes = []
+    for key in axis_keys:
+        n = draw(st.integers(0, 3))
+        axes.append(Axis(key, draw(st.lists(json_scalar, min_size=n, max_size=n)),
+                         draw(st.lists(st.text(max_size=3), min_size=n,
+                                       max_size=n))))
+    size = math.prod(len(a.values) for a in axes)
+    extra = draw(st.dictionaries(st.text(max_size=6).filter(
+        lambda k: k not in FIXED_KEYS), json_value, max_size=3))
+    case, geometry = draw(st.text()), draw(st.text(max_size=6))
+    if draw(st.booleans()):
+        return Reports.error(case, geometry, inputs, FloatingPointError(
+            draw(st.text())))
+    floats = st.lists(any_float, min_size=size, max_size=size)
+    value = draw(floats)
+    reference = value if draw(st.booleans()) else draw(floats)
+    bound = draw(any_float | floats.map(np.array))
+    return Reports(case, geometry, inputs, np.array(value),
+                   np.array(reference), bound, tuple(axes), extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_reports())
+def test_column_encoder_writes_what_json_dumps_writes(rep):
+    assert rep.json_lines() == old_json_lines(rep)
+
+
+@pytest.mark.parametrize("key", FIXED_KEYS)
+def test_an_extra_key_never_shadows_a_fixed_key(key):
+    with pytest.raises(ValueError, match="shadowed"):
+        Reports("c", "graph", {"tol": 0.0}, 1.0, 1.0, extra={key: 0})
+    with pytest.raises(ValueError, match="shadowed"):
+        Reports("c", "graph", {"x": 0}, [1.0], [1.0],
+                axes=(Axis("x", [1], ["1"]),))

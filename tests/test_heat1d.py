@@ -359,6 +359,13 @@ def test_glue_intervals_domain_validation():
         h.glue_intervals_I(1.0, 1.0, 1.2, 0.5, 0.3)
 
 
+def test_reflection_sum_is_the_route_I_value():
+    for L1, L2, x, y, t in [(1.0, 1.3, 0.3, 0.9, 0.5), (0.6, 2.0, 0.0, 1.7, 2.0),
+                            (2.0, 0.4, 0.4, 0.1, 0.01)]:
+        value = h._reflection_sum(L1, L2, x, y, t, h._DEFAULT)
+        assert value == h.glue_intervals_I(L1, L2, x, y, t)[0]
+
+
 # ---------------------------------------------------------------------------
 # gluing two intervals, echo-series route
 # ---------------------------------------------------------------------------
@@ -779,6 +786,22 @@ def test_cylinder_factorization_on_grid():
            for g1, g2 in ((0.2, 1.7), (0.0, 0.8))]
     res = h.cylinder_factorization_check(1.0, 1.3, 2.0, pts, 0.5)
     assert res < 1e-9
+
+
+def test_cylinder_check_evaluates_each_interval_kernel_once(monkeypatch):
+    # the whole and the side kernel per point, and no residual against the
+    # direct two-kernel difference besides
+    calls = []
+    k_interval = h.k_interval
+
+    def counted(*args):
+        calls.append(args[0])
+        return k_interval(*args)
+
+    monkeypatch.setattr(h, "k_interval", counted)
+    pts = [(0.3, 0.9, 0.2, 1.7), (1.1, 0.5, 0.0, 0.8)]
+    assert h.cylinder_factorization_check(1.0, 1.3, 2.0, pts, 0.5) < 1e-9
+    assert calls == [2.3, 1.3, 2.3, 1.3]
 
 
 def test_cylinder_factorization_is_slice_independent():
