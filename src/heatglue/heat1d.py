@@ -19,8 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from heatglue.quadsim import TimeFactor, conv_n, inverse_pow_gaussian
-
 __all__ = [
     "EvalParams",
     "TruncationError",
@@ -409,10 +407,23 @@ def _reflection_legs(z: float, L: float, K: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
-    S = L1 + L2
-    whole, _ = k_interval(S, L1 + x, L1 + y, t, "auto", _TIGHT)
-    part, _ = k_interval(L2, x, y, t, "auto", _TIGHT)
-    return whole - part
+    """K_S(L1 + x, L1 + y) - K_L2(x, y), S = L1 + L2, over the images of
+    both kernels: the check on both gluing routes.
+
+    With a = x - y and b = x + y - 2 L2, the joint kernel's images lie at
+    a + 2kS (+) and b + 2kS (-), those of the second piece at a + 2kL2 (-)
+    and b + 2kL2 (+).  The k = 0 images of the two kernels are the same and
+    cancel exactly, so they are left out, and the difference is never
+    taken between two kernel values that agree to many digits.  The images
+    past _reach(t), each below e^-50 (4 pi t)^(-1/2), are left out too.
+    """
+    n = int(math.ceil(_reach(t) / (2.0 * L2))) + 2
+    k = np.concatenate([np.arange(-n, 0.0), np.arange(1.0, n + 1.0)])
+    shift = np.concatenate([2.0 * (L1 + L2) * k, 2.0 * L2 * k])
+    pulses = (np.exp(-np.square(x - y + shift) / (4.0 * t))
+              - np.exp(-np.square(x + y - 2.0 * L2 + shift) / (4.0 * t)))
+    return float(np.repeat([1.0, -1.0], k.size) @ pulses) \
+        / math.sqrt(4.0 * math.pi * t)
 
 
 def glue_intervals_I(L1: float, L2: float, x: float, y: float, t: float,
@@ -454,11 +465,16 @@ def _reflection_sum(L1: float, L2: float, x: float, y: float, t: float,
 
 
 # ---------------------------------------------------------------------------
-# gluing two intervals, route II: alternating flux series through quadrature
+# gluing two intervals, route II: alternating flux series of image sums
 # ---------------------------------------------------------------------------
 
 
 _ROOT_4PI = math.sqrt(4.0 * math.pi)
+_U = 2.0**-53  # unit roundoff
+# the most images one composition may form before merging: far above what
+# the gated and benchmarked cases form (under a thousand), and small enough
+# that the arrays of one composition stay within a few hundred MB
+_MAX_IMAGES = 1 << 22
 
 
 def _reach(t_max: float) -> float:
@@ -475,10 +491,12 @@ class _ImageSum:
     kind "h" first-passage densities h_d(tau) = d (4 pi)^(-1/2)
     tau^(-3/2) exp(-d^2/4tau), h_0 being the delta at 0.  Distances add
     under convolution, h_a * h_b = h_(a+b) and h_a * g_b = g_(a+b) (the
-    stable-1/2 semigroup, Feller vol. II): :meth:`compose`.  Exactly equal
-    distances are merged, their weights added in the order given, and
-    distances past reach and zero weights are dropped; a finite reach
-    stands for the images negligible up to its time (:func:`_reach`).
+    stable-1/2 semigroup, Feller vol. II): :meth:`compose`, so every 1d
+    gluing integral here is one such sum, exact up to rounding.  Distances
+    past reach are dropped first, then exactly equal distances are merged,
+    their weights added in the order given, and zero weights dropped; a
+    finite reach stands for the images negligible up to its time
+    (:func:`_reach`).
     """
 
     kind: str
@@ -489,12 +507,22 @@ class _ImageSum:
     def __post_init__(self) -> None:
         if self.kind not in ("g", "h"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        d, pos = np.unique(np.asarray(self.d, dtype=float).ravel(),
-                           return_inverse=True)
-        w = np.bincount(pos.ravel(), minlength=d.size,
-                        weights=np.asarray(self.w, dtype=float).ravel())
-        keep = (d <= self.reach) & (w != 0.0)
-        object.__setattr__(self, "d", d[keep])
+        d = np.asarray(self.d, dtype=float).ravel()
+        w = np.asarray(self.w, dtype=float).ravel()
+        near = d <= self.reach
+        d, w = d[near], w[near]
+        order = np.argsort(d, kind="stable")
+        d = d[order]
+        first = np.empty(d.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(d[1:], d[:-1], out=first[1:])
+        # each run of equal distances summed in input order, as a scatter
+        # add does it (np.add.reduceat sums long runs pairwise); float even
+        # when empty
+        w = np.bincount(np.cumsum(first) - 1,
+                        weights=w[order]).astype(float, copy=False)
+        keep = w != 0.0
+        object.__setattr__(self, "d", d[first][keep])
         object.__setattr__(self, "w", w[keep])
 
     def __add__(self, other: _ImageSum) -> _ImageSum:
@@ -506,9 +534,15 @@ class _ImageSum:
 
     def compose(self, other: _ImageSum) -> _ImageSum:
         """The convolution of two sums, one of them of kind h at least:
-        distances add and weights multiply."""
+        distances add and weights multiply.  TruncationError when the
+        images before merging would number more than _MAX_IMAGES."""
         if "h" not in (self.kind, other.kind):
             raise ValueError("Gaussians do not compose into an image sum")
+        images = self.d.size * other.d.size
+        if images > _MAX_IMAGES:
+            raise TruncationError(
+                f"composing {self.d.size} by {other.d.size} images would "
+                f"form {images}, past the budget of {_MAX_IMAGES}", math.inf)
         return _ImageSum("h" if self.kind == other.kind else "g",
                          np.add.outer(self.d, other.d),
                          np.outer(self.w, other.w),
@@ -529,6 +563,27 @@ class _ImageSum:
                     / (_ROOT_4PI * tp * np.sqrt(tp))
         return out
 
+    def at(self, t: float, steps: np.ndarray | float) -> tuple[float, float]:
+        """A sum of Gaussians at one time t, added by math.fsum, and a
+        bound on its rounding error.
+
+        The weights must be integers below 2^53, so that merging added
+        them exactly, the paths merged into one image must share its true
+        distance, and steps bounds the relative error of each distance in
+        units of U.  A Gaussian's exponent E = d^2/4t is then off by at
+        most 2 (steps + 1) U E; exp, the prefactor and the weight add at
+        most 8 U, and fsum rounds the total once.  So the error is at most
+        U (sum_i (2 (steps_i + 1) E_i + 8) |w_i g_i| + |value|), which
+        weights every kept image by its own term.
+        """
+        if self.kind != "g":
+            raise ValueError("only a sum of Gaussians is evaluated at one time")
+        e = np.square(self.d) / (4.0 * t)
+        terms = self.w * np.exp(-e) / math.sqrt(4.0 * math.pi * t)
+        value = math.fsum(terms.tolist())
+        kappa = 2.0 * (steps + 1.0) * e + 8.0
+        return value, _U * (float(kappa @ np.abs(terms)) + abs(value))
+
     def sup(self, t: float) -> float:
         """Bound on |sum| over (0, t] for a sum of Gaussians with no image
         at distance 0, image by image: g_d rises until d^2/2, so
@@ -537,18 +592,8 @@ class _ImageSum:
         return float(np.sum(np.abs(self.w) * np.exp(-self.d**2 / (4.0 * peak))
                             / np.sqrt(4.0 * math.pi * peak)))
 
-    @property
-    def factor(self) -> TimeFactor:
-        """The sum as a quadrature factor, with its small-time envelope
-        tau^(-alpha) exp(-c/tau): c = d_min^2/4, and alpha 1/2 for
-        Gaussians, 3/2 for first-passage densities."""
-        c = (self.d[0] if self.d.size else self.reach) ** 2 / 4.0
-        return inverse_pow_gaussian(self, c=c,
-                                    alpha=0.5 if self.kind == "g" else 1.5)
-
 
 _G0 = _ImageSum("g", [0.0], [1.0])  # the flat junction pulse
-_FLAT = _G0.factor
 
 
 def _echo_pulse(t_max: float, *lengths: float) -> _ImageSum:
@@ -575,6 +620,33 @@ def _geometric_tail(sup: float, t: float, r: np.ndarray, log_lam: np.ndarray,
                 - np.log(-np.expm1(np.where(conv, log_lam, -1.0))))
     return sup * math.exp(float(log_past[conv].min())) if conv.any() \
         else math.inf
+
+
+def _dropped_images(t: float, r: np.ndarray, log_lam: np.ndarray,
+                    orders: int, *log_factors: np.ndarray) -> float:
+    """Bound on the images past R = _reach(t) that a Gaussian sum of the
+    orders 0 .. orders leaves out, when the paths of order k, each an
+    image of weight +-1 at its distance D, transform at s = r^2 to at most
+    prod(factors) lam^k.  For D > R and r <= R/2t, exp(-D^2/4t) <=
+    exp(r (R - D) - R^2/4t), so the images past R add at most
+    (4 pi t)^(-1/2) e^(rR - R^2/4t) prod(factors) sum_k lam^k, at its
+    least value over the fixed grid of r."""
+    reach = _reach(t)
+    near = r <= reach / (2.0 * t)
+    log_kept = np.logaddexp.reduce(
+        np.multiply.outer(np.arange(orders + 1.0), log_lam[near]), axis=0)
+    log_drop = r[near] * reach - reach**2 / (4.0 * t)
+    for log_factor in log_factors:
+        log_drop = log_drop + log_factor[near]
+    log_drop = log_drop + log_kept
+    return math.exp(float(log_drop.min())) / math.sqrt(4.0 * math.pi * t)
+
+
+def _log_round_trips(L1: float, L2: float, r: np.ndarray) -> np.ndarray:
+    """log lam, lam = sum_L e^(-2Lr) / (1 - e^(-2Lr)): the round trips
+    phi = sum_k h_2kL1 + h_2kL2 transformed at s = r^2."""
+    return np.logaddexp(*(-2.0 * L * r - np.log(-np.expm1(-2.0 * L * r))
+                          for L in (L1, L2)))
 
 
 def _flux_pair_eval(L: float, x: float, y: float, t_max: float) -> _ImageSum:
@@ -606,13 +678,21 @@ def _echo_tail(L1: float, L2: float, pair: _ImageSum | None, t: float,
     over the fixed grid of r.
     """
     r = _R_SQRT_T / math.sqrt(t)
-    log_lam = np.logaddexp(*(-2.0 * L * r - np.log(-np.expm1(-2.0 * L * r))
-                             for L in (L1, L2)))
-    if pair is None:
-        sup = _echo_pulse(t, L1, L2).compose(_G0).sup(t)
-        return _geometric_tail(sup, t, r, log_lam, n_max)
-    sup = _ImageSum("h", pair.d, np.abs(pair.w)).compose(_G0).sup(t)
-    return _geometric_tail(sup, t, r, log_lam, n_max + 1)
+    log_lam = _log_round_trips(L1, L2, r)
+    # composed with g_0, the pulses h_d become the Gaussians g_d
+    pulses = _echo_pulse(t, L1, L2) if pair is None else pair
+    sup = _ImageSum("g", pulses.d, np.abs(pulses.w)).sup(t)
+    return _geometric_tail(sup, t, r, log_lam, n_max + (pair is not None))
+
+
+def _below_prior(bound: float, prior: float, label: str) -> float:
+    """bound, unless it is positive and not below the a-priori bound prior
+    of the quantity: a certificate that allows every possible value
+    raises TruncationError instead."""
+    if not (bound < prior or bound == 0.0):
+        raise TruncationError(f"{label}: bound {bound:g} is not below the "
+                              f"a-priori bound {prior:g}", bound)
+    return bound
 
 
 def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
@@ -624,14 +704,20 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     trips phi = sum_k h_2kL1 + h_2kL2 (:func:`_echo_pulse`) with the flat
     junction pulse g_0 into one exact Gaussian sum, and the kept orders
     add, signed, into one Gaussian sum sum_n (-1)^n E_n.  The two flux
-    pulses enter as one factor, their convolution summed exactly over
-    images (:func:`_flux_pair_eval`), so the whole series is a single
-    level of the adaptive simplex quadrature; at x = y = 0 the pair is the
-    delta at the junction and the series is that sum at t.  Images past
-    _reach(t) are dropped, and with them every order whose images all lie
-    past it.  Returns (value, bound, residual against the direct
-    two-kernel difference); the bound is the truncation tail
-    (:func:`_echo_tail`) plus the quadrature's error estimate.
+    pulses compose into one signed sum (:func:`_flux_pair_eval`), and that
+    composed with the echo sum is the series at t, one Gaussian sum with
+    no quadrature; at x = y = 0 the pair is the delta at the junction and
+    the series is the echo sum itself.  Images past _reach(t) are dropped,
+    and with them every order whose images all lie past it.
+
+    Returns (value, bound, residual against the direct two-kernel
+    difference, :func:`_glue_direct`).  The bound adds the orders past
+    n_max (:func:`_echo_tail`), the images past the reach that the kept
+    orders drop (:func:`_dropped_images`) and the rounding part of
+    :meth:`_ImageSum.at`.  Domain monotonicity gives
+    0 <= K_S - K_L2 <= g_|x-y|(t), so a bound at or above that proves
+    nothing: TruncationError, checked on the two truncation parts before
+    the echo chains are built and again on the whole bound.
     """
     L1 = _check_length(L1, "L1")
     L2 = _check_length(L2, "L2")
@@ -641,21 +727,35 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     n_max = int(n_max)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    phi = _echo_pulse(t, L1, L2)
+    label = f"echo series at order {n_max}"
+    prior = k_line(x, y, t)
     # at x = y = 0 both pulses are the delta at the junction
     pair = None if x == y == 0.0 else _flux_pair_eval(L2, x, y, t)
-    chain = total = _G0
-    for n in range(1, n_max + 1):
-        chain = phi.compose(chain)
+    # a path past the reach crosses one flux image on each side, each side
+    # transforming to sum_k e^(-r |z + 2kL2|), and n round trips
+    r = _R_SQRT_T / math.sqrt(t)
+    legs = () if pair is None else tuple(
+        _log_ring_transform(2.0 * L2, z, r) for z in (x, y))
+    tail = _below_prior(
+        _echo_tail(L1, L2, pair, t, n_max)
+        + _dropped_images(t, r, _log_round_trips(L1, L2, r), n_max, *legs),
+        prior, label)
+    phi = _echo_pulse(t, L1, L2)
+    chains = [_G0]
+    for _ in range(n_max):
+        chain = phi.compose(chains[-1])
         if not chain.d.size:  # every later order lies past the reach too
             break
-        total = total + _ImageSum("g", chain.d, (-1.0) ** n * chain.w,
-                                  chain.reach)
-    if pair is None:
-        value, quadrature = float(total(np.array([t]))[0]), 0.0
-    else:
-        value, quadrature = conv_n([total.factor, pair.factor], t, 3e-9)
-    bound = _echo_tail(L1, L2, pair, t, n_max) + quadrature
+        chains.append(chain)
+    total = _ImageSum("g", np.concatenate([c.d for c in chains]),
+                      np.concatenate([(-1.0) ** n * c.w
+                                      for n, c in enumerate(chains)]),
+                      phi.reach)
+    series = total if pair is None else pair.compose(total)
+    # a distance adds two flux legs, each off by at most 3 U, and at most
+    # d / 2 min(L1, L2) round trips, each off by U, in as many roundings
+    value, rounding = series.at(t, series.d / (2.0 * min(L1, L2)) + 4.0)
+    bound = _below_prior(tail + rounding, prior, label)
     return value, bound, abs(value - _glue_direct(L1, L2, x, y, t))
 
 
@@ -665,20 +765,21 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
 
 
 def glue_rays(x: float, y: float, t: float) -> tuple[float, float, float]:
-    """Two half lines joined at the origin, rebuilt by one quadrature level.
+    """Two half lines joined at the origin, rebuilt by composition.
 
-    The flux pulses at distances x and y compose exactly into h_(x+y)
-    (:meth:`_ImageSum.compose`), which one level of the adaptive simplex
-    quadrature convolves with the flat junction pulse; the result is
-    compared with the closed form (4 pi t)^(-1/2) exp(-(x+y)^2/4t).
-    Returns (value, bound, residual); the bound is the quadrature's error
-    estimate.
+    The flux pulses at distances x and y and the flat junction pulse
+    compose exactly, h_x * h_y * g_0 = g_(x+y) (:meth:`_ImageSum.compose`),
+    and the result is compared with the closed form
+    (4 pi t)^(-1/2) exp(-(x+y)^2/4t).  Returns (value, bound, residual);
+    the bound is the rounding part of :meth:`_ImageSum.at`, the one
+    distance x + y being off by at most U.
     """
     t = _check_time(t)
     if not (x > 0.0 and y > 0.0):
         raise ValueError("x and y must be positive")
-    pair = _ImageSum("h", [x], [1.0]).compose(_ImageSum("h", [y], [1.0]))
-    value, bound = conv_n([_FLAT, pair.factor], t, 1e-10)
+    line = _ImageSum("h", [x], [1.0]).compose(
+        _ImageSum("h", [y], [1.0])).compose(_G0)
+    value, bound = line.at(t, 1.0)
     closed = math.exp(-((x + y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
     return value, bound, abs(value - closed)
 
@@ -706,9 +807,6 @@ def _log_ring_transform(L: float, delta: float, r: np.ndarray) -> np.ndarray:
     d = delta % L
     return (-r * min(d, L - d) + np.log1p(np.exp(-r * abs(L - 2.0 * d)))
             - np.log(-np.expm1(-r * L)))
-
-
-_U = 2.0**-53  # unit roundoff
 
 
 def _cut_tail(L: float, cuts: Sequence[float], x: float, y: float,
@@ -740,12 +838,7 @@ def _cut_tail(L: float, cuts: Sequence[float], x: float, y: float,
     sup += 2.0 * math.exp(-reach**2 / (4.0 * t)) \
         / (-math.expm1(-reach * L / (2.0 * t)) * math.sqrt(4.0 * math.pi * t))
     past = _geometric_tail(sup, t, r, log_lam, k_max + 1, log_a)
-    near = r <= reach / (2.0 * t)
-    log_kept = np.logaddexp.reduce(
-        np.multiply.outer(np.arange(k_max + 1.0), log_lam[near]), axis=0)
-    log_drop = (r[near] * reach - reach**2 / (4.0 * t) + log_a[near]
-                + log_b[near] + log_kept)
-    return past + math.exp(float(log_drop.min())) / math.sqrt(4.0 * math.pi * t)
+    return past + _dropped_images(t, r, log_lam, k_max, log_a, log_b)
 
 
 def arc_coordinates(L_total: float, cuts: Sequence[float], x: float,

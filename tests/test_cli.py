@@ -183,6 +183,19 @@ def test_interval_glue_formula_II_residual_below_tail_bound():
     assert r["status"] == "pass"
 
 
+@pytest.mark.parametrize("args", ["--L1 0.1 --L2 0.1 --x 0.03 --y 0.04 --t 10",
+                                  "--L1 1 --L2 1 --x 0.5 --y 0.5 --t 100"])
+def test_interval_glue_formula_II_exits_three_on_a_vacuous_bound(args):
+    # the echo tail at order 6 is not below g_|x-y|(t), which bounds the
+    # correction a priori: an error, not a pass
+    res = invoke(["interval", "glue", *args.split(), "--formula", "II",
+                  "--nmax", "6"])
+    assert res.exit_code == 3
+    (r,) = json_lines(res.stdout)
+    assert r["status"] == "error"
+    assert r["message"].startswith("TruncationError: echo series at order 6")
+
+
 def test_ray_glue_closed_form():
     res = invoke(["ray", "glue", "--x", "0.8", "--y", "1.1", "--t", "0.6"])
     assert res.exit_code == 0

@@ -1,7 +1,13 @@
 """Tests for the 1D heat kernels and the gluing and cutting checks."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +18,18 @@ from heatglue.quadsim import conv_n, inverse_pow_gaussian
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 TIGHT = h.EvalParams(eps_abs=1e-14, max_terms=10**6)
+
+
+def factor(images):
+    """An image sum as an independent quadrature factor, with its
+    small-time envelope tau^(-alpha) exp(-c/tau): c = d_min^2/4, and alpha
+    1/2 for Gaussians, 3/2 for first-passage densities."""
+    c = (images.d[0] if images.d.size else images.reach) ** 2 / 4.0
+    return inverse_pow_gaussian(images, c=c,
+                                alpha=0.5 if images.kind == "g" else 1.5)
+
+
+FLAT = factor(h._G0)  # the flat junction pulse
 
 
 def gauss_integral(f, a, b, n=200):
@@ -335,6 +353,27 @@ def test_glue_intervals_reference_point():
     assert abs(v - direct) < 1e-12
 
 
+@pytest.mark.parametrize("L1,L2,x,y,t", [
+    (1.0, 2.0, 5 / 3, 5 / 3, 0.2), (1.0, 2.0, 4 / 3, 5 / 3, 0.2),
+    (1.0, 1.0, 0.4, 0.6, 0.7), (0.6, 1.3, 0.2, 1.1, 0.05),
+    (1.0, 1.0, 0.5, 0.5, 2.0), (2.0, 0.4, 0.0, 0.3, 0.01)])
+def test_direct_difference_matches_forty_digits(L1, L2, x, y, t):
+    # K_S - K_L2 in 40 digits at the joint points L1 + x, L1 + y taken
+    # exactly; two kernel values differenced in floating point miss it by
+    # 3.3e-16 at the first case, 5.7e-10 of its correction 5.8e-7
+    mp.mp.dps = 40
+    L1, L2, x, y, t = (mp.mpf(v) for v in (L1, L2, x, y, t))
+
+    def kernel(L, p, q):
+        return mp.fsum(mp.exp(-(p - q + 2 * k * L) ** 2 / (4 * t))
+                       - mp.exp(-(p + q + 2 * k * L) ** 2 / (4 * t))
+                       for k in range(-60, 61)) / mp.sqrt(4 * mp.pi * t)
+
+    want = kernel(L1 + L2, L1 + x, L1 + y) - kernel(L2, x, y)
+    got = h._glue_direct(*(float(v) for v in (L1, L2, x, y, t)))
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_glue_intervals_junction_point_equals_interface():
     for L1, L2, t in [(1.0, 2.0, 0.4), (0.6, 0.9, 1.1)]:
         v, _ = h.glue_intervals_I(L1, L2, 0.0, 0.0, t)
@@ -384,7 +423,7 @@ def echo_rate(L, t):
 def test_echo_density_two_routes_agree():
     rate = inverse_pow_gaussian(lambda tau: echo_rate(1.0, tau), c=1.0,
                                 alpha=2.5)
-    got, _ = conv_n([h._FLAT, rate], 1.0, 1e-11)
+    got, _ = conv_n([FLAT, rate], 1.0, 1e-11)
     direct = float(h._echo_pulse(1.0, 1.0)(np.array([1.0]))[0])
     term_sum = 2.0 * sum(
         k * math.exp(-k * k) for k in range(1, 12)) / SQRT_4PI
@@ -401,9 +440,9 @@ def test_echo_series_reference_point():
 @pytest.mark.parametrize("L1,L2,x,y,t", [(1.0, 2.0, 1 / 3, 1 / 3, 0.7),
                                          (1.0, 1.0, 1 / 6, 1 / 6, 0.2)])
 def test_echo_series_bound_covers_its_residual(L1, L2, x, y, t):
-    # at n_max 8 the truncation tail alone is below the residual here
-    # (2.0e-51 against 1.7e-16, and 5.0e-174 against 1.1e-16); the
-    # quadrature estimate makes up the difference
+    # at n_max 8 the truncation tail is negligible here (2.0e-51 and
+    # 5.0e-174); the rounding part, 4.8e-16 and 7.3e-16, covers the
+    # residuals 5.6e-17 and 0
     _, bound, res = h.glue_intervals_II(L1, L2, x, y, t, 8)
     assert res <= bound
 
@@ -431,7 +470,7 @@ def flux_factor(L, z):
                                    (1.0, 1.0, 0.3), (1.0, 0.5, 0.5),
                                    (0.7, 0.1, 0.7)])
 def test_flux_pair_is_the_convolution_of_its_two_pulses(L, x, y):
-    pair = h._flux_pair_eval(L, x, y, 2.0).factor
+    pair = factor(h._flux_pair_eval(L, x, y, 2.0))
     taus = np.array([0.05, 0.2, 0.7, 2.0])
     got = pair.evaluator(taus)
     want, _ = conv_n([flux_factor(L, x), flux_factor(L, y)], taus, 1e-13)
@@ -497,8 +536,22 @@ def test_echo_tail_covers_the_dropped_orders_summed_exactly(L1, L2):
                 assert math.fsum(terms[n_max + 1:]) <= tail, (x, y, t, n_max)
 
 
+@pytest.mark.parametrize("L1,L2,x,y,t,n_max", [
+    (1.0, 1.0, 0.5, 0.5, 1e-3, 6), (1.0, 1.0, 0.3, 0.9, 1e-3, 6),
+    (2.1, 2.606, 0.1913, 1.3513, 0.0118, 10),
+    (0.376, 1.022, 0.5631, 0.9888, 0.0116, 5),
+    (2.628, 1.301, 0.9232, 1.1088, 0.0256, 9)])
+def test_echo_series_bound_covers_the_images_past_the_reach(L1, L2, x, y, t,
+                                                            n_max):
+    # at small t every image, or the last ones that matter, lies past
+    # _reach(t): the value is 0 or misses the correction (2.4e-108 to
+    # 3.3e-22 here) by about what the dropped images add
+    _, bound, res = h.glue_intervals_II(L1, L2, x, y, t, n_max)
+    assert res <= bound
+
+
 def test_echo_series_bound_is_informative_at_large_time():
-    # twice the squared lengths: the bound is 2.8e-9, the residual 2.1e-11
+    # twice the squared lengths: the bound is 2.5e-9, the residual 1.5e-11
     _, bound, res = h.glue_intervals_II(1.0, 1.0, 0.5, 0.5, 2.0, 6)
     assert res <= bound < 1e-8
 
@@ -515,9 +568,10 @@ def signed_echo_sum(L1, L2, t, n_max):
 
 
 def test_echo_terms_match_the_exact_composition_on_the_gate_08_cases():
-    # the kept terms of gate 08 at n_max 6 are one conv_n level of their
-    # signed sum against the flux pair; the exact composition misses it by
-    # at most its estimate
+    # the route's value on the gate-08 cases at n_max 6 is the exact
+    # composition of the flux pair with the signed echo sum; one
+    # independent quadrature level of the same convolution agrees with it
+    # to within its estimate
     for L1, L2 in ((1.0, 1.0), (1.0, 2.0)):
         zs = [L2 * i / 6.0 for i in range(1, 6)]
         for t in (0.2, 0.7, 2.0):
@@ -525,44 +579,122 @@ def test_echo_terms_match_the_exact_composition_on_the_gate_08_cases():
             for x in zs:
                 for y in zs:
                     pair = h._flux_pair_eval(L2, x, y, t)
-                    value, est = conv_n([total.factor, pair.factor], t, 3e-9)
-                    exact = float(pair.compose(total)(np.array([t]))[0])
+                    exact, _ = pair.compose(total).at(t, 0.0)
+                    value, est = conv_n([factor(total), factor(pair)], t, 3e-9)
                     assert abs(value - exact) <= est + 1e-14, (L1, L2, x, y, t)
-                    assert value == h.glue_intervals_II(L1, L2, x, y, t, 6)[0]
-
-
-@pytest.fixture
-def conv_n_calls(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return conv_n(*args, **kwargs)
-
-    monkeypatch.setattr(h, "conv_n", counted)
-    return calls
+                    assert exact == h.glue_intervals_II(L1, L2, x, y, t, 6)[0]
 
 
 @pytest.mark.parametrize("n_max", range(9))
-def test_echo_series_is_one_quadrature_level(conv_n_calls, n_max):
-    for L1, L2, x, y, t in ((1.0, 1.0, 0.4, 0.6, 0.7), (1.0, 2.0, 0.0, 1.5, 0.2),
-                            (0.6, 1.3, 1.3, 0.0, 2.0)):
-        del conv_n_calls[:]
+def test_echo_series_is_one_image_sum(n_max):
+    # off the junction the flux pair composed with the signed echo sum, at
+    # it the echo sum alone, each evaluated once at t; at order 0 the
+    # junction's bound is vacuous (see the next test)
+    cases = [(1.0, 1.0, 0.4, 0.6, 0.7), (1.0, 2.0, 0.0, 1.5, 0.2),
+             (0.6, 1.3, 1.3, 0.0, 2.0)] + [(1.0, 1.0, 0.0, 0.0, 0.7)] * (n_max > 0)
+    for L1, L2, x, y, t in cases:
+        total = signed_echo_sum(L1, L2, t, n_max)
+        if x or y:
+            total = h._flux_pair_eval(L2, x, y, t).compose(total)
+        value, _, _ = h.glue_intervals_II(L1, L2, x, y, t, n_max)
+        assert value == total.at(t, 0.0)[0]
+
+
+@pytest.mark.parametrize("L1,L2,x,y,t,n_max", [
+    (1.0, 1.0, 0.0, 0.0, 0.7, 0),  # tail 0.48 against g_0(0.7) = 0.34
+    (0.1, 0.1, 0.03, 0.04, 10.0, 6),
+    (1.0, 1.0, 0.5, 0.5, 100.0, 6)])
+def test_echo_series_raises_on_a_vacuous_bound(L1, L2, x, y, t, n_max):
+    # 0 <= K_S - K_L2 <= g_|x-y|(t): a bound at or above that proves
+    # nothing, and it is known from the tail before any echo chain is built
+    start = time.perf_counter()
+    with pytest.raises(h.TruncationError, match="a-priori bound") as info:
         h.glue_intervals_II(L1, L2, x, y, t, n_max)
-        assert len(conv_n_calls) == 1
-    del conv_n_calls[:]
-    h.glue_intervals_II(1.0, 1.0, 0.0, 0.0, 0.7, n_max)
-    assert not conv_n_calls
+    assert time.perf_counter() - start < 1.0
+    assert info.value.achievable >= h.k_line(x, y, t)
 
 
-def test_glue_rays_is_one_quadrature_level(conv_n_calls):
-    h.glue_rays(0.8, 1.1, 0.6)
-    assert len(conv_n_calls) == 1
+GUARD_SCRIPT = """
+import time
+from heatglue import heat1d as h
+for call in (lambda: h.glue_intervals_II(0.05, 0.07, 0.03, 0.04, 1000.0, 6),
+             lambda: h.cut_circle_to_arc(0.3, (0.0, 0.1), 0.03, 0.07, 1000.0, 6)):
+    start = time.perf_counter()
+    try:
+        call()
+    except h.TruncationError as exc:
+        assert "past the budget" in str(exc), exc
+    else:
+        raise AssertionError("no TruncationError")
+    assert time.perf_counter() - start < 2.0
+"""
+
+
+def test_image_count_guard_raises_before_allocating():
+    # the image counts grow like (reach/L)^2 with reach = sqrt(200 t), so
+    # these two would compose tens of millions of images; under a 2 GB
+    # address-space limit they must raise TruncationError, not MemoryError
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(h.__file__).resolve().parents[1])]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    run = subprocess.run(
+        ["bash", "-c", 'ulimit -v 2000000 && exec "$0" -c "$1"',
+         sys.executable, GUARD_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_glue_rays_is_one_image_sum():
+    # h_x * h_y * g_0 is the single Gaussian g_(x+y)
+    value, _, _ = h.glue_rays(0.8, 1.1, 0.6)
+    assert value == h._ImageSum("g", [0.8 + 1.1], [1.0]).at(0.6, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------
-# route-II integrand kernels against plain per-point and per-image loops
+# image sums against the merge they replace and against per-image loops
 # ---------------------------------------------------------------------------
+
+
+def unique_merge(d, w, reach):
+    """The merge of an image sum as np.unique and a scatter add, the form
+    the sort-and-segment merge replaced: the reference bit for bit."""
+    d, pos = np.unique(np.asarray(d, dtype=float).ravel(), return_inverse=True)
+    w = np.bincount(pos.ravel(), minlength=d.size,
+                    weights=np.asarray(w, dtype=float).ravel())
+    keep = (d <= reach) & (w != 0.0)
+    return d[keep], w[keep]
+
+
+def merge_cases():
+    """Draws with ties up to dozens deep (past the 8 at which
+    np.add.reduceat starts to sum pairwise), zero and exactly cancelling
+    weights, distances past the reach and 1-D and 2-D shapes, then empty,
+    cancelled and out-of-reach inputs."""
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(0, 25, size=1 + seed % 2))
+        pool = rng.uniform(0.0, 10.0, int(rng.integers(1, 40)))
+        d = rng.choice(pool, size=shape)
+        w = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+        w[rng.random(shape) < 0.2] = 0.0
+        whole = rng.random(shape) < 0.3
+        w[whole] = rng.choice([-2.0, -1.0, 1.0, 2.0], size=int(whole.sum()))
+        reach = float(rng.choice([math.inf, 5.0, float(pool[0])]))
+        yield pytest.param(d, w, reach, id=f"seed{seed}")
+    yield pytest.param([], [], 5.0, id="empty")
+    yield pytest.param(np.zeros((0, 3)), np.zeros((0, 3)), 5.0, id="empty-2d")
+    yield pytest.param([1.0, 1.0], [1.0, -1.0], 5.0, id="cancelled")
+    yield pytest.param([7.0], [1.0], 5.0, id="past-reach")
+
+
+@pytest.mark.parametrize("d,w,reach", merge_cases())
+def test_image_sum_merge_is_the_unique_form_bit_for_bit(d, w, reach):
+    got = h._ImageSum("h", d, w, reach)
+    want_d, want_w = unique_merge(d, w, reach)
+    assert got.d.dtype == got.w.dtype == np.float64
+    assert got.d.shape == want_d.shape
+    assert got.d.tobytes() == want_d.tobytes()
+    assert got.w.tobytes() == want_w.tobytes()
 
 
 def flux_reference(L, z, tau):
@@ -723,7 +855,7 @@ def test_cut_hop_and_close_are_the_convolutions_of_their_pieces(delta):
     close = h._ring("g", L, delta - 0.45, reach)
     for piece in (hop, close):
         got = state.compose(piece)(taus)
-        want, _ = conv_n([state.factor, piece.factor], taus, 1e-13)
+        want, _ = conv_n([factor(state), factor(piece)], taus, 1e-13)
         assert np.all(np.abs(got - want) <= 1e-12)
 
 

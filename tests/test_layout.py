@@ -79,3 +79,22 @@ def test_no_unused_imports():
 
 def test_no_parameter_is_accepted_and_ignored():
     assert list(unused_parameters()) == []
+
+
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            yield f"heatglue.{module}".rstrip(".") if node.level else module
+
+
+def test_the_1d_kernels_use_no_quadrature():
+    # route II and the rays are exact image-sum compositions: the 1d
+    # module neither imports the quadrature module nor calls its levels
+    tree = dict(modules())["heat1d"]
+    assert "heatglue.quadsim" not in set(imported_modules(tree))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"quadsim", "conv_n", "inverse_pow_gaussian", "TimeFactor"}
