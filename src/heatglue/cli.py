@@ -36,7 +36,7 @@ from heatglue.graph_heat import (
     glue_I,
     glue_II,
     graph_from_dict,
-    heat_kernel,
+    heat_values,
     random_decomposition,
     schur_cut,
 )
@@ -265,7 +265,7 @@ def run_graph_glue(doc: dict, label: str, t: float, method: str, k_max: int,
             if refs else {}
         reference = np.empty(values.shape)
         if len(given) < reference.size:
-            reference = heat_kernel(d.ordered_graph).evaluate(t)
+            reference = heat_values(d.ordered_graph, t)
         for (i, j), mix in given.items():
             reference[i, j] = evaluate(from_dict(mix), t)
         rows, cols = [str(u) for u in km.rows], [str(v) for v in km.cols]
@@ -283,7 +283,7 @@ def run_graph_pathsum(doc: dict, label: str, u: str, v: str, t: float,
     def run():
         g = graph_from_dict(doc)
         value, cutoff, tail = pathsum_heat(g, u, v, t, eps)
-        ref = float(heat_kernel(g).evaluate(t)[g.index[u], g.index[v]])
+        ref = float(heat_values(g, t)[g.index[u], g.index[v]])
         extra = {"u": u, "v": v, "t": t, "cutoff": cutoff, "tail_bound": tail}
         return [Reports(case, "graph", inputs, value, ref, tail, extra=extra)]
 
@@ -355,8 +355,7 @@ def run_interval_glue(L1: float, L2: float, x: float, y: float, t: float,
             bound = 0.0
         ref = reference
         if ref is None:
-            ref = (heat1d.k_interval(L1 + L2, L1 + x, L1 + y, t)[0]
-                   - heat1d.k_interval(L2, x, y, t)[0])
+            ref = heat1d.glue_direct(L1, L2, x, y, t)
         return [Reports(case, "interval", inputs, value, ref, bound)]
 
     return _guarded(case, "interval", inputs, run)
@@ -457,9 +456,9 @@ def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
                   "t": ",".join(repr(float(s)) for s in times)}
         try:
             km = glue_I(d)
-            assembled = heat_kernel(d.ordered_graph)
             worst = max(
-                float(np.abs(km.evaluate(s) - assembled.evaluate(s)).max())
+                float(np.abs(km.evaluate(s)
+                             - heat_values(d.ordered_graph, s)).max())
                 for s in times
             )
             out.append(Reports(case, "graph", inputs, worst, 0.0))

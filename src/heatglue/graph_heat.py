@@ -11,7 +11,10 @@ grid; an :class:`~heatglue.expmix.ExpMix` is made only for an entry that is
 asked for.  The series route
 (:func:`interface_kernel_series`, :func:`glue_II`) instead returns a
 :class:`SeriesKernel`: values at t with a certified error bound, summed in a
-cancellation-free positive basis.
+cancellation-free positive basis.  Where only the values of the heat flow at
+one t are needed, as for the reference of a gluing check,
+:func:`heat_values` gives them from one eigendecomposition, with no
+coefficient tensor.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "KernelMatrix",
     "laplacian",
     "heat_kernel",
+    "heat_values",
     "relative_heat_kernel",
     "green",
     "extension_kernel",
@@ -328,6 +332,19 @@ def heat_kernel(g: Graph) -> KernelMatrix:
     d = symlin.eigh(laplacian(g))
     universe, coef = _spectral(d.eigenvectors, d.eigenvalues)
     return KernelMatrix(g.vertices, g.vertices, universe, coef, np.zeros((g.n, g.n)))
+
+
+def heat_values(g: Graph, t: float) -> np.ndarray:
+    """The heat flow of the graph at t >= 0 as values: Q diag(e^{-wt}) Q^T
+    from one eigendecomposition of the Laplacian, with no coefficient
+    tensor; the values of :func:`heat_kernel` at t, to rounding, and like
+    them bitwise symmetric."""
+    t = float(t)
+    if not (t >= 0.0) or not math.isfinite(t):
+        raise ValueError(f"need a finite t >= 0, got {t}")
+    d = symlin.eigh(laplacian(g))
+    values = symlin.spectral_apply(d, lambda w: math.exp(-_safe_rate(w) * t))
+    return np.where(np.tri(g.n, dtype=bool), values.T, values)
 
 
 def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:

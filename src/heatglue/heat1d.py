@@ -29,6 +29,7 @@ __all__ = [
     "dk_interval",
     "k_circle",
     "interface_two_intervals",
+    "glue_direct",
     "glue_intervals_I",
     "glue_intervals_II",
     "glue_rays",
@@ -406,7 +407,7 @@ def _reflection_legs(z: float, L: float, K: int) -> tuple[np.ndarray, np.ndarray
     return np.abs(vals), np.sign(vals)
 
 
-def _glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
+def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     """K_S(L1 + x, L1 + y) - K_L2(x, y), S = L1 + L2, over the images of
     both kernels: the check on both gluing routes.
 
@@ -416,7 +417,13 @@ def _glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     cancel exactly, so they are left out, and the difference is never
     taken between two kernel values that agree to many digits.  The images
     past _reach(t), each below e^-50 (4 pi t)^(-1/2), are left out too.
+    The reference of both routes in ``heatglue interval glue``.
     """
+    L1 = _check_length(L1, "L1")
+    L2 = _check_length(L2, "L2")
+    t = _check_time(t)
+    if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
+        raise ValueError("x and y must lie in [0, L2]")
     n = int(math.ceil(_reach(t) / (2.0 * L2))) + 2
     k = np.concatenate([np.arange(-n, 0.0), np.arange(1.0, n + 1.0)])
     shift = np.concatenate([2.0 * (L1 + L2) * k, 2.0 * L2 * k])
@@ -442,7 +449,7 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float, t: float,
     L2 = _check_length(L2, "L2")
     t = _check_time(t)
     value = _reflection_sum(L1, L2, x, y, t, _params(p))
-    return value, abs(value - _glue_direct(L1, L2, x, y, t))
+    return value, abs(value - glue_direct(L1, L2, x, y, t))
 
 
 def _reflection_sum(L1: float, L2: float, x: float, y: float, t: float,
@@ -711,7 +718,7 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     and with them every order whose images all lie past it.
 
     Returns (value, bound, residual against the direct two-kernel
-    difference, :func:`_glue_direct`).  The bound adds the orders past
+    difference, :func:`glue_direct`).  The bound adds the orders past
     n_max (:func:`_echo_tail`), the images past the reach that the kept
     orders drop (:func:`_dropped_images`) and the rounding part of
     :meth:`_ImageSum.at`.  Domain monotonicity gives
@@ -756,7 +763,7 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     # d / 2 min(L1, L2) round trips, each off by U, in as many roundings
     value, rounding = series.at(t, series.d / (2.0 * min(L1, L2)) + 4.0)
     bound = _below_prior(tail + rounding, prior, label)
-    return value, bound, abs(value - _glue_direct(L1, L2, x, y, t))
+    return value, bound, abs(value - glue_direct(L1, L2, x, y, t))
 
 
 # ---------------------------------------------------------------------------

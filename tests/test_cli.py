@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import shlex
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatglue.cli
+from heatglue import symlin
 from heatglue.cli import Axis, Reports, main
 from heatglue.expmix import ConfluentOverflowError
-from heatglue.graph_heat import SeriesKernel
+from heatglue.graph_heat import KernelMatrix, SeriesKernel
 from heatglue.symlin import ConvergenceError
 
 
@@ -90,6 +92,41 @@ def test_graph_glue_series_walks_the_kernel_once_per_case(tmp_path,
     res = invoke(["verify", "--input", str(problems)])
     assert res.exit_code == 0
     assert walks == [0.25, 4.0]
+
+
+def test_graph_references_take_one_eigendecomposition(tmp_path, monkeypatch):
+    # the reference is Q diag(e^{-wt}) Q^T from one eigh, with no
+    # coefficient tensor; only glue_I itself builds a KernelMatrix
+    calls = Counter()
+    eigh, build = symlin.eigh, KernelMatrix.__init__
+
+    def spy_eigh(a):
+        calls["eigh"] += 1
+        return eigh(a)
+
+    def spy_build(self, *args, **kwargs):
+        calls["KernelMatrix"] += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(symlin, "eigh", spy_eigh)
+    monkeypatch.setattr(KernelMatrix, "__init__", spy_build)
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]],
+        "interface": ["b", "d"], "side1": ["a"], "side2": ["c"]}))
+    problems = tmp_path / "problems.json"
+    for case, want in [
+            ({"kind": "graph-glue", "method": "series", "kmax": 8},
+             {"eigh": 1}),
+            ({"kind": "graph-pathsum", "u": "a", "v": "c"}, {"eigh": 1}),
+            ({"kind": "graph-glue"}, {"eigh": 3, "KernelMatrix": 1})]:
+        problems.write_text(json.dumps({"cases": [
+            {"id": "c", "input": str(square), "t": 0.7, **case}]}))
+        calls.clear()
+        res = invoke(["verify", "--input", str(problems)])
+        assert res.exit_code == 0
+        assert calls == want
 
 
 def test_graph_pathsum_report_shape():
@@ -180,6 +217,18 @@ def test_interval_glue_formula_II_residual_below_tail_bound():
     (r,) = json_lines(res.stdout)
     assert r["bound"] > 0.0
     assert r["residual"] <= max(r["inputs"]["tol"], r["bound"])
+    assert r["status"] == "pass"
+
+
+def test_interval_glue_formula_II_reference_does_not_cancel():
+    # the difference of two kernel values cancelled to 1.1e-15 here, far
+    # above the route's bound of 1.6e-41; the direct image sum does not
+    res = invoke(["interval", "glue", "--L1", "1.078", "--L2", "1.974",
+                  "--x", "1.421", "--y", "1.633", "--t", "0.022",
+                  "--formula", "II", "--nmax", "6", "--tol", "1e-30"])
+    assert res.exit_code == 0
+    (r,) = json_lines(res.stdout)
+    assert r["residual"] <= r["bound"]
     assert r["status"] == "pass"
 
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import taylor_expm
 from heatglue.expmix import (
@@ -28,6 +29,7 @@ from heatglue.graph_heat import (
     graph_from_dict,
     green,
     heat_kernel,
+    heat_values,
     interface_kernel,
     interface_kernel_series,
     laplacian,
@@ -184,6 +186,27 @@ def test_heat_kernel_tensor_is_bitwise_symmetric():
         k = heat_kernel(d.ordered_graph)
         assert np.array_equal(k.coef, k.coef.transpose(1, 0, 2, 3))
         assert k.entry(k.rows[0], k.rows[-1]) == k.entry(k.rows[-1], k.rows[0])
+
+
+def test_heat_values_match_the_matrix_exponential():
+    line3 = graph_from_dict(json.loads(
+        importlib.resources.files("heatglue")
+        .joinpath("fixtures", "line3.json").read_text()))
+    for g in [d.ordered_graph for d in gate_02_draws()] + [line3]:
+        exact = heat_kernel(g)
+        for t in (0.25, 1.0, 4.0):
+            values = heat_values(g, t)
+            want = scipy.linalg.expm(-t * laplacian(g).entries)
+            assert np.abs(values - want).max() < 1e-13
+            assert np.abs(values - exact.evaluate(t)).max() < 1e-14
+            assert np.array_equal(values, values.T)
+
+
+def test_heat_values_rejects_bad_t():
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t >= 0"):
+            heat_values(LINE3, t)
+    assert np.abs(heat_values(LINE3, 0.0) - np.eye(3)).max() < 1e-15
 
 
 def test_kernel_evaluate_is_repeatable():

@@ -349,7 +349,7 @@ def test_interface_form_validation():
 def test_glue_intervals_reference_point():
     v, res = h.glue_intervals_I(1.0, 1.0, 0.4, 0.6, 0.7)
     assert res < 1e-8
-    direct = h._glue_direct(1.0, 1.0, 0.4, 0.6, 0.7)
+    direct = h.glue_direct(1.0, 1.0, 0.4, 0.6, 0.7)
     assert abs(v - direct) < 1e-12
 
 
@@ -370,7 +370,7 @@ def test_direct_difference_matches_forty_digits(L1, L2, x, y, t):
                        for k in range(-60, 61)) / mp.sqrt(4 * mp.pi * t)
 
     want = kernel(L1 + L2, L1 + x, L1 + y) - kernel(L2, x, y)
-    got = h._glue_direct(*(float(v) for v in (L1, L2, x, y, t)))
+    got = h.glue_direct(*(float(v) for v in (L1, L2, x, y, t)))
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
@@ -396,6 +396,10 @@ def test_glue_intervals_side_grid():
 def test_glue_intervals_domain_validation():
     with pytest.raises(ValueError, match="lie in"):
         h.glue_intervals_I(1.0, 1.0, 1.2, 0.5, 0.3)
+    with pytest.raises(ValueError, match="lie in"):
+        h.glue_direct(1.0, 1.0, 1.2, 0.5, 0.3)
+    with pytest.raises(ValueError, match="positive"):
+        h.glue_direct(1.0, 1.0, 0.2, 0.5, 0.0)
 
 
 def test_reflection_sum_is_the_route_I_value():
