@@ -348,14 +348,14 @@ def run_interval_glue(L1: float, L2: float, x: float, y: float, t: float,
         inputs["nmax"] = n_max
 
     def run():
+        ref = heat1d.glue_direct(L1, L2, x, y, t) if reference is None \
+            else reference
         if formula == "II":
-            value, bound, _ = heat1d.glue_intervals_II(L1, L2, x, y, t, n_max)
+            value, bound, _ = heat1d.glue_intervals_II(L1, L2, x, y, t, n_max,
+                                                       ref)
         else:
-            value, _ = heat1d.glue_intervals_I(L1, L2, x, y, t)
+            value, _ = heat1d.glue_intervals_I(L1, L2, x, y, t, reference=ref)
             bound = 0.0
-        ref = reference
-        if ref is None:
-            ref = heat1d.glue_direct(L1, L2, x, y, t)
         return [Reports(case, "interval", inputs, value, ref, bound)]
 
     return _guarded(case, "interval", inputs, run)
@@ -400,9 +400,9 @@ def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
               "tol": tol, "x": x, "y": y, "t": t}
 
     def run():
-        value, bound, _ = heat1d.cut_circle_to_arc(L, cuts, x, y, t, k_max)
-        ell, xl, yl = heat1d.arc_coordinates(L, cuts, x, y)
-        reference = heat1d.k_interval(ell, xl, yl, t)[0]
+        reference = heat1d.arc_direct(L, cuts, x, y, t)
+        value, bound, _ = heat1d.cut_circle_to_arc(L, cuts, x, y, t, k_max,
+                                                   reference)
         return [Reports(case, "circle", inputs, value, reference, bound)]
 
     return _guarded(case, "circle", inputs, run)
@@ -456,11 +456,9 @@ def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
                   "t": ",".join(repr(float(s)) for s in times)}
         try:
             km = glue_I(d)
-            worst = max(
-                float(np.abs(km.evaluate(s)
-                             - heat_values(d.ordered_graph, s)).max())
-                for s in times
-            )
+            refs = heat_values(d.ordered_graph, times)
+            worst = max(float(np.abs(km.evaluate(s) - ref).max())
+                        for s, ref in zip(times, refs))
             out.append(Reports(case, "graph", inputs, worst, 0.0))
         except _NUMERICAL as exc:
             out.append(Reports.error(case, "graph", inputs, exc))

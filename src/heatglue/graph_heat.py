@@ -334,17 +334,21 @@ def heat_kernel(g: Graph) -> KernelMatrix:
     return KernelMatrix(g.vertices, g.vertices, universe, coef, np.zeros((g.n, g.n)))
 
 
-def heat_values(g: Graph, t: float) -> np.ndarray:
+def heat_values(g: Graph, t: float | Sequence[float]) -> np.ndarray:
     """The heat flow of the graph at t >= 0 as values: Q diag(e^{-wt}) Q^T
     from one eigendecomposition of the Laplacian, with no coefficient
     tensor; the values of :func:`heat_kernel` at t, to rounding, and like
-    them bitwise symmetric."""
-    t = float(t)
-    if not (t >= 0.0) or not math.isfinite(t):
-        raise ValueError(f"need a finite t >= 0, got {t}")
+    them bitwise symmetric.  At an array of times, the values at each
+    along the leading axes, all from the one eigendecomposition."""
+    ts = np.asarray(t, dtype=float)
+    if not np.all((ts >= 0.0) & np.isfinite(ts)):
+        raise ValueError(f"need finite t >= 0, got {t}")
     d = symlin.eigh(laplacian(g))
-    values = symlin.spectral_apply(d, lambda w: math.exp(-_safe_rate(w) * t))
-    return np.where(np.tri(g.n, dtype=bool), values.T, values)
+    values = np.array([
+        symlin.spectral_apply(d, lambda w: math.exp(-_safe_rate(w) * s))
+        for s in ts.ravel().tolist()])
+    values = np.where(np.tri(g.n, dtype=bool), values.swapaxes(1, 2), values)
+    return values.reshape(ts.shape + (g.n, g.n))
 
 
 def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:

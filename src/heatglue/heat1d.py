@@ -14,6 +14,7 @@ trusted on its own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,6 +35,7 @@ __all__ = [
     "glue_intervals_II",
     "glue_rays",
     "arc_coordinates",
+    "arc_direct",
     "cut_circle_to_arc",
     "cylinder_factorization_check",
     "dn_cylinder",
@@ -394,19 +396,6 @@ def interface_two_intervals(L1: float, L2: float, t: float,
 # ---------------------------------------------------------------------------
 
 
-def _reflection_legs(z: float, L: float, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signed reflection distances of the boundary-flux pulse train.
-
-    At z = 0 the pulse train degenerates to a single unit pulse at
-    distance zero (the factor becomes the identity of the convolution).
-    """
-    if z == 0.0:
-        return np.array([0.0]), np.array([1.0])
-    ks = np.arange(-K, K + 1)
-    vals = z + 2.0 * ks * L
-    return np.abs(vals), np.sign(vals)
-
-
 def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     """K_S(L1 + x, L1 + y) - K_L2(x, y), S = L1 + L2, over the images of
     both kernels: the check on both gluing routes.
@@ -433,42 +422,83 @@ def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
         / math.sqrt(4.0 * math.pi * t)
 
 
+def _flux_pair(L: float, x: float, y: float, K: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The flux pulse out of depth x composed with the one into depth y,
+    0 <= x, y <= L, in closed form: (distances, integer weights).
+
+    The pulse at a depth 0 < z <= L has the legs z + 2kL (+) and 2kL - z
+    (-), k = 0 .. K and 1 .. K; at z = 0 it is the delta at the junction,
+    one leg at 0.  Distances add under composition, so the pair is the
+    four families +-x +- y + 2mL, and the weight at m counts the (k1, k2)
+    of its family with k1 + k2 = m, m + 1, m, m and m - 1 below the cut:
+    no outer product of the legs is formed and nothing is sorted.  Equal
+    distances of different families are not merged.
+    """
+    def legs(z: float) -> tuple:
+        # each family of legs: offset, sign, first k, last k
+        return ((0.0, 1.0, 0, 0),) if z == 0.0 else \
+            ((z, 1.0, 0, K), (-z, -1.0, 1, K))
+
+    fam = np.array([(ox + oy, sx * sy, lx, hx, ly, hy)
+                    for ox, sx, lx, hx in legs(x)
+                    for oy, sy, ly, hy in legs(y)]).T[:, :, None]
+    off, sign, lx, hx, ly, hy = fam
+    m = np.arange(hx.max() + hy.max() + 1.0)
+    count = np.minimum(hx, m - ly) - np.maximum(lx, m - hy) + 1.0
+    keep = count > 0.0
+    return (off + 2.0 * m * L)[keep], (sign * count)[keep]
+
+
+def _route_I(L1: float, L2: float, t: float,
+             p: EvalParams) -> Callable[[float, float], float]:
+    """Route I at checked lengths and time, as a function of the depths.
+
+    The junction sum, distance 0 (+1), 2nS (+2), 2(L1 + nS) (-1) and
+    2(nS - L1) (-1), and the cut K of the legs are built once; each depth
+    pair then composes its flux pair (:func:`_flux_pair`) with the junction
+    sum as one bilinear form w_pair . exp(-(d_i + m_j)^2/4t) . w_mid.
+    """
+    S = L1 + L2
+    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
+    acut = 2.0 * math.sqrt(t * max(1.0, math.log(256.0 * pref / p.eps_abs))) + 2.0 * S
+    K = int(acut / (2.0 * L2)) + 2
+    n = np.arange(int(acut / (2.0 * S)) + 3.0)
+    mid_d = np.concatenate([2.0 * S * n, 2.0 * (L1 + n * S),
+                            2.0 * (n[1:] * S - L1)])
+    mid_w = np.repeat([1.0, 2.0, -1.0], [1, n.size - 1, 2 * n.size - 1])
+
+    def value(x: float, y: float) -> float:
+        if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
+            raise ValueError("x and y must lie in [0, L2]")
+        d, w = _flux_pair(L2, x, y, K)
+        gauss = np.exp(np.square(np.add.outer(d, mid_d)) / (-4.0 * t))
+        return pref * float(w @ gauss @ mid_w)
+
+    return value
+
+
 def glue_intervals_I(L1: float, L2: float, x: float, y: float, t: float,
-                     p: EvalParams | None = None) -> tuple[float, float]:
+                     p: EvalParams | None = None,
+                     reference: float | None = None) -> tuple[float, float]:
     """Glued-interval correction rebuilt from its convolution factors.
 
     The correction K_joint(L1+x, L1+y) - K_side2(x, y) for x, y in the
     second piece is a triple convolution: flux pulses out of x, transport
     through the junction, flux pulses into y.  All three factors are pulse
     trains whose distances add under convolution, so the triple integral
-    collapses to a signed Gaussian triple sum which converges like
-    exp(-distance^2/4t).  Returns (value, residual against the direct
-    two-kernel difference).
+    collapses to one bilinear image sum: the flux pair in closed form
+    (:func:`_flux_pair`) against the junction sum, converging like
+    exp(-distance^2/4t).  Returns (value, residual against reference, by
+    default the direct two-kernel difference :func:`glue_direct`).
     """
     L1 = _check_length(L1, "L1")
     L2 = _check_length(L2, "L2")
     t = _check_time(t)
-    value = _reflection_sum(L1, L2, x, y, t, _params(p))
-    return value, abs(value - glue_direct(L1, L2, x, y, t))
-
-
-def _reflection_sum(L1: float, L2: float, x: float, y: float, t: float,
-                    p: EvalParams) -> float:
-    """The signed Gaussian triple sum of :func:`glue_intervals_I`, for
-    checked lengths and time."""
-    if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
-        raise ValueError("x and y must lie in [0, L2]")
-    S = L1 + L2
-    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
-    acut = 2.0 * math.sqrt(t * max(1.0, math.log(256.0 * pref / p.eps_abs))) + 2.0 * S
-    a0, s0 = _reflection_legs(x, L2, int(acut / (2.0 * L2)) + 2)
-    a2, s2 = _reflection_legs(y, L2, int(acut / (2.0 * L2)) + 2)
-    ns = np.arange(-(int(acut / (2.0 * S)) + 2), int(acut / (2.0 * S)) + 3)
-    dmid = np.concatenate([2.0 * S * np.abs(ns), 2.0 * np.abs(L1 + ns * S)])
-    smid = np.concatenate([np.ones(ns.size), -np.ones(ns.size)])
-    total = a0[:, None, None] + dmid[None, :, None] + a2[None, None, :]
-    gauss = np.exp(-np.square(total) / (4.0 * t))
-    return pref * float(np.einsum("i,j,k,ijk->", s0, smid, s2, gauss))
+    value = _route_I(L1, L2, t, _params(p))(x, y)
+    if reference is None:
+        reference = glue_direct(L1, L2, x, y, t)
+    return value, abs(value - reference)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +518,15 @@ def _reach(t_max: float) -> float:
     """Distance past which exp(-d^2/4tau) is below e^-50 for every
     tau <= t_max."""
     return math.sqrt(200.0 * t_max)
+
+
+def _check_images(m: int, n: int) -> None:
+    """TruncationError when composing m by n images would form more than
+    _MAX_IMAGES before merging."""
+    if m * n > _MAX_IMAGES:
+        raise TruncationError(
+            f"composing {m} by {n} images would form {m * n}, past the "
+            f"budget of {_MAX_IMAGES}", math.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,11 +584,7 @@ class _ImageSum:
         images before merging would number more than _MAX_IMAGES."""
         if "h" not in (self.kind, other.kind):
             raise ValueError("Gaussians do not compose into an image sum")
-        images = self.d.size * other.d.size
-        if images > _MAX_IMAGES:
-            raise TruncationError(
-                f"composing {self.d.size} by {other.d.size} images would "
-                f"form {images}, past the budget of {_MAX_IMAGES}", math.inf)
+        _check_images(self.d.size, other.d.size)
         return _ImageSum("h" if self.kind == other.kind else "g",
                          np.add.outer(self.d, other.d),
                          np.outer(self.w, other.w),
@@ -613,6 +648,7 @@ def _echo_pulse(t_max: float, *lengths: float) -> _ImageSum:
 
 
 _R_SQRT_T = np.geomspace(1e-2, 1e4, 601)  # the Laplace tails' search grid
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _geometric_tail(sup: float, t: float, r: np.ndarray, log_lam: np.ndarray,
@@ -621,12 +657,13 @@ def _geometric_tail(sup: float, t: float, r: np.ndarray, log_lam: np.ndarray,
     infinite when there are none.  This bounds the orders m, m + 1, ... of
     a nonnegative series whose order k transforms at s = r^2 to at most
     a lam^k, once convolved with a factor bounded by sup on (0, t): the
-    mass of a density on (0, t) is at most e^(st) times its transform."""
+    mass of a density on (0, t) is at most e^(st) times its transform.
+    Infinite too when the least tail is past the float range."""
     conv = log_lam < 0.0
     log_past = (r * r * t + log_a + m * log_lam
                 - np.log(-np.expm1(np.where(conv, log_lam, -1.0))))
-    return sup * math.exp(float(log_past[conv].min())) if conv.any() \
-        else math.inf
+    least = float(log_past[conv].min()) if conv.any() else math.inf
+    return sup * math.exp(least) if least < _LOG_MAX else math.inf
 
 
 def _dropped_images(t: float, r: np.ndarray, log_lam: np.ndarray,
@@ -657,18 +694,14 @@ def _log_round_trips(L1: float, L2: float, r: np.ndarray) -> np.ndarray:
 
 
 def _flux_pair_eval(L: float, x: float, y: float, t_max: float) -> _ImageSum:
-    """The flux pulse out of depth x convolved with the one into depth y.
-
-    The pulse at depth z is sum_k sign(a_k) h_|a_k|, a_k = z + 2kL, so the
-    pair is one signed sum over the distances |a_k| + |b_l|, out to
-    _reach(t_max).  A depth of 0 is the delta at the junction, which
-    leaves the other pulse.
+    """The flux pulse out of depth x convolved with the one into depth y,
+    out to _reach(t_max): :func:`_flux_pair`, its legs cut past the reach.
+    A depth of 0 is the delta at the junction, which leaves the other
+    pulse.
     """
     reach = _reach(t_max)
-    fx, fy = (_ImageSum("h", *_reflection_legs(
-        z, L, int(math.ceil((reach + z) / (2.0 * L))) + 2), reach)
-        for z in (x, y))
-    return fx.compose(fy)
+    K = int(math.ceil((reach + L) / (2.0 * L))) + 2
+    return _ImageSum("h", *_flux_pair(L, x, y, K), reach)
 
 
 def _echo_tail(L1: float, L2: float, pair: _ImageSum | None, t: float,
@@ -703,7 +736,8 @@ def _below_prior(bound: float, prior: float, label: str) -> float:
 
 
 def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
-                      n_max: int) -> tuple[float, float, float]:
+                      n_max: int, reference: float | None = None
+                      ) -> tuple[float, float, float]:
     """Glued-interval correction as an alternating series of echo orders.
 
     Term n convolves the flux pulse out of x, the echo chain E_n and the
@@ -717,14 +751,17 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     the series is the echo sum itself.  Images past _reach(t) are dropped,
     and with them every order whose images all lie past it.
 
-    Returns (value, bound, residual against the direct two-kernel
-    difference, :func:`glue_direct`).  The bound adds the orders past
-    n_max (:func:`_echo_tail`), the images past the reach that the kept
-    orders drop (:func:`_dropped_images`) and the rounding part of
-    :meth:`_ImageSum.at`.  Domain monotonicity gives
+    Returns (value, bound, residual against reference, by default the
+    direct two-kernel difference :func:`glue_direct`).  The bound adds the
+    orders past n_max (:func:`_echo_tail`), the images past the reach that
+    the kept orders drop (:func:`_dropped_images`) and the rounding part
+    of :meth:`_ImageSum.at`.  Domain monotonicity gives
     0 <= K_S - K_L2 <= g_|x-y|(t), so a bound at or above that proves
     nothing: TruncationError, checked on the two truncation parts before
-    the echo chains are built and again on the whole bound.
+    the echo chains are built and again on the whole bound.  The image
+    budget is checked before those parts: composed with the order 0 of the
+    echo sum and, when n_max > 0, its order 1, the pair alone forms
+    pair.d.size (1 + phi.d.size) images.
     """
     L1 = _check_length(L1, "L1")
     L2 = _check_length(L2, "L2")
@@ -738,6 +775,9 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     prior = k_line(x, y, t)
     # at x = y = 0 both pulses are the delta at the junction
     pair = None if x == y == 0.0 else _flux_pair_eval(L2, x, y, t)
+    phi = _echo_pulse(t, L1, L2)
+    if pair is not None:
+        _check_images(pair.d.size, 1 + phi.d.size * (n_max > 0))
     # a path past the reach crosses one flux image on each side, each side
     # transforming to sum_k e^(-r |z + 2kL2|), and n round trips
     r = _R_SQRT_T / math.sqrt(t)
@@ -747,7 +787,6 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
         _echo_tail(L1, L2, pair, t, n_max)
         + _dropped_images(t, r, _log_round_trips(L1, L2, r), n_max, *legs),
         prior, label)
-    phi = _echo_pulse(t, L1, L2)
     chains = [_G0]
     for _ in range(n_max):
         chain = phi.compose(chains[-1])
@@ -763,7 +802,9 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     # d / 2 min(L1, L2) round trips, each off by U, in as many roundings
     value, rounding = series.at(t, series.d / (2.0 * min(L1, L2)) + 4.0)
     bound = _below_prior(tail + rounding, prior, label)
-    return value, bound, abs(value - glue_direct(L1, L2, x, y, t))
+    if reference is None:
+        reference = glue_direct(L1, L2, x, y, t)
+    return value, bound, abs(value - reference)
 
 
 # ---------------------------------------------------------------------------
@@ -870,8 +911,17 @@ def arc_coordinates(L_total: float, cuts: Sequence[float], x: float,
     return ell, xs, ys
 
 
+def arc_direct(L_total: float, cuts: Sequence[float], x: float, y: float,
+               t: float) -> float:
+    """The Dirichlet kernel of the arc that holds x and y, to 1e-13: the
+    check on :func:`cut_circle_to_arc`."""
+    ell, xl, yl = arc_coordinates(L_total, cuts, x, y)
+    return k_interval(ell, xl, yl, t, "auto", _TIGHT)[0]
+
+
 def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
-                      y: float, t: float, k_max: int
+                      y: float, t: float, k_max: int,
+                      reference: float | None = None
                       ) -> tuple[float, float, float]:
     """Arc kernel rebuilt by cutting the circle at two points.
 
@@ -879,11 +929,14 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     Term k composes the flux state sum_n h_|x - c_u + nL| at the cut points
     c_u, k hops sum_n h_|c_u - c_v + nL| (n != 0 when u = v) and the close
     sum_n g_|c_u - y + nL| into one exact Gaussian sum at t, images out to
-    _reach(t).  Returns (value, bound, residual against the Dirichlet
-    kernel of the arc of x and y); the bound adds :func:`_cut_tail`, the
-    circle kernel's bound and a rounding part 3 gamma max(1, scale).
+    _reach(t).  Returns (value, bound, residual against reference, by
+    default the Dirichlet kernel of the arc, :func:`arc_direct`); the
+    bound adds :func:`_cut_tail`, the circle kernel's bound and a rounding
+    part 3 gamma max(1, scale).  The tail is taken before anything is
+    composed, once the first compositions are known to fit the image
+    budget, and a tail that is not finite raises TruncationError.
     """
-    ell, xl, yl = arc_coordinates(L_total, cuts, x, y)
+    arc_coordinates(L_total, cuts, x, y)  # both points inside one arc
     L = float(L_total)
     t = _check_time(t)
     k_max = int(k_max)
@@ -894,6 +947,12 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     same = _ring("h", L, 0.0, reach, skip_zero=True)
     cross = _ring("h", L, cuts[0] - cuts[1], reach)
     close = [_ring("g", L, c - y, reach) for c in cuts]
+    for s, c in zip(state, close):
+        _check_images(s.d.size, c.d.size)
+    tail = _cut_tail(L, cuts, x, y, close, t, k_max)
+    if not math.isfinite(tail):
+        raise TruncationError(f"circle cut at order {k_max}: its truncation "
+                              f"tail has no finite bound", tail)
     at_t = np.array([t])
     terms = []
     images = 0
@@ -911,10 +970,10 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     # exponent stays below 50, so a Gaussian is off by 100 (k_max + 5) + 4
     # roundings; a term adds one per image, the alternating sum k_max + 2
     gamma = _U * (101.0 * (k_max + 6) + images)
-    bound = (_cut_tail(L, cuts, x, y, close, t, k_max) + circle_bound
-             + 3.0 * gamma * max(1.0, circle_val + sum(terms)))
-    oracle, _ = k_interval(ell, xl, yl, t, "auto", _TIGHT)
-    return value, bound, abs(value - oracle)
+    bound = tail + circle_bound + 3.0 * gamma * max(1.0, circle_val + sum(terms))
+    if reference is None:
+        reference = arc_direct(L, cuts, x, y, t)
+    return value, bound, abs(value - reference)
 
 
 # ---------------------------------------------------------------------------
@@ -922,9 +981,13 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
 # ---------------------------------------------------------------------------
 
 
-def _cylinder_joint(LI: float, LC: float, X: float, Y: float, g1: float,
-                    g2: float, t: float) -> float:
-    """Joint eigenmode double sum, small terms first, one truncation ball."""
+def _cylinder_joint(LI: float, LC: float,
+                    points: Sequence[Sequence[float]], t: float) -> list[float]:
+    """Joint eigenmode double sums at the points (X, Y, g1, g2), small terms
+    first, one truncation ball.  The kept eigenvalues, their order and
+    their decays depend only on (LI, LC, t) and are taken once; only the
+    amplitudes are taken per point, and each point's sum is the one a
+    single point would give, bit for bit."""
     lam_cap = (50.0 + abs(math.log(max(1e-6, LI * LC)))) / t
     jmax = max(1, int(math.ceil(LI * math.sqrt(lam_cap) / math.pi)))
     kmax = max(1, int(math.ceil(LC * math.sqrt(lam_cap) / (2.0 * math.pi))))
@@ -932,15 +995,17 @@ def _cylinder_joint(LI: float, LC: float, X: float, Y: float, g1: float,
     ks = np.arange(0, kmax + 1)
     lam = (math.pi ** 2 / LI ** 2) * np.square(js)[:, None] \
         + (4.0 * math.pi ** 2 / LC ** 2) * np.square(ks)[None, :]
+    keep = lam <= lam_cap
+    lam_f = lam[keep]
+    order = np.argsort(lam_f)[::-1]
+    decay = np.exp(-lam_f[order] * t)
+    X, Y, g1, g2 = (np.array(c, dtype=float)[:, None] for c in zip(*points))
     amp_i = (2.0 / LI) * np.sin(math.pi * js * X / LI) \
         * np.sin(math.pi * js * Y / LI)
     amp_c = np.where(ks == 0, 1.0 / LC,
                      (2.0 / LC) * np.cos(2.0 * math.pi * ks * (g1 - g2) / LC))
-    amp = amp_i[:, None] * amp_c[None, :]
-    keep = lam <= lam_cap
-    lam_f, amp_f = lam[keep], amp[keep]
-    order = np.argsort(lam_f)[::-1]
-    return float(np.sum(amp_f[order] * np.exp(-lam_f[order] * t)))
+    amp = amp_i[:, :, None] * amp_c[:, None, :]
+    return [float(np.sum(a[keep][order] * decay)) for a in amp]
 
 
 def cylinder_factorization_check(L1: float, L2: float, circle_L: float,
@@ -953,20 +1018,24 @@ def cylinder_factorization_check(L1: float, L2: float, circle_L: float,
     positions on the circle slice.  Two comparisons per point: the joint
     eigenmode double sum against the product of the 1D kernels, and the
     glued-interval route times the slice kernel against the direct
-    product.
+    product.  The joint spectrum and route I's junction sum are built once
+    for all points; route I at a point is one bilinear image sum
+    (:func:`glue_intervals_I`).
     """
     L1 = _check_length(L1, "L1")
     L2 = _check_length(L2, "L2")
     circle_L = _check_length(circle_L, "circle_L")
     t = _check_time(t)
     S = L1 + L2
+    route = _route_I(L1, L2, t, _DEFAULT)
+    joints = _cylinder_joint(S, circle_L, [(L1 + xx, L1 + yy, g1, g2)
+                                           for xx, yy, g1, g2 in points], t)
     worst = 0.0
-    for xx, yy, g1, g2 in points:
+    for (xx, yy, g1, g2), joint in zip(points, joints):
         ki, _ = k_interval(S, L1 + xx, L1 + yy, t, "auto", _TIGHT)
         kc, _ = k_circle(circle_L, g1, g2, t, "auto", _TIGHT)
-        joint = _cylinder_joint(S, circle_L, L1 + xx, L1 + yy, g1, g2, t)
         worst = max(worst, abs(joint - ki * kc))
-        glue_val = _reflection_sum(L1, L2, xx, yy, t, _DEFAULT)
+        glue_val = route(xx, yy)
         part, _ = k_interval(L2, xx, yy, t, "auto", _TIGHT)
         worst = max(worst, abs((glue_val + part) * kc - ki * kc))
     return worst

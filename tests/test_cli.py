@@ -120,7 +120,11 @@ def test_graph_references_take_one_eigendecomposition(tmp_path, monkeypatch):
             ({"kind": "graph-glue", "method": "series", "kmax": 8},
              {"eigh": 1}),
             ({"kind": "graph-pathsum", "u": "a", "v": "c"}, {"eigh": 1}),
-            ({"kind": "graph-glue"}, {"eigh": 3, "KernelMatrix": 1})]:
+            ({"kind": "graph-glue"}, {"eigh": 3, "KernelMatrix": 1}),
+            # per draw, two from glue_I and one for the references at all
+            # three times
+            ({"kind": "random-graph-glue", "count": 2, "nmax": 6},
+             {"eigh": 6, "KernelMatrix": 2})]:
         problems.write_text(json.dumps({"cases": [
             {"id": "c", "input": str(square), "t": 0.7, **case}]}))
         calls.clear()
@@ -230,6 +234,39 @@ def test_interval_glue_formula_II_reference_does_not_cancel():
     (r,) = json_lines(res.stdout)
     assert r["residual"] <= r["bound"]
     assert r["status"] == "pass"
+
+
+@pytest.mark.parametrize("args,message", [
+    ("interval glue --L1 0.05 --L2 20 --x 1 --y 2 --t 100 --formula II",
+     "TruncationError: echo series at order 6: bound inf"),
+    ("circle cut --L 0.2 --cuts 0,0.1 --x 0.03 --y 0.07 --t 10 --kmax 6",
+     "TruncationError: circle cut at order 6: its truncation tail")])
+def test_a_tail_past_the_float_range_exits_three(args, message):
+    # the least Laplace tail is past e^709: an infinite tail, reported as a
+    # typed error rather than an OverflowError or a pass
+    res = invoke(args.split())
+    assert res.exit_code == 3
+    (r,) = json_lines(res.stdout)
+    assert r["status"] == "error"
+    assert r["message"].startswith(message)
+
+
+@pytest.mark.parametrize("args,oracle", [
+    ("interval glue --L1 1 --L2 2 --x 0.5 --y 0.7 --t 0.4", "glue_direct"),
+    ("interval glue --L1 1 --L2 2 --x 0.5 --y 0.7 --t 0.4 --formula II",
+     "glue_direct"),
+    ("circle cut --L 2 --cuts 0,1 --x 0.3 --y 0.7 --t 0.4", "k_interval")])
+def test_interval_and_cut_references_are_evaluated_once(monkeypatch, args,
+                                                         oracle):
+    calls = Counter()
+    for name in ("glue_direct", "k_interval"):
+        def spy(*a, _f=getattr(heatglue.heat1d, name), _name=name):
+            calls[_name] += 1
+            return _f(*a)
+        monkeypatch.setattr(heatglue.heat1d, name, spy)
+    res = invoke(args.split())
+    assert res.exit_code == 0
+    assert calls == {oracle: 1}
 
 
 @pytest.mark.parametrize("args", ["--L1 0.1 --L2 0.1 --x 0.03 --y 0.04 --t 10",
@@ -348,9 +385,11 @@ def test_verify_random_graph_cases_deterministic_per_seed(tmp_path):
 
 
 def test_exit_one_on_tolerance_failure():
-    # formula I reports no bound, so its rounding residual fails this tol
-    res = invoke(["interval", "glue", "--L1", "1", "--L2", "1", "--x", "0.5",
-                  "--y", "0.5", "--t", "0.5", "--tol", "1e-30"])
+    # formula I reports no bound, so its rounding residual (8.7e-19 here)
+    # fails this tol
+    res = invoke(["interval", "glue", "--L1", "1.078", "--L2", "1.974",
+                  "--x", "1.421", "--y", "1.633", "--t", "0.5",
+                  "--tol", "1e-30"])
     assert res.exit_code == 1
     (r,) = json_lines(res.stdout)
     assert r["status"] == "fail"
@@ -445,8 +484,10 @@ def every_kind_set(tmp_path):
          "v": "3", "t": 50, "eps": 1e-300},
         {"id": "cut", "kind": "graph-cut", "input": "line_dirichlet", "m2": 1.0},
         {"id": "rand", "kind": "random-graph-glue", "count": 2, "nmax": 6},
+        # a given reference 1e-6 off the value: a real tolerance failure
         {"id": "ig-fail", "kind": "interval-glue", "L1": 1, "L2": 1, "x": 0.5,
-         "y": 0.5, "t": 0.5, "tol": 1e-30},
+         "y": 0.5, "t": 0.5, "tol": 1e-30,
+         "reference": 0.13842211448158903 + 1e-6},
         {"id": "ig2", "kind": "interval-glue", "L1": 1, "L2": 2, "x": 0.5,
          "y": 0.7, "t": 0.4, "formula": "II"},
         {"id": "ii", "kind": "interval-interface", "L1": 1, "L2": 2, "t": 0.5},

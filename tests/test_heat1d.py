@@ -405,8 +405,89 @@ def test_glue_intervals_domain_validation():
 def test_reflection_sum_is_the_route_I_value():
     for L1, L2, x, y, t in [(1.0, 1.3, 0.3, 0.9, 0.5), (0.6, 2.0, 0.0, 1.7, 2.0),
                             (2.0, 0.4, 0.4, 0.1, 0.01)]:
-        value = h._reflection_sum(L1, L2, x, y, t, h._DEFAULT)
+        value = h._route_I(L1, L2, t, h._DEFAULT)(x, y)
         assert value == h.glue_intervals_I(L1, L2, x, y, t)[0]
+
+
+def reflection_legs(z, L, K):
+    """The signed legs of the flux pulse at depth z, k = -K .. K, as route I
+    built them before its pair was taken in closed form."""
+    if z == 0.0:
+        return np.array([0.0]), np.array([1.0])
+    vals = z + 2.0 * np.arange(-K, K + 1) * L
+    return np.abs(vals), np.sign(vals)
+
+
+def merged_pair(L, x, y, Kx, Ky, reach=math.inf):
+    """The pair as the merged outer sum of its two pulses' legs."""
+    (a, s), (b, r) = reflection_legs(x, L, Kx), reflection_legs(y, L, Ky)
+    return unique_merge(np.add.outer(a, b), np.outer(s, r), reach)
+
+
+def dyadic_depths():
+    """(L, x, y) on a grid of 1/64, where every leg and every sum of two
+    legs is exact, so that the legs' outer sum merges each family's images
+    exactly: seeded draws, then x or y at 0 and at L, and x = y."""
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        n = int(rng.integers(16, 129))
+        x, y = rng.integers(0, n + 1, 2)
+        yield n / 64, x / 64, y / 64
+    for n, k in ((64, 23), (100, 37), (128, 64)):
+        L, z = n / 64, k / 64
+        for x, y in ((0.0, z), (z, 0.0), (0.0, 0.0), (L, z), (z, L),
+                     (L, L), (0.0, L), (z, z)):
+            yield L, x, y
+
+
+def test_closed_form_pair_is_the_merged_outer_sum():
+    # the same distances and integer weights, under route I's cut of K
+    # legs a side and under route II's reach
+    for L, x, y in dyadic_depths():
+        for K in (2, 5):
+            want_d, want_w = merged_pair(L, x, y, K, K)
+            got = h._ImageSum("h", *h._flux_pair(L, x, y, K))
+            assert got.d.tobytes() == want_d.tobytes(), (L, x, y, K)
+            assert got.w.tobytes() == want_w.tobytes(), (L, x, y, K)
+        for t in (0.05, 0.7, 2.0):
+            reach = h._reach(t)
+            Kx, Ky = (int(math.ceil((reach + z) / (2.0 * L))) + 2
+                      for z in (x, y))
+            want_d, want_w = merged_pair(L, x, y, Kx, Ky, reach)
+            got = h._flux_pair_eval(L, x, y, t)
+            assert got.d.tobytes() == want_d.tobytes(), (L, x, y, t)
+            assert got.w.tobytes() == want_w.tobytes(), (L, x, y, t)
+
+
+def einsum_route_I(L1, L2, x, y, t, eps_abs=1e-12):
+    """Route I as the signed Gaussian triple sum over the legs of x, the
+    junction images and the legs of y, reduced by one einsum: the form the
+    bilinear image sum replaced."""
+    S = L1 + L2
+    pref = 1.0 / math.sqrt(4.0 * math.pi * t)
+    acut = 2.0 * math.sqrt(t * max(1.0, math.log(256.0 * pref / eps_abs))) + 2.0 * S
+    a0, s0 = reflection_legs(x, L2, int(acut / (2.0 * L2)) + 2)
+    a2, s2 = reflection_legs(y, L2, int(acut / (2.0 * L2)) + 2)
+    ns = np.arange(-(int(acut / (2.0 * S)) + 2), int(acut / (2.0 * S)) + 3)
+    dmid = np.concatenate([2.0 * S * np.abs(ns), 2.0 * np.abs(L1 + ns * S)])
+    smid = np.concatenate([np.ones(ns.size), -np.ones(ns.size)])
+    total = a0[:, None, None] + dmid[None, :, None] + a2[None, None, :]
+    gauss = np.exp(-np.square(total) / (4.0 * t))
+    return pref * float(np.einsum("i,j,k,ijk->", s0, smid, s2, gauss))
+
+
+def test_route_I_matches_the_triple_sum():
+    # the same images summed, so the two differ by rounding only
+    rng = np.random.default_rng(7)
+    for i in range(500):
+        L1, L2 = rng.uniform(0.5, 2.0, 2)
+        x, y = rng.uniform(0.0, L2, 2)
+        if i % 10 == 0:
+            x, y = [(0.0, y), (x, L2), (x, x), (0.0, 0.0), (L2, L2)][i // 10 % 5]
+        t = rng.uniform(0.05, 2.0)
+        value, _ = h.glue_intervals_I(L1, L2, x, y, t)
+        assert abs(value - einsum_route_I(L1, L2, x, y, t)) <= 1e-15, \
+            (L1, L2, x, y, t)
 
 
 # ---------------------------------------------------------------------------
@@ -940,6 +1021,42 @@ def test_cylinder_check_evaluates_each_interval_kernel_once(monkeypatch):
     assert calls == [2.3, 1.3, 2.3, 1.3]
 
 
+def point_joint(LI, LC, X, Y, g1, g2, t):
+    """The joint eigenmode double sum at one point, spectrum and all, as
+    the check took it point by point before the batch."""
+    lam_cap = (50.0 + abs(math.log(max(1e-6, LI * LC)))) / t
+    jmax = max(1, int(math.ceil(LI * math.sqrt(lam_cap) / math.pi)))
+    kmax = max(1, int(math.ceil(LC * math.sqrt(lam_cap) / (2.0 * math.pi))))
+    js = np.arange(1, jmax + 1)
+    ks = np.arange(0, kmax + 1)
+    lam = (math.pi ** 2 / LI ** 2) * np.square(js)[:, None] \
+        + (4.0 * math.pi ** 2 / LC ** 2) * np.square(ks)[None, :]
+    amp_i = (2.0 / LI) * np.sin(math.pi * js * X / LI) \
+        * np.sin(math.pi * js * Y / LI)
+    amp_c = np.where(ks == 0, 1.0 / LC,
+                     (2.0 / LC) * np.cos(2.0 * math.pi * ks * (g1 - g2) / LC))
+    amp = amp_i[:, None] * amp_c[None, :]
+    keep = lam <= lam_cap
+    lam_f, amp_f = lam[keep], amp[keep]
+    order = np.argsort(lam_f)[::-1]
+    return float(np.sum(amp_f[order] * np.exp(-lam_f[order] * t)))
+
+
+def test_batched_cylinder_check_is_the_point_by_point_check():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        L1, L2, LC = rng.uniform(0.5, 2.0, 3)
+        t = rng.uniform(0.05, 2.0)
+        pts = [(x, y, g1, g2) for x, y, g1, g2 in zip(
+            *rng.uniform(0.0, L2, (2, 4)), *rng.uniform(0.0, LC, (2, 4)))]
+        joints = h._cylinder_joint(L1 + L2, LC, [(L1 + x, L1 + y, g1, g2)
+                                                 for x, y, g1, g2 in pts], t)
+        assert joints == [point_joint(L1 + L2, LC, L1 + x, L1 + y, g1, g2, t)
+                          for x, y, g1, g2 in pts]
+        assert h.cylinder_factorization_check(L1, L2, LC, pts, t) == max(
+            h.cylinder_factorization_check(L1, L2, LC, [p], t) for p in pts)
+
+
 def test_cylinder_factorization_is_slice_independent():
     pts = [(0.3, 0.5, 0.2, 0.7)]
     for circle_L in (1.0, 2.0, 3.5):
@@ -958,7 +1075,7 @@ def test_cylinder_joint_sum_respects_the_semigroup_in_each_factor():
     circle_part = gauss_integral(
         lambda g: h.k_circle(LC, g1, g, t1, "auto", TIGHT)[0]
         * h.k_circle(LC, g, g2, t2, "auto", TIGHT)[0], 0.0, LC)
-    joint = h._cylinder_joint(S, LC, X, Y, g1, g2, t1 + t2)
+    (joint,) = h._cylinder_joint(S, LC, [(X, Y, g1, g2)], t1 + t2)
     assert abs(interval_part * circle_part - joint) < 1e-8
 
 
