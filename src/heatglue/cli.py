@@ -33,7 +33,7 @@ from heatglue import heat1d, symlin
 from heatglue.expmix import ConfluentOverflowError, evaluate, from_dict
 from heatglue.graph_heat import (
     decomposition_from_dict,
-    glue_I,
+    glue_I_values,
     glue_II,
     graph_from_dict,
     heat_values,
@@ -256,21 +256,22 @@ def run_graph_glue(doc: dict, label: str, t: float, method: str, k_max: int,
             km, _ = glue_II(d, k_max)
             values, bound = km.evaluate_with_bound(t)
         else:
-            km = glue_I(d)
-            values, bound = km.evaluate(t), 0.0
+            values, bound = glue_I_values(d, t), 0.0
+        vertices = d.ordered_graph.vertices
         refs = doc.get("references")
         refs = (refs.get("entries") or {}) if isinstance(refs, dict) else {}
-        given = {(i, j): refs[f"{u},{v}"] for i, u in enumerate(km.rows)
-                 for j, v in enumerate(km.cols) if f"{u},{v}" in refs} \
+        given = {(i, j): refs[f"{u},{v}"] for i, u in enumerate(vertices)
+                 for j, v in enumerate(vertices) if f"{u},{v}" in refs} \
             if refs else {}
         reference = np.empty(values.shape)
         if len(given) < reference.size:
             reference = heat_values(d.ordered_graph, t)
         for (i, j), mix in given.items():
             reference[i, j] = evaluate(from_dict(mix), t)
-        rows, cols = [str(u) for u in km.rows], [str(v) for v in km.cols]
+        labels = [str(u) for u in vertices]
         return [Reports(f"{prefix}glue", "graph", base, values, reference,
-                        bound, (Axis("x", rows, rows), Axis("y", cols, cols)))]
+                        bound, (Axis("x", labels, labels),
+                                Axis("y", labels, labels)))]
 
     return _guarded(f"{prefix}glue", "graph", base, run)
 
@@ -402,7 +403,7 @@ def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
     def run():
         reference = heat1d.arc_direct(L, cuts, x, y, t)
         value, bound, _ = heat1d.cut_circle_to_arc(L, cuts, x, y, t, k_max,
-                                                   reference)
+                                                   reference, strict=True)
         return [Reports(case, "circle", inputs, value, reference, bound)]
 
     return _guarded(case, "circle", inputs, run)
@@ -455,10 +456,9 @@ def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
         inputs = {"nmax": n_max, "seed": seed, "draw": i, "tol": tol,
                   "t": ",".join(repr(float(s)) for s in times)}
         try:
-            km = glue_I(d)
-            refs = heat_values(d.ordered_graph, times)
-            worst = max(float(np.abs(km.evaluate(s) - ref).max())
-                        for s, ref in zip(times, refs))
+            values = glue_I_values(d, times)
+            worst = float(np.abs(values - heat_values(d.ordered_graph,
+                                                      times)).max())
             out.append(Reports(case, "graph", inputs, worst, 0.0))
         except _NUMERICAL as exc:
             out.append(Reports.error(case, "graph", inputs, exc))

@@ -11,10 +11,13 @@ grid; an :class:`~heatglue.expmix.ExpMix` is made only for an entry that is
 asked for.  The series route
 (:func:`interface_kernel_series`, :func:`glue_II`) instead returns a
 :class:`SeriesKernel`: values at t with a certified error bound, summed in a
-cancellation-free positive basis.  Where only the values of the heat flow at
-one t are needed, as for the reference of a gluing check,
-:func:`heat_values` gives them from one eigendecomposition, with no
-coefficient tensor.
+cancellation-free positive basis, and raises
+:class:`~heatglue.heat1d.TruncationError` on a bound that certifies
+nothing.  Where only values at t are needed, no coefficient tensor is
+built: :func:`heat_values` gives the heat flow from one eigendecomposition,
+and :func:`glue_I_values` the first gluing formula from the two that
+:func:`glue_I` takes, its time convolutions evaluated as divided
+differences of e^{-xt} without cancellation.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from heatglue.expmix import (
     laplace_basis,
     rate_universe,
 )
+from heatglue.heat1d import TruncationError
 
 __all__ = [
     "Graph",
@@ -54,6 +58,7 @@ __all__ = [
     "SeriesKernel",
     "uniformized_walk",
     "glue_I",
+    "glue_I_values",
     "glue_II",
     "schur_cut",
     "graph_from_dict",
@@ -334,21 +339,32 @@ def heat_kernel(g: Graph) -> KernelMatrix:
     return KernelMatrix(g.vertices, g.vertices, universe, coef, np.zeros((g.n, g.n)))
 
 
+def _check_times(t: float | Sequence[float]) -> np.ndarray:
+    ts = np.asarray(t, dtype=float)
+    if not np.all((ts >= 0.0) & np.isfinite(ts)):
+        raise ValueError(f"need finite t >= 0, got {t}")
+    return ts
+
+
+def _mirror_upper(values: np.ndarray) -> np.ndarray:
+    """A stack of square matrices made bitwise symmetric from their upper
+    triangles."""
+    n = values.shape[-1]
+    return np.where(np.tri(n, dtype=bool), values.swapaxes(-1, -2), values)
+
+
 def heat_values(g: Graph, t: float | Sequence[float]) -> np.ndarray:
     """The heat flow of the graph at t >= 0 as values: Q diag(e^{-wt}) Q^T
     from one eigendecomposition of the Laplacian, with no coefficient
     tensor; the values of :func:`heat_kernel` at t, to rounding, and like
     them bitwise symmetric.  At an array of times, the values at each
     along the leading axes, all from the one eigendecomposition."""
-    ts = np.asarray(t, dtype=float)
-    if not np.all((ts >= 0.0) & np.isfinite(ts)):
-        raise ValueError(f"need finite t >= 0, got {t}")
+    ts = _check_times(t)
     d = symlin.eigh(laplacian(g))
     values = np.array([
         symlin.spectral_apply(d, lambda w: math.exp(-_safe_rate(w) * s))
         for s in ts.ravel().tolist()])
-    values = np.where(np.tri(g.n, dtype=bool), values.swapaxes(1, 2), values)
-    return values.reshape(ts.shape + (g.n, g.n))
+    return _mirror_upper(values).reshape(ts.shape + (g.n, g.n))
 
 
 def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:
@@ -603,7 +619,9 @@ class SeriesKernel:
     bound on their entrywise error against the exact glued kernel, from the
     row sums of the truncated kernel (every dropped piece is nonnegative
     and the exact kernel is stochastic) plus a rounding allowance;
-    ``evaluate_with_bound(t)`` returns both.  Each call runs one
+    ``evaluate_with_bound(t)`` returns both.  An entry of the exact kernel
+    lies in [0, 1], so a bound of 1 or more proves nothing, and both raise
+    :class:`~heatglue.heat1d.TruncationError` on it.  Each call runs one
     :func:`uniformized_walk` with theta the largest valency (at least 1),
     whose layers are the terms of the series; past 65536 Taylor orders the
     rest is left out and shows in the bound.
@@ -649,6 +667,10 @@ class SeriesKernel:
         vals, gamma = self._rows_at(_check_t(t))
         sums = [math.fsum(row) for row in vals.tolist()]
         bound = max(1.0 - s for s in sums) + 3.0 * gamma * max(1.0, max(sums))
+        if not bound < 1.0:
+            raise TruncationError(
+                f"series at order {self._k_max}: bound {bound:.15g} is not below "
+                f"the a-priori bound 1 of a heat kernel entry", bound)
         return vals[:, self._start], bound
 
 
@@ -671,6 +693,24 @@ def interface_kernel_series(d: Decomposition, k_max: int):
 # ---------------------------------------------------------------------------
 
 
+def _glue_I_spectra(d: Decomposition) -> tuple[np.ndarray, ...]:
+    """(y, c, w, Q_Y, mu, V, B) of formula I: the interface and off-interface
+    indices in decomposition order, L = Q diag(w) Q^T, L_C = V diag(mu) V^T
+    (both rate vectors clamped by _safe_rate) and B = V^T A_CY."""
+    og = d.ordered_graph
+    n, n1, ny = og.n, len(d.side1), len(d.interface)
+    y = np.arange(n1, n1 + ny)
+    c = np.r_[0:n1, n1 + ny:n]
+    lap = laplacian(og)
+    full = symlin.eigh(lap)
+    blk = symlin.eigh(symlin.SymMatrix(lap.entries[np.ix_(c, c)]))
+    w = np.array([_safe_rate(x) for x in full.eigenvalues])
+    mu = np.array([_safe_rate(x) for x in blk.eigenvalues])
+    v = blk.eigenvectors
+    return (y, c, w, full.eigenvectors[y], mu, v,
+            v.T @ og.adjacency[np.ix_(c, y)])
+
+
 def glue_I(d: Decomposition) -> KernelMatrix:
     """First gluing formula: K = K_rel + E * K_Y * E^T, exact as
     coefficients on one rate universe up to rate-merge rounding.
@@ -685,29 +725,127 @@ def glue_I(d: Decomposition) -> KernelMatrix:
     mu_m, weighted by V and B with einsum, and the coefficient tensor is
     the :class:`KernelMatrix` itself.
     """
-    og = d.ordered_graph
-    n, n1, ny = og.n, len(d.side1), len(d.interface)
-    y = np.arange(n1, n1 + ny)
-    c = np.setdiff1d(np.arange(n), y)
-    lap = laplacian(og)
-    full = symlin.eigh(lap)
-    blk = symlin.eigh(symlin.SymMatrix(lap.entries[np.ix_(c, c)]))
-    rates = [_safe_rate(x) for x in np.concatenate([full.eigenvalues, blk.eigenvalues])]
-    universe, rows = rate_universe(rates)
+    y, c, w, q, mu, v, b = _glue_I_spectra(d)
+    n = w.size
+    universe, rows = rate_universe(np.concatenate([w, mu]))
     onehot = np.eye(len(universe))[rows]
-    q, v = full.eigenvectors[y], blk.eigenvectors
-    b = v.T @ og.adjacency[np.ix_(c, y)]
-    mu = rows[n:, None, None]
+    at_mu = rows[n:, None, None]
     ky = np.einsum("pk,qk,kx->pqx", q, q, onehot[:n])[..., None]
-    eky = np.einsum("im,mp,mpqxa->iqxa", v, b, convolve_exponential(ky, universe, mu))
-    ekye = np.einsum("jm,mq,miqxa->ijxa", v, b, convolve_exponential(eky, universe, mu))
+    eky = np.einsum("im,mp,mpqxa->iqxa", v, b, convolve_exponential(ky, universe, at_mu))
+    ekye = np.einsum("jm,mq,miqxa->ijxa", v, b, convolve_exponential(eky, universe, at_mu))
     ekye[..., 0] += np.einsum("im,jm,mx->ijx", v, v, onehot[n:])
     coef = np.zeros((n, n, len(universe), 3))
     coef[y[:, None], y, :, :1] = ky
     coef[c[:, None], y, :, :2] = eky
     coef[y[:, None], c, :, :2] = eky.transpose(1, 0, 2, 3)
     coef[c[:, None], c] = ekye
-    return KernelMatrix(og.vertices, og.vertices, universe, coef, np.zeros((n, n)))
+    labels = d.ordered_graph.vertices
+    return KernelMatrix(labels, labels, universe, coef, np.zeros((n, n)))
+
+
+# The time convolutions of glue_I, taken at t, are divided differences of
+# e^{-xt}: phi(a, b) = (e^{-a.} * e^{-b.})(t) is minus the first, at a and
+# b, and psi(a, b, c) = (e^{-a.} * e^{-b.} * e^{-c.})(t) the second, at a,
+# b and c.  Both are positive, and each is evaluated from the spread of its
+# rates over t so that no difference of nearly equal values is taken
+# (McCurdy, Ng and Parlett, Math. Comp. 43, 1984).
+
+_NEAR = 0.5  # rate pairs of L_C closer than this over t sum psi entry by entry
+_PSI_BLOCK = 1 << 14  # entries of psi formed at once
+_INV_FACTORIAL = 1.0 / np.array([float(math.factorial(n)) for n in range(48)])
+
+
+def _h1(z: np.ndarray) -> np.ndarray:
+    """(1 - e^{-z}) / z for z >= 0, and 1 at z = 0."""
+    out = np.ones_like(z)
+    pos = z > 0.0
+    out[pos] = -np.expm1(-z[pos]) / z[pos]
+    return out
+
+
+def _phi(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
+    """(e^{-a.} * e^{-b.})(t) = t e^{-min(a, b) t} h1(|a - b| t), elementwise."""
+    return t * np.exp(-np.minimum(a, b) * t) * _h1(np.abs(a - b) * t)
+
+
+def _psi(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
+    """(e^{-a.} * e^{-b.} * e^{-c.})(t), elementwise.
+
+    With the rates sorted lo <= mid <= hi, x = (mid - lo) t, q = (hi - mid) t
+    and y = (hi - lo) t, it is t^2 e^{-lo t} (h1(x) - e^{-x} h1(q)) / y,
+    and past y = 1 that difference loses at most a factor 2.7 to
+    cancellation.  Up to y = 1 it is t^2 e^{-hi t} times the series
+    sum_{i,j} y^i q^j / (i + j + 2)!, whose terms are positive; with i and
+    j below k, the terms left out have degree i + j >= k, and those of
+    degree N sum to at most (N + 1) / (N + 2)! of a series of at least 1/2.
+    """
+    lo, mid, hi = np.sort(np.stack(np.broadcast_arrays(a, b, c)), axis=0)
+    x, q, y = (mid - lo) * t, (hi - mid) * t, (hi - lo) * t
+    out = np.empty_like(y)
+    far = y > 1.0
+    if far.any():
+        xf = x[far]
+        out[far] = (np.exp(-lo[far] * t) * (_h1(xf) - np.exp(-xf) * _h1(q[far]))
+                    / y[far])
+    near = ~far
+    if near.any():
+        yn, qn = y[near, None], q[near, None]
+        top, k = float(yn.max()), 1  # top <= 1, so k stays below 20
+        while (k + 1) * top**k * _INV_FACTORIAL[k + 2] > 1e-18:
+            k += 1
+        powers = np.arange(k)
+        coef = _INV_FACTORIAL[np.add.outer(powers, powers) + 2]
+        series = ((yn**powers @ coef) * qn**powers).sum(axis=1)
+        out[near] = np.exp(-hi[near] * t) * series
+    return t * t * out
+
+
+def glue_I_values(d: Decomposition, t: float | Sequence[float]) -> np.ndarray:
+    """First gluing formula as values at t >= 0: K = K_rel + E * K_Y * E^T
+    from the two eigendecompositions of :func:`glue_I`, with no coefficient
+    tensor.
+
+    With G = (V^T A_CY) Q_Y, the blocks at t are K_Y = Q_Y e^{-wt} Q_Y^T on
+    the interface, E * K_Y = V (G o Phi) Q_Y^T with Phi_mk = phi(mu_m, w_k)
+    from C to it, and K_rel + E * K_Y * E^T = V (H + e^{-mu t}) V^T on C,
+    with H_mn = sum_k G_mk G_nk psi(mu_m, w_k, mu_n).  Where mu_m and mu_n
+    lie more than 1/2 apart over t, H = (M - M^T) / (mu_n - mu_m) with
+    M = (G o Phi) G^T, two matrix products; the other pairs, the diagonal
+    among them, sum psi entry by entry.  All four blocks are one product
+    W core W^T, W holding V on the rows of C and Q_Y on those of the
+    interface.  Returns an n by n array in decomposition order, bitwise
+    symmetric: the values of ``glue_I(d).evaluate(t)``, to rounding.  At
+    an array of times, the values at each along the leading axes, all from
+    the two eigendecompositions.
+    """
+    ts = _check_times(t)
+    y, c, w, q, mu, v, b = _glue_I_spectra(d)
+    g = b @ q
+    n, nc = w.size, c.size
+    basis = np.zeros((n, nc + n))
+    basis[c, :nc] = v
+    basis[y, nc:] = q
+    core = np.zeros((nc + n, nc + n))
+    gap = mu[None, :] - mu[:, None]  # mu_n - mu_m at (m, n)
+    block = max(1, _PSI_BLOCK // n)
+    values = np.empty((ts.size, n, n))
+    for out, s in zip(values, ts.ravel().tolist()):
+        gphi = g * _phi(mu[:, None], w[None, :], s)
+        near = np.abs(gap) * s <= _NEAR
+        m = gphi @ g.T
+        h = np.divide(m - m.T, gap, out=np.zeros_like(gap), where=~near)
+        im, jn = np.nonzero(np.triu(near))
+        for lo in range(0, im.size, block):
+            i, j = im[lo:lo + block], jn[lo:lo + block]
+            psi = _psi(mu[i, None], w[None, :], mu[j, None], s)
+            h[i, j] = h[j, i] = (g[i] * g[j] * psi).sum(axis=1)
+        h[np.diag_indices(nc)] += np.exp(-mu * s)
+        core[:nc, :nc] = h
+        core[:nc, nc:] = gphi
+        core[nc:, :nc] = gphi.T
+        core[nc:, nc:] = np.diag(np.exp(-w * s))
+        out[...] = basis @ core @ basis.T
+    return _mirror_upper(values).reshape(ts.shape + (n, n))
 
 
 def glue_II(d: Decomposition, k_max: int):

@@ -95,8 +95,8 @@ def test_graph_glue_series_walks_the_kernel_once_per_case(tmp_path,
 
 
 def test_graph_references_take_one_eigendecomposition(tmp_path, monkeypatch):
-    # the reference is Q diag(e^{-wt}) Q^T from one eigh, with no
-    # coefficient tensor; only glue_I itself builds a KernelMatrix
+    # the reference is Q diag(e^{-wt}) Q^T from one eigh, and the assembled
+    # gluing its values at t from two; no case builds a KernelMatrix
     calls = Counter()
     eigh, build = symlin.eigh, KernelMatrix.__init__
 
@@ -120,11 +120,11 @@ def test_graph_references_take_one_eigendecomposition(tmp_path, monkeypatch):
             ({"kind": "graph-glue", "method": "series", "kmax": 8},
              {"eigh": 1}),
             ({"kind": "graph-pathsum", "u": "a", "v": "c"}, {"eigh": 1}),
-            ({"kind": "graph-glue"}, {"eigh": 3, "KernelMatrix": 1}),
-            # per draw, two from glue_I and one for the references at all
-            # three times
+            ({"kind": "graph-glue"}, {"eigh": 3}),
+            # per draw, two for the gluing and one for the references, each
+            # at all three times
             ({"kind": "random-graph-glue", "count": 2, "nmax": 6},
-             {"eigh": 6, "KernelMatrix": 2})]:
+             {"eigh": 6})]:
         problems.write_text(json.dumps({"cases": [
             {"id": "c", "input": str(square), "t": 0.7, **case}]}))
         calls.clear()
@@ -244,6 +244,28 @@ def test_interval_glue_formula_II_reference_does_not_cancel():
 def test_a_tail_past_the_float_range_exits_three(args, message):
     # the least Laplace tail is past e^709: an infinite tail, reported as a
     # typed error rather than an OverflowError or a pass
+    res = invoke(args.split())
+    assert res.exit_code == 3
+    (r,) = json_lines(res.stdout)
+    assert r["status"] == "error"
+    assert r["message"].startswith(message)
+
+
+@pytest.mark.parametrize("args,message", [
+    # bounds 3.2e56 and 7.2 against the circle kernel 0.5, which bounds the
+    # arc kernel a priori
+    ("circle cut --L 2 --cuts 0,1 --x 0.3 --y 0.7 --t 100 --kmax 4",
+     "TruncationError: circle cut at order 4: bound 3.18128e+56 is not below "
+     "the a-priori bound 0.5"),
+    ("circle cut --L 2 --cuts 0,1 --x 0.3 --y 0.7 --t 3 --kmax 8",
+     "TruncationError: circle cut at order 8: bound 7.20295 is not below "
+     "the a-priori bound 0.5"),
+    # values about 1e-17 against 1/3, and a bound of 1.0000000000063 on
+    # entries that lie in [0, 1]
+    ("graph glue --input line3 --t 50 --method series --kmax 2",
+     "TruncationError: series at order 2: bound 1.00000000000628 is not "
+     "below the a-priori bound 1")])
+def test_a_bound_at_or_above_the_a_priori_bound_exits_three(args, message):
     res = invoke(args.split())
     assert res.exit_code == 3
     (r,) = json_lines(res.stdout)
@@ -425,10 +447,10 @@ def test_exit_three_on_numerical_failure():
 @pytest.mark.parametrize("error", [ConvergenceError, ConfluentOverflowError])
 def test_exit_three_on_eigensolver_and_confluent_failures(error, tmp_path,
                                                           monkeypatch):
-    def fail(d):
+    def fail(d, t):
         raise error("injected")
 
-    monkeypatch.setattr(heatglue.cli, "glue_I", fail)
+    monkeypatch.setattr(heatglue.cli, "glue_I_values", fail)
     res = invoke(["graph", "glue", "--input", "line3", "--t", "1"])
     assert res.exit_code == 3
     (r,) = json_lines(res.stdout)

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import json
 import math
+import time
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import taylor_expm
+from heatglue.heat1d import TruncationError
 from heatglue.expmix import (
     ExpMix,
     allclose,
@@ -17,6 +22,7 @@ from heatglue.expmix import (
     laplace,
     structural_max_diff,
 )
+from heatglue import graph_heat
 from heatglue.graph_heat import (
     Decomposition,
     Graph,
@@ -25,6 +31,7 @@ from heatglue.graph_heat import (
     dn_total,
     extension_kernel,
     glue_I,
+    glue_I_values,
     glue_II,
     graph_from_dict,
     green,
@@ -587,6 +594,127 @@ def test_glue_II_matches_assembled_on_random_splits():
         for t in (0.25, 1.0, 4.0):
             diff = np.abs(k.evaluate(t) - assembled.evaluate(t)).max()
             assert diff <= bound(t)
+
+
+def test_series_bound_at_or_above_one_raises():
+    # an entry of the glued kernel lies in [0, 1]: at t = 50 the series cut
+    # after two interface updates keeps almost nothing, and its bound,
+    # 1.0000000000063, certifies nothing
+    kern, bound = glue_II(LINE3_SPLIT, 2)
+    for call in (bound, kern.evaluate_with_bound):
+        with pytest.raises(TruncationError, match="a-priori bound 1") as info:
+            call(50.0)
+        assert info.value.achievable >= 1.0
+    _, bound = interface_kernel_series(LINE3_SPLIT, 2)
+    with pytest.raises(TruncationError):
+        bound(50.0)
+    assert bound(1.0) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the first gluing formula as values at t
+# ---------------------------------------------------------------------------
+
+TIMES = (1e-6, 0.25, 1.0, 4.0, 50.0)
+
+
+def split_of_parts(side1, interface, side2, edges) -> Decomposition:
+    return Decomposition(Graph(side1 + interface + side2, tuple(edges)),
+                         interface, side1, side2)
+
+
+def complete_on(labels):
+    return [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+
+
+CONFLUENT_SPLITS = {
+    # a and b have the same neighbours, so L_C repeats a rate
+    "twins": split_of_parts(("a", "b", "c"), ("y",), ("d",), [
+        ("a", "y"), ("b", "y"), ("a", "c"), ("b", "c"), ("y", "d")]),
+    # each side complete and joined to the whole interface
+    "complete sides": split_of_parts(
+        ("a", "b", "c", "d"), ("y", "z"), ("p", "q", "r"),
+        complete_on(("a", "b", "c", "d", "y", "z"))
+        + complete_on(("p", "q", "r"))
+        + [(u, v) for u in ("y", "z") for v in ("p", "q", "r")]),
+    # leaves around the interface: L_C is the identity, and 1 is a rate of
+    # L too
+    "star": split_of_parts(("a", "b", "c"), ("y",), ("d", "e"),
+                           [(v, "y") for v in "abcde"]),
+    # p-q and s have no edge to the interface: zero rates of L_C
+    "zero rate": split_of_parts(("a", "b"), ("y",), ("d", "p", "q", "s"), [
+        ("a", "b"), ("a", "y"), ("y", "d"), ("p", "q")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFLUENT_SPLITS))
+def test_glue_I_values_match_expm_on_confluent_spectra(name):
+    d = CONFLUENT_SPLITS[name]
+    lap = laplacian(d.ordered_graph).entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = glue_I_values(d, TIMES)
+        for t, at_t in zip(TIMES, values):
+            assert np.array_equal(at_t, glue_I_values(d, t))
+            assert np.array_equal(at_t, at_t.T)
+            assert np.abs(at_t - scipy.linalg.expm(-t * lap)).max() < 1e-13
+
+
+def test_glue_I_values_match_the_coefficient_route():
+    rng = np.random.default_rng(19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            d = random_decomposition(rng, 12)
+            km = glue_I(d)
+            values = glue_I_values(d, TIMES)
+            assert values.shape == (len(TIMES), d.graph.n, d.graph.n)
+            for t, at_t in zip(TIMES, values):
+                assert np.abs(at_t - km.evaluate(t)).max() < 1e-13
+                assert np.abs(at_t - heat_values(d.ordered_graph, t)).max() < 1e-13
+
+
+def test_glue_I_values_at_sixty_vertices_within_budget():
+    rng = np.random.default_rng(60)
+    side1 = tuple(f"a{i}" for i in range(28))
+    iface = tuple(f"y{i}" for i in range(4))
+    side2 = tuple(f"b{i}" for i in range(28))
+    edges = [e for part in (side1 + iface, iface + side2)
+             for e in complete_on(part) if rng.random() < 0.3]
+    d = split_of_parts(side1, iface, side2, set(edges))
+    start = time.perf_counter()
+    values = glue_I_values(d, TIMES)
+    elapsed = time.perf_counter() - start
+    lap = laplacian(d.ordered_graph).entries
+    for t, at_t in zip(TIMES, values):
+        assert np.abs(at_t - scipy.linalg.expm(-t * lap)).max() < 1e-12
+    assert elapsed < 2.0
+
+
+def test_glue_I_values_at_t_zero_and_bad_t():
+    d = CONFLUENT_SPLITS["twins"]
+    assert np.abs(glue_I_values(d, 0.0) - np.eye(d.graph.n)).max() < 1e-15
+    for bad in (-1.0, math.nan, math.inf, [1.0, -0.5]):
+        with pytest.raises(ValueError):
+            glue_I_values(d, bad)
+
+
+@pytest.mark.parametrize("t", TIMES)
+def test_psi_is_the_second_divided_difference(t):
+    # (e^{-a.} * e^{-b.} * e^{-c.})(t) is entry (0, 2) of exp(-t T) with T
+    # upper bidiagonal, diagonal (a, b, c) and ones above it; the rates
+    # repeat, nearly repeat and spread across the switch at (hi - lo) t = 1,
+    # and are handed over unsorted
+    rates = (0.0, 1e-9, 0.3, 0.3 + 1e-7, 1.0 + 0.4 / t, 1.0 + 1.1 / t, 7.0)
+    triples = list(itertools.combinations_with_replacement(rates, 3))
+    lo, mid, hi = (np.array(v) for v in zip(*triples))
+    got = graph_heat._psi(mid, hi, lo, t)
+    with mpmath.workdps(30):
+        for (lo, mid, hi), value in zip(triples, got):
+            mat = mpmath.matrix([[lo, 1, 0], [0, mid, 1], [0, 0, hi]])
+            exact = mpmath.expm(-t * mat)[0, 2]
+            # e^{-hi t} alone is off by the rounding of hi t
+            assert abs(value - exact) <= (8 + hi * t) * 2.2e-16 * exact
 
 
 # ---------------------------------------------------------------------------

@@ -98,3 +98,16 @@ def test_the_1d_kernels_use_no_quadrature():
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert not names & {"quadsim", "conv_n", "inverse_pow_gaussian", "TimeFactor"}
+
+
+def test_the_cli_builds_no_coefficient_tensor():
+    # every graph report needs values at one t, which the assembled gluing
+    # and the references give from eigendecompositions: the command line
+    # neither imports nor names the coefficient-tensor routes
+    tree = dict(modules())["cli"]
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.asname or a.name for n in ast.walk(tree)
+              if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & {"glue_I", "KernelMatrix", "heat_kernel",
+                        "evaluate_basis"}
