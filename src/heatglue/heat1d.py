@@ -921,7 +921,7 @@ def arc_direct(L_total: float, cuts: Sequence[float], x: float, y: float,
 
 def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
                       y: float, t: float, k_max: int,
-                      reference: float | None = None, strict: bool = False
+                      reference: float | None = None
                       ) -> tuple[float, float, float]:
     """Arc kernel rebuilt by cutting the circle at two points.
 
@@ -934,13 +934,7 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     bound adds :func:`_cut_tail`, the circle kernel's bound and a rounding
     part 3 gamma max(1, scale).  The tail is taken before anything is
     composed, once the first compositions are known to fit the image
-    budget, and a tail that is not finite raises TruncationError.  Domain
-    monotonicity gives 0 <= arc kernel <= circle kernel, so a bound at or
-    above the circle kernel proves nothing; with ``strict`` that raises
-    TruncationError too, checked on the tail and the circle kernel's bound
-    before anything is composed and again on the whole bound.  Without it
-    a shallow cut still returns its value, whose residual shows how far
-    the series has got.
+    budget, and a tail that is not finite raises TruncationError.
     """
     arc_coordinates(L_total, cuts, x, y)  # both points inside one arc
     L = float(L_total)
@@ -955,14 +949,10 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     close = [_ring("g", L, c - y, reach) for c in cuts]
     for s, c in zip(state, close):
         _check_images(s.d.size, c.d.size)
-    label = f"circle cut at order {k_max}"
     tail = _cut_tail(L, cuts, x, y, close, t, k_max)
     if not math.isfinite(tail):
-        raise TruncationError(f"{label}: its truncation tail has no finite "
-                              f"bound", tail)
-    circle_val, circle_bound = k_circle(L, x, y, t, "auto", _TIGHT)
-    prior = circle_val if strict else math.inf
-    _below_prior(tail + circle_bound, prior, label)
+        raise TruncationError(f"circle cut at order {k_max}: its truncation "
+                              f"tail has no finite bound", tail)
     at_t = np.array([t])
     terms = []
     images = 0
@@ -974,14 +964,13 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
         images = max(images, closed.d.size)
         terms.append(float(closed(at_t)[0]))
     correction = sum((-1.0) ** k * term for k, term in enumerate(terms))
+    circle_val, circle_bound = k_circle(L, x, y, t, "auto", _TIGHT)
     value = circle_val - correction
     # a distance sums k_max + 2 images of two roundings each and its
     # exponent stays below 50, so a Gaussian is off by 100 (k_max + 5) + 4
     # roundings; a term adds one per image, the alternating sum k_max + 2
     gamma = _U * (101.0 * (k_max + 6) + images)
-    bound = _below_prior(
-        tail + circle_bound + 3.0 * gamma * max(1.0, circle_val + sum(terms)),
-        prior, label)
+    bound = tail + circle_bound + 3.0 * gamma * max(1.0, circle_val + sum(terms))
     if reference is None:
         reference = arc_direct(L, cuts, x, y, t)
     return value, bound, abs(value - reference)

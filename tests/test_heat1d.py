@@ -965,30 +965,6 @@ def test_cut_circle_bound_covers_the_dropped_terms():
             assert res <= bound, (L, cuts, x, y, t, k_max)
 
 
-def test_strict_cut_raises_on_a_bound_not_below_the_circle_kernel():
-    # 0 <= arc kernel <= circle kernel: a bound at or above the circle
-    # kernel proves nothing, and the tail shows it before anything is
-    # composed
-    for t, k_max in ((100.0, 4), (3.0, 8), (0.4, 0)):
-        start = time.perf_counter()
-        with pytest.raises(h.TruncationError, match="a-priori bound") as info:
-            h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, t, k_max,
-                                strict=True)
-        assert time.perf_counter() - start < 1.0
-        assert info.value.achievable >= h.k_circle(2.0, 0.3, 0.7, t)[0]
-    # below it, strict changes nothing
-    kept = 0
-    for L, cuts, x, y, t in continuum_cuts(7919, 30):
-        loose = h.cut_circle_to_arc(L, cuts, x, y, t, 4)
-        if loose[1] < h.k_circle(L, x, y, t)[0]:
-            kept += 1
-            assert h.cut_circle_to_arc(L, cuts, x, y, t, 4, strict=True) == loose
-        else:
-            with pytest.raises(h.TruncationError):
-                h.cut_circle_to_arc(L, cuts, x, y, t, 4, strict=True)
-    assert kept >= 25
-
-
 def test_cut_circle_converges_to_rounding_at_depth_eight():
     _, bound, res = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 8)
     assert res <= 1e-13
