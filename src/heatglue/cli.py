@@ -82,8 +82,11 @@ _JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "n
 
 
 def _json_floats(values: list) -> list[str]:
-    """Floats or None as json.dumps writes them, from one repr of the list."""
-    return [_JSON_TOKENS.get(s, s) for s in repr(values)[1:-1].split(", ")]
+    """Floats or None as json.dumps writes them, from one repr of the list.
+    Only the reprs that json.dumps writes otherwise hold an "n"."""
+    text = repr(values)[1:-1]
+    cells = text.split(", ")
+    return [_JSON_TOKENS.get(s, s) for s in cells] if "n" in text else cells
 
 
 @dataclass
@@ -131,8 +134,8 @@ class Reports:
 
     def _ids(self) -> tuple[list[str], list[str], list[str]]:
         """Per entry: the case id, JSON-escaped too, and its axis inputs
-        encoded.  Each label and axis value is encoded once: JSON escapes
-        character by character, so the pieces join exactly."""
+        encoded.  Each label, axis key and axis value is encoded once: JSON
+        escapes character by character, so the pieces join exactly."""
         ids, escaped, coords = [self.case], [escape(self.case)[1:-1]], [""]
         for n, axis in enumerate(self.axes):
             close = "]" if n == len(self.axes) - 1 else ""
@@ -140,19 +143,25 @@ class Reports:
             ids = [a + b for a in ids for b in labels]
             labels = [escape(label)[1:-1] for label in labels]
             escaped = [a + b for a in escaped for b in labels]
-            pairs = [(", " if n else "") + json.dumps({axis.key: v})[1:-1]
+            key = f"{', ' if n else ''}{escape(axis.key)}: "
+            pairs = [key + (escape(v) if isinstance(v, str) else json.dumps(v))
                      for v in axis.values]
             coords = [a + b for a in coords for b in pairs]
         return ids, escaped, coords
 
     def _columns(self, encode) -> list[list]:
         """value, reference, residual and bound, one list of cells each, from
-        one call of ``encode`` on all their floats (or None)."""
+        one call of ``encode`` on all their floats (or None).  A scalar bound
+        is encoded once and its cell repeated."""
         n = len(self.status)
-        cells = encode(sum((c.tolist() if isinstance(c, np.ndarray) else [c] * n
-                            for c in (self.value, self.reference,
-                                      self.residual, self.bound)), []))
-        return [cells[i * n:(i + 1) * n] for i in range(4)]
+        columns = [c.tolist() if isinstance(c, np.ndarray) else [c]
+                   for c in (self.value, self.reference, self.residual, self.bound)]
+        cells = encode(sum(columns, []))
+        out, i = [], 0
+        for c in columns:
+            out.append(cells[i:i + len(c)] if len(c) == n else cells[i:i + 1] * n)
+            i += len(c)
+        return out
 
     def json_lines(self) -> list[tuple[str, str]]:
         """(case id, line) per entry; each line is what json.dumps writes

@@ -500,10 +500,12 @@ def one_step_interface_kernel(d: Decomposition) -> KernelMatrix:
 #
 #   x_k <- (x_k S + x_{k-1} B) / theta,
 #
-# one matrix step per Taylor order for all layers at once.  Summed over the
-# orders, layer k is the part of e^{-tL} made of walks that took exactly k
-# B-steps.  All arithmetic is on nonnegative numbers, so rounding is a
-# relative error gamma per computed entry.
+# one matrix step per Taylor order for the layers reached so far.  A walk
+# of order p has taken at most p B-steps, so order p holds layers 0 .. p
+# only, and each order adds one layer until all are reached.  Summed over
+# the orders, layer k is the part of e^{-tL} made of walks that took
+# exactly k B-steps.  All arithmetic is on nonnegative numbers, so rounding
+# is a relative error gamma per computed entry.
 
 _U = 2.0**-53  # unit roundoff of float64
 _POISSON_TAIL = 1e-20  # Taylor orders are kept until the weights left hold less
@@ -542,31 +544,39 @@ def uniformized_walk(step: np.ndarray, advance: np.ndarray, start: np.ndarray,
     vertices, all in layer 0.  Returns ``(sums, gamma)``: ``sums[k]`` (m by
     n) is the Poisson(theta t)-weighted sum over the Taylor orders of layer
     k, for k < ``layers``, and gamma a relative rounding error that covers
-    each entry of ``sums`` and of its sum over the layers.  Orders are kept until the Poisson weights left hold less
-    than 1e-20 (for large theta t about theta t + 10 sqrt(theta t) of them),
-    at most 65536.  At theta t = 0 the Poisson law is a unit mass at order
-    0, and the walk stays at ``start``.
+    each entry of ``sums`` and of its sum over the layers.
+
+    Orders are kept until the Poisson weights left hold less than 1e-20
+    (for large theta t about theta t + 10 sqrt(theta t) of them), at most
+    65536.  Order p touches layers 0 .. p only, the ones it can have
+    reached.  At theta t = 0 the Poisson law is a unit mass at order 0, and
+    the walk stays at ``start``.
     """
     m, n = start.shape
-    x = np.zeros((layers * m, n))
-    x[:m] = start
+    acc = np.zeros((layers * m, n))
     lam = theta * t
     if lam == 0.0:
-        return x.reshape(layers, m, n), 0.0
+        acc[:m] = start
+        return acc.reshape(layers, m, n), 0.0
     step = step / theta
     advance = advance / theta
     order = _poisson_order(lam)
-    acc = np.zeros_like(x)
     log_lam = math.log(lam)
+    # order p has reached the first `rows` rows; each buffer is written only
+    # up to the rows reached, which never shrink, so the rest stays zero
+    x, nxt = np.zeros((2, layers * m, n))
+    x[:m] = start
+    rows = m
     for p in range(order):
         w = math.exp(p * log_lam - math.lgamma(p + 1.0) - lam)
         if w > 0.0:
-            acc += w * x
+            acc[:rows] += w * x[:rows]
         if p + 1 == order:
             break
-        nxt = x @ step
-        nxt[m:] += x[:-m] @ advance
-        x = nxt
+        rows = min(rows + m, len(acc))
+        np.matmul(x[:rows], step, out=nxt[:rows])
+        nxt[m:rows] += x[:rows - m] @ advance
+        x, nxt = nxt, x
     # rounding, relative to each entry: step and advance have disjoint
     # supports, so order p of a layer has been through p steps of at most
     # n + 4 roundings; the sums over orders and layers add order + layers
@@ -678,8 +688,9 @@ def interface_kernel_series(d: Decomposition, k_max: int):
     """Interface kernel from its k_max-truncated one-sided series.
 
     Returns ``(kernel, kernel.bound)``: a :class:`SeriesKernel` on the
-    interface, whose ``evaluate(t)`` gives values at t > 0, and its
-    certified error bound.  The bound reads the interface rows of the glued
+    interface, whose ``evaluate(t)`` gives values at t > 0, and its bound
+    method, whose value at t > 0 is the certified error bound of
+    ``evaluate(t)``.  The bound reads the interface rows of the glued
     kernel: K[y, :] = IFK[y, :] * E^T, and E^T carries the identity atom on
     the interface columns, so each interface entry is an entry of those rows
     and its error is at most their row-sum deficit.
@@ -848,8 +859,9 @@ def glue_II(d: Decomposition, k_max: int):
 
     Returns ``(kernel, kernel.bound)``: a :class:`SeriesKernel` over the
     vertices in decomposition order, whose ``evaluate(t)`` gives values at
-    t > 0, and its certified error bound, which is the largest row-sum
-    deficit of the truncated kernel plus a rounding allowance.
+    t > 0, and its bound method, whose value at t > 0 is the certified error
+    bound of ``evaluate(t)``: the largest row-sum deficit of the truncated
+    kernel plus a rounding allowance.
     """
     kern = SeriesKernel(d, k_max, d.ordered_graph.vertices)
     return kern, kern.bound

@@ -44,6 +44,7 @@ from heatglue.graph_heat import (
     relative_heat_kernel,
     schur_cut,
 )
+from heatglue.path_sum import LENGTH_CAP
 
 LINE3 = Graph(("1", "2", "3"), (("1", "2"), ("2", "3")))
 LINE3_SPLIT = Decomposition(LINE3, ("2",), ("1",), ("3",))
@@ -405,6 +406,95 @@ def test_dn_footnote_matches_assembled():
             yi = [d.graph.index[v] for v in y]
             assembled = np.linalg.inv(gm[np.ix_(yi, yi)])
             assert np.abs(combined - assembled).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the layered walk
+# ---------------------------------------------------------------------------
+
+
+def _dense_walk(step, advance, start, layers, theta, t):
+    """The walk over all layers at every Taylor order: each layer takes its
+    matrix step from order 0 on, reached or not."""
+    m, n = start.shape
+    x = np.zeros((layers * m, n))
+    x[:m] = start
+    lam = theta * t
+    if lam == 0.0:
+        return x.reshape(layers, m, n), 0.0
+    step = step / theta
+    advance = advance / theta
+    order = graph_heat._poisson_order(lam)
+    acc = np.zeros_like(x)
+    log_lam = math.log(lam)
+    for p in range(order):
+        w = math.exp(p * log_lam - math.lgamma(p + 1.0) - lam)
+        if w > 0.0:
+            acc += w * x
+        if p + 1 == order:
+            break
+        nxt = x @ step
+        nxt[m:] += x[:-m] @ advance
+        x = nxt
+    log_mag = (order - 1) * (abs(log_lam) + 1.0) + math.lgamma(order) + lam
+    gamma = graph_heat._U * (order * (n + 5) + layers + 2 + 8.0 * log_mag)
+    return acc.reshape(layers, m, n), gamma
+
+
+def _assert_walks_equal(*args):
+    sums, gamma = graph_heat.uniformized_walk(*args)
+    want, want_gamma = _dense_walk(*args)
+    assert sums.shape == want.shape
+    assert np.array_equal(sums, want)
+    assert gamma == want_gamma
+
+
+def _series_split(d: Decomposition):
+    """step, advance and theta of the second gluing formula's walk."""
+    og = d.ordered_graph
+    y = np.arange(len(d.side1), len(d.side1) + len(d.interface))
+    theta = max(float(og.valencies.max()), 1.0)
+    shifted = theta * np.eye(og.n) - laplacian(og).entries
+    advance = np.zeros_like(shifted)
+    advance[y] = shifted[y]
+    advance[y, y] = 0.0
+    return shifted - advance, advance, theta
+
+
+def test_walk_grows_its_layers_bitwise_as_the_dense_walk():
+    # gate-03 draws: at t = 0.25 the Poisson order stays below 42 layers,
+    # at t = 4 it passes them; k_max 0 and 3 are passed at every t
+    rng = np.random.default_rng(20260822)
+    for _ in range(50):
+        d = random_decomposition(rng, 12)
+        step, advance, theta = _series_split(d)
+        start = np.eye(d.ordered_graph.n)
+        for t in (0.25, 1.0, 4.0):
+            for k_max in (0, 3, 40):
+                _assert_walks_equal(step, advance, start, k_max + 2, theta, t)
+
+
+def test_walk_at_zero_theta_t_stays_at_its_start():
+    d = random_decomposition(np.random.default_rng(3), 12)
+    step, advance, theta = _series_split(d)
+    start = np.eye(d.ordered_graph.n)[:2]
+    _assert_walks_equal(step, advance, start, 5, theta, 0.0)
+    sums, gamma = graph_heat.uniformized_walk(step, advance, start, 5, theta, 0.0)
+    assert np.array_equal(sums[0], start) and not sums[1:].any() and gamma == 0.0
+
+
+def test_walk_of_a_path_sum_matches_the_dense_walk():
+    # one start row, every edge advancing, one layer per path length
+    rng = np.random.default_rng(20260822)
+    for _ in range(10):
+        g = random_decomposition(rng, 12).ordered_graph
+        vals = g.valencies
+        d_max = float(vals.max())
+        for u in range(g.n):
+            start = np.eye(g.n)[u:u + 1]
+            for t in (0.3, 0.7, 4.0):
+                _assert_walks_equal(np.diag(d_max - vals), g.adjacency, start,
+                                    LENGTH_CAP + 1, d_max, t)
 
 
 # ---------------------------------------------------------------------------
