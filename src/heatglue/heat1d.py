@@ -406,7 +406,10 @@ def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     cancel exactly, so they are left out, and the difference is never
     taken between two kernel values that agree to many digits.  The images
     past _reach(t), each below e^-50 (4 pi t)^(-1/2), are left out too.
-    The reference of both routes in ``heatglue interval glue``.
+    Each b-image is formed from x + y and one shift, x + y + 2(k - 1) L2
+    and (x + y) + (2kS - 2 L2), so the nearest one, x + y at k = 1, is
+    exact and none loses x + y to rounding at the scale of 2 L2.  The
+    reference of both routes in ``heatglue interval glue``.
     """
     L1 = _check_length(L1, "L1")
     L2 = _check_length(L2, "L2")
@@ -416,8 +419,10 @@ def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     n = int(math.ceil(_reach(t) / (2.0 * L2))) + 2
     k = np.concatenate([np.arange(-n, 0.0), np.arange(1.0, n + 1.0)])
     shift = np.concatenate([2.0 * (L1 + L2) * k, 2.0 * L2 * k])
+    mirror = np.concatenate([2.0 * (L1 + L2) * k - 2.0 * L2,
+                             2.0 * L2 * (k - 1.0)])
     pulses = (np.exp(-np.square(x - y + shift) / (4.0 * t))
-              - np.exp(-np.square(x + y - 2.0 * L2 + shift) / (4.0 * t)))
+              - np.exp(-np.square(x + y + mirror) / (4.0 * t)))
     return float(np.repeat([1.0, -1.0], k.size) @ pulses) \
         / math.sqrt(4.0 * math.pi * t)
 
@@ -537,12 +542,14 @@ class _ImageSum:
     kind "h" first-passage densities h_d(tau) = d (4 pi)^(-1/2)
     tau^(-3/2) exp(-d^2/4tau), h_0 being the delta at 0.  Distances add
     under convolution, h_a * h_b = h_(a+b) and h_a * g_b = g_(a+b) (the
-    stable-1/2 semigroup, Feller vol. II): :meth:`compose`, so every 1d
-    gluing integral here is one such sum, exact up to rounding.  Distances
-    past reach are dropped first, then exactly equal distances are merged,
+    stable-1/2 semigroup, Feller vol. II): :meth:`compose`, and sums of
+    such compositions are formed raw and merged once
+    (:func:`_compose_sum`), so every 1d gluing integral here is one such
+    sum, exact up to rounding.  Distances past reach are dropped first (a
+    NaN distance at any reach), then exactly equal distances are merged,
     their weights added in the order given, and zero weights dropped; a
-    finite reach stands for the images negligible up to its time
-    (:func:`_reach`).
+    step that keeps every image copies nothing.  A finite reach stands
+    for the images negligible up to its time (:func:`_reach`).
     """
 
     kind: str
@@ -556,39 +563,27 @@ class _ImageSum:
         d = np.asarray(self.d, dtype=float).ravel()
         w = np.asarray(self.w, dtype=float).ravel()
         near = d <= self.reach
-        d, w = d[near], w[near]
+        if np.count_nonzero(near) < d.size:
+            d, w = d[near], w[near]
         order = np.argsort(d, kind="stable")
-        d = d[order]
+        d, w = d[order], w[order]
         first = np.empty(d.size, dtype=bool)
         first[:1] = True
         np.not_equal(d[1:], d[:-1], out=first[1:])
-        # each run of equal distances summed in input order, as a scatter
-        # add does it (np.add.reduceat sums long runs pairwise); float even
-        # when empty
-        w = np.bincount(np.cumsum(first) - 1,
-                        weights=w[order]).astype(float, copy=False)
-        keep = w != 0.0
-        object.__setattr__(self, "d", d[first][keep])
-        object.__setattr__(self, "w", w[keep])
-
-    def __add__(self, other: _ImageSum) -> _ImageSum:
-        if self.kind != other.kind:
-            raise ValueError("only sums of one kind add")
-        return _ImageSum(self.kind, np.concatenate([self.d, other.d]),
-                         np.concatenate([self.w, other.w]),
-                         min(self.reach, other.reach))
+        if np.count_nonzero(first) < d.size:
+            # each run of equal distances summed in input order, as a
+            # scatter add does it (np.add.reduceat sums long runs pairwise)
+            d, w = d[first], np.bincount(np.cumsum(first) - 1, weights=w)
+        if np.count_nonzero(w) < w.size:
+            keep = w != 0.0
+            d, w = d[keep], w[keep]
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "w", w)
 
     def compose(self, other: _ImageSum) -> _ImageSum:
         """The convolution of two sums, one of them of kind h at least:
-        distances add and weights multiply.  TruncationError when the
-        images before merging would number more than _MAX_IMAGES."""
-        if "h" not in (self.kind, other.kind):
-            raise ValueError("Gaussians do not compose into an image sum")
-        _check_images(self.d.size, other.d.size)
-        return _ImageSum("h" if self.kind == other.kind else "g",
-                         np.add.outer(self.d, other.d),
-                         np.outer(self.w, other.w),
-                         min(self.reach, other.reach))
+        :func:`_compose_sum` of the one pair."""
+        return _compose_sum((self, other))
 
     def __call__(self, tau: np.ndarray) -> np.ndarray:
         """The sum at an array of times, zero at times <= 0."""
@@ -627,12 +622,37 @@ class _ImageSum:
         return value, _U * (float(kappa @ np.abs(terms)) + abs(value))
 
     def sup(self, t: float) -> float:
-        """Bound on |sum| over (0, t] for a sum of Gaussians with no image
-        at distance 0, image by image: g_d rises until d^2/2, so
-        sum_i |w_i| g_(d_i)(min(t, d_i^2/2))."""
+        """Bound on |sum * g_0| over (0, t], the Gaussians g_d at the
+        sum's distances and weights (the sum itself for kind g), when no
+        image lies at distance 0, image by image: g_d rises until d^2/2,
+        so sum_i |w_i| g_(d_i)(min(t, d_i^2/2))."""
         peak = np.minimum(t, 0.5 * self.d**2)
         return float(np.sum(np.abs(self.w) * np.exp(-self.d**2 / (4.0 * peak))
                             / np.sqrt(4.0 * math.pi * peak)))
+
+
+def _compose_sum(*pairs: tuple[_ImageSum, _ImageSum]) -> _ImageSum:
+    """sum_i a_i * b_i over the pairs (a_i, b_i), each with one sum of
+    kind h at least and all of one composed kind: every pair formed raw,
+    distances added and weights multiplied, and the whole merged once.
+    Weights that are integers below 2^53 add exactly in any order, so this
+    is, bit for bit, the pairs composed and merged one by one and then
+    added.  TruncationError when a pair would form more than _MAX_IMAGES
+    images before merging, checked for every pair before any is formed."""
+    kinds = set()
+    for a, b in pairs:
+        if "h" not in (a.kind, b.kind):
+            raise ValueError("Gaussians do not compose into an image sum")
+        kinds.add("h" if a.kind == b.kind else "g")
+        _check_images(a.d.size, b.d.size)
+    if len(kinds) != 1:
+        raise ValueError("only sums of one kind add")
+    return _ImageSum(kinds.pop(),
+                     np.concatenate([np.add.outer(a.d, b.d).ravel()
+                                     for a, b in pairs]),
+                     np.concatenate([np.multiply.outer(a.w, b.w).ravel()
+                                     for a, b in pairs]),
+                     min(min(a.reach, b.reach) for a, b in pairs))
 
 
 _G0 = _ImageSum("g", [0.0], [1.0])  # the flat junction pulse
@@ -686,11 +706,20 @@ def _dropped_images(t: float, r: np.ndarray, log_lam: np.ndarray,
     return math.exp(float(log_drop.min())) / math.sqrt(4.0 * math.pi * t)
 
 
-def _log_round_trips(L1: float, L2: float, r: np.ndarray) -> np.ndarray:
+def _log_gap(L: float, r: np.ndarray) -> np.ndarray:
+    """log(1 - e^(-rL)): pulses spaced L apart transform at s = r^2 to a
+    geometric series of ratio e^(-rL), and this is the log of one minus
+    it.  Each length's is taken once per grid of r and shared."""
+    return np.log(-np.expm1(-r * L))
+
+
+def _log_round_trips(L1: float, L2: float, r: np.ndarray,
+                     log_gaps: Sequence[np.ndarray]) -> np.ndarray:
     """log lam, lam = sum_L e^(-2Lr) / (1 - e^(-2Lr)): the round trips
-    phi = sum_k h_2kL1 + h_2kL2 transformed at s = r^2."""
-    return np.logaddexp(*(-2.0 * L * r - np.log(-np.expm1(-2.0 * L * r))
-                          for L in (L1, L2)))
+    phi = sum_k h_2kL1 + h_2kL2 transformed at s = r^2, from the
+    :func:`_log_gap` of 2 L1 and 2 L2."""
+    return np.logaddexp(*(-2.0 * L * r - log_gap
+                          for L, log_gap in zip((L1, L2), log_gaps)))
 
 
 def _flux_pair_eval(L: float, x: float, y: float, t_max: float) -> _ImageSum:
@@ -704,25 +733,25 @@ def _flux_pair_eval(L: float, x: float, y: float, t_max: float) -> _ImageSum:
     return _ImageSum("h", *_flux_pair(L, x, y, K), reach)
 
 
-def _echo_tail(L1: float, L2: float, pair: _ImageSum | None, t: float,
-               n_max: int) -> float:
+def _echo_tail(pair: _ImageSum | None, phi: _ImageSum, t: float,
+               r: np.ndarray, log_lam: np.ndarray, n_max: int) -> float:
     """Bound on what the echo series at order n_max leaves out at t; pair
     None stands for the delta at the junction.
 
     At s = r^2 the round trips phi = sum_k h_2kL1 + h_2kL2 transform to
-    lam = sum_L e^(-2Lr) / (1 - e^(-2Lr)).  So order n is at most
-    sup_(0,t)(|pair| * g_0) int_0^t phi^(*n) <= S e^(st) lam^n, and the
-    orders past n_max sum to at most S e^(st) lam^(n_max+1) / (1 - lam).
-    With pair the delta, the bounded factor is phi * g_0 instead: S is its
-    supremum and the power of lam one less.  The tail takes its least value
-    over the fixed grid of r.
+    lam = sum_L e^(-2Lr) / (1 - e^(-2Lr)), log_lam on the grid r
+    (:func:`_log_round_trips`, taken once by the caller).  So order n is
+    at most sup_(0,t)(|pair| * g_0) int_0^t phi^(*n) <= S e^(st) lam^n,
+    and the orders past n_max sum to at most
+    S e^(st) lam^(n_max+1) / (1 - lam).  With pair the delta, the bounded
+    factor is phi * g_0 instead: S is its supremum and the power of lam
+    one less.  S comes from the merged pulses themselves
+    (:meth:`_ImageSum.sup`), and the tail takes its least value over the
+    grid of r.
     """
-    r = _R_SQRT_T / math.sqrt(t)
-    log_lam = _log_round_trips(L1, L2, r)
-    # composed with g_0, the pulses h_d become the Gaussians g_d
-    pulses = _echo_pulse(t, L1, L2) if pair is None else pair
-    sup = _ImageSum("g", pulses.d, np.abs(pulses.w)).sup(t)
-    return _geometric_tail(sup, t, r, log_lam, n_max + (pair is not None))
+    pulses = phi if pair is None else pair
+    return _geometric_tail(pulses.sup(t), t, r, log_lam,
+                           n_max + (pair is not None))
 
 
 def _below_prior(bound: float, prior: float, label: str) -> float:
@@ -781,12 +810,13 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     # a path past the reach crosses one flux image on each side, each side
     # transforming to sum_k e^(-r |z + 2kL2|), and n round trips
     r = _R_SQRT_T / math.sqrt(t)
+    log_gaps = [_log_gap(2.0 * L, r) for L in (L1, L2)]
+    log_lam = _log_round_trips(L1, L2, r, log_gaps)
     legs = () if pair is None else tuple(
-        _log_ring_transform(2.0 * L2, z, r) for z in (x, y))
+        _log_ring_transform(2.0 * L2, z, r, log_gaps[1]) for z in (x, y))
     tail = _below_prior(
-        _echo_tail(L1, L2, pair, t, n_max)
-        + _dropped_images(t, r, _log_round_trips(L1, L2, r), n_max, *legs),
-        prior, label)
+        _echo_tail(pair, phi, t, r, log_lam, n_max)
+        + _dropped_images(t, r, log_lam, n_max, *legs), prior, label)
     chains = [_G0]
     for _ in range(n_max):
         chain = phi.compose(chains[-1])
@@ -849,12 +879,14 @@ def _ring(kind: str, L: float, delta: float, reach: float,
     return _ImageSum(kind, np.abs(delta + ns * L), np.ones(ns.size), reach)
 
 
-def _log_ring_transform(L: float, delta: float, r: np.ndarray) -> np.ndarray:
+def _log_ring_transform(L: float, delta: float, r: np.ndarray,
+                        log_gap: np.ndarray) -> np.ndarray:
     """log sum_n exp(-r |delta + nL|) over all n, in closed form: the
-    Laplace transform at s = r^2 of the kind-h ring."""
+    Laplace transform at s = r^2 of the kind-h ring, given the
+    :func:`_log_gap` of L."""
     d = delta % L
     return (-r * min(d, L - d) + np.log1p(np.exp(-r * abs(L - 2.0 * d)))
-            - np.log(-np.expm1(-r * L)))
+            - log_gap)
 
 
 def _cut_tail(L: float, cuts: Sequence[float], x: float, y: float,
@@ -872,13 +904,18 @@ def _cut_tail(L: float, cuts: Sequence[float], x: float, y: float,
     exp(-D^2/4t) <= exp(r (R - D) - R^2/4t) for r <= R/2t, so they drop
     at most (4 pi t)^(-1/2) e^(rR - R^2/4t) sum(a) max(b) sum_k lam^k,
     b_u = sum_n exp(-r |c_u - y + nL|).  Each part takes its least value
-    over the fixed grid of r.
+    over the fixed grid of r; the five ring transforms and H_00 share one
+    :func:`_log_gap` of L.
     """
     r = _R_SQRT_T / math.sqrt(t)
-    log_a = np.logaddexp(*(_log_ring_transform(L, x - c, r) for c in cuts))
-    log_b = np.maximum(*(_log_ring_transform(L, c - y, r) for c in cuts))
-    log_self = math.log(2.0) - r * L - np.log(-np.expm1(-r * L))
-    log_lam = np.logaddexp(log_self, _log_ring_transform(L, cuts[0] - cuts[1], r))
+    log_gap = _log_gap(L, r)
+    log_a = np.logaddexp(*(_log_ring_transform(L, x - c, r, log_gap)
+                           for c in cuts))
+    log_b = np.maximum(*(_log_ring_transform(L, c - y, r, log_gap)
+                         for c in cuts))
+    log_self = math.log(2.0) - r * L - log_gap
+    log_lam = np.logaddexp(
+        log_self, _log_ring_transform(L, cuts[0] - cuts[1], r, log_gap))
     # the supremum of each close over (0, t); the images past the reach
     # add at most their values at t
     reach = _reach(t)
@@ -929,10 +966,11 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     Term k composes the flux state sum_n h_|x - c_u + nL| at the cut points
     c_u, k hops sum_n h_|c_u - c_v + nL| (n != 0 when u = v) and the close
     sum_n g_|c_u - y + nL| into one exact Gaussian sum at t, images out to
-    _reach(t).  Returns (value, bound, residual against reference, by
-    default the Dirichlet kernel of the arc, :func:`arc_direct`); the
-    bound adds :func:`_cut_tail`, the circle kernel's bound and a rounding
-    part 3 gamma max(1, scale).  The tail is taken before anything is
+    _reach(t); each new state and each close adds two compositions,
+    formed and merged once (:func:`_compose_sum`).  Returns (value, bound,
+    residual against reference, by default the Dirichlet kernel of the
+    arc, :func:`arc_direct`); the bound adds :func:`_cut_tail`, the circle
+    kernel's bound and a rounding part 3 gamma max(1, scale).  The tail is taken before anything is
     composed, once the first compositions are known to fit the image
     budget, and a tail that is not finite raises TruncationError.
     """
@@ -958,9 +996,9 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     images = 0
     for k in range(k_max + 1):
         if k:
-            state = [state[0].compose(same) + state[1].compose(cross),
-                     state[0].compose(cross) + state[1].compose(same)]
-        closed = state[0].compose(close[0]) + state[1].compose(close[1])
+            state = [_compose_sum((state[0], same), (state[1], cross)),
+                     _compose_sum((state[0], cross), (state[1], same))]
+        closed = _compose_sum((state[0], close[0]), (state[1], close[1]))
         images = max(images, closed.d.size)
         terms.append(float(closed(at_t)[0]))
     correction = sum((-1.0) ** k * term for k, term in enumerate(terms))

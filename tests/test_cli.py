@@ -236,6 +236,21 @@ def test_interval_glue_formula_II_reference_does_not_cancel():
     assert r["status"] == "pass"
 
 
+def test_interval_glue_formula_II_near_the_junction_is_within_its_bound():
+    # x + y is 0.088 against 2 L2 = 5.6: a reference that formed x + y as
+    # (x + y - 2 L2) + 2 L2 lost it to rounding and missed by 4.5e-15,
+    # passing only through tol; the route is off by 1.5e-18 in 50 digits
+    res = invoke(["interval", "glue", "--L1", "7.748908902871454",
+                  "--L2", "2.8213163033739366", "--x", "0.047089546858612316",
+                  "--y", "0.04107829463208869", "--t", "0.00038250662773810836",
+                  "--formula", "II", "--nmax", "2"])
+    assert res.exit_code == 0
+    (r,) = json_lines(res.stdout)
+    assert 0.0 < r["bound"] < 1e-15
+    assert r["residual"] <= r["bound"]
+    assert r["status"] == "pass"
+
+
 @pytest.mark.parametrize("args,message", [
     ("interval glue --L1 0.05 --L2 20 --x 1 --y 2 --t 100 --formula II",
      "TruncationError: echo series at order 6: bound inf"),

@@ -374,6 +374,32 @@ def test_direct_difference_matches_forty_digits(L1, L2, x, y, t):
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
+@pytest.mark.parametrize("L1,L2,x,y,t", [
+    (7.748908902871454, 2.8213163033739366, 0.047089546858612316,
+     0.04107829463208869, 0.00038250662773810836),
+    (3.0, 5.0, 0.01, 0.02, 1e-4), (1.0, 10.0, 0.003, 0.001, 1e-5),
+    (0.5, 4.0, 0.0, 0.05, 2e-4), (2.0, 3.3, 0.11, 0.07, 3e-3),
+    (0.9, 6.1, 0.02, 0.0, 5e-4)])
+def test_direct_difference_near_the_junction_matches_fifty_digits(L1, L2, x,
+                                                                  y, t):
+    # at small t near the junction the correction is about g_(x+y)(t), the
+    # image at x + y; formed as (x + y - 2 L2) + 2 L2 it lost x + y to
+    # rounding at the scale of 2 L2 and missed by 8.5e-15 to 2.7e-13 of
+    # the value here (4.5e-15 absolute at the first case), formed directly
+    # it misses by at most 4.7e-16
+    got = h.glue_direct(L1, L2, x, y, t)
+    with mp.workdps(50):
+        L1, L2, x, y, t = (mp.mpf(v) for v in (L1, L2, x, y, t))
+
+        def kernel(L, p, q):
+            return mp.fsum(mp.exp(-(p - q + 2 * k * L) ** 2 / (4 * t))
+                           - mp.exp(-(p + q + 2 * k * L) ** 2 / (4 * t))
+                           for k in range(-20, 21)) / mp.sqrt(4 * mp.pi * t)
+
+        want = kernel(L1 + L2, L1 + x, L1 + y) - kernel(L2, x, y)
+        assert abs(got - want) <= 2e-15 * abs(want)
+
+
 def test_glue_intervals_junction_point_equals_interface():
     for L1, L2, t in [(1.0, 2.0, 0.4), (0.6, 0.9, 1.1)]:
         v, _ = h.glue_intervals_I(L1, L2, 0.0, 0.0, t)
@@ -610,6 +636,10 @@ def test_echo_tail_covers_the_dropped_orders_summed_exactly(L1, L2):
     zs = [L2 * i / 6.0 for i in (1, 3, 5)]
     for t in (0.2, 0.7, 2.0):
         chains = echo_chains(L1, L2, 4.0 * t, 60)
+        phi = h._echo_pulse(t, L1, L2)
+        r = h._R_SQRT_T / math.sqrt(t)
+        log_lam = h._log_round_trips(
+            L1, L2, r, [h._log_gap(2.0 * L, r) for L in (L1, L2)])
         for x, y in [(x, y) for x in zs for y in zs] + [(0.0, 0.0)]:
             junction = x == y == 0.0
             wide = None if junction else h._flux_pair_eval(L2, x, y, 4.0 * t)
@@ -617,7 +647,7 @@ def test_echo_tail_covers_the_dropped_orders_summed_exactly(L1, L2):
                 np.array([t]))[0])) for c in chains]
             pair = None if junction else h._flux_pair_eval(L2, x, y, t)
             for n_max in (0, 2, 4, 6, 8):
-                tail = h._echo_tail(L1, L2, pair, t, n_max)
+                tail = h._echo_tail(pair, phi, t, r, log_lam, n_max)
                 assert math.fsum(terms[n_max + 1:]) <= tail, (x, y, t, n_max)
 
 
@@ -641,14 +671,22 @@ def test_echo_series_bound_is_informative_at_large_time():
     assert res <= bound < 1e-8
 
 
+def added(a, b):
+    """Two image sums of one kind added and merged: the sum's own merge of
+    the two concatenated."""
+    assert a.kind == b.kind
+    return h._ImageSum(a.kind, np.concatenate([a.d, b.d]),
+                       np.concatenate([a.w, b.w]), min(a.reach, b.reach))
+
+
 def signed_echo_sum(L1, L2, t, n_max):
     """sum_n (-1)^n E_n over the kept orders, as one Gaussian sum."""
     total = h._G0
     for n, chain in enumerate(echo_chains(L1, L2, t, n_max)[1:], 1):
         if not chain.d.size:
             break
-        total = total + h._ImageSum("g", chain.d, (-1.0) ** n * chain.w,
-                                    chain.reach)
+        total = added(total, h._ImageSum("g", chain.d, (-1.0) ** n * chain.w,
+                                         chain.reach))
     return total
 
 
@@ -770,6 +808,19 @@ def merge_cases():
     yield pytest.param(np.zeros((0, 3)), np.zeros((0, 3)), 5.0, id="empty-2d")
     yield pytest.param([1.0, 1.0], [1.0, -1.0], 5.0, id="cancelled")
     yield pytest.param([7.0], [1.0], 5.0, id="past-reach")
+    # a NaN distance is dropped at any reach, an infinite one kept at an
+    # infinite reach only, and -0.0 merges with 0.0 under the sign of the
+    # first given
+    for reach in (math.inf, 5.0):
+        tag = "infinite" if reach == math.inf else "finite"
+        yield pytest.param([0.0, -0.0, 3.0, math.nan, 3.0, -0.0],
+                           [1.0, 2.0, -1.0, 4.0, 1.0, -2.0], reach,
+                           id=f"signed-zero-{tag}-reach")
+        yield pytest.param([-0.0, 0.0, math.inf, 2.0, math.inf, math.nan],
+                           [2.0, 1.0, 1.0, 0.5, 2.0, math.nan], reach,
+                           id=f"inf-nan-{tag}-reach")
+        yield pytest.param([math.nan, math.nan], [1.0, 1.0], reach,
+                           id=f"all-nan-{tag}-reach")
 
 
 @pytest.mark.parametrize("d,w,reach", merge_cases())
@@ -963,6 +1014,138 @@ def test_cut_circle_bound_covers_the_dropped_terms():
             v, bound, res = h.cut_circle_to_arc(L, cuts, x, y, t, k_max)
             assert abs(v - deep) <= bound, (L, cuts, x, y, t, k_max)
             assert res <= bound, (L, cuts, x, y, t, k_max)
+
+
+README_CUT = (2.0, (0.0, 1.0), 0.3, 0.7, 0.4)  # the README's circle cut
+
+
+def composed(a, b):
+    """One pair composed and merged on its own, the image budget checked
+    first: the composition that the fused sums replace."""
+    h._check_images(a.d.size, b.d.size)
+    return h._ImageSum("h" if a.kind == b.kind else "g",
+                       np.add.outer(a.d, b.d), np.outer(a.w, b.w),
+                       min(a.reach, b.reach))
+
+
+def cut_sums_one_by_one(L, cuts, x, y, t, k_max):
+    """The new states and the close of each order of a circle cut, in the
+    order cut_circle_to_arc forms them, each pair composed and merged on
+    its own and the two then added and merged again."""
+    reach = h._reach(t)
+    state = [h._ring("h", L, x - c, reach) for c in cuts]
+    same = h._ring("h", L, 0.0, reach, skip_zero=True)
+    cross = h._ring("h", L, cuts[0] - cuts[1], reach)
+    close = [h._ring("g", L, c - y, reach) for c in cuts]
+    for s, c in zip(state, close):
+        h._check_images(s.d.size, c.d.size)
+    sums = []
+    for k in range(k_max + 1):
+        if k:
+            state = [added(composed(state[0], same), composed(state[1], cross)),
+                     added(composed(state[0], cross), composed(state[1], same))]
+            sums += state
+        sums.append(added(composed(state[0], close[0]),
+                          composed(state[1], close[1])))
+    return sums
+
+
+def fused_cut_sums(monkeypatch, L, cuts, x, y, t, k_max):
+    """The sums that cut_circle_to_arc composes, in the order it forms
+    them, and the value it returns."""
+    sums = []
+    fuse = h._compose_sum
+
+    def record(*pairs):
+        sums.append(fuse(*pairs))
+        return sums[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(h, "_compose_sum", record)
+        value, _, _ = h.cut_circle_to_arc(L, cuts, x, y, t, k_max,
+                                          reference=0.0)
+    return sums, value
+
+
+def test_cut_sums_merged_once_are_the_sums_merged_one_by_one(monkeypatch):
+    # every weight is an integer, so one merge of the two compositions of a
+    # state or a close gives, byte for byte, what merging each composition
+    # and then their sum gave
+    for case in [*continuum_cuts(7919, 30), README_CUT]:
+        L, _, x, y, t = case
+        want = cut_sums_one_by_one(*case, 8)
+        terms = [float(close(np.array([t]))[0]) for close in want[::3]]
+        circle, _ = h.k_circle(L, x, y, t, "auto", h._TIGHT)
+        for k_max in range(9):
+            got, value = fused_cut_sums(monkeypatch, *case, k_max)
+            assert len(got) == 3 * k_max + 1
+            for g, w in zip(got, want):
+                assert (g.kind, g.reach) == (w.kind, w.reach)
+                assert g.d.tobytes() == w.d.tobytes(), (case, k_max)
+                assert g.w.tobytes() == w.w.tobytes(), (case, k_max)
+            assert value == circle - sum((-1.0) ** k * term for k, term
+                                         in enumerate(terms[:k_max + 1]))
+
+
+def test_cut_refuses_at_the_image_budget_where_one_by_one_did(monkeypatch):
+    # each pair is checked against the budget before it is formed, so a
+    # lowered budget refuses the same cuts, at the same pair, as before
+    outcomes = []
+    for budget in (40, 150, 400, 1200, 4000):
+        monkeypatch.setattr(h, "_MAX_IMAGES", budget)
+        for case in [*continuum_cuts(7919, 30), README_CUT]:
+            for k_max in (0, 2, 4, 8):
+                refusals = []
+                for build in (cut_sums_one_by_one,
+                              lambda *a: fused_cut_sums(monkeypatch, *a)[0]):
+                    try:
+                        build(*case, k_max)
+                        refusals.append(None)
+                    except h.TruncationError as exc:
+                        assert "past the budget" in str(exc)
+                        refusals.append(str(exc))
+                assert refusals[0] == refusals[1], (budget, case, k_max)
+                outcomes.append(refusals[0] is None)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+@pytest.mark.parametrize("k_max", range(9))
+def test_cut_merges_each_state_and_close_once(monkeypatch, k_max):
+    # six rings, then one close at order 0 and two states and a close at
+    # every later order: 7 + 3 k_max image sums, 19 at k_max 4 (it was 45
+    # while each composition was merged before the two were added)
+    merge = h._ImageSum.__post_init__
+    count = [0]
+
+    def counted(self):
+        count[0] += 1
+        merge(self)
+
+    monkeypatch.setattr(h._ImageSum, "__post_init__", counted)
+    for case in [README_CUT, *continuum_cuts(7919, 3)]:
+        count[0] = 0
+        h.cut_circle_to_arc(*case, k_max, reference=0.0)
+        assert count[0] <= 7 + 3 * k_max, case
+
+
+def test_grid_factors_are_taken_once(monkeypatch):
+    # route II takes its round trips once, for the echo tail and the
+    # dropped images alike, and log(1 - e^(-rL)) once per length; the
+    # circle cut takes that of its one length once
+    calls = {}
+    for name in ("_log_round_trips", "_log_gap"):
+        def counted(*args, _f=getattr(h, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+        monkeypatch.setattr(h, name, counted)
+    for case in [(1.0, 2.0, 0.5, 0.7, 0.4), (1.0, 1.0, 0.0, 0.0, 0.7),
+                 (0.6, 1.3, 1.3, 0.0, 2.0)]:
+        calls.clear()
+        h.glue_intervals_II(*case, 6, reference=0.0)
+        assert calls == {"_log_round_trips": 1, "_log_gap": 2}, case
+    calls.clear()
+    h.cut_circle_to_arc(*README_CUT, 4, reference=0.0)
+    assert calls == {"_log_gap": 1}
 
 
 def test_cut_circle_converges_to_rounding_at_depth_eight():
