@@ -498,38 +498,44 @@ def one_step_interface_kernel(d: Decomposition) -> KernelMatrix:
 # theta I - L = S + B into the steps that keep a walk in its layer (S) and
 # those that move it to the next (B), layer k of order p + 1 is
 #
-#   x_k <- (x_k S + x_{k-1} B) / theta,
+#   x_k <- (x_k S + x_{k-1} B) / theta.
 #
-# one matrix step per Taylor order for the layers reached so far.  A walk
-# of order p has taken at most p B-steps, so order p holds layers 0 .. p
-# only, and each order adds one layer until all are reached.  Summed over
-# the orders, layer k is the part of e^{-tL} made of walks that took
-# exactly k B-steps.  All arithmetic is on nonnegative numbers, so rounding
-# is a relative error gamma per computed entry.
+# A walk of order p has taken at most p B-steps, so order p holds layers
+# 0 .. p only.  Summed over the orders, layer k is the part of e^{-tL} made
+# of walks that took exactly k B-steps.  The sum over orders is evaluated
+# by Horner in blocks of 8 orders, one product with the layers of the
+# 8-step operator per block, and each block adds 8 layers until all are
+# reached.  All arithmetic is on nonnegative numbers, so rounding is a
+# relative error gamma per computed entry.
 
 _U = 2.0**-53  # unit roundoff of float64
 _POISSON_TAIL = 1e-20  # Taylor orders are kept until the weights left hold less
 _MAX_ORDER = 1 << 16  # past this the dropped orders show in the bound instead
+_BLOCK = 8  # Taylor orders per Horner block of the walk
 
 
 def _poisson_order(lam: float) -> int:
     """Number of Taylor orders to keep at Poisson mean ``lam > 0``.
 
     Past the mode the weights fall by lam/(p+1) per order, so the tail from
-    order p is at most w_p / (1 - lam/(p+1)).
+    order p is at most w_p / (1 - lam/(p+1)).  The order is the first p past
+    lam where that bound falls below the cut; the bound falls with p there,
+    so it is found by bisection.
     """
     if lam >= _MAX_ORDER:
         return _MAX_ORDER
     log_cut = math.log(_POISSON_TAIL)
     log_lam = math.log(lam)
-    p = int(lam) + 1
-    while p < _MAX_ORDER:
+    lo, hi = int(lam) + 1, _MAX_ORDER
+    while lo < hi:
+        p = (lo + hi) // 2
         log_tail = (p * log_lam - math.lgamma(p + 1.0) - lam
                     - math.log1p(-lam / (p + 1.0)))
         if log_tail < log_cut:
-            return p
-        p += 1
-    return _MAX_ORDER
+            hi = p
+        else:
+            lo = p + 1
+    return lo
 
 
 def uniformized_walk(step: np.ndarray, advance: np.ndarray, start: np.ndarray,
@@ -548,43 +554,97 @@ def uniformized_walk(step: np.ndarray, advance: np.ndarray, start: np.ndarray,
 
     Orders are kept until the Poisson weights left hold less than 1e-20
     (for large theta t about theta t + 10 sqrt(theta t) of them), at most
-    65536.  Order p touches layers 0 .. p only, the ones it can have
-    reached.  At theta t = 0 the Poisson law is a unit mass at order 0, and
-    the walk stays at ``start``.
+    65536.  With T the layered one-step operator (``step`` within a layer,
+    ``advance`` to the next, both over theta), the P orders kept sum to
+    sum_{p<P} w_p start T^p.  It is evaluated by Horner in blocks of
+    s = min(8, P) orders (Paterson and Stockmeyer 1973),
+
+        y <- y T^s + c_b,   c_b = sum_{r<s} w_{bs+r} start T^r,
+
+    from the last block down.  The layers of T^r for r <= s come from s
+    layered steps of the identity, and start T^r for r < s from one
+    product with them; the layers of T^s are its layer diagonals D_0 ..
+    D_s (D_j moves a walk j layers on).  Layer k of y T^s is the sum over
+    j of layer k - j of y times D_j, so a block is one product: the
+    windows of s + 1 consecutive layers of y, each row laid out as one
+    vector, times [D_s; ..; D_0], batched over the layers reached.  Layers
+    past ``layers`` are dropped at every block, which leaves the kept ones
+    exact, as T never moves a walk back.  Working memory is about
+    ((3 (layers + s) + 2 s (s + 1)) m + (s + 2)^2 n) n floats, whatever P.
+    At theta t = 0 the Poisson law is a unit mass at order 0, and the walk
+    stays at ``start`` with gamma 0.
+
+    Rounding: every operand is nonnegative, so each computed entry is the
+    exact sum with each of its terms off by at most N roundings, relative,
+    and a product by an exact zero rounds nothing.  With q the most
+    nonzeros in a column of ``step + advance``, a step costs q + 2 (the
+    division by theta, a product, the add of its two parts), so T^r has
+    r (q + 2).  c_b adds s (its weighted sum) and the nonzeros of a row of
+    ``start``; a block adds the nonzeros Q of a column of [D_s; ..; D_0],
+    at most (s + 1) n, and 1 for c_b.  An order p = b s + r has thus been
+    through p (q + 2) + b (Q + 1) + s + 1 roundings and those of start, and
+    the sum over layers adds ``layers`` more.  Each weight is off by the
+    absolute error of its log-space argument (that of lam included), a
+    few ulps of its largest parts.
     """
     m, n = start.shape
-    acc = np.zeros((layers * m, n))
     lam = theta * t
     if lam == 0.0:
-        acc[:m] = start
-        return acc.reshape(layers, m, n), 0.0
+        sums = np.zeros((layers, m, n))
+        sums[0] = start
+        return sums, 0.0
     step = step / theta
     advance = advance / theta
     order = _poisson_order(lam)
     log_lam = math.log(lam)
-    # order p has reached the first `rows` rows; each buffer is written only
-    # up to the rows reached, which never shrink, so the rest stays zero
-    x, nxt = np.zeros((2, layers * m, n))
-    x[:m] = start
-    rows = m
-    for p in range(order):
-        w = math.exp(p * log_lam - math.lgamma(p + 1.0) - lam)
-        if w > 0.0:
-            acc[:rows] += w * x[:rows]
-        if p + 1 == order:
-            break
-        rows = min(rows + m, len(acc))
-        np.matmul(x[:rows], step, out=nxt[:rows])
-        nxt[m:rows] += x[:rows - m] @ advance
-        x, nxt = nxt, x
-    # rounding, relative to each entry: step and advance have disjoint
-    # supports, so order p of a layer has been through p steps of at most
-    # n + 4 roundings; the sums over orders and layers add order + layers
-    # more, and each weight is off by the absolute error of its log-space
-    # argument (that of lam included), a few ulps of its largest parts
+    s = min(_BLOCK, order)
+    span = min(s + 1, layers)  # D_j for j >= layers leaves every kept layer
+    pad = span - 1
+    # powers[r, j] is layer j of T^r (zero past layer r), n by n
+    powers = np.zeros((s + 1, span, n, n))
+    powers[0, 0] = np.eye(n)
+    for r in range(s):
+        flat = powers[r].reshape(span * n, n)
+        np.matmul(flat, step, out=powers[r + 1].reshape(span * n, n))
+        powers[r + 1, 1:] += (flat[:-n] @ advance).reshape(span - 1, n, n)
+    # window w of an output layer is its layer pad - w places back
+    diag = powers[s, ::-1].reshape(span * n, n)
+    # layer j of start T^r, row i, at [r, (i, j)]: the buffers' layout
+    coef = np.matmul(start, powers[:s]).transpose(0, 2, 1, 3).reshape(s, -1)
+
+    def coefficients(b: int) -> np.ndarray:
+        w = np.zeros(s)
+        for r, p in enumerate(range(b * s, min(b * s + s, order))):
+            w[r] = math.exp(p * log_lam - math.lgamma(p + 1.0) - lam)
+        return (w @ coef).reshape(m, span, n)
+
+    # buffers[., i, pad + k] is row i of layer k; the pad layers in front
+    # stay zero and so do the layers not reached, as each buffer is written
+    # up to the layers reached, which never shrink.  windows[., k] is
+    # layers k - pad .. k of every row, each row one vector, and out[., k]
+    # layer k
+    buffers = np.zeros((2, m, pad + layers, n))
+    buffer_stride, row_stride = buffers.strides[:2]
+    item = buffers.itemsize
+    windows = np.lib.stride_tricks.as_strided(
+        buffers, (2, layers, m, span * n),
+        (buffer_stride, n * item, row_stride, item), writeable=False)
+    out = buffers[:, :, pad:].transpose(0, 2, 1, 3)
+    blocks = -(-order // s)
+    buffers[0, :, pad:pad + span] = coefficients(blocks - 1)
+    reached, src, dst = span, 0, 1
+    for b in range(blocks - 2, -1, -1):
+        reached = min(reached + s, layers)
+        np.matmul(windows[src][:reached], diag, out=out[dst][:reached])
+        buffers[dst, :, pad:pad + span] += coefficients(b)
+        src, dst = dst, src
+    q = int((step + advance != 0).sum(axis=0).max(initial=0))
+    big_q = int((diag != 0).sum(axis=0).max(initial=0))
+    q_start = int((start != 0).sum(axis=1).max(initial=0))
     log_mag = (order - 1) * (abs(log_lam) + 1.0) + math.lgamma(order) + lam
-    gamma = _U * (order * (n + 5) + layers + 2 + 8.0 * log_mag)
-    return acc.reshape(layers, m, n), gamma
+    gamma = _U * (order * (q + 2) + blocks * (big_q + 1) + s + q_start
+                  + layers + 3 + 8.0 * log_mag)
+    return out[src].copy(), gamma
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +694,12 @@ class SeriesKernel:
     :class:`~heatglue.heat1d.TruncationError` on it.  Each call runs one
     :func:`uniformized_walk` with theta the largest valency (at least 1),
     whose layers are the terms of the series; past 65536 Taylor orders the
-    rest is left out and shows in the bound.
+    rest is left out and shows in the bound.  The walk sums its Taylor
+    orders by Horner in blocks of 8, and its gamma counts the roundings of
+    that order: about q + 2 per order for the step, q the most nonzeros in
+    a column of the shifted Laplacian, and up to (9 n + 1)/8 more for the
+    block products; the rounding part of the bound is 3 gamma times the
+    largest row sum (at least 1).
     """
 
     def __init__(self, d: Decomposition, k_max: int, labels: Sequence):

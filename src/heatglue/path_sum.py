@@ -373,7 +373,10 @@ def pathsum_heat(g: Graph, u, v, t: float,
     Returns (value, cutoff used, bound); the bound is the deficit at the
     cutoff plus a rounding part, 3 gamma max(1, row sum) with gamma the
     relative rounding error of the walk, as in
-    :meth:`heatglue.graph_heat.SeriesKernel.evaluate_with_bound`.  Raises
+    :meth:`heatglue.graph_heat.SeriesKernel.evaluate_with_bound`.  The walk
+    sums its Taylor orders by Horner in blocks of 8, and gamma counts the
+    roundings of that order: about d_max + 3 per order for the step and up
+    to (9 n + 1)/8 more for the block products.  Raises
     :class:`LengthCapError` carrying the deficit at the cap when no cutoff
     within it qualifies.
     """
@@ -419,6 +422,8 @@ class PathSumOperator:
     edge inside S) by one :func:`~heatglue.graph_heat.uniformized_walk`
     with theta the largest valency, so every coefficient is nonnegative and
     the values are free of cancellation.  With no layers they are zero.
+    ``evaluate_with_bound(t)`` also returns an entrywise bound on their
+    rounding.
     """
 
     def __init__(self, rows: tuple, cols: tuple, atom: np.ndarray, g: Graph,
@@ -435,14 +440,30 @@ class PathSumOperator:
 
     def evaluate(self, t: float) -> np.ndarray:
         """Pointwise values at t > 0 (atoms do not contribute there)."""
+        return self.evaluate_with_bound(t)[0]
+
+    def evaluate_with_bound(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`evaluate` at t > 0 and an entrywise bound on its rounding.
+
+        Every operand is nonnegative.  Each entry of the layer sum is off by
+        at most the walk's gamma, relative, and the product with the closing
+        matrix rounds each of its terms at most c times, c the most nonzeros
+        in a column of that matrix.  So each value v lies within rho e of
+        the exact class sum e, rho = gamma + c u, and the bound is
+        rho v / (1 - rho).
+        """
         t = float(t)
         if not (t > 0.0) or not math.isfinite(t):
             raise ValueError(f"evaluate needs t > 0, got {t}; the atom sits at t=0")
         if self._layers == 0:
-            return np.zeros((len(self.rows), len(self.cols)))
-        sums, _ = uniformized_walk(self._step, self._advance, self._start,
-                                   self._layers, self._theta, t)
-        return sums.sum(axis=0) @ self._close
+            zeros = np.zeros((len(self.rows), len(self.cols)))
+            return zeros, zeros.copy()
+        sums, gamma = uniformized_walk(self._step, self._advance, self._start,
+                                       self._layers, self._theta, t)
+        values = sums.sum(axis=0) @ self._close
+        c = np.count_nonzero(self._close, axis=0).max(initial=0)
+        rho = gamma + c * np.finfo(float).eps / 2
+        return values, rho / (1.0 - rho) * values
 
 
 def pathsum_operators(d: Decomposition, which: str,

@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import shlex
+import time
 from collections import Counter
 
 import numpy as np
@@ -275,13 +276,19 @@ def test_a_tail_past_the_float_range_exits_three(args, message):
     ("circle cut --L 2 --cuts 0,1 --x 0.3 --y 0.7 --t 3 --kmax 8",
      "TruncationError: circle cut at order 8: bound 7.20295 is not below "
      "the a-priori bound 0.5"),
-    # values about 1e-17 against 1/3, and a bound of 1.0000000000063 on
+    # values about 1e-17 against 1/3, and a bound of 1.0000000000061 on
     # entries that lie in [0, 1]
     ("graph glue --input line3 --t 50 --method series --kmax 2",
-     "TruncationError: series at order 2: bound 1.00000000000628 is not "
+     "TruncationError: series at order 2: bound 1.00000000000611 is not "
+     "below the a-priori bound 1"),
+    # theta t = 140000 passes the 65536 Taylor orders the walk keeps
+    ("graph glue --input line3 --t 70000 --method series --kmax 3",
+     "TruncationError: series at order 3: bound 1.00000000450431 is not "
      "below the a-priori bound 1")])
 def test_a_bound_at_or_above_the_a_priori_bound_exits_three(args, message):
+    t0 = time.perf_counter()
     res = invoke(args.split())
+    assert time.perf_counter() - t0 < 5.0
     assert res.exit_code == 3
     (r,) = json_lines(res.stdout)
     assert r["status"] == "error"

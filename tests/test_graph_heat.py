@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import taylor_expm
+from conftest import dense_walk, taylor_expm
 from heatglue.heat1d import TruncationError
 from heatglue.expmix import (
     ExpMix,
@@ -413,40 +413,13 @@ def test_dn_footnote_matches_assembled():
 # ---------------------------------------------------------------------------
 
 
-def _dense_walk(step, advance, start, layers, theta, t):
-    """The walk over all layers at every Taylor order: each layer takes its
-    matrix step from order 0 on, reached or not."""
-    m, n = start.shape
-    x = np.zeros((layers * m, n))
-    x[:m] = start
-    lam = theta * t
-    if lam == 0.0:
-        return x.reshape(layers, m, n), 0.0
-    step = step / theta
-    advance = advance / theta
-    order = graph_heat._poisson_order(lam)
-    acc = np.zeros_like(x)
-    log_lam = math.log(lam)
-    for p in range(order):
-        w = math.exp(p * log_lam - math.lgamma(p + 1.0) - lam)
-        if w > 0.0:
-            acc += w * x
-        if p + 1 == order:
-            break
-        nxt = x @ step
-        nxt[m:] += x[:-m] @ advance
-        x = nxt
-    log_mag = (order - 1) * (abs(log_lam) + 1.0) + math.lgamma(order) + lam
-    gamma = graph_heat._U * (order * (n + 5) + layers + 2 + 8.0 * log_mag)
-    return acc.reshape(layers, m, n), gamma
-
-
-def _assert_walks_equal(*args):
+def _assert_walks_agree(*args):
+    # both walks sum the same orders of nonnegative terms, so each entry of
+    # one is within the other's rounding plus its own, relative
     sums, gamma = graph_heat.uniformized_walk(*args)
-    want, want_gamma = _dense_walk(*args)
+    want, want_gamma = dense_walk(*args)
     assert sums.shape == want.shape
-    assert np.array_equal(sums, want)
-    assert gamma == want_gamma
+    assert np.all(np.abs(sums - want) <= (gamma + want_gamma) * want)
 
 
 def _series_split(d: Decomposition):
@@ -461,7 +434,14 @@ def _series_split(d: Decomposition):
     return shifted - advance, advance, theta
 
 
-def test_walk_grows_its_layers_bitwise_as_the_dense_walk():
+def _path_sum_split(g: Graph):
+    """step, advance and theta of a path sum's walk: every edge advances."""
+    vals = g.valencies
+    d_max = float(vals.max())
+    return np.diag(d_max - vals), g.adjacency, d_max
+
+
+def test_walk_grows_its_layers_as_the_dense_walk_within_gamma():
     # gate-03 draws: at t = 0.25 the Poisson order stays below 42 layers,
     # at t = 4 it passes them; k_max 0 and 3 are passed at every t
     rng = np.random.default_rng(20260822)
@@ -471,16 +451,17 @@ def test_walk_grows_its_layers_bitwise_as_the_dense_walk():
         start = np.eye(d.ordered_graph.n)
         for t in (0.25, 1.0, 4.0):
             for k_max in (0, 3, 40):
-                _assert_walks_equal(step, advance, start, k_max + 2, theta, t)
+                _assert_walks_agree(step, advance, start, k_max + 2, theta, t)
 
 
 def test_walk_at_zero_theta_t_stays_at_its_start():
     d = random_decomposition(np.random.default_rng(3), 12)
     step, advance, theta = _series_split(d)
     start = np.eye(d.ordered_graph.n)[:2]
-    _assert_walks_equal(step, advance, start, 5, theta, 0.0)
     sums, gamma = graph_heat.uniformized_walk(step, advance, start, 5, theta, 0.0)
-    assert np.array_equal(sums[0], start) and not sums[1:].any() and gamma == 0.0
+    want, want_gamma = dense_walk(step, advance, start, 5, theta, 0.0)
+    assert np.array_equal(sums, want) and gamma == want_gamma == 0.0
+    assert np.array_equal(sums[0], start) and not sums[1:].any()
 
 
 def test_walk_of_a_path_sum_matches_the_dense_walk():
@@ -488,13 +469,121 @@ def test_walk_of_a_path_sum_matches_the_dense_walk():
     rng = np.random.default_rng(20260822)
     for _ in range(10):
         g = random_decomposition(rng, 12).ordered_graph
-        vals = g.valencies
-        d_max = float(vals.max())
+        step, advance, d_max = _path_sum_split(g)
         for u in range(g.n):
             start = np.eye(g.n)[u:u + 1]
             for t in (0.3, 0.7, 4.0):
-                _assert_walks_equal(np.diag(d_max - vals), g.adjacency, start,
-                                    LENGTH_CAP + 1, d_max, t)
+                _assert_walks_agree(step, advance, start, LENGTH_CAP + 1,
+                                    d_max, t)
+
+
+def test_walk_at_five_thousand_orders_matches_the_dense_walk():
+    # theta t = 5000 on the 3-vertex line, a few thousand Horner blocks
+    step, advance, theta = _series_split(LINE3_SPLIT)
+    _assert_walks_agree(step, advance, np.eye(3), 5, theta, 2500.0)
+    step, advance, d_max = _path_sum_split(LINE3)
+    _assert_walks_agree(step, advance, np.eye(3)[:1], LENGTH_CAP + 1, d_max,
+                        2500.0)
+
+
+def _exact_walk(step, advance, start, layers, theta, t) -> list:
+    """sum_{p<P} w_p start T^p over the first ``layers`` layers in 50
+    digits, with P the walk's Poisson order: T steps by step/theta within
+    a layer and by advance/theta to the next, and w_p = e^-lam lam^p / p!"""
+    m, n = start.shape
+    with mpmath.workdps(50):
+        theta = mpmath.mpf(theta)
+        lam = theta * mpmath.mpf(t)
+        s = [[mpmath.mpf(v) / theta for v in row] for row in step.tolist()]
+        a = [[mpmath.mpf(v) / theta for v in row] for row in advance.tolist()]
+        zero = [[mpmath.mpf(0)] * n for _ in range(m)]
+        x = [[[mpmath.mpf(v) for v in row] for row in start.tolist()]]
+        x += [zero] * (layers - 1)
+        acc = [zero] * layers
+        w = mpmath.exp(-lam)
+        for p in range(graph_heat._poisson_order(float(theta * t))):
+            acc = [[[u + w * v for u, v in zip(ra, rx)] for ra, rx in zip(la, lx)]
+                   for la, lx in zip(acc, x)]
+            w = w * lam / (p + 1)
+            x = [[[mpmath.fsum(row[i] * s[i][j] for i in range(n))
+                   + (mpmath.fsum(prev[i] * a[i][j] for i in range(n)) if k else 0)
+                   for j in range(n)]
+                  for row, prev in zip(x[k], x[k - 1] if k else x[k])]
+                 for k in range(layers)]
+    return acc
+
+
+def test_walk_rounding_is_within_gamma_of_fifty_digits():
+    # small splits in both shapes; entries small enough to underflow on
+    # the way are outside a relative rounding count and are skipped
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(2):
+        d = random_decomposition(rng, 5)
+        n = d.ordered_graph.n
+        step, advance, theta = _series_split(d)
+        cases.append((step, advance, np.eye(n), 5, theta))
+        step, advance, d_max = _path_sum_split(d.ordered_graph)
+        cases.append((step, advance, np.eye(n)[:1], LENGTH_CAP + 1, d_max))
+    for step, advance, start, layers, theta in cases:
+        for t in (0.25, 1.0, 4.0):
+            sums, gamma = graph_heat.uniformized_walk(step, advance, start,
+                                                      layers, theta, t)
+            exact = _exact_walk(step, advance, start, layers, theta, t)
+            with mpmath.workdps(50):
+                for got, want in zip(sums.ravel().tolist(),
+                                     (v for k in exact for r in k for v in r)):
+                    if want == 0:
+                        assert got == 0.0
+                    elif want > 1e-250:
+                        assert abs(mpmath.mpf(got) - want) <= gamma * want
+
+
+def _linear_poisson_order(lam: float) -> int:
+    """The first order past lam whose tail bound is below the cut, by
+    trying each order in turn."""
+    if lam >= graph_heat._MAX_ORDER:
+        return graph_heat._MAX_ORDER
+    log_cut, log_lam = math.log(graph_heat._POISSON_TAIL), math.log(lam)
+    for p in range(int(lam) + 1, graph_heat._MAX_ORDER):
+        if (p * log_lam - math.lgamma(p + 1.0) - lam
+                - math.log1p(-lam / (p + 1.0))) < log_cut:
+            return p
+    return graph_heat._MAX_ORDER
+
+
+def test_poisson_order_is_the_first_order_past_the_cut():
+    rng = np.random.default_rng(7)
+    lams = np.concatenate([10.0 ** rng.uniform(-30, 4.9, 2000),
+                           np.arange(1, 400) * 0.25, [65535.9, 65536.0, 9e4]])
+    for lam in lams.tolist():
+        assert graph_heat._poisson_order(lam) == _linear_poisson_order(lam)
+
+
+def test_series_past_the_order_cap_raises_within_a_time_budget():
+    # theta t = 140000: the 65536 orders kept hold almost none of the
+    # Poisson weight, so every row sum is near 0 and the bound near 1
+    kern, _ = glue_II(LINE3_SPLIT, 3)
+    t0 = time.perf_counter()
+    with pytest.raises(TruncationError):
+        kern.evaluate_with_bound(70000.0)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_series_at_sixty_vertices_matches_expm_within_its_bound():
+    # the first random_decomposition draw of 55 to 65 vertices
+    rng = np.random.default_rng(60)
+    d = random_decomposition(rng, 65)
+    while not 55 <= d.ordered_graph.n <= 65:
+        d = random_decomposition(rng, 65)
+    lap = laplacian(d.ordered_graph).entries
+    kern, _ = glue_II(d, 40)
+    for t in (0.25, 1.0, 4.0):
+        t0 = time.perf_counter()
+        vals, bound = kern.evaluate_with_bound(t)
+        assert time.perf_counter() - t0 < 10.0
+        assert bound < 1e-9
+        assert np.abs(vals - scipy.linalg.expm(-t * lap)).max() <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -361,17 +361,17 @@ def test_direct_difference_matches_forty_digits(L1, L2, x, y, t):
     # K_S - K_L2 in 40 digits at the joint points L1 + x, L1 + y taken
     # exactly; two kernel values differenced in floating point miss it by
     # 3.3e-16 at the first case, 5.7e-10 of its correction 5.8e-7
-    mp.mp.dps = 40
-    L1, L2, x, y, t = (mp.mpf(v) for v in (L1, L2, x, y, t))
+    got = h.glue_direct(L1, L2, x, y, t)
+    with mp.workdps(40):
+        L1, L2, x, y, t = (mp.mpf(v) for v in (L1, L2, x, y, t))
 
-    def kernel(L, p, q):
-        return mp.fsum(mp.exp(-(p - q + 2 * k * L) ** 2 / (4 * t))
-                       - mp.exp(-(p + q + 2 * k * L) ** 2 / (4 * t))
-                       for k in range(-60, 61)) / mp.sqrt(4 * mp.pi * t)
+        def kernel(L, p, q):
+            return mp.fsum(mp.exp(-(p - q + 2 * k * L) ** 2 / (4 * t))
+                           - mp.exp(-(p + q + 2 * k * L) ** 2 / (4 * t))
+                           for k in range(-60, 61)) / mp.sqrt(4 * mp.pi * t)
 
-    want = kernel(L1 + L2, L1 + x, L1 + y) - kernel(L2, x, y)
-    got = h.glue_direct(*(float(v) for v in (L1, L2, x, y, t)))
-    assert abs(got - want) <= 1e-14 * abs(want)
+        want = kernel(L1 + L2, L1 + x, L1 + y) - kernel(L2, x, y)
+        assert abs(got - want) <= 1e-14 * abs(want)
 
 
 @pytest.mark.parametrize("L1,L2,x,y,t", [

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import taylor_expm
+from conftest import dense_walk, taylor_expm
 from mpmath import mp
 
 from heatglue.expmix import (
@@ -442,6 +443,15 @@ def test_pathsum_cap_error_carries_bound():
     assert exact - math.fsum(layers[:, 0, 2].tolist()) <= err.achievable
 
 
+def test_pathsum_past_the_order_cap_raises_within_a_time_budget():
+    # d_max t = 140000 passes the walk's 65536 Taylor orders, which hold
+    # almost none of the Poisson weight: no length reaches eps
+    t0 = time.perf_counter()
+    with pytest.raises(LengthCapError):
+        pathsum_heat(LINE3, "1", "3", 70000.0, 1e-6)
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_pathsum_argument_validation():
     with pytest.raises(ValueError):
         pathsum_heat(LINE3, "1", "3", 0.0, 1e-6)
@@ -625,6 +635,51 @@ def test_operator_validation():
         pathsum_operators(d, "interface", LENGTH_CAP + 1)
     with pytest.raises(ValueError):
         pathsum_operators(d, "interface", 5).evaluate(0.0)
+
+
+def _operator_walk(d: Decomposition, which: str, max_length: int):
+    """(step, advance, start, close, layers, theta) of a class-sum operator,
+    from its definition: a walk inside S (all vertices for ``interface``, C
+    otherwise) from the start rows, closed by the closing matrix."""
+    og = d.ordered_graph
+    yi = [og.index[v] for v in d.interface]
+    ci = [i for i in range(og.n) if i not in yi]
+    a, vals, eye = og.adjacency, og.valencies, np.eye(og.n)
+    if which == "interface":
+        s, start, close, layers = (list(range(og.n)), eye[yi], eye[:, yi],
+                                   max_length + 1)
+    elif which == "extension":
+        s, start, close, layers = ci, eye[:, ci], a[np.ix_(ci, yi)], max_length
+    else:
+        s, start, close, layers = (ci, a[np.ix_(yi, ci)], a[np.ix_(ci, yi)],
+                                   max_length - 1)
+    theta = float(vals.max())
+    return (np.diag(theta - vals[s]), a[np.ix_(s, s)], start, close, layers,
+            theta)
+
+
+def test_operators_within_their_rounding_bound_of_the_dense_walk():
+    # the dense walk has its own rounding, so the two values agree within
+    # the sum of the two bounds; both bounds are relative to the entry
+    u = np.finfo(float).eps / 2
+    rng = np.random.default_rng(101)
+    for _ in range(6):
+        d = random_decomposition(rng, 10)
+        for which in ("extension", "interface", "dn_prime"):
+            for max_length in (3, 12, LENGTH_CAP):
+                op = pathsum_operators(d, which, max_length)
+                step, advance, start, close, layers, theta = _operator_walk(
+                    d, which, max_length)
+                for t in (0.3, 1.0, 4.0):
+                    vals, bound = op.evaluate_with_bound(t)
+                    assert np.array_equal(vals, op.evaluate(t))
+                    assert np.all(bound <= 1e-11 * vals)
+                    sums, gamma = dense_walk(step, advance, start, layers,
+                                             theta, t)
+                    want = sums.sum(axis=0) @ close
+                    rho = gamma + u * np.count_nonzero(close, axis=0).max()
+                    assert np.all(np.abs(vals - want)
+                                  <= bound + rho / (1.0 - rho) * want)
 
 
 BULL = Decomposition(
