@@ -15,6 +15,7 @@ Output is JSON lines by default, CSV with ``--format csv``.  Exit codes:
 from __future__ import annotations
 
 import csv
+import errno
 import importlib.resources
 import itertools
 import json
@@ -78,6 +79,10 @@ class Axis(NamedTuple):
 
 _FIXED_KEYS = frozenset({"case", "geometry", "inputs", "value", "reference",
                          "residual", "bound", "status"})
+#: Report entries from which each distinct float bit pattern is encoded
+#: once: on graph reports both ways cost the same at 16 entries, and
+#: encoding the distinct floats is faster from 25.
+_DISTINCT_MIN = 25
 _JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null"}
 
 
@@ -150,17 +155,31 @@ class Reports:
         return ids, escaped, coords
 
     def _columns(self, encode) -> list[list]:
-        """value, reference, residual and bound, one list of cells each, from
-        one call of ``encode`` on all their floats (or None).  A scalar bound
-        is encoded once and its cell repeated."""
+        """value, reference, residual and bound, one list of cells each.
+
+        Below ``_DISTINCT_MIN`` entries, and in an error report, the cells
+        come from one call of ``encode`` on all their floats (or None), a
+        scalar bound encoded once and its cell repeated.  From that size
+        on, ``encode`` is called once on the distinct float bit patterns
+        (``np.unique`` of their int64 view, which keeps 0.0 and -0.0 and
+        NaN payloads apart) and each cell indexed back: the matrices of a
+        graph report are symmetric, so many of its floats repeat."""
         n = len(self.status)
-        columns = [c.tolist() if isinstance(c, np.ndarray) else [c]
-                   for c in (self.value, self.reference, self.residual, self.bound)]
-        cells = encode(sum(columns, []))
+        columns = (self.value, self.reference, self.residual, self.bound)
+        sizes = [c.size if isinstance(c, np.ndarray) else 1 for c in columns]
+        if n < _DISTINCT_MIN or self.value is None:
+            cells = encode(sum([c.tolist() if isinstance(c, np.ndarray) else [c]
+                                for c in columns], []))
+        else:
+            bits = np.concatenate([np.asarray(c, dtype=float).ravel()
+                                   for c in columns]).view(np.int64)
+            distinct, back = np.unique(bits, return_inverse=True)
+            text = encode(distinct.view(float).tolist())
+            cells = [text[k] for k in back.tolist()]
         out, i = [], 0
-        for c in columns:
-            out.append(cells[i:i + len(c)] if len(c) == n else cells[i:i + 1] * n)
-            i += len(c)
+        for size in sizes:
+            out.append(cells[i:i + size] if size == n else cells[i:i + 1] * n)
+            i += size
         return out
 
     def json_lines(self) -> list[tuple[str, str]]:
@@ -211,20 +230,24 @@ def _finish(reports: list[Reports], fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: What ``Path.exists()`` reads as a missing path: the name is then looked
+#: up among the bundled fixtures.
+_ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
 def _load_input(name: str) -> dict:
-    """Load a JSON document from a path or from the bundled fixtures."""
-    p = pathlib.Path(name)
-    if p.exists():
-        try:
-            text = p.read_text()
-        except OSError as exc:
+    """Load a JSON document from a path or from the bundled fixtures.  The
+    path is read directly; a name that is not there is a fixture name."""
+    try:
+        text = pathlib.Path(name).read_text()
+    except OSError as exc:
+        if exc.errno not in _ABSENT:
             raise InputError(f"cannot read {name}: {exc}") from exc
-    else:
         base = name if name.endswith(".json") else name + ".json"
         res = importlib.resources.files("heatglue").joinpath("fixtures", base)
         try:
             text = res.read_text()
-        except (FileNotFoundError, OSError) as exc:
+        except OSError as exc:
             raise InputError(
                 f"no such file or bundled fixture: {name}") from exc
     try:

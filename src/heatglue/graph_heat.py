@@ -118,6 +118,12 @@ class Graph:
         return a
 
     @cached_property
+    def laplacian(self) -> symlin.SymMatrix:
+        """D - A with D the diagonal of valencies, built and validated once
+        per graph."""
+        return symlin.SymMatrix(np.diag(self.valencies) - self.adjacency)
+
+    @cached_property
     def valencies(self) -> np.ndarray:
         v = self.adjacency.sum(axis=1)
         v.setflags(write=False)
@@ -310,8 +316,9 @@ class KernelMatrix:
 
 
 def laplacian(g: Graph) -> symlin.SymMatrix:
-    """D - A with D the diagonal of valencies."""
-    return symlin.SymMatrix(np.diag(g.valencies) - g.adjacency)
+    """D - A with D the diagonal of valencies: ``g.laplacian``, which a
+    frozen graph builds and validates once."""
+    return g.laplacian
 
 
 def _safe_rate(w: float) -> float:
@@ -320,6 +327,14 @@ def _safe_rate(w: float) -> float:
             raise ValueError(f"negative eigenvalue {w} from a Laplacian")
         return 0.0
     return w
+
+
+def _safe_rates(w: np.ndarray) -> np.ndarray:
+    """_safe_rate on each entry, as one array operation."""
+    low = w < -1e-8
+    if low.any():
+        _safe_rate(float(w[low][0]))
+    return np.where(w < 0.0, 0.0, w)
 
 
 def _spectral(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -776,15 +791,15 @@ def _glue_I_spectra(d: Decomposition) -> tuple[np.ndarray, ...]:
     og = d.ordered_graph
     n, n1, ny = og.n, len(d.side1), len(d.interface)
     y = np.arange(n1, n1 + ny)
-    c = np.r_[0:n1, n1 + ny:n]
+    c = np.concatenate((np.arange(n1), np.arange(n1 + ny, n)))
     lap = laplacian(og)
     full = symlin.eigh(lap)
-    blk = symlin.eigh(symlin.SymMatrix(lap.entries[np.ix_(c, c)]))
-    w = np.array([_safe_rate(x) for x in full.eigenvalues])
-    mu = np.array([_safe_rate(x) for x in blk.eigenvalues])
+    blk = symlin.eigh(symlin.SymMatrix(lap.entries.take(c, 0).take(c, 1)))
     v = blk.eigenvectors
-    return (y, c, w, full.eigenvectors[y], mu, v,
-            v.T @ og.adjacency[np.ix_(c, y)])
+    # a C-ordered copy: the order in which BLAS sums follows the layout
+    a_cy = og.adjacency[c, n1:n1 + ny]
+    return (y, c, _safe_rates(full.eigenvalues), full.eigenvectors[n1:n1 + ny],
+            _safe_rates(blk.eigenvalues), v, v.T @ a_cy)
 
 
 def glue_I(d: Decomposition) -> KernelMatrix:
@@ -831,11 +846,9 @@ _INV_FACTORIAL = 1.0 / np.array([float(math.factorial(n)) for n in range(48)])
 
 
 def _h1(z: np.ndarray) -> np.ndarray:
-    """(1 - e^{-z}) / z for z >= 0, and 1 at z = 0."""
-    out = np.ones_like(z)
-    pos = z > 0.0
-    out[pos] = -np.expm1(-z[pos]) / z[pos]
-    return out
+    """(1 - e^{-z}) / z for z >= 0, and 1 at z = 0: one masked division,
+    with no gather or scatter."""
+    return np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z > 0.0)
 
 
 def _phi(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
@@ -853,16 +866,21 @@ def _psi(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
     sum_{i,j} y^i q^j / (i + j + 2)!, whose terms are positive; with i and
     j below k, the terms left out have degree i + j >= k, and those of
     degree N sum to at most (N + 1) / (N + 2)! of a series of at least 1/2.
+
+    The rates are sorted by selection, lo = min, hi = max and
+    mid = max(min(a, c), min(max(a, c), b)), each of which picks one of
+    the three (which of two equal rates it picks, 0.0 or -0.0, does not
+    change the value); a and c are paired because callers pass them on
+    the smaller shape.  The difference is formed on every entry, and the
+    series is then written over the entries not past y = 1.
     """
-    lo, mid, hi = np.sort(np.stack(np.broadcast_arrays(a, b, c)), axis=0)
+    ac_lo, ac_hi = np.minimum(a, c), np.maximum(a, c)
+    lo, hi = np.minimum(ac_lo, b), np.maximum(ac_hi, b)
+    mid = np.maximum(ac_lo, np.minimum(ac_hi, b))
     x, q, y = (mid - lo) * t, (hi - mid) * t, (hi - lo) * t
-    out = np.empty_like(y)
-    far = y > 1.0
-    if far.any():
-        xf = x[far]
-        out[far] = (np.exp(-lo[far] * t) * (_h1(xf) - np.exp(-xf) * _h1(q[far]))
-                    / y[far])
-    near = ~far
+    with np.errstate(divide="ignore", invalid="ignore"):  # y = 0 is near
+        out = np.exp(-lo * t) * (_h1(x) - np.exp(-x) * _h1(q)) / y
+    near = ~(y > 1.0)
     if near.any():
         yn, qn = y[near, None], q[near, None]
         top, k = float(yn.max()), 1  # top <= 1, so k stays below 20

@@ -665,3 +665,148 @@ def test_an_extra_key_never_shadows_a_fixed_key(key):
     with pytest.raises(ValueError, match="shadowed"):
         Reports("c", "graph", {"x": 0}, [1.0], [1.0],
                 axes=(Axis("x", [1], ["1"]),))
+
+
+# ---------------------------------------------------------------------------
+# the column encoder on both sides of its size rule
+# ---------------------------------------------------------------------------
+
+
+def columns_encoding_every_float(rep, encode):
+    """Reports._columns as it was: one call of ``encode`` on every float of
+    the four columns, a scalar bound encoded once."""
+    n = len(rep.status)
+    columns = [c.tolist() if isinstance(c, np.ndarray) else [c]
+               for c in (rep.value, rep.reference, rep.residual, rep.bound)]
+    cells = encode(sum(columns, []))
+    out, i = [], 0
+    for c in columns:
+        out.append(cells[i:i + len(c)] if len(c) == n else cells[i:i + 1] * n)
+        i += len(c)
+    return out
+
+
+def csv_cells(values):
+    """The CSV encoder of Reports.csv_rows, on floats or None."""
+    return ["" if v is None else repr(v) for v in values]
+
+
+def nan_with_payload(payload: int, sign: int = 0) -> float:
+    return float(np.array([sign << 63 | 0x7FF8 << 48 | payload],
+                          dtype=np.uint64).view(float)[0])
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, nan_with_payload(5),
+                  nan_with_payload(0, 1), math.inf, -math.inf, 5e-324,
+                  1e-16, 0.1, 1.0 / 3.0]
+
+
+def encoder_reports(size: int, rng):
+    """Reports of ``size`` entries whose columns repeat values and hold
+    every special float, with a scalar and with an array bound."""
+    labels = [f"v{i}" for i in range(size)]
+    axes = (Axis("x", labels, labels),)
+    pool = np.array(SPECIAL_FLOATS + rng.random(3).tolist())
+    value = rng.choice(pool, size)
+    inputs = {"tol": 1e-10}
+    yield Reports("same", "graph", inputs, value, value, 0.0, axes)
+    yield Reports("near", "graph", inputs, value, value + 1e-17, 1e-300, axes)
+    yield Reports("array", "graph", inputs, value, rng.choice(pool, size),
+                  rng.choice(pool, size), axes)
+    yield Reports("0-d-bound", "graph", inputs, value, value[::-1],
+                  np.array(-0.0), axes)
+
+
+@pytest.mark.parametrize("size", [1, 4, heatglue.cli._DISTINCT_MIN - 1,
+                                  heatglue.cli._DISTINCT_MIN,
+                                  heatglue.cli._DISTINCT_MIN + 1, 81, 144])
+def test_column_encoder_matches_encoding_every_float(size, monkeypatch):
+    rng = np.random.default_rng(size)
+    for rep in encoder_reports(size, rng):
+        for encode in (heatglue.cli._json_floats, csv_cells):
+            calls = []
+
+            def spy(values):
+                calls.append(len(values))
+                return encode(values)
+
+            assert rep._columns(spy) == columns_encoding_every_float(rep, encode)
+            floats = np.concatenate([np.ravel(c) for c in (
+                rep.value, rep.reference, rep.residual, rep.bound)])
+            distinct = np.unique(floats.view(np.int64)).size
+            every = 3 * size + np.size(rep.bound)
+            assert calls == [distinct if size >= heatglue.cli._DISTINCT_MIN
+                             else every]
+        lines, rows = rep.json_lines(), list(rep.csv_rows())
+        assert lines == old_json_lines(rep)
+        monkeypatch.setattr(heatglue.cli, "_DISTINCT_MIN", 10**9)
+        assert rep.json_lines() == lines and list(rep.csv_rows()) == rows
+        monkeypatch.undo()
+
+
+def test_column_encoder_of_an_error_report():
+    rep = Reports.error("c", "graph", {"tol": 0.0}, FloatingPointError("x"))
+    for encode in (heatglue.cli._json_floats, csv_cells):
+        assert rep._columns(encode) == columns_encoding_every_float(rep, encode)
+    assert rep.json_lines() == old_json_lines(rep)
+
+
+def test_column_encoder_keeps_zero_signs_and_nans_apart():
+    values = np.array([0.0, -0.0, math.nan, nan_with_payload(9), math.inf,
+                       -math.inf] * 5)
+    labels = [str(i) for i in range(values.size)]
+    rep = Reports("c", "graph", {}, values, -values, np.zeros(values.size),
+                  (Axis("k", labels, labels),))
+    assert values.size >= heatglue.cli._DISTINCT_MIN
+    value, reference, _, bound = rep._columns(csv_cells)
+    assert value[:6] == ["0.0", "-0.0", "nan", "nan", "inf", "-inf"]
+    assert reference[:6] == ["-0.0", "0.0", "nan", "nan", "-inf", "inf"]
+    assert set(bound) == {"0.0"}
+
+
+# ---------------------------------------------------------------------------
+# input loading: every outcome of verify --input
+# ---------------------------------------------------------------------------
+
+
+def load_outcome(name):
+    res = invoke(["verify", "--input", name])
+    return res.exit_code, res.stderr.strip().splitlines()[-1]
+
+
+def test_input_outcomes_of_files_and_fixtures(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("set.json").write_text('{"cases": []}')
+    pathlib.Path("adir").mkdir()
+    # an existing file wins over a fixture of the same name
+    pathlib.Path("intervals").write_text("[]")
+    assert load_outcome("set.json") == (0, "0 cases: 0 pass, 0 fail, 0 error")
+    assert load_outcome("./adir/../set.json")[0] == 0
+    assert load_outcome("intervals") == (0, "0 cases: 0 pass, 0 fail, 0 error")
+    assert load_outcome("intervals.json") == (0, "6 cases: 6 pass, 0 fail, 0 error")
+    assert load_outcome("nosuch") == (
+        2, "Error: no such file or bundled fixture: nosuch")
+    # a name under a file is not there, as Path.exists() reads it
+    assert load_outcome("set.json/x") == (
+        2, "Error: no such file or bundled fixture: set.json/x")
+    assert load_outcome("adir") == (
+        2, "Error: cannot read adir: [Errno 21] Is a directory: 'adir'")
+    # Path("") is the working directory
+    assert load_outcome("") == (
+        2, "Error: cannot read : [Errno 21] Is a directory: '.'")
+
+
+def test_input_outcome_of_an_unreadable_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("locked.json").write_text('{"cases": []}')
+    read_text = pathlib.Path.read_text
+
+    def deny(self, *args, **kwargs):
+        if self.name == "locked.json":
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", deny)
+    assert load_outcome("locked.json") == (
+        2, "Error: cannot read locked.json: [Errno 13] Permission denied: "
+           "'locked.json'")

@@ -896,6 +896,158 @@ def test_psi_is_the_second_divided_difference(t):
             assert abs(value - exact) <= (8 + hi * t) * 2.2e-16 * exact
 
 
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def h1_by_gather(z):
+    """_h1 as it was: the positive entries gathered, divided and scattered."""
+    out = np.ones_like(z)
+    pos = z > 0.0
+    out[pos] = -np.expm1(-z[pos]) / z[pos]
+    return out
+
+
+def psi_by_sort(a, b, c, t):
+    """_psi as it was: the rates stacked and sorted, and each branch
+    gathered and scattered."""
+    lo, mid, hi = np.sort(np.stack(np.broadcast_arrays(a, b, c)), axis=0)
+    x, q, y = (mid - lo) * t, (hi - mid) * t, (hi - lo) * t
+    out = np.empty_like(y)
+    far = y > 1.0
+    if far.any():
+        xf = x[far]
+        out[far] = (np.exp(-lo[far] * t)
+                    * (h1_by_gather(xf) - np.exp(-xf) * h1_by_gather(q[far]))
+                    / y[far])
+    near = ~far
+    if near.any():
+        yn, qn = y[near, None], q[near, None]
+        top, k = float(yn.max()), 1
+        while (k + 1) * top**k * graph_heat._INV_FACTORIAL[k + 2] > 1e-18:
+            k += 1
+        powers = np.arange(k)
+        coef = graph_heat._INV_FACTORIAL[np.add.outer(powers, powers) + 2]
+        series = ((yn**powers @ coef) * qn**powers).sum(axis=1)
+        out[near] = np.exp(-hi[near] * t) * series
+    return t * t * out
+
+
+def psi_draws(rng, t):
+    """Rate triples in the shapes glue_I_values passes (a and c a column, b
+    a row) and as full arrays: repeated rates, exact ties, zeros of both
+    signs, blocks all near ((hi - lo) t <= 1), all far and mixed."""
+    pool = np.array([0.0, -0.0, 1e-300, 1e-9, 0.3, 0.3, 0.3 + 1e-7,
+                     1.0 / t, 2.0 / t, 7.0])
+    yield pool[:, None], pool[None, :], pool[::-1, None]
+    near = rng.choice([0.0, -0.0, 0.5 / t, 0.9 / t], size=(40, 1))
+    yield near, near.T, near[::-1]
+    far = 3.0 / t + rng.choice([0.0, 4.0, 9.0], size=(30, 1)) / t
+    yield far, np.array([[0.0, -0.0, 20.0 / t]]), far[::-1] + 40.0 / t
+    mixed = rng.choice(pool, size=(64, 1)) + rng.random((64, 1)) * 3.0 / t
+    yield mixed, mixed[::-1].T, mixed
+    yield (rng.choice(pool, size=(5, 6, 7)), rng.random((5, 6, 7)) / t,
+           rng.choice(pool, size=(5, 6, 7)))
+
+
+@pytest.mark.parametrize("t", TIMES)
+def test_psi_by_selection_is_bitwise_psi_by_sort(t):
+    rng = np.random.default_rng(240)
+    for a, b, c in psi_draws(rng, t):
+        for order in itertools.permutations((a, b, c)):
+            got = graph_heat._psi(*order, t)
+            assert np.array_equal(bits(got), bits(psi_by_sort(*order, t)))
+        for z in (a, b, c):
+            zs = np.abs(np.broadcast_to(z, got.shape)) * t
+            assert np.array_equal(bits(graph_heat._h1(zs)), bits(h1_by_gather(zs)))
+
+
+def spectra_by_ix(d):
+    """_glue_I_spectra as it was: np.r_ and np.ix_ index sets and rates
+    clamped one by one."""
+    og = d.ordered_graph
+    n, n1, ny = og.n, len(d.side1), len(d.interface)
+    y = np.arange(n1, n1 + ny)
+    c = np.r_[0:n1, n1 + ny:n]
+    lap = graph_heat.symlin.SymMatrix(np.diag(og.valencies) - og.adjacency)
+    full = graph_heat.symlin.eigh(lap)
+    blk = graph_heat.symlin.eigh(
+        graph_heat.symlin.SymMatrix(lap.entries[np.ix_(c, c)]))
+    w = np.array([graph_heat._safe_rate(x) for x in full.eigenvalues])
+    mu = np.array([graph_heat._safe_rate(x) for x in blk.eigenvalues])
+    v = blk.eigenvectors
+    return (y, c, w, full.eigenvectors[y], mu, v,
+            v.T @ og.adjacency[np.ix_(c, y)])
+
+
+def test_glue_I_spectra_are_bitwise_those_of_the_index_sets():
+    rng = np.random.default_rng(2401)
+    splits = list(CONFLUENT_SPLITS.values()) + [
+        random_decomposition(rng, 12) for _ in range(40)]
+    for d in splits:
+        for got, want in zip(graph_heat._glue_I_spectra(d), spectra_by_ix(d)):
+            assert got.shape == want.shape
+            assert np.array_equal(bits(got) if got.dtype == float else got,
+                                  bits(want) if want.dtype == float else want)
+
+
+def test_safe_rates_clamp_as_safe_rate_does():
+    w = np.array([-1e-8, -1e-12, -0.0, 0.0, 5e-324, 0.5, math.nan, math.inf])
+    want = np.array([graph_heat._safe_rate(x) for x in w.tolist()])
+    assert np.array_equal(bits(graph_heat._safe_rates(w)), bits(want))
+    for bad in ([-2e-8, -1.0], [0.0, -3e-7]):
+        with pytest.raises(ValueError) as want_exc:
+            graph_heat._safe_rate(next(x for x in bad if x < -1e-8))
+        with pytest.raises(ValueError, match="negative eigenvalue") as got_exc:
+            graph_heat._safe_rates(np.array(bad))
+        assert str(got_exc.value) == str(want_exc.value)
+
+
+def laplacian_by_loop(g: Graph) -> np.ndarray:
+    """D - A written entry by entry from the edge list."""
+    lap = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        i, j = g.vertices.index(u), g.vertices.index(v)
+        lap[i, j] = lap[j, i] = -1.0
+        lap[i, i] += 1.0
+        lap[j, j] += 1.0
+    return lap
+
+
+def test_graph_laplacian_is_built_once_and_equals_the_loop_built_one():
+    rng = np.random.default_rng(2402)
+    graphs = [LINE3, Graph(("a",), ()), Graph(("a", "b"), ())] + [
+        random_graph(rng, n) for n in (2, 5, 12, 30)]
+    for g in graphs:
+        lap = laplacian(g)
+        assert lap is g.laplacian is laplacian(g)
+        assert not lap.entries.flags.writeable
+        want = laplacian_by_loop(g)
+        assert np.array_equal(bits(lap.entries), bits(want))
+        assert np.array_equal(bits(g.adjacency), bits((want < 0) * 1.0))
+
+
+def test_assembled_gluing_and_its_reference_share_one_laplacian(monkeypatch):
+    seen = []
+    eigh = graph_heat.symlin.eigh
+
+    def spy(a):
+        seen.append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(graph_heat.symlin, "eigh", spy)
+    d = random_decomposition(np.random.default_rng(2403), 12)
+    og = d.ordered_graph
+    glue_I_values(d, 1.0)
+    heat_values(og, [1.0, 2.0])
+    heat_values(og, 4.0)
+    # L, its block off the interface, then L again for each call of the
+    # reference: the one SymMatrix of the graph each time
+    assert len(seen) == 4
+    assert seen[0] is og.laplacian and seen[2] is seen[0] and seen[3] is seen[0]
+    assert seen[1] is not seen[0]
+
+
 # ---------------------------------------------------------------------------
 # Schur cut
 # ---------------------------------------------------------------------------

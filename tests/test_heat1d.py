@@ -10,26 +10,30 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatglue import heat1d as h
-from heatglue.quadsim import conv_n, inverse_pow_gaussian
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 TIGHT = h.EvalParams(eps_abs=1e-14, max_terms=10**6)
 
 
-def factor(images):
-    """An image sum as an independent quadrature factor, with its
-    small-time envelope tau^(-alpha) exp(-c/tau): c = d_min^2/4, and alpha
-    1/2 for Gaussians, 3/2 for first-passage densities."""
-    c = (images.d[0] if images.d.size else images.reach) ** 2 / 4.0
-    return inverse_pow_gaussian(images, c=c,
-                                alpha=0.5 if images.kind == "g" else 1.5)
+def convolution(f, g, t, tol):
+    """(f * g)(t) = int_0^t f(s) g(t - s) ds and an estimate of its error,
+    by scipy's adaptive quadrature to absolute tolerance ``tol``; f and g
+    take arrays of times.  Each half of (0, t) is taken in u with s = u^2
+    from its end, which removes the s^(-1/2) of a Gaussian pulse at
+    distance 0 there."""
+    def at(a, b):
+        return lambda u: 2.0 * u * float(a(np.array([u * u]))[0]
+                                         * b(np.array([t - u * u]))[0])
 
-
-FLAT = factor(h._G0)  # the flat junction pulse
+    parts = [scipy.integrate.quad(part, 0.0, math.sqrt(0.5 * t),
+                                  epsabs=0.5 * tol, epsrel=0.0, limit=200)
+             for part in (at(f, g), at(g, f))]
+    return sum(v for v, _ in parts), sum(e for _, e in parts)
 
 
 def gauss_integral(f, a, b, n=200):
@@ -532,9 +536,7 @@ def echo_rate(L, t):
 
 
 def test_echo_density_two_routes_agree():
-    rate = inverse_pow_gaussian(lambda tau: echo_rate(1.0, tau), c=1.0,
-                                alpha=2.5)
-    got, _ = conv_n([FLAT, rate], 1.0, 1e-11)
+    got, _ = convolution(h._G0, lambda tau: echo_rate(1.0, tau), 1.0, 1e-11)
     direct = float(h._echo_pulse(1.0, 1.0)(np.array([1.0]))[0])
     term_sum = 2.0 * sum(
         k * math.exp(-k * k) for k in range(1, 12)) / SQRT_4PI
@@ -572,19 +574,14 @@ def test_echo_series_bound_covers_its_residual_on_the_gate_08_sweep():
                         assert res <= bound, (n_max, L1, L2, x, y, t)
 
 
-def flux_factor(L, z):
-    return inverse_pow_gaussian(h._flux_pair_eval(L, z, 0.0, 2.0),
-                                c=min(z, 2.0 * L - z) ** 2 / 4.0, alpha=1.5)
-
-
 @pytest.mark.parametrize("L,x,y", [(1.0, 0.4, 0.6), (2.0, 1 / 3, 5 / 3),
                                    (1.0, 1.0, 0.3), (1.0, 0.5, 0.5),
                                    (0.7, 0.1, 0.7)])
 def test_flux_pair_is_the_convolution_of_its_two_pulses(L, x, y):
-    pair = factor(h._flux_pair_eval(L, x, y, 2.0))
     taus = np.array([0.05, 0.2, 0.7, 2.0])
-    got = pair.evaluator(taus)
-    want, _ = conv_n([flux_factor(L, x), flux_factor(L, y)], taus, 1e-13)
+    got = h._flux_pair_eval(L, x, y, 2.0)(taus)
+    pulses = [h._flux_pair_eval(L, z, 0.0, 2.0) for z in (x, y)]
+    want = [convolution(*pulses, tau, 1e-13)[0] for tau in taus]
     assert np.all(np.abs(got - want) <= 1e-12)
 
 
@@ -703,7 +700,7 @@ def test_echo_terms_match_the_exact_composition_on_the_gate_08_cases():
                 for y in zs:
                     pair = h._flux_pair_eval(L2, x, y, t)
                     exact, _ = pair.compose(total).at(t, 0.0)
-                    value, est = conv_n([factor(total), factor(pair)], t, 3e-9)
+                    value, est = convolution(total, pair, t, 3e-9)
                     assert abs(value - exact) <= est + 1e-14, (L1, L2, x, y, t)
                     assert exact == h.glue_intervals_II(L1, L2, x, y, t, 6)[0]
 
@@ -991,7 +988,7 @@ def test_cut_hop_and_close_are_the_convolutions_of_their_pieces(delta):
     close = h._ring("g", L, delta - 0.45, reach)
     for piece in (hop, close):
         got = state.compose(piece)(taus)
-        want, _ = conv_n([factor(state), factor(piece)], taus, 1e-13)
+        want = [convolution(state, piece, tau, 1e-13)[0] for tau in taus]
         assert np.all(np.abs(got - want) <= 1e-12)
 
 
