@@ -344,6 +344,31 @@ def test_circle_cut_reference_point():
     assert r["status"] == "pass"
 
 
+def test_circle_cut_bound_is_relative_to_a_small_arc_kernel():
+    # the rounding part has no floor at 1: against an arc kernel of 3.2e-7
+    # the bound is 9.7e-20, where the floor made it 2.7e-13
+    res = invoke("circle cut --L 2 --cuts 0,1 --x 0.1 --y 0.9 --t 0.01 "
+                 "--kmax 2".split())
+    assert res.exit_code == 0
+    (r,) = json_lines(res.stdout)
+    assert r["status"] == "pass"
+    assert r["residual"] <= r["bound"] < 1e-18
+
+
+def test_an_interface_past_the_term_budget_exits_three(tmp_path):
+    # the mode sum at t = 1e-13 would keep about 2.1e7 modes
+    path = tmp_path / "interface.json"
+    path.write_text(json.dumps({"cases": [
+        {"id": "ii", "kind": "interval-interface", "L1": 1, "L2": 2,
+         "t": 1e-13}]}))
+    res = invoke(["verify", "--input", str(path)])
+    assert res.exit_code == 3
+    (r,) = json_lines(res.stdout)
+    assert r["status"] == "error"
+    assert r["message"].startswith("TruncationError: interface mode sum: "
+                                   "up to 2.13529e+07 terms")
+
+
 def test_cylinder_check_default_battery():
     res = invoke(["cylinder", "check", "--L1", "1", "--L2", "2",
                   "--t", "0.5"])

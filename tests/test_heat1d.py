@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from heatglue import heat1d as h
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
-TIGHT = h.EvalParams(eps_abs=1e-14, max_terms=10**6)
 
 
 def convolution(f, g, t, tol):
@@ -173,9 +172,9 @@ def test_interval_semigroup_composition():
     L, x, y = 1.0, 0.3, 0.8
     for t1, t2 in [(0.2, 0.3), (0.5, 1.1)]:
         composed = gauss_integral(
-            lambda z: h.k_interval(L, x, z, t1, "auto", TIGHT)[0]
-            * h.k_interval(L, z, y, t2, "auto", TIGHT)[0], 0.0, L)
-        direct, _ = h.k_interval(L, x, y, t1 + t2, "auto", TIGHT)
+            lambda z: h.k_interval(L, x, z, t1, "auto")[0]
+            * h.k_interval(L, z, y, t2, "auto")[0], 0.0, L)
+        direct, _ = h.k_interval(L, x, y, t1 + t2, "auto")
         assert abs(composed - direct) < 1e-8
 
 
@@ -186,45 +185,6 @@ def test_interval_auto_switches_representation_smoothly():
     va, _ = h.k_interval(L, 0.4, 0.5, below, "auto")
     vb, _ = h.k_interval(L, 0.4, 0.5, above, "auto")
     assert abs(va - vb) < 5e-3
-
-
-# ---------------------------------------------------------------------------
-# boundary flux of the interval
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("rep", ["images", "spectral"])
-@pytest.mark.parametrize("x,t", [(0.4, 0.3), (0.7, 1.2), (0.15, 0.08)])
-def test_interval_flux_matches_finite_difference(rep, x, t):
-    L = 1.0
-    step = 1e-5
-    # the Dirichlet kernel continues oddly through y = 0, so the central
-    # difference across the wall is k(x, step) / step up to O(step^2)
-    fd = -h.k_interval(L, x, step, t, "images", TIGHT)[0] / step
-    val, _ = h.dk_interval(L, x, t, rep)
-    assert abs(val - fd) < 1e-7 * abs(val)
-
-
-def test_interval_flux_sign_and_leading_term():
-    val, _ = h.dk_interval(1.0, 0.2, 0.05)
-    assert val < 0.0
-    lead = -0.2 * math.exp(-0.04 / 0.2) / (2.0 * math.sqrt(math.pi) * 0.05**1.5)
-    assert abs(val - lead) < 1e-5 * abs(lead)
-
-
-def test_interval_flux_vanishes_when_the_source_sits_on_the_wall():
-    vi, _ = h.dk_interval(1.0, 0.0, 0.3, "images")
-    vs, _ = h.dk_interval(1.0, 0.0, 0.3, "spectral")
-    assert abs(vi) < 1e-15
-    assert abs(vs) < 1e-15
-
-
-@settings(max_examples=40, deadline=None)
-@given(L=st.floats(0.5, 2.0), t=st.floats(0.05, 5.0), xf=st.floats(0.0, 1.0))
-def test_interval_flux_representation_duality(L, t, xf):
-    vi, _ = h.dk_interval(L, xf * L, t, "images")
-    vs, _ = h.dk_interval(L, xf * L, t, "spectral")
-    assert abs(vi - vs) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +208,7 @@ def test_circle_wraparound_symmetry():
 
 def test_circle_mass_is_conserved():
     total = gauss_integral(
-        lambda z: h.k_circle(2.0, 0.3, z, 0.7, "auto", TIGHT)[0], 0.0, 2.0)
+        lambda z: h.k_circle(2.0, 0.3, z, 0.7, "auto")[0], 0.0, 2.0)
     assert abs(total - 1.0) < 1e-10
 
 
@@ -256,9 +216,9 @@ def test_circle_semigroup_composition():
     L, x, y = 2.0, 0.3, 1.2
     for t1, t2 in [(0.2, 0.4), (0.9, 0.6)]:
         composed = gauss_integral(
-            lambda z: h.k_circle(L, x, z, t1, "auto", TIGHT)[0]
-            * h.k_circle(L, z, y, t2, "auto", TIGHT)[0], 0.0, L)
-        direct, _ = h.k_circle(L, x, y, t1 + t2, "auto", TIGHT)
+            lambda z: h.k_circle(L, x, z, t1, "auto")[0]
+            * h.k_circle(L, z, y, t2, "auto")[0], 0.0, L)
+        direct, _ = h.k_circle(L, x, y, t1 + t2, "auto")
         assert abs(composed - direct) < 1e-8
 
 
@@ -267,36 +227,214 @@ def test_circle_semigroup_composition():
 # ---------------------------------------------------------------------------
 
 
-def test_params_validation_and_coercion():
-    p = h.EvalParams(1e-9, 100.0)
-    assert p.eps_abs == 1e-9 and p.max_terms == 100
-    with pytest.raises(ValueError, match="eps_abs"):
-        h.EvalParams(1e-16, 100)
-    with pytest.raises(ValueError, match="max_terms"):
-        h.EvalParams(1e-9, 0)
-    with pytest.raises(ValueError, match="max_terms"):
-        h.EvalParams(1e-9, 10**7)
-
-
-def test_truncation_error_reports_achievable_bound():
-    with pytest.raises(h.TruncationError) as info:
-        h.k_interval(1.0, 0.5, 0.5, 0.05, "spectral", h.EvalParams(1e-12, 5))
-    assert math.isfinite(info.value.achievable)
-    assert info.value.achievable > 1e-12
-    with pytest.raises(h.TruncationError):
-        h.k_interval(1.0, 0.5, 0.5, 5.0, "images", h.EvalParams(1e-12, 3))
-
-
 def test_kernel_dispatch_and_validation():
     # "auto" takes the image sum below t = L^2/pi and the mode sum above
     for t, rep in ((0.2, "images"), (0.5, "spectral")):
         assert h.k_interval(1.0, 0.3, 0.7, t) == h.k_interval(1.0, 0.3, 0.7, t, rep)
-        assert h.dk_interval(1.0, 0.3, t) == h.dk_interval(1.0, 0.3, t, rep)
     for kernel in (lambda rep: h.k_interval(1.0, 0.3, 0.7, 0.5, rep),
-                   lambda rep: h.dk_interval(1.0, 0.3, 0.5, rep),
                    lambda rep: h.k_circle(1.0, 0.3, 0.7, 0.5, rep)):
         with pytest.raises(ValueError, match="unknown representation"):
             kernel("modal")
+    # a point off the circle has no wrapped difference, in either form
+    for rep in ("images", "spectral"):
+        with pytest.raises(ValueError, match="finite"):
+            h.k_circle(1.0, math.nan, 0.7, 0.5, rep)
+        with pytest.raises(ValueError, match="finite"):
+            h.k_circle(1.0, 0.3, math.inf, 0.5, rep)
+
+
+def test_a_sum_past_the_term_budget_raises_before_forming_any_array():
+    # about 2.1e7 modes at t = 1e-13 and 9.4e6 images at t = 1e12, both
+    # past the 2^22 terms of the budget: refused at once, not summed; route
+    # I and its reference alike (the reference at t = 1e10 took 1.1 GB)
+    for call in (lambda: h.interface_two_intervals(1.0, 2.0, 1e-13, "residues"),
+                 lambda: h.interface_two_intervals(1.0, 2.0, 1e12, "poisson"),
+                 lambda: h.k_interval(1.0, 0.3, 0.7, 1e-13, "spectral"),
+                 lambda: h.k_circle(1.0, 0.3, 0.7, 1e12, "images"),
+                 lambda: h.glue_intervals_I(0.05, 0.05, 0.02, 0.03, 1e4),
+                 lambda: h.glue_direct(1.0, 0.01, 0.005, 0.005, 1e10)):
+        start = time.perf_counter()
+        with pytest.raises(h.TruncationError, match="past the budget") as info:
+            call()
+        assert time.perf_counter() - start < 0.1
+        assert info.value.achievable == math.inf
+
+
+def test_the_term_budget_counts_the_modes_a_sum_keeps(monkeypatch):
+    # the modes with q k^2 <= q + 50 are kept, 22 at q = pi^2 / 100
+    q = math.pi**2 * 0.01
+    kept = sum(1 for k in range(1, 100) if q * k * k <= q + 50.0)
+    assert kept == 22
+    monkeypatch.setattr(h, "_MAX_IMAGES", kept)
+    h.k_interval(1.0, 0.3, 0.7, 0.01, "spectral")
+    monkeypatch.setattr(h, "_MAX_IMAGES", kept - 1)
+    with pytest.raises(h.TruncationError, match="past the budget"):
+        h.k_interval(1.0, 0.3, 0.7, 0.01, "spectral")
+
+
+U = 2.0**-53
+
+
+def exact_images(t, period, families):
+    """(4 pi t)^(-1/2) sum_f sign_f sum_n exp(-(offset_f + n period)^2/4t)
+    in 50 digits, each family out to sqrt(1200 t) past its nearest image,
+    where the images left out are below e^-300 of it."""
+    with mp.workdps(50):
+        t, period = mp.mpf(t), mp.mpf(period)
+        total = mp.mpf(0)
+        span = int(mp.sqrt(1200 * t) / period) + 2
+        for offset, sign in families:
+            offset = mp.mpf(offset)
+            n0 = int(mp.nint(-offset / period))
+            total += sign * mp.fsum(
+                mp.exp(-(offset + n * period) ** 2 / (4 * t))
+                for n in range(n0 - span, n0 + span + 1))
+        return total / mp.sqrt(4 * mp.pi * t)
+
+
+def exact_modes(q, amplitude, scale):
+    """scale sum_k amplitude(k) exp(-q k^2) in 50 digits, out to the modes
+    below e^-300 of the first."""
+    with mp.workdps(50):
+        return scale * mp.fsum(mp.exp(-q * k * k) * amplitude(k)
+                               for k in range(1, int(mp.sqrt(1 + 300 / q)) + 2))
+
+
+def exact_interval(L, x, y, t):
+    """The Dirichlet kernel of [0, L] at the float inputs, in 50 digits: the
+    image sum for t <= L^2, the sine modes beyond."""
+    with mp.workdps(50):
+        L, x, y, t = (mp.mpf(v) for v in (L, x, y, t))
+        if t <= L * L:
+            return exact_images(t, 2 * L, ((x - y, 1), (x + y, -1)))
+        return exact_modes(mp.pi**2 * t / L**2, lambda k: mp.sin(
+            mp.pi * k * x / L) * mp.sin(mp.pi * k * y / L), 2 / L)
+
+
+def exact_circle(L, x, y, t):
+    """The periodic kernel of circumference L in 50 digits, likewise."""
+    with mp.workdps(50):
+        L, x, y, t = (mp.mpf(v) for v in (L, x, y, t))
+        if t <= L * L:
+            return exact_images(t, L, ((x - y, 1),))
+        return 1 / L + exact_modes(4 * mp.pi**2 * t / L**2, lambda k: mp.cos(
+            2 * mp.pi * k * (x - y) / L), 2 / L)
+
+
+def image_allowance(t, period, families, length):
+    """Rounding allowance of a float image sum over the images it keeps,
+    each family within _reach(t) of its nearest image:
+    U sum_i |g_i| (7 E_i + 4 length |d_i| / t + 8 + 2 log2 N), E_i = d_i^2/4t.
+
+    A distance d = offset + n period, each of its inputs within length of
+    the domain, is off by at most U (3 |d| + 4 length), which moves E by at
+    most U (6 E + 2 length |d| / t); forming E, exp and the prefactor add
+    at most 6 U per image and the pairwise sum of N terms 2 log2 N.  An
+    image that underflows is off by at most the least subnormal, 2^-1074,
+    times the prefactor."""
+    reach = h._reach(t)
+    total, count = 0.0, 0
+    for offset, _ in families:
+        near = abs(offset - period * round(offset / period))
+        n = np.arange(math.ceil((-near - reach - offset) / period),
+                      math.floor((near + reach - offset) / period) + 1)
+        d = np.abs(offset + n * period)
+        e = np.square(d) / (4.0 * t)
+        total += float(np.sum(np.exp(-e) * (7.0 * e + 4.0 * length * d / t)))
+        total += 8.0 * float(np.sum(np.exp(-e)))
+        count += n.size
+        total += 2.0 * math.log2(count) * float(np.sum(np.exp(-e)))
+    return (U * total + count * 2.0**-1074) / math.sqrt(4.0 * math.pi * t)
+
+
+def mode_allowance(q, scale):
+    """Rounding allowance of a float mode sum over the modes it keeps,
+    q k^2 <= q + 50, with amplitudes products of sines or a cosine of
+    arguments at most pi k: U scale sum_k e^(-q k^2) (7 q k^2 + 20 pi k
+    + 8 + 2 log2 K).  q is off by at most 5 U and the exponent by 7 U q k^2;
+    each argument is off by at most 10 U pi k, which moves an amplitude of
+    modulus at most 1 by as much (twice for a product); the rest as for
+    the images."""
+    K = int(math.sqrt(1.0 + 50.0 / q))
+    k = np.arange(1.0, K + 1.0)
+    return scale * (U * float(np.sum(np.exp(-q * k * k) * (
+        7.0 * q * k * k + 20.0 * math.pi * k + 8.0 + 2.0 * math.log2(K))))
+        + K * 2.0**-1074)
+
+
+def bound_cases(seed, count):
+    """Seeded (L, x, y, t): L from 0.05 to 20 and t from 1e-4 to 1e3, both
+    log-uniform, and the points drawn, on a wall, at x = y and far apart
+    in turn."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        L = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+        t = float(np.exp(rng.uniform(math.log(1e-4), math.log(1e3))))
+        x, y = (float(v) for v in rng.uniform(0.0, L, 2))
+        x, y = [(x, y), (0.0, y), (x, L), (x, x), (0.02 * L, 0.98 * L)][i % 5]
+        yield L, x, y, t
+
+
+def test_interval_and_circle_bounds_hold_in_fifty_digits():
+    # the float value lies within its truncation bound plus the stated
+    # rounding allowance of the infinite sum, in both forms
+    for L, x, y, t in bound_cases(25, 120):
+        want = exact_interval(L, x, y, t)
+        for rep, allowance in (
+                ("images", image_allowance(t, 2.0 * L, ((x - y, 1.0),
+                                                        (x + y, -1.0)), L)),
+                ("spectral", mode_allowance(math.pi**2 * t / L**2, 2.0 / L))):
+            value, bound = h.k_interval(L, x, y, t, rep)
+            assert abs(value - want) <= bound + allowance, (L, x, y, t, rep)
+        want = exact_circle(L, x, y, t)
+        d = h._wrap_diff(x - y, L)
+        for rep, allowance in (
+                ("images", image_allowance(t, L, ((d, 1.0),), L)),
+                # and 1/L plus the modes rounds 1/L and the sum once each
+                ("spectral", mode_allowance(4.0 * math.pi**2 * t / L**2,
+                                            2.0 / L) + U * (1.0 / L + want))):
+            value, bound = h.k_circle(L, x, y, t, rep)
+            assert abs(value - want) <= bound + allowance, (L, x, y, t, rep)
+
+
+def test_interface_bounds_hold_in_fifty_digits():
+    rng = np.random.default_rng(26)
+    for _ in range(60):
+        L1, L2 = (float(v) for v in np.exp(rng.uniform(math.log(0.05),
+                                                       math.log(20.0), 2)))
+        t = float(np.exp(rng.uniform(math.log(1e-4), math.log(1e3))))
+        S = L1 + L2
+        with mp.workdps(50):
+            want = exact_interval(mp.mpf(L1) + mp.mpf(L2), L1, L1, t)
+        poisson = ((0.0, 1.0), (2.0 * L1, -1.0))
+        for form, allowance in (
+                ("residues", mode_allowance(math.pi**2 * t / S**2, 2.0 / S)),
+                ("poisson", image_allowance(t, 2.0 * S, poisson, S))):
+            value, bound = h.interface_two_intervals(L1, L2, t, form)
+            assert abs(value - want) <= bound + allowance, (L1, L2, t, form)
+
+
+def test_residues_at_small_t_give_the_junction_density():
+    # 6.7e5 modes, past the 200,000 terms the series were once capped at:
+    # the density (4 pi t)^(-1/2) = 28209.479... of the free peak
+    t = 1e-10
+    value, bound = h.interface_two_intervals(1.0, 2.0, t, "residues")
+    want = exact_images(t, 6.0, ((0.0, 1.0), (2.0, -1.0)))
+    assert abs(value - want) <= bound + mode_allowance(math.pi**2 * t / 9.0,
+                                                       2.0 / 3.0)
+    assert abs(value - 28209.479177387813) < 1e-6
+
+
+def test_tiny_kernels_keep_their_relative_accuracy():
+    # e^-160 below the prefactor: each family is cut relative to its
+    # nearest image, where a cut at an absolute e^-50 would leave 0
+    value, bound = h.k_circle(2.0, 0.1, 0.9, 0.001)
+    want = exact_circle(2.0, 0.1, 0.9, 0.001)
+    assert value == 2.9058819242011834e-69
+    assert abs(value - want) <= 1e-13 * want and bound <= 1e-20 * want
+    value = h.arc_direct(2.0, (0.0, 1.0), 0.1, 0.9, 0.001)
+    want = exact_interval(1.0, 0.1, 0.9, 0.001)
+    assert abs(value - want) <= 1e-13 * want
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +459,7 @@ def test_interface_forms_agree_on_grid(L1, L2, t):
 def test_interface_is_the_joint_kernel_at_the_junction():
     for L1, L2, t in [(1.0, 1.0, 0.3), (0.7, 1.4, 0.8), (2.0, 0.5, 0.1)]:
         vi, _ = h.interface_two_intervals(L1, L2, t, "residues")
-        vk, _ = h.k_interval(L1 + L2, L1, L1, t, "auto", TIGHT)
+        vk, _ = h.k_interval(L1 + L2, L1, L1, t, "auto")
         assert abs(vi - vk) < 1e-13
 
 
@@ -330,7 +468,7 @@ def test_interface_equal_sides_kill_even_modes():
     # where sin(pi k / 2) removes every even mode
     for L, t in [(1.0, 0.4), (0.8, 1.3)]:
         vi, _ = h.interface_two_intervals(L, L, t, "residues")
-        vk, _ = h.k_interval(2.0 * L, L, L, t, "spectral", TIGHT)
+        vk, _ = h.k_interval(2.0 * L, L, L, t, "spectral")
         assert abs(vi - vk) < 1e-13
 
 
@@ -407,7 +545,7 @@ def test_direct_difference_near_the_junction_matches_fifty_digits(L1, L2, x,
 def test_glue_intervals_junction_point_equals_interface():
     for L1, L2, t in [(1.0, 2.0, 0.4), (0.6, 0.9, 1.1)]:
         v, _ = h.glue_intervals_I(L1, L2, 0.0, 0.0, t)
-        vi, _ = h.interface_two_intervals(L1, L2, t, "poisson", TIGHT)
+        vi, _ = h.interface_two_intervals(L1, L2, t, "poisson")
         assert abs(v - vi) < 1e-14
 
 
@@ -435,7 +573,7 @@ def test_glue_intervals_domain_validation():
 def test_reflection_sum_is_the_route_I_value():
     for L1, L2, x, y, t in [(1.0, 1.3, 0.3, 0.9, 0.5), (0.6, 2.0, 0.0, 1.7, 2.0),
                             (2.0, 0.4, 0.4, 0.1, 0.01)]:
-        value = h._route_I(L1, L2, t, h._DEFAULT)(x, y)
+        value = h._route_I(L1, L2, t)(x, y)
         assert value == h.glue_intervals_I(L1, L2, x, y, t)[0]
 
 
@@ -605,7 +743,7 @@ def test_echo_series_tail_bound_shrinks_with_order():
 def test_echo_series_junction_point():
     v, tail, res = h.glue_intervals_II(1.0, 1.0, 0.0, 0.0, 0.7, 6)
     assert res < max(1e-6, tail)
-    vi, _ = h.interface_two_intervals(1.0, 1.0, 0.7, "residues", TIGHT)
+    vi, _ = h.interface_two_intervals(1.0, 1.0, 0.7, "residues")
     assert abs(v - vi) < max(1e-6, tail)
 
 
@@ -950,7 +1088,7 @@ def test_glue_rays_validation():
 def test_cut_circle_reference_point():
     v, _, res = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 4)
     assert res < 1e-5
-    oracle, _ = h.k_interval(1.0, 0.3, 0.7, 0.4, "auto", TIGHT)
+    oracle, _ = h.k_interval(1.0, 0.3, 0.7, 0.4, "auto")
     assert abs(v - oracle) == res
 
 
@@ -1072,7 +1210,7 @@ def test_cut_sums_merged_once_are_the_sums_merged_one_by_one(monkeypatch):
         L, _, x, y, t = case
         want = cut_sums_one_by_one(*case, 8)
         terms = [float(close(np.array([t]))[0]) for close in want[::3]]
-        circle, _ = h.k_circle(L, x, y, t, "auto", h._TIGHT)
+        circle, _ = h.k_circle(L, x, y, t, "auto")
         for k_max in range(9):
             got, value = fused_cut_sums(monkeypatch, *case, k_max)
             assert len(got) == 3 * k_max + 1
@@ -1149,6 +1287,21 @@ def test_cut_circle_converges_to_rounding_at_depth_eight():
     _, bound, res = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 8)
     assert res <= 1e-13
     assert res <= bound < 1e-11
+
+
+@pytest.mark.parametrize("t,k_max", [(0.01, 2), (0.02, 3), (0.05, 6),
+                                     (0.4, 8)])
+def test_cut_bound_covers_the_fifty_digit_error_relative_to_the_arc(t,
+                                                                    k_max):
+    # the rounding part is 3 gamma times the circle kernel and the terms,
+    # all nonnegative, with no floor at 1: at t = 0.01, x = 0.1, y = 0.9 the
+    # bound is 9.7e-20 against an error of 1.0e-21 and an arc kernel of
+    # 3.2e-7, where the floor made it 2.7e-13
+    for x, y in ((0.1, 0.9), (0.3, 0.7), (0.5, 0.5)):
+        value, bound, _ = h.cut_circle_to_arc(2.0, (0.0, 1.0), x, y, t, k_max,
+                                              reference=0.0)
+        want = exact_interval(1.0, x, y, t)
+        assert abs(value - want) <= bound < 1e-9 * want, (x, y)
 
 
 def test_arc_coordinates_measure_along_the_arc_of_both_points():
@@ -1250,11 +1403,11 @@ def test_cylinder_joint_sum_respects_the_semigroup_in_each_factor():
     X, Y, g1, g2 = 0.8, 1.5, 0.3, 1.1
     t1, t2 = 0.3, 0.45
     interval_part = gauss_integral(
-        lambda z: h.k_interval(S, X, z, t1, "auto", TIGHT)[0]
-        * h.k_interval(S, z, Y, t2, "auto", TIGHT)[0], 0.0, S)
+        lambda z: h.k_interval(S, X, z, t1, "auto")[0]
+        * h.k_interval(S, z, Y, t2, "auto")[0], 0.0, S)
     circle_part = gauss_integral(
-        lambda g: h.k_circle(LC, g1, g, t1, "auto", TIGHT)[0]
-        * h.k_circle(LC, g, g2, t2, "auto", TIGHT)[0], 0.0, LC)
+        lambda g: h.k_circle(LC, g1, g, t1, "auto")[0]
+        * h.k_circle(LC, g, g2, t2, "auto")[0], 0.0, LC)
     (joint,) = h._cylinder_joint(S, LC, [(X, Y, g1, g2)], t1 + t2)
     assert abs(interval_part * circle_part - joint) < 1e-8
 

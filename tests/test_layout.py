@@ -81,6 +81,28 @@ def test_no_parameter_is_accepted_and_ignored():
     assert list(unused_parameters()) == []
 
 
+def defined_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target)
+                            if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((a.asname or a.name).split(".")[0]
+                        for a in node.names)
+
+
+def test_every_exported_name_is_defined_in_its_module():
+    # a deleted function or class does not linger in an export list
+    for stem, tree in modules():
+        assert exported(tree) - set(defined_names(tree)) == set(), stem
+
+
 def imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
