@@ -137,17 +137,33 @@ class Graph:
         return tuple(self.vertices[j] for j in np.nonzero(self.adjacency[i])[0])
 
     def induced(self, labels: Sequence) -> "Graph":
+        labels = tuple(labels)
         keep = set(labels)
         for v in keep:
             if v not in self.index:
                 raise ValueError(f"unknown vertex {v!r}")
-        edges = tuple(e for e in self.edges if e[0] in keep and e[1] in keep)
-        return Graph(tuple(labels), edges)
+        if len(keep) != len(labels):
+            raise ValueError("duplicate vertex labels")
+        return self._relabeled(labels, [e for e in self.edges
+                                        if e[0] in keep and e[1] in keep])
 
     def with_vertex_order(self, order: Sequence) -> "Graph":
-        if set(order) != set(self.vertices) or len(tuple(order)) != self.n:
+        order = tuple(order)
+        if set(order) != set(self.vertices) or len(order) != self.n:
             raise ValueError("order must be a permutation of the vertex labels")
-        return Graph(tuple(order), self.edges)
+        return self._relabeled(order, self.edges)
+
+    def _relabeled(self, vertices: tuple, edges: Sequence) -> "Graph":
+        """The graph on ``vertices`` (distinct labels of this graph) with
+        ``edges``, checked edges of this graph among them: the edges are
+        put in the canonical order of ``vertices``, not checked again."""
+        index = {v: i for i, v in enumerate(vertices)}
+        canon = sorted(sorted((index[a], index[b])) for a, b in edges)
+        g = object.__new__(Graph)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", tuple((vertices[i], vertices[j])
+                                             for i, j in canon))
+        return g
 
     def to_dict(self) -> dict:
         return {

@@ -904,10 +904,13 @@ def _cylinder_joint(LI: float, LC: float,
     first, one truncation ball.  The kept eigenvalues, their order and
     their decays depend only on (LI, LC, t) and are taken once; only the
     amplitudes are taken per point, and each point's sum is the one a
-    single point would give, bit for bit."""
+    single point would give, bit for bit.  TruncationError, before any
+    array is formed, when the mode grid of all the points would hold more
+    than _MAX_IMAGES terms."""
     lam_cap = (50.0 + abs(math.log(max(1e-6, LI * LC)))) / t
     jmax = max(1, int(math.ceil(LI * math.sqrt(lam_cap) / math.pi)))
     kmax = max(1, int(math.ceil(LC * math.sqrt(lam_cap) / (2.0 * math.pi))))
+    _check_terms(jmax * (kmax + 1.0) * len(points), "cylinder joint mode sum")
     js = np.arange(1, jmax + 1)
     ks = np.arange(0, kmax + 1)
     lam = (math.pi ** 2 / LI ** 2) * np.square(js)[:, None] \

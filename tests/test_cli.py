@@ -1,32 +1,50 @@
-"""End-to-end checks of the command line front end through CliRunner."""
+"""End-to-end checks of the command line front end, run in this process
+with stdout and stderr captured."""
 
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import time
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatglue.cli
-from heatglue import symlin
-from heatglue.cli import Axis, Reports, main
+from heatglue import graph_heat, symlin
+from heatglue.cli import Axis, InputError, Reports, main
 from heatglue.expmix import ConfluentOverflowError
 from heatglue.graph_heat import KernelMatrix, SeriesKernel
 from heatglue.symlin import ConvergenceError
 
 
-def invoke(args, env=None):
-    runner = CliRunner()
-    return runner.invoke(main, args, env=env, catch_exceptions=False)
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def invoke(args):
+    """``heatglue ARGS``: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return Result(code, out.getvalue(), err.getvalue())
 
 
 def json_lines(output):
@@ -132,6 +150,48 @@ def test_graph_references_take_one_eigendecomposition(tmp_path, monkeypatch):
         res = invoke(["verify", "--input", str(problems)])
         assert res.exit_code == 0
         assert calls == want
+
+
+def test_a_graph_gluing_checks_its_edges_once(tmp_path, monkeypatch):
+    # the glued graph's vertex order and the side components of a
+    # decomposition without sides reorder edges checked on loading
+    checks = []
+    check = graph_heat.Graph.__post_init__
+
+    def spy(self):
+        checks.append(self.vertices)
+        check(self)
+
+    monkeypatch.setattr(graph_heat.Graph, "__post_init__", spy)
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]],
+        "interface": ["b", "d"]}))
+    for name in ("line3", str(square)):
+        doc = heatglue.cli._load_input(name)
+        for method in ("assembled", "series"):
+            checks.clear()
+            (rep,) = heatglue.cli.run_graph_glue(doc, name, 0.7, method, 8, 1e-8)
+            assert len(checks) == 1
+            assert set(rep.status) == {"pass"}
+
+
+def test_reordered_graphs_are_the_graphs_checked_anew():
+    g = graph_heat.graph_from_dict({
+        "vertices": ["a", "b", "c", "d", "e"],
+        "edges": [["e", "a"], ["b", "a"], ["c", "d"], ["d", "b"], ["c", "e"]]})
+    for order in (("e", "d", "c", "b", "a"), ("c", "a", "e", "b", "d")):
+        assert g.with_vertex_order(order) == graph_heat.Graph(order, g.edges)
+    for labels in (("d", "a", "b"), ("e", "c"), ("b",)):
+        edges = tuple(e for e in g.edges if set(e) <= set(labels))
+        assert g.induced(labels) == graph_heat.Graph(labels, edges)
+    for labels, message in [(("a", "a"), "duplicate vertex labels"),
+                            (("a", "z"), "unknown vertex 'z'")]:
+        with pytest.raises(ValueError, match=message):
+            g.induced(labels)
+    with pytest.raises(ValueError, match="permutation"):
+        g.with_vertex_order(("a", "a", "b", "c", "d"))
 
 
 def test_graph_pathsum_report_shape():
@@ -377,6 +437,17 @@ def test_cylinder_check_default_battery():
     assert r["value"] < 1e-9
 
 
+def test_a_cylinder_check_past_the_term_budget_exits_three():
+    # the joint mode grid at t = 1e-6 would hold 1.5e8 terms
+    t0 = time.perf_counter()
+    res = invoke("cylinder check --L1 1 --L2 2 --t 1e-6".split())
+    assert time.perf_counter() - t0 < 1.0
+    assert res.exit_code == 3
+    (r,) = json_lines(res.stdout)
+    assert r["status"] == "error"
+    assert r["message"].startswith("TruncationError: cylinder joint mode sum")
+
+
 def test_dn_cylinder_gaps_certified():
     res = invoke(["dn", "cylinder", "--L", "2", "--m2", "1", "--kmax", "5"])
     assert res.exit_code == 0
@@ -518,6 +589,108 @@ def test_cuts_option_rejects_malformed_values():
     res = invoke(["circle", "cut", "--L", "2", "--cuts", "0,a",
                   "--x", "0.3", "--y", "0.7", "--t", "0.4"])
     assert res.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# the parser
+# ---------------------------------------------------------------------------
+
+
+def test_unusable_input_reaches_a_caller_outside_standalone_mode():
+    for args, message in [(["verify", "--input", "nosuch"],
+                           "no such file or bundled fixture: nosuch"),
+                          (["graph", "glue", "--t", "1"],
+                           "required: --input")]:
+        with pytest.raises(InputError, match=message):
+            main.main(args, prog_name="heatglue", standalone_mode=False)
+        res = invoke(args)
+        assert res.exit_code == 2
+        assert res.stderr.splitlines()[-1].startswith("Error: ")
+
+
+@pytest.mark.parametrize("args,error", [
+    ("graph glue --inp line3 --t 1", "Error: the following arguments are "
+                                     "required: --input"),
+    ("graph glue --input line3 --t 1 --met series",
+     "Error: unrecognized arguments: --met series"),
+    ("verify --input=intervals --see 3", "Error: unrecognized arguments: "
+                                         "--see 3")])
+def test_an_abbreviated_flag_is_unusable_input(args, error):
+    res = invoke(args.split())
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.splitlines()[-1] == error
+
+
+def test_a_value_may_start_with_a_minus_sign():
+    res = invoke("interval glue --L1 1 --L2 2 --x -1e-3 --y 0.5 --t 1".split())
+    assert res.exit_code == 2
+    assert res.stderr.splitlines()[-1] == "Error: x and y must lie in [0, L2]"
+    res = invoke("graph pathsum --input line3 --u -1 --v 3 --t 1 "
+                 "--eps 1e-9".split())
+    assert res.exit_code == 2
+    assert res.stderr.splitlines()[-1] == "Error: vertex '-1' not in graph"
+    res = invoke("circle cut --L 2 --cuts -0.5,1 --x 0.3 --y 0.7 --t 0.4".split())
+    assert res.exit_code == 0
+    (r,) = json_lines(res.stdout)
+    assert r["inputs"]["cuts"] == "-0.5,1.0"
+    # a flag as the last token has no value
+    res = invoke("ray glue --x 1 --y 1 --t".split())
+    assert res.exit_code == 2
+    assert res.stderr.splitlines()[-1] == ("Error: argument --t: expected one "
+                                           "argument")
+
+
+@pytest.mark.parametrize("words", [
+    "", *sorted({w.split()[0] for w, _, _ in heatglue.cli._COMMANDS
+                 if " " in w}),
+    *(w for w, _, _ in heatglue.cli._COMMANDS)])
+def test_help_exits_zero_on_every_command(words):
+    res = invoke([*words.split(), "--help"])
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert res.stdout.startswith(f"usage: heatglue {words}".rstrip() + " [-h]")
+    for command, _, options in heatglue.cli._COMMANDS:
+        if command == words:
+            assert all(o.flag in res.stdout for o in options)
+
+
+def test_the_program_name_names_usage_and_help():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as stop:
+        main.main(["ray", "glue", "--help"], prog_name="hg")
+    assert stop.value.code == 0
+    assert out.getvalue().startswith("usage: hg ray glue [-h]")
+    with pytest.raises(InputError) as error:
+        main.main(["ray", "glue"], prog_name="hg", standalone_mode=False)
+    assert error.value.usage.startswith("usage: hg ray glue [-h]")
+    assert invoke(["ray", "glue", "--help"]).stdout.startswith(
+        "usage: heatglue ray glue")
+
+
+def fresh_python(code, *args, **kwargs):
+    src = str(pathlib.Path(heatglue.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          timeout=60, **kwargs)
+
+
+def test_the_command_line_imports_no_click():
+    done = fresh_python("import sys, heatglue.cli; "
+                        "print('click' in sys.modules)",
+                        capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
+
+
+def test_a_closed_stdout_exits_one_quietly():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = fresh_python("from heatglue.cli import main; main()",
+                            *"ray glue --x 0.8 --y 1.1 --t 0.6".split(),
+                            stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 # ---------------------------------------------------------------------------
