@@ -290,8 +290,7 @@ def run_graph_glue(doc: dict, label: str, t: float, method: str, k_max: int,
     def run():
         d = decomposition_from_dict(doc)
         if method == "series":
-            km, _ = glue_II(d, k_max)
-            values, bound = km.evaluate_with_bound(t)
+            values, bound = glue_II(d, k_max).evaluate_with_bound(t)
         else:
             values, bound = glue_I_values(d, t), 0.0
         vertices = d.ordered_graph.vertices
@@ -389,11 +388,9 @@ def run_interval_glue(L1: float, L2: float, x: float, y: float, t: float,
         ref = heat1d.glue_direct(L1, L2, x, y, t) if reference is None \
             else reference
         if formula == "II":
-            value, bound, _ = heat1d.glue_intervals_II(L1, L2, x, y, t, n_max,
-                                                       ref)
+            value, bound = heat1d.glue_intervals_II(L1, L2, x, y, t, n_max)
         else:
-            value, _ = heat1d.glue_intervals_I(L1, L2, x, y, t, reference=ref)
-            bound = 0.0
+            value, bound = heat1d.glue_intervals_I(L1, L2, x, y, t), 0.0
         return [Reports(case, "interval", inputs, value, ref, bound)]
 
     return _guarded(case, "interval", inputs, run)
@@ -421,7 +418,7 @@ def run_ray_glue(x: float, y: float, t: float, tol: float,
     inputs = {"tol": tol, "x": x, "y": y, "t": t}
 
     def run():
-        value, bound, _ = heat1d.glue_rays(x, y, t)
+        value, bound = heat1d.glue_rays(x, y, t)
         ref = reference
         if ref is None:
             ref = math.exp(-(x + y) ** 2 / (4.0 * t)) \
@@ -439,8 +436,7 @@ def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
 
     def run():
         reference = heat1d.arc_direct(L, cuts, x, y, t)
-        value, bound, _ = heat1d.cut_circle_to_arc(L, cuts, x, y, t, k_max,
-                                                   reference)
+        value, bound = heat1d.cut_circle_to_arc(L, cuts, x, y, t, k_max)
         # 0 <= arc kernel <= circle kernel, so a bound at or above the
         # circle kernel certifies nothing
         prior, _ = heat1d.k_circle(L, x, y, t)
@@ -479,10 +475,10 @@ def run_dn_cylinder(L: float, m2: float, k_max: int, circle_L: float,
         omegas = [(2.0 * math.pi * k / circle_L) ** 2 for k in ks]
         rep = heat1d.dn_cylinder(L, omegas, m2)
         mus = [math.sqrt(omega + m2) for omega in omegas]
-        # the analytic gap plus the rounding of the reported sum mu + gap,
-        # so that |value - reference| stays certified
-        bounds = [2.0 * mu / math.expm1(2.0 * L * mu) + 0.5 * math.ulp(lam)
-                  for mu, lam in zip(mus, rep.lambdas)]
+        # the gap plus the rounding of the reported sum mu + gap, so that
+        # |value - reference| stays certified
+        bounds = [gap + 0.5 * math.ulp(lam)
+                  for gap, lam in zip(rep.gaps, rep.lambdas)]
         return [Reports(f"{prefix}dn", "cylinder", base, rep.lambdas, mus,
                         bounds, (Axis("k", ks, [f"{k:03d}" for k in ks]),))]
 

@@ -44,7 +44,6 @@ __all__ = [
     "Graph",
     "Decomposition",
     "KernelMatrix",
-    "laplacian",
     "heat_kernel",
     "heat_values",
     "relative_heat_kernel",
@@ -331,12 +330,6 @@ class KernelMatrix:
 # ---------------------------------------------------------------------------
 
 
-def laplacian(g: Graph) -> symlin.SymMatrix:
-    """D - A with D the diagonal of valencies: ``g.laplacian``, which a
-    frozen graph builds and validates once."""
-    return g.laplacian
-
-
 def _safe_rate(w: float) -> float:
     if w < 0.0:
         if w < -1e-8:
@@ -365,7 +358,7 @@ def _spectral(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def heat_kernel(g: Graph) -> KernelMatrix:
     """The full heat flow of the graph, entrywise exact in t."""
-    d = symlin.eigh(laplacian(g))
+    d = symlin.eigh(g.laplacian)
     universe, coef = _spectral(d.eigenvectors, d.eigenvalues)
     return KernelMatrix(g.vertices, g.vertices, universe, coef, np.zeros((g.n, g.n)))
 
@@ -391,7 +384,7 @@ def heat_values(g: Graph, t: float | Sequence[float]) -> np.ndarray:
     them bitwise symmetric.  At an array of times, the values at each
     along the leading axes, all from the one eigendecomposition."""
     ts = _check_times(t)
-    d = symlin.eigh(laplacian(g))
+    d = symlin.eigh(g.laplacian)
     values = np.array([
         symlin.spectral_apply(d, lambda w: math.exp(-_safe_rate(w) * s))
         for s in ts.ravel().tolist()])
@@ -408,7 +401,7 @@ def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:
     comp = [i for i, v in enumerate(g.vertices) if v not in yset]
     if not comp:
         raise ValueError("y must be a proper subset of the vertex set")
-    full = laplacian(g).entries
+    full = g.laplacian.entries
     blk = symlin.SymMatrix(full[np.ix_(comp, comp)])
     d = symlin.eigh(blk)
     universe, small = _spectral(d.eigenvectors, d.eigenvalues)
@@ -421,7 +414,7 @@ def green(g: Graph, m2: float) -> np.ndarray:
     """(Laplacian + m2)^-1; m2 must be positive since the Laplacian is singular."""
     if not (m2 > 0.0):
         raise ValueError(f"need m2 > 0, got {m2}")
-    d = symlin.eigh(laplacian(g))
+    d = symlin.eigh(g.laplacian)
     return symlin.spectral_apply(d, lambda w: 1.0 / (w + m2))
 
 
@@ -475,7 +468,7 @@ def dn_total(g1: Graph, g2: Graph, y: Sequence, m2: float) -> np.ndarray:
     e2 = {frozenset(e) for e in g2.induced(y).edges}
     if e1 != e2:
         raise ValueError("graphs disagree on interface-internal edges")
-    ly = laplacian(g1.induced(y)).entries
+    ly = g1.induced(y).laplacian.entries
     out = dn_single(g1, y, m2) + dn_single(g2, y, m2) - (ly + m2 * np.eye(len(y)))
     return out
 
@@ -488,7 +481,7 @@ def interface_kernel(d: Decomposition) -> KernelMatrix:
     one-sided data only.
     """
     og = d.ordered_graph
-    eig = symlin.eigh(laplacian(og))
+    eig = symlin.eigh(og.laplacian)
     yidx = [og.index[v] for v in d.interface]
     universe, coef = _spectral(eig.eigenvectors[yidx], eig.eigenvalues)
     ny = len(yidx)
@@ -716,21 +709,21 @@ class SeriesKernel:
     glued kernel dresses the sum with the extension kernel on both sides.
 
     ``rows`` and ``cols`` are the vertex labels of the block.
-    ``evaluate(t)`` returns its values at t > 0; ``bound(t)`` a certified
-    bound on their entrywise error against the exact glued kernel, from the
-    row sums of the truncated kernel (every dropped piece is nonnegative
-    and the exact kernel is stochastic) plus a rounding allowance;
-    ``evaluate_with_bound(t)`` returns both.  An entry of the exact kernel
-    lies in [0, 1], so a bound of 1 or more proves nothing, and both raise
-    :class:`~heatglue.heat1d.TruncationError` on it.  Each call runs one
-    :func:`uniformized_walk` with theta the largest valency (at least 1),
-    whose layers are the terms of the series; past 65536 Taylor orders the
-    rest is left out and shows in the bound.  The walk sums its Taylor
-    orders by Horner in blocks of 8, and its gamma counts the roundings of
-    that order: about q + 2 per order for the step, q the most nonzeros in
-    a column of the shifted Laplacian, and up to (9 n + 1)/8 more for the
-    block products; the rounding part of the bound is 3 gamma times the
-    largest row sum (at least 1).
+    ``evaluate(t)`` returns its values at t > 0, and
+    ``evaluate_with_bound(t)`` those values and a certified bound on their
+    entrywise error against the exact glued kernel, from the row sums of
+    the truncated kernel (every dropped piece is nonnegative and the exact
+    kernel is stochastic) plus a rounding allowance.  An entry of the
+    exact kernel lies in [0, 1], so a bound of 1 or more proves nothing,
+    and it raises :class:`~heatglue.heat1d.TruncationError` on it.  Each
+    call runs one :func:`uniformized_walk` with theta the largest valency
+    (at least 1), whose layers are the terms of the series; past 65536
+    Taylor orders the rest is left out and shows in the bound.  The walk
+    sums its Taylor orders by Horner in blocks of 8, and its gamma counts
+    the roundings of that order: about q + 2 per order for the step, q the
+    most nonzeros in a column of the shifted Laplacian, and up to
+    (9 n + 1)/8 more for the block products; the rounding part of the
+    bound is 3 gamma times the largest row sum (at least 1).
     """
 
     def __init__(self, d: Decomposition, k_max: int, labels: Sequence):
@@ -743,7 +736,7 @@ class SeriesKernel:
         self._y = np.arange(n1, n1 + ny)
         self._start = np.array([og.index[v] for v in self.rows])
         self._theta = max(float(og.valencies.max()), 1.0)
-        shifted = self._theta * np.eye(og.n) - laplacian(og).entries
+        shifted = self._theta * np.eye(og.n) - og.laplacian.entries
         # a step off an interface vertex starts the next term of the series
         self._advance = np.zeros_like(shifted)
         self._advance[self._y] = shifted[self._y]
@@ -764,12 +757,9 @@ class SeriesKernel:
         vals, _ = self._rows_at(_check_t(t))
         return vals[:, self._start]
 
-    def bound(self, t: float) -> float:
-        """Certified bound on the entrywise error of :meth:`evaluate` at t > 0."""
-        return self.evaluate_with_bound(t)[1]
-
     def evaluate_with_bound(self, t: float) -> tuple[np.ndarray, float]:
-        """:meth:`evaluate` and :meth:`bound` at t > 0 from one walk."""
+        """:meth:`evaluate` at t > 0 and a certified bound on its entrywise
+        error, from one walk."""
         vals, gamma = self._rows_at(_check_t(t))
         sums = [math.fsum(row) for row in vals.tolist()]
         bound = max(1.0 - s for s in sums) + 3.0 * gamma * max(1.0, max(sums))
@@ -780,19 +770,16 @@ class SeriesKernel:
         return vals[:, self._start], bound
 
 
-def interface_kernel_series(d: Decomposition, k_max: int):
-    """Interface kernel from its k_max-truncated one-sided series.
-
-    Returns ``(kernel, kernel.bound)``: a :class:`SeriesKernel` on the
-    interface, whose ``evaluate(t)`` gives values at t > 0, and its bound
-    method, whose value at t > 0 is the certified error bound of
-    ``evaluate(t)``.  The bound reads the interface rows of the glued
-    kernel: K[y, :] = IFK[y, :] * E^T, and E^T carries the identity atom on
-    the interface columns, so each interface entry is an entry of those rows
-    and its error is at most their row-sum deficit.
+def interface_kernel_series(d: Decomposition, k_max: int) -> SeriesKernel:
+    """Interface kernel from its k_max-truncated one-sided series: a
+    :class:`SeriesKernel` on the interface, whose ``evaluate_with_bound(t)``
+    gives values at t > 0 and their certified error bound.  The bound reads
+    the interface rows of the glued kernel: K[y, :] = IFK[y, :] * E^T, and
+    E^T carries the identity atom on the interface columns, so each
+    interface entry is an entry of those rows and its error is at most
+    their row-sum deficit.
     """
-    kern = SeriesKernel(d, k_max, d.interface)
-    return kern, kern.bound
+    return SeriesKernel(d, k_max, d.interface)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +795,7 @@ def _glue_I_spectra(d: Decomposition) -> tuple[np.ndarray, ...]:
     n, n1, ny = og.n, len(d.side1), len(d.interface)
     y = np.arange(n1, n1 + ny)
     c = np.concatenate((np.arange(n1), np.arange(n1 + ny, n)))
-    lap = laplacian(og)
+    lap = og.laplacian
     full = symlin.eigh(lap)
     blk = symlin.eigh(symlin.SymMatrix(lap.entries.take(c, 0).take(c, 1)))
     v = blk.eigenvectors
@@ -952,18 +939,14 @@ def glue_I_values(d: Decomposition, t: float | Sequence[float]) -> np.ndarray:
     return _mirror_upper(values).reshape(ts.shape + (n, n))
 
 
-def glue_II(d: Decomposition, k_max: int):
+def glue_II(d: Decomposition, k_max: int) -> SeriesKernel:
     """Second gluing formula: as glue_I but with the interface kernel replaced
-    by its k_max-truncated one-sided series.
-
-    Returns ``(kernel, kernel.bound)``: a :class:`SeriesKernel` over the
-    vertices in decomposition order, whose ``evaluate(t)`` gives values at
-    t > 0, and its bound method, whose value at t > 0 is the certified error
-    bound of ``evaluate(t)``: the largest row-sum deficit of the truncated
-    kernel plus a rounding allowance.
+    by its k_max-truncated one-sided series: a :class:`SeriesKernel` over
+    the vertices in decomposition order, whose ``evaluate_with_bound(t)``
+    gives values at t > 0 and their certified error bound, the largest
+    row-sum deficit of the truncated kernel plus a rounding allowance.
     """
-    kern = SeriesKernel(d, k_max, d.ordered_graph.vertices)
-    return kern, kern.bound
+    return SeriesKernel(d, k_max, d.ordered_graph.vertices)
 
 
 def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
@@ -994,7 +977,7 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
     if not a:
         return np.zeros((0, 0)), 0.0
 
-    lap = laplacian(g)
+    lap = g.laplacian
     blk = symlin.SymMatrix(lap.entries[np.ix_(a, a)] + m2 * np.eye(len(a)))
     spec = symlin.eigh(blk)
     # L_aa + m2 I is positive definite, but on a component with no vertex

@@ -6,9 +6,10 @@ interface kernels for two intervals joined at a point, and the
 reconstruction checks: a glued interval rebuilt from boundary-flux
 convolutions, two rays glued into a line, an arc cut out of a circle, and
 the cylinder factorization and spectrum checks.  Wherever a formula admits
-two independent routes both are kept and compared, and every convolution
-route reports a residual against the cheap direct kernel instead of being
-trusted on its own.
+two independent routes both are kept.  Each route returns what it
+computes once, its value and, where it certifies one, its bound; the cheap
+direct kernel that checks a gluing or cutting route (:func:`glue_direct`,
+:func:`arc_direct`) is the caller's to evaluate, and so is the residual.
 
 One cut rule for every 1d series: an image sum keeps each family's images
 within _reach(t) of its nearest one, a mode sum its modes with
@@ -373,8 +374,8 @@ def _route_I(L1: float, L2: float, t: float) -> Callable[[float, float], float]:
     return value
 
 
-def glue_intervals_I(L1: float, L2: float, x: float, y: float, t: float,
-                     reference: float | None = None) -> tuple[float, float]:
+def glue_intervals_I(L1: float, L2: float, x: float, y: float,
+                     t: float) -> float:
     """Glued-interval correction rebuilt from its convolution factors.
 
     The correction K_joint(L1+x, L1+y) - K_side2(x, y) for x, y in the
@@ -383,16 +384,13 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float, t: float,
     trains whose distances add under convolution, so the triple integral
     collapses to one bilinear image sum: the flux pair in closed form
     (:func:`_flux_pair`) against the junction sum, converging like
-    exp(-distance^2/4t).  Returns (value, residual against reference, by
-    default the direct two-kernel difference :func:`glue_direct`).
+    exp(-distance^2/4t).  Returns the value; its check is the direct
+    two-kernel difference :func:`glue_direct`.
     """
     L1 = _check_length(L1, "L1")
     L2 = _check_length(L2, "L2")
     t = _check_time(t)
-    value = _route_I(L1, L2, t)(x, y)
-    if reference is None:
-        reference = glue_direct(L1, L2, x, y, t)
-    return value, abs(value - reference)
+    return _route_I(L1, L2, t)(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +639,7 @@ def _below_prior(bound: float, prior: float, label: str) -> float:
 
 
 def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
-                      n_max: int, reference: float | None = None
-                      ) -> tuple[float, float, float]:
+                      n_max: int) -> tuple[float, float]:
     """Glued-interval correction as an alternating series of echo orders.
 
     Term n convolves the flux pulse out of x, the echo chain E_n and the
@@ -656,8 +653,8 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     the series is the echo sum itself.  Images past _reach(t) are dropped,
     and with them every order whose images all lie past it.
 
-    Returns (value, bound, residual against reference, by default the
-    direct two-kernel difference :func:`glue_direct`).  The bound adds the
+    Returns (value, bound); the check is the direct two-kernel difference
+    :func:`glue_direct`, as for route I.  The bound adds the
     orders past n_max (:func:`_echo_tail`), the images past the reach that
     the kept orders drop (:func:`_dropped_images`) and the rounding part
     of :meth:`_ImageSum.at`.  Domain monotonicity gives
@@ -707,10 +704,7 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     # a distance adds two flux legs, each off by at most 3 U, and at most
     # d / 2 min(L1, L2) round trips, each off by U, in as many roundings
     value, rounding = series.at(t, series.d / (2.0 * min(L1, L2)) + 4.0)
-    bound = _below_prior(tail + rounding, prior, label)
-    if reference is None:
-        reference = glue_direct(L1, L2, x, y, t)
-    return value, bound, abs(value - reference)
+    return value, _below_prior(tail + rounding, prior, label)
 
 
 # ---------------------------------------------------------------------------
@@ -718,24 +712,21 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
 # ---------------------------------------------------------------------------
 
 
-def glue_rays(x: float, y: float, t: float) -> tuple[float, float, float]:
+def glue_rays(x: float, y: float, t: float) -> tuple[float, float]:
     """Two half lines joined at the origin, rebuilt by composition.
 
     The flux pulses at distances x and y and the flat junction pulse
     compose exactly, h_x * h_y * g_0 = g_(x+y) (:meth:`_ImageSum.compose`),
-    and the result is compared with the closed form
-    (4 pi t)^(-1/2) exp(-(x+y)^2/4t).  Returns (value, bound, residual);
-    the bound is the rounding part of :meth:`_ImageSum.at`, the one
-    distance x + y being off by at most U.
+    whose check is the closed form (4 pi t)^(-1/2) exp(-(x+y)^2/4t).
+    Returns (value, bound); the bound is the rounding part of
+    :meth:`_ImageSum.at`, the one distance x + y being off by at most U.
     """
     t = _check_time(t)
     if not (x > 0.0 and y > 0.0):
         raise ValueError("x and y must be positive")
     line = _ImageSum("h", [x], [1.0]).compose(
         _ImageSum("h", [y], [1.0])).compose(_G0)
-    value, bound = line.at(t, 1.0)
-    closed = math.exp(-((x + y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-    return value, bound, abs(value - closed)
+    return line.at(t, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -834,9 +825,7 @@ def arc_direct(L_total: float, cuts: Sequence[float], x: float, y: float,
 
 
 def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
-                      y: float, t: float, k_max: int,
-                      reference: float | None = None
-                      ) -> tuple[float, float, float]:
+                      y: float, t: float, k_max: int) -> tuple[float, float]:
     """Arc kernel rebuilt by cutting the circle at two points.
 
     Subtracts from the circle kernel the alternating interface series.
@@ -844,14 +833,13 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     c_u, k hops sum_n h_|c_u - c_v + nL| (n != 0 when u = v) and the close
     sum_n g_|c_u - y + nL| into one exact Gaussian sum at t, images out to
     _reach(t); each new state and each close adds two compositions,
-    formed and merged once (:func:`_compose_sum`).  Returns (value, bound,
-    residual against reference, by default the Dirichlet kernel of the
-    arc, :func:`arc_direct`); the bound adds :func:`_cut_tail`, the circle
-    kernel's bound and a rounding part 3 gamma (circle kernel + sum of the
-    terms): every piece is nonnegative, so gamma is relative to each.  The
-    tail is taken before anything is composed, once the first compositions
-    are known to fit the image budget, and a tail that is not finite
-    raises TruncationError.
+    formed and merged once (:func:`_compose_sum`).  Returns (value, bound);
+    the check is the Dirichlet kernel of the arc, :func:`arc_direct`.  The
+    bound adds :func:`_cut_tail`, the circle kernel's bound and a rounding
+    part 3 gamma (circle kernel + sum of the terms): every piece is
+    nonnegative, so gamma is relative to each.  The tail is taken before
+    anything is composed, once the first compositions are known to fit the
+    image budget, and a tail that is not finite raises TruncationError.
     """
     arc_coordinates(L_total, cuts, x, y)  # both points inside one arc
     L = float(L_total)
@@ -887,10 +875,7 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     # exponent stays below 50, so a Gaussian is off by 100 (k_max + 5) + 4
     # roundings; a term adds one per image, the alternating sum k_max + 2
     gamma = _U * (101.0 * (k_max + 6) + images)
-    bound = tail + circle_bound + 3.0 * gamma * (circle_val + sum(terms))
-    if reference is None:
-        reference = arc_direct(L, cuts, x, y, t)
-    return value, bound, abs(value - reference)
+    return value, tail + circle_bound + 3.0 * gamma * (circle_val + sum(terms))
 
 
 # ---------------------------------------------------------------------------

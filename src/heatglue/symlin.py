@@ -40,12 +40,10 @@ class SymMatrix:
     Parameters
     ----------
     entries : array_like
-        Square matrix.  Rejected unless exactly symmetric; pass
-        ``symmetrize=True`` to average ``(A + A^T)/2`` instead.
+        Square matrix.  Rejected unless exactly symmetric.
     """
 
     entries: np.ndarray
-    symmetrize: bool = False
 
     def __post_init__(self) -> None:
         a = np.array(self.entries, dtype=float)
@@ -53,12 +51,8 @@ class SymMatrix:
             raise ValueError(f"need a square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        if self.symmetrize:
-            a = (a + a.T) / 2.0
-        elif not np.array_equal(a, a.T):
-            raise ValueError(
-                "matrix is not exactly symmetric; pass symmetrize=True to average"
-            )
+        if not np.array_equal(a, a.T):
+            raise ValueError("matrix is not exactly symmetric")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 

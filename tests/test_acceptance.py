@@ -23,7 +23,6 @@ from heatglue.graph_heat import (
     glue_II,
     heat_kernel,
     interface_kernel,
-    laplacian,
     one_step_interface_kernel,
     random_decomposition,
     schur_cut,
@@ -51,7 +50,7 @@ def _random_graph(rng: np.random.Generator, n: int) -> Graph:
 
 
 def _expm_oracle(g: Graph, t: float) -> np.ndarray:
-    return scipy.linalg.expm(-t * laplacian(g).entries)
+    return scipy.linalg.expm(-t * g.laplacian.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +108,13 @@ def test_gate_03_second_formula_series_and_bound():
     bound_violations = 0
     for _ in range(50):
         d = random_decomposition(rng, 12)
-        km, bound = glue_II(d, 40)
+        km = glue_II(d, 40)
         for t in (0.25, 1.0, 4.0):
+            values, bound = km.evaluate_with_bound(t)
             err = float(np.abs(
-                km.evaluate(t) - _expm_oracle(d.ordered_graph, t)).max())
+                values - _expm_oracle(d.ordered_graph, t)).max())
             worst_err = max(worst_err, err)
-            if err > bound(t):
+            if err > bound:
                 bound_violations += 1
     dt = time.perf_counter() - t0
     ok_bound = bound_violations == 0 and dt < 120.0
@@ -216,7 +216,8 @@ def test_gate_07_interval_reflection_route():
         for x in xs:
             for y in xs:
                 for t in (0.2, 0.7, 2.0):
-                    _, res = heat1d.glue_intervals_I(l1, l2, x, y, t)
+                    res = abs(heat1d.glue_intervals_I(l1, l2, x, y, t)
+                              - heat1d.glue_direct(l1, l2, x, y, t))
                     worst = max(worst, res)
     dt = time.perf_counter() - t0
     ok = worst < 1e-8 and dt < 60.0
@@ -234,8 +235,9 @@ def test_gate_08_interval_echo_series():
         for x in xs:
             for y in xs:
                 for t in (0.2, 0.7, 2.0):
-                    _, tail, res = heat1d.glue_intervals_II(
+                    value, tail = heat1d.glue_intervals_II(
                         l1, l2, x, y, t, n_max=6)
+                    res = abs(value - heat1d.glue_direct(l1, l2, x, y, t))
                     worst_excess = max(worst_excess,
                                        res - max(1e-6, tail))
                     assert res < max(1e-6, tail)
@@ -252,7 +254,7 @@ def test_gate_09_ray_gluing_gaussian():
     for x in (0.5, 1.0, 2.0):
         for y in (0.5, 1.0, 2.0):
             for t in (0.5, 1.0):
-                value, _, _ = heat1d.glue_rays(x, y, t)
+                value, _ = heat1d.glue_rays(x, y, t)
                 ref = math.exp(-(x + y) ** 2 / (4.0 * t)) \
                     / math.sqrt(4.0 * math.pi * t)
                 worst = max(worst, abs(value - ref))
@@ -268,9 +270,10 @@ def test_gate_10_circle_cut_series():
     t0 = time.perf_counter()
     residuals = []
     for k_max in range(5):
-        _, _, res = heat1d.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4,
-                                             k_max)
-        residuals.append(res)
+        value, _ = heat1d.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4,
+                                            k_max)
+        residuals.append(abs(value - heat1d.arc_direct(2.0, (0.0, 1.0), 0.3,
+                                                       0.7, 0.4)))
     dt = time.perf_counter() - t0
     non_increasing = all(
         residuals[i + 1] <= residuals[i] for i in range(len(residuals) - 1))

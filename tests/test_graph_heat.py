@@ -39,7 +39,6 @@ from heatglue.graph_heat import (
     heat_values,
     interface_kernel,
     interface_kernel_series,
-    laplacian,
     random_decomposition,
     relative_heat_kernel,
     schur_cut,
@@ -73,16 +72,16 @@ def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
 
 def test_laplacian_line3():
     expected = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    assert np.array_equal(laplacian(LINE3).entries, expected)
+    assert np.array_equal(LINE3.laplacian.entries, expected)
 
 
 def test_laplacian_edgeless_and_complete():
-    assert np.array_equal(laplacian(Graph(("a", "b"), ())).entries, np.zeros((2, 2)))
+    assert np.array_equal(Graph(("a", "b"), ()).laplacian.entries, np.zeros((2, 2)))
     k4 = Graph(
         ("a", "b", "c", "d"),
         (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")),
     )
-    assert np.array_equal(laplacian(k4).entries, 4.0 * np.eye(4) - np.ones((4, 4)))
+    assert np.array_equal(k4.laplacian.entries, 4.0 * np.eye(4) - np.ones((4, 4)))
 
 
 def test_graph_validation():
@@ -134,7 +133,7 @@ def test_heat_kernel_matches_taylor_exponential():
     for _ in range(3):
         g = random_graph(rng, 6)
         k = heat_kernel(g)
-        lap = laplacian(g).entries
+        lap = g.laplacian.entries
         for t in (0.3, 1.0, 4.0):
             assert np.abs(k.evaluate(t) - taylor_expm(-t * lap)).max() < 1e-10
 
@@ -204,7 +203,7 @@ def test_heat_values_match_the_matrix_exponential():
         exact = heat_kernel(g)
         for t in (0.25, 1.0, 4.0):
             values = heat_values(g, t)
-            want = scipy.linalg.expm(-t * laplacian(g).entries)
+            want = scipy.linalg.expm(-t * g.laplacian.entries)
             assert np.abs(values - want).max() < 1e-13
             assert np.abs(values - exact.evaluate(t)).max() < 1e-14
             assert np.array_equal(values, values.T)
@@ -273,7 +272,7 @@ def test_relative_kernel_matches_taylor_exponential():
     y = ("v0", "v3")
     k = relative_heat_kernel(g, y)
     comp = [i for i, v in enumerate(g.vertices) if v not in y]
-    lap = laplacian(g).entries[np.ix_(comp, comp)]
+    lap = g.laplacian.entries[np.ix_(comp, comp)]
     for t in (0.5, 2.0):
         sub = k.evaluate(t)[np.ix_(comp, comp)]
         assert np.abs(sub - taylor_expm(-t * lap)).max() < 1e-10
@@ -333,7 +332,7 @@ def test_extension_identity_on_interface():
 def _rk4_boundary_response(g: Graph, y: tuple, eta: np.ndarray, t_end: float,
                            steps: int = 4000) -> np.ndarray:
     """Step response of the killed flow driven by static boundary data."""
-    lap = laplacian(g).entries
+    lap = g.laplacian.entries
     comp = [i for i, v in enumerate(g.vertices) if v not in set(y)]
     yi = [g.index[v] for v in y]
     m = -lap[np.ix_(comp, comp)]
@@ -427,7 +426,7 @@ def _series_split(d: Decomposition):
     og = d.ordered_graph
     y = np.arange(len(d.side1), len(d.side1) + len(d.interface))
     theta = max(float(og.valencies.max()), 1.0)
-    shifted = theta * np.eye(og.n) - laplacian(og).entries
+    shifted = theta * np.eye(og.n) - og.laplacian.entries
     advance = np.zeros_like(shifted)
     advance[y] = shifted[y]
     advance[y, y] = 0.0
@@ -563,7 +562,7 @@ def test_poisson_order_is_the_first_order_past_the_cut():
 def test_series_past_the_order_cap_raises_within_a_time_budget():
     # theta t = 140000: the 65536 orders kept hold almost none of the
     # Poisson weight, so every row sum is near 0 and the bound near 1
-    kern, _ = glue_II(LINE3_SPLIT, 3)
+    kern = glue_II(LINE3_SPLIT, 3)
     t0 = time.perf_counter()
     with pytest.raises(TruncationError):
         kern.evaluate_with_bound(70000.0)
@@ -576,8 +575,8 @@ def test_series_at_sixty_vertices_matches_expm_within_its_bound():
     d = random_decomposition(rng, 65)
     while not 55 <= d.ordered_graph.n <= 65:
         d = random_decomposition(rng, 65)
-    lap = laplacian(d.ordered_graph).entries
-    kern, _ = glue_II(d, 40)
+    lap = d.ordered_graph.laplacian.entries
+    kern = glue_II(d, 40)
     for t in (0.25, 1.0, 4.0):
         t0 = time.perf_counter()
         vals, bound = kern.evaluate_with_bound(t)
@@ -614,9 +613,10 @@ def test_series_line3_partial_sums_converge():
     ref = ifk.evaluate(t)[0, 0]
     errs = []
     for k_max in (0, 2, 5, 8):
-        s, bound = interface_kernel_series(LINE3_SPLIT, k_max)
-        err = abs(s.evaluate(t)[0, 0] - ref)
-        assert err <= bound(t)
+        values, bound = interface_kernel_series(
+            LINE3_SPLIT, k_max).evaluate_with_bound(t)
+        err = abs(values[0, 0] - ref)
+        assert err <= bound
         errs.append(err)
     assert errs == sorted(errs, reverse=True)
     assert errs[-1] < 1e-8
@@ -627,25 +627,26 @@ def test_series_line3_deep_truncation_stays_within_bound():
     # reported bound has to keep covering the observed difference there too
     ifk = interface_kernel(LINE3_SPLIT)
     for k_max in (20, 40):
-        s, bound = interface_kernel_series(LINE3_SPLIT, k_max)
+        s = interface_kernel_series(LINE3_SPLIT, k_max)
         for t in (0.25, 1.0, 4.0):
-            err = abs(s.evaluate(t)[0, 0] - ifk.evaluate(t)[0, 0])
-            assert err <= bound(t)
+            values, bound = s.evaluate_with_bound(t)
+            assert abs(values[0, 0] - ifk.evaluate(t)[0, 0]) <= bound
 
 
 def test_series_bound_rejects_bad_t():
-    _, bound = interface_kernel_series(LINE3_SPLIT, 3)
-    with pytest.raises(ValueError):
-        bound(0.0)
-    with pytest.raises(ValueError):
-        bound(-1.0)
+    s = interface_kernel_series(LINE3_SPLIT, 3)
+    for call in (s.evaluate, s.evaluate_with_bound):
+        with pytest.raises(ValueError):
+            call(0.0)
+        with pytest.raises(ValueError):
+            call(-1.0)
 
 
 def test_series_exact_when_one_step_factor_vanishes():
     # interface vertex isolated from both sides: the one-step factor is zero
     g = Graph(("a", "y", "b"), ())
     d = Decomposition(g, ("y",), ("a",), ("b",))
-    s, _ = interface_kernel_series(d, 0)
+    s = interface_kernel_series(d, 0)
     closed = ExpMix(0.0, ((1.0, 0, 0.0),))
     for t in (0.25, 1.0, 4.0):
         assert abs(s.evaluate(t)[0, 0] - evaluate(closed, t)) < 1e-13
@@ -657,19 +658,18 @@ def test_series_matches_assembled_on_random_splits():
         d = random_decomposition(rng, 10)
         ifk = interface_kernel(d)
         for k_max in (6, 40):
-            s, bound = interface_kernel_series(d, k_max)
-            t = 1.0
-            diff = np.abs(s.evaluate(t) - ifk.evaluate(t)).max()
-            assert diff <= bound(t)
+            values, bound = interface_kernel_series(
+                d, k_max).evaluate_with_bound(1.0)
+            assert np.abs(values - ifk.evaluate(1.0)).max() <= bound
 
 
 def test_series_evaluate_with_bound_equals_separate_calls():
     d = random_decomposition(np.random.default_rng(101), 12)
-    kern, bound = glue_II(d, 20)
+    kern = glue_II(d, 20)
     for t in (0.25, 1.0, 4.0):
         values, b = kern.evaluate_with_bound(t)
         assert np.array_equal(values, kern.evaluate(t))
-        assert b == bound(t)
+        assert kern.evaluate_with_bound(t)[1] == b
 
 
 # ---------------------------------------------------------------------------
@@ -739,12 +739,12 @@ def test_glue_I_dirichlet_correction_nonnegative():
 def test_glue_II_line3_entry():
     ref = ExpMix(0.0, ((1.0 / 3.0, 0, 0.0), (-0.5, 0, 1.0), (1.0 / 6.0, 0, 3.0)))
     for k_max in (8, 20):
-        k, bound = glue_II(LINE3_SPLIT, k_max)
+        k = glue_II(LINE3_SPLIT, k_max)
         i, j = k.rows.index("1"), k.cols.index("3")
         for t in (0.5, 1.0, 2.0):
-            got = k.evaluate(t)[i, j]
-            assert abs(got - evaluate(ref, t)) <= bound(t)
-    k8, _ = glue_II(LINE3_SPLIT, 8)
+            values, bound = k.evaluate_with_bound(t)
+            assert abs(values[i, j] - evaluate(ref, t)) <= bound
+    k8 = glue_II(LINE3_SPLIT, 8)
     assert abs(k8.evaluate(1.0)[i, j] - evaluate(ref, 1.0)) < 1e-7
 
 
@@ -754,7 +754,7 @@ def test_glue_II_exact_for_vanishing_one_step_factor():
     # two through the interface, so an edgeless interface complement kills it
     g0 = Graph(("a", "y", "b"), ())
     d0 = Decomposition(g0, ("y",), ("a",), ("b",))
-    k0, _ = glue_II(d0, 0)
+    k0 = glue_II(d0, 0)
     ref0 = glue_I(d0)
     assert k0.rows == ref0.rows and k0.cols == ref0.cols
     worst = max(
@@ -768,26 +768,24 @@ def test_glue_II_matches_assembled_on_random_splits():
     rng = np.random.default_rng(31337)
     for _ in range(3):
         d = random_decomposition(rng, 10)
-        k, bound = glue_II(d, 40)
+        k = glue_II(d, 40)
         assembled = heat_kernel(d.ordered_graph)
         for t in (0.25, 1.0, 4.0):
-            diff = np.abs(k.evaluate(t) - assembled.evaluate(t)).max()
-            assert diff <= bound(t)
+            values, bound = k.evaluate_with_bound(t)
+            assert np.abs(values - assembled.evaluate(t)).max() <= bound
 
 
 def test_series_bound_at_or_above_one_raises():
     # an entry of the glued kernel lies in [0, 1]: at t = 50 the series cut
     # after two interface updates keeps almost nothing, and its bound,
     # 1.0000000000063, certifies nothing
-    kern, bound = glue_II(LINE3_SPLIT, 2)
-    for call in (bound, kern.evaluate_with_bound):
-        with pytest.raises(TruncationError, match="a-priori bound 1") as info:
-            call(50.0)
-        assert info.value.achievable >= 1.0
-    _, bound = interface_kernel_series(LINE3_SPLIT, 2)
+    with pytest.raises(TruncationError, match="a-priori bound 1") as info:
+        glue_II(LINE3_SPLIT, 2).evaluate_with_bound(50.0)
+    assert info.value.achievable >= 1.0
+    s = interface_kernel_series(LINE3_SPLIT, 2)
     with pytest.raises(TruncationError):
-        bound(50.0)
-    assert bound(1.0) < 1.0
+        s.evaluate_with_bound(50.0)
+    assert s.evaluate_with_bound(1.0)[1] < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +827,7 @@ CONFLUENT_SPLITS = {
 @pytest.mark.parametrize("name", sorted(CONFLUENT_SPLITS))
 def test_glue_I_values_match_expm_on_confluent_spectra(name):
     d = CONFLUENT_SPLITS[name]
-    lap = laplacian(d.ordered_graph).entries
+    lap = d.ordered_graph.laplacian.entries
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = glue_I_values(d, TIMES)
@@ -864,7 +862,7 @@ def test_glue_I_values_at_sixty_vertices_within_budget():
     start = time.perf_counter()
     values = glue_I_values(d, TIMES)
     elapsed = time.perf_counter() - start
-    lap = laplacian(d.ordered_graph).entries
+    lap = d.ordered_graph.laplacian.entries
     for t, at_t in zip(TIMES, values):
         assert np.abs(at_t - scipy.linalg.expm(-t * lap)).max() < 1e-12
     assert elapsed < 2.0
@@ -1019,8 +1017,8 @@ def test_graph_laplacian_is_built_once_and_equals_the_loop_built_one():
     graphs = [LINE3, Graph(("a",), ()), Graph(("a", "b"), ())] + [
         random_graph(rng, n) for n in (2, 5, 12, 30)]
     for g in graphs:
-        lap = laplacian(g)
-        assert lap is g.laplacian is laplacian(g)
+        lap = g.laplacian
+        assert lap is g.laplacian
         assert not lap.entries.flags.writeable
         want = laplacian_by_loop(g)
         assert np.array_equal(bits(lap.entries), bits(want))

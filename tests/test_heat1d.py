@@ -48,6 +48,32 @@ def laplace_in_time(kernel, m, umax=8.0, n=400):
         0.0, umax, n)
 
 
+# each gluing or cutting route returns (value, bound); its residual is
+# taken here against the check the command line reports, and so against
+# the same reference
+
+
+def echo_series(L1, L2, x, y, t, n_max):
+    """Route II's value and bound, and its residual against glue_direct."""
+    value, bound = h.glue_intervals_II(L1, L2, x, y, t, n_max)
+    return value, bound, abs(value - h.glue_direct(L1, L2, x, y, t))
+
+
+def rays(x, y, t):
+    """The glued rays' value and bound, and the residual against the
+    Gaussian closed form."""
+    value, bound = h.glue_rays(x, y, t)
+    closed = math.exp(-((x + y) ** 2) / (4.0 * t)) \
+        / math.sqrt(4.0 * math.pi * t)
+    return value, bound, abs(value - closed)
+
+
+def circle_cut(L, cuts, x, y, t, k_max):
+    """The cut's value and bound, and its residual against arc_direct."""
+    value, bound = h.cut_circle_to_arc(L, cuts, x, y, t, k_max)
+    return value, bound, abs(value - h.arc_direct(L, cuts, x, y, t))
+
+
 # ---------------------------------------------------------------------------
 # closed forms on the line and the ray
 # ---------------------------------------------------------------------------
@@ -489,8 +515,7 @@ def test_interface_form_validation():
 
 
 def test_glue_intervals_reference_point():
-    v, res = h.glue_intervals_I(1.0, 1.0, 0.4, 0.6, 0.7)
-    assert res < 1e-8
+    v = h.glue_intervals_I(1.0, 1.0, 0.4, 0.6, 0.7)
     direct = h.glue_direct(1.0, 1.0, 0.4, 0.6, 0.7)
     assert abs(v - direct) < 1e-12
 
@@ -544,20 +569,22 @@ def test_direct_difference_near_the_junction_matches_fifty_digits(L1, L2, x,
 
 def test_glue_intervals_junction_point_equals_interface():
     for L1, L2, t in [(1.0, 2.0, 0.4), (0.6, 0.9, 1.1)]:
-        v, _ = h.glue_intervals_I(L1, L2, 0.0, 0.0, t)
+        v = h.glue_intervals_I(L1, L2, 0.0, 0.0, t)
         vi, _ = h.interface_two_intervals(L1, L2, t, "poisson")
         assert abs(v - vi) < 1e-14
 
 
 def test_glue_intervals_short_time_residual():
-    _, res = h.glue_intervals_I(1.0, 1.0, 0.2, 0.8, 0.01)
+    res = abs(h.glue_intervals_I(1.0, 1.0, 0.2, 0.8, 0.01)
+              - h.glue_direct(1.0, 1.0, 0.2, 0.8, 0.01))
     assert res < 1e-10
 
 
 def test_glue_intervals_side_grid():
     for t in (0.2, 0.7, 2.0):
         for x in np.linspace(0.0, 2.0, 5):
-            _, res = h.glue_intervals_I(1.0, 2.0, float(x), 1.3, t)
+            res = abs(h.glue_intervals_I(1.0, 2.0, float(x), 1.3, t)
+                      - h.glue_direct(1.0, 2.0, float(x), 1.3, t))
             assert res < 1e-8
 
 
@@ -574,7 +601,7 @@ def test_reflection_sum_is_the_route_I_value():
     for L1, L2, x, y, t in [(1.0, 1.3, 0.3, 0.9, 0.5), (0.6, 2.0, 0.0, 1.7, 2.0),
                             (2.0, 0.4, 0.4, 0.1, 0.01)]:
         value = h._route_I(L1, L2, t)(x, y)
-        assert value == h.glue_intervals_I(L1, L2, x, y, t)[0]
+        assert value == h.glue_intervals_I(L1, L2, x, y, t)
 
 
 def reflection_legs(z, L, K):
@@ -653,7 +680,7 @@ def test_route_I_matches_the_triple_sum():
         if i % 10 == 0:
             x, y = [(0.0, y), (x, L2), (x, x), (0.0, 0.0), (L2, L2)][i // 10 % 5]
         t = rng.uniform(0.05, 2.0)
-        value, _ = h.glue_intervals_I(L1, L2, x, y, t)
+        value = h.glue_intervals_I(L1, L2, x, y, t)
         assert abs(value - einsum_route_I(L1, L2, x, y, t)) <= 1e-15, \
             (L1, L2, x, y, t)
 
@@ -683,7 +710,7 @@ def test_echo_density_two_routes_agree():
 
 
 def test_echo_series_reference_point():
-    v, tail, res = h.glue_intervals_II(1.0, 1.0, 0.4, 0.6, 0.7, 6)
+    v, tail, res = echo_series(1.0, 1.0, 0.4, 0.6, 0.7, 6)
     assert res < max(1e-6, tail)
     assert tail < 1e-5
 
@@ -694,7 +721,7 @@ def test_echo_series_bound_covers_its_residual(L1, L2, x, y, t):
     # at n_max 8 the truncation tail is negligible here (2.0e-51 and
     # 5.0e-174); the rounding part, 4.8e-16 and 7.3e-16, covers the
     # residuals 5.6e-17 and 0
-    _, bound, res = h.glue_intervals_II(L1, L2, x, y, t, 8)
+    _, bound, res = echo_series(L1, L2, x, y, t, 8)
     assert res <= bound
 
 
@@ -707,8 +734,7 @@ def test_echo_series_bound_covers_its_residual_on_the_gate_08_sweep():
             for x in zs:
                 for y in zs:
                     for t in (0.2, 0.7, 2.0):
-                        _, bound, res = h.glue_intervals_II(L1, L2, x, y, t,
-                                                            n_max)
+                        _, bound, res = echo_series(L1, L2, x, y, t, n_max)
                         assert res <= bound, (n_max, L1, L2, x, y, t)
 
 
@@ -741,14 +767,14 @@ def test_echo_series_tail_bound_shrinks_with_order():
 
 
 def test_echo_series_junction_point():
-    v, tail, res = h.glue_intervals_II(1.0, 1.0, 0.0, 0.0, 0.7, 6)
+    v, tail, res = echo_series(1.0, 1.0, 0.0, 0.0, 0.7, 6)
     assert res < max(1e-6, tail)
     vi, _ = h.interface_two_intervals(1.0, 1.0, 0.7, "residues")
     assert abs(v - vi) < max(1e-6, tail)
 
 
 def test_echo_series_far_wall_is_zero():
-    v, _, res = h.glue_intervals_II(1.0, 1.0, 1.0, 0.3, 0.7, 2)
+    v, _, res = echo_series(1.0, 1.0, 1.0, 0.3, 0.7, 2)
     assert abs(v) < 1e-12
     assert res < 1e-12
 
@@ -796,13 +822,13 @@ def test_echo_series_bound_covers_the_images_past_the_reach(L1, L2, x, y, t,
     # at small t every image, or the last ones that matter, lies past
     # _reach(t): the value is 0 or misses the correction (2.4e-108 to
     # 3.3e-22 here) by about what the dropped images add
-    _, bound, res = h.glue_intervals_II(L1, L2, x, y, t, n_max)
+    _, bound, res = echo_series(L1, L2, x, y, t, n_max)
     assert res <= bound
 
 
 def test_echo_series_bound_is_informative_at_large_time():
     # twice the squared lengths: the bound is 2.5e-9, the residual 1.5e-11
-    _, bound, res = h.glue_intervals_II(1.0, 1.0, 0.5, 0.5, 2.0, 6)
+    _, bound, res = echo_series(1.0, 1.0, 0.5, 0.5, 2.0, 6)
     assert res <= bound < 1e-8
 
 
@@ -854,7 +880,7 @@ def test_echo_series_is_one_image_sum(n_max):
         total = signed_echo_sum(L1, L2, t, n_max)
         if x or y:
             total = h._flux_pair_eval(L2, x, y, t).compose(total)
-        value, _, _ = h.glue_intervals_II(L1, L2, x, y, t, n_max)
+        value, _ = h.glue_intervals_II(L1, L2, x, y, t, n_max)
         assert value == total.at(t, 0.0)[0]
 
 
@@ -904,7 +930,7 @@ def test_image_count_guard_raises_before_allocating():
 
 def test_glue_rays_is_one_image_sum():
     # h_x * h_y * g_0 is the single Gaussian g_(x+y)
-    value, _, _ = h.glue_rays(0.8, 1.1, 0.6)
+    value, _ = h.glue_rays(0.8, 1.1, 0.6)
     assert value == h._ImageSum("g", [0.8 + 1.1], [1.0]).at(0.6, 0.0)[0]
 
 
@@ -1027,7 +1053,7 @@ def test_echo_density_matches_a_per_image_loop(L):
 
 
 def test_glue_rays_reference_point():
-    v, _, res = h.glue_rays(1.0, 1.0, 1.0)
+    v, _, res = rays(1.0, 1.0, 1.0)
     assert abs(v - math.exp(-1.0) / SQRT_4PI) < 1e-8
     assert res < 1e-8
 
@@ -1036,7 +1062,7 @@ def test_glue_rays_grid():
     for x in (0.5, 2.0):
         for y in (0.5, 1.0):
             for t in (0.5, 1.0):
-                _, _, res = h.glue_rays(x, y, t)
+                _, _, res = rays(x, y, t)
                 assert res < 1e-8
 
 
@@ -1046,7 +1072,7 @@ def test_glue_rays_reconstructs_a_linearly_vanishing_wall_kernel():
     y, t = 0.8, 0.5
     gaps = []
     for x in (4e-3, 2e-3, 1e-3):
-        v, _, _ = h.glue_rays(x, y, t)
+        v, _ = h.glue_rays(x, y, t)
         gaps.append((h.k_line(x, y, t) - v) / x)
     assert abs(gaps[1] / gaps[2] - 1.0) < 5e-3
     assert abs(gaps[2] - (-2.0 * h.dk_ray(y, t) / 2.0)) / abs(gaps[2]) < 1e-2
@@ -1058,7 +1084,7 @@ def test_glue_rays_extends_to_half_space_products():
     x = (0.7, 0.2, -0.4)
     y = (0.5, -0.1, 0.3)
     t = 0.6
-    v, _, _ = h.glue_rays(x[0], y[0], t)
+    v, _ = h.glue_rays(x[0], y[0], t)
     rest = h.k_line(x[1], y[1], t) * h.k_line(x[2], y[2], t)
     direct = (h.k_line(x[0], y[0], t) - h.k_ray(x[0], y[0], t)) * rest
     assert abs(v * rest - direct) < 1e-12
@@ -1069,7 +1095,7 @@ def test_glue_rays_extends_to_half_space_products():
                          + [(x, 0.8, 0.5) for x in (4e-3, 2e-3, 1e-3)])
 def test_glue_rays_bound_covers_its_residual(x, y, t):
     # the gate-09 grid and the points near the wall
-    v, bound, res = h.glue_rays(x, y, t)
+    v, bound, res = rays(x, y, t)
     exact = float(h._ImageSum("g", [x + y], [1.0])(np.array([t]))[0])
     assert res <= bound < 1e-8
     assert abs(v - exact) <= bound
@@ -1086,14 +1112,14 @@ def test_glue_rays_validation():
 
 
 def test_cut_circle_reference_point():
-    v, _, res = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 4)
+    v, _, res = circle_cut(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 4)
     assert res < 1e-5
     oracle, _ = h.k_interval(1.0, 0.3, 0.7, 0.4, "auto")
     assert abs(v - oracle) == res
 
 
 def test_cut_circle_residual_is_non_increasing_in_depth():
-    residuals = [h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, k)[2]
+    residuals = [circle_cut(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, k)[2]
                  for k in range(5)]
     assert all(b <= a for a, b in zip(residuals, residuals[1:]))
     assert residuals[0] > 1e-2  # depth zero misses the interface entirely
@@ -1103,15 +1129,15 @@ def test_cut_circle_antipodal_symmetry():
     # cuts at 0 and 1 on a circle of length 2 sit antipodally: the half
     # turn z -> z + 1 swaps them and maps each arc onto the other, and the
     # reflection z -> 1 - z swaps x and y
-    v, bound, _ = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 2)
+    v, bound = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 2)
     for x, y in ((0.7, 0.3), (1.3, 1.7), (1.7, 1.3)):
-        vv, bb, _ = h.cut_circle_to_arc(2.0, (0.0, 1.0), x, y, 0.4, 2)
+        vv, bb = h.cut_circle_to_arc(2.0, (0.0, 1.0), x, y, 0.4, 2)
         assert abs(vv - v) < 1e-15
         assert abs(bb - bound) <= 1e-12 * bound
 
 
 def test_cut_circle_other_arc():
-    v, _, res = h.cut_circle_to_arc(2.0, (0.0, 1.0), 1.2, 1.9, 0.3, 3)
+    v, _, res = circle_cut(2.0, (0.0, 1.0), 1.2, 1.9, 0.3, 3)
     assert res < 1e-4
     assert v > 0.0
 
@@ -1142,13 +1168,20 @@ def continuum_cuts(seed, count):
 
 
 def test_cut_circle_bound_covers_the_dropped_terms():
-    # the terms past k_max come from a run 30 orders deeper than any k_max
+    # the terms past k_max come from a run 30 orders deeper than any k_max;
+    # 37 of the 210 bounds are not below the circle kernel, which bounds
+    # the arc kernel a priori, and the command line refuses those
+    vacuous = 0
     for L, cuts, x, y, t in continuum_cuts(7919, 30):
-        deep, _, _ = h.cut_circle_to_arc(L, cuts, x, y, t, 36)
+        deep, _ = h.cut_circle_to_arc(L, cuts, x, y, t, 36)
+        arc = h.arc_direct(L, cuts, x, y, t)
+        circle, _ = h.k_circle(L, x, y, t)
         for k_max in range(7):
-            v, bound, res = h.cut_circle_to_arc(L, cuts, x, y, t, k_max)
+            v, bound = h.cut_circle_to_arc(L, cuts, x, y, t, k_max)
             assert abs(v - deep) <= bound, (L, cuts, x, y, t, k_max)
-            assert res <= bound, (L, cuts, x, y, t, k_max)
+            assert abs(v - arc) <= bound, (L, cuts, x, y, t, k_max)
+            vacuous += not bound < circle
+    assert vacuous == 37
 
 
 README_CUT = (2.0, (0.0, 1.0), 0.3, 0.7, 0.4)  # the README's circle cut
@@ -1197,8 +1230,7 @@ def fused_cut_sums(monkeypatch, L, cuts, x, y, t, k_max):
 
     with monkeypatch.context() as m:
         m.setattr(h, "_compose_sum", record)
-        value, _, _ = h.cut_circle_to_arc(L, cuts, x, y, t, k_max,
-                                          reference=0.0)
+        value, _ = h.cut_circle_to_arc(L, cuts, x, y, t, k_max)
     return sums, value
 
 
@@ -1259,7 +1291,7 @@ def test_cut_merges_each_state_and_close_once(monkeypatch, k_max):
     monkeypatch.setattr(h._ImageSum, "__post_init__", counted)
     for case in [README_CUT, *continuum_cuts(7919, 3)]:
         count[0] = 0
-        h.cut_circle_to_arc(*case, k_max, reference=0.0)
+        h.cut_circle_to_arc(*case, k_max)
         assert count[0] <= 7 + 3 * k_max, case
 
 
@@ -1276,15 +1308,15 @@ def test_grid_factors_are_taken_once(monkeypatch):
     for case in [(1.0, 2.0, 0.5, 0.7, 0.4), (1.0, 1.0, 0.0, 0.0, 0.7),
                  (0.6, 1.3, 1.3, 0.0, 2.0)]:
         calls.clear()
-        h.glue_intervals_II(*case, 6, reference=0.0)
+        h.glue_intervals_II(*case, 6)
         assert calls == {"_log_round_trips": 1, "_log_gap": 2}, case
     calls.clear()
-    h.cut_circle_to_arc(*README_CUT, 4, reference=0.0)
+    h.cut_circle_to_arc(*README_CUT, 4)
     assert calls == {"_log_gap": 1}
 
 
 def test_cut_circle_converges_to_rounding_at_depth_eight():
-    _, bound, res = h.cut_circle_to_arc(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 8)
+    _, bound, res = circle_cut(2.0, (0.0, 1.0), 0.3, 0.7, 0.4, 8)
     assert res <= 1e-13
     assert res <= bound < 1e-11
 
@@ -1298,8 +1330,7 @@ def test_cut_bound_covers_the_fifty_digit_error_relative_to_the_arc(t,
     # bound is 9.7e-20 against an error of 1.0e-21 and an arc kernel of
     # 3.2e-7, where the floor made it 2.7e-13
     for x, y in ((0.1, 0.9), (0.3, 0.7), (0.5, 0.5)):
-        value, bound, _ = h.cut_circle_to_arc(2.0, (0.0, 1.0), x, y, t, k_max,
-                                              reference=0.0)
+        value, bound = h.cut_circle_to_arc(2.0, (0.0, 1.0), x, y, t, k_max)
         want = exact_interval(1.0, x, y, t)
         assert abs(value - want) <= bound < 1e-9 * want, (x, y)
 

@@ -1,11 +1,13 @@
 """Module boundaries of the package: no private name crosses a module, no
-module-level import goes unused, in the package or in its tests, and no
-function of the package accepts a parameter it never reads."""
+module-level import goes unused, in the package or in its tests, no
+function of the package accepts a parameter it never reads, and each
+route returns what it computes once."""
 
 import ast
 import pathlib
 
 import heatglue
+from heatglue import graph_heat
 
 SRC = pathlib.Path(heatglue.__file__).resolve().parent
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -133,3 +135,43 @@ def test_the_cli_builds_no_coefficient_tensor():
               if isinstance(n, ast.ImportFrom) for a in n.names}
     assert not names & {"glue_I", "KernelMatrix", "heat_kernel",
                         "evaluate_basis"}
+
+
+def exported_signatures():
+    """(module, name, parameters) of every exported function and of every
+    public method of an exported class."""
+    for stem, tree in modules():
+        names = exported(tree)
+        for node in tree.body:
+            if getattr(node, "name", None) not in names:
+                continue
+            defs = [node] if isinstance(node, ast.FunctionDef) else [
+                f for f in getattr(node, "body", ())
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+            for f in defs:
+                a = f.args
+                yield stem, f.name, {p.arg for p in
+                                     a.posonlyargs + a.args + a.kwonlyargs}
+
+
+def test_no_route_takes_the_reference_of_its_check():
+    # a route returns its value and bound; the caller that chose the
+    # reference takes the residual
+    assert [(stem, name) for stem, name, params in exported_signatures()
+            if "reference" in params] == []
+
+
+def test_values_and_bound_of_the_series_are_one_walk(monkeypatch):
+    walks = []
+    walk = graph_heat.uniformized_walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(graph_heat, "uniformized_walk", counted)
+    line = graph_heat.Graph(("1", "2", "3"), (("1", "2"), ("2", "3")))
+    kern = graph_heat.glue_II(graph_heat.Decomposition(line, ("2",)), 8)
+    kern.evaluate_with_bound(1.0)
+    assert len(walks) == 1
+    assert not hasattr(kern, "bound")
