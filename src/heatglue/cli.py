@@ -281,8 +281,10 @@ def _guarded(case: str, geometry: str, inputs: dict,
         raise InputError(str(exc)) from exc
 
 
-def run_graph_glue(doc: dict, label: str, t: float, method: str, k_max: int,
+def run_graph_glue(label: str, t: float, method: str, k_max: int,
                    tol: float, prefix: str = "") -> list[Reports]:
+    """Glued heat kernel of a decomposed graph, one report per entry."""
+    doc = _load_input(label)
     base = {"input": label, "t": t, "method": method, "tol": tol}
     if method == "series":
         base["kmax"] = k_max
@@ -312,8 +314,10 @@ def run_graph_glue(doc: dict, label: str, t: float, method: str, k_max: int,
     return _guarded(f"{prefix}glue", "graph", base, run)
 
 
-def run_graph_pathsum(doc: dict, label: str, u: str, v: str, t: float,
-                      eps: float, tol: float, prefix: str = "") -> list[Reports]:
+def run_graph_pathsum(label: str, u: str, v: str, t: float, eps: float,
+                      tol: float, prefix: str = "") -> list[Reports]:
+    """Heat kernel entry as a certified truncated sum over paths."""
+    doc = _load_input(label)
     inputs = {"input": label, "u": u, "v": v, "t": t, "eps": eps, "tol": tol}
     case = f"{prefix}pathsum[{u},{v}]"
 
@@ -327,8 +331,10 @@ def run_graph_pathsum(doc: dict, label: str, u: str, v: str, t: float,
     return _guarded(case, "graph", inputs, run)
 
 
-def run_graph_cut(doc: dict, label: str, interface: tuple | None, m2: float,
-                  tol: float, prefix: str = "") -> list[Reports]:
+def run_graph_cut(label: str, interface: tuple | None, m2: float, tol: float,
+                  prefix: str = "") -> list[Reports]:
+    """Killed Green's matrix, cross-checked by Schur complement."""
+    doc = _load_input(label)
     if interface is None:
         interface = tuple(doc.get("boundary") or ())
         if not interface:
@@ -379,6 +385,7 @@ def run_interval_glue(L1: float, L2: float, x: float, y: float, t: float,
                       formula: str, n_max: int, tol: float,
                       reference: float | None = None,
                       case: str = "interval-glue") -> list[Reports]:
+    """Glued interval kernel against the direct two-kernel difference."""
     inputs = {"L1": L1, "L2": L2, "formula": formula, "tol": tol,
               "x": x, "y": y, "t": t}
     if formula == "II":
@@ -415,6 +422,7 @@ def run_interval_interface(L1: float, L2: float, t: float, tol: float,
 def run_ray_glue(x: float, y: float, t: float, tol: float,
                  reference: float | None = None,
                  case: str = "ray-glue") -> list[Reports]:
+    """Cross-ray kernel against the full-line Gaussian closed form."""
     inputs = {"tol": tol, "x": x, "y": y, "t": t}
 
     def run():
@@ -428,10 +436,11 @@ def run_ray_glue(x: float, y: float, t: float, tol: float,
     return _guarded(case, "ray", inputs, run)
 
 
-def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
+def run_circle_cut(L: float, cuts: tuple[float, ...], x: float, y: float,
                    t: float, k_max: int, tol: float,
                    case: str = "circle-cut") -> list[Reports]:
-    inputs = {"L": L, "cuts": f"{cuts[0]},{cuts[1]}", "kmax": k_max,
+    """Arc kernel rebuilt by cutting the circle, against the arc kernel."""
+    inputs = {"L": L, "cuts": ",".join(map(str, cuts)), "kmax": k_max,
               "tol": tol, "x": x, "y": y, "t": t}
 
     def run():
@@ -451,6 +460,7 @@ def run_circle_cut(L: float, cuts: tuple[float, float], x: float, y: float,
 
 def run_cylinder_check(L1: float, L2: float, circle_L: float, t: float,
                        tol: float, case: str = "cylinder-check") -> list[Reports]:
+    """Factorization residual of the cylinder kernel on a point battery."""
     inputs = {"L1": L1, "L2": L2, "circleL": circle_L, "tol": tol, "t": t}
     points = (
         (0.3 * L2, 0.7 * L2, 0.2 * circle_L, 0.6 * circle_L),
@@ -468,6 +478,7 @@ def run_cylinder_check(L1: float, L2: float, circle_L: float, t: float,
 
 def run_dn_cylinder(L: float, m2: float, k_max: int, circle_L: float,
                     tol: float, prefix: str = "") -> list[Reports]:
+    """Exact response eigenvalues against their half-infinite limits."""
     base = {"L": L, "m2": m2, "circleL": circle_L, "tol": tol}
 
     def run():
@@ -489,19 +500,19 @@ def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
                           seed: int, index: int, tol: float,
                           prefix: str) -> list[Reports]:
     rng = np.random.default_rng([seed, index])
+
+    def draw():  # the draw of the current ``case``, inside the guard
+        d = random_decomposition(rng, n_max)
+        values = glue_I_values(d, times)
+        worst = float(np.abs(values - heat_values(d.ordered_graph, times)).max())
+        return [Reports(case, "graph", inputs, worst, 0.0)]
+
     out = []
     for i in range(count):
-        d = random_decomposition(rng, n_max)
         case = f"{prefix}draw[{i:03d}]"
         inputs = {"nmax": n_max, "seed": seed, "draw": i, "tol": tol,
                   "t": ",".join(repr(float(s)) for s in times)}
-        try:
-            values = glue_I_values(d, times)
-            worst = float(np.abs(values - heat_values(d.ordered_graph,
-                                                      times)).max())
-            out.append(Reports(case, "graph", inputs, worst, 0.0))
-        except _NUMERICAL as exc:
-            out.append(Reports.error(case, "graph", inputs, exc))
+        out += _guarded(case, "graph", inputs, draw)
     return out
 
 
@@ -523,37 +534,39 @@ _SUITE_OF_KIND = {
 }
 
 
+def _reference(case: dict) -> float | None:
+    """The reference value a case freezes, or None to compute it."""
+    ref = case.get("reference")
+    return None if ref is None else float(ref)
+
+
 def _verify_case(case: dict, index: int, seed: int,
                  default_tol: float) -> list[Reports]:
-    if not isinstance(case, dict) or "kind" not in case:
-        raise InputError(f"case {index}: expected an object with a kind")
+    """The reports of one case of a known kind.  A missing or malformed
+    field is unusable input that names the case."""
     kind = case["kind"]
-    if kind not in _SUITE_OF_KIND:
-        raise InputError(f"case {index}: unknown kind {kind!r}")
     cid = str(case.get("id", f"case{index:03d}"))
-    tol = float(case.get("tol", default_tol))
     try:
+        tol = float(case.get("tol", default_tol))
         if kind == "graph-glue":
-            doc = _load_input(case["input"])
-            return run_graph_glue(doc, case["input"], float(case["t"]),
+            return run_graph_glue(case["input"], float(case["t"]),
                                   case.get("method", "assembled"),
                                   int(case.get("kmax", 12)), tol,
                                   prefix=cid + "/")
         if kind == "graph-pathsum":
-            doc = _load_input(case["input"])
-            return run_graph_pathsum(doc, case["input"], str(case["u"]),
+            return run_graph_pathsum(case["input"], str(case["u"]),
                                      str(case["v"]), float(case["t"]),
                                      float(case.get("eps", 1e-9)), tol,
                                      prefix=cid + "/")
         if kind == "graph-cut":
-            doc = _load_input(case["input"])
             iface = case.get("interface")
-            return run_graph_cut(doc, case["input"],
-                                 tuple(iface) if iface else None,
+            return run_graph_cut(case["input"], tuple(iface) if iface else None,
                                  float(case.get("m2", 1.0)), tol,
                                  prefix=cid + "/")
         if kind == "random-graph-glue":
             times = tuple(float(s) for s in case.get("times", (0.25, 1.0, 4.0)))
+            if not times:
+                raise ValueError("times is empty")
             return run_random_graph_glue(int(case.get("count", 3)),
                                          int(case.get("nmax", 10)), times,
                                          seed, index, tol, prefix=cid + "/")
@@ -563,15 +576,15 @@ def _verify_case(case: dict, index: int, seed: int,
                                      float(case["t"]),
                                      case.get("formula", "I"),
                                      int(case.get("n_max", case.get("nmax", 6))),
-                                     tol, case.get("reference"), case=cid)
+                                     tol, _reference(case), case=cid)
         if kind == "interval-interface":
             return run_interval_interface(float(case["L1"]), float(case["L2"]),
                                           float(case["t"]), tol,
-                                          case.get("reference"), case=cid)
+                                          _reference(case), case=cid)
         if kind == "ray-glue":
             return run_ray_glue(float(case["x"]), float(case["y"]),
-                                float(case["t"]), tol,
-                                case.get("reference"), case=cid)
+                                float(case["t"]), tol, _reference(case),
+                                case=cid)
         if kind == "circle-cut":
             cuts = tuple(float(c) for c in case["cuts"])
             return run_circle_cut(float(case["L"]), cuts, float(case["x"]),
@@ -587,73 +600,12 @@ def _verify_case(case: dict, index: int, seed: int,
                                tol, prefix=cid + "/")
     except KeyError as exc:
         raise InputError(f"case {cid}: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"case {cid}: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
-
-def graph_glue_cmd(input_: str, t: float, method: str, k_max: int,
-                   tol: float, fmt: str) -> None:
-    """Glued heat kernel of a decomposed graph, one report per entry."""
-    doc = _load_input(input_)
-    _finish(run_graph_glue(doc, input_, t, method, k_max, tol), fmt)
-
-
-def graph_pathsum_cmd(input_: str, u: str, v: str, t: float, eps: float,
-                      tol: float, fmt: str) -> None:
-    """Heat kernel entry as a certified truncated sum over paths."""
-    doc = _load_input(input_)
-    _finish(run_graph_pathsum(doc, input_, u, v, t, eps, tol), fmt)
-
-
-def graph_cut_cmd(input_: str, interface_: str | None, m2: float,
-                  tol: float, fmt: str) -> None:
-    """Killed Green's matrix, cross-checked by Schur complement."""
-    doc = _load_input(input_)
-    iface = tuple(s for s in interface_.split(",") if s) if interface_ else None
-    _finish(run_graph_cut(doc, input_, iface, m2, tol), fmt)
-
-
-def interval_glue_cmd(l1: float, l2: float, x: float, y: float, t: float,
-                      formula: str, n_max: int, tol: float, fmt: str) -> None:
-    """Glued interval kernel against the direct two-kernel difference."""
-    _finish(run_interval_glue(l1, l2, x, y, t, formula, n_max, tol), fmt)
-
-
-def ray_glue_cmd(x: float, y: float, t: float, tol: float, fmt: str) -> None:
-    """Cross-ray kernel against the full-line Gaussian closed form."""
-    _finish(run_ray_glue(x, y, t, tol), fmt)
-
-
-def circle_cut_cmd(l_total: float, cuts: str, x: float, y: float, t: float,
-                   k_max: int, tol: float, fmt: str) -> None:
-    """Arc kernel rebuilt by cutting the circle, against the arc kernel."""
-    parts = [s for s in cuts.split(",") if s]
-    if len(parts) != 2:
-        raise InputError(f"--cuts needs two comma separated numbers, got {cuts!r}")
-    try:
-        pair = (float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise InputError(f"bad --cuts value: {cuts!r}") from exc
-    _finish(run_circle_cut(l_total, pair, x, y, t, k_max, tol), fmt)
-
-
-def cylinder_check_cmd(l1: float, l2: float, circle_l: float, t: float,
-                       tol: float, fmt: str) -> None:
-    """Factorization residual of the cylinder kernel on a point battery."""
-    _finish(run_cylinder_check(l1, l2, circle_l, t, tol), fmt)
-
-
-def dn_cylinder_cmd(l_depth: float, m2: float, k_max: int, circle_l: float,
-                    tol: float, fmt: str) -> None:
-    """Exact response eigenvalues against their half-infinite limits."""
-    _finish(run_dn_cylinder(l_depth, m2, k_max, circle_l, tol), fmt)
-
-
-def verify_cmd(suite: str, input_: str | None, seed: int, tol: float,
-               fmt: str) -> None:
+def run_verify(suite: str, input_: str | None, seed: int,
+               tol: float) -> list[Reports]:
     """Run a problem set and report each case; exits 0 on an empty set."""
     cases: list = []
     if input_ is not None:
@@ -665,7 +617,7 @@ def verify_cmd(suite: str, input_: str | None, seed: int, tol: float,
     selected = []
     for i, case in enumerate(cases):
         kind = case.get("kind") if isinstance(case, dict) else None
-        if kind not in _SUITE_OF_KIND:
+        if not isinstance(kind, str) or kind not in _SUITE_OF_KIND:
             raise InputError(f"case {i}: unknown kind {kind!r}")
         if suite == "all" or _SUITE_OF_KIND[kind] == suite:
             selected.append((i, case))
@@ -674,7 +626,7 @@ def verify_cmd(suite: str, input_: str | None, seed: int, tol: float,
     tally = Counter(s for r in reports for s in r.status)
     print(f"{tally.total()} cases: {tally['pass']} pass, {tally['fail']} fail, "
           f"{tally['error']} error", file=sys.stderr)
-    _finish(reports, fmt)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -688,16 +640,34 @@ _REQUIRED = object()
 
 
 class _Option(NamedTuple):
-    """One option of a command: its flag, the parameter of the command
-    that receives it, its help, its type, its default (``_REQUIRED`` when
-    it must be given) and the values it may take (any when empty)."""
+    """One option of a command: its flag, the parameter of the runner
+    that receives it, its help, its type (a function of the text given),
+    its default (``_REQUIRED`` when it must be given) and the values it
+    may take (any when empty)."""
 
     flag: str
     dest: str
     help: str
-    type: type = str
+    type: Callable[[str], object] = str
     default: object = _REQUIRED
     choices: tuple = ()
+
+
+def _cuts(text: str) -> tuple[float, float]:
+    """The two positions of ``--cuts a,b``.  InputError, which argparse
+    lets through, keeps the message free of argparse's usage."""
+    parts = [s for s in text.split(",") if s]
+    if len(parts) != 2:
+        raise InputError(f"--cuts needs two comma separated numbers, got {text!r}")
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        raise InputError(f"bad --cuts value: {text!r}") from exc
+
+
+def _labels(text: str) -> tuple[str, ...] | None:
+    """The vertices of ``--interface a,b``; None when it is empty."""
+    return tuple(s for s in text.split(",") if s) if text else None
 
 
 def _output(tol: float) -> tuple[_Option, ...]:
@@ -716,11 +686,12 @@ _GROUPS = {
     "dn": "Boundary response spectra.",
 }
 
-#: Every command: its words after the program name, the function that runs
-#: it (whose docstring is its help) and its options.
+#: Every command: its words after the program name, the case runner that
+#: answers it (whose docstring is its help) and its options, whose dests
+#: are parameters of the runner.
 _COMMANDS = (
-    ("graph glue", graph_glue_cmd, (
-        _Option("--input", "input_",
+    ("graph glue", run_graph_glue, (
+        _Option("--input", "label",
             "Decomposition JSON file or bundled fixture name."),
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--method", "method", "Interface kernel route.", str,
@@ -729,23 +700,23 @@ _COMMANDS = (
             "only).  A larger order leaves less out, so the certified bound "
             "shrinks with it down to rounding level.", int, 12),
         *_output(1e-10))),
-    ("graph pathsum", graph_pathsum_cmd, (
-        _Option("--input", "input_", "Graph JSON file or bundled fixture name."),
+    ("graph pathsum", run_graph_pathsum, (
+        _Option("--input", "label", "Graph JSON file or bundled fixture name."),
         _Option("--u", "u", "Source vertex."),
         _Option("--v", "v", "Target vertex."),
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--eps", "eps",
             "Requested absolute accuracy of the truncated sum.", float),
         *_output(1e-8))),
-    ("graph cut", graph_cut_cmd, (
-        _Option("--input", "input_", "Graph JSON file or bundled fixture name."),
-        _Option("--interface", "interface_", "Comma separated vertices to kill; "
-            "defaults to the boundary recorded in the input.", str, None),
+    ("graph cut", run_graph_cut, (
+        _Option("--input", "label", "Graph JSON file or bundled fixture name."),
+        _Option("--interface", "interface", "Comma separated vertices to kill; "
+            "defaults to the boundary recorded in the input.", _labels, None),
         _Option("--m2", "m2", "Mass parameter.", float),
         *_output(1e-10))),
-    ("interval glue", interval_glue_cmd, (
-        _Option("--L1", "l1", "First length.", float),
-        _Option("--L2", "l2", "Second length.", float),
+    ("interval glue", run_interval_glue, (
+        _Option("--L1", "L1", "First length.", float),
+        _Option("--L2", "L2", "Second length.", float),
         _Option("--x", "x", "Source point inside the second piece.", float),
         _Option("--y", "y", "Target point inside the second piece.", float),
         _Option("--t", "t", "Evaluation time.", float),
@@ -754,34 +725,34 @@ _COMMANDS = (
         _Option("--nmax", "n_max", "Echo series truncation (formula II only).",
             int, 6),
         *_output(1e-8))),
-    ("ray glue", ray_glue_cmd, (
+    ("ray glue", run_ray_glue, (
         _Option("--x", "x", "Distance on one ray.", float),
         _Option("--y", "y", "Distance on the other.", float),
         _Option("--t", "t", "Evaluation time.", float),
         *_output(1e-8))),
-    ("circle cut", circle_cut_cmd, (
-        _Option("--L", "l_total", "Circumference.", float),
-        _Option("--cuts", "cuts", "Two cut positions, comma separated."),
+    ("circle cut", run_circle_cut, (
+        _Option("--L", "L", "Circumference.", float),
+        _Option("--cuts", "cuts", "Two cut positions, comma separated.", _cuts),
         _Option("--x", "x", "Source position.", float),
         _Option("--y", "y", "Target position.", float),
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--kmax", "k_max", "Interface series truncation order.", int, 4),
         *_output(1e-5))),
-    ("cylinder check", cylinder_check_cmd, (
-        _Option("--L1", "l1", "First interval length.", float),
-        _Option("--L2", "l2", "Second interval length.", float),
-        _Option("--circle-L", "circle_l", "Slice circumference.", float,
+    ("cylinder check", run_cylinder_check, (
+        _Option("--L1", "L1", "First interval length.", float),
+        _Option("--L2", "L2", "Second interval length.", float),
+        _Option("--circle-L", "circle_L", "Slice circumference.", float,
             2 * math.pi),
         _Option("--t", "t", "Evaluation time.", float),
         *_output(1e-9))),
-    ("dn cylinder", dn_cylinder_cmd, (
-        _Option("--L", "l_depth", "Cylinder depth.", float),
+    ("dn cylinder", run_dn_cylinder, (
+        _Option("--L", "L", "Cylinder depth.", float),
         _Option("--m2", "m2", "Mass parameter.", float),
         _Option("--kmax", "k_max", "Highest slice mode index.", int),
-        _Option("--circle-L", "circle_l", "Slice circumference.", float,
+        _Option("--circle-L", "circle_L", "Slice circumference.", float,
             2 * math.pi),
         *_output(1e-12))),
-    ("verify", verify_cmd, (
+    ("verify", run_verify, (
         _Option("--suite", "suite", "Restrict to cases of one geometry family.",
             str, "all", ("graph", "interval", "ray", "circle", "cylinder",
                          "all")),
@@ -794,7 +765,7 @@ _COMMANDS = (
 
 #: Every option flag; each takes one value.
 _FLAGS = frozenset(o.flag for _, _, options in _COMMANDS for o in options)
-_METAVARS = {float: "FLOAT", int: "INTEGER", str: "TEXT"}
+_METAVARS = {float: "FLOAT", int: "INTEGER"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -807,7 +778,7 @@ class _Parser(argparse.ArgumentParser):
 def _build(prog: str) -> _Parser:
     """The parser of every command in ``_COMMANDS``, named ``prog``.  It
     takes no abbreviated flag, and each command sets ``run`` to its
-    function and one entry per option to the option's value."""
+    runner and one entry per option to the option's value."""
     root = _Parser(prog=prog, allow_abbrev=False, description=_DESCRIPTION)
     commands = root.add_subparsers(metavar="COMMAND", required=True)
     groups = {}
@@ -831,7 +802,8 @@ def _build(prog: str) -> _Parser:
                                 required=required,
                                 default=None if required else o.default,
                                 choices=o.choices or None,
-                                metavar=None if o.choices else _METAVARS[o.type],
+                                metavar=None if o.choices
+                                else _METAVARS.get(o.type, "TEXT"),
                                 help=o.help + shown)
         parser.set_defaults(run=run)
     return root
@@ -860,7 +832,8 @@ def main(argv: Sequence[str] | None = None, prog_name: str = "heatglue",
     try:
         options = vars(parser.parse_args(_attach_values(
             sys.argv[1:] if argv is None else argv)))
-        options.pop("run")(**options)
+        run, fmt = options.pop("run"), options.pop("fmt")
+        _finish(run(**options), fmt)
     except InputError as exc:
         if not standalone_mode:
             raise

@@ -388,7 +388,7 @@ def heat_values(g: Graph, t: float | Sequence[float]) -> np.ndarray:
     values = np.array([
         symlin.spectral_apply(d, lambda w: math.exp(-_safe_rate(w) * s))
         for s in ts.ravel().tolist()])
-    return _mirror_upper(values).reshape(ts.shape + (g.n, g.n))
+    return _mirror_upper(values.reshape(ts.shape + (g.n, g.n)))
 
 
 def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:

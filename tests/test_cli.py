@@ -169,10 +169,9 @@ def test_a_graph_gluing_checks_its_edges_once(tmp_path, monkeypatch):
         "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]],
         "interface": ["b", "d"]}))
     for name in ("line3", str(square)):
-        doc = heatglue.cli._load_input(name)
         for method in ("assembled", "series"):
             checks.clear()
-            (rep,) = heatglue.cli.run_graph_glue(doc, name, 0.7, method, 8, 1e-8)
+            (rep,) = heatglue.cli.run_graph_glue(name, 0.7, method, 8, 1e-8)
             assert len(checks) == 1
             assert set(rep.status) == {"pass"}
 
@@ -589,6 +588,92 @@ def test_cuts_option_rejects_malformed_values():
     res = invoke(["circle", "cut", "--L", "2", "--cuts", "0,a",
                   "--x", "0.3", "--y", "0.7", "--t", "0.4"])
     assert res.exit_code == 2
+
+
+#: A valid case of every kind, each field given.
+VALID_CASES = [
+    {"id": "gg", "kind": "graph-glue", "input": "line3", "t": 1.0,
+     "method": "series", "kmax": 12, "tol": 1e-8},
+    {"id": "ps", "kind": "graph-pathsum", "input": "line3", "u": "1", "v": "3",
+     "t": 0.7, "eps": 1e-9, "tol": 1e-8},
+    {"id": "gc", "kind": "graph-cut", "input": "line_dirichlet",
+     "interface": ["0", "6"], "m2": 1.0, "tol": 1e-10},
+    {"id": "rg", "kind": "random-graph-glue", "count": 1, "nmax": 4,
+     "times": [0.5, 2.0], "tol": 1e-9},
+    {"id": "ig", "kind": "interval-glue", "L1": 1.0, "L2": 2.0, "x": 0.5,
+     "y": 0.7, "t": 0.4, "formula": "II", "nmax": 6, "reference": None,
+     "tol": 1e-8},
+    {"id": "ii", "kind": "interval-interface", "L1": 1.0, "L2": 2.0, "t": 0.5,
+     "reference": None, "tol": 1e-8},
+    {"id": "rl", "kind": "ray-glue", "x": 0.8, "y": 1.1, "t": 0.6,
+     "reference": None, "tol": 1e-8},
+    {"id": "cc", "kind": "circle-cut", "L": 2.0, "cuts": [0, 1], "x": 0.3,
+     "y": 0.7, "t": 0.4, "kmax": 4, "tol": 1e-5},
+    {"id": "cy", "kind": "cylinder-check", "L1": 1.0, "L2": 2.0,
+     "circleL": 6.0, "t": 0.5, "tol": 1e-9},
+    {"id": "dn", "kind": "dn-cylinder", "L": 2.0, "m2": 1.0, "kmax": 3,
+     "circleL": 6.0, "tol": 1e-12},
+]
+VALID = {c["kind"]: c for c in VALID_CASES}
+
+
+def verify_case(directory, case):
+    path = directory / "case.json"
+    path.write_text(json.dumps([case]))
+    return invoke(["verify", "--input", str(path), "--seed", "3"])
+
+
+def test_every_valid_case_passes(tmp_path):
+    assert set(VALID) == set(heatglue.cli._SUITE_OF_KIND)
+    for case in VALID_CASES:
+        res = verify_case(tmp_path, case)
+        assert res.exit_code == 0, case
+        assert {r["status"] for r in json_lines(res.stdout)} == {"pass"}
+
+
+@pytest.mark.parametrize("kind,field,value,message", [
+    ("interval-glue", "t", "abc",
+     "case ig: could not convert string to float: 'abc'"),
+    ("graph-glue", "kmax", "x",
+     "case gg: invalid literal for int() with base 10: 'x'"),
+    ("circle-cut", "cuts", [0], "exactly two cut points are required; one "
+                                "point does not separate the circle"),
+    ("circle-cut", "cuts", 5, "case cc: 'int' object is not iterable"),
+    ("graph-glue", "input", 5, "case gg: expected str, bytes or os.PathLike "
+                               "object, not int"),
+    ("ray-glue", "tol", "x", "case rl: could not convert string to float: 'x'"),
+    ("random-graph-glue", "nmax", 2, "need room for side1 + interface + side2"),
+    ("random-graph-glue", "times", [], "case rg: times is empty"),
+])
+def test_a_malformed_case_is_unusable_input(tmp_path, kind, field, value,
+                                            message):
+    res = verify_case(tmp_path, dict(VALID[kind], **{field: value}))
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"Error: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def case_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cases")
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(VALID_CASES), data=st.data(),
+       value=st.sampled_from([None, "abc", [], [0], {}, True]))
+def test_a_case_with_a_field_of_the_wrong_shape_exits_cleanly(case_dir, case,
+                                                              data, value):
+    # no traceback: every outcome is one of the documented exit codes
+    field = data.draw(st.sampled_from(sorted(case)))
+    res = verify_case(case_dir, dict(case, **{field: value}))
+    assert res.exit_code in (0, 1, 2, 3)
+    statuses = [r["status"] for r in json_lines(res.stdout)]
+    if res.exit_code == 2:
+        assert (res.stdout, res.stderr.count("\n")) == ("", 1)
+        assert res.stderr.startswith("Error: ")
+    else:
+        assert statuses
+        assert res.exit_code != 1 or "fail" in statuses
+        assert res.exit_code != 3 or "error" in statuses
 
 
 # ---------------------------------------------------------------------------

@@ -876,6 +876,16 @@ def test_glue_I_values_at_t_zero_and_bad_t():
             glue_I_values(d, bad)
 
 
+def test_values_at_no_times_are_an_empty_stack():
+    # both value routes take the shape of their times, empty ones included
+    d = CONFLUENT_SPLITS["twins"]
+    n = d.graph.n
+    for times, shape in (([], (0, n, n)), ([[]], (1, 0, n, n)),
+                         ([1.0], (1, n, n)), (1.0, (n, n))):
+        assert glue_I_values(d, times).shape == shape
+        assert heat_values(d.ordered_graph, times).shape == shape
+
+
 @pytest.mark.parametrize("t", TIMES)
 def test_psi_is_the_second_divided_difference(t):
     # (e^{-a.} * e^{-b.} * e^{-c.})(t) is entry (0, 2) of exp(-t T) with T

@@ -4,7 +4,12 @@ function of the package accepts a parameter it never reads, and each
 route returns what it computes once."""
 
 import ast
+import contextlib
+import inspect
+import io
 import pathlib
+
+import pytest
 
 import heatglue
 from heatglue import graph_heat
@@ -175,3 +180,21 @@ def test_values_and_bound_of_the_series_are_one_walk(monkeypatch):
     kern.evaluate_with_bound(1.0)
     assert len(walks) == 1
     assert not hasattr(kern, "bound")
+
+
+def test_each_command_calls_its_case_runner():
+    # one path from a command line to its reports: the table names the
+    # runner that verify calls too, the options fill its parameters, and
+    # no wrapper sits between them
+    from heatglue import cli
+
+    for words, run, options in cli._COMMANDS:
+        params = inspect.signature(run).parameters
+        assert {o.dest for o in options} - {"fmt"} <= params.keys(), words
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            cli.main([*words.split(), "--help"])
+        assert run.__doc__ in " ".join(out.getvalue().split()), words
+    tree = dict(modules())["cli"]
+    assert [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+            and f.name.endswith("_cmd")] == []
