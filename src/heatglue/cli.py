@@ -446,13 +446,9 @@ def run_circle_cut(L: float, cuts: tuple[float, ...], x: float, y: float,
     def run():
         reference = heat1d.arc_direct(L, cuts, x, y, t)
         value, bound = heat1d.cut_circle_to_arc(L, cuts, x, y, t, k_max)
-        # 0 <= arc kernel <= circle kernel, so a bound at or above the
-        # circle kernel certifies nothing
-        prior, _ = heat1d.k_circle(L, x, y, t)
-        if not bound < prior:
-            raise heat1d.TruncationError(
-                f"circle cut at order {k_max}: bound {bound:g} is not below "
-                f"the a-priori bound {prior:g}", bound)
+        # 0 <= arc kernel <= circle kernel
+        heat1d.below_prior(bound, heat1d.k_circle(L, x, y, t)[0],
+                           f"circle cut at order {k_max}")
         return [Reports(case, "circle", inputs, value, reference, bound)]
 
     return _guarded(case, "circle", inputs, run)
@@ -520,6 +516,10 @@ def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
 # verify problem sets
 # ---------------------------------------------------------------------------
 
+#: The routes of ``--method`` and ``--formula`` and of a verify case
+_METHODS = ("assembled", "series")
+_FORMULAS = ("I", "II")
+
 _SUITE_OF_KIND = {
     "graph-glue": "graph",
     "graph-pathsum": "graph",
@@ -534,6 +534,14 @@ _SUITE_OF_KIND = {
 }
 
 
+def _choice(case: dict, key: str, choices: tuple[str, ...]) -> str:
+    """The case's key or the first choice; ValueError unless a choice."""
+    if (value := case.get(key, choices[0])) not in choices:
+        raise ValueError(f"{key} must be one of {', '.join(choices)}, "
+                         f"got {value!r}")
+    return value
+
+
 def _reference(case: dict) -> float | None:
     """The reference value a case freezes, or None to compute it."""
     ref = case.get("reference")
@@ -542,15 +550,15 @@ def _reference(case: dict) -> float | None:
 
 def _verify_case(case: dict, index: int, seed: int,
                  default_tol: float) -> list[Reports]:
-    """The reports of one case of a known kind.  A missing or malformed
-    field is unusable input that names the case."""
+    """The reports of one case of a known kind.  Any unusable input, a
+    field missing, malformed or not among its choices included, names it."""
     kind = case["kind"]
     cid = str(case.get("id", f"case{index:03d}"))
     try:
         tol = float(case.get("tol", default_tol))
         if kind == "graph-glue":
             return run_graph_glue(case["input"], float(case["t"]),
-                                  case.get("method", "assembled"),
+                                  _choice(case, "method", _METHODS),
                                   int(case.get("kmax", 12)), tol,
                                   prefix=cid + "/")
         if kind == "graph-pathsum":
@@ -574,7 +582,7 @@ def _verify_case(case: dict, index: int, seed: int,
             return run_interval_glue(float(case["L1"]), float(case["L2"]),
                                      float(case["x"]), float(case["y"]),
                                      float(case["t"]),
-                                     case.get("formula", "I"),
+                                     _choice(case, "formula", _FORMULAS),
                                      int(case.get("n_max", case.get("nmax", 6))),
                                      tol, _reference(case), case=cid)
         if kind == "interval-interface":
@@ -600,7 +608,7 @@ def _verify_case(case: dict, index: int, seed: int,
                                tol, prefix=cid + "/")
     except KeyError as exc:
         raise InputError(f"case {cid}: missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, InputError) as exc:
         raise InputError(f"case {cid}: {exc}") from exc
 
 
@@ -695,7 +703,7 @@ _COMMANDS = (
             "Decomposition JSON file or bundled fixture name."),
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--method", "method", "Interface kernel route.", str,
-            "assembled", ("assembled", "series")),
+            _METHODS[0], _METHODS),
         _Option("--kmax", "k_max", "Series truncation order (series method "
             "only).  A larger order leaves less out, so the certified bound "
             "shrinks with it down to rounding level.", int, 12),
@@ -721,7 +729,7 @@ _COMMANDS = (
         _Option("--y", "y", "Target point inside the second piece.", float),
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--formula", "formula", "Reflection route or echo series.", str,
-            "I", ("I", "II")),
+            _FORMULAS[0], _FORMULAS),
         _Option("--nmax", "n_max", "Echo series truncation (formula II only).",
             int, 6),
         *_output(1e-8))),

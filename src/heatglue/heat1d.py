@@ -16,6 +16,9 @@ within _reach(t) of its nearest one, a mode sum its modes with
 q k^2 <= q + 50, so a term left out is below e^-50 of the largest, and the
 rest is bounded in closed form.  One term budget, _MAX_IMAGES, for every
 sum and composition: past it, TruncationError before any array is formed.
+One rounding rule for every route that returns a bound: its Gaussian sums
+are evaluated at t by _ImageSum.at and added by math.fsum; and one rule,
+below_prior, refuses a bound that certifies nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "glue_direct",
     "glue_intervals_I",
     "glue_intervals_II",
+    "below_prior",
     "glue_rays",
     "arc_coordinates",
     "arc_direct",
@@ -61,18 +65,15 @@ class TruncationError(RuntimeError):
         self.achievable = achievable
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError("t must be positive and finite")
-    return t
-
-
-def _check_length(L: float, name: str = "L") -> float:
-    L = float(L)
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"{name} must be positive and finite")
-    return L
+def _positive(**values: float) -> list[float]:
+    """Each value as a float; ValueError at one not positive and finite."""
+    out = []
+    for name, value in values.items():
+        value = float(value)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite")
+        out.append(value)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +83,13 @@ def _check_length(L: float, name: str = "L") -> float:
 
 def k_line(x: float, y: float, t: float) -> float:
     """Free kernel (4 pi t)^(-1/2) exp(-(x-y)^2/4t)."""
-    t = _check_time(t)
+    (t,) = _positive(t=t)
     return math.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
 def k_ray(x: float, y: float, t: float) -> float:
     """Dirichlet kernel on the half line, by the image charge at -y."""
-    t = _check_time(t)
+    (t,) = _positive(t=t)
     if x < 0.0 or y < 0.0:
         raise ValueError("ray coordinates must be nonnegative")
     return k_line(x, y, t) - k_line(x, -y, t)
@@ -101,7 +102,7 @@ def dk_ray(x: float, t: float) -> float:
     is positive inside and vanishes at the wall, so it grows into the
     domain.  Its magnitude is the first-passage pulse at distance x.
     """
-    t = _check_time(t)
+    (t,) = _positive(t=t)
     if x < 0.0:
         raise ValueError("ray coordinate must be nonnegative")
     return -x * math.exp(-x * x / (4.0 * t)) / (2.0 * _ROOT_PI * t**1.5)
@@ -133,6 +134,13 @@ def _check_terms(count: float, label: str) -> None:
                               f"budget of {_MAX_IMAGES}", math.inf)
 
 
+def _side_tail(a: float, period: float, t: float) -> float:
+    """Bound on sum_(k >= 0) exp(-(a + k period)^2/4t), a >= 0, falling in
+    a: (a + k period)^2 >= a^2 + k (2 a period + period^2)."""
+    return math.exp(-a * a / (4.0 * t)) \
+        / -math.expm1(-(2.0 * a + period) * period / (4.0 * t))
+
+
 def _images(t: float, period: float, families: Sequence[tuple[float, float]],
             label: str) -> tuple[float, float]:
     """(4 pi t)^(-1/2) sum_f sign_f sum_n exp(-(offset_f + n period)^2/4t)
@@ -141,12 +149,10 @@ def _images(t: float, period: float, families: Sequence[tuple[float, float]],
 
     Each family keeps its images within _reach(t) of its nearest one, so
     an image left out is below e^-50 times the largest of its family and
-    the cut is relative, however small the sum.  Past the first image
-    left out on either side, at distance a, the distances grow by period,
-    and (a + k period)^2 >= a^2 + k (2 a period + period^2), so that side
-    adds at most exp(-a^2/4t) / (1 - exp(-(2 a period + period^2)/4t)).
-    TruncationError, before any array is formed, when the families would
-    keep more than _MAX_IMAGES images.
+    the cut is relative, however small the sum; each side left out adds
+    at most :func:`_side_tail` of its first image.  TruncationError,
+    before any array is formed, when the families would keep more than
+    _MAX_IMAGES images.
     """
     reach = _reach(t)
     spans = []
@@ -162,8 +168,7 @@ def _images(t: float, period: float, families: Sequence[tuple[float, float]],
         d = offset + np.arange(lo, hi + 1) * period
         value += sign * float(np.exp(-np.square(d) / (4.0 * t)).sum())
         for a in (offset + (hi + 1) * period, -(offset + (lo - 1) * period)):
-            bound += math.exp(-a * a / (4.0 * t)) \
-                / -math.expm1(-(2.0 * a + period) * period / (4.0 * t))
+            bound += _side_tail(a, period, t)
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
     return pref * value, pref * bound
 
@@ -198,8 +203,7 @@ def k_interval(L: float, x: float, y: float, t: float,
     that, the crossover where both tails are about exp(-pi).  The bound
     covers truncation only, not rounding.
     """
-    L = _check_length(L)
-    t = _check_time(t)
+    L, t = _positive(L=L, t=t)
     if not (0.0 <= x <= L and 0.0 <= y <= L):
         raise ValueError("x and y must lie in [0, L]")
     if rep == "auto":
@@ -229,8 +233,7 @@ def k_circle(L: float, x: float, y: float, t: float,
     :func:`_modes`), or "auto", images for t < L^2/4pi.  The bound covers
     truncation only, not rounding.
     """
-    L = _check_length(L)
-    t = _check_time(t)
+    L, t = _positive(L=L, t=t)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("x and y must be finite")
     d = _wrap_diff(x - y, L)
@@ -261,9 +264,7 @@ def interface_two_intervals(L1: float, L2: float, t: float,
     g_2(L1+nS) (-) (:func:`_images`), fast at small t.  Returns (value,
     bound on the terms left out); the bound covers truncation only.
     """
-    L1 = _check_length(L1, "L1")
-    L2 = _check_length(L2, "L2")
-    t = _check_time(t)
+    L1, L2, t = _positive(L1=L1, L2=L2, t=t)
     S = L1 + L2
     if form == "residues":
         return _modes(math.pi * math.pi * t / (S * S),
@@ -297,9 +298,7 @@ def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     reference of both routes in ``heatglue interval glue``; TruncationError
     when its images are past the term budget.
     """
-    L1 = _check_length(L1, "L1")
-    L2 = _check_length(L2, "L2")
-    t = _check_time(t)
+    L1, L2, t = _positive(L1=L1, L2=L2, t=t)
     if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
         raise ValueError("x and y must lie in [0, L2]")
     span = _reach(t) / (2.0 * L2)
@@ -387,9 +386,7 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float,
     exp(-distance^2/4t).  Returns the value; its check is the direct
     two-kernel difference :func:`glue_direct`.
     """
-    L1 = _check_length(L1, "L1")
-    L2 = _check_length(L2, "L2")
-    t = _check_time(t)
+    L1, L2, t = _positive(L1=L1, L2=L2, t=t)
     return _route_I(L1, L2, t)(x, y)
 
 
@@ -398,7 +395,6 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float,
 # ---------------------------------------------------------------------------
 
 
-_ROOT_4PI = math.sqrt(4.0 * math.pi)
 _U = 2.0**-53  # unit roundoff
 
 
@@ -419,11 +415,12 @@ class _ImageSum:
     stable-1/2 semigroup, Feller vol. II): :meth:`compose`, and sums of
     such compositions are formed raw and merged once
     (:func:`_compose_sum`), so every 1d gluing integral here is one such
-    sum, exact up to rounding.  Distances past reach are dropped first (a
-    NaN distance at any reach), then exactly equal distances are merged,
-    their weights added in the order given, and zero weights dropped; a
-    step that keeps every image copies nothing.  A finite reach stands
-    for the images negligible up to its time (:func:`_reach`).
+    sum, exact up to rounding, and evaluated only by :meth:`at`, the one
+    rounding rule of the 1d routes.  Distances past reach are dropped
+    first (a NaN distance at any reach), then exactly equal distances are
+    merged, their weights added in the order given, and zero weights
+    dropped; a step that keeps every image copies nothing.  A finite
+    reach stands for the images negligible up to its time (:func:`_reach`).
     """
 
     kind: str
@@ -459,31 +456,16 @@ class _ImageSum:
         :func:`_compose_sum` of the one pair."""
         return _compose_sum((self, other))
 
-    def __call__(self, tau: np.ndarray) -> np.ndarray:
-        """The sum at an array of times, zero at times <= 0."""
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros(tau.shape)
-        pos = tau > 0.0
-        if pos.any():
-            tp = tau[pos]
-            pulses = np.exp(np.divide.outer(-0.25 * np.square(self.d), tp))
-            if self.kind == "g":
-                out[pos] = self.w @ pulses / np.sqrt(4.0 * math.pi * tp)
-            else:
-                out[pos] = (self.w * self.d) @ pulses \
-                    / (_ROOT_4PI * tp * np.sqrt(tp))
-        return out
-
     def at(self, t: float, steps: np.ndarray | float) -> tuple[float, float]:
         """A sum of Gaussians at one time t, added by math.fsum, and a
         bound on its rounding error.
 
         The weights must be integers below 2^53, so that merging added
-        them exactly, the paths merged into one image must share its true
-        distance, and steps bounds the relative error of each distance in
-        units of U.  A Gaussian's exponent E = d^2/4t is then off by at
-        most 2 (steps + 1) U E; exp, the prefactor and the weight add at
-        most 8 U, and fsum rounds the total once.  So the error is at most
+        them exactly, and steps bounds, in units of U, the relative error
+        of each distance d against the true distance of every path merged
+        into it.  A Gaussian's exponent E = d^2/4t is then off by at most
+        2 (steps + 1) U E; exp, the prefactor and the weight add at most
+        8 U, and fsum rounds the total once.  So the error is at most
         U (sum_i (2 (steps_i + 1) E_i + 8) |w_i g_i| + |value|), which
         weights every kept image by its own term.
         """
@@ -628,10 +610,10 @@ def _echo_tail(pair: _ImageSum | None, phi: _ImageSum, t: float,
                            n_max + (pair is not None))
 
 
-def _below_prior(bound: float, prior: float, label: str) -> float:
+def below_prior(bound: float, prior: float, label: str) -> float:
     """bound, unless it is positive and not below the a-priori bound prior
     of the quantity: a certificate that allows every possible value
-    raises TruncationError instead."""
+    raises TruncationError instead: the one such rule of the 1d routes."""
     if not (bound < prior or bound == 0.0):
         raise TruncationError(f"{label}: bound {bound:g} is not below the "
                               f"a-priori bound {prior:g}", bound)
@@ -665,9 +647,7 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     echo sum and, when n_max > 0, its order 1, the pair alone forms
     pair.d.size (1 + phi.d.size) images.
     """
-    L1 = _check_length(L1, "L1")
-    L2 = _check_length(L2, "L2")
-    t = _check_time(t)
+    L1, L2, t = _positive(L1=L1, L2=L2, t=t)
     if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
         raise ValueError("x and y must lie in [0, L2]")
     n_max = int(n_max)
@@ -687,7 +667,7 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     log_lam = _log_round_trips(L1, L2, r, log_gaps)
     legs = () if pair is None else tuple(
         _log_ring_transform(2.0 * L2, z, r, log_gaps[1]) for z in (x, y))
-    tail = _below_prior(
+    tail = below_prior(
         _echo_tail(pair, phi, t, r, log_lam, n_max)
         + _dropped_images(t, r, log_lam, n_max, *legs), prior, label)
     chains = [_G0]
@@ -704,7 +684,7 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     # a distance adds two flux legs, each off by at most 3 U, and at most
     # d / 2 min(L1, L2) round trips, each off by U, in as many roundings
     value, rounding = series.at(t, series.d / (2.0 * min(L1, L2)) + 4.0)
-    return value, _below_prior(tail + rounding, prior, label)
+    return value, below_prior(tail + rounding, prior, label)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +701,7 @@ def glue_rays(x: float, y: float, t: float) -> tuple[float, float]:
     Returns (value, bound); the bound is the rounding part of
     :meth:`_ImageSum.at`, the one distance x + y being off by at most U.
     """
-    t = _check_time(t)
+    (t,) = _positive(t=t)
     if not (x > 0.0 and y > 0.0):
         raise ValueError("x and y must be positive")
     line = _ImageSum("h", [x], [1.0]).compose(
@@ -772,7 +752,8 @@ def _cut_tail(L: float, cuts: Sequence[float], x: float, y: float,
     at most (4 pi t)^(-1/2) e^(rR - R^2/4t) sum(a) max(b) sum_k lam^k,
     b_u = sum_n exp(-r |c_u - y + nL|).  Each part takes its least value
     over the fixed grid of r; the five ring transforms and H_00 share one
-    :func:`_log_gap` of L.
+    :func:`_log_gap` of L.  A close's supremum is :meth:`_ImageSum.sup`
+    plus its images past R at t, where they peak (:func:`_side_tail`).
     """
     r = _R_SQRT_T / math.sqrt(t)
     log_gap = _log_gap(L, r)
@@ -780,15 +761,10 @@ def _cut_tail(L: float, cuts: Sequence[float], x: float, y: float,
                            for c in cuts))
     log_b = np.maximum(*(_log_ring_transform(L, c - y, r, log_gap)
                          for c in cuts))
-    log_self = math.log(2.0) - r * L - log_gap
-    log_lam = np.logaddexp(
-        log_self, _log_ring_transform(L, cuts[0] - cuts[1], r, log_gap))
-    # the supremum of each close over (0, t); the images past the reach
-    # add at most their values at t
-    reach = _reach(t)
-    sup = max(c.sup(t) for c in close)
-    sup += 2.0 * math.exp(-reach**2 / (4.0 * t)) \
-        / (-math.expm1(-reach * L / (2.0 * t)) * math.sqrt(4.0 * math.pi * t))
+    log_lam = np.logaddexp(math.log(2.0) - r * L - log_gap, _log_ring_transform(
+        L, cuts[0] - cuts[1], r, log_gap))
+    sup = max(c.sup(t) for c in close) \
+        + 2.0 * _side_tail(_reach(t), L, t) / math.sqrt(4.0 * math.pi * t)
     past = _geometric_tail(sup, t, r, log_lam, k_max + 1, log_a)
     return past + _dropped_images(t, r, log_lam, k_max, log_a, log_b)
 
@@ -797,7 +773,7 @@ def arc_coordinates(L_total: float, cuts: Sequence[float], x: float,
                     y: float) -> tuple[float, float, float]:
     """(length, x, y) on the arc that holds x and y of a circle cut at two
     distinct points; ValueError unless both lie strictly inside one arc."""
-    L = _check_length(L_total, "L_total")
+    (L,) = _positive(L_total=L_total)
     if len(cuts) != 2:
         raise ValueError("exactly two cut points are required; one point "
                          "does not separate the circle")
@@ -828,22 +804,35 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
                       y: float, t: float, k_max: int) -> tuple[float, float]:
     """Arc kernel rebuilt by cutting the circle at two points.
 
-    Subtracts from the circle kernel the alternating interface series.
-    Term k composes the flux state sum_n h_|x - c_u + nL| at the cut points
-    c_u, k hops sum_n h_|c_u - c_v + nL| (n != 0 when u = v) and the close
-    sum_n g_|c_u - y + nL| into one exact Gaussian sum at t, images out to
-    _reach(t); each new state and each close adds two compositions,
-    formed and merged once (:func:`_compose_sum`).  Returns (value, bound);
-    the check is the Dirichlet kernel of the arc, :func:`arc_direct`.  The
-    bound adds :func:`_cut_tail`, the circle kernel's bound and a rounding
-    part 3 gamma (circle kernel + sum of the terms): every piece is
-    nonnegative, so gamma is relative to each.  The tail is taken before
-    anything is composed, once the first compositions are known to fit the
-    image budget, and a tail that is not finite raises TruncationError.
+    The circle kernel, its images x - y + nL within _reach(t) of the
+    nearest one as :func:`k_circle` keeps them, minus the alternating
+    interface series.  Term k composes the flux state sum_n h_|x - c_u + nL|
+    at the cut points c_u, k hops sum_n h_|c_u - c_v + nL| (n != 0 when
+    u = v) and the close sum_n g_|c_u - y + nL| into one exact Gaussian sum
+    at t, images out to _reach(t); each new state and each close merges
+    its two compositions once (:func:`_compose_sum`).  The circle and each
+    close, all weights positive integers, go through :meth:`_ImageSum.at`
+    and their signed values are added by math.fsum.  Returns (value,
+    bound), checked by :func:`arc_direct`; the caller refuses a bound not
+    below the circle kernel (:func:`below_prior`).  The bound adds
+    :func:`_cut_tail`, taken before anything is composed (TruncationError
+    when not finite), the circle's images past its cut (:func:`_side_tail`),
+    the rounding parts and U |value| for fsum.
+
+    A ring distance d = |delta + nL|, delta the float x - c, c - y,
+    c_0 - c_1 or x - y, rounds in delta, nL and the sum, each by U times
+    its result, and |nL| <= |delta| + d: d is off by at most
+    U (2 |delta| + 3 d), however much delta + nL cancels near a cut.  A
+    close of order k adds k + 2 ring distances in k + 1 roundings, so D is
+    off by at most U (2 A + (k + 4) D) on every path merged into it,
+    A = max_u |x - c_u| + k |c_0 - c_1| + max_u |c_u - y|: its steps are
+    2 A / D + k + 4, the circle's 2 |x - y| / d + 3.  The square of that
+    error, at most (2 U A)^2/4t on an exponent, D = 0 included, adds
+    2 (U A)^2/t times each sum's positive value.
     """
     arc_coordinates(L_total, cuts, x, y)  # both points inside one arc
     L = float(L_total)
-    t = _check_time(t)
+    (t,) = _positive(t=t)
     k_max = int(k_max)
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
@@ -858,24 +847,28 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     if not math.isfinite(tail):
         raise TruncationError(f"circle cut at order {k_max}: its truncation "
                               f"tail has no finite bound", tail)
-    at_t = np.array([t])
-    terms = []
-    images = 0
+
+    def at(sum_: _ImageSum, spread: float, adds: int) -> tuple[float, float]:
+        steps = np.divide(2.0 * spread, sum_.d, out=np.zeros(sum_.d.size),
+                          where=sum_.d > 0.0)
+        value, rounding = sum_.at(t, steps + adds + 3.0)
+        return value, rounding + 2.0 * (_U * spread) ** 2 / t * value
+
+    delta = x - y
+    near = abs(delta - L * round(delta / L))
+    parts = [at(_ring("g", L, delta, near + reach), abs(delta), 0)]
+    offsets = max(abs(x - c) for c in cuts) + max(abs(c - y) for c in cuts)
     for k in range(k_max + 1):
         if k:
             state = [_compose_sum((state[0], same), (state[1], cross)),
                      _compose_sum((state[0], cross), (state[1], same))]
-        closed = _compose_sum((state[0], close[0]), (state[1], close[1]))
-        images = max(images, closed.d.size)
-        terms.append(float(closed(at_t)[0]))
-    correction = sum((-1.0) ** k * term for k, term in enumerate(terms))
-    circle_val, circle_bound = k_circle(L, x, y, t)
-    value = circle_val - correction
-    # a distance sums k_max + 2 images of two roundings each and its
-    # exponent stays below 50, so a Gaussian is off by 100 (k_max + 5) + 4
-    # roundings; a term adds one per image, the alternating sum k_max + 2
-    gamma = _U * (101.0 * (k_max + 6) + images)
-    return value, tail + circle_bound + 3.0 * gamma * (circle_val + sum(terms))
+        term, rounding = at(
+            _compose_sum((state[0], close[0]), (state[1], close[1])),
+            offsets + k * abs(cuts[0] - cuts[1]), k + 1)
+        parts.append(((-1.0) ** (k + 1) * term, rounding))
+    value = math.fsum(v for v, _ in parts)
+    return value, tail + sum(r for _, r in parts) + _U * abs(value) \
+        + 2.0 * _side_tail(near + reach, L, t) / math.sqrt(4.0 * math.pi * t)
 
 
 # ---------------------------------------------------------------------------
@@ -927,10 +920,7 @@ def cylinder_factorization_check(L1: float, L2: float, circle_L: float,
     for all points; route I at a point is one bilinear image sum
     (:func:`glue_intervals_I`).
     """
-    L1 = _check_length(L1, "L1")
-    L2 = _check_length(L2, "L2")
-    circle_L = _check_length(circle_L, "circle_L")
-    t = _check_time(t)
+    L1, L2, circle_L, t = _positive(L1=L1, L2=L2, circle_L=circle_L, t=t)
     S = L1 + L2
     route = _route_I(L1, L2, t)
     joints = _cylinder_joint(S, circle_L, [(L1 + xx, L1 + yy, g1, g2)
@@ -966,7 +956,7 @@ def dn_cylinder(L: float, omegas: Sequence[float], m2: float) -> DnCylinderRepor
     Uses coth(z) - 1 = 2 / (e^(2z) - 1) through expm1, so the
     exponentially small gaps survive in floating point.
     """
-    L = _check_length(L)
+    (L,) = _positive(L=L)
     m2 = float(m2)
     if not (m2 > 0.0):
         raise ValueError("m2 must be positive")

@@ -405,13 +405,25 @@ def test_circle_cut_reference_point():
 
 def test_circle_cut_bound_is_relative_to_a_small_arc_kernel():
     # the rounding part has no floor at 1: against an arc kernel of 3.2e-7
-    # the bound is 9.7e-20, where the floor made it 2.7e-13
+    # the bound is 1.9e-20, where the floor made it 2.7e-13
     res = invoke("circle cut --L 2 --cuts 0,1 --x 0.1 --y 0.9 --t 0.01 "
                  "--kmax 2".split())
     assert res.exit_code == 0
     (r,) = json_lines(res.stdout)
     assert r["status"] == "pass"
     assert r["residual"] <= r["bound"] < 1e-18
+
+
+def test_a_circle_cut_with_a_zero_certificate_passes():
+    # the arc kernel, the cut and its bound all underflow to 0: a zero
+    # bound certifies the value exactly, and heat1d.below_prior, the one
+    # a-priori rule, takes it for the cut as for route II
+    res = invoke("circle cut --L 10 --cuts 0,5 --x 2 --y 3 --t 1e-4 "
+                 "--kmax 4".split())
+    assert res.exit_code == 0
+    (r,) = json_lines(res.stdout)
+    assert (r["value"], r["reference"], r["bound"], r["status"]) == \
+        (0.0, 0.0, 0.0, "pass")
 
 
 def test_an_interface_past_the_term_budget_exits_three(tmp_path):
@@ -636,14 +648,28 @@ def test_every_valid_case_passes(tmp_path):
      "case ig: could not convert string to float: 'abc'"),
     ("graph-glue", "kmax", "x",
      "case gg: invalid literal for int() with base 10: 'x'"),
-    ("circle-cut", "cuts", [0], "exactly two cut points are required; one "
-                                "point does not separate the circle"),
+    pytest.param("circle-cut", "cuts", [0], "case cc: exactly two cut points "
+                 "are required; one point does not separate the circle",
+                 id="circle-cut-cuts-one-point"),
     ("circle-cut", "cuts", 5, "case cc: 'int' object is not iterable"),
     ("graph-glue", "input", 5, "case gg: expected str, bytes or os.PathLike "
                                "object, not int"),
     ("ray-glue", "tol", "x", "case rl: could not convert string to float: 'x'"),
-    ("random-graph-glue", "nmax", 2, "need room for side1 + interface + side2"),
+    pytest.param("random-graph-glue", "nmax", 2,
+                 "case rg: need room for side1 + interface + side2",
+                 id="random-graph-glue-nmax-2-no-room"),
     ("random-graph-glue", "times", [], "case rg: times is empty"),
+    ("graph-glue", "input", "nosuch",
+     "case gg: no such file or bundled fixture: nosuch"),
+    # the choices of --method and --formula
+    ("graph-glue", "method", "abc",
+     "case gg: method must be one of assembled, series, got 'abc'"),
+    ("graph-glue", "method", None,
+     "case gg: method must be one of assembled, series, got None"),
+    ("graph-glue", "method", {},
+     "case gg: method must be one of assembled, series, got {}"),
+    ("interval-glue", "formula", True,
+     "case ig: formula must be one of I, II, got True"),
 ])
 def test_a_malformed_case_is_unusable_input(tmp_path, kind, field, value,
                                             message):

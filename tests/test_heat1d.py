@@ -19,12 +19,32 @@ from heatglue import heat1d as h
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 
+def at_times(pulses, taus):
+    """An image sum at each of the times taus, image by image and added by
+    math.fsum, 0 at a time <= 0; a density h_0, the delta, is 0 at every
+    positive time."""
+    def one(tau):
+        if tau <= 0.0:
+            return 0.0
+        scale = 1.0 / math.sqrt(4.0 * math.pi * tau)
+        if pulses.kind == "h":
+            scale /= tau
+        return math.fsum(w * (d if pulses.kind == "h" else 1.0)
+                         * math.exp(-d * d / (4.0 * tau)) * scale
+                         for d, w in zip(pulses.d.tolist(), pulses.w.tolist()))
+
+    return np.array([one(tau) for tau in np.atleast_1d(taus).tolist()])
+
+
 def convolution(f, g, t, tol):
     """(f * g)(t) = int_0^t f(s) g(t - s) ds and an estimate of its error,
     by scipy's adaptive quadrature to absolute tolerance ``tol``; f and g
-    take arrays of times.  Each half of (0, t) is taken in u with s = u^2
-    from its end, which removes the s^(-1/2) of a Gaussian pulse at
-    distance 0 there."""
+    are image sums (:func:`at_times`) or take arrays of times.  Each half
+    of (0, t) is taken in u with s = u^2 from its end, which removes the
+    s^(-1/2) of a Gaussian pulse at distance 0 there."""
+    f, g = ((lambda taus, s=s: at_times(s, taus))
+            if isinstance(s, h._ImageSum) else s for s in (f, g))
+
     def at(a, b):
         return lambda u: 2.0 * u * float(a(np.array([u * u]))[0]
                                          * b(np.array([t - u * u]))[0])
@@ -702,7 +722,7 @@ def echo_rate(L, t):
 
 def test_echo_density_two_routes_agree():
     got, _ = convolution(h._G0, lambda tau: echo_rate(1.0, tau), 1.0, 1e-11)
-    direct = float(h._echo_pulse(1.0, 1.0)(np.array([1.0]))[0])
+    direct = float(at_times(h._echo_pulse(1.0, 1.0), 1.0)[0])
     term_sum = 2.0 * sum(
         k * math.exp(-k * k) for k in range(1, 12)) / SQRT_4PI
     assert abs(direct - term_sum) < 1e-15
@@ -743,7 +763,7 @@ def test_echo_series_bound_covers_its_residual_on_the_gate_08_sweep():
                                    (0.7, 0.1, 0.7)])
 def test_flux_pair_is_the_convolution_of_its_two_pulses(L, x, y):
     taus = np.array([0.05, 0.2, 0.7, 2.0])
-    got = h._flux_pair_eval(L, x, y, 2.0)(taus)
+    got = at_times(h._flux_pair_eval(L, x, y, 2.0), taus)
     pulses = [h._flux_pair_eval(L, z, 0.0, 2.0) for z in (x, y)]
     want = [convolution(*pulses, tau, 1e-13)[0] for tau in taus]
     assert np.all(np.abs(got - want) <= 1e-12)
@@ -754,7 +774,7 @@ def test_flux_pair_at_the_junction_is_the_other_pulse(L, z):
     taus = np.array([0.02, 0.05, 0.2, 0.7, 2.0])
     ref = np.array([flux_reference(L, z, t) for t in taus])
     for x, y in ((0.0, z), (z, 0.0)):
-        got = h._flux_pair_eval(L, x, y, 2.0)(taus)
+        got = at_times(h._flux_pair_eval(L, x, y, 2.0), taus)
         assert np.all(np.abs(got - ref) <= 1e-12)
     delta = h._flux_pair_eval(L, 0.0, 0.0, 2.0)  # both at the junction
     assert delta.d.tolist() == [0.0] and delta.w.tolist() == [1.0]
@@ -804,8 +824,8 @@ def test_echo_tail_covers_the_dropped_orders_summed_exactly(L1, L2):
         for x, y in [(x, y) for x in zs for y in zs] + [(0.0, 0.0)]:
             junction = x == y == 0.0
             wide = None if junction else h._flux_pair_eval(L2, x, y, 4.0 * t)
-            terms = [abs(float((c if junction else wide.compose(c))(
-                np.array([t]))[0])) for c in chains]
+            terms = [abs(float(at_times(c if junction else wide.compose(c),
+                                        t)[0])) for c in chains]
             pair = None if junction else h._flux_pair_eval(L2, x, y, t)
             for n_max in (0, 2, 4, 6, 8):
                 tail = h._echo_tail(pair, phi, t, r, log_lam, n_max)
@@ -1023,7 +1043,7 @@ def test_flux_pulse_image_sum_matches_a_per_image_loop(L, z):
     # the signed images cancel once tau passes about L^2/4
     taus = np.concatenate([L * L * np.geomspace(0.02, 0.15, 41), [0.0, -0.3]])
     # y = 0: the pulse at z alone
-    got = h._flux_pair_eval(L, z, 0.0, float(taus.max()))(taus)
+    got = at_times(h._flux_pair_eval(L, z, 0.0, float(taus.max())), taus)
     ref = [flux_reference(L, z, t) for t in taus[:-2]]
     assert np.allclose(got[:-2], ref, rtol=1e-14, atol=0.0)
     assert np.all(got[-2:] == 0.0)
@@ -1032,7 +1052,8 @@ def test_flux_pulse_image_sum_matches_a_per_image_loop(L, z):
 @pytest.mark.parametrize("L,delta,drop", [(2.0, 0.0, True), (2.0, 0.7, False),
                                           (3.1, -1.2, False)])
 def test_circle_pulse_image_sum_matches_a_per_image_loop(L, delta, drop):
-    got = h._ring("g", L, delta, h._reach(1.0), skip_zero=drop)(TAUS)
+    got = at_times(h._ring("g", L, delta, h._reach(1.0), skip_zero=drop),
+                   TAUS)
     d = h._wrap_diff(delta, L)
     ref = [circle_reference(L, d, t, drop) for t in TAUS[:-2]]
     assert np.allclose(got[:-2], ref, rtol=1e-14, atol=0.0)
@@ -1041,7 +1062,7 @@ def test_circle_pulse_image_sum_matches_a_per_image_loop(L, delta, drop):
 
 @pytest.mark.parametrize("L", [0.5, 1.0, 1.9])
 def test_echo_density_matches_a_per_image_loop(L):
-    got = h._echo_pulse(float(TAUS.max()), L)(TAUS)
+    got = at_times(h._echo_pulse(float(TAUS.max()), L), TAUS)
     ref = [echo_reference(L, t) for t in TAUS[:-2]]
     assert np.allclose(got[:-2], ref, rtol=1e-14, atol=0.0)
     assert np.all(got[-2:] == 0.0)
@@ -1096,7 +1117,7 @@ def test_glue_rays_extends_to_half_space_products():
 def test_glue_rays_bound_covers_its_residual(x, y, t):
     # the gate-09 grid and the points near the wall
     v, bound, res = rays(x, y, t)
-    exact = float(h._ImageSum("g", [x + y], [1.0])(np.array([t]))[0])
+    exact = float(at_times(h._ImageSum("g", [x + y], [1.0]), t)[0])
     assert res <= bound < 1e-8
     assert abs(v - exact) <= bound
 
@@ -1151,7 +1172,7 @@ def test_cut_hop_and_close_are_the_convolutions_of_their_pieces(delta):
     hop = h._ring("h", L, delta, reach, skip_zero=delta == 0.0)
     close = h._ring("g", L, delta - 0.45, reach)
     for piece in (hop, close):
-        got = state.compose(piece)(taus)
+        got = at_times(state.compose(piece), taus)
         want = [convolution(state, piece, tau, 1e-13)[0] for tau in taus]
         assert np.all(np.abs(got - want) <= 1e-12)
 
@@ -1220,38 +1241,47 @@ def cut_sums_one_by_one(L, cuts, x, y, t, k_max):
 
 def fused_cut_sums(monkeypatch, L, cuts, x, y, t, k_max):
     """The sums that cut_circle_to_arc composes, in the order it forms
-    them, and the value it returns."""
-    sums = []
-    fuse = h._compose_sum
+    them, the sums it evaluates at t with their values, in order, and the
+    value it returns."""
+    sums, evaluated = [], []
+    fuse, at = h._compose_sum, h._ImageSum.at
 
     def record(*pairs):
         sums.append(fuse(*pairs))
         return sums[-1]
 
+    def record_at(self, *args):
+        evaluated.append((self, at(self, *args)[0]))
+        return at(self, *args)
+
     with monkeypatch.context() as m:
         m.setattr(h, "_compose_sum", record)
+        m.setattr(h._ImageSum, "at", record_at)
         value, _ = h.cut_circle_to_arc(L, cuts, x, y, t, k_max)
-    return sums, value
+    return sums, evaluated, value
 
 
 def test_cut_sums_merged_once_are_the_sums_merged_one_by_one(monkeypatch):
     # every weight is an integer, so one merge of the two compositions of a
     # state or a close gives, byte for byte, what merging each composition
-    # and then their sum gave
+    # and then their sum gave; the cut evaluates the circle's images and
+    # each close once, by _ImageSum.at, and adds the signed values by fsum
     for case in [*continuum_cuts(7919, 30), README_CUT]:
         L, _, x, y, t = case
         want = cut_sums_one_by_one(*case, 8)
-        terms = [float(close(np.array([t]))[0]) for close in want[::3]]
-        circle, _ = h.k_circle(L, x, y, t, "auto")
+        circle, _ = h.k_circle(L, x, y, t, "images")
         for k_max in range(9):
-            got, value = fused_cut_sums(monkeypatch, *case, k_max)
+            got, evaluated, value = fused_cut_sums(monkeypatch, *case, k_max)
             assert len(got) == 3 * k_max + 1
             for g, w in zip(got, want):
                 assert (g.kind, g.reach) == (w.kind, w.reach)
                 assert g.d.tobytes() == w.d.tobytes(), (case, k_max)
                 assert g.w.tobytes() == w.w.tobytes(), (case, k_max)
-            assert value == circle - sum((-1.0) ** k * term for k, term
-                                         in enumerate(terms[:k_max + 1]))
+            assert [s for s, _ in evaluated[1:]] == got[::3]
+            assert abs(evaluated[0][1] - circle) <= 1e-15 * circle
+            assert value == math.fsum(
+                [evaluated[0][1]] + [(-1.0) ** (k + 1) * term for k, (_, term)
+                                     in enumerate(evaluated[1:])])
 
 
 def test_cut_refuses_at_the_image_budget_where_one_by_one_did(monkeypatch):
@@ -1278,9 +1308,10 @@ def test_cut_refuses_at_the_image_budget_where_one_by_one_did(monkeypatch):
 
 @pytest.mark.parametrize("k_max", range(9))
 def test_cut_merges_each_state_and_close_once(monkeypatch, k_max):
-    # six rings, then one close at order 0 and two states and a close at
-    # every later order: 7 + 3 k_max image sums, 19 at k_max 4 (it was 45
-    # while each composition was merged before the two were added)
+    # six rings and the circle's images, then one close at order 0 and two
+    # states and a close at every later order: 8 + 3 k_max image sums, 20
+    # at k_max 4 (it was 45 while each composition was merged before the
+    # two were added, and one less while the circle was k_circle's)
     merge = h._ImageSum.__post_init__
     count = [0]
 
@@ -1292,7 +1323,7 @@ def test_cut_merges_each_state_and_close_once(monkeypatch, k_max):
     for case in [README_CUT, *continuum_cuts(7919, 3)]:
         count[0] = 0
         h.cut_circle_to_arc(*case, k_max)
-        assert count[0] <= 7 + 3 * k_max, case
+        assert count[0] <= 8 + 3 * k_max, case
 
 
 def test_grid_factors_are_taken_once(monkeypatch):
@@ -1325,14 +1356,24 @@ def test_cut_circle_converges_to_rounding_at_depth_eight():
                                      (0.4, 8)])
 def test_cut_bound_covers_the_fifty_digit_error_relative_to_the_arc(t,
                                                                     k_max):
-    # the rounding part is 3 gamma times the circle kernel and the terms,
-    # all nonnegative, with no floor at 1: at t = 0.01, x = 0.1, y = 0.9 the
-    # bound is 9.7e-20 against an error of 1.0e-21 and an arc kernel of
-    # 3.2e-7, where the floor made it 2.7e-13
+    # the rounding part weights every image of the circle and of each close
+    # by its own term, with no floor at 1: at t = 0.01, x = 0.1, y = 0.9 the
+    # bound is 1.9e-20 against an error of 1.0e-21 and an arc kernel of
+    # 3.2e-7, where a floor at 1 made it 2.7e-13
     for x, y in ((0.1, 0.9), (0.3, 0.7), (0.5, 0.5)):
         value, bound = h.cut_circle_to_arc(2.0, (0.0, 1.0), x, y, t, k_max)
         want = exact_interval(1.0, x, y, t)
         assert abs(value - want) <= bound < 1e-9 * want, (x, y)
+
+
+@pytest.mark.parametrize("k_max", [16, 32, 64])
+def test_cut_bound_is_rounding_level_at_a_deep_order(k_max):
+    # L = 1.53 and t = 0.78 leave a slow series: the tail is negligible
+    # from order 16, and the rounding part weights each image by its own
+    # term, 1.9e-13 to 3.0e-13, where one uniform gamma for every term
+    # made it 6.7e-12 to 1.9e-11
+    value, bound = h.cut_circle_to_arc(1.53, (0.0, 0.6), 0.2, 0.4, 0.78, k_max)
+    assert abs(value - exact_interval(0.6, 0.2, 0.4, 0.78)) <= bound <= 1e-12
 
 
 def test_arc_coordinates_measure_along_the_arc_of_both_points():

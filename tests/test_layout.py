@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 import heatglue
-from heatglue import graph_heat
+from heatglue import graph_heat, heat1d
 
 SRC = pathlib.Path(heatglue.__file__).resolve().parent
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -164,6 +164,48 @@ def test_no_route_takes_the_reference_of_its_check():
     # reference takes the residual
     assert [(stem, name) for stem, name, params in exported_signatures()
             if "reference" in params] == []
+
+
+def test_a_circle_cut_request_evaluates_the_circle_kernel_once(monkeypatch,
+                                                              tmp_path):
+    # the cut evaluates the circle's images itself, so the kernel is taken
+    # once, for the a-priori check of the command line
+    calls = []
+    k_circle = heat1d.k_circle
+
+    def counted(*args):
+        calls.append(args)
+        return k_circle(*args)
+
+    monkeypatch.setattr(heat1d, "k_circle", counted)
+    path = tmp_path / "cut.json"
+    path.write_text('[{"kind": "circle-cut", "L": 2.0, "cuts": [0, 1], '
+                    '"x": 0.3, "y": 0.7, "t": 0.4, "kmax": 4}]')
+    from heatglue import cli
+
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", "--input", str(path)])
+    assert exit_.value.code == 0
+    assert len(calls) == 1
+
+
+def test_one_rounding_rule_and_one_a_priori_rule():
+    # an image sum is evaluated only at one time, with its rounding bound;
+    # the cut does not take the circle kernel, and only heat1d raises on a
+    # vacuous 1d certificate
+    trees = dict(modules())
+    image_sum = next(n for n in trees["heat1d"].body
+                     if getattr(n, "name", None) == "_ImageSum")
+    assert "__call__" not in {f.name for f in image_sum.body
+                              if isinstance(f, ast.FunctionDef)}
+    cut = next(n for n in trees["heat1d"].body
+               if getattr(n, "name", None) == "cut_circle_to_arc")
+    assert "k_circle" not in {n.id for n in ast.walk(cut)
+                              if isinstance(n, ast.Name)}
+    assert [n for n in ast.walk(trees["cli"]) if isinstance(n, ast.Call)
+            and getattr(n.func, "attr", None) == "TruncationError"] == []
 
 
 def test_values_and_bound_of_the_series_are_one_walk(monkeypatch):
