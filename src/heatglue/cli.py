@@ -427,10 +427,7 @@ def run_ray_glue(x: float, y: float, t: float, tol: float,
 
     def run():
         value, bound = heat1d.glue_rays(x, y, t)
-        ref = reference
-        if ref is None:
-            ref = math.exp(-(x + y) ** 2 / (4.0 * t)) \
-                / math.sqrt(4.0 * math.pi * t)
+        ref = heat1d.k_line(x, -y, t) if reference is None else reference
         return [Reports(case, "ray", inputs, value, ref, bound)]
 
     return _guarded(case, "ray", inputs, run)

@@ -14,7 +14,8 @@ direct kernel that checks a gluing or cutting route (:func:`glue_direct`,
 One cut rule for every 1d series: an image sum keeps each family's images
 within _reach(t) of its nearest one, a mode sum its modes with
 q k^2 <= q + 50, so a term left out is below e^-50 of the largest, and the
-rest is bounded in closed form.  One term budget, _MAX_IMAGES, for every
+rest is bounded in closed form.  One lattice builder, _lattice, gives every
+image family its kept n, and one term budget, _MAX_IMAGES, holds for every
 sum and composition: past it, TruncationError before any array is formed.
 One rounding rule for every route that returns a bound: its Gaussian sums
 are evaluated at t by _ImageSum.at and added by math.fsum; and one rule,
@@ -134,6 +135,23 @@ def _check_terms(count: float, label: str) -> None:
                               f"budget of {_MAX_IMAGES}", math.inf)
 
 
+def _lattice(families: Sequence[tuple], label: str) -> list[np.ndarray]:
+    """The integers n that each family keeps, one array per family, the one
+    count of the 1d image sums: (offset, period, cut) keeps the n with
+    |offset + n period| <= cut, (offset, period, cut, first) those from
+    first on, as many at any offset.  TruncationError, before any array is
+    formed, when the families keep more than _MAX_IMAGES in all."""
+    spans, count = [], 0.0
+    for offset, period, cut, *first in families:
+        # floor by // 1, which keeps a span without end a float, inf or nan
+        lo = max([-((cut + offset) / period // 1), *first])
+        hi = (cut - offset) / period // 1
+        spans.append((lo, hi))
+        count += max(hi - lo + 1.0, 0.0)
+    _check_terms(count, label)
+    return [np.arange(lo, hi + 1.0) for lo, hi in spans]
+
+
 def _side_tail(a: float, period: float, t: float) -> float:
     """Bound on sum_(k >= 0) exp(-(a + k period)^2/4t), a >= 0, falling in
     a: (a + k period)^2 >= a^2 + k (2 a period + period^2)."""
@@ -147,27 +165,21 @@ def _images(t: float, period: float, families: Sequence[tuple[float, float]],
     over the families (offset, sign) of one lattice: (value, bound on the
     images left out).
 
-    Each family keeps its images within _reach(t) of its nearest one, so
-    an image left out is below e^-50 times the largest of its family and
-    the cut is relative, however small the sum; each side left out adds
-    at most :func:`_side_tail` of its first image.  TruncationError,
-    before any array is formed, when the families would keep more than
-    _MAX_IMAGES images.
+    Each family keeps its images within _reach(t) of its nearest one
+    (:func:`_lattice`), so an image left out is below e^-50 times the
+    largest of its family and the cut is relative, however small the sum;
+    each side left out adds at most :func:`_side_tail` of its first image.
     """
     reach = _reach(t)
-    spans = []
-    for offset, sign in families:
-        near = abs(offset - period * round(offset / period))
-        spans.append((offset, sign, (-near - reach - offset) / period,
-                      (near + reach - offset) / period))
-    # each span holds at most hi - lo + 1 integers
-    _check_terms(sum(hi - lo + 1.0 for _, _, lo, hi in spans), label)
+    ns = _lattice([(offset, period,
+                    abs(offset - period * round(offset / period)) + reach)
+                   for offset, _ in families], label)
     value = bound = 0.0
-    for offset, sign, lo, hi in spans:
-        lo, hi = math.ceil(lo), math.floor(hi)
-        d = offset + np.arange(lo, hi + 1) * period
+    for (offset, sign), n in zip(families, ns):
+        d = offset + n * period
         value += sign * float(np.exp(-np.square(d) / (4.0 * t)).sum())
-        for a in (offset + (hi + 1) * period, -(offset + (lo - 1) * period)):
+        for a in (offset + (n[-1] + 1) * period,
+                  -(offset + (n[0] - 1) * period)):
             bound += _side_tail(a, period, t)
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
     return pref * value, pref * bound
@@ -178,16 +190,14 @@ def _modes(q: float, amplitudes: Callable[[np.ndarray], np.ndarray],
     """scale sum_(k >= 1) amplitudes(k) exp(-q k^2), each amplitude at most
     1 in modulus: (value, bound on the modes left out).
 
-    The sum keeps the K modes with q k^2 <= q + 50, so a mode left out is
-    below e^-50 times the first.  (K + 1 + j)^2 >= (K + 1)^2 + j (2K + 3),
-    so the modes left out add at most
-    scale exp(-q (K + 1)^2) / (1 - exp(-q (2K + 3))).  TruncationError,
-    before any array is formed, when K is past _MAX_IMAGES.
+    The sum keeps the K modes with q k^2 <= q + 50 (:func:`_lattice`),
+    so a mode left out is below e^-50 times the first.
+    (K + 1 + j)^2 >= (K + 1)^2 + j (2K + 3), so the modes left out add at
+    most scale exp(-q (K + 1)^2) / (1 - exp(-q (2K + 3))).
     """
-    root = math.sqrt(1.0 + 50.0 / q) if q else math.inf
-    K = math.floor(root) if root < math.inf else root
-    _check_terms(K, label)
-    ks = np.arange(1, K + 1)
+    (ks,) = _lattice([(0.0, 1.0, math.sqrt(1.0 + 50.0 / q) if q else math.inf,
+                       1)], label)
+    K = ks.size
     value = scale * float(np.sum(np.exp(-q * ks * ks) * amplitudes(ks)))
     return value, scale * math.exp(-q * (K + 1) ** 2) \
         / -math.expm1(-q * (2.0 * K + 3.0))
@@ -290,22 +300,21 @@ def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     a + 2kS (+) and b + 2kS (-), those of the second piece at a + 2kL2 (-)
     and b + 2kL2 (+).  The k = 0 images of the two kernels are the same and
     cancel exactly, so they are left out, and the difference is never
-    taken between two kernel values that agree to many digits.  The images
-    past _reach(t), each below e^-50 (4 pi t)^(-1/2), are left out too.
+    taken between two kernel values that agree to many digits.  Each
+    family keeps the shifts |2kL2| <= _reach(t) + 6 L2 (:func:`_lattice`):
+    its images within _reach(t) of its nearest one past k = 0, and more.
     Each b-image is formed from x + y and one shift, x + y + 2(k - 1) L2
     and (x + y) + (2kS - 2 L2), so the nearest one, x + y at k = 1, is
     exact and none loses x + y to rounding at the scale of 2 L2.  The
-    reference of both routes in ``heatglue interval glue``; TruncationError
-    when its images are past the term budget.
+    reference of both routes in ``heatglue interval glue``.
     """
     L1, L2, t = _positive(L1=L1, L2=L2, t=t)
     if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
         raise ValueError("x and y must lie in [0, L2]")
-    span = _reach(t) / (2.0 * L2)
-    # 2n shifts of four families, n <= span + 3
-    _check_terms(8.0 * (span + 3.0), "direct difference")
-    n = int(math.ceil(span)) + 2
-    k = np.concatenate([np.arange(-n, 0.0), np.arange(1.0, n + 1.0)])
+    # the four families, each counted, keep one range of shifts
+    k, *_ = _lattice([(0.0, 2.0 * L2, _reach(t) + 6.0 * L2)] * 4,
+                     "direct difference")
+    k = k[k != 0]
     shift = np.concatenate([2.0 * (L1 + L2) * k, 2.0 * L2 * k])
     mirror = np.concatenate([2.0 * (L1 + L2) * k - 2.0 * L2,
                              2.0 * L2 * (k - 1.0)])
@@ -315,62 +324,63 @@ def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
         / math.sqrt(4.0 * math.pi * t)
 
 
-def _flux_pair(L: float, x: float, y: float, K: int
+def _flux_pair(L: float, x: float, y: float, cut: float
                ) -> tuple[np.ndarray, np.ndarray]:
     """The flux pulse out of depth x composed with the one into depth y,
-    0 <= x, y <= L, in closed form: (distances, integer weights).
+    0 <= x, y <= L, in closed form, out to the cut distance: (distances,
+    integer weights), equal distances of different families not merged.
 
-    The pulse at a depth 0 < z <= L has the legs z + 2kL (+) and 2kL - z
-    (-), k = 0 .. K and 1 .. K; at z = 0 it is the delta at the junction,
-    one leg at 0.  Distances add under composition, so the pair is the
-    four families +-x +- y + 2mL, and the weight at m counts the (k1, k2)
-    of its family with k1 + k2 = m, m + 1, m, m and m - 1 below the cut:
-    no outer product of the legs is formed and nothing is sorted.  Equal
-    distances of different families are not merged.
+    The pulse at a depth 0 < z <= L has the legs z + 2kL (+), k >= 0, and
+    2kL - z (-), k >= 1; at z = 0 it is the delta at the junction, one leg
+    at 0.  Distances add under composition, so the pair is the families
+    +-x +- y + 2mL (:func:`_lattice`), m from the sum of the legs' first k,
+    each weighted by its splits k1 + k2 = m (one when a pulse is the delta),
+    all from legs within the cut, as no leg is negative.  No leg is formed.
     """
-    def legs(z: float) -> tuple:
-        # each family of legs: offset, sign, first k, last k
-        return ((0.0, 1.0, 0, 0),) if z == 0.0 else \
-            ((z, 1.0, 0, K), (-z, -1.0, 1, K))
+    if x == y == 0.0:
+        return np.zeros(1), np.ones(1)
+    # each family of legs: offset, sign, first k
+    legs = [((z, 1.0, 0), (-z, -1.0, 1)) if z else ((0.0, 1.0, 0),)
+            for z in (x, y)]
+    fams = [(ox + oy, sx * sy, kx + ky)
+            for ox, sx, kx in legs[0] for oy, sy, ky in legs[1]]
+    ms = _lattice([(off, 2.0 * L, cut, first) for off, _, first in fams],
+                  "flux pair")
+    off, sign, first = np.repeat(fams, [m.size for m in ms], axis=0).T
+    m = np.concatenate(ms)
+    return off + m * (2.0 * L), sign * (m - first + 1.0) if x and y else sign
 
-    fam = np.array([(ox + oy, sx * sy, lx, hx, ly, hy)
-                    for ox, sx, lx, hx in legs(x)
-                    for oy, sy, ly, hy in legs(y)]).T[:, :, None]
-    off, sign, lx, hx, ly, hy = fam
-    m = np.arange(hx.max() + hy.max() + 1.0)
-    count = np.minimum(hx, m - ly) - np.maximum(lx, m - hy) + 1.0
-    keep = count > 0.0
-    return (off + 2.0 * m * L)[keep], (sign * count)[keep]
 
+def _route_I(L1: float, L2: float, t: float,
+             depths: Sequence[tuple[float, float]]) -> list[float]:
+    """Route I at checked lengths and time, at each depth pair (x, y).
 
-def _route_I(L1: float, L2: float, t: float) -> Callable[[float, float], float]:
-    """Route I at checked lengths and time, as a function of the depths.
-
-    The junction sum, distance 0 (+1), 2nS (+2), 2(L1 + nS) (-1) and
-    2(nS - L1) (-1), and the cut K of the legs are built once, out to
-    _reach(t) + 2S; each depth pair then composes its flux pair
-    (:func:`_flux_pair`) with the junction sum as one bilinear form
-    w_pair . exp(-(d_i + m_j)^2/4t) . w_mid, within the image budget
-    (:func:`_check_images`).
+    The flux pairs (:func:`_flux_pair`) are built first, then the junction
+    sum once, the images of :func:`interface_two_intervals` folded onto
+    n >= 0: 0 (+1), 2nS (+2), 2(L1 + nS) (-1) and 2(nS - L1) (-1), n >= 1;
+    each pair composes with it, within the image budget, as one bilinear
+    form w_pair . exp(-(d_i + m_j)^2/4t) . w_mid (:func:`_check_images`).  Both
+    are cut at _reach(t) + 2 L2 (:func:`_lattice`), so every path within
+    _reach(t) of the nearest one, x + y <= 2 L2, is kept.
     """
-    S = L1 + L2
+    S, cut = L1 + L2, _reach(t) + 2.0 * L2
+    if not all(0.0 <= z <= L2 for depth in depths for z in depth):
+        raise ValueError("x and y must lie in [0, L2]")
+    pairs = [_flux_pair(L2, x, y, cut) for x, y in depths]
+    offsets = (0.0, 2.0 * L1, -2.0 * L1)
+    ns = _lattice([(offset, 2.0 * S, cut, first)
+                   for offset, first in zip(offsets, (0, 0, 1))],
+                  "junction sum")
+    mid_d = np.concatenate([o + n * (2.0 * S) for o, n in zip(offsets, ns)])
+    mid_w = np.repeat([1.0, 2.0, -1.0], [1, ns[0].size - 1,
+                                         ns[1].size + ns[2].size])
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
-    acut = _reach(t) + 2.0 * S
-    K = int(acut / (2.0 * L2)) + 2
-    n = np.arange(int(acut / (2.0 * S)) + 3.0)
-    mid_d = np.concatenate([2.0 * S * n, 2.0 * (L1 + n * S),
-                            2.0 * (n[1:] * S - L1)])
-    mid_w = np.repeat([1.0, 2.0, -1.0], [1, n.size - 1, 2 * n.size - 1])
-
-    def value(x: float, y: float) -> float:
-        if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
-            raise ValueError("x and y must lie in [0, L2]")
-        d, w = _flux_pair(L2, x, y, K)
+    values = []
+    for d, w in pairs:
         _check_images(d.size, mid_d.size)
         gauss = np.exp(np.square(np.add.outer(d, mid_d)) / (-4.0 * t))
-        return pref * float(w @ gauss @ mid_w)
-
-    return value
+        values.append(pref * float(w @ gauss @ mid_w))
+    return values
 
 
 def glue_intervals_I(L1: float, L2: float, x: float, y: float,
@@ -387,7 +397,7 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float,
     two-kernel difference :func:`glue_direct`.
     """
     L1, L2, t = _positive(L1=L1, L2=L2, t=t)
-    return _route_I(L1, L2, t)(x, y)
+    return _route_I(L1, L2, t, [(x, y)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +526,10 @@ _G0 = _ImageSum("g", [0.0], [1.0])  # the flat junction pulse
 
 def _echo_pulse(t_max: float, *lengths: float) -> _ImageSum:
     """Round trips across intervals of the given lengths: the pulses
-    h_2kL, k >= 1, of each length."""
+    h_2kL, k >= 1, of each length out to _reach(t_max) (:func:`_lattice`)."""
     reach = _reach(t_max)
-    d = np.concatenate([2.0 * L * np.arange(1.0, reach / (2.0 * L) + 1.0)
-                        for L in lengths])
+    ks = _lattice([(0.0, 2.0 * L, reach, 1) for L in lengths], "round trips")
+    d = np.concatenate([2.0 * L * k for L, k in zip(lengths, ks)])
     return _ImageSum("h", d, np.ones(d.size), reach)
 
 
@@ -578,17 +588,6 @@ def _log_round_trips(L1: float, L2: float, r: np.ndarray,
                           for L, log_gap in zip((L1, L2), log_gaps)))
 
 
-def _flux_pair_eval(L: float, x: float, y: float, t_max: float) -> _ImageSum:
-    """The flux pulse out of depth x convolved with the one into depth y,
-    out to _reach(t_max): :func:`_flux_pair`, its legs cut past the reach.
-    A depth of 0 is the delta at the junction, which leaves the other
-    pulse.
-    """
-    reach = _reach(t_max)
-    K = int(math.ceil((reach + L) / (2.0 * L))) + 2
-    return _ImageSum("h", *_flux_pair(L, x, y, K), reach)
-
-
 def _echo_tail(pair: _ImageSum | None, phi: _ImageSum, t: float,
                r: np.ndarray, log_lam: np.ndarray, n_max: int) -> float:
     """Bound on what the echo series at order n_max leaves out at t; pair
@@ -629,7 +628,7 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     trips phi = sum_k h_2kL1 + h_2kL2 (:func:`_echo_pulse`) with the flat
     junction pulse g_0 into one exact Gaussian sum, and the kept orders
     add, signed, into one Gaussian sum sum_n (-1)^n E_n.  The two flux
-    pulses compose into one signed sum (:func:`_flux_pair_eval`), and that
+    pulses compose into one signed sum (:func:`_flux_pair`), and that
     composed with the echo sum is the series at t, one Gaussian sum with
     no quadrature; at x = y = 0 the pair is the delta at the junction and
     the series is the echo sum itself.  Images past _reach(t) are dropped,
@@ -656,7 +655,9 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     label = f"echo series at order {n_max}"
     prior = k_line(x, y, t)
     # at x = y = 0 both pulses are the delta at the junction
-    pair = None if x == y == 0.0 else _flux_pair_eval(L2, x, y, t)
+    reach = _reach(t)
+    pair = None if x == y == 0.0 else \
+        _ImageSum("h", *_flux_pair(L2, x, y, reach), reach)
     phi = _echo_pulse(t, L1, L2)
     if pair is not None:
         _check_images(pair.d.size, 1 + phi.d.size * (n_max > 0))
@@ -718,12 +719,10 @@ def _ring(kind: str, L: float, delta: float, reach: float,
           skip_zero: bool = False) -> _ImageSum:
     """sum_n k_|delta + nL| over the images within reach: the circle kernel
     (kind g) or the first-passage pulses around the circle (kind h) at
-    offset delta.  skip_zero leaves out n = 0."""
-    n = int(math.ceil((reach + abs(delta)) / L)) + 1
-    ns = np.arange(-n, n + 1)
-    if skip_zero:
-        ns = ns[ns != 0]
-    return _ImageSum(kind, np.abs(delta + ns * L), np.ones(ns.size), reach)
+    offset delta, n from :func:`_lattice`; skip_zero leaves out n = 0."""
+    (n,) = _lattice([(delta, L, reach)], "circle ring")
+    n = n[n != 0] if skip_zero else n
+    return _ImageSum(kind, np.abs(delta + n * L), np.ones(n.size), reach)
 
 
 def _log_ring_transform(L: float, delta: float, r: np.ndarray,
@@ -922,15 +921,14 @@ def cylinder_factorization_check(L1: float, L2: float, circle_L: float,
     """
     L1, L2, circle_L, t = _positive(L1=L1, L2=L2, circle_L=circle_L, t=t)
     S = L1 + L2
-    route = _route_I(L1, L2, t)
+    glued = _route_I(L1, L2, t, [(xx, yy) for xx, yy, _, _ in points])
     joints = _cylinder_joint(S, circle_L, [(L1 + xx, L1 + yy, g1, g2)
                                            for xx, yy, g1, g2 in points], t)
     worst = 0.0
-    for (xx, yy, g1, g2), joint in zip(points, joints):
+    for (xx, yy, g1, g2), joint, glue_val in zip(points, joints, glued):
         ki, _ = k_interval(S, L1 + xx, L1 + yy, t)
         kc, _ = k_circle(circle_L, g1, g2, t)
         worst = max(worst, abs(joint - ki * kc))
-        glue_val = route(xx, yy)
         part, _ = k_interval(L2, xx, yy, t)
         worst = max(worst, abs((glue_val + part) * kc - ki * kc))
     return worst

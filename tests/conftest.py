@@ -4,15 +4,22 @@ These are deliberately independent of the package internals: convolutions are
 done with fixed-order Gauss-Legendre quadrature and matrix exponentials with a
 scaling-and-squaring Taylor sum, so they can serve as oracles for the exact
 algebra and the graph kernels.  The dense walk takes only the number of
-Taylor orders from the package, so that it sums the same terms.
+Taylor orders from the package, so that it sums the same terms.  The
+subprocess runner starts a fresh interpreter on this checkout's package,
+under an address-space limit where a test asks for one.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
+import heatglue
 from heatglue.expmix import ExpMix, evaluate
 from heatglue.graph_heat import _poisson_order
 
@@ -86,3 +93,18 @@ def dense_walk(step, advance, start, layers, theta, t):
     log_mag = (order - 1) * (abs(log_lam) + 1.0) + math.lgamma(order) + lam
     gamma = 2.0**-53 * (order * (n + 5) + layers + 2 + 8.0 * log_mag)
     return acc.reshape(layers, m, n), gamma
+
+
+def fresh_python(code, *args, limit_kb=None, **kwargs):
+    """``python -c code args`` in a fresh interpreter with this checkout's
+    package first on the path and one BLAS thread, under an address-space
+    limit of limit_kb KiB (``ulimit -v``) when one is given: the result of
+    subprocess.run, to which kwargs are passed."""
+    src = str(pathlib.Path(heatglue.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    command = [sys.executable, "-c", code, *args]
+    if limit_kb is not None:
+        command = ["bash", "-c", f'ulimit -v {limit_kb} && exec "$@"', "bash",
+                   *command]
+    return subprocess.run(command, env=env, timeout=120, **kwargs)

@@ -11,7 +11,6 @@ import os
 import pathlib
 import shlex
 import subprocess
-import sys
 import time
 from collections import Counter
 from typing import NamedTuple
@@ -22,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatglue.cli
+from conftest import fresh_python
 from heatglue import graph_heat, symlin
 from heatglue.cli import Axis, InputError, Reports, main
 from heatglue.expmix import ConfluentOverflowError
@@ -777,14 +777,6 @@ def test_the_program_name_names_usage_and_help():
         "usage: heatglue ray glue")
 
 
-def fresh_python(code, *args, **kwargs):
-    src = str(pathlib.Path(heatglue.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          timeout=60, **kwargs)
-
-
 def test_the_command_line_imports_no_click():
     done = fresh_python("import sys, heatglue.cli; "
                         "print('click' in sys.modules)",
@@ -802,6 +794,29 @@ def test_a_closed_stdout_exits_one_quietly():
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("formula", ["I", "II"])
+def test_an_interval_glue_past_the_budget_is_an_error_report(tmp_path,
+                                                             formula):
+    # at L2 = 0.01 and t = 1e10 the flux pair holds 2.8e8 images: it is
+    # refused before any array is formed, so under a 1.5 GB address-space
+    # limit a case with a given reference, which skips glue_direct, is one
+    # error report, not a MemoryError traceback
+    case = {"id": f"ig-{formula}", "kind": "interval-glue",
+            "formula": formula, "L1": 1.0, "L2": 0.01, "x": 0.005,
+            "y": 0.005, "t": 1e10, "reference": 0.0, "tol": 1e-8,
+            **({"nmax": 6} if formula == "II" else {})}
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps({"cases": [case]}))
+    done = fresh_python("from heatglue.cli import main; main()", "verify",
+                        "--input", str(path), limit_kb=1500000,
+                        capture_output=True, text=True)
+    assert done.returncode == 3, done.stderr
+    (report,) = json_lines(done.stdout)
+    assert (report["case"], report["status"]) == (case["id"], "error")
+    assert report["message"].startswith("TruncationError: flux pair: ")
+    assert "Traceback" not in done.stderr
 
 
 # ---------------------------------------------------------------------------

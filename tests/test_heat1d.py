@@ -1,10 +1,6 @@
 """Tests for the 1D heat kernels and the gluing and cutting checks."""
 
 import math
-import os
-import pathlib
-import subprocess
-import sys
 import time
 
 import mpmath as mp
@@ -14,6 +10,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_python
 from heatglue import heat1d as h
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
@@ -316,6 +313,43 @@ def test_the_term_budget_counts_the_modes_a_sum_keeps(monkeypatch):
     monkeypatch.setattr(h, "_MAX_IMAGES", kept - 1)
     with pytest.raises(h.TruncationError, match="past the budget"):
         h.k_interval(1.0, 0.3, 0.7, 0.01, "spectral")
+    # the images within _reach(t) = 10 of each family's nearest one at
+    # t = 0.5, x - y = -0.4 and x + y = 1 on the lattice 2L, 11 + 12 of them
+    ns = range(-50, 51)
+    kept = sum(1 for offset in (-0.4, 1.0) for n in ns
+               if abs(offset + 2.0 * n) <= 10.0 + min(abs(offset + 2.0 * k)
+                                                      for k in ns))
+    assert kept == 23
+    monkeypatch.setattr(h, "_MAX_IMAGES", kept)
+    h.k_interval(1.0, 0.3, 0.7, 0.5, "images")
+    monkeypatch.setattr(h, "_MAX_IMAGES", kept - 1)
+    with pytest.raises(h.TruncationError, match="past the budget"):
+        h.k_interval(1.0, 0.3, 0.7, 0.5, "images")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.05, 20.0), st.floats(-0.5, 0.5), st.integers(-10**6, 10**6),
+       st.floats(0.0, 20.0), st.none() | st.integers(-25, 25))
+def test_lattice_keeps_the_integers_an_enumeration_keeps(period, frac, turns,
+                                                         periods, first):
+    # the n with |offset + n period| <= cut, from first on: at an offset of
+    # up to 1e6 periods, all of them, and no other, save the images that
+    # lie within rounding of the cut
+    offset, cut = (frac + turns) * period, periods * period
+    family = (offset, period, cut) + (() if first is None else (first,))
+    (got,) = h._lattice([family], "lattice")
+    near = -round(offset / period)
+    slack = 8.0 * 2.0**-53 * (abs(offset) + cut + period)
+    kept, left = set(), set()
+    for n in range(near - 25, near + 26):
+        d = abs(offset + n * period)
+        if (first is not None and n < first) or d > cut + slack:
+            left.add(n)
+        elif d <= cut - slack:
+            kept.add(n)
+    got = got.tolist()
+    assert all(b == a + 1 for a, b in zip(got, got[1:]))
+    assert kept <= set(got) and not left & set(got)
 
 
 U = 2.0**-53
@@ -618,10 +652,12 @@ def test_glue_intervals_domain_validation():
 
 
 def test_reflection_sum_is_the_route_I_value():
+    # several depth pairs on one junction sum, each as on its own
     for L1, L2, x, y, t in [(1.0, 1.3, 0.3, 0.9, 0.5), (0.6, 2.0, 0.0, 1.7, 2.0),
                             (2.0, 0.4, 0.4, 0.1, 0.01)]:
-        value = h._route_I(L1, L2, t)(x, y)
-        assert value == h.glue_intervals_I(L1, L2, x, y, t)
+        values = h._route_I(L1, L2, t, [(x, y), (y, x), (0.0, 0.0)])
+        assert values == [h.glue_intervals_I(L1, L2, *depths, t)
+                          for depths in ((x, y), (y, x), (0.0, 0.0))]
 
 
 def reflection_legs(z, L, K):
@@ -631,6 +667,12 @@ def reflection_legs(z, L, K):
         return np.array([0.0]), np.array([1.0])
     vals = z + 2.0 * np.arange(-K, K + 1) * L
     return np.abs(vals), np.sign(vals)
+
+
+def flux_pair(L, x, y, t_max):
+    """The flux pair out to _reach(t_max), as route II takes it."""
+    reach = h._reach(t_max)
+    return h._ImageSum("h", *h._flux_pair(L, x, y, reach), reach)
 
 
 def merged_pair(L, x, y, Kx, Ky, reach=math.inf):
@@ -656,22 +698,17 @@ def dyadic_depths():
 
 
 def test_closed_form_pair_is_the_merged_outer_sum():
-    # the same distances and integer weights, under route I's cut of K
-    # legs a side and under route II's reach
+    # the same distances and integer weights as the merged outer sum of
+    # the legs, cut at a distance: at dyadic cuts, where images lie on the
+    # cut, and at route II's reach; legs past the cut are never needed
     for L, x, y in dyadic_depths():
-        for K in (2, 5):
-            want_d, want_w = merged_pair(L, x, y, K, K)
-            got = h._ImageSum("h", *h._flux_pair(L, x, y, K))
-            assert got.d.tobytes() == want_d.tobytes(), (L, x, y, K)
-            assert got.w.tobytes() == want_w.tobytes(), (L, x, y, K)
-        for t in (0.05, 0.7, 2.0):
-            reach = h._reach(t)
-            Kx, Ky = (int(math.ceil((reach + z) / (2.0 * L))) + 2
-                      for z in (x, y))
-            want_d, want_w = merged_pair(L, x, y, Kx, Ky, reach)
-            got = h._flux_pair_eval(L, x, y, t)
-            assert got.d.tobytes() == want_d.tobytes(), (L, x, y, t)
-            assert got.w.tobytes() == want_w.tobytes(), (L, x, y, t)
+        for cut in (3.0 * L, 5.5 * L,
+                    *(h._reach(t) for t in (0.05, 0.7, 2.0))):
+            K = int(cut / (2.0 * L)) + 2
+            want_d, want_w = merged_pair(L, x, y, K, K, cut)
+            got = h._ImageSum("h", *h._flux_pair(L, x, y, cut))
+            assert got.d.tobytes() == want_d.tobytes(), (L, x, y, cut)
+            assert got.w.tobytes() == want_w.tobytes(), (L, x, y, cut)
 
 
 def einsum_route_I(L1, L2, x, y, t, eps_abs=1e-12):
@@ -763,8 +800,8 @@ def test_echo_series_bound_covers_its_residual_on_the_gate_08_sweep():
                                    (0.7, 0.1, 0.7)])
 def test_flux_pair_is_the_convolution_of_its_two_pulses(L, x, y):
     taus = np.array([0.05, 0.2, 0.7, 2.0])
-    got = at_times(h._flux_pair_eval(L, x, y, 2.0), taus)
-    pulses = [h._flux_pair_eval(L, z, 0.0, 2.0) for z in (x, y)]
+    got = at_times(flux_pair(L, x, y, 2.0), taus)
+    pulses = [flux_pair(L, z, 0.0, 2.0) for z in (x, y)]
     want = [convolution(*pulses, tau, 1e-13)[0] for tau in taus]
     assert np.all(np.abs(got - want) <= 1e-12)
 
@@ -774,9 +811,9 @@ def test_flux_pair_at_the_junction_is_the_other_pulse(L, z):
     taus = np.array([0.02, 0.05, 0.2, 0.7, 2.0])
     ref = np.array([flux_reference(L, z, t) for t in taus])
     for x, y in ((0.0, z), (z, 0.0)):
-        got = at_times(h._flux_pair_eval(L, x, y, 2.0), taus)
+        got = at_times(flux_pair(L, x, y, 2.0), taus)
         assert np.all(np.abs(got - ref) <= 1e-12)
-    delta = h._flux_pair_eval(L, 0.0, 0.0, 2.0)  # both at the junction
+    delta = flux_pair(L, 0.0, 0.0, 2.0)  # both at the junction
     assert delta.d.tolist() == [0.0] and delta.w.tolist() == [1.0]
 
 
@@ -823,10 +860,10 @@ def test_echo_tail_covers_the_dropped_orders_summed_exactly(L1, L2):
             L1, L2, r, [h._log_gap(2.0 * L, r) for L in (L1, L2)])
         for x, y in [(x, y) for x in zs for y in zs] + [(0.0, 0.0)]:
             junction = x == y == 0.0
-            wide = None if junction else h._flux_pair_eval(L2, x, y, 4.0 * t)
+            wide = None if junction else flux_pair(L2, x, y, 4.0 * t)
             terms = [abs(float(at_times(c if junction else wide.compose(c),
                                         t)[0])) for c in chains]
-            pair = None if junction else h._flux_pair_eval(L2, x, y, t)
+            pair = None if junction else flux_pair(L2, x, y, t)
             for n_max in (0, 2, 4, 6, 8):
                 tail = h._echo_tail(pair, phi, t, r, log_lam, n_max)
                 assert math.fsum(terms[n_max + 1:]) <= tail, (x, y, t, n_max)
@@ -882,7 +919,7 @@ def test_echo_terms_match_the_exact_composition_on_the_gate_08_cases():
             total = signed_echo_sum(L1, L2, t, 6)
             for x in zs:
                 for y in zs:
-                    pair = h._flux_pair_eval(L2, x, y, t)
+                    pair = flux_pair(L2, x, y, t)
                     exact, _ = pair.compose(total).at(t, 0.0)
                     value, est = convolution(total, pair, t, 3e-9)
                     assert abs(value - exact) <= est + 1e-14, (L1, L2, x, y, t)
@@ -899,7 +936,7 @@ def test_echo_series_is_one_image_sum(n_max):
     for L1, L2, x, y, t in cases:
         total = signed_echo_sum(L1, L2, t, n_max)
         if x or y:
-            total = h._flux_pair_eval(L2, x, y, t).compose(total)
+            total = flux_pair(L2, x, y, t).compose(total)
         value, _ = h.glue_intervals_II(L1, L2, x, y, t, n_max)
         assert value == total.at(t, 0.0)[0]
 
@@ -922,7 +959,9 @@ GUARD_SCRIPT = """
 import time
 from heatglue import heat1d as h
 for call in (lambda: h.glue_intervals_II(0.05, 0.07, 0.03, 0.04, 1000.0, 6),
-             lambda: h.cut_circle_to_arc(0.3, (0.0, 0.1), 0.03, 0.07, 1000.0, 6)):
+             lambda: h.cut_circle_to_arc(0.3, (0.0, 0.1), 0.03, 0.07, 1000.0, 6),
+             lambda: h.glue_intervals_I(1.0, 0.01, 0.005, 0.005, 1e10),
+             lambda: h.glue_intervals_II(1.0, 0.01, 0.005, 0.005, 1e10, 6)):
     start = time.perf_counter()
     try:
         call()
@@ -931,20 +970,20 @@ for call in (lambda: h.glue_intervals_II(0.05, 0.07, 0.03, 0.04, 1000.0, 6),
     else:
         raise AssertionError("no TruncationError")
     assert time.perf_counter() - start < 2.0
+start = time.perf_counter()
+h.cut_circle_to_arc(1.0, (0, 0.5), 0.2 + 1e8, 0.3, 0.1, 4)
+assert time.perf_counter() - start < 2.0
 """
 
 
 def test_image_count_guard_raises_before_allocating():
     # the image counts grow like (reach/L)^2 with reach = sqrt(200 t), so
-    # these two would compose tens of millions of images; under a 2 GB
-    # address-space limit they must raise TruncationError, not MemoryError
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [str(pathlib.Path(h.__file__).resolve().parents[1])]
-        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    run = subprocess.run(
-        ["bash", "-c", 'ulimit -v 2000000 && exec "$0" -c "$1"',
-         sys.executable, GUARD_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=120)
+    # the first two would compose tens of millions of images; the flux
+    # pairs at L2 = 0.01, t = 1e10 hold 2.8e8, and a ring 1e8 turns from
+    # the origin keeps only the images near x.  Under a 2 GB address-space
+    # limit each must raise TruncationError or return, not MemoryError
+    run = fresh_python(GUARD_SCRIPT, limit_kb=2000000, capture_output=True,
+                       text=True)
     assert run.returncode == 0, run.stderr
 
 
@@ -1043,7 +1082,7 @@ def test_flux_pulse_image_sum_matches_a_per_image_loop(L, z):
     # the signed images cancel once tau passes about L^2/4
     taus = np.concatenate([L * L * np.geomspace(0.02, 0.15, 41), [0.0, -0.3]])
     # y = 0: the pulse at z alone
-    got = at_times(h._flux_pair_eval(L, z, 0.0, float(taus.max())), taus)
+    got = at_times(flux_pair(L, z, 0.0, float(taus.max())), taus)
     ref = [flux_reference(L, z, t) for t in taus[:-2]]
     assert np.allclose(got[:-2], ref, rtol=1e-14, atol=0.0)
     assert np.all(got[-2:] == 0.0)
