@@ -38,7 +38,7 @@ from heatglue.expmix import (
     laplace_basis,
     rate_universe,
 )
-from heatglue.heat1d import TruncationError
+from heatglue.heat1d import below_prior
 
 __all__ = [
     "Graph",
@@ -715,15 +715,17 @@ class SeriesKernel:
     the truncated kernel (every dropped piece is nonnegative and the exact
     kernel is stochastic) plus a rounding allowance.  An entry of the
     exact kernel lies in [0, 1], so a bound of 1 or more proves nothing,
-    and it raises :class:`~heatglue.heat1d.TruncationError` on it.  Each
-    call runs one :func:`uniformized_walk` with theta the largest valency
-    (at least 1), whose layers are the terms of the series; past 65536
-    Taylor orders the rest is left out and shows in the bound.  The walk
-    sums its Taylor orders by Horner in blocks of 8, and its gamma counts
-    the roundings of that order: about q + 2 per order for the step, q the
-    most nonzeros in a column of the shifted Laplacian, and up to
-    (9 n + 1)/8 more for the block products; the rounding part of the
-    bound is 3 gamma times the largest row sum (at least 1).
+    and it raises :class:`~heatglue.heat1d.TruncationError` on it by
+    :func:`~heatglue.heat1d.below_prior`, the one a-priori rule of the
+    package.  Each call runs one :func:`uniformized_walk` with theta the
+    largest valency (at least 1), whose layers are the terms of the
+    series; past 65536 Taylor orders the rest is left out and shows in
+    the bound.  The walk sums its Taylor orders by Horner in blocks of 8,
+    and its gamma counts the roundings of that order: about q + 2 per
+    order for the step, q the most nonzeros in a column of the shifted
+    Laplacian, and up to (9 n + 1)/8 more for the block products; the
+    rounding part of the bound is 3 gamma times the largest row sum (at
+    least 1).
     """
 
     def __init__(self, d: Decomposition, k_max: int, labels: Sequence):
@@ -763,11 +765,8 @@ class SeriesKernel:
         vals, gamma = self._rows_at(_check_t(t))
         sums = [math.fsum(row) for row in vals.tolist()]
         bound = max(1.0 - s for s in sums) + 3.0 * gamma * max(1.0, max(sums))
-        if not bound < 1.0:
-            raise TruncationError(
-                f"series at order {self._k_max}: bound {bound:.15g} is not below "
-                f"the a-priori bound 1 of a heat kernel entry", bound)
-        return vals[:, self._start], bound
+        return vals[:, self._start], below_prior(
+            bound, 1.0, f"series at order {self._k_max}")
 
 
 def interface_kernel_series(d: Decomposition, k_max: int) -> SeriesKernel:

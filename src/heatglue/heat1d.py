@@ -612,9 +612,10 @@ def _echo_tail(pair: _ImageSum | None, phi: _ImageSum, t: float,
 def below_prior(bound: float, prior: float, label: str) -> float:
     """bound, unless it is positive and not below the a-priori bound prior
     of the quantity: a certificate that allows every possible value
-    raises TruncationError instead: the one such rule of the 1d routes."""
+    raises TruncationError instead: the one such rule of the package,
+    the graph series included."""
     if not (bound < prior or bound == 0.0):
-        raise TruncationError(f"{label}: bound {bound:g} is not below the "
+        raise TruncationError(f"{label}: bound {bound:.15g} is not below the "
                               f"a-priori bound {prior:g}", bound)
     return bound
 

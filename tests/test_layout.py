@@ -7,6 +7,7 @@ import ast
 import contextlib
 import inspect
 import io
+import json
 import pathlib
 
 import pytest
@@ -119,27 +120,82 @@ def imported_modules(tree):
             yield f"heatglue.{module}".rstrip(".") if node.level else module
 
 
+def named(tree):
+    """Every name a module reads, defines, imports or takes as an
+    attribute."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.ClassDef)):
+            yield n.name
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            yield from (a.asname or a.name for a in n.names)
+
+
 def test_the_1d_kernels_use_no_quadrature():
-    # route II and the rays are exact image-sum compositions: the 1d
-    # module neither imports the quadrature module nor calls its levels
-    tree = dict(modules())["heat1d"]
-    assert "heatglue.quadsim" not in set(imported_modules(tree))
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    assert not names & {"quadsim", "conv_n", "inverse_pow_gaussian", "TimeFactor"}
+    # route II and the rays are exact image-sum compositions, and no route
+    # of the package convolves numerically: quadsim keeps only the two
+    # names the benchmark tracer hooks, and only cli imports it
+    trees = dict(modules())
+    stub = trees["quadsim"]
+    assert exported(stub) == {"ConvergenceError", "TimeFactor"}
+    assert set(defined_names(stub)) - {"annotations", "__all__"} == {
+        "ConvergenceError", "TimeFactor"}
+    assert [stem for stem, tree in trees.items()
+            if "heatglue.quadsim" in set(imported_modules(tree))] == ["cli"]
+    for stem, tree in trees.items():
+        assert not set(named(tree)) & {"conv_n", "adaptive",
+                                       "inverse_pow_gaussian"}, stem
+    assert not set(named(trees["heat1d"])) & {"quadsim", "TimeFactor"}
+
+
+TRACED_VERIFY = """
+import contextlib, importlib.util, io, json, sys
+sys.dont_write_bytecode = True
+import heatglue.cli
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+rec = tracer.Recorder()
+tracer.instrument(rec, {n: m for n, m in sys.modules.items()
+                        if n.startswith("heatglue.")})
+main = rec.wrap(heatglue.cli.main, "cli.main")
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        main(["verify", "--input", "intervals", "--seed", "0"],
+             standalone_mode=False)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+reports = len(out.getvalue().splitlines())
+print(json.dumps([code, tracer.layer_metrics(rec, reports)]))
+"""
+
+
+def test_the_benchmark_tracer_still_installs():
+    # perfbench/tracer.py reads modules["heatglue.quadsim"] and hooks its
+    # TimeFactor; a traced run fails with KeyError if the stub goes first
+    from conftest import fresh_python
+
+    tracer = SRC.parents[1] / "perfbench" / "tracer.py"
+    done = fresh_python(TRACED_VERIFY, str(tracer), capture_output=True,
+                        text=True, check=True)
+    code, metrics = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert metrics["quadsim.conv_n.calls"] == 0
+    assert metrics["cli.reports"] > 0
 
 
 def test_the_cli_builds_no_coefficient_tensor():
     # every graph report needs values at one t, which the assembled gluing
     # and the references give from eigendecompositions: the command line
     # neither imports nor names the coefficient-tensor routes
-    tree = dict(modules())["cli"]
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    names |= {a.asname or a.name for n in ast.walk(tree)
-              if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert not names & {"glue_I", "KernelMatrix", "heat_kernel",
-                        "evaluate_basis"}
+    assert not set(named(dict(modules())["cli"])) & {
+        "glue_I", "KernelMatrix", "heat_kernel", "evaluate_basis"}
 
 
 def exported_signatures():
@@ -194,7 +250,7 @@ def test_a_circle_cut_request_evaluates_the_circle_kernel_once(monkeypatch,
 def test_one_rounding_rule_and_one_a_priori_rule():
     # an image sum is evaluated only at one time, with its rounding bound;
     # the cut does not take the circle kernel, and only heat1d raises on a
-    # vacuous 1d certificate
+    # vacuous certificate, the graph series' included
     trees = dict(modules())
     image_sum = next(n for n in trees["heat1d"].body
                      if getattr(n, "name", None) == "_ImageSum")
@@ -204,8 +260,10 @@ def test_one_rounding_rule_and_one_a_priori_rule():
                if getattr(n, "name", None) == "cut_circle_to_arc")
     assert "k_circle" not in {n.id for n in ast.walk(cut)
                               if isinstance(n, ast.Name)}
-    assert [n for n in ast.walk(trees["cli"]) if isinstance(n, ast.Call)
-            and getattr(n.func, "attr", None) == "TruncationError"] == []
+    for stem in ("cli", "graph_heat"):
+        assert [n for n in ast.walk(trees[stem]) if isinstance(n, ast.Call)
+                and "TruncationError" in (getattr(n.func, "attr", None),
+                                          getattr(n.func, "id", None))] == []
 
 
 def test_values_and_bound_of_the_series_are_one_walk(monkeypatch):
