@@ -1,7 +1,3 @@
 """heatglue: heat kernels on glued graphs and 1d domains, exactly where possible."""
 
-from heatglue.expmix import ExpMix, ExpTerm, convolve, simplex_convolve
-
 __version__ = "0.1.0"
-
-__all__ = ["ExpMix", "ExpTerm", "convolve", "simplex_convolve", "__version__"]

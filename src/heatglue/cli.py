@@ -9,7 +9,14 @@ the report alone: pass exactly when residual <= max(tolerance, bound).
 
 Output is JSON lines by default, CSV with ``--format csv``.  Exit codes:
 0 all cases pass, 1 at least one tolerance failure, 2 unusable input,
-3 an internal numerical failure (reported with status "error").
+3 an internal numerical failure (reported with status "error"): one of
+the typed failures of :mod:`heatglue.errors`, or a floating-point overflow.
+
+The route modules (``expmix``, ``graph_heat``, ``heat1d``, ``path_sum``)
+are loaded on first use: each is registered at import and runs on its
+first attribute access, so a command runs only the modules its cases
+call.  No thread runs in the package; the lazy loader of Python 3.11 is
+not safe for a first access from two threads at once.
 """
 
 from __future__ import annotations
@@ -18,12 +25,14 @@ import argparse
 import csv
 import errno
 import importlib.resources
+import importlib.util
 import itertools
 import json
 import math
 import os
 import pathlib
 import sys
+import types
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as escape
@@ -31,28 +40,36 @@ from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from heatglue import heat1d, symlin
-from heatglue.expmix import ConfluentOverflowError, evaluate, from_dict
-from heatglue.graph_heat import (
-    decomposition_from_dict,
-    glue_I_values,
-    glue_II,
-    graph_from_dict,
-    heat_values,
-    random_decomposition,
-    schur_cut,
-)
-from heatglue.path_sum import LengthCapError, pathsum_heat
+from heatglue import errors
 # kept only so that the benchmark tracer's TimeFactor hook finds quadsim
 # loaded; it goes with that hook (ROADMAP item 6)
 from heatglue.quadsim import ConvergenceError
 
+
+def _lazy(name: str) -> types.ModuleType:
+    """The module ``heatglue.<name>``, run on its first attribute access
+    (the stdlib ``LazyLoader`` recipe), registered in ``sys.modules`` and
+    on the package as an import registers it."""
+    full = f"heatglue.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules["heatglue"], name, module)
+    return module
+
+
+expmix, graph_heat, heat1d, path_sum = map(
+    _lazy, ("expmix", "graph_heat", "heat1d", "path_sum"))
+
 _NUMERICAL = (
-    heat1d.TruncationError,
+    errors.TruncationError,
+    errors.ConvergenceError,
+    errors.ConfluentOverflowError,
+    errors.LengthCapError,
     ConvergenceError,
-    symlin.ConvergenceError,
-    ConfluentOverflowError,
-    LengthCapError,
     FloatingPointError,
     OverflowError,
 )
@@ -292,11 +309,11 @@ def run_graph_glue(label: str, t: float, method: str, k_max: int,
         base["kmax"] = k_max
 
     def run():
-        d = decomposition_from_dict(doc)
+        d = graph_heat.decomposition_from_dict(doc)
         if method == "series":
-            values, bound = glue_II(d, k_max).evaluate_with_bound(t)
+            values, bound = graph_heat.glue_II(d, k_max).evaluate_with_bound(t)
         else:
-            values, bound = glue_I_values(d, t), 0.0
+            values, bound = graph_heat.glue_I_values(d, t), 0.0
         vertices = d.ordered_graph.vertices
         refs = doc.get("references")
         refs = (refs.get("entries") or {}) if isinstance(refs, dict) else {}
@@ -305,9 +322,9 @@ def run_graph_glue(label: str, t: float, method: str, k_max: int,
             if refs else {}
         reference = np.empty(values.shape)
         if len(given) < reference.size:
-            reference = heat_values(d.ordered_graph, t)
+            reference = graph_heat.heat_values(d.ordered_graph, t)
         for (i, j), mix in given.items():
-            reference[i, j] = evaluate(from_dict(mix), t)
+            reference[i, j] = expmix.evaluate(expmix.from_dict(mix), t)
         labels = [str(u) for u in vertices]
         return [Reports(f"{prefix}glue", "graph", base, values, reference,
                         bound, (Axis("x", labels, labels),
@@ -324,9 +341,9 @@ def run_graph_pathsum(label: str, u: str, v: str, t: float, eps: float,
     case = f"{prefix}pathsum[{u},{v}]"
 
     def run():
-        g = graph_from_dict(doc)
-        value, cutoff, tail = pathsum_heat(g, u, v, t, eps)
-        ref = float(heat_values(g, t)[g.index[u], g.index[v]])
+        g = graph_heat.graph_from_dict(doc)
+        value, cutoff, tail = path_sum.pathsum_heat(g, u, v, t, eps)
+        ref = float(graph_heat.heat_values(g, t)[g.index[u], g.index[v]])
         extra = {"u": u, "v": v, "t": t, "cutoff": cutoff, "tail_bound": tail}
         return [Reports(case, "graph", inputs, value, ref, tail, extra=extra)]
 
@@ -346,8 +363,8 @@ def run_graph_cut(label: str, interface: tuple | None, m2: float, tol: float,
             "tol": tol}
 
     def run():
-        g = graph_from_dict(doc)
-        direct, gap = schur_cut(g, interface, m2)
+        g = graph_heat.graph_from_dict(doc)
+        direct, gap = graph_heat.schur_cut(g, interface, m2)
         reports = [Reports(f"{prefix}schur-gap", "graph", base, gap, 0.0)]
         refs = doc.get("references") or {}
         boundary = set(doc.get("boundary") or ())
@@ -446,7 +463,7 @@ def run_circle_cut(L: float, cuts: tuple[float, ...], x: float, y: float,
         reference = heat1d.arc_direct(L, cuts, x, y, t)
         value, bound = heat1d.cut_circle_to_arc(L, cuts, x, y, t, k_max)
         # 0 <= arc kernel <= circle kernel
-        heat1d.below_prior(bound, heat1d.k_circle(L, x, y, t)[0],
+        errors.below_prior(bound, heat1d.k_circle(L, x, y, t)[0],
                            f"circle cut at order {k_max}")
         return [Reports(case, "circle", inputs, value, reference, bound)]
 
@@ -497,9 +514,10 @@ def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
     rng = np.random.default_rng([seed, index])
 
     def draw():  # the draw of the current ``case``, inside the guard
-        d = random_decomposition(rng, n_max)
-        values = glue_I_values(d, times)
-        worst = float(np.abs(values - heat_values(d.ordered_graph, times)).max())
+        d = graph_heat.random_decomposition(rng, n_max)
+        values = graph_heat.glue_I_values(d, times)
+        worst = float(np.abs(
+            values - graph_heat.heat_values(d.ordered_graph, times)).max())
         return [Reports(case, "graph", inputs, worst, 0.0)]
 
     out = []

@@ -26,11 +26,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from heatglue.errors import ConfluentOverflowError
+
 __all__ = [
     "EPS_MERGE",
     "MAX_POWER",
     "POWER_LIMIT",
-    "ConfluentOverflowError",
     "ExpTerm",
     "ExpMix",
     "add",
@@ -67,15 +68,6 @@ POWER_LIMIT = 84
 
 # p! for every power such a product reaches: the t^p/p! basis of the dense arrays
 _FACT = np.array([float(math.factorial(k)) for k in range(2 * POWER_LIMIT + 2)])
-
-
-class ConfluentOverflowError(ValueError):
-    """A monomial power exceeded the cap in force (growth cap or hard limit).
-
-    Repeated convolution at a shared rate raises the polynomial degree by one
-    per factor; hitting the cap usually means either the cap is too low for
-    the series being summed or two rates that should be distinct were merged.
-    """
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ asked for.  The series route
 (:func:`interface_kernel_series`, :func:`glue_II`) instead returns a
 :class:`SeriesKernel`: values at t with a certified error bound, summed in a
 cancellation-free positive basis, and raises
-:class:`~heatglue.heat1d.TruncationError` on a bound that certifies
+:class:`~heatglue.errors.TruncationError` on a bound that certifies
 nothing.  Where only values at t are needed, no coefficient tensor is
 built: :func:`heat_values` gives the heat flow from one eigendecomposition,
 and :func:`glue_I_values` the first gluing formula from the two that
@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from heatglue import symlin
+from heatglue.errors import below_prior
 from heatglue.expmix import (
     ExpMix,
     convolve_exponential,
@@ -38,7 +39,6 @@ from heatglue.expmix import (
     laplace_basis,
     rate_universe,
 )
-from heatglue.heat1d import below_prior
 
 __all__ = [
     "Graph",
@@ -715,8 +715,8 @@ class SeriesKernel:
     the truncated kernel (every dropped piece is nonnegative and the exact
     kernel is stochastic) plus a rounding allowance.  An entry of the
     exact kernel lies in [0, 1], so a bound of 1 or more proves nothing,
-    and it raises :class:`~heatglue.heat1d.TruncationError` on it by
-    :func:`~heatglue.heat1d.below_prior`, the one a-priori rule of the
+    and it raises :class:`~heatglue.errors.TruncationError` on it by
+    :func:`~heatglue.errors.below_prior`, the one a-priori rule of the
     package.  Each call runs one :func:`uniformized_walk` with theta the
     largest valency (at least 1), whose layers are the terms of the
     series; past 65536 Taylor orders the rest is left out and shows in

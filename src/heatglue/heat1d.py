@@ -19,7 +19,7 @@ image family its kept n, and one term budget, _MAX_IMAGES, holds for every
 sum and composition: past it, TruncationError before any array is formed.
 One rounding rule for every route that returns a bound: its Gaussian sums
 are evaluated at t by _ImageSum.at and added by math.fsum; and one rule,
-below_prior, refuses a bound that certifies nothing.
+:func:`heatglue.errors.below_prior`, refuses a bound that certifies nothing.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from heatglue.errors import TruncationError, below_prior
+
 __all__ = [
-    "TruncationError",
     "k_line",
     "k_ray",
     "dk_ray",
@@ -42,7 +43,6 @@ __all__ = [
     "glue_direct",
     "glue_intervals_I",
     "glue_intervals_II",
-    "below_prior",
     "glue_rays",
     "arc_coordinates",
     "arc_direct",
@@ -53,17 +53,6 @@ __all__ = [
 ]
 
 _ROOT_PI = math.sqrt(math.pi)
-
-
-class TruncationError(RuntimeError):
-    """A sum or composition would keep more terms than its budget, or its
-    bound certifies nothing (it is not finite, or not below an a-priori
-    bound of the quantity); achievable is that bound, infinite when none
-    was taken."""
-
-    def __init__(self, message: str, achievable: float):
-        super().__init__(message)
-        self.achievable = achievable
 
 
 def _positive(**values: float) -> list[float]:
@@ -132,7 +121,7 @@ def _check_terms(count: float, label: str) -> None:
     terms, more than _MAX_IMAGES."""
     if not count <= _MAX_IMAGES:
         raise TruncationError(f"{label}: up to {count:.6g} terms, past the "
-                              f"budget of {_MAX_IMAGES}", math.inf)
+                              f"budget of {_MAX_IMAGES}")
 
 
 def _lattice(families: Sequence[tuple], label: str) -> list[np.ndarray]:
@@ -609,17 +598,6 @@ def _echo_tail(pair: _ImageSum | None, phi: _ImageSum, t: float,
                            n_max + (pair is not None))
 
 
-def below_prior(bound: float, prior: float, label: str) -> float:
-    """bound, unless it is positive and not below the a-priori bound prior
-    of the quantity: a certificate that allows every possible value
-    raises TruncationError instead: the one such rule of the package,
-    the graph series included."""
-    if not (bound < prior or bound == 0.0):
-        raise TruncationError(f"{label}: bound {bound:.15g} is not below the "
-                              f"a-priori bound {prior:g}", bound)
-    return bound
-
-
 def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
                       n_max: int) -> tuple[float, float]:
     """Glued-interval correction as an alternating series of echo orders.
@@ -814,10 +792,10 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     close, all weights positive integers, go through :meth:`_ImageSum.at`
     and their signed values are added by math.fsum.  Returns (value,
     bound), checked by :func:`arc_direct`; the caller refuses a bound not
-    below the circle kernel (:func:`below_prior`).  The bound adds
-    :func:`_cut_tail`, taken before anything is composed (TruncationError
-    when not finite), the circle's images past its cut (:func:`_side_tail`),
-    the rounding parts and U |value| for fsum.
+    below the circle kernel (:func:`~heatglue.errors.below_prior`).  The
+    bound adds :func:`_cut_tail`, taken before anything is composed
+    (TruncationError when not finite), the circle's images past its cut
+    (:func:`_side_tail`), the rounding parts and U |value| for fsum.
 
     A ring distance d = |delta + nL|, delta the float x - c, c - y,
     c_0 - c_1 or x - y, rounds in delta, nL and the sum, each by U times

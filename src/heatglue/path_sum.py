@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from heatglue.errors import LengthCapError
 from heatglue.expmix import (
     ExpMix,
     convolve,
@@ -41,7 +42,6 @@ from heatglue.graph_heat import Decomposition, Graph, uniformized_walk
 __all__ = [
     "LENGTH_CAP",
     "CLASS_TAGS",
-    "LengthCapError",
     "exp_tail",
     "Path",
     "PathClassSpec",
@@ -67,19 +67,6 @@ CLASS_TAGS = ("P", "P_prime_end", "P_prime_start", "P_double_prime")
 
 #: Grid used by :func:`split_check`.
 _SPLIT_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
-
-
-class LengthCapError(ValueError):
-    """Raised when a requested accuracy needs paths longer than the cap.
-
-    ``achievable`` holds the row-sum deficit at the cap, the best
-    truncation bound reachable there, so the caller can decide whether the
-    truncated answer is still useful.
-    """
-
-    def __init__(self, message: str, achievable: float | None = None) -> None:
-        super().__init__(message)
-        self.achievable = achievable
 
 
 @dataclass(frozen=True)

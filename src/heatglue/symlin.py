@@ -13,18 +13,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from heatglue.errors import ConvergenceError
+
 __all__ = [
-    "ConvergenceError",
     "SymMatrix",
     "SpectralDecomp",
     "eigh",
     "spectral_apply",
     "block",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """The eigensolver did not converge, or its result failed a check."""
 
 
 def _frozen_array(values) -> np.ndarray:

@@ -22,11 +22,9 @@ from hypothesis import strategies as st
 
 import heatglue.cli
 from conftest import fresh_python
-from heatglue import graph_heat, symlin
+from heatglue import errors, graph_heat, symlin
 from heatglue.cli import Axis, InputError, Reports, main
-from heatglue.expmix import ConfluentOverflowError
 from heatglue.graph_heat import KernelMatrix, SeriesKernel
-from heatglue.symlin import ConvergenceError
 
 
 class Result(NamedTuple):
@@ -416,7 +414,7 @@ def test_circle_cut_bound_is_relative_to_a_small_arc_kernel():
 
 def test_a_circle_cut_with_a_zero_certificate_passes():
     # the arc kernel, the cut and its bound all underflow to 0: a zero
-    # bound certifies the value exactly, and heat1d.below_prior, the one
+    # bound certifies the value exactly, and errors.below_prior, the one
     # a-priori rule, takes it for the cut as for route II
     res = invoke("circle cut --L 10 --cuts 0,5 --x 2 --y 3 --t 1e-4 "
                  "--kmax 4".split())
@@ -573,18 +571,28 @@ def test_exit_three_on_numerical_failure():
     assert r["value"] is None
 
 
-@pytest.mark.parametrize("error", [ConvergenceError, ConfluentOverflowError])
+#: Every typed numerical failure of the package.
+FAILURES = [getattr(errors, name) for name in errors.__all__
+            if isinstance(getattr(errors, name), type)]
+
+
+@pytest.mark.parametrize("error", FAILURES)
 def test_exit_three_on_eigensolver_and_confluent_failures(error, tmp_path,
                                                           monkeypatch):
-    def fail(d, t):
+    # each failure of heatglue.errors, raised in a graph runner or in a 1d
+    # runner, is one report with status "error" and exit 3
+    def fail(*args):
         raise error("injected")
 
-    monkeypatch.setattr(heatglue.cli, "glue_I_values", fail)
-    res = invoke(["graph", "glue", "--input", "line3", "--t", "1"])
-    assert res.exit_code == 3
-    (r,) = json_lines(res.stdout)
-    assert r["status"] == "error"
-    assert r["message"] == f"{error.__name__}: injected"
+    monkeypatch.setattr(heatglue.cli.graph_heat, "glue_I_values", fail)
+    monkeypatch.setattr(heatglue.cli.heat1d, "glue_intervals_I", fail)
+    for args in ("graph glue --input line3 --t 1",
+                 "interval glue --L1 1 --L2 2 --x 0.5 --y 0.7 --t 0.4"):
+        res = invoke(args.split())
+        assert res.exit_code == 3
+        (r,) = json_lines(res.stdout)
+        assert r["status"] == "error"
+        assert r["message"] == f"{error.__name__}: injected"
     problems = tmp_path / "random.json"
     problems.write_text(json.dumps({"cases": [
         {"id": "rand", "kind": "random-graph-glue", "count": 2, "nmax": 6}]}))

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from conftest import dense_walk, taylor_expm
-from heatglue.heat1d import TruncationError
+from heatglue.errors import TruncationError
 from heatglue.expmix import (
     ExpMix,
     allclose,

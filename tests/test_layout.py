@@ -1,7 +1,8 @@
 """Module boundaries of the package: no private name crosses a module, no
 module-level import goes unused, in the package or in its tests, no
-function of the package accepts a parameter it never reads, and each
-route returns what it computes once."""
+function of the package accepts a parameter it never reads, each route
+returns what it computes once, and a command runs only the route modules
+its cases call."""
 
 import ast
 import contextlib
@@ -249,9 +250,17 @@ def test_a_circle_cut_request_evaluates_the_circle_kernel_once(monkeypatch,
 
 def test_one_rounding_rule_and_one_a_priori_rule():
     # an image sum is evaluated only at one time, with its rounding bound;
-    # the cut does not take the circle kernel, and only heat1d raises on a
-    # vacuous certificate, the graph series' included
+    # the cut does not take the circle kernel, and only errors.below_prior
+    # raises on a vacuous certificate: heat1d's route II, the graph series
+    # and the circle cut all call it, and none has a rule of its own
     trees = dict(modules())
+    assert [stem for stem, tree in trees.items()
+            if "below_prior" in {getattr(n, "name", None) for n in tree.body}
+            ] == ["errors"]
+    for stem in ("heat1d", "graph_heat", "cli"):
+        assert "below_prior" in {
+            getattr(n.func, "attr", getattr(n.func, "id", None))
+            for n in ast.walk(trees[stem]) if isinstance(n, ast.Call)}, stem
     image_sum = next(n for n in trees["heat1d"].body
                      if getattr(n, "name", None) == "_ImageSum")
     assert "__call__" not in {f.name for f in image_sum.body
@@ -264,6 +273,41 @@ def test_one_rounding_rule_and_one_a_priori_rule():
         assert [n for n in ast.walk(trees[stem]) if isinstance(n, ast.Call)
                 and "TruncationError" in (getattr(n.func, "attr", None),
                                           getattr(n.func, "id", None))] == []
+
+
+LOADED = """
+import contextlib, io, json, sys, types
+import heatglue.cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            heatglue.cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
+print(json.dumps([code, sorted(
+    name for name in ("expmix", "graph_heat", "heat1d", "path_sum", "symlin")
+    if type(sys.modules.get("heatglue." + name)) is types.ModuleType)]))
+"""
+
+
+@pytest.mark.parametrize("argv,ran", [
+    ("", []),
+    ("--help", []),
+    ("verify --input intervals", ["heat1d"]),
+    ("graph glue --input line3 --t 1", ["expmix", "graph_heat", "symlin"])],
+    ids=["import", "help", "verify-intervals", "graph-glue"])
+def test_a_command_runs_only_the_route_modules_its_cases_call(argv, ran):
+    # the route modules are registered lazily by cli and run on their first
+    # attribute access, so an import or --help runs none, a 1d problem set
+    # none of the graph family and a graph gluing nothing of the 1d family
+    # or of the path sums; a module has run once its lazy class is gone
+    from conftest import fresh_python
+
+    done = fresh_python(LOADED, *argv.split(), capture_output=True,
+                        text=True, check=True)
+    assert json.loads(done.stdout) == [0, ran]
 
 
 def test_values_and_bound_of_the_series_are_one_walk(monkeypatch):
