@@ -494,6 +494,10 @@ def run_dn_cylinder(L: float, m2: float, k_max: int, circle_L: float,
     base = {"L": L, "m2": m2, "circleL": circle_L, "tol": tol}
 
     def run():
+        if not (math.isfinite(circle_L) and circle_L > 0.0):
+            raise ValueError("circle_L must be positive and finite")
+        if k_max < 0:
+            raise ValueError("k_max must be nonnegative")
         ks = range(k_max + 1)
         omegas = [(2.0 * math.pi * k / circle_L) ** 2 for k in ks]
         rep = heat1d.dn_cylinder(L, omegas, m2)
@@ -592,9 +596,11 @@ def _verify_case(case: dict, index: int, seed: int,
             times = tuple(float(s) for s in case.get("times", (0.25, 1.0, 4.0)))
             if not times:
                 raise ValueError("times is empty")
-            return run_random_graph_glue(int(case.get("count", 3)),
-                                         int(case.get("nmax", 10)), times,
-                                         seed, index, tol, prefix=cid + "/")
+            if (count := int(case.get("count", 3))) < 0:
+                raise ValueError("count must be nonnegative")
+            return run_random_graph_glue(count, int(case.get("nmax", 10)),
+                                         times, seed, index, tol,
+                                         prefix=cid + "/")
         if kind == "interval-glue":
             return run_interval_glue(float(case["L1"]), float(case["L2"]),
                                      float(case["x"]), float(case["y"]),

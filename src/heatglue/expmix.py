@@ -18,7 +18,6 @@ Everything is immutable; all functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,27 +33,21 @@ __all__ = [
     "POWER_LIMIT",
     "ExpTerm",
     "ExpMix",
-    "add",
     "allclose",
     "convolve",
     "cumulative",
     "delta",
     "evaluate",
     "evaluate_basis",
-    "evaluate_grid",
     "convolve_exponential",
     "exponential",
     "from_basis",
     "from_dict",
-    "from_json",
     "laplace",
     "laplace_basis",
-    "mix_sum",
     "rate_universe",
-    "scale",
     "simplex_convolve",
     "to_dict",
-    "to_json",
 ]
 
 EPS_MERGE = 1e-9
@@ -187,26 +180,6 @@ def exponential(coef: float, rate: float) -> ExpMix:
 
 
 ZERO = ExpMix()
-
-
-def scale(f: ExpMix, c: float) -> ExpMix:
-    c = float(c)
-    if c == 0.0:
-        return ZERO
-    return ExpMix(f.atom * c, tuple((t.coef * c, t.power, t.rate) for t in f.terms))
-
-
-def add(f: ExpMix, g: ExpMix) -> ExpMix:
-    return ExpMix(f.atom + g.atom, f.terms + g.terms)
-
-
-def mix_sum(mixes: Iterable[ExpMix]) -> ExpMix:
-    atom = 0.0
-    raw: list[tuple[float, int, float]] = []
-    for m in mixes:
-        atom += m.atom
-        raw.extend((t.coef, t.power, t.rate) for t in m.terms)
-    return ExpMix(atom, tuple(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +371,6 @@ def evaluate(f: ExpMix, t: float) -> float:
     return math.fsum(vals.tolist())
 
 
-def evaluate_grid(f: ExpMix, ts: Sequence[float]) -> np.ndarray:
-    """Vectorized :func:`evaluate` over a grid of positive times."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.size and (not np.all(np.isfinite(ts)) or ts.min() <= 0.0):
-        raise ValueError("evaluate needs t > 0")
-    if not f.terms:
-        return np.zeros(ts.shape)
-    cs, ps, rs = f._arrays
-    tt = ts.reshape(-1, 1)
-    vals = (cs[None, :] * tt ** ps[None, :] * np.exp(-rs[None, :] * tt)).sum(axis=1)
-    return vals.reshape(ts.shape)
-
-
 def laplace(f: ExpMix, s: float) -> float:
     """Laplace image ``atom + sum coef * power! / (s+rate)^(power+1)``.
 
@@ -504,11 +464,3 @@ def from_dict(d: dict) -> ExpMix:
         (item["coef"], item["power"], item["rate"]) for item in d["terms"]
     )
     return ExpMix(d["atom"], terms)
-
-
-def to_json(f: ExpMix) -> str:
-    return json.dumps(to_dict(f))
-
-
-def from_json(text: str) -> ExpMix:
-    return from_dict(json.loads(text))

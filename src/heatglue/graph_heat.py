@@ -128,9 +128,6 @@ class Graph:
         v.setflags(write=False)
         return v
 
-    def degree(self, v) -> int:
-        return int(self.valencies[self.index[v]])
-
     def neighbors(self, v) -> tuple:
         i = self.index[v]
         return tuple(self.vertices[j] for j in np.nonzero(self.adjacency[i])[0])
@@ -330,26 +327,20 @@ class KernelMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _safe_rate(w: float) -> float:
-    if w < 0.0:
-        if w < -1e-8:
-            raise ValueError(f"negative eigenvalue {w} from a Laplacian")
-        return 0.0
-    return w
-
-
 def _safe_rates(w: np.ndarray) -> np.ndarray:
-    """_safe_rate on each entry, as one array operation."""
+    """Laplacian eigenvalues as decay rates: a negative one is rounding
+    and becomes 0, one below -1e-8 is a ValueError."""
     low = w < -1e-8
     if low.any():
-        _safe_rate(float(w[low][0]))
+        raise ValueError(f"negative eigenvalue {float(w[low][0])} from a "
+                         "Laplacian")
     return np.where(w < 0.0, 0.0, w)
 
 
 def _spectral(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rate universe and coefficient tensor of sum_k q_k q_k^T exp(-w_k t),
     the q_k the columns of q; the tensor is bitwise symmetric."""
-    universe, at = rate_universe([_safe_rate(x) for x in w])
+    universe, at = rate_universe(_safe_rates(w))
     coef = np.einsum("ik,jk,kx->ijx", q, q, np.eye(len(universe))[at])
     i, j = np.triu_indices(len(q), 1)
     coef[j, i] = coef[i, j]
@@ -385,8 +376,9 @@ def heat_values(g: Graph, t: float | Sequence[float]) -> np.ndarray:
     along the leading axes, all from the one eigendecomposition."""
     ts = _check_times(t)
     d = symlin.eigh(g.laplacian)
+    clamped = symlin.SpectralDecomp(_safe_rates(d.eigenvalues), d.eigenvectors)
     values = np.array([
-        symlin.spectral_apply(d, lambda w: math.exp(-_safe_rate(w) * s))
+        symlin.spectral_apply(clamped, lambda w: math.exp(-w * s))
         for s in ts.ravel().tolist()])
     return _mirror_upper(values.reshape(ts.shape + (g.n, g.n)))
 
@@ -446,7 +438,7 @@ def dn_single(g: Graph, y: Sequence, m2: float) -> np.ndarray:
     y = tuple(y)
     gm = green(g, m2)
     yi = [g.index[v] for v in y]
-    blk = symlin.block(gm, yi, yi)
+    blk = gm[np.ix_(yi, yi)]
     try:
         return np.linalg.inv(blk)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by m2 > 0
@@ -789,7 +781,7 @@ def interface_kernel_series(d: Decomposition, k_max: int) -> SeriesKernel:
 def _glue_I_spectra(d: Decomposition) -> tuple[np.ndarray, ...]:
     """(y, c, w, Q_Y, mu, V, B) of formula I: the interface and off-interface
     indices in decomposition order, L = Q diag(w) Q^T, L_C = V diag(mu) V^T
-    (both rate vectors clamped by _safe_rate) and B = V^T A_CY."""
+    (both rate vectors clamped by _safe_rates) and B = V^T A_CY."""
     og = d.ordered_graph
     n, n1, ny = og.n, len(d.side1), len(d.interface)
     y = np.arange(n1, n1 + ny)

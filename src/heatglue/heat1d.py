@@ -255,25 +255,19 @@ def k_circle(L: float, x: float, y: float, t: float,
 
 def interface_two_intervals(L1: float, L2: float, t: float,
                             form: str = "residues") -> tuple[float, float]:
-    """Kernel of the glued interval evaluated at the junction point.
+    """Kernel of the glued interval evaluated at the junction point: the
+    kernel of [0, L1 + L2] at (L1, L1), by :func:`k_interval`.
 
-    Two convergent forms of the same function, S = L1 + L2: "residues" is
-    the alternating mode sum over the joint interval (:func:`_modes`),
-    "poisson" its resummation into the Gaussians g_2nS (+) and
-    g_2(L1+nS) (-) (:func:`_images`), fast at small t.  Returns (value,
-    bound on the terms left out); the bound covers truncation only.
+    Two convergent forms of the same function: "residues" is its mode sum
+    ("spectral"), "poisson" its resummation into images ("images"), fast
+    at small t.  Returns (value, bound on the terms left out); the bound
+    covers truncation only.
     """
     L1, L2, t = _positive(L1=L1, L2=L2, t=t)
-    S = L1 + L2
-    if form == "residues":
-        return _modes(math.pi * math.pi * t / (S * S),
-                      lambda k: (-1.0) ** (k + 1) * np.sin(math.pi * k * L1 / S)
-                      * np.sin(math.pi * k * L2 / S),
-                      2.0 / S, "interface mode sum")
-    if form == "poisson":
-        return _images(t, 2.0 * S, ((0.0, 1.0), (2.0 * L1, -1.0)),
-                       "interface image sum")
-    raise ValueError(f"unknown form {form!r}")
+    reps = {"residues": "spectral", "poisson": "images"}
+    if form not in reps:
+        raise ValueError(f"unknown form {form!r}")
+    return k_interval(L1 + L2, L1, L1, t, reps[form])
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +675,7 @@ def glue_rays(x: float, y: float, t: float) -> tuple[float, float]:
     Returns (value, bound); the bound is the rounding part of
     :meth:`_ImageSum.at`, the one distance x + y being off by at most U.
     """
-    (t,) = _positive(t=t)
-    if not (x > 0.0 and y > 0.0):
-        raise ValueError("x and y must be positive")
+    x, y, t = _positive(x=x, y=y, t=t)
     line = _ImageSum("h", [x], [1.0]).compose(
         _ImageSum("h", [y], [1.0])).compose(_G0)
     return line.at(t, 1.0)

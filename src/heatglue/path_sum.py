@@ -425,9 +425,20 @@ class PathSumOperator:
         self._advance = g.adjacency[np.ix_(s, s)]
         self._start, self._close, self._layers = start, close, layers
 
+    def _values_at(self, t: float) -> tuple[np.ndarray, float]:
+        """The values at t > 0 and the walk's relative rounding gamma."""
+        t = float(t)
+        if not (t > 0.0) or not math.isfinite(t):
+            raise ValueError(f"evaluate needs t > 0, got {t}; the atom sits at t=0")
+        if self._layers == 0:
+            return np.zeros((len(self.rows), len(self.cols))), 0.0
+        sums, gamma = uniformized_walk(self._step, self._advance, self._start,
+                                       self._layers, self._theta, t)
+        return sums.sum(axis=0) @ self._close, gamma
+
     def evaluate(self, t: float) -> np.ndarray:
         """Pointwise values at t > 0 (atoms do not contribute there)."""
-        return self.evaluate_with_bound(t)[0]
+        return self._values_at(t)[0]
 
     def evaluate_with_bound(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`evaluate` at t > 0 and an entrywise bound on its rounding.
@@ -439,15 +450,7 @@ class PathSumOperator:
         the exact class sum e, rho = gamma + c u, and the bound is
         rho v / (1 - rho).
         """
-        t = float(t)
-        if not (t > 0.0) or not math.isfinite(t):
-            raise ValueError(f"evaluate needs t > 0, got {t}; the atom sits at t=0")
-        if self._layers == 0:
-            zeros = np.zeros((len(self.rows), len(self.cols)))
-            return zeros, zeros.copy()
-        sums, gamma = uniformized_walk(self._step, self._advance, self._start,
-                                       self._layers, self._theta, t)
-        values = sums.sum(axis=0) @ self._close
+        values, gamma = self._values_at(t)
         c = np.count_nonzero(self._close, axis=0).max(initial=0)
         rho = gamma + c * np.finfo(float).eps / 2
         return values, rho / (1.0 - rho) * values

@@ -9,7 +9,7 @@ is handed out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "SpectralDecomp",
     "eigh",
     "spectral_apply",
-    "block",
 ]
 
 
@@ -104,17 +103,3 @@ def spectral_apply(d: SpectralDecomp, phi: Callable[[float], float]) -> np.ndarr
         raise ValueError(f"phi is not finite at eigenvalue(s) {bad}")
     q = d.eigenvectors
     return (q * vals[None, :]) @ q.T
-
-
-def block(a, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-    """Submatrix with rows and columns in the given index order."""
-    mat = a.entries if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
-    ri = np.asarray(list(rows), dtype=int)
-    ci = np.asarray(list(cols), dtype=int)
-    if ri.size and (ri.min() < 0 or ri.max() >= mat.shape[0]):
-        raise IndexError(f"row set {ri.tolist()} out of range for shape {mat.shape}")
-    if ci.size and (ci.min() < 0 or ci.max() >= mat.shape[1]):
-        raise IndexError(f"column set {ci.tolist()} out of range for shape {mat.shape}")
-    if not ri.size or not ci.size:
-        return np.zeros((ri.size, ci.size))
-    return mat[np.ix_(ri, ci)].copy()

@@ -12,6 +12,7 @@ import pathlib
 import shlex
 import subprocess
 import time
+import warnings
 from collections import Counter
 from typing import NamedTuple
 
@@ -391,6 +392,15 @@ def test_ray_glue_closed_form():
     assert r["value"] == pytest.approx(0.08092228913086097, abs=1e-12)
 
 
+def test_ray_glue_refuses_an_infinite_distance():
+    # refused before the image sum, which would overflow to a NaN bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = invoke("ray glue --x inf --y 1 --t 1".split())
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == "Error: x must be positive and finite\n"
+
+
 def test_circle_cut_reference_point():
     res = invoke(["circle", "cut", "--L", "2", "--cuts", "0,1", "--x", "0.3",
                   "--y", "0.7", "--t", "0.4", "--kmax", "4"])
@@ -434,7 +444,7 @@ def test_an_interface_past_the_term_budget_exits_three(tmp_path):
     assert res.exit_code == 3
     (r,) = json_lines(res.stdout)
     assert r["status"] == "error"
-    assert r["message"].startswith("TruncationError: interface mode sum: "
+    assert r["message"].startswith("TruncationError: interval mode sum: "
                                    "up to 2.13529e+07 terms")
 
 
@@ -455,6 +465,25 @@ def test_a_cylinder_check_past_the_term_budget_exits_three():
     (r,) = json_lines(res.stdout)
     assert r["status"] == "error"
     assert r["message"].startswith("TruncationError: cylinder joint mode sum")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    *(("circleL", v, "circle_L must be positive and finite")
+      for v in ("0", "-3", "inf", "nan")),
+    ("kmax", "-1", "k_max must be nonnegative")])
+def test_dn_cylinder_refuses_a_bad_circumference_or_order(tmp_path, key, value,
+                                                         message):
+    # refused as unusable input before any slice eigenvalue is formed, on
+    # the command line and in a verify case alike
+    flags = {"circleL": "--circle-L", "kmax": "--kmax"}
+    argv = dict({"--L": "2", "--m2": "1", "--kmax": "3"}, **{flags[key]: value})
+    res = invoke(["dn", "cylinder", *itertools.chain(*argv.items())])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"Error: {message}\n"
+    res = verify_case(tmp_path, dict(VALID["dn-cylinder"], **{
+        key: int(value) if key == "kmax" else float(value)}))
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"Error: case dn: {message}\n"
 
 
 def test_dn_cylinder_gaps_certified():
@@ -678,6 +707,9 @@ def test_every_valid_case_passes(tmp_path):
      "case gg: method must be one of assembled, series, got {}"),
     ("interval-glue", "formula", True,
      "case ig: formula must be one of I, II, got True"),
+    # a negative count, an infinite distance
+    ("random-graph-glue", "count", -1, "case rg: count must be nonnegative"),
+    ("ray-glue", "x", math.inf, "case rl: x must be positive and finite"),
 ])
 def test_a_malformed_case_is_unusable_input(tmp_path, kind, field, value,
                                             message):

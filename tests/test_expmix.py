@@ -22,17 +22,12 @@ from heatglue.expmix import (
     cumulative,
     delta,
     evaluate,
-    evaluate_grid,
     exponential,
     from_basis,
     from_dict,
-    from_json,
     laplace,
-    mix_sum,
-    scale,
     simplex_convolve,
     to_dict,
-    to_json,
 )
 
 EXACT = 1e-13
@@ -109,8 +104,6 @@ def test_negative_zero_rate_normalized():
 def test_evaluate_basic():
     f = ExpMix(5.0, ((2.0, 1, 1.0),))  # atom ignored by evaluate
     assert evaluate(f, 1.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
-    grid = evaluate_grid(f, [0.5, 1.0, 2.0])
-    assert grid[1] == pytest.approx(evaluate(f, 1.0), rel=1e-15)
 
 
 def test_evaluate_rejects_nonpositive_time():
@@ -118,8 +111,6 @@ def test_evaluate_rejects_nonpositive_time():
     for t in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             evaluate(f, t)
-    with pytest.raises(ValueError):
-        evaluate_grid(f, [1.0, 0.0])
 
 
 def test_laplace_values_and_pole_guard():
@@ -337,28 +328,23 @@ def test_convolution_associates(f, g, h):
 @settings(max_examples=60, deadline=None)
 @given(_mix, _mix, _mix)
 def test_convolution_distributes_over_sum(f, g, h):
-    lhs = convolve(f, mix_sum([g, h]))
-    rhs = mix_sum([convolve(f, g), convolve(f, h)])
+    # the constructor canonicalises any term list, so a sum is one call
+    fg, fh = convolve(f, g), convolve(f, h)
+    lhs = convolve(f, ExpMix(g.atom + h.atom, g.terms + h.terms))
+    rhs = ExpMix(fg.atom + fh.atom, fg.terms + fh.terms)
     assert allclose(lhs, rhs, atol=1e-11, rtol=1e-9)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_mix, st.floats(-3.0, 3.0))
-def test_scale_is_linear(f, c):
-    assert allclose(scale(f, c), mix_sum([scale(f, c / 2.0), scale(f, c / 2.0)]),
-                    atol=1e-13, rtol=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_mix)
 def test_serialization_round_trip(f):
     assert from_dict(to_dict(f)) == f
-    assert from_json(to_json(f)) == f
+    assert from_dict(json.loads(json.dumps(to_dict(f)))) == f
 
 
 def test_json_schema_shape():
     f = ExpMix(0.5, ((1.5, 2, 3.0),))
-    d = json.loads(to_json(f))
+    d = json.loads(json.dumps(to_dict(f)))
     assert d == {"atom": 0.5, "terms": [{"coef": 1.5, "power": 2, "rate": 3.0}]}
     with pytest.raises(ValueError):
         from_dict({"terms": []})

@@ -981,8 +981,8 @@ def spectra_by_ix(d):
     full = graph_heat.symlin.eigh(lap)
     blk = graph_heat.symlin.eigh(
         graph_heat.symlin.SymMatrix(lap.entries[np.ix_(c, c)]))
-    w = np.array([graph_heat._safe_rate(x) for x in full.eigenvalues])
-    mu = np.array([graph_heat._safe_rate(x) for x in blk.eigenvalues])
+    w = np.array([0.0 if x < 0.0 else x for x in full.eigenvalues])
+    mu = np.array([0.0 if x < 0.0 else x for x in blk.eigenvalues])
     v = blk.eigenvectors
     return (y, c, w, full.eigenvectors[y], mu, v,
             v.T @ og.adjacency[np.ix_(c, y)])
@@ -1000,15 +1000,16 @@ def test_glue_I_spectra_are_bitwise_those_of_the_index_sets():
 
 
 def test_safe_rates_clamp_as_safe_rate_does():
+    # a rate in [-1e-8, 0) is rounding and becomes +0.0, -0.0 stays, and
+    # one below -1e-8 is refused
     w = np.array([-1e-8, -1e-12, -0.0, 0.0, 5e-324, 0.5, math.nan, math.inf])
-    want = np.array([graph_heat._safe_rate(x) for x in w.tolist()])
+    want = np.array([0.0, 0.0, -0.0, 0.0, 5e-324, 0.5, math.nan, math.inf])
     assert np.array_equal(bits(graph_heat._safe_rates(w)), bits(want))
-    for bad in ([-2e-8, -1.0], [0.0, -3e-7]):
-        with pytest.raises(ValueError) as want_exc:
-            graph_heat._safe_rate(next(x for x in bad if x < -1e-8))
-        with pytest.raises(ValueError, match="negative eigenvalue") as got_exc:
+    for bad, first in (([-2e-8, -1.0], "-2e-08"), ([0.0, -3e-7], "-3e-07")):
+        with pytest.raises(ValueError) as got_exc:
             graph_heat._safe_rates(np.array(bad))
-        assert str(got_exc.value) == str(want_exc.value)
+        assert str(got_exc.value) == \
+            f"negative eigenvalue {first} from a Laplacian"
 
 
 def laplacian_by_loop(g: Graph) -> np.ndarray:

@@ -275,6 +275,20 @@ def test_one_rounding_rule_and_one_a_priori_rule():
                                           getattr(n.func, "id", None))] == []
 
 
+def test_one_junction_kernel_and_one_rate_clamp():
+    # the junction kernel is the glued interval's kernel at the junction,
+    # with no image or mode sum of its own, and one clamp turns Laplacian
+    # eigenvalues into rates
+    trees = dict(modules())
+    junction = next(n for n in trees["heat1d"].body
+                    if getattr(n, "name", None) == "interface_two_intervals")
+    assert "k_interval" in {getattr(n.func, "id", None)
+                            for n in ast.walk(junction)
+                            if isinstance(n, ast.Call)}
+    assert {"_images", "_modes"} & set(named(junction)) == set()
+    assert "_safe_rate" not in set(defined_names(trees["graph_heat"]))
+
+
 LOADED = """
 import contextlib, io, json, sys, types
 import heatglue.cli

@@ -67,7 +67,7 @@ def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
 
 
 def random_walk(rng: np.random.Generator, g: Graph, length: int) -> Path | None:
-    starts = [v for v in g.vertices if g.degree(v) > 0]
+    starts = [v for v, d in zip(g.vertices, g.valencies) if d > 0]
     if not starts:
         return None
     cur = starts[rng.integers(len(starts))]

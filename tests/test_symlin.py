@@ -13,7 +13,6 @@ from heatglue.graph_heat import random_decomposition
 from heatglue.symlin import (
     ConvergenceError,
     SymMatrix,
-    block,
     eigh,
     spectral_apply,
 )
@@ -117,35 +116,6 @@ def test_spectral_apply_rejects_nonfinite_phi():
     d = eigh(SymMatrix(LINE3))
     with pytest.raises(ValueError):
         spectral_apply(d, lambda w: math.inf if w < 0.5 else 1.0)
-
-
-def test_block_extraction():
-    m = SymMatrix(LINE3 + np.eye(3))  # m^2 = 1
-    assert block(m, [1], [1])[0, 0] == 3.0
-    assert np.array_equal(block(m, [0, 1, 2], [0, 1, 2]), m.entries)
-    sub = block(m, [2, 0], [1])
-    assert sub.shape == (2, 1)
-    assert sub[0, 0] == m.entries[2, 1]
-    assert sub[1, 0] == m.entries[0, 1]
-    assert block(m, [], [1]).shape == (0, 1)
-
-
-def test_block_random_lookup():
-    rng = np.random.default_rng(99)
-    a = rng.standard_normal((8, 8))
-    rows = [5, 1, 1, 7]
-    cols = [0, 6, 2]
-    sub = block(a, rows, cols)
-    for i, r in enumerate(rows):
-        for j, c in enumerate(cols):
-            assert sub[i, j] == a[r, c]
-
-
-def test_block_rejects_bad_indices():
-    with pytest.raises(IndexError):
-        block(LINE3, [0, 3], [0])
-    with pytest.raises(IndexError):
-        block(LINE3, [0], [-1])
 
 
 def test_symmetry_enforced():
