@@ -10,7 +10,8 @@ the report alone: pass exactly when residual <= max(tolerance, bound).
 Output is JSON lines by default, CSV with ``--format csv``.  Exit codes:
 0 all cases pass, 1 at least one tolerance failure, 2 unusable input,
 3 an internal numerical failure (reported with status "error"): one of
-the typed failures of :mod:`heatglue.errors`, or a floating-point overflow.
+the typed failures of :mod:`heatglue.errors`, a floating-point overflow, or
+a report number that is not finite.
 
 The route modules (``expmix``, ``graph_heat``, ``heat1d``, ``path_sum``)
 are loaded on first use: each is registered at import and runs on its
@@ -41,9 +42,6 @@ from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from heatglue import errors
-# kept only so that the benchmark tracer's TimeFactor hook finds quadsim
-# loaded; it goes with that hook (ROADMAP item 6)
-from heatglue.quadsim import ConvergenceError
 
 
 def _lazy(name: str) -> types.ModuleType:
@@ -63,13 +61,15 @@ def _lazy(name: str) -> types.ModuleType:
 
 expmix, graph_heat, heat1d, path_sum = map(
     _lazy, ("expmix", "graph_heat", "heat1d", "path_sum"))
+# registered only so that the benchmark tracer's TimeFactor hook finds
+# quadsim; it goes with that hook (ROADMAP item 6)
+_lazy("quadsim")
 
 _NUMERICAL = (
     errors.TruncationError,
     errors.ConvergenceError,
     errors.ConfluentOverflowError,
     errors.LengthCapError,
-    ConvergenceError,
     FloatingPointError,
     OverflowError,
 )
@@ -291,9 +291,17 @@ def _load_input(name: str) -> dict:
 def _guarded(case: str, geometry: str, inputs: dict,
              run: Callable[[], list[Reports]]) -> list[Reports]:
     """The error policy of every single-case runner: a numerical failure
-    becomes one report with status "error", a domain error unusable input."""
+    becomes one report with status "error", a domain error unusable input.
+    A report that would carry a NaN or infinite number is a numerical
+    failure, a FloatingPointError."""
     try:
-        return run()
+        reports = run()
+        for r in reports:
+            if r.value is not None and not (np.isfinite(r.residual).all()
+                                            and np.isfinite(r.bound).all()):
+                raise FloatingPointError("a value, reference, residual or "
+                                         "bound is not finite")
+        return reports
     except _NUMERICAL as exc:
         return [Reports.error(case, geometry, inputs, exc)]
     except (ValueError, KeyError) as exc:
@@ -494,10 +502,8 @@ def run_dn_cylinder(L: float, m2: float, k_max: int, circle_L: float,
     base = {"L": L, "m2": m2, "circleL": circle_L, "tol": tol}
 
     def run():
-        if not (math.isfinite(circle_L) and circle_L > 0.0):
-            raise ValueError("circle_L must be positive and finite")
-        if k_max < 0:
-            raise ValueError("k_max must be nonnegative")
+        errors.positive(circle_L=circle_L)
+        errors.nonnegative(k_max=k_max)
         ks = range(k_max + 1)
         omegas = [(2.0 * math.pi * k / circle_L) ** 2 for k in ks]
         rep = heat1d.dn_cylinder(L, omegas, m2)
@@ -566,7 +572,9 @@ def _choice(case: dict, key: str, choices: tuple[str, ...]) -> str:
 def _reference(case: dict) -> float | None:
     """The reference value a case freezes, or None to compute it."""
     ref = case.get("reference")
-    return None if ref is None else float(ref)
+    if ref is not None and not math.isfinite(ref := float(ref)):
+        raise ValueError("reference must be finite")
+    return ref
 
 
 def _verify_case(case: dict, index: int, seed: int,
@@ -596,8 +604,7 @@ def _verify_case(case: dict, index: int, seed: int,
             times = tuple(float(s) for s in case.get("times", (0.25, 1.0, 4.0)))
             if not times:
                 raise ValueError("times is empty")
-            if (count := int(case.get("count", 3))) < 0:
-                raise ValueError("count must be nonnegative")
+            (count,) = errors.nonnegative(count=case.get("count", 3))
             return run_random_graph_glue(count, int(case.get("nmax", 10)),
                                          times, seed, index, tol,
                                          prefix=cid + "/")

@@ -1,10 +1,14 @@
-"""The typed numerical failures of the package and its one a-priori rule.
+"""The typed numerical failures of the package, its one a-priori rule and
+its input rules.
 
 Each route raises one of these classes where it cannot certify a result;
 the command line reports any of them as a case with status "error" and
 exits 3.  They live apart from the routes, with :func:`below_prior`, so
 that a module which raises or catches one does not import the route that
-raises it: the graph routes need nothing of the 1d kernels.
+raises it: the graph routes need nothing of the 1d kernels.  The input
+rules :func:`positive` and :func:`nonnegative` refuse a length, time or
+mass and a count or order with a ValueError, which the command line
+reports as unusable input (exit 2).
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ __all__ = [
     "ConfluentOverflowError",
     "LengthCapError",
     "below_prior",
+    "positive",
+    "nonnegative",
 ]
 
 
@@ -69,3 +75,25 @@ def below_prior(bound: float, prior: float, label: str) -> float:
         raise TruncationError(f"{label}: bound {bound:.15g} is not below the "
                               f"a-priori bound {prior:g}", bound)
     return bound
+
+
+def positive(**values: float) -> list[float]:
+    """Each value as a float; ValueError at one not positive and finite."""
+    out = []
+    for name, value in values.items():
+        value = float(value)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite")
+        out.append(value)
+    return out
+
+
+def nonnegative(**counts: int) -> list[int]:
+    """Each count as an int; ValueError at one below zero."""
+    out = []
+    for name, count in counts.items():
+        count = int(count)
+        if count < 0:
+            raise ValueError(f"{name} must be nonnegative")
+        out.append(count)
+    return out

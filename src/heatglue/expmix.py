@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from heatglue.errors import ConfluentOverflowError
+from heatglue.errors import ConfluentOverflowError, positive
 
 __all__ = [
     "EPS_MERGE",
@@ -259,9 +259,7 @@ def evaluate_basis(coef: np.ndarray, universe: np.ndarray, t: float) -> np.ndarr
     compensated, as :func:`evaluate` sums one mix; returns an array of shape
     ``coef.shape[:-2]``.
     """
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"evaluate needs t > 0, got {t}; the atom sits at t=0")
+    (t,) = positive(t=t)
     width = coef.shape[-1]
     basis = np.exp(-universe * t)[:, None] * (t ** np.arange(width) / _FACT[:width])
     terms = (coef * basis).reshape(-1, basis.size)
@@ -361,9 +359,7 @@ def simplex_convolve(fs: Sequence[ExpMix]) -> ExpMix:
 
 def evaluate(f: ExpMix, t: float) -> float:
     """Value of the non-atomic part at ``t > 0`` (compensated summation)."""
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"evaluate needs t > 0, got {t}; the atom sits at t=0")
+    (t,) = positive(t=t)
     if not f.terms:
         return 0.0
     cs, ps, rs = f._arrays
@@ -392,9 +388,7 @@ def laplace(f: ExpMix, s: float) -> float:
 
 def cumulative(f: ExpMix, t: float) -> float:
     """Mass on [0, t]: the atom plus ``int_0^t`` of the smooth part, t > 0."""
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"cumulative needs t > 0, got {t}")
+    (t,) = positive(t=t)
     total = [f.atom]
     for term in f.terms:
         k, lam, c = term.power, term.rate, term.coef

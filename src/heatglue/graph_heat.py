@@ -25,12 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from heatglue import symlin
-from heatglue.errors import below_prior
+from heatglue.errors import below_prior, nonnegative, positive
 from heatglue.expmix import (
     ExpMix,
     convolve_exponential,
@@ -128,6 +128,14 @@ class Graph:
         v.setflags(write=False)
         return v
 
+    def indices(self, labels: Iterable) -> list[int]:
+        """The index of each label; ValueError at one that is no vertex:
+        the one rule of the package for a vertex label."""
+        try:
+            return [self.index[v] for v in labels]
+        except KeyError as exc:
+            raise ValueError(f"vertex {exc.args[0]!r} not in graph") from None
+
     def neighbors(self, v) -> tuple:
         i = self.index[v]
         return tuple(self.vertices[j] for j in np.nonzero(self.adjacency[i])[0])
@@ -135,9 +143,7 @@ class Graph:
     def induced(self, labels: Sequence) -> "Graph":
         labels = tuple(labels)
         keep = set(labels)
-        for v in keep:
-            if v not in self.index:
-                raise ValueError(f"unknown vertex {v!r}")
+        self.indices(labels)
         if len(keep) != len(labels):
             raise ValueError("duplicate vertex labels")
         return self._relabeled(labels, [e for e in self.edges
@@ -197,9 +203,7 @@ class Decomposition:
             raise ValueError("interface must be nonempty")
         if len(set(y)) != len(y):
             raise ValueError("duplicate interface labels")
-        for v in y:
-            if v not in g.index:
-                raise ValueError(f"interface vertex {v!r} not in graph")
+        g.indices(y)
         yset = set(y)
         rest = [v for v in g.vertices if v not in yset]
         if not rest:
@@ -219,10 +223,7 @@ class Decomposition:
         else:
             s1, s2 = tuple(s1), tuple(s2)
 
-        for v in s1 + s2:
-            if v not in g.index:
-                raise ValueError(f"side vertex {v!r} not in graph")
-        if sorted(g.index[v] for v in s1 + y + s2) != list(range(g.n)):
+        if sorted(g.indices(s1 + y + s2)) != list(range(g.n)):
             raise ValueError("side1, interface, side2 must partition the vertex set")
         set1, set2 = set(s1), set(s2)
         for u, v in g.edges:
@@ -386,11 +387,8 @@ def heat_values(g: Graph, t: float | Sequence[float]) -> np.ndarray:
 def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:
     """Heat flow killed on y: the complement block keeps its full valencies,
     and rows/columns in y are identically zero."""
-    yset = set(y)
-    for v in yset:
-        if v not in g.index:
-            raise ValueError(f"unknown vertex {v!r}")
-    comp = [i for i, v in enumerate(g.vertices) if v not in yset]
+    killed = set(g.indices(y))
+    comp = [i for i in range(g.n) if i not in killed]
     if not comp:
         raise ValueError("y must be a proper subset of the vertex set")
     full = g.laplacian.entries
@@ -404,8 +402,7 @@ def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:
 
 def green(g: Graph, m2: float) -> np.ndarray:
     """(Laplacian + m2)^-1; m2 must be positive since the Laplacian is singular."""
-    if not (m2 > 0.0):
-        raise ValueError(f"need m2 > 0, got {m2}")
+    (m2,) = positive(m2=m2)
     d = symlin.eigh(g.laplacian)
     return symlin.spectral_apply(d, lambda w: 1.0 / (w + m2))
 
@@ -683,13 +680,6 @@ def uniformized_walk(step: np.ndarray, advance: np.ndarray, start: np.ndarray,
 # charged to both the entry and its row sum.
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"the series kernel needs t > 0, got {t}")
-    return t
-
-
 class SeriesKernel:
     """A block of the glued heat kernel from the k_max-truncated one-sided
     series, as values at t.
@@ -721,8 +711,7 @@ class SeriesKernel:
     """
 
     def __init__(self, d: Decomposition, k_max: int, labels: Sequence):
-        if k_max < 0:
-            raise ValueError(f"k_max must be >= 0, got {k_max}")
+        (k_max,) = nonnegative(k_max=k_max)
         og = d.ordered_graph
         n1, ny = len(d.side1), len(d.interface)
         self.rows = self.cols = tuple(labels)
@@ -748,13 +737,13 @@ class SeriesKernel:
 
     def evaluate(self, t: float) -> np.ndarray:
         """Values of the block at t > 0."""
-        vals, _ = self._rows_at(_check_t(t))
+        vals, _ = self._rows_at(*positive(t=t))
         return vals[:, self._start]
 
     def evaluate_with_bound(self, t: float) -> tuple[np.ndarray, float]:
         """:meth:`evaluate` at t > 0 and a certified bound on its entrywise
         error, from one walk."""
-        vals, gamma = self._rows_at(_check_t(t))
+        vals, gamma = self._rows_at(*positive(t=t))
         sums = [math.fsum(row) for row in vals.tolist()]
         bound = max(1.0 - s for s in sums) + 3.0 * gamma * max(1.0, max(sums))
         return vals[:, self._start], below_prior(
@@ -955,13 +944,10 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
     with M = P_bb^-1 and V = Z_a - P_ab M Z_b.  Vertices of y whose
     component lies inside y decouple from a and are left out of b.
     """
-    if not (m2 > 0.0):
-        raise ValueError(f"need m2 > 0, got {m2}")
+    (m2,) = positive(m2=m2)
     y = tuple(y)
     yset = set(y)
-    for v in yset:
-        if v not in g.index:
-            raise ValueError(f"unknown vertex {v!r}")
+    g.indices(y)
     if not y:
         return green(g, m2), 0.0
     a = [i for i, v in enumerate(g.vertices) if v not in yset]

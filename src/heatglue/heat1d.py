@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from heatglue.errors import TruncationError, below_prior
+from heatglue.errors import TruncationError, below_prior, nonnegative, positive
 
 __all__ = [
     "k_line",
@@ -55,17 +55,6 @@ __all__ = [
 _ROOT_PI = math.sqrt(math.pi)
 
 
-def _positive(**values: float) -> list[float]:
-    """Each value as a float; ValueError at one not positive and finite."""
-    out = []
-    for name, value in values.items():
-        value = float(value)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be positive and finite")
-        out.append(value)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed forms: line and ray
 # ---------------------------------------------------------------------------
@@ -73,13 +62,13 @@ def _positive(**values: float) -> list[float]:
 
 def k_line(x: float, y: float, t: float) -> float:
     """Free kernel (4 pi t)^(-1/2) exp(-(x-y)^2/4t)."""
-    (t,) = _positive(t=t)
+    (t,) = positive(t=t)
     return math.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
 def k_ray(x: float, y: float, t: float) -> float:
     """Dirichlet kernel on the half line, by the image charge at -y."""
-    (t,) = _positive(t=t)
+    (t,) = positive(t=t)
     if x < 0.0 or y < 0.0:
         raise ValueError("ray coordinates must be nonnegative")
     return k_line(x, y, t) - k_line(x, -y, t)
@@ -92,7 +81,7 @@ def dk_ray(x: float, t: float) -> float:
     is positive inside and vanishes at the wall, so it grows into the
     domain.  Its magnitude is the first-passage pulse at distance x.
     """
-    (t,) = _positive(t=t)
+    (t,) = positive(t=t)
     if x < 0.0:
         raise ValueError("ray coordinate must be nonnegative")
     return -x * math.exp(-x * x / (4.0 * t)) / (2.0 * _ROOT_PI * t**1.5)
@@ -202,7 +191,7 @@ def k_interval(L: float, x: float, y: float, t: float,
     that, the crossover where both tails are about exp(-pi).  The bound
     covers truncation only, not rounding.
     """
-    L, t = _positive(L=L, t=t)
+    L, t = positive(L=L, t=t)
     if not (0.0 <= x <= L and 0.0 <= y <= L):
         raise ValueError("x and y must lie in [0, L]")
     if rep == "auto":
@@ -232,7 +221,7 @@ def k_circle(L: float, x: float, y: float, t: float,
     :func:`_modes`), or "auto", images for t < L^2/4pi.  The bound covers
     truncation only, not rounding.
     """
-    L, t = _positive(L=L, t=t)
+    L, t = positive(L=L, t=t)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("x and y must be finite")
     d = _wrap_diff(x - y, L)
@@ -263,7 +252,7 @@ def interface_two_intervals(L1: float, L2: float, t: float,
     at small t.  Returns (value, bound on the terms left out); the bound
     covers truncation only.
     """
-    L1, L2, t = _positive(L1=L1, L2=L2, t=t)
+    L1, L2, t = positive(L1=L1, L2=L2, t=t)
     reps = {"residues": "spectral", "poisson": "images"}
     if form not in reps:
         raise ValueError(f"unknown form {form!r}")
@@ -291,7 +280,7 @@ def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     exact and none loses x + y to rounding at the scale of 2 L2.  The
     reference of both routes in ``heatglue interval glue``.
     """
-    L1, L2, t = _positive(L1=L1, L2=L2, t=t)
+    L1, L2, t = positive(L1=L1, L2=L2, t=t)
     if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
         raise ValueError("x and y must lie in [0, L2]")
     # the four families, each counted, keep one range of shifts
@@ -379,7 +368,7 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float,
     exp(-distance^2/4t).  Returns the value; its check is the direct
     two-kernel difference :func:`glue_direct`.
     """
-    L1, L2, t = _positive(L1=L1, L2=L2, t=t)
+    L1, L2, t = positive(L1=L1, L2=L2, t=t)
     return _route_I(L1, L2, t, [(x, y)])[0]
 
 
@@ -619,12 +608,10 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     echo sum and, when n_max > 0, its order 1, the pair alone forms
     pair.d.size (1 + phi.d.size) images.
     """
-    L1, L2, t = _positive(L1=L1, L2=L2, t=t)
+    L1, L2, t = positive(L1=L1, L2=L2, t=t)
     if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
         raise ValueError("x and y must lie in [0, L2]")
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    (n_max,) = nonnegative(n_max=n_max)
     label = f"echo series at order {n_max}"
     prior = k_line(x, y, t)
     # at x = y = 0 both pulses are the delta at the junction
@@ -675,7 +662,7 @@ def glue_rays(x: float, y: float, t: float) -> tuple[float, float]:
     Returns (value, bound); the bound is the rounding part of
     :meth:`_ImageSum.at`, the one distance x + y being off by at most U.
     """
-    x, y, t = _positive(x=x, y=y, t=t)
+    x, y, t = positive(x=x, y=y, t=t)
     line = _ImageSum("h", [x], [1.0]).compose(
         _ImageSum("h", [y], [1.0])).compose(_G0)
     return line.at(t, 1.0)
@@ -743,7 +730,7 @@ def arc_coordinates(L_total: float, cuts: Sequence[float], x: float,
                     y: float) -> tuple[float, float, float]:
     """(length, x, y) on the arc that holds x and y of a circle cut at two
     distinct points; ValueError unless both lie strictly inside one arc."""
-    (L,) = _positive(L_total=L_total)
+    (L,) = positive(L_total=L_total)
     if len(cuts) != 2:
         raise ValueError("exactly two cut points are required; one point "
                          "does not separate the circle")
@@ -802,10 +789,8 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     """
     arc_coordinates(L_total, cuts, x, y)  # both points inside one arc
     L = float(L_total)
-    (t,) = _positive(t=t)
-    k_max = int(k_max)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    (t,) = positive(t=t)
+    (k_max,) = nonnegative(k_max=k_max)
     reach = _reach(t)
     state = [_ring("h", L, x - c, reach) for c in cuts]
     same = _ring("h", L, 0.0, reach, skip_zero=True)
@@ -890,7 +875,7 @@ def cylinder_factorization_check(L1: float, L2: float, circle_L: float,
     for all points; route I at a point is one bilinear image sum
     (:func:`glue_intervals_I`).
     """
-    L1, L2, circle_L, t = _positive(L1=L1, L2=L2, circle_L=circle_L, t=t)
+    L1, L2, circle_L, t = positive(L1=L1, L2=L2, circle_L=circle_L, t=t)
     S = L1 + L2
     glued = _route_I(L1, L2, t, [(xx, yy) for xx, yy, _, _ in points])
     joints = _cylinder_joint(S, circle_L, [(L1 + xx, L1 + yy, g1, g2)
@@ -925,10 +910,7 @@ def dn_cylinder(L: float, omegas: Sequence[float], m2: float) -> DnCylinderRepor
     Uses coth(z) - 1 = 2 / (e^(2z) - 1) through expm1, so the
     exponentially small gaps survive in floating point.
     """
-    (L,) = _positive(L=L)
-    m2 = float(m2)
-    if not (m2 > 0.0):
-        raise ValueError("m2 must be positive")
+    L, m2 = positive(L=L, m2=m2)
     m = math.sqrt(m2)
     lambdas = []
     gaps = []

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from heatglue.errors import LengthCapError
+from heatglue.errors import LengthCapError, below_prior, nonnegative, positive
 from heatglue.expmix import (
     ExpMix,
     convolve,
@@ -113,15 +113,12 @@ class PathClassSpec:
         object.__setattr__(self, "interface", tuple(self.interface))
         if self.tag != "P" and not self.interface:
             raise ValueError(f"class {self.tag} needs a nonempty interface")
-        if self.max_length < 0:
-            raise ValueError("max_length must be >= 0")
+        nonnegative(max_length=self.max_length)
 
 
 def check_path(g: Graph, p: Path) -> None:
     """Verify that every vertex exists in g and consecutive pairs are edges."""
-    for v in p.vertices:
-        if v not in g.index:
-            raise ValueError(f"path vertex {v!r} not in graph")
+    g.indices(p.vertices)
     a = g.adjacency
     for u, v in zip(p.vertices, p.vertices[1:]):
         if a[g.index[u], g.index[v]] == 0.0:
@@ -186,13 +183,8 @@ def enumerate_paths(g: Graph, spec: PathClassSpec) -> tuple[Path, ...]:
     if spec.max_length > LENGTH_CAP:
         raise LengthCapError(
             f"max_length {spec.max_length} exceeds cap {LENGTH_CAP}")
-    for v in (spec.start, spec.end):
-        if v not in g.index:
-            raise ValueError(f"endpoint {v!r} not in graph")
+    g.indices((spec.start, spec.end, *spec.interface))
     yset = set(spec.interface)
-    for v in yset:
-        if v not in g.index:
-            raise ValueError(f"interface vertex {v!r} not in graph")
 
     idx = g.index
     nbrs = {v: sorted(g.neighbors(v), key=idx.__getitem__) for v in g.vertices}
@@ -365,23 +357,20 @@ def pathsum_heat(g: Graph, u, v, t: float,
     roundings of that order: about d_max + 3 per order for the step and up
     to (9 n + 1)/8 more for the block products.  Raises
     :class:`LengthCapError` carrying the deficit at the cap when no cutoff
-    within it qualifies.
+    within it qualifies.  An entry of e^{-tL} lies in [0, 1], so a bound
+    of 1 or more proves nothing: it raises
+    :class:`~heatglue.errors.TruncationError` by
+    :func:`~heatglue.errors.below_prior`, as the graph series does.
     """
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"need t > 0, got {t}")
-    if not (eps > 0.0):
-        raise ValueError(f"need eps > 0, got {eps}")
-    for w in (u, v):
-        if w not in g.index:
-            raise ValueError(f"vertex {w!r} not in graph")
+    t, eps = positive(t=t, eps=eps)
+    iu, iv = g.indices((u, v))
 
     # paths of length j are the walks with j adjacency steps, so the sum
     # over lengths <= k is layers 0 .. k of the walk advancing on every edge
     vals = g.valencies
     d_max = float(vals.max())
     start = np.zeros((1, g.n))
-    start[0, g.index[u]] = 1.0
+    start[0, iu] = 1.0
     layers, gamma = uniformized_walk(np.diag(d_max - vals), g.adjacency,
                                      start, LENGTH_CAP + 1, d_max, t)
     rows = layers[:, 0, :].tolist()
@@ -392,8 +381,9 @@ def pathsum_heat(g: Graph, u, v, t: float,
         deficit = 1.0 - total
         rounding = 3.0 * gamma * max(1.0, total)
         if deficit < eps or deficit <= rounding:
-            value = math.fsum(r[g.index[v]] for r in rows[: k + 1])
-            return value, k, deficit + rounding
+            value = math.fsum(r[iv] for r in rows[: k + 1])
+            return value, k, below_prior(deficit + rounding, 1.0,
+                                         f"path sum at length {k}")
     raise LengthCapError(
         f"eps={eps:g} needs paths longer than the cap {LENGTH_CAP}; "
         f"row-sum deficit there is {deficit:g}", deficit)
@@ -427,9 +417,7 @@ class PathSumOperator:
 
     def _values_at(self, t: float) -> tuple[np.ndarray, float]:
         """The values at t > 0 and the walk's relative rounding gamma."""
-        t = float(t)
-        if not (t > 0.0) or not math.isfinite(t):
-            raise ValueError(f"evaluate needs t > 0, got {t}; the atom sits at t=0")
+        (t,) = positive(t=t)
         if self._layers == 0:
             return np.zeros((len(self.rows), len(self.cols))), 0.0
         sums, gamma = uniformized_walk(self._step, self._advance, self._start,
@@ -484,8 +472,7 @@ def pathsum_operators(d: Decomposition, which: str,
     """
     if which not in ("extension", "interface", "dn_prime"):
         raise ValueError(f"unknown operator {which!r}")
-    if max_length < 0:
-        raise ValueError("max_length must be >= 0")
+    (max_length,) = nonnegative(max_length=max_length)
     if max_length > LENGTH_CAP:
         raise LengthCapError(f"max_length {max_length} exceeds cap {LENGTH_CAP}")
 

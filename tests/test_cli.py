@@ -185,7 +185,7 @@ def test_reordered_graphs_are_the_graphs_checked_anew():
         edges = tuple(e for e in g.edges if set(e) <= set(labels))
         assert g.induced(labels) == graph_heat.Graph(labels, edges)
     for labels, message in [(("a", "a"), "duplicate vertex labels"),
-                            (("a", "z"), "unknown vertex 'z'")]:
+                            (("a", "z"), "vertex 'z' not in graph")]:
         with pytest.raises(ValueError, match=message):
             g.induced(labels)
     with pytest.raises(ValueError, match="permutation"):
@@ -342,6 +342,11 @@ def test_a_tail_past_the_float_range_exits_three(args, message):
     # theta t = 140000 passes the 65536 Taylor orders the walk keeps
     ("graph glue --input line3 --t 70000 --method series --kmax 3",
      "TruncationError: series at order 3: bound 1.00000000450431 is not "
+     "below the a-priori bound 1"),
+    # the walk's Taylor orders at theta t = 2e16 leave a row-sum deficit of
+    # 54 on an entry that lies in [0, 1], with value 0 against 0.12
+    ("graph pathsum --input line3 --u 1 --v 3 --t 1e16 --eps 1e-9",
+     "TruncationError: path sum at length 0: bound 54.2907051906239 is not "
      "below the a-priori bound 1")])
 def test_a_bound_at_or_above_the_a_priori_bound_exits_three(args, message):
     t0 = time.perf_counter()
@@ -600,6 +605,24 @@ def test_exit_three_on_numerical_failure():
     assert r["value"] is None
 
 
+def test_a_report_never_carries_a_non_finite_number(monkeypatch):
+    # a NaN bound would fall back to tol and pass, an infinite value would
+    # fail: either is a numerical failure of the route, one error report
+    glue_rays = heatglue.cli.heat1d.glue_rays
+    monkeypatch.setattr(heatglue.cli.heat1d, "glue_rays",
+                        lambda x, y, t: (glue_rays(x, y, t)[0], math.nan))
+    monkeypatch.setattr(heatglue.cli.graph_heat, "glue_I_values",
+                        lambda d, t: np.full((3, 3), math.inf))
+    for args in ("ray glue --x 0.8 --y 1.1 --t 0.6",
+                 "graph glue --input line3 --t 1"):
+        res = invoke(args.split())
+        assert res.exit_code == 3
+        (r,) = json_lines(res.stdout)
+        assert r["status"] == "error"
+        assert r["message"] == ("FloatingPointError: a value, reference, "
+                                "residual or bound is not finite")
+
+
 #: Every typed numerical failure of the package.
 FAILURES = [getattr(errors, name) for name in errors.__all__
             if isinstance(getattr(errors, name), type)]
@@ -710,12 +733,43 @@ def test_every_valid_case_passes(tmp_path):
     # a negative count, an infinite distance
     ("random-graph-glue", "count", -1, "case rg: count must be nonnegative"),
     ("ray-glue", "x", math.inf, "case rl: x must be positive and finite"),
+    # a frozen reference that is not finite
+    ("ray-glue", "reference", math.inf, "case rl: reference must be finite"),
+    ("ray-glue", "reference", math.nan, "case rl: reference must be finite"),
 ])
 def test_a_malformed_case_is_unusable_input(tmp_path, kind, field, value,
                                             message):
     res = verify_case(tmp_path, dict(VALID[kind], **{field: value}))
     assert (res.exit_code, res.stdout) == (2, "")
     assert res.stderr == f"Error: {message}\n"
+
+
+@pytest.mark.parametrize("args,case,message", [
+    ("dn cylinder --L 2 --m2 inf --kmax 1",
+     dict(VALID["dn-cylinder"], L=2.0, m2=math.inf, kmax=1),
+     "m2 must be positive and finite"),
+    ("graph cut --input line_dirichlet --m2 inf",
+     dict(VALID["graph-cut"], m2=math.inf), "m2 must be positive and finite"),
+    ("graph pathsum --input line3 --u 1 --v 3 --t 0.7 --eps inf",
+     dict(VALID["graph-pathsum"], eps=math.inf),
+     "eps must be positive and finite"),
+    ("graph glue --input line3 --t 1 --method series --kmax -1",
+     dict(VALID["graph-glue"], kmax=-1), "k_max must be nonnegative"),
+    ("graph cut --input line_dirichlet --interface 0,z --m2 1",
+     dict(VALID["graph-cut"], interface=["0", "z"]),
+     "vertex 'z' not in graph")],
+    ids=["infinite-mass", "infinite-cut-mass", "infinite-accuracy",
+         "negative-order", "unknown-vertex"])
+def test_each_input_rule_refuses_on_the_command_line_and_in_verify(
+        tmp_path, args, case, message):
+    # one rule per kind of input: errors.positive, errors.nonnegative and
+    # Graph.indices; a RuntimeWarning on the way is an error under pytest
+    res = invoke(args.split())
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"Error: {message}\n"
+    res = verify_case(tmp_path, case)
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"Error: case {case['id']}: {message}\n"
 
 
 @pytest.fixture(scope="module")

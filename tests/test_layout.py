@@ -136,17 +136,28 @@ def named(tree):
             yield from (a.asname or a.name for a in n.names)
 
 
+def called(tree):
+    """The names of every function or method a module calls."""
+    return {getattr(n.func, "attr", getattr(n.func, "id", None))
+            for n in ast.walk(tree) if isinstance(n, ast.Call)}
+
+
 def test_the_1d_kernels_use_no_quadrature():
     # route II and the rays are exact image-sum compositions, and no route
-    # of the package convolves numerically: quadsim keeps only the two
-    # names the benchmark tracer hooks, and only cli imports it
+    # of the package convolves numerically: quadsim keeps only the name the
+    # benchmark tracer hooks, and only cli names it, to register it lazily
+    # (no module imports it)
     trees = dict(modules())
     stub = trees["quadsim"]
-    assert exported(stub) == {"ConvergenceError", "TimeFactor"}
+    assert exported(stub) == {"TimeFactor"}
     assert set(defined_names(stub)) - {"annotations", "__all__"} == {
-        "ConvergenceError", "TimeFactor"}
+        "TimeFactor"}
     assert [stem for stem, tree in trees.items()
-            if "heatglue.quadsim" in set(imported_modules(tree))] == ["cli"]
+            if "quadsim" in set(named(tree)) | {
+                n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+            ] == ["cli"]
+    assert [stem for stem, tree in trees.items()
+            if "heatglue.quadsim" in set(imported_modules(tree))] == []
     for stem, tree in trees.items():
         assert not set(named(tree)) & {"conv_n", "adaptive",
                                        "inverse_pow_gaussian"}, stem
@@ -251,16 +262,15 @@ def test_a_circle_cut_request_evaluates_the_circle_kernel_once(monkeypatch,
 def test_one_rounding_rule_and_one_a_priori_rule():
     # an image sum is evaluated only at one time, with its rounding bound;
     # the cut does not take the circle kernel, and only errors.below_prior
-    # raises on a vacuous certificate: heat1d's route II, the graph series
-    # and the circle cut all call it, and none has a rule of its own
+    # raises on a vacuous certificate: heat1d's route II, the graph series,
+    # the path sum and the circle cut all call it, and none has a rule of
+    # its own
     trees = dict(modules())
     assert [stem for stem, tree in trees.items()
             if "below_prior" in {getattr(n, "name", None) for n in tree.body}
             ] == ["errors"]
-    for stem in ("heat1d", "graph_heat", "cli"):
-        assert "below_prior" in {
-            getattr(n.func, "attr", getattr(n.func, "id", None))
-            for n in ast.walk(trees[stem]) if isinstance(n, ast.Call)}, stem
+    for stem in ("heat1d", "graph_heat", "path_sum", "cli"):
+        assert "below_prior" in called(trees[stem]), stem
     image_sum = next(n for n in trees["heat1d"].body
                      if getattr(n, "name", None) == "_ImageSum")
     assert "__call__" not in {f.name for f in image_sum.body
@@ -273,6 +283,30 @@ def test_one_rounding_rule_and_one_a_priori_rule():
         assert [n for n in ast.walk(trees[stem]) if isinstance(n, ast.Call)
                 and "TruncationError" in (getattr(n.func, "attr", None),
                                           getattr(n.func, "id", None))] == []
+
+
+def test_one_rule_per_kind_of_input():
+    # errors decides which lengths, times, masses and counts the package
+    # refuses (positive, nonnegative), as it decides which certificates it
+    # refuses, and Graph.indices which vertex labels: no module keeps a
+    # copy of a rule or writes its message, and every module that takes a
+    # length, time or mass calls errors.positive
+    trees = dict(modules())
+    functions = {stem: {n.name for n in ast.walk(tree)
+                        if isinstance(n, ast.FunctionDef)}
+                 for stem, tree in trees.items()}
+    for rule, home, message in [("positive", "errors", "positive and finite"),
+                                ("nonnegative", "errors", None),
+                                ("indices", "graph_heat", "not in graph")]:
+        assert [stem for stem in trees if rule in functions[stem]] == [home]
+        assert message is None or {
+            stem for stem, tree in trees.items() for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and message in str(n.value)
+        } == {home}
+    assert [stem for stem in trees
+            if {"_positive", "_check_t"} & functions[stem]] == []
+    for stem in ("heat1d", "graph_heat", "path_sum", "expmix", "cli"):
+        assert "positive" in called(trees[stem]), stem
 
 
 def test_one_junction_kernel_and_one_rate_clamp():
