@@ -33,21 +33,15 @@ __all__ = [
     "POWER_LIMIT",
     "ExpTerm",
     "ExpMix",
-    "allclose",
     "convolve",
-    "cumulative",
-    "delta",
     "evaluate",
     "evaluate_basis",
     "convolve_exponential",
-    "exponential",
     "from_basis",
     "from_dict",
     "laplace",
-    "laplace_basis",
     "rate_universe",
-    "simplex_convolve",
-    "to_dict",
+    "structural_max_diff",
 ]
 
 EPS_MERGE = 1e-9
@@ -170,15 +164,6 @@ class ExpMix:
         return self.atom == 0.0 and not self.terms
 
 
-def delta(c: float = 1.0) -> ExpMix:
-    """The point mass ``c * delta(t)``, the convolution identity for c=1."""
-    return ExpMix(atom=c)
-
-
-def exponential(coef: float, rate: float) -> ExpMix:
-    return ExpMix(terms=((coef, 0, rate),))
-
-
 ZERO = ExpMix()
 
 
@@ -266,25 +251,6 @@ def evaluate_basis(coef: np.ndarray, universe: np.ndarray, t: float) -> np.ndarr
     return np.array([math.fsum(r) for r in terms.tolist()]).reshape(coef.shape[:-2])
 
 
-def laplace_basis(coef: np.ndarray, universe: np.ndarray, s: float) -> np.ndarray:
-    """Laplace images at s of the batch of profiles ``coef[..., x, p]``:
-    ``sum coef[x, p] / (s + u_x)^(p+1)``, without atoms.
-
-    ``s`` must lie strictly right of every pole that carries a coefficient.
-    """
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValueError(f"need finite s, got {s}")
-    live = coef.reshape(-1, *coef.shape[-2:]).any(axis=(0, 2))
-    if live.any() and s <= -universe[live].min():
-        raise ValueError(
-            f"s={s} is at or below the rightmost pole {-universe[live].min()}"
-        )
-    base = np.where(live, s + universe, 1.0)
-    return np.einsum("...xp,xp->...", coef,
-                     base[:, None] ** -np.arange(1.0, coef.shape[-1] + 1.0))
-
-
 def _dense(f: ExpMix, rows: np.ndarray, size: int, width: int) -> np.ndarray:
     """Coefficients of ``t^p`` of f, term j in row ``rows[j]``."""
     out = np.zeros((size, width))
@@ -342,21 +308,6 @@ def convolve(f: ExpMix, g: ExpMix) -> ExpMix:
     return from_basis(out, universe, f.atom * g.atom)
 
 
-def simplex_convolve(fs: Sequence[ExpMix]) -> ExpMix:
-    """Iterated convolution of ``fs``; a single factor is returned unchanged.
-
-    Equals the integral of the product of the factors over the simplex
-    ``{t_i >= 0, sum t_i = t}``.
-    """
-    fs = list(fs)
-    if not fs:
-        raise ValueError("simplex_convolve needs at least one factor")
-    acc = fs[0]
-    for g in fs[1:]:
-        acc = convolve(acc, g)
-    return acc
-
-
 def evaluate(f: ExpMix, t: float) -> float:
     """Value of the non-atomic part at ``t > 0`` (compensated summation)."""
     (t,) = positive(t=t)
@@ -386,49 +337,6 @@ def laplace(f: ExpMix, s: float) -> float:
     return f.atom + math.fsum(vals.tolist())
 
 
-def cumulative(f: ExpMix, t: float) -> float:
-    """Mass on [0, t]: the atom plus ``int_0^t`` of the smooth part, t > 0."""
-    (t,) = positive(t=t)
-    total = [f.atom]
-    for term in f.terms:
-        k, lam, c = term.power, term.rate, term.coef
-        x = lam * t
-        if lam == 0.0:
-            total.append(c * t ** (k + 1) / (k + 1))
-        elif x < 0.5 * (k + 1) + 5.0:
-            # alternating series in lam*t, free of the 1 - exp cancellation
-            ssum = 0.0
-            num = 1.0
-            for mth in range(0, 400):
-                ssum += num / (k + 1 + mth)
-                num *= -x / (mth + 1)
-                if abs(num) < 1e-17 * (1.0 + abs(ssum)):
-                    break
-            total.append(c * t ** (k + 1) * ssum)
-        else:
-            partial = math.fsum(x**i / math.factorial(i) for i in range(k + 1))
-            total.append(
-                c * math.factorial(k) / lam ** (k + 1) * (1.0 - math.exp(-x) * partial)
-            )
-    return math.fsum(total)
-
-
-def allclose(f: ExpMix, g: ExpMix, *, atol: float = 1e-12, rtol: float = 1e-9) -> bool:
-    """Structural comparison after joint rate clustering.
-
-    Coefficients are compared per (rate cluster, power) with an absent term
-    treated as zero; atoms are compared with the same tolerances.
-    """
-    diff = structural_max_diff(f, g)
-    scale_ref = max(
-        [abs(f.atom), abs(g.atom)]
-        + [abs(t.coef) for t in f.terms]
-        + [abs(t.coef) for t in g.terms]
-        + [0.0]
-    )
-    return diff <= atol + rtol * scale_ref
-
-
 def structural_max_diff(f: ExpMix, g: ExpMix) -> float:
     """Max absolute coefficient difference after joint canonicalization."""
     universe, rows_f, rows_g, width = _joint(f, g)
@@ -440,15 +348,6 @@ def structural_max_diff(f: ExpMix, g: ExpMix) -> float:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def to_dict(f: ExpMix) -> dict:
-    return {
-        "atom": f.atom,
-        "terms": [
-            {"coef": t.coef, "power": t.power, "rate": t.rate} for t in f.terms
-        ],
-    }
 
 
 def from_dict(d: dict) -> ExpMix:

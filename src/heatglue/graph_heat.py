@@ -1,15 +1,14 @@
 """Heat kernels on finite simple graphs, with exact time profiles.
 
 Covers the discrete toolkit: graph Laplacians, Dirichlet (relative) kernels,
-extension kernels, discrete Dirichlet-to-Neumann matrices, Green's matrices,
-the interface kernel by two routes (assembled, and as a convolution series
-built only from one-sided data), the two gluing formulas, and the Schur-cut
-identity.  Every exact time-dependent object is a :class:`KernelMatrix`: one
-coefficient tensor on one rate universe, built and evaluated as arrays, so
-gluing identities can be checked coefficient-wise rather than on a sample
-grid; an :class:`~heatglue.expmix.ExpMix` is made only for an entry that is
-asked for.  The series route
-(:func:`interface_kernel_series`, :func:`glue_II`) instead returns a
+extension kernels, the interface kernel by two routes (assembled, and as a
+convolution series built only from one-sided data), the two gluing
+formulas, and the Schur-cut identity of the killed Green's matrix.  Every
+exact time-dependent object is a :class:`KernelMatrix`: one coefficient
+tensor on one rate universe, built and evaluated as arrays, so gluing
+identities can be checked coefficient-wise rather than on a sample grid;
+an :class:`~heatglue.expmix.ExpMix` is made only for an entry that is
+asked for.  The series route (:func:`glue_II`) instead returns a
 :class:`SeriesKernel`: values at t with a certified error bound, summed in a
 cancellation-free positive basis, and raises
 :class:`~heatglue.errors.TruncationError` on a bound that certifies
@@ -36,7 +35,6 @@ from heatglue.expmix import (
     convolve_exponential,
     evaluate_basis,
     from_basis,
-    laplace_basis,
     rate_universe,
 )
 
@@ -47,12 +45,8 @@ __all__ = [
     "heat_kernel",
     "heat_values",
     "relative_heat_kernel",
-    "green",
     "extension_kernel",
-    "dn_single",
-    "dn_total",
     "interface_kernel",
-    "interface_kernel_series",
     "one_step_interface_kernel",
     "SeriesKernel",
     "uniformized_walk",
@@ -136,10 +130,6 @@ class Graph:
         except KeyError as exc:
             raise ValueError(f"vertex {exc.args[0]!r} not in graph") from None
 
-    def neighbors(self, v) -> tuple:
-        i = self.index[v]
-        return tuple(self.vertices[j] for j in np.nonzero(self.adjacency[i])[0])
-
     def induced(self, labels: Sequence) -> "Graph":
         labels = tuple(labels)
         keep = set(labels)
@@ -166,12 +156,6 @@ class Graph:
         object.__setattr__(g, "edges", tuple((vertices[i], vertices[j])
                                              for i, j in canon))
         return g
-
-    def to_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [[u, v] for u, v in self.edges],
-        }
 
 
 def graph_from_dict(d: dict) -> Graph:
@@ -245,13 +229,6 @@ class Decomposition:
             g.induced(self.interface + self.side2),
         )
 
-    def to_dict(self) -> dict:
-        d = self.graph.to_dict()
-        d["interface"] = list(self.interface)
-        d["side1"] = list(self.side1)
-        d["side2"] = list(self.side2)
-        return d
-
 
 def decomposition_from_dict(d: dict) -> Decomposition:
     g = graph_from_dict(d)
@@ -279,7 +256,7 @@ class KernelMatrix:
     has shape ``(len(rows), len(cols), len(universe), powers)``.  The arrays
     are read-only.  :meth:`entry` builds the canonical
     :class:`~heatglue.expmix.ExpMix` of one entry when it is asked for;
-    :meth:`evaluate` and :meth:`laplace` work on the whole tensor.
+    :meth:`evaluate` works on the whole tensor.
     """
 
     rows: tuple
@@ -317,10 +294,6 @@ class KernelMatrix:
     def evaluate(self, t: float) -> np.ndarray:
         """Pointwise values at t > 0 (atoms do not contribute there)."""
         return evaluate_basis(self.coef, self.universe, t)
-
-    def laplace(self, s: float) -> np.ndarray:
-        """Laplace images at s, atoms included."""
-        return self.atom + laplace_basis(self.coef, self.universe, s)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +373,6 @@ def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:
     return KernelMatrix(g.vertices, g.vertices, universe, coef, np.zeros((g.n, g.n)))
 
 
-def green(g: Graph, m2: float) -> np.ndarray:
-    """(Laplacian + m2)^-1; m2 must be positive since the Laplacian is singular."""
-    (m2,) = positive(m2=m2)
-    d = symlin.eigh(g.laplacian)
-    return symlin.spectral_apply(d, lambda w: 1.0 / (w + m2))
-
-
 def extension_kernel(g: Graph, y: Sequence) -> KernelMatrix:
     """Impulse response of the boundary-data-to-interior map.
 
@@ -426,48 +392,18 @@ def extension_kernel(g: Graph, y: Sequence) -> KernelMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet-to-Neumann and the interface kernel
+# the interface kernel
 # ---------------------------------------------------------------------------
-
-
-def dn_single(g: Graph, y: Sequence, m2: float) -> np.ndarray:
-    """Inverse of the y-y block of the Green's matrix of g."""
-    y = tuple(y)
-    gm = green(g, m2)
-    yi = [g.index[v] for v in y]
-    blk = gm[np.ix_(yi, yi)]
-    try:
-        return np.linalg.inv(blk)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by m2 > 0
-        raise ValueError(f"singular y-y Green block: {exc}") from exc
-
-
-def dn_total(g1: Graph, g2: Graph, y: Sequence, m2: float) -> np.ndarray:
-    """Two-sided Dirichlet-to-Neumann matrix on the shared interface.
-
-    The sides must intersect exactly in y and agree on its internal edges;
-    the shared interface Laplacian plus m2 is counted once, so it is removed
-    after summing the one-sided matrices.
-    """
-    y = tuple(y)
-    shared = set(g1.vertices) & set(g2.vertices)
-    if shared != set(y):
-        raise ValueError("graphs must share exactly the interface vertex set")
-    e1 = {frozenset(e) for e in g1.induced(y).edges}
-    e2 = {frozenset(e) for e in g2.induced(y).edges}
-    if e1 != e2:
-        raise ValueError("graphs disagree on interface-internal edges")
-    ly = g1.induced(y).laplacian.entries
-    out = dn_single(g1, y, m2) + dn_single(g2, y, m2) - (ly + m2 * np.eye(len(y)))
-    return out
 
 
 def interface_kernel(d: Decomposition) -> KernelMatrix:
     """Interface block of the glued heat kernel (the assembled route).
 
     Uses the glued graph directly, from the interface rows of its
-    eigenvectors; the series route below reaches the same object from
-    one-sided data only.
+    eigenvectors.  The series route reaches the same block from one-sided
+    data only: a :class:`SeriesKernel` on the interface labels, whose
+    bound holds here too, since K[y, :] = IFK[y, :] * E^T and E^T carries
+    the identity atom on the interface columns.
     """
     og = d.ordered_graph
     eig = symlin.eigh(og.laplacian)
@@ -691,11 +627,10 @@ class SeriesKernel:
     glued kernel dresses the sum with the extension kernel on both sides.
 
     ``rows`` and ``cols`` are the vertex labels of the block.
-    ``evaluate(t)`` returns its values at t > 0, and
-    ``evaluate_with_bound(t)`` those values and a certified bound on their
-    entrywise error against the exact glued kernel, from the row sums of
-    the truncated kernel (every dropped piece is nonnegative and the exact
-    kernel is stochastic) plus a rounding allowance.  An entry of the
+    ``evaluate_with_bound(t)`` returns its values at t > 0 and a certified
+    bound on their entrywise error against the exact glued kernel, from the
+    row sums of the truncated kernel (every dropped piece is nonnegative
+    and the exact kernel is stochastic) plus a rounding allowance.  An entry of the
     exact kernel lies in [0, 1], so a bound of 1 or more proves nothing,
     and it raises :class:`~heatglue.errors.TruncationError` on it by
     :func:`~heatglue.errors.below_prior`, the one a-priori rule of the
@@ -735,31 +670,14 @@ class SeriesKernel:
         layers[-1][:, self._y] = 0.0
         return layers.sum(axis=0), gamma
 
-    def evaluate(self, t: float) -> np.ndarray:
-        """Values of the block at t > 0."""
-        vals, _ = self._rows_at(*positive(t=t))
-        return vals[:, self._start]
-
     def evaluate_with_bound(self, t: float) -> tuple[np.ndarray, float]:
-        """:meth:`evaluate` at t > 0 and a certified bound on its entrywise
-        error, from one walk."""
+        """Values of the block at t > 0 and a certified bound on their
+        entrywise error, from one walk."""
         vals, gamma = self._rows_at(*positive(t=t))
         sums = [math.fsum(row) for row in vals.tolist()]
         bound = max(1.0 - s for s in sums) + 3.0 * gamma * max(1.0, max(sums))
         return vals[:, self._start], below_prior(
             bound, 1.0, f"series at order {self._k_max}")
-
-
-def interface_kernel_series(d: Decomposition, k_max: int) -> SeriesKernel:
-    """Interface kernel from its k_max-truncated one-sided series: a
-    :class:`SeriesKernel` on the interface, whose ``evaluate_with_bound(t)``
-    gives values at t > 0 and their certified error bound.  The bound reads
-    the interface rows of the glued kernel: K[y, :] = IFK[y, :] * E^T, and
-    E^T carries the identity atom on the interface columns, so each
-    interface entry is an entry of those rows and its error is at most
-    their row-sum deficit.
-    """
-    return SeriesKernel(d, k_max, d.interface)
 
 
 # ---------------------------------------------------------------------------
@@ -942,14 +860,15 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
         S = P_aa - P_ab M P_ba + V (m2 I + Z_b^T M Z_b)^-1 V^T,
 
     with M = P_bb^-1 and V = Z_a - P_ab M Z_b.  Vertices of y whose
-    component lies inside y decouple from a and are left out of b.
+    component lies inside y decouple from a and are left out of b.  y must
+    be nonempty, as the interface of a :class:`Decomposition` is.
     """
     (m2,) = positive(m2=m2)
     y = tuple(y)
     yset = set(y)
-    g.indices(y)
     if not y:
-        return green(g, m2), 0.0
+        raise ValueError("interface must be nonempty")
+    g.indices(y)
     a = [i for i, v in enumerate(g.vertices) if v not in yset]
     if not a:
         return np.zeros((0, 0)), 0.0

@@ -1,8 +1,8 @@
 """One-dimensional heat kernels and the gluing and cutting checks built on them.
 
-Closed forms on the line and the half line, image and eigenmode series on
-the interval and the circle (each with an explicit truncation bound),
-interface kernels for two intervals joined at a point, and the
+The closed form on the line, image and eigenmode series on the interval
+and the circle (each with an explicit truncation bound), interface
+kernels for two intervals joined at a point, and the
 reconstruction checks: a glued interval rebuilt from boundary-flux
 convolutions, two rays glued into a line, an arc cut out of a circle, and
 the cylinder factorization and spectrum checks.  Wherever a formula admits
@@ -35,8 +35,6 @@ from heatglue.errors import TruncationError, below_prior, nonnegative, positive
 
 __all__ = [
     "k_line",
-    "k_ray",
-    "dk_ray",
     "k_interval",
     "k_circle",
     "interface_two_intervals",
@@ -52,11 +50,9 @@ __all__ = [
     "DnCylinderReport",
 ]
 
-_ROOT_PI = math.sqrt(math.pi)
-
 
 # ---------------------------------------------------------------------------
-# closed forms: line and ray
+# the closed form on the line
 # ---------------------------------------------------------------------------
 
 
@@ -64,27 +60,6 @@ def k_line(x: float, y: float, t: float) -> float:
     """Free kernel (4 pi t)^(-1/2) exp(-(x-y)^2/4t)."""
     (t,) = positive(t=t)
     return math.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-
-
-def k_ray(x: float, y: float, t: float) -> float:
-    """Dirichlet kernel on the half line, by the image charge at -y."""
-    (t,) = positive(t=t)
-    if x < 0.0 or y < 0.0:
-        raise ValueError("ray coordinates must be nonnegative")
-    return k_line(x, y, t) - k_line(x, -y, t)
-
-
-def dk_ray(x: float, t: float) -> float:
-    """Outward normal derivative of the ray kernel at the boundary end.
-
-    This is -d/dy k_ray(x, y, t) at y = 0, which is nonpositive: the kernel
-    is positive inside and vanishes at the wall, so it grows into the
-    domain.  Its magnitude is the first-passage pulse at distance x.
-    """
-    (t,) = positive(t=t)
-    if x < 0.0:
-        raise ValueError("ray coordinate must be nonnegative")
-    return -x * math.exp(-x * x / (4.0 * t)) / (2.0 * _ROOT_PI * t**1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 import heatglue
-from heatglue.expmix import ExpMix, evaluate
+from heatglue.expmix import ExpMix, evaluate, structural_max_diff
 from heatglue.graph_heat import _poisson_order
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
@@ -43,6 +43,16 @@ def gl_convolve_value(f: ExpMix, g: ExpMix, t: float) -> float:
     if g.atom:
         total += g.atom * (evaluate(f, t) if f.terms else 0.0)
     return total
+
+
+def allclose(f: ExpMix, g: ExpMix, *, atol: float = 1e-12,
+             rtol: float = 1e-9) -> bool:
+    """Structural comparison after joint rate clustering: coefficients per
+    (rate cluster, power), an absent term counting as zero, and the atoms,
+    within atol plus rtol times the largest coefficient or atom of either."""
+    scale_ref = max([abs(f.atom), abs(g.atom)]
+                    + [abs(t.coef) for t in f.terms + g.terms])
+    return structural_max_diff(f, g) <= atol + rtol * scale_ref
 
 
 def taylor_expm(a: np.ndarray, order: int = 24) -> np.ndarray:

@@ -250,6 +250,19 @@ def test_graph_cut_unresolved_block_is_a_numerical_error(tmp_path):
     assert r["message"].startswith("FloatingPointError: ")
 
 
+def test_graph_cut_needs_a_nonempty_interface():
+    # no --interface and no boundary in the input leave nothing to cut, and
+    # an empty --interface is refused by the rule a Decomposition applies
+    res = invoke(["graph", "cut", "--input", "line3", "--m2", "1"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == ("Error: line3: no --interface given and no "
+                          "boundary in the input\n")
+    res = invoke(["graph", "cut", "--input", "line3", "--interface", ",",
+                  "--m2", "1"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == "Error: interface must be nonempty\n"
+
+
 def test_graph_cut_explicit_interface_skips_closed_form():
     res = invoke(["graph", "cut", "--input", "line_dirichlet",
                   "--interface", "3", "--m2", "0.5"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -10,24 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gl_convolve_value
+from conftest import allclose, gl_convolve_value
 from heatglue import expmix as em
 from heatglue.expmix import (
     ConfluentOverflowError,
     ExpMix,
     ExpTerm,
-    allclose,
     convolve,
     convolve_exponential,
-    cumulative,
-    delta,
     evaluate,
-    exponential,
     from_basis,
     from_dict,
     laplace,
-    simplex_convolve,
-    to_dict,
 )
 
 EXACT = 1e-13
@@ -39,6 +34,11 @@ QUAD_E1_E2 = {0.5: 0.23865121854119112, 1.0: 0.23254415793482963, 2.0: 0.1170196
 QUAD_E1_E1 = {0.5: 0.30326532985631666, 1.0: 0.36787944117144233, 2.0: 0.2706705664732254}
 QUAD_RAMP = {0.5: 0.2017690905052648, 1.0: 0.47307437242676853, 2.0: 0.7982364512334141}
 QUAD_TRIPLE_T1 = 0.13533528323661267
+
+
+def exponential(coef: float, rate: float) -> ExpMix:
+    """The profile coef * exp(-rate t)."""
+    return ExpMix(0.0, ((coef, 0, rate),))
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +121,7 @@ def test_laplace_values_and_pole_guard():
         laplace(f, -2.0)
     with pytest.raises(ValueError):
         laplace(f, -2.5)
-    assert laplace(delta(2.0), -100.0) == 2.0
-
-
-def test_cumulative_against_quadrature():
-    f = ExpMix(0.75, ((1.5, 2, 3.0), (-0.5, 0, 0.0), (2.0, 5, 0.4)))
-    nodes, weights = np.polynomial.legendre.leggauss(80)
-    for t in (0.3, 1.7, 6.0):
-        s = 0.5 * t * (nodes + 1.0)
-        w = 0.5 * t * weights
-        ref = 0.75 + float(np.dot(w, [evaluate(f, si) for si in s]))
-        assert cumulative(f, t) == pytest.approx(ref, rel=1e-12, abs=1e-13)
-
-
-def test_cumulative_tends_to_total_mass():
-    f = ExpMix(0.0, ((1.0, 3, 2.0), (0.5, 0, 1.0)))
-    assert cumulative(f, 200.0) == pytest.approx(laplace(f, 0.0), rel=1e-13)
+    assert laplace(ExpMix(2.0), -100.0) == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +154,9 @@ def test_convolve_ramp_against_zero_rate_mix():
 
 
 def test_simplex_convolve_triple():
-    h = simplex_convolve([exponential(1.0, 1.0), exponential(1.0, 1.0), exponential(1.0, 2.0)])
+    h = functools.reduce(convolve, [exponential(1.0, 1.0), exponential(1.0, 1.0),
+                                    exponential(1.0, 2.0)])
     assert evaluate(h, 1.0) == pytest.approx(QUAD_TRIPLE_T1, abs=VALUE_TOL)
-
-
-def test_simplex_convolve_single_and_empty():
-    f = exponential(2.0, 1.0)
-    assert simplex_convolve([f]) == f
-    with pytest.raises(ValueError):
-        simplex_convolve([])
 
 
 def test_confluent_power_growth():
@@ -190,8 +169,8 @@ def test_confluent_power_growth():
 
 def test_delta_is_identity():
     f = ExpMix(0.5, ((1.0, 2, 3.0), (-2.0, 0, 1.0)))
-    assert allclose(convolve(delta(), f), f, atol=0.0, rtol=0.0)
-    assert allclose(convolve(f, delta()), f, atol=0.0, rtol=0.0)
+    assert allclose(convolve(ExpMix(1.0), f), f, atol=0.0, rtol=0.0)
+    assert allclose(convolve(f, ExpMix(1.0)), f, atol=0.0, rtol=0.0)
 
 
 def test_atom_scales_partner():
@@ -338,14 +317,15 @@ def test_convolution_distributes_over_sum(f, g, h):
 @settings(max_examples=80, deadline=None)
 @given(_mix)
 def test_serialization_round_trip(f):
-    assert from_dict(to_dict(f)) == f
-    assert from_dict(json.loads(json.dumps(to_dict(f)))) == f
+    d = {"atom": f.atom, "terms": [
+        {"coef": t.coef, "power": t.power, "rate": t.rate} for t in f.terms]}
+    assert from_dict(d) == f
+    assert from_dict(json.loads(json.dumps(d))) == f
 
 
 def test_json_schema_shape():
-    f = ExpMix(0.5, ((1.5, 2, 3.0),))
-    d = json.loads(json.dumps(to_dict(f)))
-    assert d == {"atom": 0.5, "terms": [{"coef": 1.5, "power": 2, "rate": 3.0}]}
+    d = {"atom": 0.5, "terms": [{"coef": 1.5, "power": 2, "rate": 3.0}]}
+    assert from_dict(d) == ExpMix(0.5, ((1.5, 2, 3.0),))
     with pytest.raises(ValueError):
         from_dict({"terms": []})
 
@@ -399,17 +379,18 @@ def test_simplex_convolve_matches_residues_on_random_factors():
                                int(rng.integers(0, 3)),
                                float(s + rng.uniform(-0.05, 0.05))),))
                  for s in slots]
-        got = simplex_convolve(mixes)
+        got = functools.reduce(convolve, mixes)
         for t in (0.4, 1.3):
             assert abs(evaluate(got, t) - float(residue_convolve(mixes, t))) < 1e-10
 
 
 def test_ill_conditioned_mixture_reference():
     # four factors with two nearly equal rates (2.4318 against 2.4195): the
-    # algebra loses about 2.5e-10 to coefficient cancellation here.  The
-    # reference is a 50-digit partial-fraction expansion of the Laplace image
-    # at the decimal inputs; the oracle, at their binary values, is 4.5e-23
-    # from it.
+    # convolution, folded factor by factor, loses about 2.5e-10 to
+    # coefficient cancellation here, in convolve_exponential, the step that
+    # glue_I builds on too.  The reference is a 50-digit partial-fraction
+    # expansion of the Laplace image at the decimal inputs; the oracle, at
+    # their binary values, is 4.5e-23 from it.
     mixes = [
         ExpMix(0.0, ((1.8149848417452359, 1, 0.8305801319736572),
                      (0.7402993128402058, 2, 2.6459496471095334))),
@@ -421,4 +402,4 @@ def test_ill_conditioned_mixture_reference():
     ref = 8.153400975369576760348e-07
     assert abs(residue_convolve(mixes, 0.4) - mpmath.mpf(
         "8.153400975369576760348e-07")) < 1e-21
-    assert abs(evaluate(simplex_convolve(mixes), 0.4) - ref) > 1e-11
+    assert abs(evaluate(functools.reduce(convolve, mixes), 0.4) - ref) > 1e-11

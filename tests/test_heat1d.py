@@ -92,7 +92,7 @@ def circle_cut(L, cuts, x, y, t, k_max):
 
 
 # ---------------------------------------------------------------------------
-# closed forms on the line and the ray
+# the closed form on the line
 # ---------------------------------------------------------------------------
 
 
@@ -110,52 +110,10 @@ def test_line_kernel_laplace_transform():
         assert abs(got - 0.5 * math.exp(-abs(x - y))) < 1e-10
 
 
-def test_ray_kernel_vanishes_on_boundary():
-    assert h.k_ray(0.7, 0.0, 0.4) == 0.0
-    assert h.k_ray(0.0, 1.1, 2.0) == 0.0
-
-
-def test_ray_kernel_laplace_transform():
-    m = 1.0
-    for x, y in [(0.5, 0.8), (1.5, 0.3)]:
-        got = laplace_in_time(lambda t: h.k_ray(x, y, t), m)
-        ref = (math.exp(-m * abs(x - y)) - math.exp(-m * (x + y))) / (2.0 * m)
-        assert abs(got - ref) < 1e-8
-
-
-def test_line_minus_ray_is_gaussian_in_the_mirrored_distance():
-    for x, y, t in [(0.5, 0.8, 0.4), (1.0, 1.0, 1.0), (2.0, 0.3, 0.9)]:
-        gap = h.k_line(x, y, t) - h.k_ray(x, y, t)
-        ref = math.exp(-((x + y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-        assert abs(gap - ref) < 1e-15
-
-
-@pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("t", [0.3, 1.0])
-def test_ray_flux_matches_central_difference(x, t):
-    step = 1e-5
-    odd = lambda y: h.k_line(x, y, t) - h.k_line(x, -y, t)
-    fd = -(odd(step) - odd(-step)) / (2.0 * step)
-    val = h.dk_ray(x, t)
-    assert val < 0.0
-    assert abs(val - fd) < 1e-7 * abs(val)
-
-
-def test_ray_flux_is_linear_near_the_wall():
-    t = 0.6
-    r1 = h.dk_ray(1e-4, t) / 1e-4
-    r2 = h.dk_ray(1e-7, t) / 1e-7
-    assert abs(r1 / r2 - 1.0) < 1e-6
-    assert abs(r2 + 1.0 / (2.0 * math.sqrt(math.pi) * t**1.5)) < 1e-9
-
-
 def test_time_validation():
-    with pytest.raises(ValueError, match="t must be"):
-        h.k_line(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="t must be"):
-        h.k_ray(1.0, 1.0, -0.5)
-    with pytest.raises(ValueError, match="nonnegative"):
-        h.k_ray(-1.0, 1.0, 0.5)
+    for t in (0.0, -0.5):
+        with pytest.raises(ValueError, match="t must be"):
+            h.k_line(0.0, 0.0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -1135,7 +1093,11 @@ def test_glue_rays_reconstructs_a_linearly_vanishing_wall_kernel():
         v, _ = h.glue_rays(x, y, t)
         gaps.append((h.k_line(x, y, t) - v) / x)
     assert abs(gaps[1] / gaps[2] - 1.0) < 5e-3
-    assert abs(gaps[2] - (-2.0 * h.dk_ray(y, t) / 2.0)) / abs(gaps[2]) < 1e-2
+    # the slope at the wall is the first-passage pulse at distance y,
+    # y e^{-y^2/4t} / (2 sqrt(pi) t^{3/2})
+    slope = (y * math.exp(-y * y / (4.0 * t))
+             / (2.0 * math.sqrt(math.pi) * t**1.5))
+    assert abs(gaps[2] - slope) / abs(gaps[2]) < 1e-2
 
 
 def test_glue_rays_extends_to_half_space_products():
@@ -1146,7 +1108,10 @@ def test_glue_rays_extends_to_half_space_products():
     t = 0.6
     v, _ = h.glue_rays(x[0], y[0], t)
     rest = h.k_line(x[1], y[1], t) * h.k_line(x[2], y[2], t)
-    direct = (h.k_line(x[0], y[0], t) - h.k_ray(x[0], y[0], t)) * rest
+    # the Dirichlet ray kernel is k_line(x, y) - k_line(x, -y), by the image
+    # charge at -y
+    ray = h.k_line(x[0], y[0], t) - h.k_line(x[0], -y[0], t)
+    direct = (h.k_line(x[0], y[0], t) - ray) * rest
     assert abs(v * rest - direct) < 1e-12
 
 

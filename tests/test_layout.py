@@ -1,8 +1,9 @@
 """Module boundaries of the package: no private name crosses a module, no
 module-level import goes unused, in the package or in its tests, no
 function of the package accepts a parameter it never reads, each route
-returns what it computes once, and a command runs only the route modules
-its cases call."""
+returns what it computes once, a command runs only the route modules its
+cases call, and no function of the package is left that no command and no
+gate runs."""
 
 import ast
 import contextlib
@@ -10,6 +11,7 @@ import inspect
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -390,3 +392,51 @@ def test_each_command_calls_its_case_runner():
     tree = dict(modules())["cli"]
     assert [f.name for f in tree.body if isinstance(f, ast.FunctionDef)
             and f.name.endswith("_cmd")] == []
+
+
+def defs(tree, prefix=""):
+    """The qualified name of every def in tree, as its code object gives
+    it: ``Class.method``, ``function.<locals>.inner``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name
+            yield from defs(node, f"{prefix}{node.name}.<locals>.")
+        elif isinstance(node, ast.ClassDef):
+            yield from defs(node, f"{prefix}{node.name}.")
+        else:
+            yield from defs(node, prefix)
+
+
+def test_every_library_function_is_reached():
+    # what no command and no gate runs goes: every def of the package is
+    # entered by the README command lines or by gates 01-12, except in cli,
+    # whose error and output paths the CLI tests run, and in the quadsim
+    # stub, which only the benchmark tracer reads; the constructors of the
+    # typed failures run where a route fails, which no gate makes it do
+    import test_acceptance
+    from test_cli import invoke, readme_commands
+
+    wanted = {(stem, name) for stem, tree in modules()
+              if stem not in ("cli", "quadsim") for name in defs(tree)
+              if not (stem == "errors" and name.endswith(".__init__"))}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("heatglue."):
+                entered.add((module.removeprefix("heatglue."),
+                             frame.f_code.co_qualname))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for args in readme_commands():
+            invoke(args)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for name, gate in vars(test_acceptance).items():
+                if name.startswith("test_gate_"):
+                    gate()
+    finally:
+        sys.setprofile(previous)
+    assert sorted(wanted - entered) == []

@@ -1,6 +1,8 @@
+"""Tests for the path-sum kernels: the heat kernel entry and the interface
+operators as length-truncated sums over classes of paths."""
+
 from __future__ import annotations
 
-import itertools
 import math
 import time
 
@@ -11,14 +13,6 @@ import scipy.linalg
 from conftest import dense_walk, taylor_expm
 from mpmath import mp
 
-from heatglue.expmix import (
-    ExpMix,
-    allclose,
-    convolve,
-    delta,
-    evaluate,
-    exponential,
-)
 from heatglue.graph_heat import (
     Decomposition,
     Graph,
@@ -31,22 +25,10 @@ from heatglue.graph_heat import (
 from heatglue.path_sum import (
     LENGTH_CAP,
     LengthCapError,
-    Path,
-    PathClassSpec,
-    check_path,
-    concat,
-    enumerate_paths,
+    exp_tail,
     pathsum_heat,
     pathsum_operators,
-    segment_weight,
-    split_at_interface,
-    split_at_visits,
-    split_check,
-    trim_end,
-    trim_start,
-    weight,
 )
-from heatglue.path_sum import exp_tail
 
 LINE3 = Graph(("1", "2", "3"), (("1", "2"), ("2", "3")))
 LINE2 = Graph(("1", "2"), (("1", "2"),))
@@ -66,317 +48,44 @@ def random_graph(rng: np.random.Generator, n: int, p: float = 0.5) -> Graph:
     return Graph(verts, tuple(edges))
 
 
-def random_walk(rng: np.random.Generator, g: Graph, length: int) -> Path | None:
-    starts = [v for v, d in zip(g.vertices, g.valencies) if d > 0]
-    if not starts:
-        return None
-    cur = starts[rng.integers(len(starts))]
-    seq = [cur]
-    for _ in range(length):
-        nbrs = g.neighbors(cur)
-        if not nbrs:
-            return None
-        cur = nbrs[rng.integers(len(nbrs))]
-        seq.append(cur)
-    return Path(tuple(seq))
+def class_paths(g: Graph, tag: str, u, interface, max_length: int) -> list:
+    """The paths of a class from u of length at most max_length, as vertex
+    tuples, by a depth-first walk along the edges of g.
 
-
-def brute_class_paths(g: Graph, tag: str, start, end, interface,
-                      max_length: int) -> list[tuple]:
-    """Generate-and-filter reference enumerator over all vertex sequences."""
+    ``P`` takes every walk.  ``P_prime_end`` takes the paths meeting the
+    interface only in their final vertex, and ``P_double_prime`` (u on the
+    interface) those of length at least 1 meeting it exactly in both
+    endpoints: a walk stops at its first interface vertex after u.
+    """
     yset = set(interface)
-    a = g.adjacency
-    idx = g.index
-    out = []
-    for k in range(max_length + 1):
-        for mid in itertools.product(g.vertices, repeat=k):
-            seq = (start,) + mid
-            if seq[-1] != end:
-                continue
-            if any(x == y for x, y in zip(seq, seq[1:])):
-                continue
-            if any(a[idx[x], idx[y]] == 0.0 for x, y in zip(seq, seq[1:])):
-                continue
-            if tag == "P_prime_end":
-                if not (seq[-1] in yset
-                        and all(v not in yset for v in seq[:-1])):
-                    continue
-            elif tag == "P_prime_start":
-                if not (seq[0] in yset
-                        and all(v not in yset for v in seq[1:])):
-                    continue
-            elif tag == "P_double_prime":
-                if not (k >= 1 and seq[0] in yset and seq[-1] in yset
-                        and all(v not in yset for v in seq[1:-1])):
-                    continue
-            out.append(seq)
-    out.sort(key=lambda vs: (len(vs), tuple(idx[v] for v in vs)))
-    return out
+    if tag == "P_prime_end" and u in yset:
+        return [(u,)]
+    a, idx = g.adjacency, g.index
+    found = []
+
+    def walk(seq: list) -> None:
+        found.append(tuple(seq))
+        if len(seq) > max_length or (tag != "P" and len(seq) > 1
+                                     and seq[-1] in yset):
+            return
+        for w in g.vertices:
+            if a[idx[seq[-1]], idx[w]]:
+                walk(seq + [w])
+
+    walk([u])
+    if tag == "P":
+        return found
+    return [p for p in found if p[-1] in yset and (tag == "P_prime_end"
+                                                   or len(p) > 1)]
 
 
-# ---------------------------------------------------------------------------
-# paths and trims
-# ---------------------------------------------------------------------------
-
-
-def test_path_rejects_consecutive_repeat():
-    with pytest.raises(ValueError):
-        Path(("1", "1", "2"))
-
-
-def test_path_rejects_empty():
-    with pytest.raises(ValueError):
-        Path(())
-
-
-def test_path_length_and_ends():
-    p = Path(("1", "2", "3"))
-    assert p.length == 2
-    assert p.start == "1"
-    assert p.end == "3"
-
-
-def test_check_path_needs_edges():
-    with pytest.raises(ValueError):
-        check_path(LINE3, Path(("1", "3")))
-    with pytest.raises(ValueError):
-        check_path(LINE3, Path(("1", "x")))
-    check_path(LINE3, Path(("1", "2", "3", "2")))
-
-
-def test_concat_needs_shared_junction():
-    joined = concat(Path(("1", "2")), Path(("2", "3")))
-    assert joined.vertices == ("1", "2", "3")
-    with pytest.raises(ValueError):
-        concat(Path(("1", "2")), Path(("3", "2")))
-
-
-def test_trims_drop_one_vertex():
-    p = Path(("1", "2", "3"))
-    assert trim_end(p).vertices == ("1", "2")
-    assert trim_start(p).vertices == ("2", "3")
-    single = Path(("2",))
-    assert trim_end(single) is None
-    assert trim_start(single) is None
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-# ---------------------------------------------------------------------------
-
-
-def test_enumerate_line3_unique_route():
-    got = enumerate_paths(LINE3, PathClassSpec("P", "1", "3", (), 3))
-    assert [p.vertices for p in got] == [("1", "2", "3")]
-
-
-def test_enumerate_double_prime_loops():
-    got = enumerate_paths(
-        LINE3, PathClassSpec("P_double_prime", "2", "2", ("2",), 24))
-    assert [p.vertices for p in got] == [("2", "1", "2"), ("2", "3", "2")]
-
-
-def test_enumerate_zero_cutoff_distinct_endpoints():
-    got = enumerate_paths(LINE3, PathClassSpec("P", "1", "3", (), 0))
-    assert got == ()
-
-
-def test_enumerate_matches_brute_force():
-    rng = np.random.default_rng(7)
-    for trial in range(6):
-        g = random_graph(rng, 5 + trial % 2)
-        if not g.edges:
-            continue
-        y = tuple(v for i, v in enumerate(g.vertices) if i % 3 == 0)
-        cases = [
-            ("P", g.vertices[0], g.vertices[-1], ()),
-            ("P_prime_end", g.vertices[1], y[0], y),
-            ("P_prime_start", y[0], g.vertices[1], y),
-            ("P_double_prime", y[0], y[-1], y),
-        ]
-        for tag, s, e, yy in cases:
-            if tag != "P" and (s in set(yy)) != (tag != "P_prime_end"):
-                pass  # membership constraints handled by the class itself
-            try:
-                got = enumerate_paths(g, PathClassSpec(tag, s, e, yy, 5))
-            except ValueError:
-                # endpoint not in the marked set for a primed class
-                assert tag in ("P_prime_end", "P_prime_start",
-                               "P_double_prime")
-                continue
-            want = brute_class_paths(g, tag, s, e, yy, 5)
-            assert [p.vertices for p in got] == want
-
-
-def test_enumerate_order_is_length_then_lex():
-    got = enumerate_paths(LINE3, PathClassSpec("P", "2", "2", (), 4))
-    keys = [(p.length, tuple(LINE3.index[v] for v in p.vertices)) for p in got]
-    assert keys == sorted(keys)
-    again = enumerate_paths(LINE3, PathClassSpec("P", "2", "2", (), 4))
-    assert got == again
-
-
-def test_enumerate_rejects_cutoff_past_cap():
-    with pytest.raises(LengthCapError):
-        enumerate_paths(LINE3, PathClassSpec("P", "1", "3", (), LENGTH_CAP + 1))
-
-
-def test_class_spec_validation():
-    with pytest.raises(ValueError):
-        PathClassSpec("Q", "1", "3", (), 3)
-    with pytest.raises(ValueError):
-        PathClassSpec("P_prime_end", "1", "3", (), 3)
-    with pytest.raises(ValueError):
-        PathClassSpec("P", "1", "3", (), -1)
-    with pytest.raises(ValueError):
-        enumerate_paths(
-            LINE3, PathClassSpec("P_prime_end", "1", "3", ("2",), 3))
-
-
-# ---------------------------------------------------------------------------
-# weights
-# ---------------------------------------------------------------------------
-
-
-def test_weight_single_vertex_is_bare_exponential():
-    g = Graph(("a", "b", "c"), (("a", "b"), ("a", "c")))
-    w = weight(g, Path(("a",)))
-    assert allclose(w, exponential(1.0, 2.0), atol=0.0)
-
-
-def test_weight_three_step_closed_form():
-    w = weight(LINE3, Path(("1", "2", "3")))
-    want = ExpMix(0.0, ((-1.0, 0, 1.0), (1.0, 1, 1.0), (1.0, 0, 2.0)))
-    assert allclose(w, want, atol=1e-13)
-
-
-def test_weight_three_step_against_quadrature():
-    # nested two-step Gauss-Legendre values for e^-r * e^-2r * e^-r
-    frozen = {
-        0.5: 0.06461411131512564,
-        1.0: 0.13533528323661276,
-        2.0: 0.15365092212534692,
-    }
-    w = weight(LINE3, Path(("1", "2", "3")))
-    for t, q in frozen.items():
-        assert abs(evaluate(w, t) - q) < 1e-13
-
-
-def test_segment_weight_empty_is_atom():
-    assert segment_weight(LINE3, None) == delta(1.0)
-    p = Path(("1", "2"))
-    assert segment_weight(LINE3, trim_end(trim_start(p))) == delta(1.0)
-
-
-def test_weight_positive_on_grid():
-    rng = np.random.default_rng(11)
-    done = 0
-    while done < 10:
-        g = random_graph(rng, 6)
-        p = random_walk(rng, g, int(rng.integers(1, 7)))
-        if p is None:
-            continue
-        w = weight(g, p)
-        for t in GRID:
-            assert evaluate(w, t) > 0.0
-        done += 1
-
-
-# ---------------------------------------------------------------------------
-# composition and cutting
-# ---------------------------------------------------------------------------
-
-
-def test_split_check_line3():
-    assert split_check(LINE3, Path(("1", "2")), Path(("2", "3"))) < 1e-12
-
-
-def test_split_check_zero_length_factor():
-    assert split_check(LINE3, Path(("1", "2")), Path(("2",))) < 1e-12
-    assert split_check(LINE3, Path(("2",)), Path(("2", "3"))) < 1e-12
-
-
-def test_split_check_random_pairs():
-    rng = np.random.default_rng(23)
-    done = 0
-    while done < 12:
-        g = random_graph(rng, 6)
-        p = random_walk(rng, g, int(rng.integers(2, 8)))
-        if p is None:
-            continue
-        cut = int(rng.integers(0, p.length + 1))
-        p1 = Path(p.vertices[: cut + 1])
-        p2 = Path(p.vertices[cut:])
-        assert split_check(g, p1, p2) < 1e-11
-        done += 1
-
-
-def test_split_check_rejects_non_composable():
-    with pytest.raises(ValueError):
-        split_check(LINE3, Path(("1", "2")), Path(("3", "2")))
-
-
-def test_split_at_interface_round_trip():
-    rng = np.random.default_rng(31)
-    done = 0
-    while done < 10:
-        d = random_decomposition(rng, 9)
-        og = d.ordered_graph
-        p = random_walk(rng, og, int(rng.integers(3, 9)))
-        if p is None or not any(v in set(d.interface) for v in p.vertices):
-            continue
-        head, mid, tail = split_at_interface(p, d.interface)
-        yset = set(d.interface)
-        assert head.end in yset and mid.start in yset
-        assert mid.end in yset and tail.start in yset
-        assert all(v not in yset for v in head.vertices[:-1])
-        assert all(v not in yset for v in tail.vertices[1:])
-        assert concat(concat(head, mid), tail) == p
-        done += 1
-
-
-def test_split_at_interface_requires_contact():
-    with pytest.raises(ValueError):
-        split_at_interface(Path(("1",)), ("2",))
-
-
-def test_cutting_equals_direct_weight():
-    # resolve a crossing path at each marked visit and reconvolve
-    rng = np.random.default_rng(47)
-    done = 0
-    while done < 20:
-        d = random_decomposition(rng, 9)
-        og = d.ordered_graph
-        yset = set(d.interface)
-        p = random_walk(rng, og, int(rng.integers(3, 10)))
-        if p is None or sum(v in yset for v in p.vertices) < 2:
-            continue
-        legs = split_at_visits(p, d.interface)
-        vals = og.valencies
-        acc = segment_weight(og, trim_end(legs[0]))
-        for i, leg in enumerate(legs[1:], start=1):
-            visit = leg.vertices[0]
-            acc = convolve(acc, exponential(1.0, float(vals[og.index[visit]])))
-            if i == len(legs) - 1:
-                acc = convolve(acc, segment_weight(og, trim_start(leg)))
-            else:
-                seg = trim_start(leg)
-                seg = None if seg is None else trim_end(seg)
-                acc = convolve(acc, segment_weight(og, seg))
-        direct = weight(og, p)
-        for t in GRID:
-            assert abs(evaluate(acc, t) - evaluate(direct, t)) < 1e-10
-        done += 1
-
-
-def test_split_at_visits_leg_count():
-    p = Path(("1", "2", "3", "2", "1"))
-    legs = split_at_visits(p, ("2",))
-    assert [leg.vertices for leg in legs] == [
-        ("1", "2"), ("2", "3", "2"), ("2", "1")]
-    p2 = Path(("2", "1", "2"))
-    legs2 = split_at_visits(p2, ("2",))
-    assert [leg.vertices for leg in legs2] == [("2",), ("2", "1", "2"), ("2",)]
+def path_weight(g: Graph, p: tuple, t: float) -> float:
+    """The weight of the path p at t: the convolution of one e^{-val(v) t}
+    per visited vertex, which is entry (0, m) of expm(-t B) with B upper
+    bidiagonal, the valencies along p on its diagonal and -1 above it."""
+    vals = [g.valencies[g.index[v]] for v in p]
+    b = np.diag(vals) - np.diag(np.ones(len(p) - 1), 1)
+    return float(scipy.linalg.expm(-t * b)[0, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +196,23 @@ def test_pathsum_edgeless_graph():
 
 def test_pathsum_equals_its_truncated_path_sum():
     # the value at the chosen cutoff is the sum of the path weights up to
-    # that length, not only close to the limit.  The reference evaluates
-    # each weight in its canonical exponential form, which cancels when
-    # valencies differ by one (2.5e-14 relative on a single path of the
-    # 5-vertex line at t = 0.3); on the cycle (one valency) and the star
-    # (valencies 4 and 1) it is accurate to a few ulps
+    # that length, not only close to the limit.  Each weight is an entry of
+    # a bidiagonal expm, which needs no partial fractions and so does not
+    # cancel where valencies differ by one: on the path b-c-d-e of the
+    # 5-vertex line at t = 0.3 it is 0.0026665701352523137, against
+    # 0.00266657013525231394 in 40 digits
     v5 = tuple("abcde")
     cycle = Graph(v5, tuple(zip(v5, v5[1:] + v5[:1])))
     star = Graph(v5, tuple(("a", w) for w in v5[1:]))
-    for g in (cycle, star):
+    line = Graph(v5, tuple(zip(v5, v5[1:])))
+    assert path_weight(line, tuple("bcde"), 0.3) == 0.0026665701352523137
+    for g in (cycle, star, line):
         for u, v in (("a", "c"), ("b", "e")):
             for t in (0.3, 0.7):
                 val, k, _ = pathsum_heat(g, u, v, t, 1e-2)
-                paths = enumerate_paths(
-                    g, PathClassSpec("P", u, v, max_length=k))
-                want = math.fsum(evaluate(weight(g, p), t) for p in paths)
+                want = math.fsum(path_weight(g, p, t)
+                                 for p in class_paths(g, "P", u, (), k)
+                                 if p[-1] == v)
                 assert abs(val - want) <= 1e-14 * want
 
 
@@ -542,37 +253,32 @@ def test_operator_interface_line3_truncated():
     assert np.array_equal(ifk.atom, [[0.0]])
 
 
-def _inner_segment(p: Path) -> Path | None:
-    seg = trim_start(p)
-    return None if seg is None else trim_end(seg)
-
-
 def test_operators_equal_per_path_sums():
-    # the layered walk must agree with literally summing weights; a path
-    # whose trimmed segment is empty is a unit atom
+    # the layered walk must agree with literally summing weights: the
+    # extension drops a path's final vertex, dn_prime both its endpoints,
+    # and a path whose trimmed segment is empty is a unit atom
     rng = np.random.default_rng(61)
     for _ in range(3):
         d = random_decomposition(rng, 7)
         og = d.ordered_graph
         y = d.interface
         max_length = 5
-        for which, tag, rows, marked, trim in (
-                ("extension", "P_prime_end", og.vertices, y, trim_end),
-                ("interface", "P", y, (), lambda p: p),
-                ("dn_prime", "P_double_prime", y, y, _inner_segment)):
+        for which, tag, rows, trim in (
+                ("extension", "P_prime_end", og.vertices, lambda p: p[:-1]),
+                ("interface", "P", y, lambda p: p),
+                ("dn_prime", "P_double_prime", y, lambda p: p[1:-1])):
             op = pathsum_operators(d, which, max_length)
             assert op.rows == rows and op.cols == y
-            segs = [[[trim(p) for p in enumerate_paths(
-                          og, PathClassSpec(tag, u, v, marked, max_length))]
-                     for v in y] for u in rows]
-            atom = [[sum(seg is None for seg in cell) for cell in row]
+            paths = {u: class_paths(og, tag, u, y, max_length) for u in rows}
+            segs = [[[trim(p) for p in paths[u] if p[-1] == v] for v in y]
+                    for u in rows]
+            atom = [[sum(not seg for seg in cell) for cell in row]
                     for row in segs]
             assert np.array_equal(op.atom, atom)
-            weights = [[[weight(og, seg) for seg in cell if seg is not None]
-                        for cell in row] for row in segs]
             for t in GRID:
-                want = [[math.fsum(evaluate(w, t) for w in cell) for cell in row]
-                        for row in weights]
+                want = [[math.fsum(path_weight(og, seg, t)
+                                   for seg in cell if seg) for cell in row]
+                        for row in segs]
                 assert np.abs(op.evaluate(t) - want).max() < 1e-11
 
 
@@ -659,8 +365,13 @@ def _operator_walk(d: Decomposition, which: str, max_length: int):
 
 
 def test_operators_within_their_rounding_bound_of_the_dense_walk():
-    # the dense walk has its own rounding, so the two values agree within
-    # the sum of the two bounds; both bounds are relative to the entry
+    # every operand is nonnegative: each entry of the layer sum is off by
+    # at most its walk's gamma, relative, and the closing product rounds
+    # each of its terms at most c times, c the most nonzeros in a column of
+    # the closing matrix; so each value v lies within rho e of the exact
+    # class sum e, rho = gamma + c u, and within rho v / (1 - rho) of it.
+    # The dense walk has its own rounding, so the two values agree within
+    # the sum of the two bounds
     u = np.finfo(float).eps / 2
     rng = np.random.default_rng(101)
     for _ in range(6):
@@ -670,14 +381,19 @@ def test_operators_within_their_rounding_bound_of_the_dense_walk():
                 op = pathsum_operators(d, which, max_length)
                 step, advance, start, close, layers, theta = _operator_walk(
                     d, which, max_length)
+                c = np.count_nonzero(close, axis=0).max()
                 for t in (0.3, 1.0, 4.0):
-                    vals, bound = op.evaluate_with_bound(t)
-                    assert np.array_equal(vals, op.evaluate(t))
+                    vals = op.evaluate(t)
+                    sums, gamma = uniformized_walk(step, advance, start,
+                                                   layers, theta, t)
+                    assert np.array_equal(vals, sums.sum(axis=0) @ close)
+                    rho = gamma + u * c
+                    bound = rho / (1.0 - rho) * vals
                     assert np.all(bound <= 1e-11 * vals)
                     sums, gamma = dense_walk(step, advance, start, layers,
                                              theta, t)
                     want = sums.sum(axis=0) @ close
-                    rho = gamma + u * np.count_nonzero(close, axis=0).max()
+                    rho = gamma + u * c
                     assert np.all(np.abs(vals - want)
                                   <= bound + rho / (1.0 - rho) * want)
 
