@@ -17,6 +17,8 @@ built: :func:`heat_values` gives the heat flow from one eigendecomposition,
 and :func:`glue_I_values` the first gluing formula from the two that
 :func:`glue_I` takes, its time convolutions evaluated as divided
 differences of e^{-xt} that lose at most a factor 2.7 to cancellation.
+Every route takes its Laplacian spectra from one function, whose null
+space is exact: one indicator per component, at rate exactly 0.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from heatglue import symlin
-from heatglue.errors import below_prior, nonnegative, positive
+from heatglue.errors import ConvergenceError, below_prior, nonnegative, positive
 from heatglue.expmix import (
     ExpMix,
     convolve_exponential,
@@ -122,6 +124,20 @@ class Graph:
         v.setflags(write=False)
         return v
 
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Connected component of each vertex, numbered 0, 1, ... in vertex
+        order, from the vertices each one reaches: A + I squared k times
+        reaches along walks of up to 2^k steps, and 2^k > n."""
+        reach = self.adjacency + np.eye(self.n)
+        for _ in range(self.n.bit_length()):
+            reach = np.minimum(reach @ reach, 1.0)
+        first = np.arange(self.n)
+        least = np.where(reach > 0.0, first, self.n).min(axis=1, initial=self.n)
+        labels = (np.cumsum(least == first) - 1)[least]
+        labels.setflags(write=False)
+        return labels
+
     def indices(self, labels: Iterable) -> list[int]:
         """The index of each label; ValueError at one that is no vertex:
         the one rule of the package for a vertex label."""
@@ -195,7 +211,7 @@ class Decomposition:
 
         s1, s2 = self.side1, self.side2
         if s1 is None and s2 is None:
-            labels = _component_labels(g.induced(rest))
+            labels = g.induced(rest).components
             s1 = tuple(v for v, c in zip(rest, labels) if c == 0)
             s2 = tuple(v for v, c in zip(rest, labels) if c != 0)
         elif s1 is None:
@@ -301,20 +317,38 @@ class KernelMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _safe_rates(w: np.ndarray) -> np.ndarray:
-    """Laplacian eigenvalues as decay rates: a negative one is rounding
-    and becomes 0, one below -1e-8 is a ValueError."""
-    low = w < -1e-8
-    if low.any():
-        raise ValueError(f"negative eigenvalue {float(w[low][0])} from a "
-                         "Laplacian")
-    return np.where(w < 0.0, 0.0, w)
+def _spectrum(g: Graph, keep=None) -> tuple[np.ndarray, np.ndarray]:
+    """(rates, vectors) of the Laplacian of g, or of its block on the vertex
+    indices ``keep``.  Its null space is spanned by the indicators of the
+    components of g wholly inside ``keep`` (Chung, Spectral Graph Theory,
+    AMS 1997, ch. 1): they come first, normalised, at rate exactly 0.0,
+    then the other eigenpairs of :func:`~heatglue.symlin.eigh`, projected
+    off them; one of their rates that is not positive is a failed solve,
+    a ConvergenceError."""
+    labels = g.components
+    lap, sub = g.laplacian, labels
+    if keep is not None:
+        lap = symlin.SymMatrix(lap.entries.take(keep, 0).take(keep, 1))
+        sub = labels[keep]
+    sizes = np.bincount(labels)
+    inside = np.flatnonzero(np.bincount(sub, minlength=sizes.size) == sizes)
+    eig = symlin.eigh(lap)
+    r = inside.size
+    rates, vectors = eig.eigenvalues[r:], eig.eigenvectors[:, r:]
+    if rates.size and not rates[0] > 0.0:  # eigh sorts them ascending
+        raise ConvergenceError(f"Laplacian eigenvalue {float(rates[0])} "
+                               "off the null space is not positive")
+    if not r:
+        return rates, vectors
+    z = (sub[:, None] == inside) / np.sqrt(sizes[inside])
+    return (np.concatenate((np.zeros(r), rates)),
+            np.concatenate((z, vectors - z @ (z.T @ vectors)), axis=1))
 
 
-def _spectral(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spectral(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rate universe and coefficient tensor of sum_k q_k q_k^T exp(-w_k t),
     the q_k the columns of q; the tensor is bitwise symmetric."""
-    universe, at = rate_universe(_safe_rates(w))
+    universe, at = rate_universe(w)
     coef = np.einsum("ik,jk,kx->ijx", q, q, np.eye(len(universe))[at])
     i, j = np.triu_indices(len(q), 1)
     coef[j, i] = coef[i, j]
@@ -323,8 +357,7 @@ def _spectral(q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def heat_kernel(g: Graph) -> KernelMatrix:
     """The full heat flow of the graph, entrywise exact in t."""
-    d = symlin.eigh(g.laplacian)
-    universe, coef = _spectral(d.eigenvectors, d.eigenvalues)
+    universe, coef = _spectral(*_spectrum(g))
     return KernelMatrix(g.vertices, g.vertices, universe, coef, np.zeros((g.n, g.n)))
 
 
@@ -349,11 +382,8 @@ def heat_values(g: Graph, t: float | Sequence[float]) -> np.ndarray:
     them bitwise symmetric.  At an array of times, the values at each
     along the leading axes, all from the one eigendecomposition."""
     ts = _check_times(t)
-    d = symlin.eigh(g.laplacian)
-    clamped = symlin.SpectralDecomp(_safe_rates(d.eigenvalues), d.eigenvectors)
-    values = np.array([
-        symlin.spectral_apply(clamped, lambda w: math.exp(-w * s))
-        for s in ts.ravel().tolist()])
+    w, q = _spectrum(g)
+    values = np.array([(q * np.exp(-w * s)) @ q.T for s in ts.ravel().tolist()])
     return _mirror_upper(values.reshape(ts.shape + (g.n, g.n)))
 
 
@@ -364,10 +394,7 @@ def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:
     comp = [i for i in range(g.n) if i not in killed]
     if not comp:
         raise ValueError("y must be a proper subset of the vertex set")
-    full = g.laplacian.entries
-    blk = symlin.SymMatrix(full[np.ix_(comp, comp)])
-    d = symlin.eigh(blk)
-    universe, small = _spectral(d.eigenvectors, d.eigenvalues)
+    universe, small = _spectral(*_spectrum(g, comp))
     coef = np.zeros((g.n, g.n) + small.shape[2:])
     coef[np.ix_(comp, comp)] = small
     return KernelMatrix(g.vertices, g.vertices, universe, coef, np.zeros((g.n, g.n)))
@@ -405,11 +432,9 @@ def interface_kernel(d: Decomposition) -> KernelMatrix:
     bound holds here too, since K[y, :] = IFK[y, :] * E^T and E^T carries
     the identity atom on the interface columns.
     """
-    og = d.ordered_graph
-    eig = symlin.eigh(og.laplacian)
-    yidx = [og.index[v] for v in d.interface]
-    universe, coef = _spectral(eig.eigenvectors[yidx], eig.eigenvalues)
-    ny = len(yidx)
+    w, q = _spectrum(d.ordered_graph)
+    n1, ny = len(d.side1), len(d.interface)
+    universe, coef = _spectral(w, q[n1:n1 + ny])
     return KernelMatrix(d.interface, d.interface, universe, coef, np.zeros((ny, ny)))
 
 
@@ -688,19 +713,16 @@ class SeriesKernel:
 def _glue_I_spectra(d: Decomposition) -> tuple[np.ndarray, ...]:
     """(y, c, w, Q_Y, mu, V, B) of formula I: the interface and off-interface
     indices in decomposition order, L = Q diag(w) Q^T, L_C = V diag(mu) V^T
-    (both rate vectors clamped by _safe_rates) and B = V^T A_CY."""
+    (both from :func:`_spectrum`) and B = V^T A_CY."""
     og = d.ordered_graph
     n, n1, ny = og.n, len(d.side1), len(d.interface)
     y = np.arange(n1, n1 + ny)
     c = np.concatenate((np.arange(n1), np.arange(n1 + ny, n)))
-    lap = og.laplacian
-    full = symlin.eigh(lap)
-    blk = symlin.eigh(symlin.SymMatrix(lap.entries.take(c, 0).take(c, 1)))
-    v = blk.eigenvectors
+    w, q = _spectrum(og)
+    mu, v = _spectrum(og, c)
     # a C-ordered copy: the order in which BLAS sums follows the layout
     a_cy = og.adjacency[c, n1:n1 + ny]
-    return (y, c, _safe_rates(full.eigenvalues), full.eigenvectors[n1:n1 + ny],
-            _safe_rates(blk.eigenvalues), v, v.T @ a_cy)
+    return y, c, w, q[n1:n1 + ny], mu, v, v.T @ a_cy
 
 
 def glue_I(d: Decomposition) -> KernelMatrix:
@@ -774,13 +796,19 @@ def _psi(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
     change the value); a and c are paired because callers pass them on
     the smaller shape.  The difference is formed on every entry, and the
     series is then written over the entries not past y = 1.
+
+    Where t^2 overflows, it is taken as t twice: the difference over hi - lo
+    in place of y and the series times t, then both times t.
     """
     ac_lo, ac_hi = np.minimum(a, c), np.maximum(a, c)
     lo, hi = np.minimum(ac_lo, b), np.maximum(ac_hi, b)
     mid = np.maximum(ac_lo, np.minimum(ac_hi, b))
     x, q, y = (mid - lo) * t, (hi - mid) * t, (hi - lo) * t
+    square = t * t
+    over = not math.isfinite(square)
     with np.errstate(divide="ignore", invalid="ignore"):  # y = 0 is near
-        out = np.exp(-lo * t) * (_h1(x) - np.exp(-x) * _h1(q)) / y
+        out = (np.exp(-lo * t) * (_h1(x) - np.exp(-x) * _h1(q))
+               / ((hi - lo) if over else y))
     near = ~(y > 1.0)
     if near.any():
         yn, qn = y[near, None], q[near, None]
@@ -790,8 +818,8 @@ def _psi(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
         powers = np.arange(k)
         coef = _INV_FACTORIAL[np.add.outer(powers, powers) + 2]
         series = ((yn**powers @ coef) * qn**powers).sum(axis=1)
-        out[near] = np.exp(-hi[near] * t) * series
-    return t * t * out
+        out[near] = np.exp(-hi[near] * t) * series * (t if over else 1.0)
+    return t * out if over else square * out
 
 
 def glue_I_values(d: Decomposition, t: float | Sequence[float]) -> np.ndarray:
@@ -873,8 +901,7 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
     if not a:
         return np.zeros((0, 0)), 0.0
 
-    lap = g.laplacian
-    blk = symlin.SymMatrix(lap.entries[np.ix_(a, a)] + m2 * np.eye(len(a)))
+    blk = symlin.SymMatrix(g.laplacian.entries[np.ix_(a, a)] + m2 * np.eye(len(a)))
     spec = symlin.eigh(blk)
     # L_aa + m2 I is positive definite, but on a component with no vertex
     # of y its smallest eigenvalue is m2, and eigh resolves an eigenvalue
@@ -885,15 +912,15 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
         raise FloatingPointError(
             f"L_aa + m2 I is singular at working precision: smallest "
             f"eigenvalue {w_min:.3e}, rounding level {floor:.3e}")
-    direct = symlin.spectral_apply(spec, lambda w: 1.0 / w)
+    direct = (spec.eigenvectors / spec.eigenvalues) @ spec.eigenvectors.T
 
-    labels = _component_labels(g)
+    labels = g.components
     touched = set(labels[a])
     b = [i for i, v in enumerate(g.vertices) if v in yset and labels[i] in touched]
     r = int(labels.max()) + 1
-    eig = symlin.eigh(lap)
-    z, q = eig.eigenvectors[:, :r], eig.eigenvectors[:, r:]
-    p = (q / (eig.eigenvalues[r:] + m2)) @ q.T
+    w, vectors = _spectrum(g)
+    z, q = vectors[:, :r], vectors[:, r:]
+    p = (q / (w[r:] + m2)) @ q.T
     m = np.linalg.inv(p[np.ix_(b, b)])
     pab = p[np.ix_(a, b)]
     v = z[a] - pab @ m @ z[b]
@@ -901,24 +928,6 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
     via_schur = (p[np.ix_(a, a)] - pab @ m @ p[np.ix_(b, a)]
                  + v @ np.linalg.solve(cap, v.T))
     return direct, float(np.abs(direct - via_schur).max())
-
-
-def _component_labels(g: Graph) -> np.ndarray:
-    """Connected component of each vertex, numbered 0, 1, ... in vertex order."""
-    labels = np.full(g.n, -1)
-    count = 0
-    for s in range(g.n):
-        if labels[s] >= 0:
-            continue
-        labels[s] = count
-        stack = [s]
-        while stack:
-            for w in np.nonzero(g.adjacency[stack.pop()])[0]:
-                if labels[w] < 0:
-                    labels[w] = count
-                    stack.append(w)
-        count += 1
-    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
-"""Small dense symmetric eigen-solver and spectral calculus.
+"""Small dense symmetric eigensolver.
 
 Sizes here are graph-sized (tens, occasionally a couple hundred).  The solver
 is LAPACK's symmetric eigensolver via :func:`numpy.linalg.eigh`; its result is
 checked for orthonormal eigenvectors and small eigenpair residuals before it
-is handed out.
+is handed out.  Functions of a matrix are formed by the caller from the
+eigenpairs, Q f(W) Q^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from heatglue.errors import ConvergenceError
@@ -19,7 +18,6 @@ __all__ = [
     "SymMatrix",
     "SpectralDecomp",
     "eigh",
-    "spectral_apply",
 ]
 
 
@@ -94,12 +92,3 @@ def eigh(a: SymMatrix) -> SpectralDecomp:
         raise ConvergenceError("eigenpair residual above tolerance")
     return SpectralDecomp(w, q)
 
-
-def spectral_apply(d: SpectralDecomp, phi: Callable[[float], float]) -> np.ndarray:
-    """Q diag(phi(omega)) Q^T; rejects phi values that are not finite."""
-    vals = np.array([float(phi(float(w))) for w in d.eigenvalues])
-    if not np.all(np.isfinite(vals)):
-        bad = d.eigenvalues[~np.isfinite(vals)]
-        raise ValueError(f"phi is not finite at eigenvalue(s) {bad}")
-    q = d.eigenvectors
-    return (q * vals[None, :]) @ q.T

@@ -69,6 +69,36 @@ def test_graph_glue_line3_fixture_hits_closed_form():
     assert all(r["residual"] < 1e-12 for r in reports)
 
 
+@pytest.mark.parametrize("t", ["1e4", "1e8", "1e12", "1e100", "1e300"])
+def test_graph_glue_line3_passes_at_large_t(t):
+    # the zero rate is exact, so the constant mode does not decay, and no
+    # product t * t overflows into a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = invoke(["graph", "glue", "--input", "line3", "--t", t])
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert {r["status"] for r in json_lines(res.stdout)} == {"pass"}
+
+
+def test_a_rate_off_the_null_space_below_zero_is_a_failed_eigensolve(
+        monkeypatch):
+    # a Laplacian has no negative eigenvalue, so one is the solver's fault:
+    # an error report and exit 3, not unusable input
+    eigh = symlin.eigh
+
+    def shifted(a):
+        d = eigh(a)
+        return symlin.SpectralDecomp(d.eigenvalues - 2.0, d.eigenvectors)
+
+    monkeypatch.setattr(symlin, "eigh", shifted)
+    res = invoke(["graph", "glue", "--input", "line3", "--t", "1"])
+    assert res.exit_code == 3
+    (report,) = json_lines(res.stdout)
+    assert report["status"] == "error"
+    assert report["message"].startswith(
+        "ConvergenceError: Laplacian eigenvalue -1.0 off the null space")
+
+
 def test_graph_glue_reports_are_sorted_and_recomputable():
     res = invoke(["graph", "glue", "--input", "line3", "--t", "0.5"])
     reports = json_lines(res.stdout)

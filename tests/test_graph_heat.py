@@ -890,6 +890,26 @@ def test_values_at_no_times_are_an_empty_stack():
         assert heat_values(d.ordered_graph, times).shape == shape
 
 
+def component_projector(g: Graph) -> np.ndarray:
+    """The limit of e^{-tL} as t grows: 1/|C| on each block C x C of a
+    component C of g."""
+    same = g.components[:, None] == g.components
+    return same / same.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("t", (1e8, 1e12))
+def test_both_value_routes_keep_the_null_space_at_large_t(t):
+    # the rate of each component's indicator is exactly 0, so no mode that
+    # must stay decays; draw 2 is connected, draws 1 and 3 have two
+    # components
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        d = random_decomposition(rng, 12)
+        want = component_projector(d.ordered_graph)
+        assert np.abs(heat_values(d.ordered_graph, t) - want).max() <= 1e-15
+        assert np.abs(glue_I_values(d, t) - want).max() <= 1e-15
+
+
 @pytest.mark.parametrize("t", TIMES)
 def test_psi_is_the_second_divided_difference(t):
     # (e^{-a.} * e^{-b.} * e^{-c.})(t) is entry (0, 2) of exp(-t T) with T
@@ -906,6 +926,29 @@ def test_psi_is_the_second_divided_difference(t):
             exact = mpmath.expm(-t * mat)[0, 2]
             # e^{-hi t} alone is off by the rounding of hi t
             assert abs(value - exact) <= (8 + hi * t) * 2.2e-16 * exact
+
+
+@pytest.mark.parametrize("t", (1e160, 1e300))
+def test_psi_where_t_squared_overflows(t):
+    # t^2 is not finite, and psi takes it as t twice: against the divided
+    # difference of distinct rates, rounded (most underflow to 0), and the
+    # closed forms t/c - 1/c^2, 1/c^2 and 0 at (0, 0, c), (0, c, c) and
+    # (c, c, c)
+    rates = (0.0, 1e-9, 0.3, 1.0, 7.0)
+    triples = list(itertools.combinations(rates, 3))
+    with mpmath.workdps(30):
+        want = [float(sum(mpmath.exp(-r * mpmath.mpf(t))
+                          / math.prod(mpmath.mpf(s) - r for s in rs if s != r)
+                          for r in rs)) for rs in triples]
+    for c in (0.3, 7.0):
+        triples += [(0.0, 0.0, c), (0.0, c, c), (c, c, c)]
+        want += [t / c - 1.0 / c**2, 1.0 / c**2, 0.0]
+    lo, mid, hi = (np.array(v) for v in zip(*triples))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = graph_heat._psi(hi, lo, mid, t)
+    for value, exact in zip(got, want):
+        assert abs(value - exact) <= 8 * 2.2e-16 * exact
 
 
 def bits(a) -> np.ndarray:
@@ -975,21 +1018,30 @@ def test_psi_by_selection_is_bitwise_psi_by_sort(t):
 
 
 def spectra_by_ix(d):
-    """_glue_I_spectra as it was: np.r_ and np.ix_ index sets and rates
-    clamped one by one."""
+    """_glue_I_spectra by np.r_ and np.ix_ index sets, each null space
+    written out as the indicators of the components inside its block."""
     og = d.ordered_graph
     n, n1, ny = og.n, len(d.side1), len(d.interface)
     y = np.arange(n1, n1 + ny)
     c = np.r_[0:n1, n1 + ny:n]
-    lap = graph_heat.symlin.SymMatrix(np.diag(og.valencies) - og.adjacency)
-    full = graph_heat.symlin.eigh(lap)
-    blk = graph_heat.symlin.eigh(
-        graph_heat.symlin.SymMatrix(lap.entries[np.ix_(c, c)]))
-    w = np.array([0.0 if x < 0.0 else x for x in full.eigenvalues])
-    mu = np.array([0.0 if x < 0.0 else x for x in blk.eigenvalues])
-    v = blk.eigenvectors
-    return (y, c, w, full.eigenvectors[y], mu, v,
-            v.T @ og.adjacency[np.ix_(c, y)])
+    lap = np.diag(og.valencies) - og.adjacency
+    labels = og.components
+
+    def spectrum(keep):
+        eig = graph_heat.symlin.eigh(
+            graph_heat.symlin.SymMatrix(lap[np.ix_(keep, keep)]))
+        inside = [k for k in np.unique(labels)
+                  if set(np.flatnonzero(labels == k)) <= set(keep)]
+        z = np.array([[float(labels[i] == k) for k in inside] for i in keep])
+        z = z.reshape(len(keep), len(inside))
+        z /= np.sqrt(z.sum(axis=0))
+        r = len(inside)
+        v = eig.eigenvectors[:, r:]
+        return np.r_[np.zeros(r), eig.eigenvalues[r:]], np.c_[z, v - z @ (z.T @ v)]
+
+    w, q = spectrum(np.r_[0:n])
+    mu, v = spectrum(c)
+    return y, c, w, q[y], mu, v, v.T @ og.adjacency[np.ix_(c, y)]
 
 
 def test_glue_I_spectra_are_bitwise_those_of_the_index_sets():
@@ -1001,19 +1053,6 @@ def test_glue_I_spectra_are_bitwise_those_of_the_index_sets():
             assert got.shape == want.shape
             assert np.array_equal(bits(got) if got.dtype == float else got,
                                   bits(want) if want.dtype == float else want)
-
-
-def test_safe_rates_clamp_as_safe_rate_does():
-    # a rate in [-1e-8, 0) is rounding and becomes +0.0, -0.0 stays, and
-    # one below -1e-8 is refused
-    w = np.array([-1e-8, -1e-12, -0.0, 0.0, 5e-324, 0.5, math.nan, math.inf])
-    want = np.array([0.0, 0.0, -0.0, 0.0, 5e-324, 0.5, math.nan, math.inf])
-    assert np.array_equal(bits(graph_heat._safe_rates(w)), bits(want))
-    for bad, first in (([-2e-8, -1.0], "-2e-08"), ([0.0, -3e-7], "-3e-07")):
-        with pytest.raises(ValueError) as got_exc:
-            graph_heat._safe_rates(np.array(bad))
-        assert str(got_exc.value) == \
-            f"negative eigenvalue {first} from a Laplacian"
 
 
 def laplacian_by_loop(g: Graph) -> np.ndarray:

@@ -313,8 +313,8 @@ def test_one_rule_per_kind_of_input():
 
 def test_one_junction_kernel_and_one_rate_clamp():
     # the junction kernel is the glued interval's kernel at the junction,
-    # with no image or mode sum of its own, and one clamp turns Laplacian
-    # eigenvalues into rates
+    # with no image or mode sum of its own, and no clamp of single rates
+    # is defined: Laplacian rates come from graph_heat._spectrum
     trees = dict(modules())
     junction = next(n for n in trees["heat1d"].body
                     if getattr(n, "name", None) == "interface_two_intervals")
@@ -323,6 +323,39 @@ def test_one_junction_kernel_and_one_rate_clamp():
                             if isinstance(n, ast.Call)}
     assert {"_images", "_modes"} & set(named(junction)) == set()
     assert "_safe_rate" not in set(defined_names(trees["graph_heat"]))
+
+
+def test_every_graph_rate_comes_from_one_spectrum():
+    # graph_heat takes a Laplacian spectrum in _spectrum only, with its null
+    # space exact, and an eigendecomposition besides only of schur_cut's
+    # shifted block L_aa + m2 I; no other function reads eigenpairs, so no
+    # route clamps a rate of its own
+    tree = dict(modules())["graph_heat"]
+    functions = {n.name: n for n in ast.walk(tree)
+                 if isinstance(n, ast.FunctionDef)}
+
+    def calls(name, callee):
+        return [n for n in ast.walk(functions[name]) if isinstance(n, ast.Call)
+                and callee in (getattr(n.func, "attr", None),
+                               getattr(n.func, "id", None))]
+
+    assert [name for name, f in functions.items()
+            if {c for c in called(f) if c and c.startswith("eig")}
+            ] == ["_spectrum", "schur_cut"]
+    assert [name for name, f in functions.items()
+            if {"eigenvalues", "eigenvectors"} & set(named(f))
+            ] == ["_spectrum", "schur_cut"]
+    ((block,),) = (c.args for c in calls("schur_cut", "eigh"))
+    (shifted,) = [n.value for n in ast.walk(functions["schur_cut"])
+                  if isinstance(n, ast.Assign)
+                  and [getattr(t, "id", None) for t in n.targets] == [block.id]]
+    assert "m2" in set(named(shifted))
+    for name, count in [("heat_kernel", 1), ("heat_values", 1),
+                        ("relative_heat_kernel", 1), ("interface_kernel", 1),
+                        ("_glue_I_spectra", 2), ("schur_cut", 1)]:
+        assert len(calls(name, "_spectrum")) == count, name
+    assert not {"_safe_rates", "spectral_apply", "_component_labels"} & set(
+        named(tree))
 
 
 LOADED = """
