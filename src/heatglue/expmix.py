@@ -314,7 +314,9 @@ def evaluate(f: ExpMix, t: float) -> float:
     if not f.terms:
         return 0.0
     cs, ps, rs = f._arrays
-    vals = cs * t**ps * np.exp(-rs * t)
+    with np.errstate(over="ignore"):  # e^{-inf} = 0 where a rate t overflows
+        decay = np.exp(-rs * t)
+    vals = cs * t**ps * decay
     return math.fsum(vals.tolist())
 
 

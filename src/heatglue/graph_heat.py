@@ -18,7 +18,8 @@ and :func:`glue_I_values` the first gluing formula from the two that
 :func:`glue_I` takes, its time convolutions evaluated as divided
 differences of e^{-xt} that lose at most a factor 2.7 to cancellation.
 Every route takes its Laplacian spectra from one function, whose null
-space is exact: one indicator per component, at rate exactly 0.
+space is exact: one indicator per component, at rate exactly 0; the Schur
+cut's direct Green's matrix too, from the spectrum of the block off the cut.
 """
 
 from __future__ import annotations
@@ -383,7 +384,8 @@ def heat_values(g: Graph, t: float | Sequence[float]) -> np.ndarray:
     along the leading axes, all from the one eigendecomposition."""
     ts = _check_times(t)
     w, q = _spectrum(g)
-    values = np.array([(q * np.exp(-w * s)) @ q.T for s in ts.ravel().tolist()])
+    with np.errstate(over="ignore"):  # e^{-inf} = 0 where w s overflows
+        values = np.array([(q * np.exp(-w * s)) @ q.T for s in ts.ravel()])
     return _mirror_upper(values.reshape(ts.shape + (g.n, g.n)))
 
 
@@ -686,19 +688,15 @@ class SeriesKernel:
         self._advance[self._y, self._y] = 0.0
         self._step = shifted - self._advance
 
-    def _rows_at(self, t: float) -> tuple[np.ndarray, float]:
-        """Rows of the truncated glued kernel at t over all vertices (in
-        decomposition order), and the relative rounding error of each entry."""
+    def evaluate_with_bound(self, t: float) -> tuple[np.ndarray, float]:
+        """Values of the block at t > 0 and a certified bound on their
+        entrywise error, from one walk."""
+        (t,) = positive(t=t)
         start = np.eye(len(self._step))[self._start]
         layers, gamma = uniformized_walk(self._step, self._advance, start,
                                          self._k_max + 2, self._theta, t)
         layers[-1][:, self._y] = 0.0
-        return layers.sum(axis=0), gamma
-
-    def evaluate_with_bound(self, t: float) -> tuple[np.ndarray, float]:
-        """Values of the block at t > 0 and a certified bound on their
-        entrywise error, from one walk."""
-        vals, gamma = self._rows_at(*positive(t=t))
+        vals = layers.sum(axis=0)
         sums = [math.fsum(row) for row in vals.tolist()]
         bound = max(1.0 - s for s in sums) + 3.0 * gamma * max(1.0, max(sums))
         return vals[:, self._start], below_prior(
@@ -775,8 +773,12 @@ def _h1(z: np.ndarray) -> np.ndarray:
 
 
 def _phi(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """(e^{-a.} * e^{-b.})(t) = t e^{-min(a, b) t} h1(|a - b| t), elementwise."""
-    return t * np.exp(-np.minimum(a, b) * t) * _h1(np.abs(a - b) * t)
+    """(e^{-a.} * e^{-b.})(t) = t e^{-min(a, b) t} h1(|a - b| t), elementwise;
+    where |a - b| t overflows, t h1 is its limit 1 / |a - b|."""
+    gap = np.abs(a - b)
+    with np.errstate(over="ignore"):  # e^{-inf} = 0, and z = inf is far
+        low, z = np.exp(-np.minimum(a, b) * t), gap * t
+    return np.divide(low, gap, out=t * low * _h1(z), where=np.isinf(z))
 
 
 def _psi(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
@@ -797,18 +799,17 @@ def _psi(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
     the smaller shape.  The difference is formed on every entry, and the
     series is then written over the entries not past y = 1.
 
-    Where t^2 overflows, it is taken as t twice: the difference over hi - lo
-    in place of y and the series times t, then both times t.
+    Where t^2 overflows, the difference is (phi(lo, mid) - phi(mid, hi))
+    / (hi - lo), and the series is times t twice.
     """
     ac_lo, ac_hi = np.minimum(a, c), np.maximum(a, c)
     lo, hi = np.minimum(ac_lo, b), np.maximum(ac_hi, b)
     mid = np.maximum(ac_lo, np.minimum(ac_hi, b))
-    x, q, y = (mid - lo) * t, (hi - mid) * t, (hi - lo) * t
-    square = t * t
-    over = not math.isfinite(square)
-    with np.errstate(divide="ignore", invalid="ignore"):  # y = 0 is near
-        out = (np.exp(-lo * t) * (_h1(x) - np.exp(-x) * _h1(q))
-               / ((hi - lo) if over else y))
+    over = not math.isfinite(t * t)
+    with np.errstate(all="ignore"):  # y = 0 is near, y = inf far
+        x, q, y = (mid - lo) * t, (hi - mid) * t, (hi - lo) * t
+        out = ((_phi(lo, mid, t) - _phi(mid, hi, t)) / (hi - lo) if over
+               else np.exp(-lo * t) * (_h1(x) - np.exp(-x) * _h1(q)) / y)
     near = ~(y > 1.0)
     if near.any():
         yn, qn = y[near, None], q[near, None]
@@ -818,8 +819,10 @@ def _psi(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
         powers = np.arange(k)
         coef = _INV_FACTORIAL[np.add.outer(powers, powers) + 2]
         series = ((yn**powers @ coef) * qn**powers).sum(axis=1)
-        out[near] = np.exp(-hi[near] * t) * series * (t if over else 1.0)
-    return t * out if over else square * out
+        with np.errstate(over="ignore"):  # e^{-inf} = 0
+            tail = np.exp(-hi[near] * t) * series
+        out[near] = tail * t * t if over else tail
+    return out if over else t * t * out
 
 
 def glue_I_values(d: Decomposition, t: float | Sequence[float]) -> np.ndarray:
@@ -831,7 +834,8 @@ def glue_I_values(d: Decomposition, t: float | Sequence[float]) -> np.ndarray:
     the interface, E * K_Y = V (G o Phi) Q_Y^T with Phi_mk = phi(mu_m, w_k)
     from C to it, and K_rel + E * K_Y * E^T = V (H + e^{-mu t}) V^T on C,
     with H_mn = sum_k G_mk G_nk psi(mu_m, w_k, mu_n), summed entry by entry
-    over the upper triangle.  All four blocks are one product
+    over the upper triangle of the rows at positive rate (a row of G at
+    rate mu_m = 0 is exactly 0).  All four blocks are one product
     W core W^T, W holding V on the rows of C and Q_Y on those of the
     interface.  Returns an n by n array in decomposition order, bitwise
     symmetric: the values of ``glue_I(d).evaluate(t)``, to rounding.  At
@@ -846,21 +850,23 @@ def glue_I_values(d: Decomposition, t: float | Sequence[float]) -> np.ndarray:
     basis[c, :nc] = v
     basis[y, nc:] = q
     core = np.zeros((nc + n, nc + n))
-    im, jn = np.triu_indices(nc)
+    r = np.count_nonzero(mu == 0.0)  # rows of G that are exactly 0
+    im, jn = r + np.array(np.triu_indices(nc - r))
     block = max(1, _PSI_BLOCK // n)
     values = np.empty((ts.size, n, n))
     for out, s in zip(values, ts.ravel().tolist()):
         gphi = g * _phi(mu[:, None], w[None, :], s)
-        h = np.empty((nc, nc))
+        h = np.zeros((nc, nc))
         for lo in range(0, im.size, block):
             i, j = im[lo:lo + block], jn[lo:lo + block]
             psi = _psi(mu[i, None], w[None, :], mu[j, None], s)
             h[i, j] = h[j, i] = (g[i] * g[j] * psi).sum(axis=1)
-        h[np.diag_indices(nc)] += np.exp(-mu * s)
+        with np.errstate(over="ignore"):  # e^{-inf} = 0 where rate s overflows
+            h[np.diag_indices(nc)] += np.exp(-mu * s)
+            core[nc:, nc:] = np.diag(np.exp(-w * s))
         core[:nc, :nc] = h
         core[:nc, nc:] = gphi
         core[nc:, :nc] = gphi.T
-        core[nc:, nc:] = np.diag(np.exp(-w * s))
         out[...] = basis @ core @ basis.T
     return _mirror_upper(values).reshape(ts.shape + (n, n))
 
@@ -879,11 +885,12 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
     """Green's matrix of the y-killed graph, both directly and by Schur
     complement of the full Green's matrix; returns (matrix, max abs gap).
 
-    The full Green's matrix is G = Z Z^T / m2 + P, with Z the zero modes of
-    the Laplacian (one per connected component) and P the rest of its
-    spectrum.  At small m2 the first part swamps P, so the Schur complement
-    of the block a off y against the block b on y applies Z as a low-rank
-    Woodbury update instead of solving against G_bb:
+    Both come from :func:`_spectrum`: the direct one is U (mu + m2)^-1 U^T,
+    with L_aa = U mu U^T on the block a off y (a component with no vertex of
+    y has rate exactly 0), and the full one is G = Z Z^T / m2 + P, Z the
+    zero modes of L and P the rest.  At small m2 the first part swamps P, so
+    the Schur complement of a against the block b on y applies Z as a
+    low-rank Woodbury update instead of solving against G_bb:
 
         S = P_aa - P_ab M P_ba + V (m2 I + Z_b^T M Z_b)^-1 V^T,
 
@@ -901,18 +908,8 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
     if not a:
         return np.zeros((0, 0)), 0.0
 
-    blk = symlin.SymMatrix(g.laplacian.entries[np.ix_(a, a)] + m2 * np.eye(len(a)))
-    spec = symlin.eigh(blk)
-    # L_aa + m2 I is positive definite, but on a component with no vertex
-    # of y its smallest eigenvalue is m2, and eigh resolves an eigenvalue
-    # only above its rounding level
-    w_min = float(spec.eigenvalues[0])
-    floor = len(a) * np.finfo(float).eps * float(np.abs(spec.eigenvalues).max())
-    if not w_min > floor:
-        raise FloatingPointError(
-            f"L_aa + m2 I is singular at working precision: smallest "
-            f"eigenvalue {w_min:.3e}, rounding level {floor:.3e}")
-    direct = (spec.eigenvectors / spec.eigenvalues) @ spec.eigenvectors.T
+    mu, u = _spectrum(g, a)
+    direct = (u / (mu + m2)) @ u.T
 
     labels = g.components
     touched = set(labels[a])

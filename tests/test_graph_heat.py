@@ -897,17 +897,24 @@ def component_projector(g: Graph) -> np.ndarray:
     return same / same.sum(axis=1, keepdims=True)
 
 
-@pytest.mark.parametrize("t", (1e8, 1e12))
+@pytest.mark.parametrize("t", (1e8, 1e12, 1e200, 1e300, 1.7e308))
 def test_both_value_routes_keep_the_null_space_at_large_t(t):
     # the rate of each component's indicator is exactly 0, so no mode that
     # must stay decays; draw 2 is connected, draws 1 and 3 have two
-    # components
+    # components.  Past t = 1.3e154 t * t overflows, past about 7e306 so
+    # does rate * t, and d and e form components that no interface vertex
+    # touches, whose terms of formula I are exactly 0
     rng = np.random.default_rng(3)
-    for _ in range(3):
-        d = random_decomposition(rng, 12)
-        want = component_projector(d.ordered_graph)
-        assert np.abs(heat_values(d.ordered_graph, t) - want).max() <= 1e-15
-        assert np.abs(glue_I_values(d, t) - want).max() <= 1e-15
+    path = Graph(tuple("abcde"), (("a", "b"), ("b", "c")))
+    splits = [random_decomposition(rng, 12) for _ in range(40)]
+    splits.append(Decomposition(path, ("b",), ("a", "d"), ("c", "e")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for d in splits:
+            og = d.ordered_graph
+            want = component_projector(og)
+            assert np.abs(heat_values(og, t) - want).max() <= 1e-15
+            assert np.abs(glue_I_values(d, t) - want).max() <= 1e-15
 
 
 @pytest.mark.parametrize("t", TIMES)
@@ -1134,6 +1141,21 @@ def test_schur_gap_with_a_component_inside_the_interface(m2):
               (("1", "2"), ("2", "3"), ("p", "q")))
     _, gap = schur_cut(g, ("2", "x", "p"), m2)
     assert gap < 1e-12
+
+
+@pytest.mark.parametrize("m2", [1.0, 1e-3, 1e-8, 1e-12, 1e-17])
+def test_schur_cut_of_a_component_off_the_interface(m2):
+    # the triangle p-q-r has no vertex of y, so its block of the killed
+    # Green's matrix is z z^T / m2 + (I - z z^T) / (3 + m2), z the
+    # normalised indicator; both routes hold its 1/m2 to a few ulps
+    g = Graph(("1", "2", "3", "p", "q", "r"),
+              (("1", "2"), ("2", "3"), ("p", "q"), ("q", "r"), ("r", "p")))
+    direct, gap = schur_cut(g, ("2",), m2)
+    ulp = np.spacing(np.abs(direct).max())
+    assert gap <= 4 * ulp
+    zz = np.full((3, 3), 1.0 / 3.0)
+    triangle = zz / m2 + (np.eye(3) - zz) / (3.0 + m2)
+    assert np.abs(direct[2:, 2:] - triangle).max() <= 8 * ulp
 
 
 def test_schur_random_graphs():

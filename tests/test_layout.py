@@ -326,10 +326,10 @@ def test_one_junction_kernel_and_one_rate_clamp():
 
 
 def test_every_graph_rate_comes_from_one_spectrum():
-    # graph_heat takes a Laplacian spectrum in _spectrum only, with its null
-    # space exact, and an eigendecomposition besides only of schur_cut's
-    # shifted block L_aa + m2 I; no other function reads eigenpairs, so no
-    # route clamps a rate of its own
+    # graph_heat eigendecomposes a matrix in _spectrum only, with its null
+    # space exact; no other function reads eigenpairs, so no route clamps
+    # a rate or floors an eigenvalue of its own, and schur_cut takes both
+    # of its Green's matrices from it
     tree = dict(modules())["graph_heat"]
     functions = {n.name: n for n in ast.walk(tree)
                  if isinstance(n, ast.FunctionDef)}
@@ -341,18 +341,13 @@ def test_every_graph_rate_comes_from_one_spectrum():
 
     assert [name for name, f in functions.items()
             if {c for c in called(f) if c and c.startswith("eig")}
-            ] == ["_spectrum", "schur_cut"]
+            ] == ["_spectrum"]
     assert [name for name, f in functions.items()
             if {"eigenvalues", "eigenvectors"} & set(named(f))
-            ] == ["_spectrum", "schur_cut"]
-    ((block,),) = (c.args for c in calls("schur_cut", "eigh"))
-    (shifted,) = [n.value for n in ast.walk(functions["schur_cut"])
-                  if isinstance(n, ast.Assign)
-                  and [getattr(t, "id", None) for t in n.targets] == [block.id]]
-    assert "m2" in set(named(shifted))
+            ] == ["_spectrum"]
     for name, count in [("heat_kernel", 1), ("heat_values", 1),
                         ("relative_heat_kernel", 1), ("interface_kernel", 1),
-                        ("_glue_I_spectra", 2), ("schur_cut", 1)]:
+                        ("_glue_I_spectra", 2), ("schur_cut", 2)]:
         assert len(calls(name, "_spectrum")) == count, name
     assert not {"_safe_rates", "spectral_apply", "_component_labels"} & set(
         named(tree))
