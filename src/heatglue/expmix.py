@@ -94,31 +94,19 @@ def _cluster_sorted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _canonical_terms(raw: Iterable[tuple[float, int, float]]) -> tuple[ExpTerm, ...]:
-    triples = [(float(c), int(p), float(r)) for (c, p, r) in raw if float(c) != 0.0]
-    if not triples:
+    terms = sorted((ExpTerm(c, p, r) for (c, p, r) in raw if float(c) != 0.0),
+                   key=lambda e: (e.rate, e.power))
+    if not terms:
         return ()
-    for c, p, r in triples:
-        if p > POWER_LIMIT:
-            raise ConfluentOverflowError(
-                f"power {p} exceeds the limit {POWER_LIMIT}"
-            )
-        if not math.isfinite(c) or not math.isfinite(r):
-            raise ValueError("non-finite coefficient or rate")
-        if r < 0.0:
-            raise ValueError(f"negative rate {r}")
-        if p < 0:
-            raise ValueError(f"negative power {p}")
-    triples.sort(key=lambda t: (t[2], t[1]))
-    rates = np.array([t[2] for t in triples])
-    reps, assign = _cluster_sorted(rates)
+    reps, assign = _cluster_sorted(np.array([e.rate for e in terms]))
     buckets: dict[tuple[int, int], list[float]] = {}
-    for (c, p, _), a in zip(triples, assign):
-        buckets.setdefault((a, p), []).append(c)
+    for e, a in zip(terms, assign):
+        buckets.setdefault((a, e.power), []).append(e.coef)
     out = []
     for (a, p), coefs in sorted(buckets.items()):
         total = math.fsum(coefs)
         if total != 0.0:
-            out.append(ExpTerm(total, p, max(reps[a], 0.0)))
+            out.append(ExpTerm(total, p, reps[a]))
     return tuple(out)
 
 
@@ -139,13 +127,8 @@ class ExpMix:
         atom = float(self.atom)
         if not math.isfinite(atom):
             raise ValueError(f"atom must be finite, got {atom}")
-        raw = []
-        for t in self.terms:
-            if isinstance(t, ExpTerm):
-                raw.append((t.coef, t.power, t.rate))
-            else:
-                c, p, r = t
-                raw.append((float(c), int(p), float(r)))
+        raw = [(t.coef, t.power, t.rate) if isinstance(t, ExpTerm) else t
+               for t in self.terms]
         object.__setattr__(self, "atom", atom)
         object.__setattr__(self, "terms", _canonical_terms(raw))
 

@@ -20,6 +20,9 @@ differences of e^{-xt} that lose at most a factor 2.7 to cancellation.
 Every route takes its Laplacian spectra from one function, whose null
 space is exact: one indicator per component, at rate exactly 0; the Schur
 cut's direct Green's matrix too, from the spectrum of the block off the cut.
+It calls :func:`~heatglue.symlin.eigh` once per spectrum, on the graph's
+Laplacian (validated once, by :attr:`Graph.laplacian`) and, for a block,
+the indices kept, and takes the read-only pair (w, q) that LAPACK returned.
 """
 
 from __future__ import annotations
@@ -327,20 +330,15 @@ def _spectrum(g: Graph, keep=None) -> tuple[np.ndarray, np.ndarray]:
     off them; one of their rates that is not positive is a failed solve,
     a ConvergenceError."""
     labels = g.components
-    lap, sub = g.laplacian, labels
-    if keep is not None:
-        lap = symlin.SymMatrix(lap.entries.take(keep, 0).take(keep, 1))
-        sub = labels[keep]
+    sub = labels if keep is None else labels[keep]
     sizes = np.bincount(labels)
     inside = np.flatnonzero(np.bincount(sub, minlength=sizes.size) == sizes)
-    eig = symlin.eigh(lap)
+    w, q = symlin.eigh(g.laplacian, keep)
     r = inside.size
-    rates, vectors = eig.eigenvalues[r:], eig.eigenvectors[:, r:]
+    rates, vectors = w[r:], q[:, r:]
     if rates.size and not rates[0] > 0.0:  # eigh sorts them ascending
         raise ConvergenceError(f"Laplacian eigenvalue {float(rates[0])} "
                                "off the null space is not positive")
-    if not r:
-        return rates, vectors
     z = (sub[:, None] == inside) / np.sqrt(sizes[inside])
     return (np.concatenate((np.zeros(r), rates)),
             np.concatenate((z, vectors - z @ (z.T @ vectors)), axis=1))
@@ -548,7 +546,8 @@ def uniformized_walk(step: np.ndarray, advance: np.ndarray, start: np.ndarray,
     exact, as T never moves a walk back.  Working memory is about
     ((3 (layers + s) + 2 s (s + 1)) m + (s + 2)^2 n) n floats, whatever P.
     At theta t = 0 the Poisson law is a unit mass at order 0, and the walk
-    stays at ``start`` with gamma 0.
+    stays at ``start`` with gamma 0; where theta t overflows it keeps no
+    order, and every sum is 0 with gamma 0.
 
     Rounding: every operand is nonnegative, so each computed entry is the
     exact sum with each of its terms off by at most N roundings, relative,
@@ -565,9 +564,10 @@ def uniformized_walk(step: np.ndarray, advance: np.ndarray, start: np.ndarray,
     """
     m, n = start.shape
     lam = theta * t
-    if lam == 0.0:
+    if lam == 0.0 or lam == math.inf:
         sums = np.zeros((layers, m, n))
-        sums[0] = start
+        if lam == 0.0:
+            sums[0] = start
         return sums, 0.0
     step = step / theta
     advance = advance / theta
@@ -635,6 +635,7 @@ def uniformized_walk(step: np.ndarray, advance: np.ndarray, start: np.ndarray,
 # extension kernel, and the side columns of layers 0 .. k_max + 1 add its
 # dressing on the right (on layer 0, the relative kernel).  The interface
 # columns of layer k_max + 1 belong to term k_max + 1 and are dropped.
+# Layers past the Taylor orders kept are empty and are not walked.
 #
 # Certificate: e^{-tL} has unit row sums, and everything left out (series
 # terms past k_max, Taylor orders past the cut) is entrywise nonnegative,
@@ -693,9 +694,12 @@ class SeriesKernel:
         entrywise error, from one walk."""
         (t,) = positive(t=t)
         start = np.eye(len(self._step))[self._start]
+        # the P Taylor orders kept reach layers 0 .. P - 1 only
+        walked = min(self._k_max + 2, _poisson_order(self._theta * t))
         layers, gamma = uniformized_walk(self._step, self._advance, start,
-                                         self._k_max + 2, self._theta, t)
-        layers[-1][:, self._y] = 0.0
+                                         walked, self._theta, t)
+        if walked == self._k_max + 2:
+            layers[-1][:, self._y] = 0.0
         vals = layers.sum(axis=0)
         sums = [math.fsum(row) for row in vals.tolist()]
         bound = max(1.0 - s for s in sums) + 3.0 * gamma * max(1.0, max(sums))

@@ -1,10 +1,11 @@
 """Small dense symmetric eigensolver.
 
 Sizes here are graph-sized (tens, occasionally a couple hundred).  The solver
-is LAPACK's symmetric eigensolver via :func:`numpy.linalg.eigh`; its result is
-checked for orthonormal eigenvectors and small eigenpair residuals before it
-is handed out.  Functions of a matrix are formed by the caller from the
-eigenpairs, Q f(W) Q^T.
+is LAPACK's symmetric eigensolver via :func:`numpy.linalg.eigh`, run once on
+a :class:`SymMatrix` or on one of its principal blocks; its two arrays are
+checked for orthonormal eigenvectors and small eigenpair residuals and handed
+out as they are, read-only.  Functions of a matrix are formed by the caller
+from the eigenpairs, Q f(W) Q^T.
 """
 
 from __future__ import annotations
@@ -16,15 +17,8 @@ from heatglue.errors import ConvergenceError
 
 __all__ = [
     "SymMatrix",
-    "SpectralDecomp",
     "eigh",
 ]
-
-
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float, order="C")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -50,45 +44,30 @@ class SymMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
+def eigh(a: SymMatrix, keep=None) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of ``a``, or of its principal block on the
+    indices ``keep``, by LAPACK's symmetric solver, through numpy.
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigenvalues in ascending order with orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eigenvalues", _frozen_array(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", _frozen_array(self.eigenvectors))
-
-
-def eigh(a: SymMatrix) -> SpectralDecomp:
-    """Full eigendecomposition by LAPACK's symmetric solver, through numpy.
-
-    Eigenvalues come back in ascending order.  The result is then checked:
-    the eigenvector columns must be orthonormal to 1e-12 and every eigenpair
-    residual ``|A q - w q|`` must be below ``1e-11 (1 + max|A|)``.  Raises
-    :class:`ConvergenceError` if LAPACK does not converge or a check fails.
+    A principal block of an exactly symmetric, finite matrix is one too, so
+    it is not validated again.  Returns LAPACK's ``(w, q)``, both read-only:
+    the eigenvalues in ascending order and the eigenvector columns, C-ordered.
+    They are checked first: the columns must be orthonormal to 1e-12 and
+    every eigenpair residual ``|A q - w q|`` must be below
+    ``1e-11 (1 + max|A|)``.  Raises :class:`ConvergenceError` if LAPACK does
+    not converge or a check fails.
     """
-    if not isinstance(a, SymMatrix):
-        a = SymMatrix(a)
-    n = a.n
-    if n == 1 or not a.entries.any():
-        return SpectralDecomp(np.diag(a.entries).copy(), np.eye(n))
+    m = a.entries if keep is None else a.entries.take(keep, 0).take(keep, 1)
     try:
-        w, q = np.linalg.eigh(a.entries)
+        w, q = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigh failed: {exc}") from exc
 
-    amax = float(np.abs(a.entries).max())
-    if np.abs(q.T @ q - np.eye(n)).max() > 1e-12:
+    amax = float(np.abs(m).max(initial=0.0))
+    if np.abs(q.T @ q - np.eye(len(w))).max(initial=0.0) > 1e-12:
         raise ConvergenceError("eigenvector columns lost orthonormality")
-    if np.abs(a.entries @ q - q * w[None, :]).max() > 1e-11 * (1.0 + amax):
+    if np.abs(m @ q - q * w[None, :]).max(initial=0.0) > 1e-11 * (1.0 + amax):
         raise ConvergenceError("eigenpair residual above tolerance")
-    return SpectralDecomp(w, q)
-
+    w.setflags(write=False)
+    q.setflags(write=False)
+    return w, q

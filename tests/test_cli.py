@@ -81,15 +81,33 @@ def test_graph_glue_line3_passes_at_large_t(t):
     assert {r["status"] for r in json_lines(res.stdout)} == {"pass"}
 
 
+@pytest.mark.parametrize("args,message", [
+    (["glue", "--input", "line3", "--method", "series", "--kmax", "40"],
+     "TruncationError: series at order 40: bound 1 is not below the "
+     "a-priori bound 1"),
+    (["pathsum", "--input", "line3", "--u", "1", "--v", "3", "--eps", "1e-9"],
+     "LengthCapError: eps=1e-09 needs paths longer than the cap 24; "
+     "row-sum deficit there is 1")], ids=["series", "pathsum"])
+def test_a_walk_where_theta_t_overflows_names_a_bound_of_one(args, message):
+    # where theta t overflows the walk keeps no Taylor order, so every
+    # order, and all the mass, is left out: the refusal names 1, not NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = invoke(["graph", *args, "--t", "1.7e308"])
+    assert (res.exit_code, res.stderr) == (3, "")
+    (report,) = json_lines(res.stdout)
+    assert (report["status"], report["message"]) == ("error", message)
+
+
 def test_a_rate_off_the_null_space_below_zero_is_a_failed_eigensolve(
         monkeypatch):
     # a Laplacian has no negative eigenvalue, so one is the solver's fault:
     # an error report and exit 3, not unusable input
     eigh = symlin.eigh
 
-    def shifted(a):
-        d = eigh(a)
-        return symlin.SpectralDecomp(d.eigenvalues - 2.0, d.eigenvectors)
+    def shifted(a, keep=None):
+        w, q = eigh(a, keep)
+        return w - 2.0, q
 
     monkeypatch.setattr(symlin, "eigh", shifted)
     res = invoke(["graph", "glue", "--input", "line3", "--t", "1"])
@@ -149,9 +167,9 @@ def test_graph_references_take_one_eigendecomposition(tmp_path, monkeypatch):
     calls = Counter()
     eigh, build = symlin.eigh, KernelMatrix.__init__
 
-    def spy_eigh(a):
+    def spy_eigh(a, keep=None):
         calls["eigh"] += 1
-        return eigh(a)
+        return eigh(a, keep)
 
     def spy_build(self, *args, **kwargs):
         calls["KernelMatrix"] += 1

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -88,6 +89,21 @@ def test_rejects_bad_terms():
         ExpMix(0.0, ((1.0, em.POWER_LIMIT + 1, 1.0),))
     with pytest.raises(ConfluentOverflowError):
         ExpTerm(1.0, em.POWER_LIMIT + 1, 1.0)
+
+
+@pytest.mark.parametrize("term", [
+    (1.0, 0, -0.5), (1.0, -1, 0.5), (math.nan, 0, 0.5), (1.0, 0, math.inf),
+    (1.0, em.POWER_LIMIT + 1, 1.0)],
+    ids=["rate", "power", "coef", "inf-rate", "power-limit"])
+def test_a_mixture_refuses_a_raw_term_as_the_term_does(term):
+    # the term rules are stated once, by ExpTerm: a mixture refuses a raw
+    # triple with the term's own exception and message, and drops a
+    # zero-coefficient triple unchecked
+    with pytest.raises((ValueError, ConfluentOverflowError)) as want:
+        ExpTerm(*term)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        ExpMix(0.0, (term, (2.0, 1, 1.0)))
+    assert ExpMix(0.0, ((0.0,) + term[1:],)).terms == ()
 
 
 def test_negative_zero_rate_normalized():

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import mpmath
@@ -468,6 +469,19 @@ def test_walk_at_zero_theta_t_stays_at_its_start():
     assert np.array_equal(sums[0], start) and not sums[1:].any()
 
 
+def test_walk_where_theta_t_overflows_keeps_no_order():
+    # the Poisson weights at an infinite mean are all 0: every sum is 0,
+    # exactly, and so is its rounding, with no NaN and no RuntimeWarning
+    d = random_decomposition(np.random.default_rng(3), 12)
+    step, advance, theta = _series_split(d)
+    start = np.eye(d.ordered_graph.n)[:2]
+    sums, gamma = graph_heat.uniformized_walk(step, advance, start, 5, theta,
+                                              1.7e308)
+    assert theta * 1.7e308 == math.inf
+    assert sums.shape == (5, 2, d.ordered_graph.n)
+    assert not sums.any() and gamma == 0.0
+
+
 def test_walk_of_a_path_sum_matches_the_dense_walk():
     # one start row, every edge advancing, one layer per path length
     rng = np.random.default_rng(20260822)
@@ -636,6 +650,26 @@ def test_series_line3_deep_truncation_stays_within_bound():
         for t in (0.25, 1.0, 4.0):
             values, bound = s.evaluate_with_bound(t)
             assert abs(values[0, 0] - ifk.evaluate(t)[0, 0]) <= bound
+
+
+def test_series_walks_only_the_layers_its_orders_reach():
+    # at t = 1 the 27 Taylor orders kept on line3 reach layers 0 .. 26
+    # only, so a deeper truncation walks no more layers: the same bits,
+    # the same bound and the same working memory at every k_max past them
+    assert graph_heat._poisson_order(2.0) == 27
+    results, peaks = [], []
+    for k_max in (40, 2000, 20000):
+        kern = SeriesKernel(LINE3_SPLIT, k_max, LINE3.vertices)
+        tracemalloc.start()
+        try:
+            results.append(kern.evaluate_with_bound(1.0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    (values, bound), *deeper = results
+    for other, other_bound in deeper:
+        assert np.array_equal(bits(other), bits(values)) and other_bound == bound
+    assert max(peaks) < 1.5 * min(peaks)
 
 
 def test_series_bound_rejects_bad_t():
@@ -1035,7 +1069,7 @@ def spectra_by_ix(d):
     labels = og.components
 
     def spectrum(keep):
-        eig = graph_heat.symlin.eigh(
+        lam, u = graph_heat.symlin.eigh(
             graph_heat.symlin.SymMatrix(lap[np.ix_(keep, keep)]))
         inside = [k for k in np.unique(labels)
                   if set(np.flatnonzero(labels == k)) <= set(keep)]
@@ -1043,8 +1077,8 @@ def spectra_by_ix(d):
         z = z.reshape(len(keep), len(inside))
         z /= np.sqrt(z.sum(axis=0))
         r = len(inside)
-        v = eig.eigenvectors[:, r:]
-        return np.r_[np.zeros(r), eig.eigenvalues[r:]], np.c_[z, v - z @ (z.T @ v)]
+        v = u[:, r:]
+        return np.r_[np.zeros(r), lam[r:]], np.c_[z, v - z @ (z.T @ v)]
 
     w, q = spectrum(np.r_[0:n])
     mu, v = spectrum(c)
@@ -1090,9 +1124,9 @@ def test_assembled_gluing_and_its_reference_share_one_laplacian(monkeypatch):
     seen = []
     eigh = graph_heat.symlin.eigh
 
-    def spy(a):
-        seen.append(a)
-        return eigh(a)
+    def spy(a, keep=None):
+        seen.append((a, keep))
+        return eigh(a, keep)
 
     monkeypatch.setattr(graph_heat.symlin, "eigh", spy)
     d = random_decomposition(np.random.default_rng(2403), 12)
@@ -1101,10 +1135,11 @@ def test_assembled_gluing_and_its_reference_share_one_laplacian(monkeypatch):
     heat_values(og, [1.0, 2.0])
     heat_values(og, 4.0)
     # L, its block off the interface, then L again for each call of the
-    # reference: the one SymMatrix of the graph each time
+    # reference: the one SymMatrix of the graph each time, and only the
+    # block names the indices it keeps
     assert len(seen) == 4
-    assert seen[0] is og.laplacian and seen[2] is seen[0] and seen[3] is seen[0]
-    assert seen[1] is not seen[0]
+    assert all(a is og.laplacian for a, _ in seen)
+    assert [keep is None for _, keep in seen] == [True, False, True, True]
 
 
 # ---------------------------------------------------------------------------

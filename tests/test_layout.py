@@ -342,15 +342,44 @@ def test_every_graph_rate_comes_from_one_spectrum():
     assert [name for name, f in functions.items()
             if {c for c in called(f) if c and c.startswith("eig")}
             ] == ["_spectrum"]
-    assert [name for name, f in functions.items()
-            if {"eigenvalues", "eigenvectors"} & set(named(f))
-            ] == ["_spectrum"]
+    assert [name for name, f in functions.items() for n in ast.walk(f)
+            if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Tuple)
+            and "eigh" in called(n.value)] == ["_spectrum"]
     for name, count in [("heat_kernel", 1), ("heat_values", 1),
                         ("relative_heat_kernel", 1), ("interface_kernel", 1),
                         ("_glue_I_spectra", 2), ("schur_cut", 2)]:
         assert len(calls(name, "_spectrum")) == count, name
     assert not {"_safe_rates", "spectral_apply", "_component_labels"} & set(
         named(tree))
+
+
+def test_one_checked_eigensolve_per_spectrum():
+    # symlin is the exactly symmetric matrix and one checked LAPACK solve,
+    # which returns its two arrays as they are: no wrapper type of the
+    # result and no second path; graph_heat validates a Laplacian once, in
+    # Graph.laplacian, and _spectrum hands out its spectrum on one path
+    trees = dict(modules())
+    symlin = trees["symlin"]
+    assert [n.name for n in symlin.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))] == [
+        "SymMatrix", "eigh"]
+    assert exported(symlin) == {"SymMatrix", "eigh"}
+    (sym,) = [n for n in symlin.body if getattr(n, "name", None) == "SymMatrix"]
+    assert [f.name for f in sym.body if isinstance(f, ast.FunctionDef)] == [
+        "__post_init__"]
+
+    def returns(tree, name):
+        (f,) = [n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == name]
+        return [n.value for n in ast.walk(f) if isinstance(n, ast.Return)]
+
+    (pair,) = returns(symlin, "eigh")
+    assert isinstance(pair, ast.Tuple) and len(pair.elts) == 2
+    graph_heat_tree = trees["graph_heat"]
+    assert len(returns(graph_heat_tree, "_spectrum")) == 1
+    assert [n.name for n in ast.walk(graph_heat_tree)
+            if isinstance(n, ast.FunctionDef)
+            and "SymMatrix" in called(n)] == ["laplacian"]
 
 
 LOADED = """

@@ -27,27 +27,32 @@ def random_symmetric(rng: np.random.Generator, n: int) -> SymMatrix:
 
 
 def test_line3_spectrum():
-    d = eigh(SymMatrix(LINE3))
-    assert np.allclose(d.eigenvalues, [0.0, 1.0, 3.0], atol=RESIDUAL_TOL)
-    v0 = d.eigenvectors[:, 0]
+    w, q = eigh(SymMatrix(LINE3))
+    assert np.allclose(w, [0.0, 1.0, 3.0], atol=RESIDUAL_TOL)
+    v0 = q[:, 0]
     assert np.abs(v0 - v0.mean()).max() < 1e-11  # constant on the component
 
 
 def test_identity_is_fixed_point():
-    d = eigh(SymMatrix(np.eye(4)))
-    assert np.array_equal(d.eigenvalues, np.ones(4))
-    assert np.array_equal(d.eigenvectors, np.eye(4))
+    w, q = eigh(SymMatrix(np.eye(4)))
+    assert np.array_equal(w, np.ones(4))
+    assert np.array_equal(q, np.eye(4))
+
+
+def test_an_empty_matrix_has_an_empty_spectrum():
+    # a graph with no vertex: LAPACK's empty pair passes both checks
+    w, q = eigh(SymMatrix(np.zeros((0, 0))))
+    assert w.shape == (0,) and q.shape == (0, 0)
 
 
 def test_residuals_on_random_matrices():
     rng = np.random.default_rng(20240817)
     for n in (2, 3, 5, 8, 13):
         a = random_symmetric(rng, n)
-        d = eigh(a)
-        assert np.all(np.diff(d.eigenvalues) >= 0.0)
-        q = d.eigenvectors
+        w, q = eigh(a)
+        assert np.all(np.diff(w) >= 0.0)
         assert np.abs(q.T @ q - np.eye(n)).max() < ORTHO_TOL
-        res = a.entries @ q - q * d.eigenvalues[None, :]
+        res = a.entries @ q - q * w[None, :]
         amax = np.abs(a.entries).max()
         assert np.abs(res).max() < RESIDUAL_TOL * (1.0 + amax)
 
@@ -55,19 +60,18 @@ def test_residuals_on_random_matrices():
 def test_eigh_deterministic():
     rng = np.random.default_rng(7)
     a = random_symmetric(rng, 6)
-    d1 = eigh(a)
-    d2 = eigh(a)
-    assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-    assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+    w1, q1 = eigh(a)
+    w2, q2 = eigh(a)
+    assert np.array_equal(w1, w2)
+    assert np.array_equal(q1, q2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_reconstruction_property(n, seed):
     a = random_symmetric(np.random.default_rng(seed), n)
-    d = eigh(a)
-    q = d.eigenvectors
-    back = (q * d.eigenvalues) @ q.T
+    w, q = eigh(a)
+    back = (q * w) @ q.T
     assert np.abs(back - a.entries).max() < RESIDUAL_TOL * (1.0 + np.abs(a.entries).max())
 
 
@@ -78,16 +82,14 @@ def test_spectral_inverse_matches_direct():
     # exactly symmetric
     psd = np.triu(b.T @ b)
     a = SymMatrix(psd + np.triu(psd, 1).T)
-    d = eigh(a)
-    q = d.eigenvectors
-    inv = (q / (d.eigenvalues + 1.0)) @ q.T
+    w, q = eigh(a)
+    inv = (q / (w + 1.0)) @ q.T
     direct = np.linalg.inv(a.entries + np.eye(6))
     assert np.abs(inv - direct).max() < 1e-10
 
 
 def test_heat_semigroup():
-    d = eigh(SymMatrix(LINE3))
-    q, w = d.eigenvectors, d.eigenvalues
+    w, q = eigh(SymMatrix(LINE3))
     k1, k2, k12 = ((q * np.exp(-s * w)) @ q.T for s in (0.4, 1.1, 1.5))
     assert np.abs(k1 @ k2 - k12).max() < 1e-10
 
@@ -95,10 +97,9 @@ def test_heat_semigroup():
 def test_heat_matches_taylor_exponential():
     rng = np.random.default_rng(11)
     a = random_symmetric(rng, 7)
-    d = eigh(a)
-    q = d.eigenvectors
+    w, q = eigh(a)
     for t in (0.25, 1.0):
-        k = (q * np.exp(-t * d.eigenvalues)) @ q.T
+        k = (q * np.exp(-t * w)) @ q.T
         ref = taylor_expm(-t * a.entries)
         assert np.abs(k - ref).max() < 1e-11 * np.abs(ref).max().clip(1.0, None)
 
@@ -106,11 +107,10 @@ def test_heat_matches_taylor_exponential():
 def test_trace_preserved():
     rng = np.random.default_rng(5)
     a = random_symmetric(rng, 9)
-    d = eigh(a)
-    phi = lambda w: 1.0 / (1.0 + w * w)
-    q = d.eigenvectors
-    k = (q * [phi(w) for w in d.eigenvalues]) @ q.T
-    assert np.trace(k) == pytest.approx(sum(phi(w) for w in d.eigenvalues), abs=1e-11)
+    w, q = eigh(a)
+    phi = lambda x: 1.0 / (1.0 + x * x)
+    k = (q * [phi(x) for x in w]) @ q.T
+    assert np.trace(k) == pytest.approx(sum(phi(x) for x in w), abs=1e-11)
 
 
 def test_symmetry_enforced():
@@ -127,9 +127,11 @@ def test_matrices_are_immutable():
     m = SymMatrix(LINE3)
     with pytest.raises(ValueError):
         m.entries[0, 0] = 5.0
-    d = eigh(m)
+    w, q = eigh(m)
     with pytest.raises(ValueError):
-        d.eigenvalues[0] = 1.0
+        w[0] = 1.0
+    with pytest.raises(ValueError):
+        q[0, 0] = 1.0
 
 
 def _gate_draw_side_block() -> np.ndarray:
@@ -153,8 +155,7 @@ def test_eigh_tiny_offdiagonal_does_not_overflow(make):
     a = make()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        d = eigh(SymMatrix(a))
-    q, w = d.eigenvectors, d.eigenvalues
+        w, q = eigh(SymMatrix(a))
     assert np.abs(a @ q - q * w[None, :]).max() < RESIDUAL_TOL
     assert np.abs(q.T @ q - np.eye(len(w))).max() < ORTHO_TOL
 
@@ -166,3 +167,26 @@ def test_eigh_lapack_failure_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ConvergenceError, match="did not converge"):
         eigh(SymMatrix(LINE3))
+
+
+def test_a_block_is_solved_as_the_matrix_it_is():
+    # eigh on a principal block gives the bits of eigh on that block made
+    # a matrix of its own, and hands out LAPACK's arrays read-only and
+    # C-ordered, so later products keep their bits
+    a = random_symmetric(np.random.default_rng(13), 9)
+    keep = [0, 2, 3, 7]
+    got = eigh(a, keep)
+    want = eigh(SymMatrix(a.entries[np.ix_(keep, keep)]))
+    for x, y in zip(got, want):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+        assert x.flags.c_contiguous and not x.flags.writeable
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (lambda w, q: (w, q * 1.01), "orthonormality"),
+    (lambda w, q: (w + 1e-6, q), "residual")], ids=["columns", "pairs"])
+def test_eigh_checks_what_lapack_returns(monkeypatch, spoil, message):
+    solve = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: spoil(*solve(m)))
+    with pytest.raises(ConvergenceError, match=message):
+        eigh(SymMatrix(LINE3), [0, 1])
