@@ -433,6 +433,7 @@ def run_interval_glue(L1: float, L2: float, x: float, y: float, t: float,
 def run_interval_interface(L1: float, L2: float, t: float, tol: float,
                            reference: float | None = None,
                            case: str = "interval-interface") -> list[Reports]:
+    """Junction density of two glued intervals against its Poisson sum."""
     inputs = {"L1": L1, "L2": L2, "tol": tol, "t": t}
 
     def run():
@@ -521,6 +522,10 @@ def run_dn_cylinder(L: float, m2: float, k_max: int, circle_L: float,
 def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
                           seed: int, index: int, tol: float,
                           prefix: str) -> list[Reports]:
+    """Random decompositions glued by formula I against heat_values."""
+    (count,) = errors.nonnegative(count=count)
+    if not times:
+        raise ValueError("times is empty")
     rng = np.random.default_rng([seed, index])
 
     def draw():  # the draw of the current ``case``, inside the guard
@@ -543,30 +548,11 @@ def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
 # verify problem sets
 # ---------------------------------------------------------------------------
 
-#: The routes of ``--method`` and ``--formula`` and of a verify case
-_METHODS = ("assembled", "series")
-_FORMULAS = ("I", "II")
-
-_SUITE_OF_KIND = {
-    "graph-glue": "graph",
-    "graph-pathsum": "graph",
-    "graph-cut": "graph",
-    "random-graph-glue": "graph",
-    "interval-glue": "interval",
-    "interval-interface": "interval",
-    "ray-glue": "ray",
-    "circle-cut": "circle",
-    "cylinder-check": "cylinder",
-    "dn-cylinder": "cylinder",
-}
-
-
-def _choice(case: dict, key: str, choices: tuple[str, ...]) -> str:
-    """The case's key or the first choice; ValueError unless a choice."""
-    if (value := case.get(key, choices[0])) not in choices:
-        raise ValueError(f"{key} must be one of {', '.join(choices)}, "
-                         f"got {value!r}")
-    return value
+#: Case fields that existing problem sets spell otherwise: the bundled
+#: ``intervals`` set writes ``n_max``, the benchmark ``circleL``.  A field
+#: given under its own name wins.
+_ALIASES = {"n_max": "nmax", "circleL": "circle-L"}
+_NUMBERS = {int: "an integer", float: "a number"}
 
 
 def _reference(case: dict) -> float | None:
@@ -577,65 +563,54 @@ def _reference(case: dict) -> float | None:
     return ref
 
 
+def _read(o: _Option, fields: dict) -> object:
+    """Option o from a case: the field named by its flag without ``--``, or
+    its default (KeyError if it has none).  The field is read as strictly
+    as the command line reads the flag: among its choices, an integer only
+    from an integral number, a number never from a boolean, and a list
+    field as a list, item by item."""
+    name = o.flag.removeprefix("--")
+    if name not in fields:
+        if o.default is _REQUIRED:
+            raise KeyError(name)
+        return o.default
+    value = fields[name]
+    if o.choices and value not in o.choices:
+        raise ValueError(f"{name} must be one of {', '.join(o.choices)}, "
+                         f"got {value!r}")
+
+    def scalar(v):
+        if o.type in _NUMBERS and isinstance(v, bool) or (
+                o.type is int and isinstance(v, float) and not v.is_integer()):
+            raise ValueError(f"{name} must be {_NUMBERS[o.type]}, got {v!r}")
+        return o.type(v)
+
+    if o.many and not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(map(scalar, value)) if o.many else scalar(value)
+
+
 def _verify_case(case: dict, index: int, seed: int,
                  default_tol: float) -> list[Reports]:
-    """The reports of one case of a known kind.  Any unusable input, a
-    field missing, malformed or not among its choices included, names it."""
-    kind = case["kind"]
+    """The reports of one case: its kind's runner, given each option read
+    by ``_read`` (``tol`` defaults to ``verify --tol``) and the case-only
+    inputs it takes (case id, frozen ``reference``, seed, case index).
+    Any unusable input, a field missing or malformed included, names it."""
+    entry = _KINDS[case["kind"]]
     cid = str(case.get("id", f"case{index:03d}"))
+    fields = {"tol": default_tol,
+              **{_ALIASES[k]: v for k, v in case.items() if k in _ALIASES},
+              **case}
+    code = entry.run.__code__  # the runner's parameters come first
+    params = code.co_varnames[:code.co_argcount]
+    context = {"prefix": cid + "/", "case": cid, "seed": seed, "index": index}
     try:
-        tol = float(case.get("tol", default_tol))
-        if kind == "graph-glue":
-            return run_graph_glue(case["input"], float(case["t"]),
-                                  _choice(case, "method", _METHODS),
-                                  int(case.get("kmax", 12)), tol,
-                                  prefix=cid + "/")
-        if kind == "graph-pathsum":
-            return run_graph_pathsum(case["input"], str(case["u"]),
-                                     str(case["v"]), float(case["t"]),
-                                     float(case.get("eps", 1e-9)), tol,
-                                     prefix=cid + "/")
-        if kind == "graph-cut":
-            iface = case.get("interface")
-            return run_graph_cut(case["input"], tuple(iface) if iface else None,
-                                 float(case.get("m2", 1.0)), tol,
-                                 prefix=cid + "/")
-        if kind == "random-graph-glue":
-            times = tuple(float(s) for s in case.get("times", (0.25, 1.0, 4.0)))
-            if not times:
-                raise ValueError("times is empty")
-            (count,) = errors.nonnegative(count=case.get("count", 3))
-            return run_random_graph_glue(count, int(case.get("nmax", 10)),
-                                         times, seed, index, tol,
-                                         prefix=cid + "/")
-        if kind == "interval-glue":
-            return run_interval_glue(float(case["L1"]), float(case["L2"]),
-                                     float(case["x"]), float(case["y"]),
-                                     float(case["t"]),
-                                     _choice(case, "formula", _FORMULAS),
-                                     int(case.get("n_max", case.get("nmax", 6))),
-                                     tol, _reference(case), case=cid)
-        if kind == "interval-interface":
-            return run_interval_interface(float(case["L1"]), float(case["L2"]),
-                                          float(case["t"]), tol,
-                                          _reference(case), case=cid)
-        if kind == "ray-glue":
-            return run_ray_glue(float(case["x"]), float(case["y"]),
-                                float(case["t"]), tol, _reference(case),
-                                case=cid)
-        if kind == "circle-cut":
-            cuts = tuple(float(c) for c in case["cuts"])
-            return run_circle_cut(float(case["L"]), cuts, float(case["x"]),
-                                  float(case["y"]), float(case["t"]),
-                                  int(case.get("kmax", 4)), tol, case=cid)
-        if kind == "cylinder-check":
-            return run_cylinder_check(float(case["L1"]), float(case["L2"]),
-                                      float(case.get("circleL", 2 * math.pi)),
-                                      float(case["t"]), tol, case=cid)
-        return run_dn_cylinder(float(case["L"]), float(case["m2"]),
-                               int(case.get("kmax", 4)),
-                               float(case.get("circleL", 2 * math.pi)),
-                               tol, prefix=cid + "/")
+        args = {o.dest: _read(o, fields) for o in entry.options
+                if o is not _FORMAT}
+        if "reference" in params:
+            args["reference"] = _reference(case)
+        return entry.run(**args, **{k: v for k, v in context.items()
+                                    if k in params})
     except KeyError as exc:
         raise InputError(f"case {cid}: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError, InputError) as exc:
@@ -645,19 +620,16 @@ def _verify_case(case: dict, index: int, seed: int,
 def run_verify(suite: str, input_: str | None, seed: int,
                tol: float) -> list[Reports]:
     """Run a problem set and report each case; exits 0 on an empty set."""
-    cases: list = []
-    if input_ is not None:
-        doc = _load_input(input_)
-        raw = doc if isinstance(doc, list) else doc.get("cases")
-        if not isinstance(raw, list):
-            raise InputError(f"{input_}: expected a cases list")
-        cases = raw
+    doc = [] if input_ is None else _load_input(input_)
+    cases = doc if isinstance(doc, list) else doc.get("cases")
+    if not isinstance(cases, list):
+        raise InputError(f"{input_}: expected a cases list")
     selected = []
     for i, case in enumerate(cases):
         kind = case.get("kind") if isinstance(case, dict) else None
-        if not isinstance(kind, str) or kind not in _SUITE_OF_KIND:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise InputError(f"case {i}: unknown kind {kind!r}")
-        if suite == "all" or _SUITE_OF_KIND[kind] == suite:
+        if suite in ("all", _KINDS[kind].suite):
             selected.append((i, case))
     reports = [r for i, case in selected
                for r in _verify_case(case, i, seed, tol)]
@@ -678,10 +650,11 @@ _REQUIRED = object()
 
 
 class _Option(NamedTuple):
-    """One option of a command: its flag, the parameter of the runner
-    that receives it, its help, its type (a function of the text given),
-    its default (``_REQUIRED`` when it must be given) and the values it
-    may take (any when empty)."""
+    """One option of a command and the field of its verify case: its flag,
+    the parameter of the runner that receives it, its help, its type (a
+    function of the text given), its default (``_REQUIRED`` when it must
+    be given), the values it may take (any when empty), and whether it is
+    a list (comma separated, or a JSON list), each item of its type."""
 
     flag: str
     dest: str
@@ -689,30 +662,29 @@ class _Option(NamedTuple):
     type: Callable[[str], object] = str
     default: object = _REQUIRED
     choices: tuple = ()
+    many: bool = False
 
 
-def _cuts(text: str) -> tuple[float, float]:
-    """The two positions of ``--cuts a,b``.  InputError, which argparse
-    lets through, keeps the message free of argparse's usage."""
-    parts = [s for s in text.split(",") if s]
-    if len(parts) != 2:
-        raise InputError(f"--cuts needs two comma separated numbers, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise InputError(f"bad --cuts value: {text!r}") from exc
+def _tol(default: object = _REQUIRED) -> _Option:
+    return _Option("--tol", "tol", "Tolerance entering the pass condition "
+                   "residual <= max(tol, bound).", float, default)
 
 
-def _labels(text: str) -> tuple[str, ...] | None:
-    """The vertices of ``--interface a,b``; None when it is empty."""
-    return tuple(s for s in text.split(",") if s) if text else None
+_FORMAT = _Option("--format", "fmt", "Report format: JSON lines or CSV.", str,
+                  "json", ("json", "csv"))
 
 
-def _output(tol: float) -> tuple[_Option, ...]:
-    return (_Option("--tol", "tol", "Tolerance entering the pass condition "
-                "residual <= max(tol, bound).", float, tol),
-            _Option("--format", "fmt", "Report format: JSON lines or CSV.", str,
-                "json", ("json", "csv")))
+class _Command(NamedTuple):
+    """The command ``name`` (words after the program name) and the verify
+    case of kind ``name`` with "-" for " ", in verify's ``suite`` (none
+    for ``verify``); a kind with no command has ``parser`` False.  Its
+    runner answers both, its options fill the runner's parameters."""
+
+    name: str
+    suite: str
+    run: Callable[..., list[Reports]]
+    options: tuple[_Option, ...]
+    parser: bool = True
 
 
 _GROUPS = {
@@ -724,73 +696,84 @@ _GROUPS = {
     "dn": "Boundary response spectra.",
 }
 
-#: Every command: its words after the program name, the case runner that
-#: answers it (whose docstring is its help) and its options, whose dests
-#: are parameters of the runner.
+#: Every command and every kind of verify case.
 _COMMANDS = (
-    ("graph glue", run_graph_glue, (
+    _Command("graph glue", "graph", run_graph_glue, (
         _Option("--input", "label",
             "Decomposition JSON file or bundled fixture name."),
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--method", "method", "Interface kernel route.", str,
-            _METHODS[0], _METHODS),
+            "assembled", ("assembled", "series")),
         _Option("--kmax", "k_max", "Series truncation order (series method "
             "only).  A larger order leaves less out, so the certified bound "
             "shrinks with it down to rounding level.", int, 12),
-        *_output(1e-10))),
-    ("graph pathsum", run_graph_pathsum, (
+        _tol(1e-10), _FORMAT)),
+    _Command("graph pathsum", "graph", run_graph_pathsum, (
         _Option("--input", "label", "Graph JSON file or bundled fixture name."),
         _Option("--u", "u", "Source vertex."),
         _Option("--v", "v", "Target vertex."),
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--eps", "eps",
             "Requested absolute accuracy of the truncated sum.", float),
-        *_output(1e-8))),
-    ("graph cut", run_graph_cut, (
+        _tol(1e-8), _FORMAT)),
+    _Command("graph cut", "graph", run_graph_cut, (
         _Option("--input", "label", "Graph JSON file or bundled fixture name."),
         _Option("--interface", "interface", "Comma separated vertices to kill; "
-            "defaults to the boundary recorded in the input.", _labels, None),
+            "defaults to the boundary recorded in the input.", str, None,
+            many=True),
         _Option("--m2", "m2", "Mass parameter.", float),
-        *_output(1e-10))),
-    ("interval glue", run_interval_glue, (
+        _tol(1e-10), _FORMAT)),
+    _Command("random-graph-glue", "graph", run_random_graph_glue, (
+        _Option("--count", "count", "Number of draws.", int, 3),
+        _Option("--nmax", "n_max", "Vertex budget of a draw.", int, 10),
+        _Option("--times", "times", "Evaluation times of every draw.", float,
+            (0.25, 1.0, 4.0), many=True),
+        _tol()), parser=False),
+    _Command("interval glue", "interval", run_interval_glue, (
         _Option("--L1", "L1", "First length.", float),
         _Option("--L2", "L2", "Second length.", float),
         _Option("--x", "x", "Source point inside the second piece.", float),
         _Option("--y", "y", "Target point inside the second piece.", float),
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--formula", "formula", "Reflection route or echo series.", str,
-            _FORMULAS[0], _FORMULAS),
+            "I", ("I", "II")),
         _Option("--nmax", "n_max", "Echo series truncation (formula II only).",
             int, 6),
-        *_output(1e-8))),
-    ("ray glue", run_ray_glue, (
+        _tol(1e-8), _FORMAT)),
+    _Command("interval-interface", "interval", run_interval_interface, (
+        _Option("--L1", "L1", "First length.", float),
+        _Option("--L2", "L2", "Second length.", float),
+        _Option("--t", "t", "Evaluation time.", float),
+        _tol()), parser=False),
+    _Command("ray glue", "ray", run_ray_glue, (
         _Option("--x", "x", "Distance on one ray.", float),
         _Option("--y", "y", "Distance on the other.", float),
         _Option("--t", "t", "Evaluation time.", float),
-        *_output(1e-8))),
-    ("circle cut", run_circle_cut, (
+        _tol(1e-8), _FORMAT)),
+    _Command("circle cut", "circle", run_circle_cut, (
         _Option("--L", "L", "Circumference.", float),
-        _Option("--cuts", "cuts", "Two cut positions, comma separated.", _cuts),
+        _Option("--cuts", "cuts", "Two cut positions, comma separated.", float,
+            many=True),
         _Option("--x", "x", "Source position.", float),
         _Option("--y", "y", "Target position.", float),
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--kmax", "k_max", "Interface series truncation order.", int, 4),
-        *_output(1e-5))),
-    ("cylinder check", run_cylinder_check, (
+        _tol(1e-5), _FORMAT)),
+    _Command("cylinder check", "cylinder", run_cylinder_check, (
         _Option("--L1", "L1", "First interval length.", float),
         _Option("--L2", "L2", "Second interval length.", float),
         _Option("--circle-L", "circle_L", "Slice circumference.", float,
             2 * math.pi),
         _Option("--t", "t", "Evaluation time.", float),
-        *_output(1e-9))),
-    ("dn cylinder", run_dn_cylinder, (
+        _tol(1e-9), _FORMAT)),
+    _Command("dn cylinder", "cylinder", run_dn_cylinder, (
         _Option("--L", "L", "Cylinder depth.", float),
         _Option("--m2", "m2", "Mass parameter.", float),
         _Option("--kmax", "k_max", "Highest slice mode index.", int),
         _Option("--circle-L", "circle_L", "Slice circumference.", float,
             2 * math.pi),
-        *_output(1e-12))),
-    ("verify", run_verify, (
+        _tol(1e-12), _FORMAT)),
+    _Command("verify", "", run_verify, (
         _Option("--suite", "suite", "Restrict to cases of one geometry family.",
             str, "all", ("graph", "interval", "ray", "circle", "cylinder",
                          "all")),
@@ -798,12 +781,26 @@ _COMMANDS = (
             "object with a cases list).  Without it the problem set is "
             "empty.", str, None),
         _Option("--seed", "seed", "Seed for every randomized case.", int, 0),
-        *_output(1e-8))),
+        _tol(1e-8), _FORMAT)),
 )
 
-#: Every option flag; each takes one value.
-_FLAGS = frozenset(o.flag for _, _, options in _COMMANDS for o in options)
+#: The entry of every kind of verify case.
+_KINDS = {c.name.replace(" ", "-"): c for c in _COMMANDS if c.suite}
+#: Every option flag of a command; each takes one value.
+_FLAGS = frozenset(o.flag for c in _COMMANDS if c.parser for o in c.options)
 _METAVARS = {float: "FLOAT", int: "INTEGER"}
+
+
+def _items(o: _Option) -> Callable[[str], tuple]:
+    """The comma separated items of list option o's text, each of its
+    type.  InputError, which argparse lets through, keeps the message free
+    of argparse's usage."""
+    def read(text: str) -> tuple:
+        try:
+            return tuple(o.type(s) for s in text.split(",") if s)
+        except ValueError as exc:
+            raise InputError(f"bad {o.flag} value: {text!r}") from exc
+    return read
 
 
 class _Parser(argparse.ArgumentParser):
@@ -820,7 +817,9 @@ def _build(prog: str) -> _Parser:
     root = _Parser(prog=prog, allow_abbrev=False, description=_DESCRIPTION)
     commands = root.add_subparsers(metavar="COMMAND", required=True)
     groups = {}
-    for words, run, options in _COMMANDS:
+    for words, _, run, options, command in _COMMANDS:
+        if not command:
+            continue
         *group, name = words.split()
         sub = commands
         if group:
@@ -836,12 +835,13 @@ def _build(prog: str) -> _Parser:
             required = o.default is _REQUIRED
             shown = "" if required or o.default is None \
                 else f" [default: {o.default}]"
-            parser.add_argument(o.flag, dest=o.dest, type=o.type,
+            parser.add_argument(o.flag, dest=o.dest,
+                                type=_items(o) if o.many else o.type,
                                 required=required,
                                 default=None if required else o.default,
                                 choices=o.choices or None,
-                                metavar=None if o.choices
-                                else _METAVARS.get(o.type, "TEXT"),
+                                metavar=None if o.choices else "TEXT"
+                                if o.many else _METAVARS.get(o.type, "TEXT"),
                                 help=o.help + shown)
         parser.set_defaults(run=run)
     return root

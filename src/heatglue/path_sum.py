@@ -109,8 +109,9 @@ def pathsum_heat(g: Graph, u, v, t: float,
     start[0, iu] = 1.0
     layers, gamma = uniformized_walk(g, start, LENGTH_CAP + 1, t)
     rows = layers[:, 0, :].tolist()
+    if not rows:  # theta t overflows: no order kept, all of row u left out
+        below_prior(1.0, 1.0, "path sum at length 0")
     seen: list[float] = []
-    deficit = 1.0  # with no layer, nothing of row u is summed
     for k, row in enumerate(rows):
         seen.extend(row)
         total = math.fsum(seen)

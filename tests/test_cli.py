@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import time
@@ -86,8 +87,8 @@ def test_graph_glue_line3_passes_at_large_t(t):
      "TruncationError: series at order 40: bound 1 is not below the "
      "a-priori bound 1"),
     (["pathsum", "--input", "line3", "--u", "1", "--v", "3", "--eps", "1e-9"],
-     "LengthCapError: eps=1e-09 needs paths longer than the cap 24; "
-     "row-sum deficit there is 1")], ids=["series", "pathsum"])
+     "TruncationError: path sum at length 0: bound 1 is not below the "
+     "a-priori bound 1")], ids=["series", "pathsum"])
 def test_a_walk_where_theta_t_overflows_names_a_bound_of_one(args, message):
     # where theta t overflows the walk keeps no Taylor order, so every
     # order, and all the mass, is left out: the refusal names 1, not NaN
@@ -203,7 +204,8 @@ def test_graph_references_take_one_eigendecomposition(tmp_path, monkeypatch):
     for case, want in [
             ({"kind": "graph-glue", "method": "series", "kmax": 8},
              {"eigh": 1}),
-            ({"kind": "graph-pathsum", "u": "a", "v": "c"}, {"eigh": 1}),
+            ({"kind": "graph-pathsum", "u": "a", "v": "c", "eps": 1e-9},
+             {"eigh": 1}),
             ({"kind": "graph-glue"}, {"eigh": 3}),
             # the block off the interface and L, and no third solve
             ({"kind": "graph-cut", "interface": ["b"], "m2": 0.5},
@@ -781,7 +783,7 @@ def verify_case(directory, case):
 
 
 def test_every_valid_case_passes(tmp_path):
-    assert set(VALID) == set(heatglue.cli._SUITE_OF_KIND)
+    assert set(VALID) == set(heatglue.cli._KINDS)
     for case in VALID_CASES:
         res = verify_case(tmp_path, case)
         assert res.exit_code == 0, case
@@ -796,9 +798,12 @@ def test_every_valid_case_passes(tmp_path):
     pytest.param("circle-cut", "cuts", [0], "case cc: exactly two cut points "
                  "are required; one point does not separate the circle",
                  id="circle-cut-cuts-one-point"),
-    ("circle-cut", "cuts", 5, "case cc: 'int' object is not iterable"),
-    ("graph-glue", "input", 5, "case gg: expected str, bytes or os.PathLike "
-                               "object, not int"),
+    pytest.param("circle-cut", "cuts", 5, "case cc: cuts must be a list, got 5",
+                 id="circle-cut-cuts-5-not-a-list"),
+    # a text field reads a number as the command line reads its text
+    pytest.param("graph-glue", "input", 5,
+                 "case gg: no such file or bundled fixture: 5",
+                 id="graph-glue-input-5-read-as-text"),
     ("ray-glue", "tol", "x", "case rl: could not convert string to float: 'x'"),
     pytest.param("random-graph-glue", "nmax", 2,
                  "case rg: need room for side1 + interface + side2",
@@ -815,12 +820,21 @@ def test_every_valid_case_passes(tmp_path):
      "case gg: method must be one of assembled, series, got {}"),
     ("interval-glue", "formula", True,
      "case ig: formula must be one of I, II, got True"),
+    # a number read as strictly as on the command line: an integer field
+    # takes no fraction and no boolean, a float field no boolean
+    ("graph-glue", "kmax", 2.5, "case gg: kmax must be an integer, got 2.5"),
+    ("random-graph-glue", "count", True,
+     "case rg: count must be an integer, got True"),
+    ("ray-glue", "t", True, "case rl: t must be a number, got True"),
     # a negative count, an infinite distance
     ("random-graph-glue", "count", -1, "case rg: count must be nonnegative"),
     ("ray-glue", "x", math.inf, "case rl: x must be positive and finite"),
     # a frozen reference that is not finite
     ("ray-glue", "reference", math.inf, "case rl: reference must be finite"),
     ("ray-glue", "reference", math.nan, "case rl: reference must be finite"),
+    # a list field takes a JSON list only, not a text read letter by letter
+    ("graph-cut", "interface", "06",
+     "case gc: interface must be a list, got '06'"),
 ])
 def test_a_malformed_case_is_unusable_input(tmp_path, kind, field, value,
                                             message):
@@ -930,17 +944,19 @@ def test_a_value_may_start_with_a_minus_sign():
                                            "argument")
 
 
+#: The words of every command
+COMMANDS = [c.name for c in heatglue.cli._COMMANDS if c.parser]
+
+
 @pytest.mark.parametrize("words", [
-    "", *sorted({w.split()[0] for w, _, _ in heatglue.cli._COMMANDS
-                 if " " in w}),
-    *(w for w, _, _ in heatglue.cli._COMMANDS)])
+    "", *sorted({w.split()[0] for w in COMMANDS if " " in w}), *COMMANDS])
 def test_help_exits_zero_on_every_command(words):
     res = invoke([*words.split(), "--help"])
     assert (res.exit_code, res.stderr) == (0, "")
     assert res.stdout.startswith(f"usage: heatglue {words}".rstrip() + " [-h]")
-    for command, _, options in heatglue.cli._COMMANDS:
-        if command == words:
-            assert all(o.flag in res.stdout for o in options)
+    for command in heatglue.cli._COMMANDS:
+        if command.name == words:
+            assert all(o.flag in res.stdout for o in command.options)
 
 
 def test_the_program_name_names_usage_and_help():
@@ -1026,7 +1042,7 @@ def every_kind_set(tmp_path):
         {"id": pid + "b", "kind": "graph-glue", "input": odd, "t": 0.7,
          "method": "series", "kmax": 8},
         {"id": "ps", "kind": "graph-pathsum", "input": odd, "u": labels[0],
-         "v": labels[3], "t": 0.5},
+         "v": labels[3], "t": 0.5, "eps": 1e-9},
         {"id": "ps-err", "kind": "graph-pathsum", "input": "line3", "u": "1",
          "v": "3", "t": 50, "eps": 1e-300},
         {"id": "cut", "kind": "graph-cut", "input": "line_dirichlet", "m2": 1.0},
@@ -1044,10 +1060,35 @@ def every_kind_set(tmp_path):
         {"id": "cyl", "kind": "cylinder-check", "L1": 1, "L2": 2, "t": 0.5},
         {"id": "dn", "kind": "dn-cylinder", "L": 2, "m2": 1, "kmax": 3},
     ]
-    assert {c["kind"] for c in cases} == set(heatglue.cli._SUITE_OF_KIND)
+    assert {c["kind"] for c in cases} == set(heatglue.cli._KINDS)
     path = tmp_path / "every_kind.json"
     path.write_text(json.dumps({"cases": cases}))
     return ["verify", "--input", str(path), "--seed", "5"]
+
+
+def test_each_readme_command_line_is_a_verify_case(tmp_path):
+    # a case of kind "graph-glue" is the command "graph glue": its fields
+    # are the flags without "--", read as the command reads them, and with
+    # the command's tol it prints the command's lines but for the case id
+    commands = [args for args in readme_commands() if args[0] != "verify"]
+    assert len(commands) >= 9
+    for args in commands:
+        words, _, flags = " ".join(args).partition(" --")
+        flags = ("--" + flags).split()
+        entry = next(c for c in heatglue.cli._COMMANDS if c.name == words)
+        options = {o.flag: o for o in entry.options}
+        case = {"id": "c", "kind": words.replace(" ", "-"),
+                "tol": options["--tol"].default}
+        for flag, text in zip(flags[::2], flags[1::2]):
+            o = options[flag]
+            case[flag[2:]] = [o.type(s) for s in text.split(",")] if o.many \
+                else o.type(text)
+        command, verified = invoke(args), verify_case(tmp_path, case)
+        assert verified.exit_code == command.exit_code, args
+        ids = r'^\{"case": "[^"]*"'
+        assert [re.sub(ids, "", line) for line in verified.stdout.splitlines()
+                ] == [re.sub(ids, "", line)
+                      for line in command.stdout.splitlines()], args
 
 
 def test_every_report_line_is_canonical_json(tmp_path):

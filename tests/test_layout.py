@@ -10,6 +10,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import pathlib
 import sys
 
@@ -468,9 +469,11 @@ def test_each_command_calls_its_case_runner():
     # no wrapper sits between them
     from heatglue import cli
 
-    for words, run, options in cli._COMMANDS:
+    for words, _, run, options, command in cli._COMMANDS:
         params = inspect.signature(run).parameters
         assert {o.dest for o in options} - {"fmt"} <= params.keys(), words
+        if not command:
+            continue
         out = io.StringIO()
         with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
             cli.main([*words.split(), "--help"])
@@ -526,3 +529,81 @@ def test_every_library_function_is_reached():
     finally:
         sys.setprofile(previous)
     assert sorted(wanted - entered) == []
+
+
+def test_a_verify_case_is_read_from_the_table_alone():
+    # a case's fields, defaults, types and choices are those of its kind's
+    # options in cli._COMMANDS: the verify path writes no default of its
+    # own and reads no field by name but the case-only ones
+    from heatglue import cli
+
+    tree = dict(modules())["cli"]
+    names = set(defined_names(tree))
+    assert not {"_SUITE_OF_KIND", "_choice", "_METHODS", "_FORMULAS"} & names
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+                 and n.name in ("run_verify", "_verify_case", "_read",
+                                "_reference")]
+    assert len(functions) == 4
+    fields = {o.flag.removeprefix("--") for c in cli._KINDS.values()
+              for o in c.options}
+    read = set()
+    for node in (n for f in functions for n in ast.walk(f)):
+        assert not (isinstance(node, ast.Constant)
+                    and type(node.value) in (int, float)), ast.unparse(node)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") \
+                == "get":
+            assert not any(isinstance(a, ast.Constant) for a in node.args[1:])
+            target, key = node.func.value, node.args[0]
+        elif isinstance(node, ast.Subscript):
+            target, key = node.value, node.slice
+        else:
+            continue
+        if getattr(target, "id", "") in ("case", "fields") \
+                and isinstance(key, ast.Constant):
+            read.add(key.value)
+    assert read == {"id", "kind", "reference"}
+    assert set(cli._ALIASES.values()) <= fields
+    # a kind's suite is one of verify --suite
+    (verify,) = [c for c in cli._COMMANDS if c.name == "verify"]
+    assert set(verify.options[0].choices) == {
+        "all", *(c.suite for c in cli._KINDS.values())}
+
+
+def case_row(kind, entry):
+    """The README's row of a verify case kind, from its table entry."""
+    from heatglue import cli
+
+    def shown(default):
+        if default is cli._REQUIRED:
+            return ""
+        if default is None:
+            return " (optional)"
+        if isinstance(default, str):
+            return f" `{default}`"
+        return " " + ("2π" if default == 2 * math.pi else str(
+            list(default) if isinstance(default, tuple) else default))
+
+    fields = ", ".join(f"`{o.flag[2:]}`{shown(o.default)}"
+                       for o in entry.options if o.dest not in ("tol", "fmt"))
+    params = inspect.signature(entry.run).parameters
+    notes = [] if entry.parser else ["no command"]
+    if "seed" in params:
+        notes.append("draws from `verify --seed`")
+    if "reference" in params:
+        notes.append("`reference`")
+    notes += [f"`{alias}` for `{name}`" for alias, name in cli._ALIASES.items()
+              if f"--{name}" in {o.flag for o in entry.options}]
+    cells = [f"`{kind}`", f"`{entry.name}`" if entry.parser else "none",
+             fields, "; ".join(notes)]
+    return ("| " + " | ".join(cells)).rstrip() + " |"
+
+
+def test_the_readme_case_table_is_the_command_table():
+    # each kind's row names exactly the fields and defaults of its table
+    # entry, and as notes only the case-only fields and the aliases
+    from heatglue import cli
+
+    readme = (SRC.parents[1] / "README.md").read_text().splitlines()
+    assert [line for line in readme if line.startswith("| `")
+            and line.split("`")[1] in cli._KINDS] == [
+        case_row(kind, entry) for kind, entry in cli._KINDS.items()]
