@@ -37,6 +37,7 @@ import types
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as escape
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -236,16 +237,17 @@ class Reports:
 
 
 def _finish(reports: list[Reports], fmt: str) -> None:
-    rows = sorted((row for r in reports for row in
-                   (r.csv_rows() if fmt == "csv" else r.json_lines())),
-                  key=lambda row: row[0])
+    rows = []
+    for r in reports:
+        rows += r.csv_rows() if fmt == "csv" else r.json_lines()
+    rows.sort(key=itemgetter(0))
     if fmt == "csv":
         csv.writer(sys.stdout, lineterminator="\n").writerows(
             [_CSV_COLUMNS, *rows])
     else:
-        sys.stdout.write("".join(line + "\n" for _, line in rows))
+        sys.stdout.write("\n".join([line for _, line in rows] + [""]))
     sys.stdout.flush()
-    statuses = {s for r in reports for s in r.status}
+    statuses = set().union(*(r.status for r in reports))
     sys.exit(3 if "error" in statuses else 1 if "fail" in statuses else 0)
 
 
@@ -260,20 +262,27 @@ _ABSENT = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
 
 def _load_input(name: str) -> dict:
-    """Load a JSON document from a path or from the bundled fixtures.  The
-    path is read directly; a name that is not there is a fixture name."""
+    """Load a JSON document, UTF-8 encoded, from a path or from the bundled
+    fixtures.  The path is read directly, as pathlib spells it; a name that
+    is not there is a fixture name."""
     try:
-        text = pathlib.Path(name).read_text()
+        with open(os.fspath(pathlib.PurePath(name)), "rb") as f:
+            data = f.read()
     except OSError as exc:
         if exc.errno not in _ABSENT:
             raise InputError(f"cannot read {name}: {exc}") from exc
         base = name if name.endswith(".json") else name + ".json"
         res = importlib.resources.files("heatglue").joinpath("fixtures", base)
         try:
-            text = res.read_text()
+            data = res.read_bytes()
         except OSError as exc:
             raise InputError(
                 f"no such file or bundled fixture: {name}") from exc
+    try:
+        # newlines as text mode reads them, for a parse error's line and column
+        text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {name}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -633,7 +642,9 @@ def run_verify(suite: str, input_: str | None, seed: int,
             selected.append((i, case))
     reports = [r for i, case in selected
                for r in _verify_case(case, i, seed, tol)]
-    tally = Counter(s for r in reports for s in r.status)
+    tally = Counter()
+    for r in reports:
+        tally.update(r.status)
     print(f"{tally.total()} cases: {tally['pass']} pass, {tally['fail']} fail, "
           f"{tally['error']} error", file=sys.stderr)
     return reports

@@ -28,7 +28,7 @@ the indices kept, and takes the read-only pair (w, q) that LAPACK returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -76,6 +76,8 @@ class Graph:
 
     vertices: tuple
     edges: tuple = ()
+    #: The index of each vertex label.
+    index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
@@ -98,14 +100,11 @@ class Graph:
         canon.sort()
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple((verts[i], verts[j]) for i, j in canon))
+        object.__setattr__(self, "index", index)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    @cached_property
-    def index(self) -> dict:
-        return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -131,14 +130,26 @@ class Graph:
     @cached_property
     def components(self) -> np.ndarray:
         """Connected component of each vertex, numbered 0, 1, ... in vertex
-        order, from the vertices each one reaches: A + I squared k times
-        reaches along walks of up to 2^k steps, and 2^k > n."""
-        reach = self.adjacency + np.eye(self.n)
-        for _ in range(self.n.bit_length()):
-            reach = np.minimum(reach @ reach, 1.0)
-        first = np.arange(self.n)
-        least = np.where(reach > 0.0, first, self.n).min(axis=1, initial=self.n)
-        labels = (np.cumsum(least == first) - 1)[least]
+        order: each vertex not yet labelled starts the next component, and
+        a traversal of the edges from it labels every vertex it reaches."""
+        neighbours = [[] for _ in self.vertices]
+        for u, v in self.edges:
+            i, j = self.index[u], self.index[v]
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+        labels = [-1] * self.n
+        count = 0
+        for first in range(self.n):
+            if labels[first] < 0:
+                labels[first] = count
+                stack = [first]
+                while stack:
+                    for j in neighbours[stack.pop()]:
+                        if labels[j] < 0:
+                            labels[j] = count
+                            stack.append(j)
+                count += 1
+        labels = np.array(labels, dtype=np.intp)
         labels.setflags(write=False)
         return labels
 
@@ -836,7 +847,8 @@ def glue_I_values(d: Decomposition, t: float | Sequence[float]) -> np.ndarray:
     basis[y, nc:] = q
     core = np.zeros((nc + n, nc + n))
     r = np.count_nonzero(mu == 0.0)  # rows of G that are exactly 0
-    im, jn = r + np.array(np.triu_indices(nc - r))
+    rows = np.arange(nc - r)
+    im, jn = r + np.array(np.nonzero(rows[:, None] <= rows))  # upper triangle
     block = max(1, _PSI_BLOCK // n)
     values = np.empty((ts.size, n, n))
     for out, s in zip(values, ts.ravel().tolist()):

@@ -681,8 +681,8 @@ def arc_coordinates(L_total: float, cuts: Sequence[float], x: float,
     distinct points; ValueError unless both lie strictly inside one arc."""
     (L,) = positive(L_total=L_total)
     if len(cuts) != 2:
-        raise ValueError("exactly two cut points are required; one point "
-                         "does not separate the circle")
+        raise ValueError("exactly two cut points are required to cut the "
+                         f"circle into two arcs, got {len(cuts)}")
     c0, c1 = sorted(float(c) % L for c in cuts)
     if c0 == c1:
         raise ValueError("cut points must be distinct")

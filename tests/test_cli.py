@@ -741,12 +741,12 @@ def test_exit_three_on_eigensolver_and_confluent_failures(error, tmp_path,
 
 
 def test_cuts_option_rejects_malformed_values():
-    res = invoke(["circle", "cut", "--L", "2", "--cuts", "0",
-                  "--x", "0.3", "--y", "0.7", "--t", "0.4"])
-    assert res.exit_code == 2
-    res = invoke(["circle", "cut", "--L", "2", "--cuts", "0,a",
-                  "--x", "0.3", "--y", "0.7", "--t", "0.4"])
-    assert res.exit_code == 2
+    two = "exactly two cut points are required to cut the circle into two arcs"
+    for cuts, message in (("0", f"{two}, got 1"), ("0,1,1.5", f"{two}, got 3"),
+                          ("0,a", "bad --cuts value: '0,a'")):
+        res = invoke(["circle", "cut", "--L", "2", "--cuts", cuts,
+                      "--x", "0.3", "--y", "0.7", "--t", "0.4"])
+        assert (res.exit_code, res.stderr) == (2, f"Error: {message}\n")
 
 
 #: A valid case of every kind, each field given.
@@ -796,7 +796,7 @@ def test_every_valid_case_passes(tmp_path):
     ("graph-glue", "kmax", "x",
      "case gg: invalid literal for int() with base 10: 'x'"),
     pytest.param("circle-cut", "cuts", [0], "case cc: exactly two cut points "
-                 "are required; one point does not separate the circle",
+                 "are required to cut the circle into two arcs, got 1",
                  id="circle-cut-cuts-one-point"),
     pytest.param("circle-cut", "cuts", 5, "case cc: cuts must be a list, got 5",
                  id="circle-cut-cuts-5-not-a-list"),
@@ -1338,19 +1338,50 @@ def test_input_outcomes_of_files_and_fixtures(tmp_path, monkeypatch):
     # Path("") is the working directory
     assert load_outcome("") == (
         2, "Error: cannot read : [Errno 21] Is a directory: '.'")
+    # a path is read as pathlib spells it: a trailing "/" is dropped
+    assert load_outcome("set.json/") == (0, "0 cases: 0 pass, 0 fail, 0 error")
+    assert load_outcome("./adir/.") == (
+        2, "Error: cannot read ./adir/.: [Errno 21] Is a directory: 'adir'")
+    # the file is read as UTF-8, so a byte order mark is no JSON
+    pathlib.Path("bom.json").write_bytes(b'\xef\xbb\xbf{"cases": []}')
+    assert load_outcome("bom.json") == (
+        2, "Error: invalid JSON in bom.json: Unexpected UTF-8 BOM (decode using "
+           "utf-8-sig): line 1 column 1 (char 0)")
+    # "\r\n" and a lone "\r" count as one newline in a parse error's position
+    pathlib.Path("crlf.json").write_bytes(b'{\r\n "cases":\r [\r\n 1,,\r\n]}')
+    assert load_outcome("crlf.json") == (
+        2, "Error: invalid JSON in crlf.json: Expecting value: line 4 column 4 "
+           "(char 18)")
+    # a case's graph file that is not UTF-8 is named in the message
+    pathlib.Path("latin.json").write_bytes(b'{"vertices": ["a"], "edges": []}\xff')
+    pathlib.Path("case.json").write_text(
+        '[{"id": "gg", "kind": "graph-glue", "input": "latin.json", "t": 1.0}]')
+    assert load_outcome("case.json") == (
+        2, "Error: case gg: cannot read latin.json: 'utf-8' codec can't decode "
+           "byte 0xff in position 32: invalid start byte")
 
 
 def test_input_outcome_of_an_unreadable_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     pathlib.Path("locked.json").write_text('{"cases": []}')
-    read_text = pathlib.Path.read_text
 
-    def deny(self, *args, **kwargs):
-        if self.name == "locked.json":
-            raise PermissionError(13, "Permission denied", str(self))
-        return read_text(self, *args, **kwargs)
+    def deny(path, *args, **kwargs):
+        if path == "locked.json":
+            raise PermissionError(13, "Permission denied", path)
+        return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(pathlib.Path, "read_text", deny)
+    monkeypatch.setattr(heatglue.cli, "open", deny, raising=False)
     assert load_outcome("locked.json") == (
         2, "Error: cannot read locked.json: [Errno 13] Permission denied: "
            "'locked.json'")
+
+
+@pytest.mark.parametrize("command", [["verify"], ["graph", "glue", "--t", "1"]])
+def test_input_outcome_of_a_file_that_is_not_utf8(tmp_path, monkeypatch,
+                                                  command):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("latin.json").write_bytes(b'{"cases": []}\xff')
+    res = invoke([*command, "--input", "latin.json"])
+    assert (res.exit_code, res.stderr) == (
+        2, "Error: cannot read latin.json: 'utf-8' codec can't decode byte "
+           "0xff in position 13: invalid start byte\n")

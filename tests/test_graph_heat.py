@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 
 from conftest import allclose, dense_walk, taylor_expm
 from heatglue.errors import TruncationError
@@ -977,6 +978,32 @@ def test_values_at_no_times_are_an_empty_stack():
                          ([1.0], (1, n, n)), (1.0, (n, n))):
         assert glue_I_values(d, times).shape == shape
         assert heat_values(d.ordered_graph, times).shape == shape
+
+
+def test_components_are_the_connected_components_of_scipy():
+    """Graph.components labels the components as scipy does, numbered by
+    their least vertex: on the graphs of the 50 gate-02 decompositions
+    (seed 20260822), and on 200 seeded random graphs of 0 to 15 vertices,
+    with no edges, sparse ones with isolated vertices and dense ones, each
+    under a shuffled vertex order."""
+    rng = np.random.default_rng(20260822)
+    graphs = []
+    for _ in range(50):
+        d = random_decomposition(rng, 12)
+        graphs += [d.graph, d.ordered_graph]
+    rng = np.random.default_rng(5)
+    for k in range(200):
+        n = k % 16  # n = 0 and n = 1 included
+        p = (0.0, 0.1, 0.3, 0.6)[k // 16 % 4]
+        labels = tuple(f"u{i}" for i in rng.permutation(n))
+        graphs.append(Graph(labels, tuple(
+            (labels[i], labels[j]) for i, j in itertools.combinations(range(n), 2)
+            if rng.random() < p)))
+    assert {g.n for g in graphs} >= {0, 1} and any(not g.edges for g in graphs)
+    for g in graphs:
+        _, want = scipy.sparse.csgraph.connected_components(
+            g.adjacency, directed=False)
+        assert g.components.tolist() == want.tolist(), g
 
 
 def component_projector(g: Graph) -> np.ndarray:
