@@ -7,11 +7,11 @@ reference, the residual against that reference, a certified bound when
 the route provides one, and a status.  The status is recomputable from
 the report alone: pass exactly when residual <= max(tolerance, bound).
 
-Output is JSON lines by default, CSV with ``--format csv``.  Exit codes:
-0 all cases pass, 1 at least one tolerance failure, 2 unusable input,
-3 an internal numerical failure (reported with status "error"): one of
-the typed failures of :mod:`heatglue.errors`, a floating-point overflow, or
-a report number that is not finite.
+Output is JSON lines, one object per report.  Exit codes: 0 all cases
+pass, 1 at least one tolerance failure, 2 unusable input, 3 an internal
+numerical failure (reported with status "error"): one of the typed
+failures of :mod:`heatglue.errors`, a floating-point overflow, or a
+report number that is not finite.
 
 The route modules (``expmix``, ``graph_heat``, ``heat1d``, ``path_sum``)
 are loaded on first use: each is registered at import and runs on its
@@ -23,11 +23,9 @@ not safe for a first access from two threads at once.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import importlib.resources
 import importlib.util
-import itertools
 import json
 import math
 import os
@@ -38,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as escape
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -74,9 +72,6 @@ _NUMERICAL = (
     FloatingPointError,
     OverflowError,
 )
-
-_CSV_COLUMNS = ("case", "geometry", "params", "x", "y", "t",
-                "value", "bound", "reference", "residual", "status")
 
 
 class InputError(Exception):
@@ -179,13 +174,14 @@ class Reports:
             coords = [a + b for a in coords for b in pairs]
         return ids, escaped, coords
 
-    def _columns(self, encode) -> list[list]:
-        """value, reference, residual and bound, one list of cells each.
+    def _columns(self) -> list[list[str]]:
+        """value, reference, residual and bound, one list of JSON cells
+        each.
 
         Below ``_DISTINCT_MIN`` entries, and in an error report, the cells
-        come from one call of ``encode`` on all their floats (or None), a
-        scalar bound encoded once and its cell repeated.  From that size
-        on, ``encode`` is called once on the distinct float bit patterns
+        come from one call of ``_json_floats`` on all their floats (or
+        None), a scalar bound encoded once and its cell repeated.  From
+        that size on, it is called once on the distinct float bit patterns
         (``np.unique`` of their int64 view, which keeps 0.0 and -0.0 and
         NaN payloads apart) and each cell indexed back: the matrices of a
         graph report are symmetric, so many of its floats repeat."""
@@ -193,13 +189,13 @@ class Reports:
         columns = (self.value, self.reference, self.residual, self.bound)
         sizes = [c.size if isinstance(c, np.ndarray) else 1 for c in columns]
         if n < _DISTINCT_MIN or self.value is None:
-            cells = encode(sum([c.tolist() if isinstance(c, np.ndarray) else [c]
-                                for c in columns], []))
+            cells = _json_floats(sum([c.tolist() if isinstance(c, np.ndarray)
+                                      else [c] for c in columns], []))
         else:
             bits = np.concatenate([np.asarray(c, dtype=float).ravel()
                                    for c in columns]).view(np.int64)
             distinct, back = np.unique(bits, return_inverse=True)
-            text = encode(distinct.view(float).tolist())
+            text = _json_floats(distinct.view(float).tolist())
             cells = [text[k] for k in back.tolist()]
         out, i = [], 0
         for size in sizes:
@@ -218,34 +214,15 @@ class Reports:
                       f'"reference": {r}, "residual": {d}, "bound": {b}, '
                       f'"status": "{s}"{tail}}}')
                 for cid, e, c, v, r, d, b, s in zip(
-                    *self._ids(), *self._columns(_json_floats), self.status)]
-
-    def csv_rows(self) -> Iterator[list]:
-        def cell(v):
-            return "" if v is None else (repr(v) if isinstance(v, float) else v)
-
-        points = itertools.product(*(a.values for a in self.axes))
-        floats = self._columns(lambda values: [cell(v) for v in values])
-        for cid, point, v, r, d, b, s in zip(self._ids()[0], points, *floats,
-                                              self.status):
-            inputs = dict(self.inputs, **{a.key: x for a, x in zip(self.axes, point)})
-            params = ";".join(f"{k}={cell(x)}" for k, x in inputs.items()
-                              if k not in ("x", "y", "t"))
-            yield [cid, self.geometry, params,
-                   *(cell(inputs.get(k)) for k in ("x", "y", "t")),
-                   v, b, r, d, s]
+                    *self._ids(), *self._columns(), self.status)]
 
 
-def _finish(reports: list[Reports], fmt: str) -> None:
+def _finish(reports: list[Reports]) -> None:
     rows = []
     for r in reports:
-        rows += r.csv_rows() if fmt == "csv" else r.json_lines()
+        rows += r.json_lines()
     rows.sort(key=itemgetter(0))
-    if fmt == "csv":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(
-            [_CSV_COLUMNS, *rows])
-    else:
-        sys.stdout.write("\n".join([line for _, line in rows] + [""]))
+    sys.stdout.write("\n".join([line for _, line in rows] + [""]))
     sys.stdout.flush()
     statuses = set().union(*(r.status for r in reports))
     sys.exit(3 if "error" in statuses else 1 if "fail" in statuses else 0)
@@ -268,6 +245,8 @@ def _load_input(name: str) -> dict:
     try:
         with open(os.fspath(pathlib.PurePath(name)), "rb") as f:
             data = f.read()
+    except ValueError as exc:  # a name no path spells: a NUL byte
+        raise InputError(f"cannot read {name}: {exc}") from exc
     except OSError as exc:
         if exc.errno not in _ABSENT:
             raise InputError(f"cannot read {name}: {exc}") from exc
@@ -528,31 +507,6 @@ def run_dn_cylinder(L: float, m2: float, k_max: int, circle_L: float,
     return _guarded(f"{prefix}dn", "cylinder", base, run)
 
 
-def run_random_graph_glue(count: int, n_max: int, times: tuple[float, ...],
-                          seed: int, index: int, tol: float,
-                          prefix: str) -> list[Reports]:
-    """Random decompositions glued by formula I against heat_values."""
-    (count,) = errors.nonnegative(count=count)
-    if not times:
-        raise ValueError("times is empty")
-    rng = np.random.default_rng([seed, index])
-
-    def draw():  # the draw of the current ``case``, inside the guard
-        d = graph_heat.random_decomposition(rng, n_max)
-        values = graph_heat.glue_I_values(d, times)
-        worst = float(np.abs(
-            values - graph_heat.heat_values(d.ordered_graph, times)).max())
-        return [Reports(case, "graph", inputs, worst, 0.0)]
-
-    out = []
-    for i in range(count):
-        case = f"{prefix}draw[{i:03d}]"
-        inputs = {"nmax": n_max, "seed": seed, "draw": i, "tol": tol,
-                  "t": ",".join(repr(float(s)) for s in times)}
-        out += _guarded(case, "graph", inputs, draw)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # verify problem sets
 # ---------------------------------------------------------------------------
@@ -599,12 +553,11 @@ def _read(o: _Option, fields: dict) -> object:
     return tuple(map(scalar, value)) if o.many else scalar(value)
 
 
-def _verify_case(case: dict, index: int, seed: int,
-                 default_tol: float) -> list[Reports]:
+def _verify_case(case: dict, index: int, default_tol: float) -> list[Reports]:
     """The reports of one case: its kind's runner, given each option read
     by ``_read`` (``tol`` defaults to ``verify --tol``) and the case-only
-    inputs it takes (case id, frozen ``reference``, seed, case index).
-    Any unusable input, a field missing or malformed included, names it."""
+    inputs it takes (case id, frozen ``reference``).  Any unusable input,
+    a field missing or malformed included, names it."""
     entry = _KINDS[case["kind"]]
     cid = str(case.get("id", f"case{index:03d}"))
     fields = {"tol": default_tol,
@@ -612,10 +565,9 @@ def _verify_case(case: dict, index: int, seed: int,
               **case}
     code = entry.run.__code__  # the runner's parameters come first
     params = code.co_varnames[:code.co_argcount]
-    context = {"prefix": cid + "/", "case": cid, "seed": seed, "index": index}
+    context = {"prefix": cid + "/", "case": cid}
     try:
-        args = {o.dest: _read(o, fields) for o in entry.options
-                if o is not _FORMAT}
+        args = {o.dest: _read(o, fields) for o in entry.options}
         if "reference" in params:
             args["reference"] = _reference(case)
         return entry.run(**args, **{k: v for k, v in context.items()
@@ -626,8 +578,7 @@ def _verify_case(case: dict, index: int, seed: int,
         raise InputError(f"case {cid}: {exc}") from exc
 
 
-def run_verify(suite: str, input_: str | None, seed: int,
-               tol: float) -> list[Reports]:
+def run_verify(suite: str, input_: str | None, tol: float) -> list[Reports]:
     """Run a problem set and report each case; exits 0 on an empty set."""
     doc = [] if input_ is None else _load_input(input_)
     cases = doc if isinstance(doc, list) else doc.get("cases")
@@ -641,7 +592,7 @@ def run_verify(suite: str, input_: str | None, seed: int,
         if suite in ("all", _KINDS[kind].suite):
             selected.append((i, case))
     reports = [r for i, case in selected
-               for r in _verify_case(case, i, seed, tol)]
+               for r in _verify_case(case, i, tol)]
     tally = Counter()
     for r in reports:
         tally.update(r.status)
@@ -681,10 +632,6 @@ def _tol(default: object = _REQUIRED) -> _Option:
                    "residual <= max(tol, bound).", float, default)
 
 
-_FORMAT = _Option("--format", "fmt", "Report format: JSON lines or CSV.", str,
-                  "json", ("json", "csv"))
-
-
 class _Command(NamedTuple):
     """The command ``name`` (words after the program name) and the verify
     case of kind ``name`` with "-" for " ", in verify's ``suite`` (none
@@ -718,7 +665,7 @@ _COMMANDS = (
         _Option("--kmax", "k_max", "Series truncation order (series method "
             "only).  A larger order leaves less out, so the certified bound "
             "shrinks with it down to rounding level.", int, 12),
-        _tol(1e-10), _FORMAT)),
+        _tol(1e-10))),
     _Command("graph pathsum", "graph", run_graph_pathsum, (
         _Option("--input", "label", "Graph JSON file or bundled fixture name."),
         _Option("--u", "u", "Source vertex."),
@@ -726,20 +673,14 @@ _COMMANDS = (
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--eps", "eps",
             "Requested absolute accuracy of the truncated sum.", float),
-        _tol(1e-8), _FORMAT)),
+        _tol(1e-8))),
     _Command("graph cut", "graph", run_graph_cut, (
         _Option("--input", "label", "Graph JSON file or bundled fixture name."),
         _Option("--interface", "interface", "Comma separated vertices to kill; "
             "defaults to the boundary recorded in the input.", str, None,
             many=True),
         _Option("--m2", "m2", "Mass parameter.", float),
-        _tol(1e-10), _FORMAT)),
-    _Command("random-graph-glue", "graph", run_random_graph_glue, (
-        _Option("--count", "count", "Number of draws.", int, 3),
-        _Option("--nmax", "n_max", "Vertex budget of a draw.", int, 10),
-        _Option("--times", "times", "Evaluation times of every draw.", float,
-            (0.25, 1.0, 4.0), many=True),
-        _tol()), parser=False),
+        _tol(1e-10))),
     _Command("interval glue", "interval", run_interval_glue, (
         _Option("--L1", "L1", "First length.", float),
         _Option("--L2", "L2", "Second length.", float),
@@ -750,7 +691,7 @@ _COMMANDS = (
             "I", ("I", "II")),
         _Option("--nmax", "n_max", "Echo series truncation (formula II only).",
             int, 6),
-        _tol(1e-8), _FORMAT)),
+        _tol(1e-8))),
     _Command("interval-interface", "interval", run_interval_interface, (
         _Option("--L1", "L1", "First length.", float),
         _Option("--L2", "L2", "Second length.", float),
@@ -760,7 +701,7 @@ _COMMANDS = (
         _Option("--x", "x", "Distance on one ray.", float),
         _Option("--y", "y", "Distance on the other.", float),
         _Option("--t", "t", "Evaluation time.", float),
-        _tol(1e-8), _FORMAT)),
+        _tol(1e-8))),
     _Command("circle cut", "circle", run_circle_cut, (
         _Option("--L", "L", "Circumference.", float),
         _Option("--cuts", "cuts", "Two cut positions, comma separated.", float,
@@ -769,21 +710,21 @@ _COMMANDS = (
         _Option("--y", "y", "Target position.", float),
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--kmax", "k_max", "Interface series truncation order.", int, 4),
-        _tol(1e-5), _FORMAT)),
+        _tol(1e-5))),
     _Command("cylinder check", "cylinder", run_cylinder_check, (
         _Option("--L1", "L1", "First interval length.", float),
         _Option("--L2", "L2", "Second interval length.", float),
         _Option("--circle-L", "circle_L", "Slice circumference.", float,
             2 * math.pi),
         _Option("--t", "t", "Evaluation time.", float),
-        _tol(1e-9), _FORMAT)),
+        _tol(1e-9))),
     _Command("dn cylinder", "cylinder", run_dn_cylinder, (
         _Option("--L", "L", "Cylinder depth.", float),
         _Option("--m2", "m2", "Mass parameter.", float),
         _Option("--kmax", "k_max", "Highest slice mode index.", int),
         _Option("--circle-L", "circle_L", "Slice circumference.", float,
             2 * math.pi),
-        _tol(1e-12), _FORMAT)),
+        _tol(1e-12))),
     _Command("verify", "", run_verify, (
         _Option("--suite", "suite", "Restrict to cases of one geometry family.",
             str, "all", ("graph", "interval", "ray", "circle", "cylinder",
@@ -791,8 +732,7 @@ _COMMANDS = (
         _Option("--input", "input_", "Problem set JSON (a list of cases, or an "
             "object with a cases list).  Without it the problem set is "
             "empty.", str, None),
-        _Option("--seed", "seed", "Seed for every randomized case.", int, 0),
-        _tol(1e-8), _FORMAT)),
+        _tol(1e-8))),
 )
 
 #: The entry of every kind of verify case.
@@ -881,8 +821,7 @@ def main(argv: Sequence[str] | None = None, prog_name: str = "heatglue",
     try:
         options = vars(parser.parse_args(_attach_values(
             sys.argv[1:] if argv is None else argv)))
-        run, fmt = options.pop("run"), options.pop("fmt")
-        _finish(run(**options), fmt)
+        _finish(options.pop("run")(**options))
     except InputError as exc:
         if not standalone_mode:
             raise

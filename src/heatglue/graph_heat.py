@@ -78,6 +78,8 @@ class Graph:
     edges: tuple = ()
     #: The index of each vertex label.
     index: dict = field(init=False, repr=False, compare=False)
+    #: The index pair (i, j), i < j, of each edge, in edge order.
+    edge_pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         verts = tuple(self.vertices)
@@ -101,6 +103,7 @@ class Graph:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "edges", tuple((verts[i], verts[j]) for i, j in canon))
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "edge_pairs", tuple(canon))
 
     @property
     def n(self) -> int:
@@ -109,8 +112,7 @@ class Graph:
     @cached_property
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            i, j = self.index[u], self.index[v]
+        for i, j in self.edge_pairs:
             a[i, j] = a[j, i] = 1.0
         a.setflags(write=False)
         return a
@@ -133,8 +135,7 @@ class Graph:
         order: each vertex not yet labelled starts the next component, and
         a traversal of the edges from it labels every vertex it reaches."""
         neighbours = [[] for _ in self.vertices]
-        for u, v in self.edges:
-            i, j = self.index[u], self.index[v]
+        for i, j in self.edge_pairs:
             neighbours[i].append(j)
             neighbours[j].append(i)
         labels = [-1] * self.n
@@ -352,25 +353,19 @@ def heat_kernel(g: Graph) -> KernelMatrix:
 
 
 def _mirror_upper(values: np.ndarray) -> np.ndarray:
-    """A stack of square matrices made bitwise symmetric from their upper
-    triangles."""
-    n = values.shape[-1]
-    return np.where(np.tri(n, dtype=bool), values.swapaxes(-1, -2), values)
+    """A square matrix made bitwise symmetric from its upper triangle."""
+    return np.where(np.tri(len(values), dtype=bool), values.T, values)
 
 
-def heat_values(g: Graph, t: float | Sequence[float]) -> np.ndarray:
+def heat_values(g: Graph, t: float) -> np.ndarray:
     """The heat flow of the graph at t > 0 as values: Q diag(e^{-wt}) Q^T
     from one eigendecomposition of the Laplacian, with no coefficient
     tensor; the values of :func:`heat_kernel` at t, to rounding, and like
-    them bitwise symmetric.  At an array of times, the values at each
-    along the leading axes, all from the one eigendecomposition."""
-    ts = np.asarray(t, dtype=float)
-    for s in ts.flat:
-        positive(t=s)
+    them bitwise symmetric."""
+    (t,) = positive(t=t)
     w, q = _spectrum(g)
-    with np.errstate(over="ignore"):  # e^{-inf} = 0 where w s overflows
-        values = np.array([(q * np.exp(-w * s)) @ q.T for s in ts.ravel()])
-    return _mirror_upper(values.reshape(ts.shape + (g.n, g.n)))
+    with np.errstate(over="ignore"):  # e^{-inf} = 0 where w t overflows
+        return _mirror_upper((q * np.exp(-w * t)) @ q.T)
 
 
 def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:
@@ -655,20 +650,17 @@ class SeriesKernel:
     ``evaluate_with_bound(t)`` returns its values at t > 0 and a certified
     bound on their entrywise error against the exact glued kernel, from the
     row sums of the truncated kernel (every dropped piece is nonnegative
-    and the exact kernel is stochastic) plus a rounding allowance.  An entry of the
-    exact kernel lies in [0, 1], so a bound of 1 or more proves nothing,
-    and it raises :class:`~heatglue.errors.TruncationError` on it by
-    :func:`~heatglue.errors.below_prior`, the one a-priori rule of the
-    package.  Each call runs one :func:`uniformized_walk` with theta the
-    largest valency, whose layers are the terms of the series; past 65536
-    Taylor orders the rest is left out and shows in the bound.  On a graph
-    with no edge, theta t = 0 and the values are exactly the identity, with
-    bound 0.  The walk sums its Taylor orders by Horner in blocks of 8,
-    and its gamma counts the roundings of that order: about q + 2 per
-    order for the step, q the most nonzeros in a column of the shifted
-    Laplacian, and up to (9 n + 1)/8 more for the block products; the
-    rounding part of the bound is 3 gamma times the largest row sum (at
-    least 1).
+    and the exact kernel is stochastic) plus a rounding allowance.  An
+    entry of the exact kernel lies in [0, 1], so a bound of 1 or more
+    proves nothing, and it raises :class:`~heatglue.errors.TruncationError`
+    on it by :func:`~heatglue.errors.below_prior`, the one a-priori rule of
+    the package.  Each call runs one :func:`uniformized_walk` with theta
+    the largest valency, whose layers are the terms of the series; past
+    65536 Taylor orders the rest is left out and shows in the bound.  On a
+    graph with no edge, theta t = 0 and the values are exactly the
+    identity, with bound 0.  The rounding part of the bound is 3 gamma
+    times the largest row sum (at least 1), gamma the relative rounding
+    error that the walk counts.
     """
 
     def __init__(self, d: Decomposition, k_max: int, labels: Sequence):
@@ -819,7 +811,7 @@ def _psi(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
     return out if over else t * t * out
 
 
-def glue_I_values(d: Decomposition, t: float | Sequence[float]) -> np.ndarray:
+def glue_I_values(d: Decomposition, t: float) -> np.ndarray:
     """First gluing formula as values at t > 0: K = K_rel + E * K_Y * E^T
     from the two eigendecompositions of :func:`glue_I`, with no coefficient
     tensor.
@@ -832,13 +824,9 @@ def glue_I_values(d: Decomposition, t: float | Sequence[float]) -> np.ndarray:
     rate mu_m = 0 is exactly 0).  All four blocks are one product
     W core W^T, W holding V on the rows of C and Q_Y on those of the
     interface.  Returns an n by n array in decomposition order, bitwise
-    symmetric: the values of ``glue_I(d).evaluate(t)``, to rounding.  At
-    an array of times, the values at each along the leading axes, all from
-    the two eigendecompositions.
+    symmetric: the values of ``glue_I(d).evaluate(t)``, to rounding.
     """
-    ts = np.asarray(t, dtype=float)
-    for s in ts.flat:
-        positive(t=s)
+    (t,) = positive(t=t)
     y, c, w, q, mu, v, b = _glue_I_spectra(d)
     g = b @ q
     n, nc = w.size, c.size
@@ -850,22 +838,19 @@ def glue_I_values(d: Decomposition, t: float | Sequence[float]) -> np.ndarray:
     rows = np.arange(nc - r)
     im, jn = r + np.array(np.nonzero(rows[:, None] <= rows))  # upper triangle
     block = max(1, _PSI_BLOCK // n)
-    values = np.empty((ts.size, n, n))
-    for out, s in zip(values, ts.ravel().tolist()):
-        gphi = g * _phi(mu[:, None], w[None, :], s)
-        h = np.zeros((nc, nc))
-        for lo in range(0, im.size, block):
-            i, j = im[lo:lo + block], jn[lo:lo + block]
-            psi = _psi(mu[i, None], w[None, :], mu[j, None], s)
-            h[i, j] = h[j, i] = (g[i] * g[j] * psi).sum(axis=1)
-        with np.errstate(over="ignore"):  # e^{-inf} = 0 where rate s overflows
-            h[np.diag_indices(nc)] += np.exp(-mu * s)
-            core[nc:, nc:] = np.diag(np.exp(-w * s))
-        core[:nc, :nc] = h
-        core[:nc, nc:] = gphi
-        core[nc:, :nc] = gphi.T
-        out[...] = basis @ core @ basis.T
-    return _mirror_upper(values).reshape(ts.shape + (n, n))
+    gphi = g * _phi(mu[:, None], w[None, :], t)
+    h = np.zeros((nc, nc))
+    for lo in range(0, im.size, block):
+        i, j = im[lo:lo + block], jn[lo:lo + block]
+        psi = _psi(mu[i, None], w[None, :], mu[j, None], t)
+        h[i, j] = h[j, i] = (g[i] * g[j] * psi).sum(axis=1)
+    with np.errstate(over="ignore"):  # e^{-inf} = 0 where rate t overflows
+        h[np.diag_indices(nc)] += np.exp(-mu * t)
+        core[nc:, nc:] = np.diag(np.exp(-w * t))
+    core[:nc, :nc] = h
+    core[:nc, nc:] = gphi
+    core[nc:, :nc] = gphi.T
+    return _mirror_upper(basis @ core @ basis.T)
 
 
 def glue_II(d: Decomposition, k_max: int) -> SeriesKernel:

@@ -89,11 +89,8 @@ def pathsum_heat(g: Graph, u, v, t: float,
 
     Returns (value, cutoff used, bound); the bound is the deficit at the
     cutoff plus a rounding part, 3 gamma max(1, row sum) with gamma the
-    relative rounding error of the walk, as in
-    :meth:`heatglue.graph_heat.SeriesKernel.evaluate_with_bound`.  The walk
-    sums its Taylor orders by Horner in blocks of 8, and gamma counts the
-    roundings of that order: about d_max + 3 per order for the step and up
-    to (9 n + 1)/8 more for the block products.  Raises
+    relative rounding error that the walk counts, as in
+    :meth:`heatglue.graph_heat.SeriesKernel.evaluate_with_bound`.  Raises
     :class:`LengthCapError` carrying the deficit at the cap when no cutoff
     within it qualifies.  An entry of e^{-tL} lies in [0, 1], so a bound
     of 1 or more proves nothing: it raises

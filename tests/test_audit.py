@@ -117,7 +117,7 @@ def test_every_workload_case_is_a_kind_of_the_table(passes):
             fields = {o.flag.removeprefix("--") for o in entry.options}
             assert set(case) - fields - case_only == set(), case
             kinds.add(case["kind"])
-    assert kinds == set(cli._KINDS) - {"random-graph-glue"}
+    assert kinds == set(cli._KINDS)
 
 
 def test_certificate_counts_stay_at_their_floor(passes, monkeypatch):

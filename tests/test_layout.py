@@ -181,7 +181,7 @@ main = rec.wrap(heatglue.cli.main, "cli.main")
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     try:
-        main(["verify", "--input", "intervals", "--seed", "0"],
+        main(["verify", "--input", "intervals"],
              standalone_mode=False)
         code = 0
     except SystemExit as exc:
@@ -471,7 +471,7 @@ def test_each_command_calls_its_case_runner():
 
     for words, _, run, options, command in cli._COMMANDS:
         params = inspect.signature(run).parameters
-        assert {o.dest for o in options} - {"fmt"} <= params.keys(), words
+        assert {o.dest for o in options} <= params.keys(), words
         if not command:
             continue
         out = io.StringIO()
@@ -580,15 +580,12 @@ def case_row(kind, entry):
             return " (optional)"
         if isinstance(default, str):
             return f" `{default}`"
-        return " " + ("2π" if default == 2 * math.pi else str(
-            list(default) if isinstance(default, tuple) else default))
+        return " " + ("2π" if default == 2 * math.pi else str(default))
 
     fields = ", ".join(f"`{o.flag[2:]}`{shown(o.default)}"
-                       for o in entry.options if o.dest not in ("tol", "fmt"))
+                       for o in entry.options if o.dest != "tol")
     params = inspect.signature(entry.run).parameters
     notes = [] if entry.parser else ["no command"]
-    if "seed" in params:
-        notes.append("draws from `verify --seed`")
     if "reference" in params:
         notes.append("`reference`")
     notes += [f"`{alias}` for `{name}`" for alias, name in cli._ALIASES.items()
