@@ -770,8 +770,9 @@ def test_every_valid_case_passes(tmp_path):
     # a runner's domain error names the case
     pytest.param("graph-pathsum", "u", "z", "case ps: vertex 'z' not in graph",
                  id="graph-pathsum-u-z-not-a-vertex"),
-    ("circle-cut", "cuts", [], "case cc: exactly two cut points are "
-     "required to cut the circle into two arcs, got 0"),
+    pytest.param("circle-cut", "cuts", [], "case cc: exactly two cut points "
+                 "are required to cut the circle into two arcs, got 0",
+                 id="circle-cut-cuts-empty-list"),
     ("graph-glue", "input", "nosuch",
      "case gg: no such file or bundled fixture: nosuch"),
     # the choices of --method and --formula
@@ -786,8 +787,9 @@ def test_every_valid_case_passes(tmp_path):
     # a number read as strictly as on the command line: an integer field
     # takes no fraction and no boolean, a float field no boolean
     ("graph-glue", "kmax", 2.5, "case gg: kmax must be an integer, got 2.5"),
-    ("dn-cylinder", "kmax", True,
-     "case dn: kmax must be an integer, got True"),
+    pytest.param("dn-cylinder", "kmax", True,
+                 "case dn: kmax must be an integer, got True",
+                 id="dn-cylinder-kmax-True-not-an-integer"),
     ("ray-glue", "t", True, "case rl: t must be a number, got True"),
     # a negative order, an infinite distance
     ("dn-cylinder", "kmax", -1, "case dn: k_max must be nonnegative"),
