@@ -122,7 +122,10 @@ class Reports:
     i has the case id ``case[label, ...]`` (``case`` without axes), the
     inputs ``inputs`` followed by its value on each axis, ``value[i]``,
     ``reference[i]``, ``bound`` (a scalar or one per entry) and ``extra``.
-    Residuals and statuses are arrays; an error report has no value.
+    A report whose value, reference and bound are all Python floats has one
+    entry and keeps them as floats, its residual a float; any other report
+    holds ``value`` and ``reference`` as float arrays and its residuals as
+    an array.  Statuses are a list; an error report has no value.
     """
 
     case: str
@@ -141,15 +144,27 @@ class Reports:
         if self.value is None:
             self.residual, self.status = None, ["error"]
             return
+        tol = float(self.inputs.get("tol", 0.0))
+        # a numpy.float64 is a float too, but its repr is not a JSON number
+        if type(self.value) is type(self.reference) is type(self.bound) \
+                is float:
+            self.residual = abs(self.value - self.reference)
+            # max(tol, bound) as Python takes it: tol unless bound > tol
+            passed = self.residual <= (self.bound if self.bound > tol else tol)
+            self.status = ["pass" if passed else "fail"]
+            return
         self.value = np.asarray(self.value, dtype=float).ravel()
         self.reference = np.asarray(self.reference, dtype=float).ravel()
         with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
             self.residual = np.abs(self.value - self.reference)
         bound = np.asarray(self.bound, dtype=float)
-        self.bound = bound = bound.ravel() if bound.ndim else float(bound)
-        # max(tol, bound) as Python takes it: tol unless bound > tol
-        tol = float(self.inputs.get("tol", 0.0))
-        passed = self.residual <= np.where(bound > tol, bound, tol)
+        if bound.ndim:
+            self.bound = bound = bound.ravel()
+            bound = np.where(bound > tol, bound, tol)
+        else:
+            self.bound = bound = float(bound)
+            bound = bound if bound > tol else tol
+        passed = self.residual <= bound
         self.status = ["pass" if p else "fail" for p in passed.tolist()]
 
     @classmethod
@@ -185,8 +200,10 @@ class Reports:
         (``np.unique`` of their int64 view, which keeps 0.0 and -0.0 and
         NaN payloads apart) and each cell indexed back: the matrices of a
         graph report are symmetric, so many of its floats repeat."""
-        n = len(self.status)
         columns = (self.value, self.reference, self.residual, self.bound)
+        if type(self.residual) is float:
+            return [[cell] for cell in _json_floats(list(columns))]
+        n = len(self.status)
         sizes = [c.size if isinstance(c, np.ndarray) else 1 for c in columns]
         if n < _DISTINCT_MIN or self.value is None:
             cells = _json_floats(sum([c.tolist() if isinstance(c, np.ndarray)
@@ -276,6 +293,10 @@ def _load_input(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _finite(x: float | np.ndarray) -> bool:
+    return math.isfinite(x) if type(x) is float else bool(np.isfinite(x).all())
+
+
 def _guarded(case: str, geometry: str, inputs: dict,
              run: Callable[[], list[Reports]]) -> list[Reports]:
     """The error policy of every single-case runner: a numerical failure
@@ -285,8 +306,8 @@ def _guarded(case: str, geometry: str, inputs: dict,
     try:
         reports = run()
         for r in reports:
-            if r.value is not None and not (np.isfinite(r.residual).all()
-                                            and np.isfinite(r.bound).all()):
+            if r.value is not None and not (_finite(r.residual)
+                                            and _finite(r.bound)):
                 raise FloatingPointError("a value, reference, residual or "
                                          "bound is not finite")
         return reports
@@ -350,8 +371,9 @@ def run_graph_cut(label: str, interface: tuple | None, m2: float, tol: float,
                   prefix: str = "") -> list[Reports]:
     """Killed Green's matrix, cross-checked by Schur complement."""
     doc = _load_input(label)
+    boundary = _boundary(label, doc)
     if interface is None:
-        interface = tuple(doc.get("boundary") or ())
+        interface = boundary
         if not interface:
             raise InputError(
                 f"{label}: no --interface given and no boundary in the input")
@@ -362,14 +384,25 @@ def run_graph_cut(label: str, interface: tuple | None, m2: float, tol: float,
         g = graph_heat.graph_from_dict(doc)
         direct, gap = graph_heat.schur_cut(g, interface, m2)
         reports = [Reports(f"{prefix}schur-gap", "graph", base, gap, 0.0)]
-        refs = doc.get("references") or {}
-        boundary = set(doc.get("boundary") or ())
-        if refs.get("green_sinh") and boundary and set(interface) == boundary:
+        refs = doc.get("references")
+        if (isinstance(refs, dict) and refs.get("green_sinh") and boundary
+                and set(interface) == set(boundary)):
             reports.append(_green_sinh_reports(g, interface, direct, m2,
                                                base, prefix))
         return reports
 
     return _guarded(f"{prefix}schur-gap", "graph", base, run)
+
+
+def _boundary(label: str, doc: dict | list) -> tuple[str, ...]:
+    """The boundary that a graph input records, () if none, read as
+    strictly as a verify case's list field: a list, each item a label."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{label}: expected a JSON object")
+    boundary = doc.get("boundary", [])
+    if not isinstance(boundary, list):
+        raise InputError(f"{label}: boundary must be a list, got {boundary!r}")
+    return tuple(map(str, boundary))
 
 
 def _green_sinh_reports(g, interface, direct, m2, base, prefix) -> Reports:
@@ -385,12 +418,13 @@ def _green_sinh_reports(g, interface, direct, m2, base, prefix) -> Reports:
         raise InputError("green_sinh reference needs labels 0..N")
     # cosh(th) = 1 + m2/2, solved without the cancellation of acosh near 1
     th = 2.0 * math.asinh(0.5 * math.sqrt(m2))
-    denom = math.sinh(th) * math.sinh(th * n_top)
+    sinh = [math.sinh(th * k) for k in range(n_top + 1)]
+    denom = math.sinh(th) * sinh[n_top]
     killed = set(interface)
     comp = [v for v in g.vertices if v not in killed]
     pos = [positions[v] for v in comp]
-    reference = [math.sinh(th * min(p, q)) * math.sinh(th * (n_top - max(p, q)))
-                 / denom for p in pos for q in pos]
+    reference = [sinh[min(p, q)] * sinh[n_top - max(p, q)] / denom
+                 for p in pos for q in pos]
     labels = [str(v) for v in comp]
     return Reports(f"{prefix}green", "graph", base, direct, reference,
                    axes=(Axis("x", labels, labels), Axis("y", labels, labels)))
@@ -563,15 +597,16 @@ def _verify_case(case: dict, index: int, default_tol: float) -> list[Reports]:
     fields = {"tol": default_tol,
               **{_ALIASES[k]: v for k, v in case.items() if k in _ALIASES},
               **case}
-    code = entry.run.__code__  # the runner's parameters come first
-    params = code.co_varnames[:code.co_argcount]
-    context = {"prefix": cid + "/", "case": cid}
+    takes = _CASE_ONLY[case["kind"]]
     try:
         args = {o.dest: _read(o, fields) for o in entry.options}
-        if "reference" in params:
+        if "reference" in takes:
             args["reference"] = _reference(case)
-        return entry.run(**args, **{k: v for k, v in context.items()
-                                    if k in params})
+        if "prefix" in takes:
+            args["prefix"] = cid + "/"
+        if "case" in takes:
+            args["case"] = cid
+        return entry.run(**args)
     except KeyError as exc:
         raise InputError(f"case {cid}: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError, InputError) as exc:
@@ -737,6 +772,11 @@ _COMMANDS = (
 
 #: The entry of every kind of verify case.
 _KINDS = {c.name.replace(" ", "-"): c for c in _COMMANDS if c.suite}
+#: The case-only inputs that each kind's runner takes, read from its
+#: parameters (which come first in ``co_varnames``).
+_CASE_ONLY = {kind: frozenset(
+    c.run.__code__.co_varnames[:c.run.__code__.co_argcount])
+    & {"reference", "prefix", "case"} for kind, c in _KINDS.items()}
 #: Every option flag of a command; each takes one value.
 _FLAGS = frozenset(o.flag for c in _COMMANDS if c.parser for o in c.options)
 _METAVARS = {float: "FLOAT", int: "INTEGER"}
@@ -764,7 +804,8 @@ class _Parser(argparse.ArgumentParser):
 def _build(prog: str) -> _Parser:
     """The parser of every command in ``_COMMANDS``, named ``prog``.  It
     takes no abbreviated flag, and each command sets ``run`` to its
-    runner and one entry per option to the option's value."""
+    runner, ``command`` to its own parser and one entry per option to the
+    option's value."""
     root = _Parser(prog=prog, allow_abbrev=False, description=_DESCRIPTION)
     commands = root.add_subparsers(metavar="COMMAND", required=True)
     groups = {}
@@ -794,7 +835,7 @@ def _build(prog: str) -> _Parser:
                                 metavar=None if o.choices else "TEXT"
                                 if o.many else _METAVARS.get(o.type, "TEXT"),
                                 help=o.help + shown)
-        parser.set_defaults(run=run)
+        parser.set_defaults(run=run, command=parser)
     return root
 
 
@@ -819,8 +860,12 @@ def main(argv: Sequence[str] | None = None, prog_name: str = "heatglue",
     exits 1; otherwise the InputError reaches the caller."""
     parser = _PARSER if prog_name == _PARSER.prog else _build(prog_name)
     try:
-        options = vars(parser.parse_args(_attach_values(
-            sys.argv[1:] if argv is None else argv)))
+        options, extra = parser.parse_known_args(_attach_values(
+            sys.argv[1:] if argv is None else argv))
+        options = vars(options)
+        command = options.pop("command")
+        if extra:  # as parse_args rejects them, with the command's usage
+            command.error(f"unrecognized arguments: {' '.join(extra)}")
         _finish(options.pop("run")(**options))
     except InputError as exc:
         if not standalone_mode:

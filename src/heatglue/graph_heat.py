@@ -94,7 +94,9 @@ class Graph:
                 raise ValueError(f"self-loop at {a!r}")
             if a not in index or b not in index:
                 raise ValueError(f"edge ({a!r}, {b!r}) has an undeclared endpoint")
-            ia, ib = sorted((index[a], index[b]))
+            ia, ib = index[a], index[b]
+            if ia > ib:
+                ia, ib = ib, ia
             if (ia, ib) in seen:
                 raise ValueError(f"duplicate edge ({a!r}, {b!r})")
             seen.add((ia, ib))
@@ -322,9 +324,12 @@ def _spectrum(g: Graph, keep=None) -> tuple[np.ndarray, np.ndarray]:
     off them; one of their rates that is not positive is a failed solve,
     a ConvergenceError."""
     labels = g.components
-    sub = labels if keep is None else labels[keep]
     sizes = np.bincount(labels)
-    inside = np.flatnonzero(np.bincount(sub, minlength=sizes.size) == sizes)
+    if keep is None:  # every component is inside
+        sub, inside = labels, np.arange(sizes.size)
+    else:
+        sub = labels[keep]
+        inside = np.flatnonzero(np.bincount(sub, minlength=sizes.size) == sizes)
     w, q = symlin.eigh(g.laplacian, keep)
     r = inside.size
     rates, vectors = w[r:], q[:, r:]
@@ -549,7 +554,6 @@ def uniformized_walk(g: Graph, start: np.ndarray, layers: int, t: float,
     error of its log-space argument (that of lam included), a few ulps of
     its largest parts.
     """
-    inside = np.arange(g.n) if inside is None else inside
     theta = float(g.valencies.max(initial=0.0))
     lam = theta * t
     # theta t = 0 keeps order 0 only; where theta t overflows, none is kept
@@ -558,11 +562,14 @@ def uniformized_walk(g: Graph, start: np.ndarray, layers: int, t: float,
     if layers == 0 or lam == 0.0:
         return start[None][:layers].copy(), 0.0
     m, n = start.shape
-    edges = g.adjacency[np.ix_(inside, inside)]
+    if inside is None:
+        edges, valencies = g.adjacency, g.valencies
+    else:
+        edges, valencies = g.adjacency[np.ix_(inside, inside)], g.valencies[inside]
     advance = np.zeros_like(edges)
     rows = slice(None) if advancing is None else list(advancing)
     advance[rows] = edges[rows]
-    step = (np.diag(theta - g.valencies[inside]) + (edges - advance)) / theta
+    step = (np.diag(theta - valencies) + (edges - advance)) / theta
     advance /= theta
     log_lam = math.log(lam)
     s = min(_BLOCK, order)
@@ -594,9 +601,8 @@ def uniformized_walk(g: Graph, start: np.ndarray, layers: int, t: float,
     buffers = np.zeros((2, m, pad + layers, n))
     buffer_stride, row_stride = buffers.strides[:2]
     item = buffers.itemsize
-    windows = np.lib.stride_tricks.as_strided(
-        buffers, (2, layers, m, span * n),
-        (buffer_stride, n * item, row_stride, item), writeable=False)
+    windows = np.ndarray((2, layers, m, span * n), buffer=buffers,
+                         strides=(buffer_stride, n * item, row_stride, item))
     out = buffers[:, :, pad:].transpose(0, 2, 1, 3)
     blocks = -(-order // s)
     buffers[0, :, pad:pad + span] = coefficients(blocks - 1)
@@ -900,11 +906,12 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
     w, vectors = _spectrum(g)
     z, q = vectors[:, :r], vectors[:, r:]
     p = (q / (w[r:] + m2)) @ q.T
-    m = np.linalg.inv(p[np.ix_(b, b)])
-    pab = p[np.ix_(a, b)]
+    pa, pb = p.take(a, 0), p.take(b, 0)
+    m = np.linalg.inv(pb.take(b, 1))
+    pab = pa.take(b, 1)
     v = z[a] - pab @ m @ z[b]
     cap = m2 * np.eye(r) + z[b].T @ m @ z[b]
-    via_schur = (p[np.ix_(a, a)] - pab @ m @ p[np.ix_(b, a)]
+    via_schur = (pa.take(a, 1) - pab @ m @ pb.take(a, 1)
                  + v @ np.linalg.solve(cap, v.T))
     return direct, float(np.abs(direct - via_schur).max())
 

@@ -332,6 +332,47 @@ def test_graph_cut_needs_a_nonempty_interface():
     assert res.stderr == "Error: interface must be nonempty\n"
 
 
+GRAPH_AB = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([GRAPH_AB], "expected a JSON object"),
+    ({**GRAPH_AB, "boundary": 5}, "boundary must be a list, got 5"),
+    ({**GRAPH_AB, "boundary": "ab"}, "boundary must be a list, got 'ab'"),
+    ({**GRAPH_AB, "boundary": None}, "boundary must be a list, got None"),
+], ids=["list-input", "boundary-5", "boundary-text", "boundary-null"])
+def test_graph_cut_reads_the_boundary_of_its_input_strictly(
+        tmp_path, monkeypatch, doc, message):
+    # with no --interface the boundary is the interface; it is read as a
+    # case's list field is, so a letter of a text is no vertex
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("g.json").write_text(json.dumps(doc))
+    res = invoke(["graph", "cut", "--input", "g.json", "--m2", "1"])
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", f"Error: g.json: {message}\n")
+    pathlib.Path("cases.json").write_text(json.dumps(
+        [{"kind": "graph-cut", "id": "c", "input": "g.json", "m2": 1}]))
+    res = invoke(["verify", "--input", "cases.json"])
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", f"Error: case c: g.json: {message}\n")
+    if isinstance(doc, dict):  # an --interface does not make it usable
+        res = invoke(["graph", "cut", "--input", "g.json", "--interface", "a",
+                      "--m2", "1"])
+        assert (res.exit_code, res.stderr) == (2, f"Error: g.json: {message}\n")
+
+
+def test_graph_cut_takes_a_boundary_list_item_by_item(tmp_path, monkeypatch):
+    # references that are no JSON object name no closed form, as in a
+    # graph gluing
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("g.json").write_text(json.dumps(
+        {**GRAPH_AB, "boundary": ["a"], "references": ["green_sinh"]}))
+    res = invoke(["graph", "cut", "--input", "g.json", "--m2", "1"])
+    assert (res.exit_code, res.stderr) == (0, "")
+    (r,) = json_lines(res.stdout)
+    assert (r["case"], r["inputs"]["interface"]) == ("schur-gap", "a")
+
+
 def test_graph_cut_explicit_interface_skips_closed_form():
     res = invoke(["graph", "cut", "--input", "line_dirichlet",
                   "--interface", "3", "--m2", "0.5"])
@@ -1087,7 +1128,8 @@ def old_json_lines(rep):
             value = reference = residual = None
             status = "error"
         else:
-            value, reference = rep.value.tolist()[i], rep.reference.tolist()[i]
+            value = np.ravel(rep.value).tolist()[i]
+            reference = np.ravel(rep.reference).tolist()[i]
             residual = abs(value - reference)
             tol = float(inputs.get("tol", 0.0))
             status = "pass" if residual <= max(tol, bound) else "fail"
@@ -1129,6 +1171,9 @@ def column_reports(draw):
     floats = st.lists(any_float, min_size=size, max_size=size)
     value = draw(floats)
     reference = value if draw(st.booleans()) else draw(floats)
+    if size == 1 and draw(st.booleans()):  # a one-value report, as floats
+        return Reports(case, geometry, inputs, value[0], reference[0],
+                       draw(any_float), tuple(axes), extra)
     bound = draw(any_float | floats.map(np.array))
     return Reports(case, geometry, inputs, np.array(value),
                    np.array(reference), bound, tuple(axes), extra)
@@ -1138,6 +1183,59 @@ def column_reports(draw):
 @given(column_reports())
 def test_column_encoder_writes_what_json_dumps_writes(rep):
     assert rep.json_lines() == old_json_lines(rep)
+
+
+ONE_VALUE_REPORTS = {
+    "minus-zero": (-0.0, 0.0, 0.0, 0.0),
+    "subnormal": (5e-324, 0.0, 0.0, 0.0),
+    "residual-equal-to-tol": (0.75, 0.5, 0.0, 0.25),
+    "residual-above-tol": (0.75, 0.5, 0.0, math.nextafter(0.25, 0.0)),
+    "residual-equal-to-bound": (1.0, 0.5, 0.5, 0.125),
+    "residual-above-bound": (1.0, 0.5, math.nextafter(0.5, 0.0), 0.125),
+    "nan-bound": (1.0, 1.0, math.nan, 0.0),
+    "tenth": (0.1, 0.2, 1e-300, 1e-8),
+}
+
+
+@pytest.mark.parametrize("value, reference, bound, tol",
+                         ONE_VALUE_REPORTS.values(), ids=ONE_VALUE_REPORTS)
+def test_a_one_value_report_is_the_report_of_its_arrays(value, reference,
+                                                        bound, tol):
+    # floats keep floats: the same line as json.dumps writes and the same
+    # status as the array path gives
+    rep = Reports("c", "ray", {"tol": tol}, value, reference, bound)
+    arrays = Reports("c", "ray", {"tol": tol}, np.array([value]),
+                     np.array([reference]), np.array([bound]))
+    assert type(rep.residual) is float and rep.residual == abs(value - reference)
+    assert isinstance(arrays.residual, np.ndarray)
+    assert rep.status == arrays.status
+    assert rep.json_lines() == arrays.json_lines() == old_json_lines(rep)
+
+
+def test_a_numpy_float_report_takes_the_array_path():
+    # a numpy.float64 is a float, but its repr is np.float64(0.1)
+    rep = Reports("c", "ray", {"tol": 1.0}, np.float64(0.1), 0.2, 0.0)
+    assert isinstance(rep.value, np.ndarray)
+    assert isinstance(rep.residual, np.ndarray)
+    ((_, line),) = rep.json_lines()
+    assert json.loads(line)["value"] == 0.1 and '"value": 0.1,' in line
+    assert rep.json_lines() == Reports("c", "ray", {"tol": 1.0}, 0.1, 0.2,
+                                       0.0).json_lines()
+
+
+def test_a_one_value_residual_that_overflows_is_an_error(capsys):
+    # 1e308 - (-1e308) overflows to inf in Python floats, with no exception
+    def run():
+        return [Reports("c", "ray", {"tol": 1e-8}, 1e308, -1e308, 0.0)]
+    (rep,) = heatglue.cli._guarded("c", "ray", {"tol": 1e-8}, run)
+    assert rep.value is None and rep.status == ["error"]
+    with pytest.raises(SystemExit) as stop:
+        heatglue.cli._finish([rep])
+    assert stop.value.code == 3
+    (line,) = json_lines(capsys.readouterr().out)
+    assert (line["status"], line["message"]) == ("error", (
+        "FloatingPointError: a value, reference, residual or bound is not "
+        "finite"))
 
 
 @pytest.mark.parametrize("key", FIXED_KEYS)
@@ -1345,12 +1443,24 @@ def test_input_outcome_of_a_path_with_a_nul_byte(command):
 ])
 def test_a_report_format_or_seed_option_is_unusable_input(args):
     # reports are JSON lines only, and no case is randomized: either flag
-    # is an argument no command takes
+    # is an argument no command takes, reported with the command's usage
     res = invoke(args.split())
-    flag = " ".join(args.split()[-2:])
+    words, flag = args.split(" --")[0], " ".join(args.split()[-2:])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr.startswith(f"usage: heatglue {words} [-h] ")
+    assert res.stderr.endswith(f"\nError: unrecognized arguments: {flag}\n")
+
+
+def test_an_option_no_command_takes_gets_the_usage_of_the_command():
+    res = invoke("ray glue --x 0.8 --y 1.1 --t 0.6 --nope 3".split())
     assert (res.exit_code, res.stdout, res.stderr) == (
-        2, "", "usage: heatglue [-h] COMMAND ...\n"
-               f"Error: unrecognized arguments: {flag}\n")
+        2, "", "usage: heatglue ray glue [-h] --x FLOAT --y FLOAT --t FLOAT "
+               "[--tol FLOAT]\nError: unrecognized arguments: --nope 3\n")
+    with pytest.raises(InputError) as error:
+        main.main(["ray", "glue", "--x", "1", "--y", "1", "--t", "1", "-q"],
+                  prog_name="hg", standalone_mode=False)
+    assert error.value.usage.startswith("usage: hg ray glue [-h]")
+    assert str(error.value) == "unrecognized arguments: -q"
 
 
 def test_a_random_graph_case_is_an_unknown_kind(tmp_path):

@@ -541,6 +541,46 @@ def test_walk_of_no_layer_returns_none():
         assert sums.shape == (0, 2, og.n) and gamma == 0.0
 
 
+def graphs_of_the_default_paths() -> list[Graph]:
+    """The gate-02 glued graphs, their side graphs (some of several
+    components), and graphs of several components with isolated vertices."""
+    graphs = [Graph(("a", "b", "c", "p", "q", "r"),
+                    (("a", "b"), ("b", "c"), ("p", "q"), ("q", "r"),
+                     ("r", "p"))),
+              Graph(("x", "a", "b", "y"), (("a", "b"),)),
+              Graph(("a", "b", "c"))]
+    for d in gate_02_draws():
+        graphs += [d.ordered_graph, *d.side_graphs]
+    assert sum(len(set(g.components.tolist())) > 1 for g in graphs) > 20
+    return graphs
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_walk_over_every_vertex_is_the_walk_inside_all_of_them():
+    # inside=None walks g's own adjacency and valencies, with no gather
+    for g in graphs_of_the_default_paths():
+        every = np.arange(g.n)
+        for start, advancing in ((np.eye(g.n), None),
+                                 (np.eye(g.n)[:1], every[:g.n // 2])):
+            for t in (0.3, 4.0):
+                sums, gamma = graph_heat.uniformized_walk(
+                    g, start, 6, t, advancing=advancing)
+                want, want_gamma = graph_heat.uniformized_walk(
+                    g, start, 6, t, inside=every, advancing=advancing)
+                assert same_bits(sums, want) and gamma == want_gamma
+
+
+def test_spectrum_of_every_vertex_is_the_spectrum_on_all_of_them():
+    # keep=None takes every component as inside, with no count of them
+    for g in graphs_of_the_default_paths():
+        w, q = graph_heat._spectrum(g)
+        want_w, want_q = graph_heat._spectrum(g, list(range(g.n)))
+        assert same_bits(w, want_w) and same_bits(q, want_q)
+
+
 def test_walk_of_a_path_sum_matches_the_dense_walk():
     # one start row, every edge advancing, one layer per path length
     rng = np.random.default_rng(20260822)
