@@ -327,13 +327,16 @@ def run_graph_glue(label: str, t: float, method: str, k_max: int,
 
     def run():
         d = graph_heat.decomposition_from_dict(doc)
+        refs = doc.get("references")
+        refs = refs.get("entries", {}) if isinstance(refs, dict) else {}
+        if not isinstance(refs, dict):
+            raise ValueError(
+                f"references.entries must be an object, got {refs!r}")
         if method == "series":
             values, bound = graph_heat.glue_II(d, k_max).evaluate_with_bound(t)
         else:
             values, bound = graph_heat.glue_I_values(d, t), 0.0
         vertices = d.ordered_graph.vertices
-        refs = doc.get("references")
-        refs = (refs.get("entries") or {}) if isinstance(refs, dict) else {}
         given = {(i, j): refs[f"{u},{v}"] for i, u in enumerate(vertices)
                  for j, v in enumerate(vertices) if f"{u},{v}" in refs} \
             if refs else {}
@@ -342,10 +345,9 @@ def run_graph_glue(label: str, t: float, method: str, k_max: int,
             reference = graph_heat.heat_values(d.ordered_graph, t)
         for (i, j), mix in given.items():
             reference[i, j] = expmix.evaluate(expmix.from_dict(mix), t)
-        labels = [str(u) for u in vertices]
         return [Reports(f"{prefix}glue", "graph", base, values, reference,
-                        bound, (Axis("x", labels, labels),
-                                Axis("y", labels, labels)))]
+                        bound, (Axis("x", vertices, vertices),
+                                Axis("y", vertices, vertices)))]
 
     return _guarded(f"{prefix}glue", "graph", base, run)
 
@@ -425,9 +427,8 @@ def _green_sinh_reports(g, interface, direct, m2, base, prefix) -> Reports:
     pos = [positions[v] for v in comp]
     reference = [sinh[min(p, q)] * sinh[n_top - max(p, q)] / denom
                  for p in pos for q in pos]
-    labels = [str(v) for v in comp]
     return Reports(f"{prefix}green", "graph", base, direct, reference,
-                   axes=(Axis("x", labels, labels), Axis("y", labels, labels)))
+                   axes=(Axis("x", comp, comp), Axis("y", comp, comp)))
 
 
 def run_interval_glue(L1: float, L2: float, x: float, y: float, t: float,
@@ -545,10 +546,9 @@ def run_dn_cylinder(L: float, m2: float, k_max: int, circle_L: float,
 # verify problem sets
 # ---------------------------------------------------------------------------
 
-#: Case fields that existing problem sets spell otherwise: the bundled
-#: ``intervals`` set writes ``n_max``, the benchmark ``circleL``.  A field
-#: given under its own name wins.
-_ALIASES = {"n_max": "nmax", "circleL": "circle-L"}
+#: Case fields that existing problem sets spell otherwise: the benchmark
+#: writes ``circleL``.  A field given under its own name wins.
+_ALIASES = {"circleL": "circle-L"}
 _NUMBERS = {int: "an integer", float: "a number"}
 
 
@@ -591,9 +591,12 @@ def _verify_case(case: dict, index: int, default_tol: float) -> list[Reports]:
     """The reports of one case: its kind's runner, given each option read
     by ``_read`` (``tol`` defaults to ``verify --tol``) and the case-only
     inputs it takes (case id, frozen ``reference``).  Any unusable input,
-    a field missing or malformed included, names it."""
+    a field missing, malformed or not taken by the kind included, names
+    it."""
     entry = _KINDS[case["kind"]]
     cid = str(case.get("id", f"case{index:03d}"))
+    if unknown := case.keys() - _FIELDS[case["kind"]]:
+        raise InputError(f"case {cid}: unknown field {min(unknown)!r}")
     fields = {"tol": default_tol,
               **{_ALIASES[k]: v for k, v in case.items() if k in _ALIASES},
               **case}
@@ -613,20 +616,17 @@ def _verify_case(case: dict, index: int, default_tol: float) -> list[Reports]:
         raise InputError(f"case {cid}: {exc}") from exc
 
 
-def run_verify(suite: str, input_: str | None, tol: float) -> list[Reports]:
-    """Run a problem set and report each case; exits 0 on an empty set."""
-    doc = [] if input_ is None else _load_input(input_)
+def run_verify(input_: str, tol: float) -> list[Reports]:
+    """Run a problem set, each case as the command of its kind runs."""
+    doc = _load_input(input_)
     cases = doc if isinstance(doc, list) else doc.get("cases")
     if not isinstance(cases, list):
         raise InputError(f"{input_}: expected a cases list")
-    selected = []
     for i, case in enumerate(cases):
         kind = case.get("kind") if isinstance(case, dict) else None
         if not isinstance(kind, str) or kind not in _KINDS:
             raise InputError(f"case {i}: unknown kind {kind!r}")
-        if suite in ("all", _KINDS[kind].suite):
-            selected.append((i, case))
-    reports = [r for i, case in selected
+    reports = [r for i, case in enumerate(cases)
                for r in _verify_case(case, i, tol)]
     tally = Counter()
     for r in reports:
@@ -668,16 +668,13 @@ def _tol(default: object = _REQUIRED) -> _Option:
 
 
 class _Command(NamedTuple):
-    """The command ``name`` (words after the program name) and the verify
-    case of kind ``name`` with "-" for " ", in verify's ``suite`` (none
-    for ``verify``); a kind with no command has ``parser`` False.  Its
+    """The command ``name`` (words after the program name) and, but for
+    ``verify``, the verify case of kind ``name`` with "-" for " ".  Its
     runner answers both, its options fill the runner's parameters."""
 
     name: str
-    suite: str
     run: Callable[..., list[Reports]]
     options: tuple[_Option, ...]
-    parser: bool = True
 
 
 _GROUPS = {
@@ -691,7 +688,7 @@ _GROUPS = {
 
 #: Every command and every kind of verify case.
 _COMMANDS = (
-    _Command("graph glue", "graph", run_graph_glue, (
+    _Command("graph glue", run_graph_glue, (
         _Option("--input", "label",
             "Decomposition JSON file or bundled fixture name."),
         _Option("--t", "t", "Evaluation time.", float),
@@ -701,7 +698,7 @@ _COMMANDS = (
             "only).  A larger order leaves less out, so the certified bound "
             "shrinks with it down to rounding level.", int, 12),
         _tol(1e-10))),
-    _Command("graph pathsum", "graph", run_graph_pathsum, (
+    _Command("graph pathsum", run_graph_pathsum, (
         _Option("--input", "label", "Graph JSON file or bundled fixture name."),
         _Option("--u", "u", "Source vertex."),
         _Option("--v", "v", "Target vertex."),
@@ -709,14 +706,14 @@ _COMMANDS = (
         _Option("--eps", "eps",
             "Requested absolute accuracy of the truncated sum.", float),
         _tol(1e-8))),
-    _Command("graph cut", "graph", run_graph_cut, (
+    _Command("graph cut", run_graph_cut, (
         _Option("--input", "label", "Graph JSON file or bundled fixture name."),
         _Option("--interface", "interface", "Comma separated vertices to kill; "
             "defaults to the boundary recorded in the input.", str, None,
             many=True),
         _Option("--m2", "m2", "Mass parameter.", float),
         _tol(1e-10))),
-    _Command("interval glue", "interval", run_interval_glue, (
+    _Command("interval glue", run_interval_glue, (
         _Option("--L1", "L1", "First length.", float),
         _Option("--L2", "L2", "Second length.", float),
         _Option("--x", "x", "Source point inside the second piece.", float),
@@ -727,17 +724,17 @@ _COMMANDS = (
         _Option("--nmax", "n_max", "Echo series truncation (formula II only).",
             int, 6),
         _tol(1e-8))),
-    _Command("interval-interface", "interval", run_interval_interface, (
+    _Command("interval interface", run_interval_interface, (
         _Option("--L1", "L1", "First length.", float),
         _Option("--L2", "L2", "Second length.", float),
         _Option("--t", "t", "Evaluation time.", float),
-        _tol()), parser=False),
-    _Command("ray glue", "ray", run_ray_glue, (
+        _tol())),
+    _Command("ray glue", run_ray_glue, (
         _Option("--x", "x", "Distance on one ray.", float),
         _Option("--y", "y", "Distance on the other.", float),
         _Option("--t", "t", "Evaluation time.", float),
         _tol(1e-8))),
-    _Command("circle cut", "circle", run_circle_cut, (
+    _Command("circle cut", run_circle_cut, (
         _Option("--L", "L", "Circumference.", float),
         _Option("--cuts", "cuts", "Two cut positions, comma separated.", float,
             many=True),
@@ -746,39 +743,43 @@ _COMMANDS = (
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--kmax", "k_max", "Interface series truncation order.", int, 4),
         _tol(1e-5))),
-    _Command("cylinder check", "cylinder", run_cylinder_check, (
+    _Command("cylinder check", run_cylinder_check, (
         _Option("--L1", "L1", "First interval length.", float),
         _Option("--L2", "L2", "Second interval length.", float),
         _Option("--circle-L", "circle_L", "Slice circumference.", float,
             2 * math.pi),
         _Option("--t", "t", "Evaluation time.", float),
         _tol(1e-9))),
-    _Command("dn cylinder", "cylinder", run_dn_cylinder, (
+    _Command("dn cylinder", run_dn_cylinder, (
         _Option("--L", "L", "Cylinder depth.", float),
         _Option("--m2", "m2", "Mass parameter.", float),
         _Option("--kmax", "k_max", "Highest slice mode index.", int),
         _Option("--circle-L", "circle_L", "Slice circumference.", float,
             2 * math.pi),
         _tol(1e-12))),
-    _Command("verify", "", run_verify, (
-        _Option("--suite", "suite", "Restrict to cases of one geometry family.",
-            str, "all", ("graph", "interval", "ray", "circle", "cylinder",
-                         "all")),
+    _Command("verify", run_verify, (
         _Option("--input", "input_", "Problem set JSON (a list of cases, or an "
-            "object with a cases list).  Without it the problem set is "
-            "empty.", str, None),
+            "object with a cases list) file or bundled fixture name."),
         _tol(1e-8))),
 )
 
 #: The entry of every kind of verify case.
-_KINDS = {c.name.replace(" ", "-"): c for c in _COMMANDS if c.suite}
+_KINDS = {c.name.replace(" ", "-"): c for c in _COMMANDS if c.name != "verify"}
 #: The case-only inputs that each kind's runner takes, read from its
 #: parameters (which come first in ``co_varnames``).
 _CASE_ONLY = {kind: frozenset(
     c.run.__code__.co_varnames[:c.run.__code__.co_argcount])
     & {"reference", "prefix", "case"} for kind, c in _KINDS.items()}
+#: The fields that a case of each kind takes: ``id``, ``kind``, its
+#: options' flags without ``--``, ``reference`` where its runner takes
+#: one, and the aliases of its options.
+_FIELDS = {kind: frozenset({"id", "kind", *_CASE_ONLY[kind] & {"reference"},
+                            *names, *(a for a, n in _ALIASES.items()
+                                      if n in names)})
+           for kind, c in _KINDS.items()
+           for names in [{o.flag.removeprefix("--") for o in c.options}]}
 #: Every option flag of a command; each takes one value.
-_FLAGS = frozenset(o.flag for c in _COMMANDS if c.parser for o in c.options)
+_FLAGS = frozenset(o.flag for c in _COMMANDS for o in c.options)
 _METAVARS = {float: "FLOAT", int: "INTEGER"}
 
 
@@ -809,9 +810,7 @@ def _build(prog: str) -> _Parser:
     root = _Parser(prog=prog, allow_abbrev=False, description=_DESCRIPTION)
     commands = root.add_subparsers(metavar="COMMAND", required=True)
     groups = {}
-    for words, _, run, options, command in _COMMANDS:
-        if not command:
-            continue
+    for words, run, options in _COMMANDS:
         *group, name = words.split()
         sub = commands
         if group:

@@ -178,10 +178,37 @@ class Graph:
         return Graph(order, self.edges)
 
 
+#: The types of a vertex label that JSON gives: a string or a number (a
+#: JSON true or false is a bool, no label).
+_LABEL_TYPES = frozenset({str, int, float})
+
+
+def _labels(items: object, name: str) -> tuple[str, ...]:
+    """The vertex labels of a JSON list ``items``, each read as text.
+    ValueError, naming the list ``name``, on any other shape."""
+    if type(items) is not list:
+        raise ValueError(f"{name} must be a list, got {items!r}")
+    if not _LABEL_TYPES.issuperset(map(type, items)):
+        bad = next(v for v in items if type(v) not in _LABEL_TYPES)
+        raise ValueError(f"a vertex label is a string or a number, "
+                         f"got {bad!r} in {name}")
+    return tuple(map(str, items))
+
+
 def graph_from_dict(d: dict) -> Graph:
+    """The graph of a JSON document ``{"vertices": [...], "edges": [[u, v],
+    ...]}``, every label read as text."""
     if not isinstance(d, dict) or "vertices" not in d:
         raise ValueError('expected {"vertices": [...], "edges": [...]}')
-    return Graph(tuple(d["vertices"]), tuple(tuple(e) for e in d.get("edges", ())))
+    edges = d.get("edges", [])
+    if type(edges) is not list:
+        raise ValueError(f"edges must be a list, got {edges!r}")
+    for e in edges:
+        if type(e) is not list or len(e) != 2:
+            raise ValueError(f"an edge is a list of two labels, got {e!r}")
+    ends = _labels([v for e in edges for v in e], "edges")
+    return Graph(_labels(d["vertices"], "vertices"),
+                 tuple(zip(ends[::2], ends[1::2])))
 
 
 @dataclass(frozen=True)
@@ -245,14 +272,16 @@ class Decomposition:
 
 
 def decomposition_from_dict(d: dict) -> Decomposition:
+    """The decomposition of a graph document with an ``"interface"`` list
+    and, optionally, ``"side1"`` and ``"side2"``, every label read as text."""
     g = graph_from_dict(d)
     if "interface" not in d:
         raise ValueError('decomposition JSON needs an "interface" list')
     return Decomposition(
         g,
-        tuple(d["interface"]),
-        tuple(d["side1"]) if "side1" in d else None,
-        tuple(d["side2"]) if "side2" in d else None,
+        _labels(d["interface"], "interface"),
+        _labels(d["side1"], "side1") if "side1" in d else None,
+        _labels(d["side2"], "side2") if "side2" in d else None,
     )
 
 

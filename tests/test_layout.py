@@ -469,11 +469,9 @@ def test_each_command_calls_its_case_runner():
     # no wrapper sits between them
     from heatglue import cli
 
-    for words, _, run, options, command in cli._COMMANDS:
+    for words, run, options in cli._COMMANDS:
         params = inspect.signature(run).parameters
         assert {o.dest for o in options} <= params.keys(), words
-        if not command:
-            continue
         out = io.StringIO()
         with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
             cli.main([*words.split(), "--help"])
@@ -563,10 +561,6 @@ def test_a_verify_case_is_read_from_the_table_alone():
             read.add(key.value)
     assert read == {"id", "kind", "reference"}
     assert set(cli._ALIASES.values()) <= fields
-    # a kind's suite is one of verify --suite
-    (verify,) = [c for c in cli._COMMANDS if c.name == "verify"]
-    assert set(verify.options[0].choices) == {
-        "all", *(c.suite for c in cli._KINDS.values())}
 
 
 def case_row(kind, entry):
@@ -585,13 +579,10 @@ def case_row(kind, entry):
     fields = ", ".join(f"`{o.flag[2:]}`{shown(o.default)}"
                        for o in entry.options if o.dest != "tol")
     params = inspect.signature(entry.run).parameters
-    notes = [] if entry.parser else ["no command"]
-    if "reference" in params:
-        notes.append("`reference`")
+    notes = ["`reference`"] if "reference" in params else []
     notes += [f"`{alias}` for `{name}`" for alias, name in cli._ALIASES.items()
               if f"--{name}" in {o.flag for o in entry.options}]
-    cells = [f"`{kind}`", f"`{entry.name}`" if entry.parser else "none",
-             fields, "; ".join(notes)]
+    cells = [f"`{kind}`", f"`{entry.name}`", fields, "; ".join(notes)]
     return ("| " + " | ".join(cells)).rstrip() + " |"
 
 
