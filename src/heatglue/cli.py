@@ -332,19 +332,21 @@ def run_graph_glue(label: str, t: float, method: str, k_max: int,
         if not isinstance(refs, dict):
             raise ValueError(
                 f"references.entries must be an object, got {refs!r}")
+        mixes = {key: expmix.from_dict(mix, f"references.entries[{key!r}]")
+                 for key, mix in refs.items()}
+        vertices = d.ordered_graph.vertices
+        given = {(i, j): mixes[f"{u},{v}"] for i, u in enumerate(vertices)
+                 for j, v in enumerate(vertices) if f"{u},{v}" in mixes} \
+            if mixes else {}
         if method == "series":
-            values, bound = graph_heat.glue_II(d, k_max).evaluate_with_bound(t)
+            values, bound = graph_heat.glue_II_values(d, t, k_max)
         else:
             values, bound = graph_heat.glue_I_values(d, t), 0.0
-        vertices = d.ordered_graph.vertices
-        given = {(i, j): refs[f"{u},{v}"] for i, u in enumerate(vertices)
-                 for j, v in enumerate(vertices) if f"{u},{v}" in refs} \
-            if refs else {}
         reference = np.empty(values.shape)
         if len(given) < reference.size:
             reference = graph_heat.heat_values(d.ordered_graph, t)
         for (i, j), mix in given.items():
-            reference[i, j] = expmix.evaluate(expmix.from_dict(mix), t)
+            reference[i, j] = expmix.evaluate(mix, t)
         return [Reports(f"{prefix}glue", "graph", base, values, reference,
                         bound, (Axis("x", vertices, vertices),
                                 Axis("y", vertices, vertices)))]
@@ -397,14 +399,14 @@ def run_graph_cut(label: str, interface: tuple | None, m2: float, tol: float,
 
 
 def _boundary(label: str, doc: dict | list) -> tuple[str, ...]:
-    """The boundary that a graph input records, () if none, read as
-    strictly as a verify case's list field: a list, each item a label."""
+    """The boundary that a graph input records, () if none, read as its
+    ``interface`` is: a list, each item a vertex label."""
     if not isinstance(doc, dict):
         raise InputError(f"{label}: expected a JSON object")
-    boundary = doc.get("boundary", [])
-    if not isinstance(boundary, list):
-        raise InputError(f"{label}: boundary must be a list, got {boundary!r}")
-    return tuple(map(str, boundary))
+    try:
+        return graph_heat.labels_from_list(doc.get("boundary", []), "boundary")
+    except ValueError as exc:
+        raise InputError(f"{label}: {exc}") from None
 
 
 def _green_sinh_reports(g, interface, direct, m2, base, prefix) -> Reports:

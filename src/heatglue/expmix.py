@@ -335,10 +335,26 @@ def structural_max_diff(f: ExpMix, g: ExpMix) -> float:
 # ---------------------------------------------------------------------------
 
 
-def from_dict(d: dict) -> ExpMix:
-    if not isinstance(d, dict) or "atom" not in d or "terms" not in d:
-        raise ValueError("expected {'atom': ..., 'terms': [...]}")
-    terms = tuple(
-        (item["coef"], item["power"], item["rate"]) for item in d["terms"]
-    )
-    return ExpMix(d["atom"], terms)
+def _number(x: object) -> bool:
+    """Whether a JSON value is a number (a JSON true or false is a bool)."""
+    return type(x) in (int, float)
+
+
+def from_dict(d: object, name: str) -> ExpMix:
+    """The mixture of a JSON object ``{"atom": a, "terms": [{"coef": c,
+    "power": p, "rate": r}, ...]}``: a, c and r numbers and p an integral
+    number.  ValueError, naming the object ``name``, on any other shape."""
+    if type(d) is not dict or not _number(d.get("atom")):
+        raise ValueError(f"{name} must be {{'atom': number, 'terms': [...]}}, "
+                         f"got {d!r}")
+    if type(d.get("terms")) is not list:
+        raise ValueError(f"terms of {name} must be a list, got {d.get('terms')!r}")
+    for item in d["terms"]:
+        p = item.get("power") if type(item) is dict else None
+        integral = type(p) is int or type(p) is float and p.is_integer()
+        if not (integral and _number(item.get("coef"))
+                and _number(item.get("rate"))):
+            raise ValueError(f"a term of {name} is {{'coef': number, 'power': "
+                             f"integer, 'rate': number}}, got {item!r}")
+    return ExpMix(d["atom"], tuple((item["coef"], item["power"], item["rate"])
+                                   for item in d["terms"]))

@@ -8,15 +8,16 @@ exact time-dependent object is a :class:`KernelMatrix`: one coefficient
 tensor on one rate universe, built and evaluated as arrays, so gluing
 identities can be checked coefficient-wise rather than on a sample grid;
 an :class:`~heatglue.expmix.ExpMix` is made only for an entry that is
-asked for.  The series route (:func:`glue_II`) instead returns a
-:class:`SeriesKernel`: values at t with a certified error bound, summed in a
-cancellation-free positive basis, and raises
-:class:`~heatglue.errors.TruncationError` on a bound that certifies
-nothing.  Where only values at t are needed, no coefficient tensor is
-built: :func:`heat_values` gives the heat flow from one eigendecomposition,
-and :func:`glue_I_values` the first gluing formula from the two that
-:func:`glue_I` takes, its time convolutions evaluated as divided
-differences of e^{-xt} that lose at most a factor 2.7 to cancellation.
+asked for.  The series route (:func:`glue_II_values`) instead gives values
+at t with a certified error bound, summed in a cancellation-free positive
+basis, and raises :class:`~heatglue.errors.TruncationError` on a bound
+that certifies nothing.  Where only values at t are needed, no coefficient
+tensor is built: :func:`heat_values` gives the heat flow from one
+eigendecomposition, and :func:`glue_I_values` the first gluing formula
+from the two that :func:`glue_I` takes, its time convolutions evaluated as
+divided differences of e^{-xt} that lose at most a factor 2.7 to
+cancellation.  Every route that gives values at t is a function of t; no
+object holds a route's arguments until t arrives.
 Every route takes its Laplacian spectra from one function, whose null
 space is exact: one indicator per component, at rate exactly 0; the Schur
 cut's direct Green's matrix too, from the spectrum of the block off the cut.
@@ -54,12 +55,12 @@ __all__ = [
     "extension_kernel",
     "interface_kernel",
     "one_step_interface_kernel",
-    "SeriesKernel",
     "uniformized_walk",
     "glue_I",
     "glue_I_values",
-    "glue_II",
+    "glue_II_values",
     "schur_cut",
+    "labels_from_list",
     "graph_from_dict",
     "decomposition_from_dict",
     "random_decomposition",
@@ -183,9 +184,10 @@ class Graph:
 _LABEL_TYPES = frozenset({str, int, float})
 
 
-def _labels(items: object, name: str) -> tuple[str, ...]:
-    """The vertex labels of a JSON list ``items``, each read as text.
-    ValueError, naming the list ``name``, on any other shape."""
+def labels_from_list(items: object, name: str) -> tuple[str, ...]:
+    """The vertex labels of a JSON list ``items``, each read as text: the
+    one rule for a list of labels in a JSON document.  ValueError, naming
+    the list ``name``, on any other shape."""
     if type(items) is not list:
         raise ValueError(f"{name} must be a list, got {items!r}")
     if not _LABEL_TYPES.issuperset(map(type, items)):
@@ -206,8 +208,8 @@ def graph_from_dict(d: dict) -> Graph:
     for e in edges:
         if type(e) is not list or len(e) != 2:
             raise ValueError(f"an edge is a list of two labels, got {e!r}")
-    ends = _labels([v for e in edges for v in e], "edges")
-    return Graph(_labels(d["vertices"], "vertices"),
+    ends = labels_from_list([v for e in edges for v in e], "edges")
+    return Graph(labels_from_list(d["vertices"], "vertices"),
                  tuple(zip(ends[::2], ends[1::2])))
 
 
@@ -279,9 +281,9 @@ def decomposition_from_dict(d: dict) -> Decomposition:
         raise ValueError('decomposition JSON needs an "interface" list')
     return Decomposition(
         g,
-        _labels(d["interface"], "interface"),
-        _labels(d["side1"], "side1") if "side1" in d else None,
-        _labels(d["side2"], "side2") if "side2" in d else None,
+        labels_from_list(d["interface"], "interface"),
+        labels_from_list(d["side1"], "side1") if "side1" in d else None,
+        labels_from_list(d["side2"], "side2") if "side2" in d else None,
     )
 
 
@@ -443,9 +445,9 @@ def interface_kernel(d: Decomposition) -> KernelMatrix:
 
     Uses the glued graph directly, from the interface rows of its
     eigenvectors.  The series route reaches the same block from one-sided
-    data only: a :class:`SeriesKernel` on the interface labels, whose
-    bound holds here too, since K[y, :] = IFK[y, :] * E^T and E^T carries
-    the identity atom on the interface columns.
+    data only: the interface block of :func:`glue_II_values`, whose bound
+    holds here too, since K[y, :] = IFK[y, :] * E^T and E^T carries the
+    identity atom on the interface columns.
     """
     w, q = _spectrum(d.ordered_graph)
     n1, ny = len(d.side1), len(d.interface)
@@ -671,57 +673,47 @@ def uniformized_walk(g: Graph, start: np.ndarray, layers: int, t: float,
 # charged to both the entry and its row sum.
 
 
-class SeriesKernel:
-    """A block of the glued heat kernel from the k_max-truncated one-sided
-    series, as values at t.
+def glue_II_values(d: Decomposition, t: float,
+                   k_max: int) -> tuple[np.ndarray, float]:
+    """Second gluing formula as values at t > 0: as :func:`glue_I_values`,
+    but with the interface kernel replaced by its k_max-truncated one-sided
+    series.  Returns ``(values, bound)``, values an n by n array in
+    decomposition order and bound a certified bound on their entrywise
+    error against the exact glued kernel.
 
     Built from one-sided data only: the relative kernels of the two sides,
     their adjacency to the interface, and the interface valencies.  Term k
     of the interface series convolves k + 1 interface decay factors with k
     one-step updates (the atom A_yy, or an excursion through one side); the
     glued kernel dresses the sum with the extension kernel on both sides.
+    It is one :func:`uniformized_walk` with theta the largest valency,
+    whose layers are the terms of the series; past 65536 Taylor orders the
+    rest is left out and shows in the bound.  On a graph with no edge,
+    theta t = 0 and the values are exactly the identity, with bound 0.
 
-    ``rows`` and ``cols`` are the vertex labels of the block.
-    ``evaluate_with_bound(t)`` returns its values at t > 0 and a certified
-    bound on their entrywise error against the exact glued kernel, from the
-    row sums of the truncated kernel (every dropped piece is nonnegative
-    and the exact kernel is stochastic) plus a rounding allowance.  An
-    entry of the exact kernel lies in [0, 1], so a bound of 1 or more
-    proves nothing, and it raises :class:`~heatglue.errors.TruncationError`
-    on it by :func:`~heatglue.errors.below_prior`, the one a-priori rule of
-    the package.  Each call runs one :func:`uniformized_walk` with theta
-    the largest valency, whose layers are the terms of the series; past
-    65536 Taylor orders the rest is left out and shows in the bound.  On a
-    graph with no edge, theta t = 0 and the values are exactly the
-    identity, with bound 0.  The rounding part of the bound is 3 gamma
-    times the largest row sum (at least 1), gamma the relative rounding
-    error that the walk counts.
+    The bound is the largest row-sum deficit of the truncated kernel
+    (every dropped piece is nonnegative and the exact kernel is
+    stochastic) plus a rounding part, 3 gamma times the largest row sum
+    (at least 1), gamma the relative rounding error that the walk counts.
+    An entry of the exact kernel lies in [0, 1], so a bound of 1 or more
+    proves nothing: it raises :class:`~heatglue.errors.TruncationError` on
+    it by :func:`~heatglue.errors.below_prior`, the one a-priori rule of
+    the package.
     """
-
-    def __init__(self, d: Decomposition, k_max: int, labels: Sequence):
-        (k_max,) = nonnegative(k_max=k_max)
-        self._graph = og = d.ordered_graph
-        n1, ny = len(d.side1), len(d.interface)
-        self.rows = self.cols = tuple(labels)
-        self._k_max = k_max
-        self._y = np.arange(n1, n1 + ny)
-        self._start = np.array([og.index[v] for v in self.rows])
-
-    def evaluate_with_bound(self, t: float) -> tuple[np.ndarray, float]:
-        """Values of the block at t > 0 and a certified bound on their
-        entrywise error, from one walk."""
-        (t,) = positive(t=t)
-        start = np.eye(self._graph.n)[self._start]
-        # a step off an interface vertex starts the next term of the series
-        layers, gamma = uniformized_walk(self._graph, start, self._k_max + 2,
-                                         t, advancing=self._y)
-        if len(layers) == self._k_max + 2:
-            layers[-1][:, self._y] = 0.0
-        vals = layers.sum(axis=0)
-        sums = [math.fsum(row) for row in vals.tolist()]
-        bound = max(1.0 - s for s in sums) + 3.0 * gamma * max(1.0, max(sums))
-        return vals[:, self._start], below_prior(
-            bound, 1.0, f"series at order {self._k_max}")
+    (k_max,) = nonnegative(k_max=k_max)
+    (t,) = positive(t=t)
+    og = d.ordered_graph
+    n1, ny = len(d.side1), len(d.interface)
+    y = np.arange(n1, n1 + ny)
+    # a step off an interface vertex starts the next term of the series
+    layers, gamma = uniformized_walk(og, np.eye(og.n), k_max + 2, t,
+                                     advancing=y)
+    if len(layers) == k_max + 2:
+        layers[-1][:, y] = 0.0
+    values = layers.sum(axis=0)
+    sums = [math.fsum(row) for row in values.tolist()]
+    bound = max(1.0 - s for s in sums) + 3.0 * gamma * max(1.0, max(sums))
+    return values, below_prior(bound, 1.0, f"series at order {k_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -886,16 +878,6 @@ def glue_I_values(d: Decomposition, t: float) -> np.ndarray:
     core[:nc, nc:] = gphi
     core[nc:, :nc] = gphi.T
     return _mirror_upper(basis @ core @ basis.T)
-
-
-def glue_II(d: Decomposition, k_max: int) -> SeriesKernel:
-    """Second gluing formula: as glue_I but with the interface kernel replaced
-    by its k_max-truncated one-sided series: a :class:`SeriesKernel` over
-    the vertices in decomposition order, whose ``evaluate_with_bound(t)``
-    gives values at t > 0 and their certified error bound, the largest
-    row-sum deficit of the truncated kernel plus a rounding allowance.
-    """
-    return SeriesKernel(d, k_max, d.ordered_graph.vertices)
 
 
 def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:

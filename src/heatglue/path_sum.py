@@ -35,8 +35,7 @@ __all__ = [
     "LENGTH_CAP",
     "exp_tail",
     "pathsum_heat",
-    "PathSumOperator",
-    "pathsum_operators",
+    "pathsum_operator_values",
 ]
 
 #: Hard ceiling on the path length of a sum; see :class:`LengthCapError`.
@@ -90,7 +89,7 @@ def pathsum_heat(g: Graph, u, v, t: float,
     Returns (value, cutoff used, bound); the bound is the deficit at the
     cutoff plus a rounding part, 3 gamma max(1, row sum) with gamma the
     relative rounding error that the walk counts, as in
-    :meth:`heatglue.graph_heat.SeriesKernel.evaluate_with_bound`.  Raises
+    :func:`heatglue.graph_heat.glue_II_values`.  Raises
     :class:`LengthCapError` carrying the deficit at the cap when no cutoff
     within it qualifies.  An entry of e^{-tL} lies in [0, 1], so a bound
     of 1 or more proves nothing: it raises
@@ -123,48 +122,21 @@ def pathsum_heat(g: Graph, u, v, t: float,
         f"row-sum deficit there is {deficit:g}", deficit)
 
 
-class PathSumOperator:
-    """An interface operator as values at t of a length-truncated class sum.
-
-    ``rows`` and ``cols`` are vertex labels, and ``atom`` holds the point
-    masses: the paths whose trimmed weight is empty.  Every other path is a
-    start row, a walk inside a vertex set S, and a closing matrix;
-    ``evaluate(t)`` sums layers 0 .. layers - 1 of the walk (one layer per
-    edge inside S) by one :func:`~heatglue.graph_heat.uniformized_walk`
-    with theta the largest valency, so every coefficient is nonnegative and
-    the values are free of cancellation.  With no layer they are zero.
-    """
-
-    def __init__(self, rows: tuple, cols: tuple, atom: np.ndarray, g: Graph,
-                 s: np.ndarray, start: np.ndarray, close: np.ndarray,
-                 layers: int) -> None:
-        self.rows, self.cols = tuple(rows), tuple(cols)
-        self.atom = np.array(atom, dtype=float)
-        self.atom.setflags(write=False)
-        self._graph, self._inside = g, s
-        self._start, self._close, self._layers = start, close, layers
-
-    def evaluate(self, t: float) -> np.ndarray:
-        """Pointwise values at t > 0 (atoms do not contribute there)."""
-        (t,) = positive(t=t)
-        sums, _ = uniformized_walk(self._graph, self._start, self._layers, t,
-                                   inside=self._inside)
-        return sums.sum(axis=0) @ self._close
-
-
-def pathsum_operators(d: Decomposition, which: str,
-                      max_length: int) -> PathSumOperator:
-    """Interface operators as length-truncated class path sums.
+def pathsum_operator_values(d: Decomposition, which: str, max_length: int,
+                            t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Interface operators as values at t > 0 of length-truncated class
+    path sums: ``(values, atom)``, atom the point masses, the paths whose
+    trimmed weight is empty (atoms do not contribute to the values).
 
     which selects the class and trimming (Y the interface, C its
     complement, A the adjacency):
 
     ``extension``
-        rows are all vertices, columns the interface; entry (u, y) sums,
-        over paths from u meeting the interface only in their final
-        vertex y, the weight with that final vertex dropped: a walk of
-        length at most max_length - 1 inside C, then A_CY.  The diagonal
-        interface entries are pure delta atoms.
+        rows are all vertices in decomposition order, columns the
+        interface; entry (u, y) sums, over paths from u meeting the
+        interface only in their final vertex y, the weight with that final
+        vertex dropped: a walk of length at most max_length - 1 inside C,
+        then A_CY.  The diagonal interface entries are pure delta atoms.
     ``interface``
         square on the interface; entry (y1, y2) sums full path weights
         over all paths between the two vertices in the whole graph.
@@ -175,14 +147,21 @@ def pathsum_operators(d: Decomposition, which: str,
         max_length - 2 inside C, then A_CY; the single edge case is the
         delta atom A_YY.
 
-    All sums run over lengths up to max_length, so the truncation is that
-    of the path sum, not of a series in t.
+    Every path that is no atom is a start row, a walk inside a vertex set
+    S (all vertices for ``interface``, C otherwise) and a closing matrix.
+    The values sum the layers of the walk, one layer per edge inside S, by
+    one :func:`~heatglue.graph_heat.uniformized_walk` with theta the
+    largest valency, so every coefficient is nonnegative and the values
+    are free of cancellation; with no layer they are zero.  All sums run
+    over lengths up to max_length, so the truncation is that of the path
+    sum, not of a series in t.
     """
     if which not in ("extension", "interface", "dn_prime"):
         raise ValueError(f"unknown operator {which!r}")
     (max_length,) = nonnegative(max_length=max_length)
     if max_length > LENGTH_CAP:
         raise LengthCapError(f"max_length {max_length} exceeds cap {LENGTH_CAP}")
+    (t,) = positive(t=t)
 
     og = d.ordered_graph
     y = d.interface
@@ -190,14 +169,17 @@ def pathsum_operators(d: Decomposition, which: str,
     ci = np.setdiff1d(np.arange(og.n), yi)
     a = og.adjacency
     eye = np.eye(og.n)
-    if which == "interface":
-        return PathSumOperator(y, y, np.zeros((len(y), len(y))), og,
-                               np.arange(og.n), eye[yi], eye[:, yi],
-                               max_length + 1)
+    no_atom = np.zeros((len(y), len(y)))
     a_cy = a[np.ix_(ci, yi)]
-    if which == "extension":
-        return PathSumOperator(og.vertices, y, eye[:, yi], og, ci, eye[:, ci],
-                               a_cy, max_length)
-    atom = a[np.ix_(yi, yi)] if max_length >= 1 else np.zeros((len(y), len(y)))
-    return PathSumOperator(y, y, atom, og, ci, a[np.ix_(yi, ci)], a_cy,
-                           max(0, max_length - 1))
+    if which == "interface":
+        inside, start, close, layers, atom = (np.arange(og.n), eye[yi],
+                                              eye[:, yi], max_length + 1, no_atom)
+    elif which == "extension":
+        inside, start, close, layers, atom = (ci, eye[:, ci], a_cy, max_length,
+                                              eye[:, yi])
+    else:
+        inside, start, close, layers, atom = (
+            ci, a[np.ix_(yi, ci)], a_cy, max(0, max_length - 1),
+            a[np.ix_(yi, yi)] if max_length >= 1 else no_atom)
+    sums, _ = uniformized_walk(og, start, layers, t, inside=inside)
+    return sums.sum(axis=0) @ close, atom

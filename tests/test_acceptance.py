@@ -20,14 +20,14 @@ from heatglue.graph_heat import (
     Graph,
     extension_kernel,
     glue_I,
-    glue_II,
+    glue_II_values,
     heat_kernel,
     interface_kernel,
     one_step_interface_kernel,
     random_decomposition,
     schur_cut,
 )
-from heatglue.path_sum import exp_tail, pathsum_heat, pathsum_operators
+from heatglue.path_sum import exp_tail, pathsum_heat, pathsum_operator_values
 
 LINE3 = Graph(("1", "2", "3"), (("1", "2"), ("2", "3")))
 LINE3_SPLIT = Decomposition(LINE3, ("2",), ("1",), ("3",))
@@ -108,9 +108,8 @@ def test_gate_03_second_formula_series_and_bound():
     bound_violations = 0
     for _ in range(50):
         d = random_decomposition(rng, 12)
-        km = glue_II(d, 40)
         for t in (0.25, 1.0, 4.0):
-            values, bound = km.evaluate_with_bound(t)
+            values, bound = glue_II_values(d, t, 40)
             err = float(np.abs(
                 values - _expm_oracle(d.ordered_graph, t)).max())
             worst_err = max(worst_err, err)
@@ -163,14 +162,11 @@ def test_gate_05_path_sum_operators_within_tails():
     for d in cases:
         og = d.ordered_graph
         d_max = float(og.valencies.max()) if og.edges else 0.0
-        ext = pathsum_operators(d, "extension", max_length)
-        ifk = pathsum_operators(d, "interface", max_length)
-        dnp = pathsum_operators(d, "dn_prime", max_length)
         exact_if = interface_kernel(d)
         exact_dn = one_step_interface_kernel(d)
         for t in (0.5, 1.0):
             tail_ext = d_max * exp_tail(d_max * t, max_length)
-            got = ext.evaluate(t)
+            got, _ = pathsum_operator_values(d, "extension", max_length, t)
             for side in d.side_graphs:
                 ref = extension_kernel(side, d.interface).evaluate(t)
                 for u in side.vertices:
@@ -179,12 +175,14 @@ def test_gate_05_path_sum_operators_within_tails():
                         rv = ref[side.index[u], q]
                         assert abs(gv - rv) <= tail_ext + 1e-11
             tail_if = exp_tail(d_max * t, max_length + 1)
-            diff = np.abs(ifk.evaluate(t) - exact_if.evaluate(t)).max()
+            ifk, _ = pathsum_operator_values(d, "interface", max_length, t)
+            diff = np.abs(ifk - exact_if.evaluate(t)).max()
             assert diff <= tail_if + 1e-11
             tail_dn = d_max**2 * exp_tail(d_max * t, max_length - 1)
-            diff = np.abs(dnp.evaluate(t) - exact_dn.evaluate(t)).max()
+            dnp, dnp_atom = pathsum_operator_values(d, "dn_prime", max_length, t)
+            diff = np.abs(dnp - exact_dn.evaluate(t)).max()
             assert diff <= tail_dn + 1e-11
-            assert np.array_equal(dnp.atom, exact_dn.atom)
+            assert np.array_equal(dnp_atom, exact_dn.atom)
     dt = time.perf_counter() - t0
     ok = dt < 60.0
     _gate(5, "operator path sums within tails", ok, f"{dt:.1f}s")

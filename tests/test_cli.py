@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end, run in this process
 with stdout and stderr captured."""
 
+import ast
 import contextlib
 import io
 import itertools
@@ -340,11 +341,19 @@ GRAPH_AB = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
     ({**GRAPH_AB, "boundary": 5}, "boundary must be a list, got 5"),
     ({**GRAPH_AB, "boundary": "ab"}, "boundary must be a list, got 'ab'"),
     ({**GRAPH_AB, "boundary": None}, "boundary must be a list, got None"),
-], ids=["list-input", "boundary-5", "boundary-text", "boundary-null"])
+    ({**GRAPH_AB, "boundary": [[1]]},
+     "a vertex label is a string or a number, got [1] in boundary"),
+    ({**GRAPH_AB, "boundary": [True]},
+     "a vertex label is a string or a number, got True in boundary"),
+    ({**GRAPH_AB, "boundary": [None]},
+     "a vertex label is a string or a number, got None in boundary"),
+], ids=["list-input", "boundary-5", "boundary-text", "boundary-null",
+        "boundary-item-list", "boundary-item-true", "boundary-item-null"])
 def test_graph_cut_reads_the_boundary_of_its_input_strictly(
         tmp_path, monkeypatch, doc, message):
     # with no --interface the boundary is the interface; it is read as a
-    # case's list field is, so a letter of a text is no vertex
+    # decomposition's interface is, so a letter of a text is no vertex and
+    # an item that is no string or number no label
     monkeypatch.chdir(tmp_path)
     pathlib.Path("g.json").write_text(json.dumps(doc))
     res = invoke(["graph", "cut", "--input", "g.json", "--m2", "1"])
@@ -376,6 +385,14 @@ def test_graph_cut_takes_a_boundary_list_item_by_item(tmp_path, monkeypatch):
 LINE3 = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]],
          "interface": ["2"]}
 GLUE, PATHSUM = "graph glue --t 1", "graph pathsum --u 1 --v 3 --t 1 --eps 1e-9"
+ENTRY = "references.entries['1,1']"
+TERM = "{'coef': number, 'power': integer, 'rate': number}"
+
+
+def with_entry(mix, key="1,1"):
+    """LINE3 with one reference entry, ``mix`` under ``key``."""
+    return {**LINE3, "references": {"entries": {key: mix}}}
+
 
 
 @pytest.mark.parametrize("command,doc,message", [
@@ -399,12 +416,33 @@ GLUE, PATHSUM = "graph glue --t 1", "graph pathsum --u 1 --v 3 --t 1 --eps 1e-9"
      "a vertex label is a string or a number, got None in interface"),
     ("graph cut --interface 1 --m2 1", {"vertices": {"1": 1}},
      "vertices must be a list, got {'1': 1}"),
+    (GLUE, with_entry({"atom": 0, "terms": 5}),
+     f"terms of {ENTRY} must be a list, got 5"),
+    (GLUE, with_entry({"atom": 0, "terms": [{"coef": 1, "power": 0}]}),
+     f"a term of {ENTRY} is {TERM}, got {{'coef': 1, 'power': 0}}"),
+    (GLUE, with_entry({"atom": 0, "terms": [
+        {"coef": True, "power": 0, "rate": 1}]}),
+     f"a term of {ENTRY} is {TERM}, got "
+     "{'coef': True, 'power': 0, 'rate': 1}"),
+    (GLUE, with_entry({"atom": 0, "terms": [
+        {"coef": 1, "power": 1.5, "rate": 1}]}),
+     f"a term of {ENTRY} is {TERM}, got {{'coef': 1, 'power': 1.5, 'rate': 1}}"),
+    (GLUE, with_entry({"atom": 0, "terms": [5]}),
+     f"a term of {ENTRY} is {TERM}, got 5"),
+    (GLUE, with_entry({"terms": []}),
+     f"{ENTRY} must be {{'atom': number, 'terms': [...]}}, got {{'terms': []}}"),
+    (GLUE, with_entry(5, "9,9"),
+     "references.entries['9,9'] must be {'atom': number, 'terms': [...]}, "
+     "got 5"),
 ], ids=["vertices-5", "edges-7", "interface-2", "vertex-a-list", "pathsum-5",
         "entries-text", "edge-text", "edge-end-true", "edge-of-three",
-        "side1-text", "interface-null", "cut-vertices-object"])
+        "side1-text", "interface-null", "cut-vertices-object", "terms-5",
+        "term-no-rate", "term-coef-true", "term-power-fraction", "term-5",
+        "entry-no-atom", "entry-of-no-pair"])
 def test_a_malformed_graph_document_is_unusable_input(tmp_path, monkeypatch,
                                                       command, doc, message):
-    # the shapes of a graph document are checked once, where it is read
+    # the shapes of a graph document are checked once, where it is read,
+    # and the mixtures of its references before any value is computed
     monkeypatch.chdir(tmp_path)
     pathlib.Path("g.json").write_text(json.dumps(doc))
     words = command.split()
@@ -1551,6 +1589,26 @@ def test_every_command_is_demonstrated_in_the_readme():
     for command in heatglue.cli._COMMANDS:
         assert any(line.startswith(command.name + " ") for line in lines), \
             command.name
+
+
+def test_the_readme_library_example_runs_as_written():
+    # the block runs statement by statement, as in an interpreter, and an
+    # expression whose comment starts with a number evaluates to exactly
+    # that number
+    text = README.read_text().split("## Library example", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, shown = block.splitlines(), {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md",
+                                 "eval"), namespace)
+            comment = lines[node.end_lineno - 1].partition("#")[2].split()
+            if comment and re.fullmatch(r"-?\d[\d.e+-]*", comment[0]):
+                shown.append((repr(value), comment[0]))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"),
+                 namespace)
+    assert shown == [("0.15769145747558952", "0.15769145747558952")]
 
 
 def test_every_readme_command_line_passes():

@@ -335,15 +335,15 @@ def test_convolution_distributes_over_sum(f, g, h):
 def test_serialization_round_trip(f):
     d = {"atom": f.atom, "terms": [
         {"coef": t.coef, "power": t.power, "rate": t.rate} for t in f.terms]}
-    assert from_dict(d) == f
-    assert from_dict(json.loads(json.dumps(d))) == f
+    assert from_dict(d, "f") == f
+    assert from_dict(json.loads(json.dumps(d)), "f") == f
 
 
 def test_json_schema_shape():
     d = {"atom": 0.5, "terms": [{"coef": 1.5, "power": 2, "rate": 3.0}]}
-    assert from_dict(d) == ExpMix(0.5, ((1.5, 2, 3.0),))
+    assert from_dict(d, "d") == ExpMix(0.5, ((1.5, 2, 3.0),))
     with pytest.raises(ValueError):
-        from_dict({"terms": []})
+        from_dict({"terms": []}, "d")
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ from heatglue.graph_heat import (
     Decomposition,
     Graph,
     KernelMatrix,
-    SeriesKernel,
     decomposition_from_dict,
     extension_kernel,
     glue_I,
     glue_I_values,
-    glue_II,
+    glue_II_values,
     graph_from_dict,
     heat_kernel,
     heat_values,
@@ -502,8 +501,7 @@ def test_walk_of_a_graph_with_no_edge_is_its_start():
         sums, gamma = graph_heat.uniformized_walk(g, start, 5, t)
         assert np.array_equal(sums, start[None]) and gamma == 0.0
     for k_max in (0, 3):
-        kern = SeriesKernel(Decomposition(g, ("y",)), k_max, g.vertices)
-        values, bound = kern.evaluate_with_bound(2.0)
+        values, bound = glue_II_values(Decomposition(g, ("y",)), 2.0, k_max)
         assert np.array_equal(values, np.eye(3)) and bound == 0.0
 
 
@@ -679,10 +677,9 @@ def test_poisson_order_is_the_first_order_past_the_cut():
 def test_series_past_the_order_cap_raises_within_a_time_budget():
     # theta t = 140000: the 65536 orders kept hold almost none of the
     # Poisson weight, so every row sum is near 0 and the bound near 1
-    kern = glue_II(LINE3_SPLIT, 3)
     t0 = time.perf_counter()
     with pytest.raises(TruncationError):
-        kern.evaluate_with_bound(70000.0)
+        glue_II_values(LINE3_SPLIT, 70000.0, 3)
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -693,10 +690,9 @@ def test_series_at_sixty_vertices_matches_expm_within_its_bound():
     while not 55 <= d.ordered_graph.n <= 65:
         d = random_decomposition(rng, 65)
     lap = d.ordered_graph.laplacian.entries
-    kern = glue_II(d, 40)
     for t in (0.25, 1.0, 4.0):
         t0 = time.perf_counter()
-        vals, bound = kern.evaluate_with_bound(t)
+        vals, bound = glue_II_values(d, t, 40)
         assert time.perf_counter() - t0 < 10.0
         assert bound < 1e-9
         assert np.abs(vals - scipy.linalg.expm(-t * lap)).max() <= bound
@@ -725,14 +721,14 @@ def test_interface_kernel_laplace_inverts_dn():
 
 
 def test_series_line3_partial_sums_converge():
+    # vertex "2", the interface, is index 1 in decomposition order
     ifk = interface_kernel(LINE3_SPLIT)
     t = 1.0
     ref = ifk.evaluate(t)[0, 0]
     errs = []
     for k_max in (0, 2, 5, 8):
-        values, bound = SeriesKernel(
-            LINE3_SPLIT, k_max, LINE3_SPLIT.interface).evaluate_with_bound(t)
-        err = abs(values[0, 0] - ref)
+        values, bound = glue_II_values(LINE3_SPLIT, t, k_max)
+        err = abs(values[1, 1] - ref)
         assert err <= bound
         errs.append(err)
     assert errs == sorted(errs, reverse=True)
@@ -744,10 +740,9 @@ def test_series_line3_deep_truncation_stays_within_bound():
     # reported bound has to keep covering the observed difference there too
     ifk = interface_kernel(LINE3_SPLIT)
     for k_max in (20, 40):
-        s = SeriesKernel(LINE3_SPLIT, k_max, LINE3_SPLIT.interface)
         for t in (0.25, 1.0, 4.0):
-            values, bound = s.evaluate_with_bound(t)
-            assert abs(values[0, 0] - ifk.evaluate(t)[0, 0]) <= bound
+            values, bound = glue_II_values(LINE3_SPLIT, t, k_max)
+            assert abs(values[1, 1] - ifk.evaluate(t)[0, 0]) <= bound
 
 
 def test_series_walks_only_the_layers_its_orders_reach():
@@ -757,10 +752,9 @@ def test_series_walks_only_the_layers_its_orders_reach():
     assert graph_heat._poisson_order(2.0) == 27
     results, peaks = [], []
     for k_max in (40, 2000, 20000):
-        kern = SeriesKernel(LINE3_SPLIT, k_max, LINE3.vertices)
         tracemalloc.start()
         try:
-            results.append(kern.evaluate_with_bound(1.0))
+            results.append(glue_II_values(LINE3_SPLIT, 1.0, k_max))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -771,21 +765,19 @@ def test_series_walks_only_the_layers_its_orders_reach():
 
 
 def test_series_bound_rejects_bad_t():
-    s = SeriesKernel(LINE3_SPLIT, 3, LINE3_SPLIT.interface)
     for t in (0.0, -1.0):
         with pytest.raises(ValueError):
-            s.evaluate_with_bound(t)
+            glue_II_values(LINE3_SPLIT, t, 3)
 
 
 def test_series_exact_when_one_step_factor_vanishes():
     # interface vertex isolated from both sides: the one-step factor is zero
     g = Graph(("a", "y", "b"), ())
     d = Decomposition(g, ("y",), ("a",), ("b",))
-    s = SeriesKernel(d, 0, d.interface)
     closed = ExpMix(0.0, ((1.0, 0, 0.0),))
     for t in (0.25, 1.0, 4.0):
-        values, _ = s.evaluate_with_bound(t)
-        assert abs(values[0, 0] - evaluate(closed, t)) < 1e-13
+        values, _ = glue_II_values(d, t, 0)
+        assert abs(values[1, 1] - evaluate(closed, t)) < 1e-13
 
 
 def test_series_matches_assembled_on_random_splits():
@@ -793,18 +785,18 @@ def test_series_matches_assembled_on_random_splits():
     for _ in range(3):
         d = random_decomposition(rng, 10)
         ifk = interface_kernel(d)
+        n1, ny = len(d.side1), len(d.interface)
         for k_max in (6, 40):
-            values, bound = SeriesKernel(
-                d, k_max, d.interface).evaluate_with_bound(1.0)
-            assert np.abs(values - ifk.evaluate(1.0)).max() <= bound
+            values, bound = glue_II_values(d, 1.0, k_max)
+            block = values[n1:n1 + ny, n1:n1 + ny]
+            assert np.abs(block - ifk.evaluate(1.0)).max() <= bound
 
 
 def test_series_evaluate_with_bound_equals_separate_calls():
     d = random_decomposition(np.random.default_rng(101), 12)
-    kern = glue_II(d, 20)
     for t in (0.25, 1.0, 4.0):
-        values, b = kern.evaluate_with_bound(t)
-        again, b_again = kern.evaluate_with_bound(t)
+        values, b = glue_II_values(d, t, 20)
+        again, b_again = glue_II_values(d, t, 20)
         assert np.array_equal(values, again) and b_again == b
 
 
@@ -874,13 +866,13 @@ def test_glue_I_dirichlet_correction_nonnegative():
 
 def test_glue_II_line3_entry():
     ref = ExpMix(0.0, ((1.0 / 3.0, 0, 0.0), (-0.5, 0, 1.0), (1.0 / 6.0, 0, 3.0)))
+    order = LINE3_SPLIT.ordered_graph.vertices
+    i, j = order.index("1"), order.index("3")
     for k_max in (8, 20):
-        k = glue_II(LINE3_SPLIT, k_max)
-        i, j = k.rows.index("1"), k.cols.index("3")
         for t in (0.5, 1.0, 2.0):
-            values, bound = k.evaluate_with_bound(t)
+            values, bound = glue_II_values(LINE3_SPLIT, t, k_max)
             assert abs(values[i, j] - evaluate(ref, t)) <= bound
-    values, _ = glue_II(LINE3_SPLIT, 8).evaluate_with_bound(1.0)
+    values, _ = glue_II_values(LINE3_SPLIT, 1.0, 8)
     assert abs(values[i, j] - evaluate(ref, 1.0)) < 1e-7
 
 
@@ -890,11 +882,10 @@ def test_glue_II_exact_for_vanishing_one_step_factor():
     # two through the interface, so an edgeless interface complement kills it
     g0 = Graph(("a", "y", "b"), ())
     d0 = Decomposition(g0, ("y",), ("a",), ("b",))
-    k0 = glue_II(d0, 0)
     ref0 = glue_I(d0)
-    assert k0.rows == ref0.rows and k0.cols == ref0.cols
+    assert ref0.rows == ref0.cols == d0.ordered_graph.vertices
     worst = max(
-        float(np.abs(k0.evaluate_with_bound(t)[0] - ref0.evaluate(t)).max())
+        float(np.abs(glue_II_values(d0, t, 0)[0] - ref0.evaluate(t)).max())
         for t in (0.25, 1.0, 4.0)
     )
     assert worst < 1e-13
@@ -904,10 +895,9 @@ def test_glue_II_matches_assembled_on_random_splits():
     rng = np.random.default_rng(31337)
     for _ in range(3):
         d = random_decomposition(rng, 10)
-        k = glue_II(d, 40)
         assembled = heat_kernel(d.ordered_graph)
         for t in (0.25, 1.0, 4.0):
-            values, bound = k.evaluate_with_bound(t)
+            values, bound = glue_II_values(d, t, 40)
             assert np.abs(values - assembled.evaluate(t)).max() <= bound
 
 
@@ -916,12 +906,9 @@ def test_series_bound_at_or_above_one_raises():
     # after two interface updates keeps almost nothing, and its bound,
     # 1.0000000000063, certifies nothing
     with pytest.raises(TruncationError, match="a-priori bound 1") as info:
-        glue_II(LINE3_SPLIT, 2).evaluate_with_bound(50.0)
+        glue_II_values(LINE3_SPLIT, 50.0, 2)
     assert info.value.achievable >= 1.0
-    s = SeriesKernel(LINE3_SPLIT, 2, LINE3_SPLIT.interface)
-    with pytest.raises(TruncationError):
-        s.evaluate_with_bound(50.0)
-    assert s.evaluate_with_bound(1.0)[1] < 1.0
+    assert glue_II_values(LINE3_SPLIT, 1.0, 2)[1] < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -181,13 +181,14 @@ main = rec.wrap(heatglue.cli.main, "cli.main")
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     try:
-        main(["verify", "--input", "intervals"],
+        main(["verify", "--input", sys.argv[2]],
              standalone_mode=False)
         code = 0
     except SystemExit as exc:
         code = exc.code
 reports = len(out.getvalue().splitlines())
-print(json.dumps([code, tracer.layer_metrics(rec, reports)]))
+calls = {name: count for name, (count, _, _) in rec.totals().items()}
+print(json.dumps([code, tracer.layer_metrics(rec, reports), calls]))
 """
 
 
@@ -197,12 +198,32 @@ def test_the_benchmark_tracer_still_installs():
     from conftest import fresh_python
 
     tracer = SRC.parents[1] / "perfbench" / "tracer.py"
-    done = fresh_python(TRACED_VERIFY, str(tracer), capture_output=True,
-                        text=True, check=True)
-    code, metrics = json.loads(done.stdout.splitlines()[-1])
+    done = fresh_python(TRACED_VERIFY, str(tracer), "intervals",
+                        capture_output=True, text=True, check=True)
+    code, metrics, _ = json.loads(done.stdout.splitlines()[-1])
     assert code == 0
     assert metrics["quadsim.conv_n.calls"] == 0
     assert metrics["cli.reports"] > 0
+
+
+def test_a_traced_series_case_records_its_walk_under_graph_heat(tmp_path):
+    # the series walk is a function that cli reads from graph_heat, so the
+    # tracer's module proxy wraps it, and its time is graph_heat's, not
+    # cli's: one span per series case, none for an assembled gluing
+    from conftest import fresh_python
+
+    tracer = SRC.parents[1] / "perfbench" / "tracer.py"
+    cases = tmp_path / "cases.json"
+    cases.write_text(json.dumps(
+        [{"kind": "graph-glue", "input": "line3", "t": t, "method": "series",
+          "kmax": 40} for t in (0.5, 1.0, 2.0)]
+        + [{"kind": "graph-glue", "input": "line3", "t": 1.0}]))
+    done = fresh_python(TRACED_VERIFY, str(tracer), str(cases),
+                        capture_output=True, text=True, check=True)
+    code, metrics, calls = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and metrics["cli.reports"] == 4 * 9
+    assert calls["graph_heat.glue_II_values"] == 3
+    assert calls["graph_heat.glue_I_values"] == 1
 
 
 def test_the_cli_builds_no_coefficient_tensor():
@@ -457,10 +478,8 @@ def test_values_and_bound_of_the_series_are_one_walk(monkeypatch):
 
     monkeypatch.setattr(graph_heat, "uniformized_walk", counted)
     line = graph_heat.Graph(("1", "2", "3"), (("1", "2"), ("2", "3")))
-    kern = graph_heat.glue_II(graph_heat.Decomposition(line, ("2",)), 8)
-    kern.evaluate_with_bound(1.0)
+    graph_heat.glue_II_values(graph_heat.Decomposition(line, ("2",)), 1.0, 8)
     assert len(walks) == 1
-    assert not hasattr(kern, "bound")
 
 
 def test_each_command_calls_its_case_runner():

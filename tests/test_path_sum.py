@@ -27,7 +27,7 @@ from heatglue.path_sum import (
     LengthCapError,
     exp_tail,
     pathsum_heat,
-    pathsum_operators,
+    pathsum_operator_values,
 )
 
 LINE3 = Graph(("1", "2", "3"), (("1", "2"), ("2", "3")))
@@ -221,34 +221,34 @@ def test_pathsum_equals_its_truncated_path_sum():
 
 def test_operator_extension_two_vertex():
     d = Decomposition(LINE2, ("2",))
-    ext = pathsum_operators(d, "extension", 12)
-    i, j = ext.rows.index("1"), ext.rows.index("2")
+    rows = d.ordered_graph.vertices
+    i, j = rows.index("1"), rows.index("2")
     for t in GRID:
-        vals = ext.evaluate(t)
+        vals, atom = pathsum_operator_values(d, "extension", 12, t)
         assert abs(vals[i, 0] - math.exp(-t)) <= 1e-13
         assert vals[j, 0] == 0.0
-    assert ext.atom[i, 0] == 0.0 and ext.atom[j, 0] == 1.0
+        assert atom[i, 0] == 0.0 and atom[j, 0] == 1.0
 
 
 def test_operator_dn_prime_line3():
     d = LINE3_SPLIT
-    dn = pathsum_operators(d, "dn_prime", 12)
     exact = one_step_interface_kernel(d)
     for t in GRID:
-        assert abs(dn.evaluate(t)[0, 0] - 2.0 * math.exp(-t)) <= 1e-13
-        assert np.abs(dn.evaluate(t) - exact.evaluate(t)).max() < 1e-12
-    assert np.array_equal(dn.atom, [[0.0]])
-    assert np.array_equal(dn.atom, exact.atom)
+        dn, atom = pathsum_operator_values(d, "dn_prime", 12, t)
+        assert abs(dn[0, 0] - 2.0 * math.exp(-t)) <= 1e-13
+        assert np.abs(dn - exact.evaluate(t)).max() < 1e-12
+        assert np.array_equal(atom, [[0.0]])
+        assert np.array_equal(atom, exact.atom)
 
 
 def test_operator_interface_line3_truncated():
     d = LINE3_SPLIT
-    ifk = pathsum_operators(d, "interface", 12)
     t = 1.0
+    ifk, atom = pathsum_operator_values(d, "interface", 12, t)
     ref = (1.0 + 2.0 * math.exp(-3.0)) / 3.0
     tail = exp_tail(2.0 * t, 13)
-    assert abs(ifk.evaluate(t)[0, 0] - ref) <= tail
-    assert np.array_equal(ifk.atom, [[0.0]])
+    assert abs(ifk[0, 0] - ref) <= tail
+    assert np.array_equal(atom, [[0.0]])
 
 
 def test_operators_equal_per_path_sums():
@@ -265,19 +265,19 @@ def test_operators_equal_per_path_sums():
                 ("extension", "P_prime_end", og.vertices, lambda p: p[:-1]),
                 ("interface", "P", y, lambda p: p),
                 ("dn_prime", "P_double_prime", y, lambda p: p[1:-1])):
-            op = pathsum_operators(d, which, max_length)
-            assert op.rows == rows and op.cols == y
             paths = {u: class_paths(og, tag, u, y, max_length) for u in rows}
             segs = [[[trim(p) for p in paths[u] if p[-1] == v] for v in y]
                     for u in rows]
             atom = [[sum(not seg for seg in cell) for cell in row]
                     for row in segs]
-            assert np.array_equal(op.atom, atom)
             for t in GRID:
+                got, got_atom = pathsum_operator_values(d, which, max_length, t)
+                assert got.shape == got_atom.shape == (len(rows), len(y))
+                assert np.array_equal(got_atom, atom)
                 want = [[math.fsum(path_weight(og, seg, t)
                                    for seg in cell if seg) for cell in row]
                         for row in segs]
-                assert np.abs(op.evaluate(t) - want).max() < 1e-11
+                assert np.abs(got - want).max() < 1e-11
 
 
 def test_operator_extension_matches_side_kernels():
@@ -287,12 +287,12 @@ def test_operator_extension_matches_side_kernels():
         og = d.ordered_graph
         d_max = float(og.valencies.max()) if og.edges else 0.0
         max_length = 12
-        ext = pathsum_operators(d, "extension", max_length)
         for side in d.side_graphs:
             exact = extension_kernel(side, d.interface)
             for t in (0.5, 1.0):
                 tail = d_max * exp_tail(d_max * t, max_length)
-                got, ref = ext.evaluate(t), exact.evaluate(t)
+                got, _ = pathsum_operator_values(d, "extension", max_length, t)
+                ref = exact.evaluate(t)
                 for u in side.vertices:
                     diff = np.abs(got[og.index[u]] - ref[side.index[u]]).max()
                     assert diff <= tail + 1e-11
@@ -305,11 +305,11 @@ def test_operator_interface_matches_spectral_kernel():
         og = d.ordered_graph
         d_max = float(og.valencies.max()) if og.edges else 0.0
         max_length = 12
-        got = pathsum_operators(d, "interface", max_length)
         exact = interface_kernel(d)
         for t in (0.5, 1.0):
             tail = exp_tail(d_max * t, max_length + 1)
-            diff = np.abs(got.evaluate(t) - exact.evaluate(t)).max()
+            got, _ = pathsum_operator_values(d, "interface", max_length, t)
+            diff = np.abs(got - exact.evaluate(t)).max()
             assert diff <= tail + 1e-11
 
 
@@ -320,25 +320,25 @@ def test_operator_dn_prime_matches_one_step_factor():
         og = d.ordered_graph
         d_max = float(og.valencies.max()) if og.edges else 0.0
         max_length = 12
-        got = pathsum_operators(d, "dn_prime", max_length)
         exact = one_step_interface_kernel(d)
         for t in (0.5, 1.0):
             tail = d_max**2 * exp_tail(d_max * t, max_length - 1)
-            diff = np.abs(got.evaluate(t) - exact.evaluate(t)).max()
+            got, atom = pathsum_operator_values(d, "dn_prime", max_length, t)
+            diff = np.abs(got - exact.evaluate(t)).max()
             assert diff <= tail + 1e-11
-        assert np.array_equal(got.atom, exact.atom)
+            assert np.array_equal(atom, exact.atom)
 
 
 def test_operator_validation():
     d = LINE3_SPLIT
     with pytest.raises(ValueError):
-        pathsum_operators(d, "schur", 5)
+        pathsum_operator_values(d, "schur", 5, 1.0)
     with pytest.raises(ValueError):
-        pathsum_operators(d, "interface", -1)
+        pathsum_operator_values(d, "interface", -1, 1.0)
     with pytest.raises(LengthCapError):
-        pathsum_operators(d, "interface", LENGTH_CAP + 1)
+        pathsum_operator_values(d, "interface", LENGTH_CAP + 1, 1.0)
     with pytest.raises(ValueError):
-        pathsum_operators(d, "interface", 5).evaluate(0.0)
+        pathsum_operator_values(d, "interface", 5, 0.0)
 
 
 def _operator_walk(d: Decomposition, which: str, max_length: int):
@@ -377,12 +377,11 @@ def test_operators_within_their_rounding_bound_of_the_dense_walk():
         d = random_decomposition(rng, 10)
         for which in ("extension", "interface", "dn_prime"):
             for max_length in (3, 12, LENGTH_CAP):
-                op = pathsum_operators(d, which, max_length)
                 s, step, advance, start, close, layers, theta = \
                     _operator_walk(d, which, max_length)
                 c = np.count_nonzero(close, axis=0).max()
                 for t in (0.3, 1.0, 4.0):
-                    vals = op.evaluate(t)
+                    vals, _ = pathsum_operator_values(d, which, max_length, t)
                     sums, gamma = uniformized_walk(d.ordered_graph, start,
                                                    layers, t, inside=s)
                     assert np.array_equal(vals, sums.sum(axis=0) @ close)
@@ -419,10 +418,10 @@ def test_operator_zero_cutoff():
                 ("extension", 0, np.eye(og.n)[:, yi]),
                 ("dn_prime", 0, np.zeros((ny, ny))),
                 ("dn_prime", 1, og.adjacency[np.ix_(yi, yi)])):
-            op = pathsum_operators(d, which, max_length)
-            assert np.array_equal(op.atom, atom)
             for t in GRID:
-                assert np.array_equal(op.evaluate(t), np.zeros_like(atom))
+                vals, got_atom = pathsum_operator_values(d, which, max_length, t)
+                assert np.array_equal(got_atom, atom)
+                assert np.array_equal(vals, np.zeros_like(atom))
 
 
 def _mp_layers(vals, adj, layers: int, t: float) -> list:
@@ -486,7 +485,7 @@ def test_operators_match_a_40_digit_reference(d):
             "dn_prime": _mp_closed(a[np.ix_(yi, ci)], inner[:-1], a_cy),
         }
         for which, ref in refs.items():
-            got = pathsum_operators(d, which, max_length).evaluate(t)
+            got, _ = pathsum_operator_values(d, which, max_length, t)
             assert got.shape == (len(ref), len(ref[0]))
             assert any(r for row in ref for r in row)
             for got_row, ref_row in zip(got.tolist(), ref):
