@@ -342,8 +342,9 @@ def _number(x: object) -> bool:
 
 def from_dict(d: object, name: str) -> ExpMix:
     """The mixture of a JSON object ``{"atom": a, "terms": [{"coef": c,
-    "power": p, "rate": r}, ...]}``: a, c and r numbers and p an integral
-    number.  ValueError, naming the object ``name``, on any other shape."""
+    "power": p, "rate": r}, ...]}``: a, c and r numbers within the float
+    range and p an integral number.  ValueError, naming the object
+    ``name``, on any other shape, before any value is computed."""
     if type(d) is not dict or not _number(d.get("atom")):
         raise ValueError(f"{name} must be {{'atom': number, 'terms': [...]}}, "
                          f"got {d!r}")
@@ -356,5 +357,14 @@ def from_dict(d: object, name: str) -> ExpMix:
                 and _number(item.get("rate"))):
             raise ValueError(f"a term of {name} is {{'coef': number, 'power': "
                              f"integer, 'rate': number}}, got {item!r}")
+    # a JSON integer may lie past the float range that every value is kept in
+    for what, x in [("atom", d["atom"])] + [
+            (f"term {key}", item[key]) for item in d["terms"]
+            for key in ("coef", "rate")]:
+        try:
+            float(x)
+        except OverflowError:
+            raise ValueError(f"{name} has an integer {what} past the float "
+                             "range") from None
     return ExpMix(d["atom"], tuple((item["coef"], item["power"], item["rate"])
                                    for item in d["terms"]))

@@ -1,24 +1,27 @@
 """One-dimensional heat kernels and the gluing and cutting checks built on them.
 
 The closed form on the line, image and eigenmode series on the interval
-and the circle (each with an explicit truncation bound), interface
-kernels for two intervals joined at a point, and the
-reconstruction checks: a glued interval rebuilt from boundary-flux
-convolutions, two rays glued into a line, an arc cut out of a circle, and
-the cylinder factorization and spectrum checks.  Wherever a formula admits
-two independent routes both are kept.  Each route returns what it
-computes once, its value and, where it certifies one, its bound; the cheap
-direct kernel that checks a gluing or cutting route (:func:`glue_direct`,
-:func:`arc_direct`) is the caller's to evaluate, and so is the residual.
+and the circle (each with an explicit truncation bound), interface kernels
+for two intervals joined at a point, and the reconstruction checks: a
+glued interval rebuilt from boundary-flux convolutions, two rays glued into
+a line, an arc cut out of a circle, and the cylinder factorization and
+spectrum checks.  Wherever a formula admits two independent routes both are
+kept.  Each route returns what it computes once, its value and, where it
+certifies one, its bound; the cheap direct kernel that checks a gluing or
+cutting route (:func:`glue_direct`, :func:`arc_direct`) is the caller's to
+evaluate, and so is the residual.
 
 One cut rule for every 1d series: an image sum keeps each family's images
 within _reach(t) of its nearest one, a mode sum its modes with
 q k^2 <= q + 50, so a term left out is below e^-50 of the largest, and the
 rest is bounded in closed form.  One lattice builder, _lattice, gives every
-image family its kept n, and one term budget, _MAX_IMAGES, holds for every
-sum and composition: past it, TruncationError before any array is formed.
-One rounding rule for every route that returns a bound: its Gaussian sums
-are evaluated at t by _ImageSum.at and added by math.fsum; and one rule,
+image family its kept n as a range, and one term budget, _MAX_IMAGES, holds
+for every sum and composition: past it, TruncationError before any term is
+formed.  The short sums, _images, _modes and _cylinder_joint, take each
+term by math and add the terms by math.fsum, whatever their order: none of
+their bits follows the CPU kernels numpy picks.  One rounding rule
+for every route that returns a bound: its Gaussian sums are evaluated at t
+by _ImageSum.at and added by math.fsum; and one rule,
 :func:`heatglue.errors.below_prior`, refuses a bound that certifies nothing.
 """
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,9 +72,8 @@ def k_line(x: float, y: float, t: float) -> float:
 
 
 # the most terms one sum may keep, and the most images one composition may
-# form before merging: far above what the gated and benchmarked cases form
-# (under a thousand), and small enough that the arrays of one sum stay
-# within a few hundred MB
+# form before merging: far above the gated and benchmarked cases (under a
+# thousand), and small enough that one sum stays within a few hundred MB
 _MAX_IMAGES = 1 << 22
 
 
@@ -88,11 +91,11 @@ def _check_terms(count: float, label: str) -> None:
                               f"budget of {_MAX_IMAGES}")
 
 
-def _lattice(families: Sequence[tuple], label: str) -> list[np.ndarray]:
-    """The integers n that each family keeps, one array per family, the one
+def _lattice(families: Sequence[tuple], label: str) -> list[range]:
+    """The integers n that each family keeps, one range per family, the one
     count of the 1d image sums: (offset, period, cut) keeps the n with
     |offset + n period| <= cut, (offset, period, cut, first) those from
-    first on, as many at any offset.  TruncationError, before any array is
+    first on, as many at any offset.  TruncationError, before any range is
     formed, when the families keep more than _MAX_IMAGES in all."""
     spans, count = [], 0.0
     for offset, period, cut, *first in families:
@@ -102,7 +105,12 @@ def _lattice(families: Sequence[tuple], label: str) -> list[np.ndarray]:
         spans.append((lo, hi))
         count += max(hi - lo + 1.0, 0.0)
     _check_terms(count, label)
-    return [np.arange(lo, hi + 1.0) for lo, hi in spans]
+    return [range(int(lo), int(hi) + 1) for lo, hi in spans]
+
+
+def _floats(ns: range) -> np.ndarray:
+    """A range of :func:`_lattice` as np.arange forms it from its ends."""
+    return np.arange(float(ns.start), float(ns.stop))
 
 
 def _side_tail(a: float, period: float, t: float) -> float:
@@ -115,45 +123,38 @@ def _side_tail(a: float, period: float, t: float) -> float:
 def _images(t: float, period: float, families: Sequence[tuple[float, float]],
             label: str) -> tuple[float, float]:
     """(4 pi t)^(-1/2) sum_f sign_f sum_n exp(-(offset_f + n period)^2/4t)
-    over the families (offset, sign) of one lattice: (value, bound on the
-    images left out).
-
+    over the families (offset, sign) of one lattice, each image by math.exp
+    and all added by one math.fsum: (value, bound on the images left out).
     Each family keeps its images within _reach(t) of its nearest one
     (:func:`_lattice`), so an image left out is below e^-50 times the
     largest of its family and the cut is relative, however small the sum;
-    each side left out adds at most :func:`_side_tail` of its first image.
-    """
-    reach = _reach(t)
+    each side left out adds at most :func:`_side_tail` of its first image."""
     ns = _lattice([(offset, period,
-                    abs(offset - period * round(offset / period)) + reach)
+                    abs(offset - period * round(offset / period)) + _reach(t))
                    for offset, _ in families], label)
-    value = bound = 0.0
-    for (offset, sign), n in zip(families, ns):
-        d = offset + n * period
-        value += sign * float(np.exp(-np.square(d) / (4.0 * t)).sum())
-        for a in (offset + (n[-1] + 1) * period,
-                  -(offset + (n[0] - 1) * period)):
-            bound += _side_tail(a, period, t)
+    value = math.fsum([sign * math.exp(-(d := o + k * period) * d / (4.0 * t))
+                       for (o, sign), n in zip(families, ns) for k in n])
+    bound = 0.0
+    for (o, _), n in zip(families, ns):
+        bound += _side_tail(o + (n[-1] + 1) * period, period, t)
+        bound += _side_tail(-(o + (n[0] - 1) * period), period, t)
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
     return pref * value, pref * bound
 
 
-def _modes(q: float, amplitudes: Callable[[np.ndarray], np.ndarray],
-           scale: float, label: str) -> tuple[float, float]:
-    """scale sum_(k >= 1) amplitudes(k) exp(-q k^2), each amplitude at most
-    1 in modulus: (value, bound on the modes left out).
-
-    The sum keeps the K modes with q k^2 <= q + 50 (:func:`_lattice`),
-    so a mode left out is below e^-50 times the first.
-    (K + 1 + j)^2 >= (K + 1)^2 + j (2K + 3), so the modes left out add at
-    most scale exp(-q (K + 1)^2) / (1 - exp(-q (2K + 3))).
-    """
+def _modes(q: float, amplitude: Callable[[int], float], scale: float,
+           label: str) -> tuple[float, float]:
+    """scale sum_(k >= 1) amplitude(k) exp(-q k^2), each amplitude at most
+    1 in modulus, each mode by math.exp and all added by math.fsum: (value,
+    bound on the modes left out).  The sum keeps the K modes with
+    q k^2 <= q + 50 (:func:`_lattice`), so a mode left out is below e^-50
+    times the first.  (K + 1 + j)^2 >= (K + 1)^2 + j (2K + 3), so the modes
+    left out add at most scale exp(-q (K + 1)^2) / (1 - exp(-q (2K + 3)))."""
     (ks,) = _lattice([(0.0, 1.0, math.sqrt(1.0 + 50.0 / q) if q else math.inf,
                        1)], label)
-    K = ks.size
-    value = scale * float(np.sum(np.exp(-q * ks * ks) * amplitudes(ks)))
-    return value, scale * math.exp(-q * (K + 1) ** 2) \
-        / -math.expm1(-q * (2.0 * K + 3.0))
+    value = scale * math.fsum([math.exp(-q * k * k) * amplitude(k) for k in ks])
+    return value, scale * math.exp(-q * (len(ks) + 1) ** 2) \
+        / -math.expm1(-q * (2.0 * len(ks) + 3.0))
 
 
 def k_interval(L: float, x: float, y: float, t: float,
@@ -162,10 +163,9 @@ def k_interval(L: float, x: float, y: float, t: float,
 
     rep is "images" (the images x - y + 2nL, +, and x + y + 2nL, -, by
     :func:`_images`), "spectral" (the sine modes, by :func:`_modes`), or
-    "auto", which picks images for t < L^2/pi and the mode sum beyond
-    that, the crossover where both tails are about exp(-pi).  The bound
-    covers truncation only, not rounding.
-    """
+    "auto", which picks images for t < L^2/pi and the mode sum beyond that,
+    the crossover where both tails are about exp(-pi).  The bound covers
+    truncation only, not rounding."""
     L, t = positive(L=L, t=t)
     if not (0.0 <= x <= L and 0.0 <= y <= L):
         raise ValueError("x and y must lie in [0, L]")
@@ -176,8 +176,8 @@ def k_interval(L: float, x: float, y: float, t: float,
                        "interval image sum")
     if rep == "spectral":
         return _modes(math.pi * math.pi * t / (L * L),
-                      lambda k: np.sin(math.pi * k * x / L)
-                      * np.sin(math.pi * k * y / L),
+                      lambda k: math.sin(math.pi * k * x / L)
+                      * math.sin(math.pi * k * y / L),
                       2.0 / L, "interval mode sum")
     raise ValueError(f"unknown representation {rep!r}")
 
@@ -194,8 +194,7 @@ def k_circle(L: float, x: float, y: float, t: float,
     rep is "images" (the images d + nL of the wrapped difference d, by
     :func:`_images`), "spectral" (1/L plus the cosine modes, by
     :func:`_modes`), or "auto", images for t < L^2/4pi.  The bound covers
-    truncation only, not rounding.
-    """
+    truncation only, not rounding."""
     L, t = positive(L=L, t=t)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("x and y must be finite")
@@ -206,7 +205,7 @@ def k_circle(L: float, x: float, y: float, t: float,
         return _images(t, L, ((d, 1.0),), "circle image sum")
     if rep == "spectral":
         value, bound = _modes(4.0 * math.pi * math.pi * t / (L * L),
-                              lambda k: np.cos(2.0 * math.pi * k * d / L),
+                              lambda k: math.cos(2.0 * math.pi * k * d / L),
                               2.0 / L, "circle mode sum")
         return 1.0 / L + value, bound
     raise ValueError(f"unknown representation {rep!r}")
@@ -225,8 +224,7 @@ def interface_two_intervals(L1: float, L2: float, t: float,
     Two convergent forms of the same function: "residues" is its mode sum
     ("spectral"), "poisson" its resummation into images ("images"), fast
     at small t.  Returns (value, bound on the terms left out); the bound
-    covers truncation only.
-    """
+    covers truncation only."""
     L1, L2, t = positive(L1=L1, L2=L2, t=t)
     reps = {"residues": "spectral", "poisson": "images"}
     if form not in reps:
@@ -259,8 +257,8 @@ def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
         raise ValueError("x and y must lie in [0, L2]")
     # the four families, each counted, keep one range of shifts
-    k, *_ = _lattice([(0.0, 2.0 * L2, _reach(t) + 6.0 * L2)] * 4,
-                     "direct difference")
+    k = _floats(_lattice([(0.0, 2.0 * L2, _reach(t) + 6.0 * L2)] * 4,
+                         "direct difference")[0])
     k = k[k != 0]
     shift = np.concatenate([2.0 * (L1 + L2) * k, 2.0 * L2 * k])
     mirror = np.concatenate([2.0 * (L1 + L2) * k - 2.0 * L2,
@@ -291,8 +289,8 @@ def _flux_pair(L: float, x: float, y: float, cut: float
             for z in (x, y)]
     fams = [(ox + oy, sx * sy, kx + ky)
             for ox, sx, kx in legs[0] for oy, sy, ky in legs[1]]
-    ms = _lattice([(off, 2.0 * L, cut, first) for off, _, first in fams],
-                  "flux pair")
+    ms = [_floats(m) for m in _lattice(
+        [(off, 2.0 * L, cut, first) for off, _, first in fams], "flux pair")]
     off, sign, first = np.repeat(fams, [m.size for m in ms], axis=0).T
     m = np.concatenate(ms)
     return off + m * (2.0 * L), sign * (m - first + 1.0) if x and y else sign
@@ -315,9 +313,9 @@ def _route_I(L1: float, L2: float, t: float,
         raise ValueError("x and y must lie in [0, L2]")
     pairs = [_flux_pair(L2, x, y, cut) for x, y in depths]
     offsets = (0.0, 2.0 * L1, -2.0 * L1)
-    ns = _lattice([(offset, 2.0 * S, cut, first)
-                   for offset, first in zip(offsets, (0, 0, 1))],
-                  "junction sum")
+    ns = [_floats(n) for n in _lattice(
+        [(offset, 2.0 * S, cut, first)
+         for offset, first in zip(offsets, (0, 0, 1))], "junction sum")]
     mid_d = np.concatenate([o + n * (2.0 * S) for o, n in zip(offsets, ns)])
     mid_w = np.repeat([1.0, 2.0, -1.0], [1, ns[0].size - 1,
                                          ns[1].size + ns[2].size])
@@ -467,7 +465,7 @@ def _echo_pulse(t_max: float, *lengths: float) -> _ImageSum:
     h_2kL, k >= 1, of each length out to _reach(t_max) (:func:`_lattice`)."""
     reach = _reach(t_max)
     ks = _lattice([(0.0, 2.0 * L, reach, 1) for L in lengths], "round trips")
-    d = np.concatenate([2.0 * L * k for L, k in zip(lengths, ks)])
+    d = np.concatenate([2.0 * L * _floats(k) for L, k in zip(lengths, ks)])
     return _ImageSum("h", d, np.ones(d.size), reach)
 
 
@@ -627,7 +625,7 @@ def _ring(kind: str, L: float, delta: float, reach: float,
     """sum_n k_|delta + nL| over the images within reach: the circle kernel
     (kind g) or the first-passage pulses around the circle (kind h) at
     offset delta, n from :func:`_lattice`; skip_zero leaves out n = 0."""
-    (n,) = _lattice([(delta, L, reach)], "circle ring")
+    n = _floats(_lattice([(delta, L, reach)], "circle ring")[0])
     n = n[n != 0] if skip_zero else n
     return _ImageSum(kind, np.abs(delta + n * L), np.ones(n.size), reach)
 
@@ -783,32 +781,34 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
 
 def _cylinder_joint(LI: float, LC: float,
                     points: Sequence[Sequence[float]], t: float) -> list[float]:
-    """Joint eigenmode double sums at the points (X, Y, g1, g2), small terms
-    first, one truncation ball.  The kept eigenvalues, their order and
-    their decays depend only on (LI, LC, t) and are taken once; only the
-    amplitudes are taken per point, and each point's sum is the one a
-    single point would give, bit for bit.  TruncationError, before any
-    array is formed, when the mode grid of all the points would hold more
-    than _MAX_IMAGES terms."""
+    """Joint eigenmode double sums at the points (X, Y, g1, g2) over the
+    modes j >= 1, k >= 0 with lam_j + mu_k <= cap.  Each j keeps k = 0 ..
+    K(j), K falling in j, so a point's sum is separable: one running sum P
+    of c_k e^(-mu_k t) from k = 0 up, then the a_j e^(-lam_j t) P(K(j))
+    added by math.fsum, O(J + K) work.  The modes and their decays are taken
+    once, and each point's sum is the one it gives alone, bit for bit.
+    TruncationError, before anything is summed, when the mode grid of all
+    the points would hold more than _MAX_IMAGES terms."""
     lam_cap = (50.0 + abs(math.log(max(1e-6, LI * LC)))) / t
     jmax = max(1, int(math.ceil(LI * math.sqrt(lam_cap) / math.pi)))
     kmax = max(1, int(math.ceil(LC * math.sqrt(lam_cap) / (2.0 * math.pi))))
     _check_terms(jmax * (kmax + 1.0) * len(points), "cylinder joint mode sum")
-    js = np.arange(1, jmax + 1)
-    ks = np.arange(0, kmax + 1)
-    lam = (math.pi ** 2 / LI ** 2) * np.square(js)[:, None] \
-        + (4.0 * math.pi ** 2 / LC ** 2) * np.square(ks)[None, :]
-    keep = lam <= lam_cap
-    lam_f = lam[keep]
-    order = np.argsort(lam_f)[::-1]
-    decay = np.exp(-lam_f[order] * t)
-    X, Y, g1, g2 = (np.array(c, dtype=float)[:, None] for c in zip(*points))
-    amp_i = (2.0 / LI) * np.sin(math.pi * js * X / LI) \
-        * np.sin(math.pi * js * Y / LI)
-    amp_c = np.where(ks == 0, 1.0 / LC,
-                     (2.0 / LC) * np.cos(2.0 * math.pi * ks * (g1 - g2) / LC))
-    amp = amp_i[:, :, None] * amp_c[:, None, :]
-    return [float(np.sum(a[keep][order] * decay)) for a in amp]
+    mu = [(4.0 * math.pi ** 2 / LC ** 2) * (k * k) for k in range(kmax + 1)]
+    decay, modes, last = [math.exp(-m * t) for m in mu], [], kmax
+    for j in range(1, jmax + 1):  # modes: (j, e^(-lam_j t), K(j) >= 0)
+        lam = (math.pi ** 2 / LI ** 2) * (j * j)
+        while last >= 0 and not lam + mu[last] <= lam_cap:
+            last -= 1
+        modes += [(j, math.exp(-lam * t), last)] if last >= 0 else []
+    joints = []
+    for X, Y, g1, g2 in points:
+        P = list(accumulate(
+            e * (2.0 / LC) * math.cos(2.0 * math.pi * k * (g1 - g2) / LC)
+            if k else e / LC for k, e in enumerate(decay)))
+        joints.append(math.fsum([(2.0 / LI) * math.sin(math.pi * j * X / LI)
+                                 * math.sin(math.pi * j * Y / LI) * e * P[K]
+                                 for j, e, K in modes]))
+    return joints
 
 
 def cylinder_factorization_check(L1: float, L2: float, circle_L: float,

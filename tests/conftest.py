@@ -105,14 +105,15 @@ def dense_walk(step, advance, start, layers, theta, t):
     return acc.reshape(layers, m, n), gamma
 
 
-def fresh_python(code, *args, limit_kb=None, **kwargs):
+def fresh_python(code, *args, limit_kb=None, env=None, **kwargs):
     """``python -c code args`` in a fresh interpreter with this checkout's
-    package first on the path and one BLAS thread, under an address-space
-    limit of limit_kb KiB (``ulimit -v``) when one is given: the result of
-    subprocess.run, to which kwargs are passed."""
+    package first on the path, one BLAS thread and the variables of env,
+    under an address-space limit of limit_kb KiB (``ulimit -v``) when one
+    is given: the result of subprocess.run, to which kwargs are passed.
+    The variables act on that interpreter only."""
     src = str(pathlib.Path(heatglue.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]), **(env or {}))
     command = [sys.executable, "-c", code, *args]
     if limit_kb is not None:
         command = ["bash", "-c", f'ulimit -v {limit_kb} && exec "$@"', "bash",

@@ -42,7 +42,7 @@ FLOOR = {
     "graph pathsum": (100, 0, 0, 9, 0),
     "graph schur-gap": (100, 100, 100, 0, 0),
     "graph series glue": (251, 0, 0, 4, 0),
-    "interval": (100, 0, 89, 0, 0),
+    "interval": (100, 0, 75, 0, 0),
     "interval I": (100, 100, 81, 0, 0),
     "interval II": (2, 0, 0, 0, 0),
     "ray": (1, 0, 0, 0, 0),

@@ -434,11 +434,20 @@ def with_entry(mix, key="1,1"):
     (GLUE, with_entry(5, "9,9"),
      "references.entries['9,9'] must be {'atom': number, 'terms': [...]}, "
      "got 5"),
+    (GLUE, with_entry({"atom": 0, "terms": [
+        {"coef": 10**400, "power": 0, "rate": 1}]}),
+     f"{ENTRY} has an integer term coef past the float range"),
+    (GLUE, with_entry({"atom": 0, "terms": [
+        {"coef": 1, "power": 0, "rate": 10**400}]}),
+     f"{ENTRY} has an integer term rate past the float range"),
+    (GLUE, with_entry({"atom": 10**400, "terms": []}),
+     f"{ENTRY} has an integer atom past the float range"),
 ], ids=["vertices-5", "edges-7", "interface-2", "vertex-a-list", "pathsum-5",
         "entries-text", "edge-text", "edge-end-true", "edge-of-three",
         "side1-text", "interface-null", "cut-vertices-object", "terms-5",
         "term-no-rate", "term-coef-true", "term-power-fraction", "term-5",
-        "entry-no-atom", "entry-of-no-pair"])
+        "entry-no-atom", "entry-of-no-pair", "coef-past-floats",
+        "rate-past-floats", "atom-past-floats"])
 def test_a_malformed_graph_document_is_unusable_input(tmp_path, monkeypatch,
                                                       command, doc, message):
     # the shapes of a graph document are checked once, where it is read,

@@ -1,5 +1,6 @@
 """Tests for the 1D heat kernels and the gluing and cutting checks."""
 
+import json
 import math
 import time
 
@@ -244,6 +245,76 @@ def test_kernel_dispatch_and_validation():
             h.k_circle(1.0, 0.3, math.inf, 0.5, rep)
 
 
+class NoNumpy:
+    """Stands for numpy in a module that must take nothing from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was taken")
+
+
+def test_the_short_sums_take_nothing_from_numpy(monkeypatch):
+    # the kernel sums in both representations, the interface in both forms,
+    # the arc kernel and the joint mode sum all run on Python floats
+    monkeypatch.setattr(h, "np", NoNumpy())
+    pairs = [kernel(1.3, 0.4, 0.7, t, rep)
+             for kernel in (h.k_interval, h.k_circle)
+             for rep in ("images", "spectral", "auto") for t in (0.05, 2.0)]
+    pairs += [h.interface_two_intervals(1.0, 1.3, t, form)
+              for form in ("residues", "poisson") for t in (0.05, 2.0)]
+    values = [v for pair in pairs for v in pair]
+    values += [h.arc_direct(2.0, (0.0, 1.1), 0.3, 0.8, t) for t in (0.05, 2.0)]
+    values += h._cylinder_joint(2.3, 2.0, [(1.2, 1.7, 0.3, 1.1),
+                                           (0.5, 0.5, 0.0, 0.0)], 0.4)
+    assert [type(v) for v in values] == [float] * 36
+
+
+# a fixed grid of the short sums in a fresh interpreter, value and bound
+# each as its hex string; the last line is numpy's exp on a probe array
+DISPATCH_GRID = """
+import json, random
+import numpy as np
+from heatglue import heat1d as h
+rng = random.Random(16)
+values = []
+for _ in range(150):
+    L, t = rng.uniform(0.3, 3.0), 10.0 ** rng.uniform(-2.0, 1.0)
+    x, y = rng.uniform(0.0, L), rng.uniform(0.0, L)
+    L1, L2, LC = (rng.uniform(0.3, 2.0) for _ in range(3))
+    for rep in ("images", "spectral"):
+        values += [*h.k_interval(L, x, y, t, rep), *h.k_circle(L, x, y, t, rep)]
+    for form in ("residues", "poisson"):
+        values += h.interface_two_intervals(L1, L2, t, form)
+    values += h._cylinder_joint(L1 + L2, LC, [(L1 + x / L * L2, L1 + y / L * L2,
+                                               x / L * LC, y / L * LC)], t)
+print(json.dumps([v.hex() for v in values]))
+print(json.dumps([v.hex() for v in np.exp(np.linspace(-50.0, 0.0, 2001)).tolist()]))
+"""
+
+
+def test_the_1d_kernels_do_not_follow_numpys_dispatch():
+    # numpy picks its exp kernel by CPU feature when it is imported; the
+    # short sums take nothing from numpy, so an interpreter with the AVX512
+    # kernels switched off gives them bit for bit (the variable acts on
+    # that interpreter only)
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    off = [name for name, on in __cpu_features__.items()
+           if on and ("AVX512" in name or name == "X86_V4")]
+    if not any("AVX512" in name for name in off):
+        pytest.skip("no AVX512 on this host: both interpreters would take "
+                    "the same kernels, so the split is not measured")
+    runs = [fresh_python(DISPATCH_GRID, capture_output=True, text=True,
+                         env=env)
+            for env in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(off)})]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, "")] * 2
+    (grid, probe), (grid_off, probe_off) = (r.stdout.splitlines() for r in runs)
+    if probe == probe_off:
+        pytest.skip("numpy's exp gave the same bits with the AVX512 kernels "
+                    "off, so the split is not measured")
+    assert len(json.loads(grid)) == 150 * 13
+    assert grid == grid_off
+
+
 def test_a_sum_past_the_term_budget_raises_before_forming_any_array():
     # about 2.1e7 modes at t = 1e-13 and 9.4e6 images at t = 1e12, both
     # past the 2^22 terms of the budget: refused at once, not summed; route
@@ -305,7 +376,7 @@ def test_lattice_keeps_the_integers_an_enumeration_keeps(period, frac, turns,
             left.add(n)
         elif d <= cut - slack:
             kept.add(n)
-    got = got.tolist()
+    got = list(got)
     assert all(b == a + 1 for a, b in zip(got, got[1:]))
     assert kept <= set(got) and not left & set(got)
 
@@ -1446,8 +1517,15 @@ def test_cylinder_check_evaluates_each_interval_kernel_once(monkeypatch):
 
 
 def point_joint(LI, LC, X, Y, g1, g2, t):
-    """The joint eigenmode double sum at one point, spectrum and all, as
-    the check took it point by point before the batch."""
+    """The joint eigenmode double sum at one point over its J x K grid of
+    modes, small terms first, as the check took it before the sum was
+    separable: (value, tolerance).  A kept term T of exponent
+    E = (lam_j + mu_k) t rounds by at most (2 E + 6) U |T| here, taking
+    e^-E whole, and by (E + 8) U |T| in the separable sum, taking it as a
+    product of two, and its two sines and its cosine may differ by an ulp
+    each way between numpy and math; each sum adds its N terms within
+    N U of the sum of their moduli.  So the two differ by at most
+    U sum (3 E + 20 + 2 N) |T|."""
     lam_cap = (50.0 + abs(math.log(max(1e-6, LI * LC)))) / t
     jmax = max(1, int(math.ceil(LI * math.sqrt(lam_cap) / math.pi)))
     kmax = max(1, int(math.ceil(LC * math.sqrt(lam_cap) / (2.0 * math.pi))))
@@ -1463,20 +1541,27 @@ def point_joint(LI, LC, X, Y, g1, g2, t):
     keep = lam <= lam_cap
     lam_f, amp_f = lam[keep], amp[keep]
     order = np.argsort(lam_f)[::-1]
-    return float(np.sum(amp_f[order] * np.exp(-lam_f[order] * t)))
+    terms = amp_f[order] * np.exp(-lam_f[order] * t)
+    weights = 3.0 * lam_f[order] * t + 20.0 + 2.0 * terms.size
+    return float(np.sum(terms)), U * float(weights @ np.abs(terms))
 
 
 def test_batched_cylinder_check_is_the_point_by_point_check():
+    # the batched joint sum at each point is that point's sum alone, bit
+    # for bit, and within rounding of the J x K grid sum at that point
     rng = np.random.default_rng(11)
     for _ in range(40):
         L1, L2, LC = rng.uniform(0.5, 2.0, 3)
         t = rng.uniform(0.05, 2.0)
         pts = [(x, y, g1, g2) for x, y, g1, g2 in zip(
             *rng.uniform(0.0, L2, (2, 4)), *rng.uniform(0.0, LC, (2, 4)))]
-        joints = h._cylinder_joint(L1 + L2, LC, [(L1 + x, L1 + y, g1, g2)
-                                                 for x, y, g1, g2 in pts], t)
-        assert joints == [point_joint(L1 + L2, LC, L1 + x, L1 + y, g1, g2, t)
-                          for x, y, g1, g2 in pts]
+        joint_pts = [(L1 + x, L1 + y, g1, g2) for x, y, g1, g2 in pts]
+        joints = h._cylinder_joint(L1 + L2, LC, joint_pts, t)
+        assert joints == [h._cylinder_joint(L1 + L2, LC, [p], t)[0]
+                          for p in joint_pts]
+        for joint, p in zip(joints, joint_pts):
+            value, tol = point_joint(L1 + L2, LC, *p, t)
+            assert abs(joint - value) <= tol
         assert h.cylinder_factorization_check(L1, L2, LC, pts, t) == max(
             h.cylinder_factorization_check(L1, L2, LC, [p], t) for p in pts)
 
