@@ -555,9 +555,14 @@ _NUMBERS = {int: "an integer", float: "a number"}
 
 
 def _reference(case: dict) -> float | None:
-    """The reference value a case freezes, or None to compute it."""
+    """The reference value a case freezes, or None to compute it: a JSON
+    number, finite."""
     ref = case.get("reference")
-    if ref is not None and not math.isfinite(ref := float(ref)):
+    if ref is None:
+        return None
+    if type(ref) not in (int, float):
+        raise ValueError(f"reference must be a number, got {ref!r}")
+    if not math.isfinite(ref := float(ref)):
         raise ValueError("reference must be finite")
     return ref
 
@@ -589,14 +594,13 @@ def _read(o: _Option, fields: dict) -> object:
     return tuple(map(scalar, value)) if o.many else scalar(value)
 
 
-def _verify_case(case: dict, index: int, default_tol: float) -> list[Reports]:
-    """The reports of one case: its kind's runner, given each option read
-    by ``_read`` (``tol`` defaults to ``verify --tol``) and the case-only
-    inputs it takes (case id, frozen ``reference``).  Any unusable input,
-    a field missing, malformed or not taken by the kind included, names
-    it."""
+def _verify_case(case: dict, cid: str, default_tol: float) -> list[Reports]:
+    """The reports of one case, whose id is cid: its kind's runner, given
+    each option read by ``_read`` (``tol`` defaults to ``verify --tol``)
+    and the case-only inputs it takes (case id, frozen ``reference``).  Any
+    unusable input, a field missing, malformed or not taken by the kind
+    included, names it."""
     entry = _KINDS[case["kind"]]
-    cid = str(case.get("id", f"case{index:03d}"))
     if unknown := case.keys() - _FIELDS[case["kind"]]:
         raise InputError(f"case {cid}: unknown field {min(unknown)!r}")
     fields = {"tol": default_tol,
@@ -624,12 +628,24 @@ def run_verify(input_: str, tol: float) -> list[Reports]:
     cases = doc if isinstance(doc, list) else doc.get("cases")
     if not isinstance(cases, list):
         raise InputError(f"{input_}: expected a cases list")
+    # before any case runs, each is of a known kind and has an id of its
+    # own: its id, a string or a number read as text as a vertex label
+    # is, or caseNNN from its index
+    ids = {}
     for i, case in enumerate(cases):
         kind = case.get("kind") if isinstance(case, dict) else None
         if not isinstance(kind, str) or kind not in _KINDS:
             raise InputError(f"case {i}: unknown kind {kind!r}")
-    reports = [r for i, case in enumerate(cases)
-               for r in _verify_case(case, i, tol)]
+        cid = case.get("id", f"case{i:03d}")
+        if type(cid) not in (str, int, float):
+            raise InputError(
+                f"case {i}: id must be a string or a number, got {cid!r}")
+        if (cid := str(cid)) in ids:
+            raise InputError(f"case {i}: id {cid!r} is already the id of "
+                             f"case {ids[cid]}")
+        ids[cid] = i
+    reports = [r for case, cid in zip(cases, ids)
+               for r in _verify_case(case, cid, tol)]
     tally = Counter()
     for r in reports:
         tally.update(r.status)
@@ -797,6 +813,50 @@ def _items(o: _Option) -> Callable[[str], tuple]:
     return read
 
 
+#: Each command's entry by its words, with its options by flag, each with
+#: the function that reads its text (its type, or ``_items`` of a list).
+_LINES = {tuple(c.name.split()): (c, {o.flag: (o, _items(o) if o.many
+                                                else o.type)
+                                       for o in c.options})
+          for c in _COMMANDS}
+
+
+def _read_line(argv: Sequence[str]) -> tuple[Callable, dict] | None:
+    """The runner and arguments of a well-formed command line, as the
+    parser of :func:`_build` reads it after :func:`_attach_values`, or
+    None for any other line.  Well formed is: a command's words, then
+    options of that command only, each ``--flag value`` or
+    ``--flag=value``, its value of the option's type and among its
+    choices, every required option given.  A repeated flag keeps its last
+    value, an absent option takes its default.  A value ``--`` is not
+    well formed: argparse drops that token."""
+    n = 2 if tuple(argv[:2]) in _LINES else 1
+    if (line := _LINES.get(tuple(argv[:n]))) is None:
+        return None
+    command, readers = line
+    given, tokens = {}, iter(argv[n:])
+    for token in tokens:
+        flag, attached, text = token.partition("=")
+        if not attached:
+            text = next(tokens, None)
+        if flag not in readers or text is None or text == "--":
+            return None
+        o, read = readers[flag]
+        try:
+            value = read(text)
+        except (TypeError, ValueError, InputError):
+            return None
+        if o.choices and value not in o.choices:
+            return None
+        given[o.dest] = value
+    args = {}
+    for o in command.options:
+        if o.dest not in given and o.default is _REQUIRED:
+            return None
+        args[o.dest] = given.get(o.dest, o.default)
+    return command.run, args
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser that raises InputError where argparse exits."""
 
@@ -805,10 +865,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build(prog: str) -> _Parser:
-    """The parser of every command in ``_COMMANDS``, named ``prog``.  It
-    takes no abbreviated flag, and each command sets ``run`` to its
-    runner, ``command`` to its own parser and one entry per option to the
-    option's value."""
+    """The parser of every command in ``_COMMANDS``, named ``prog``, built
+    for each command line that :func:`_read_line` declines, so that
+    argparse writes all help, usage and rejection messages.  It takes no
+    abbreviated flag, and each command sets ``run`` to its runner,
+    ``command`` to its own parser and one entry per option to the option's
+    value."""
     root = _Parser(prog=prog, allow_abbrev=False, description=_DESCRIPTION)
     commands = root.add_subparsers(metavar="COMMAND", required=True)
     groups = {}
@@ -852,22 +914,31 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _parse(argv: Sequence[str], prog: str) -> tuple[Callable, dict]:
+    """The runner and arguments of a command line as the parser of
+    :func:`_build` reads it, InputError where it rejects the line."""
+    options, extra = _build(prog).parse_known_args(_attach_values(argv))
+    options = vars(options)
+    command = options.pop("command")
+    if extra:  # as parse_args rejects them, with the command's usage
+        command.error(f"unrecognized arguments: {' '.join(extra)}")
+    return options.pop("run"), options
+
+
 def main(argv: Sequence[str] | None = None, prog_name: str = "heatglue",
          standalone_mode: bool = True) -> None:
     """Run the command line ``argv`` (``sys.argv[1:]`` when None); the
     command exits with its code through ``sys.exit``.  ``prog_name`` names
-    the program in usage and help.  In standalone mode unusable input
-    prints ``Error: <message>`` to stderr and exits 2, and a closed stdout
-    exits 1; otherwise the InputError reaches the caller."""
-    parser = _PARSER if prog_name == _PARSER.prog else _build(prog_name)
+    the program in usage and help.  A well-formed line is read from
+    ``_COMMANDS`` by :func:`_read_line`, with no parser built; any other
+    goes to the argparse parser of :func:`_build`, built for it.  In
+    standalone mode unusable input prints ``Error: <message>`` to stderr
+    and exits 2, and a closed stdout exits 1; otherwise the InputError
+    reaches the caller."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        options, extra = parser.parse_known_args(_attach_values(
-            sys.argv[1:] if argv is None else argv))
-        options = vars(options)
-        command = options.pop("command")
-        if extra:  # as parse_args rejects them, with the command's usage
-            command.error(f"unrecognized arguments: {' '.join(extra)}")
-        _finish(options.pop("run")(**options))
+        run, options = _read_line(argv) or _parse(argv, prog_name)
+        _finish(run(**options))
     except InputError as exc:
         if not standalone_mode:
             raise
@@ -883,7 +954,6 @@ def main(argv: Sequence[str] | None = None, prog_name: str = "heatglue",
 # ``main.main(argv, prog_name=..., standalone_mode=...)`` is the call the
 # benchmark harness makes, as on a click group
 main.main = main
-_PARSER = _build("heatglue")
 
 
 if __name__ == "__main__":

@@ -257,15 +257,16 @@ def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
         raise ValueError("x and y must lie in [0, L2]")
     # the four families, each counted, keep one range of shifts
-    k = _floats(_lattice([(0.0, 2.0 * L2, _reach(t) + 6.0 * L2)] * 4,
-                         "direct difference")[0])
-    k = k[k != 0]
-    shift = np.concatenate([2.0 * (L1 + L2) * k, 2.0 * L2 * k])
-    mirror = np.concatenate([2.0 * (L1 + L2) * k - 2.0 * L2,
-                             2.0 * L2 * (k - 1.0)])
+    ks = [float(k) for k in _lattice(
+        [(0.0, 2.0 * L2, _reach(t) + 6.0 * L2)] * 4, "direct difference")[0]
+        if k]
+    joint, side = 2.0 * (L1 + L2), 2.0 * L2
+    shift = np.array([joint * k for k in ks] + [side * k for k in ks])
+    mirror = np.array([joint * k - side for k in ks]
+                      + [side * (k - 1.0) for k in ks])
     pulses = (np.exp(-np.square(x - y + shift) / (4.0 * t))
               - np.exp(-np.square(x + y + mirror) / (4.0 * t)))
-    return float(np.repeat([1.0, -1.0], k.size) @ pulses) \
+    return float(np.array([1.0] * len(ks) + [-1.0] * len(ks)) @ pulses) \
         / math.sqrt(4.0 * math.pi * t)
 
 
@@ -289,11 +290,14 @@ def _flux_pair(L: float, x: float, y: float, cut: float
             for z in (x, y)]
     fams = [(ox + oy, sx * sy, kx + ky)
             for ox, sx, kx in legs[0] for oy, sy, ky in legs[1]]
-    ms = [_floats(m) for m in _lattice(
-        [(off, 2.0 * L, cut, first) for off, _, first in fams], "flux pair")]
-    off, sign, first = np.repeat(fams, [m.size for m in ms], axis=0).T
-    m = np.concatenate(ms)
-    return off + m * (2.0 * L), sign * (m - first + 1.0) if x and y else sign
+    period = 2.0 * L
+    ms = _lattice([(off, period, cut, first) for off, _, first in fams],
+                  "flux pair")
+    d = [off + float(m) * period for (off, _, _), kept in zip(fams, ms)
+         for m in kept]
+    w = [sign * (m - first + 1.0) if x and y else sign
+         for (_, sign, first), kept in zip(fams, ms) for m in kept]
+    return np.array(d), np.array(w)
 
 
 def _route_I(L1: float, L2: float, t: float,
@@ -312,13 +316,14 @@ def _route_I(L1: float, L2: float, t: float,
     if not all(0.0 <= z <= L2 for depth in depths for z in depth):
         raise ValueError("x and y must lie in [0, L2]")
     pairs = [_flux_pair(L2, x, y, cut) for x, y in depths]
-    offsets = (0.0, 2.0 * L1, -2.0 * L1)
-    ns = [_floats(n) for n in _lattice(
-        [(offset, 2.0 * S, cut, first)
-         for offset, first in zip(offsets, (0, 0, 1))], "junction sum")]
-    mid_d = np.concatenate([o + n * (2.0 * S) for o, n in zip(offsets, ns)])
-    mid_w = np.repeat([1.0, 2.0, -1.0], [1, ns[0].size - 1,
-                                         ns[1].size + ns[2].size])
+    offsets, period = (0.0, 2.0 * L1, -2.0 * L1), 2.0 * S
+    ns = _lattice([(offset, period, cut, first)
+                   for offset, first in zip(offsets, (0, 0, 1))],
+                  "junction sum")
+    mid_d = np.array([o + float(n) * period
+                      for o, kept in zip(offsets, ns) for n in kept])
+    mid_w = np.array([1.0] + [2.0] * (len(ns[0]) - 1)
+                     + [-1.0] * (len(ns[1]) + len(ns[2])))
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
     values = []
     for d, w in pairs:

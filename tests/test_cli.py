@@ -948,12 +948,71 @@ def test_every_valid_case_passes(tmp_path):
     # a list field takes a JSON list only, not a text read letter by letter
     ("graph-cut", "interface", "06",
      "case gc: interface must be a list, got '06'"),
+    # a frozen reference is a JSON number, not a boolean, a text or a list
+    pytest.param("ray-glue", "reference", True,
+                 "case rl: reference must be a number, got True",
+                 id="ray-glue-reference-True-not-a-number"),
+    pytest.param("ray-glue", "reference", "0.25",
+                 "case rl: reference must be a number, got '0.25'",
+                 id="ray-glue-reference-text-not-a-number"),
+    pytest.param("ray-glue", "reference", [1],
+                 "case rl: reference must be a number, got [1]",
+                 id="ray-glue-reference-list-not-a-number"),
 ])
 def test_a_malformed_case_is_unusable_input(tmp_path, kind, field, value,
                                             message):
     res = verify_case(tmp_path, dict(VALID[kind], **{field: value}))
     assert (res.exit_code, res.stdout) == (2, "")
     assert res.stderr == f"Error: {message}\n"
+
+
+def verify_cases(directory, cases):
+    path = directory / "cases.json"
+    path.write_text(json.dumps(cases))
+    return invoke(["verify", "--input", str(path)])
+
+
+#: A first case that fails as unusable input once it runs: an id refused
+#: with another message is refused before any case runs.
+UNREADABLE = dict(VALID["graph-glue"], id="first", input="nosuch")
+
+
+@pytest.mark.parametrize("ids,message", [
+    pytest.param([None], "case 1: id must be a string or a number, got None",
+                 id="null"),
+    pytest.param([True], "case 1: id must be a string or a number, got True",
+                 id="boolean"),
+    pytest.param([["a"]], "case 1: id must be a string or a number, "
+                 "got ['a']", id="list"),
+    pytest.param([7, "7"], "case 2: id '7' is already the id of case 1",
+                 id="number-and-its-text"),
+    pytest.param(["first"], "case 1: id 'first' is already the id of case 0",
+                 id="repeated-text"),
+])
+def test_a_case_id_that_is_not_a_label_or_not_its_own_is_refused(
+        tmp_path, ids, message):
+    cases = [UNREADABLE, *(dict(VALID["ray-glue"], id=i) for i in ids)]
+    res = verify_cases(tmp_path, cases)
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "",
+                                                       f"Error: {message}\n")
+
+
+def test_a_default_case_id_is_an_id_of_its_problem_set(tmp_path):
+    # case 1 without an id is case001, the id that case 0 gives itself
+    cases = [dict(VALID["ray-glue"], id="case001"),
+             {k: v for k, v in VALID["ray-glue"].items() if k != "id"}]
+    res = verify_cases(tmp_path, cases)
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", "Error: case 1: id 'case001' is already the id of case 0\n")
+
+
+def test_a_numeric_case_id_is_read_as_text(tmp_path):
+    cases = [dict(VALID["ray-glue"], id=7), dict(VALID["ray-glue"], id=1.5),
+             {k: v for k, v in VALID["ray-glue"].items() if k != "id"}]
+    res = verify_cases(tmp_path, cases)
+    assert res.exit_code == 0
+    assert [r["case"] for r in json_lines(res.stdout)] == ["1.5", "7",
+                                                           "case002"]
 
 
 @pytest.mark.parametrize("kind,field,value", [
@@ -1068,6 +1127,123 @@ def test_a_value_may_start_with_a_minus_sign():
     assert res.exit_code == 2
     assert res.stderr.splitlines()[-1] == ("Error: argument --t: expected one "
                                            "argument")
+
+
+GRAPH_GLUE_USAGE = """\
+usage: heatglue graph glue [-h] --input TEXT --t FLOAT
+                           [--method {assembled,series}] [--kmax INTEGER]
+                           [--tol FLOAT]
+"""
+
+
+@pytest.mark.parametrize("args,error", [
+    ("--method x", "argument --method: invalid choice: 'x' (choose from "
+                   "'assembled', 'series')"),
+    ("--method=", "argument --method: invalid choice: '' (choose from "
+                  "'assembled', 'series')"),
+    ("--kmax 1.5", "argument --kmax: invalid int value: '1.5'"),
+    ("--t=x", "argument --t: invalid float value: 'x'")],
+    ids=["choice", "empty-choice", "integer", "number"])
+def test_a_value_outside_its_type_or_choices_is_unusable_input(args, error):
+    # argparse writes every rejection, with the usage of the command
+    res = invoke(f"graph glue --input line3 --t 1 {args}".split())
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"{GRAPH_GLUE_USAGE}Error: {error}\n"
+
+
+#: Texts that each type reads, and texts that it refuses ("--", which
+#: argparse drops, included).
+TEXTS = {
+    float: st.one_of(st.floats().map(repr), st.sampled_from(
+        ["1", "-2", "-1e-3", "-0.0", " 0.5 ", "inf", "-inf", "nan"])),
+    int: st.one_of(st.integers(-20, 20).map(str),
+                   st.sampled_from(["+3", " 7", "-0"])),
+    str: st.text(alphabet="ab1-=, ", max_size=5).filter(lambda s: s != "--"),
+}
+BAD_TEXTS = {float: ["", "x", "1,2", "--"], int: ["", "1.5", "x", "--"],
+             str: ["--"]}
+
+
+def option_text(o, good):
+    """A text that option o reads (good) or refuses."""
+    if o.choices:
+        return st.sampled_from(o.choices if good else ["", "x", "--"])
+    if not o.many:
+        return TEXTS[o.type] if good else st.sampled_from(BAD_TEXTS[o.type])
+    if good:
+        items = TEXTS[o.type].filter(lambda s: "," not in s)
+        return st.lists(items, max_size=3).map(",".join)
+    return st.sampled_from(["0,x", "--"] if o.type is float else ["--"])
+
+
+@st.composite
+def command_lines(draw):
+    """(a command line, whether it is well formed): each option given once
+    or twice, every required one at least once, in any order and in either
+    form, and maybe one defect: a required option left out, a value of
+    the wrong type or choice, an unknown flag or word, help, or a flag
+    without a value at the end."""
+    command = draw(st.sampled_from(heatglue.cli._COMMANDS))
+    required = [o for o in command.options
+                if o.default is heatglue.cli._REQUIRED]
+    given = [(o, draw(option_text(o, True))) for o in command.options
+             for _ in range(draw(st.integers(int(o in required), 2)))]
+    defect = draw(st.sampled_from([None, None, "left out", "bad value",
+                                   "unknown", "help", "no value"]))
+    if defect == "left out":
+        dropped = draw(st.sampled_from(required))
+        given = [(o, text) for o, text in given if o is not dropped]
+    if defect == "bad value":
+        # half of them on an option with choices, where a command has one
+        choosing = [o for o in command.options if o.choices]
+        o = draw(st.sampled_from(choosing if choosing and draw(st.booleans())
+                                 else command.options))
+        given.append((o, draw(option_text(o, False))))
+    tokens = []
+    for o, text in draw(st.permutations(given)):
+        tokens += draw(st.sampled_from([[o.flag, text], [f"{o.flag}={text}"]]))
+    others = sorted(heatglue.cli._FLAGS - {o.flag for o in command.options})
+    stray = {"unknown": [["--bogus", "1"], ["--bogus=1"], ["x"], ["--"],
+                         ["-t", "1"], *([flag, "1"] for flag in others)],
+             "help": [["-h"], ["--help"]]}
+    if defect in stray:
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at] = draw(st.sampled_from(stray[defect]))
+    if defect == "no value":
+        tokens.append(draw(st.sampled_from(command.options)).flag)
+    return [*command.name.split(), *tokens], defect is None
+
+
+def parser_reading(argv):
+    """The runner and arguments that the parser of ``cli._build`` gives
+    for argv, or None where it rejects it or prints help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            options, extra = heatglue.cli._build("heatglue").parse_known_args(
+                heatglue.cli._attach_values(argv))
+    except (InputError, SystemExit):
+        return None
+    options = vars(options)
+    options.pop("command")
+    return None if extra else (options.pop("run"), options)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=command_lines())
+def test_a_command_line_is_read_as_the_parser_reads_it(line):
+    # the reader of well-formed lines either declines a line, which then
+    # goes to the parser, or gives exactly what the parser gives; and it
+    # declines no line of the generator's well-formed ones
+    argv, well_formed = line
+    read = heatglue.cli._read_line(argv)
+    if read is not None:
+        parsed = parser_reading(argv)
+        assert parsed is not None, argv
+        assert read[0] is parsed[0]
+        # repr keeps a NaN equal to itself and -0.0 apart from 0.0
+        assert repr(sorted(read[1].items())) == \
+            repr(sorted(parsed[1].items())), argv
+    assert read is not None or not well_formed, argv
 
 
 #: The words of every command

@@ -468,6 +468,45 @@ def test_a_command_runs_only_the_route_modules_its_cases_call(argv, ran):
     assert json.loads(done.stdout) == [0, ran]
 
 
+PARSERS = """
+import argparse, contextlib, io, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import heatglue.cli
+counts = [len(built)]
+for argv in (sys.argv[1:], ["ray", "glue", "--x", "0.8"]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            heatglue.cli.main(argv)
+        except SystemExit:
+            pass
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    "ray glue --x 0.8 --y 1.1 --t 0.6", "verify --input=intervals --tol 1e-8",
+    "graph glue --input line3 --t 1 --method series --t 2"])
+def test_a_well_formed_line_builds_no_parser(argv):
+    # the command table reads a well-formed line, and argparse is built only
+    # for a line that the table declines (here one without --y and --t), to
+    # write its rejection: none at import, none for the line, then a parser
+    # per command and per group
+    from conftest import fresh_python
+
+    done = fresh_python(PARSERS, *argv.split(), capture_output=True,
+                        text=True, check=True)
+    at_import, after_line, after_rejected = json.loads(done.stdout)
+    assert (at_import, after_line) == (0, 0)
+    assert after_rejected > 0
+
+
 def test_values_and_bound_of_the_series_are_one_walk(monkeypatch):
     walks = []
     walk = graph_heat.uniformized_walk
