@@ -568,11 +568,12 @@ def _reference(case: dict) -> float | None:
 
 
 def _read(o: _Option, fields: dict) -> object:
-    """Option o from a case: the field named by its flag without ``--``, or
-    its default (KeyError if it has none).  The field is read as strictly
-    as the command line reads the flag: among its choices, an integer only
-    from an integral number, a number never from a boolean, and a list
-    field as a list, item by item."""
+    """Option o from the fields of a verify case or of a command line
+    (:func:`_field`): the field named by its flag without ``--``, or its
+    default (KeyError if it has none); the one reader of an option's
+    rules.  The field is among its choices, of its type (an integer only
+    from an integral number, a number never from a boolean), and a list
+    field is a list, read item by item."""
     name = o.flag.removeprefix("--")
     if name not in fields:
         if o.default is _REQUIRED:
@@ -801,60 +802,52 @@ _FLAGS = frozenset(o.flag for c in _COMMANDS for o in c.options)
 _METAVARS = {float: "FLOAT", int: "INTEGER"}
 
 
+def _field(o: _Option, text: str) -> dict:
+    """The verify case field that option o's text on a command line
+    stands for: the text, or a list option's non-empty comma separated
+    items."""
+    return {o.flag.removeprefix("--"):
+            [s for s in text.split(",") if s] if o.many else text}
+
+
 def _items(o: _Option) -> Callable[[str], tuple]:
-    """The comma separated items of list option o's text, each of its
-    type.  InputError, which argparse lets through, keeps the message free
-    of argparse's usage."""
+    """The argparse type of list option o: its text read by :func:`_read`.
+    InputError, which argparse lets through, keeps the message free of
+    argparse's usage."""
     def read(text: str) -> tuple:
         try:
-            return tuple(o.type(s) for s in text.split(",") if s)
+            return _read(o, _field(o, text))
         except ValueError as exc:
             raise InputError(f"bad {o.flag} value: {text!r}") from exc
     return read
 
 
-#: Each command's entry by its words, with its options by flag, each with
-#: the function that reads its text (its type, or ``_items`` of a list).
-_LINES = {tuple(c.name.split()): (c, {o.flag: (o, _items(o) if o.many
-                                                else o.type)
-                                       for o in c.options})
-          for c in _COMMANDS}
+#: Each command's entry by its words.
+_LINES = {tuple(c.name.split()): c for c in _COMMANDS}
 
 
 def _read_line(argv: Sequence[str]) -> tuple[Callable, dict] | None:
-    """The runner and arguments of a well-formed command line, as the
-    parser of :func:`_build` reads it after :func:`_attach_values`, or
-    None for any other line.  Well formed is: a command's words, then
-    options of that command only, each ``--flag value`` or
-    ``--flag=value``, its value of the option's type and among its
-    choices, every required option given.  A repeated flag keeps its last
-    value, an absent option takes its default.  A value ``--`` is not
-    well formed: argparse drops that token."""
+    """The runner and arguments of a command line, or None where the
+    parser of :func:`_build` rejects it or prints help: a command's words,
+    then ``--flag=value`` tokens (:func:`_attach_values`, whose InputError
+    on a value ``--`` reaches the caller) of its options, each value read
+    by :func:`_read` as it comes, as argparse reads a repeated flag, then
+    each option from its last value or its default."""
     n = 2 if tuple(argv[:2]) in _LINES else 1
-    if (line := _LINES.get(tuple(argv[:n]))) is None:
+    if (command := _LINES.get(tuple(argv[:n]))) is None:
         return None
-    command, readers = line
-    given, tokens = {}, iter(argv[n:])
-    for token in tokens:
-        flag, attached, text = token.partition("=")
-        if not attached:
-            text = next(tokens, None)
-        if flag not in readers or text is None or text == "--":
-            return None
-        o, read = readers[flag]
-        try:
-            value = read(text)
-        except (TypeError, ValueError, InputError):
-            return None
-        if o.choices and value not in o.choices:
-            return None
-        given[o.dest] = value
-    args = {}
-    for o in command.options:
-        if o.dest not in given and o.default is _REQUIRED:
-            return None
-        args[o.dest] = given.get(o.dest, o.default)
-    return command.run, args
+    fields = {}
+    try:
+        for token in _attach_values(argv[n:]):
+            flag, attached, text = token.partition("=")
+            o = next((o for o in command.options if o.flag == flag), None)
+            if o is None or not attached:
+                return None
+            fields |= _field(o, text)
+            _read(o, fields)
+        return command.run, {o.dest: _read(o, fields) for o in command.options}
+    except (KeyError, ValueError):
+        return None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -868,9 +861,9 @@ def _build(prog: str) -> _Parser:
     """The parser of every command in ``_COMMANDS``, named ``prog``, built
     for each command line that :func:`_read_line` declines, so that
     argparse writes all help, usage and rejection messages.  It takes no
-    abbreviated flag, and each command sets ``run`` to its runner,
-    ``command`` to its own parser and one entry per option to the option's
-    value."""
+    abbreviated flag, and each command sets ``command`` to its own parser
+    and one entry per option to the option's value: the reading that
+    :func:`_read_line` gives, and no runner receives."""
     root = _Parser(prog=prog, allow_abbrev=False, description=_DESCRIPTION)
     commands = root.add_subparsers(metavar="COMMAND", required=True)
     groups = {}
@@ -898,7 +891,7 @@ def _build(prog: str) -> _Parser:
                                 metavar=None if o.choices else "TEXT"
                                 if o.many else _METAVARS.get(o.type, "TEXT"),
                                 help=o.help + shown)
-        parser.set_defaults(run=run, command=parser)
+        parser.set_defaults(command=parser)
     return root
 
 
@@ -906,32 +899,35 @@ def _attach_values(argv: Sequence[str]) -> list[str]:
     """``--flag value`` as ``--flag=value``: the token after a flag is its
     value whatever it starts with (``--x -1e-3``, ``--cuts -0.5,1``), where
     argparse reads a token that starts with "-" as a flag unless it is a
-    plain negative number."""
+    plain negative number.  A flag's value ``--``, which argparse would
+    drop and read as an empty list, is unusable input."""
     out, tokens = [], iter(argv)
     for token in tokens:
         value = next(tokens, None) if token in _FLAGS else None
         out.append(token if value is None else f"{token}={value}")
+        flag, _, value = out[-1].partition("=")
+        if value == "--" and flag in _FLAGS:
+            raise InputError(f"bad {flag} value: '--'")
     return out
 
 
-def _parse(argv: Sequence[str], prog: str) -> tuple[Callable, dict]:
-    """The runner and arguments of a command line as the parser of
-    :func:`_build` reads it, InputError where it rejects the line."""
+def _parse(argv: Sequence[str], prog: str) -> NoReturn:
+    """Answer a line that :func:`_read_line` declines as the parser of
+    :func:`_build` does: help (SystemExit 0) or InputError.  The reader
+    reads every line that the parser takes whole, so where nothing else is
+    rejected some token is left over, reported as parse_args reports it."""
     options, extra = _build(prog).parse_known_args(_attach_values(argv))
-    options = vars(options)
-    command = options.pop("command")
-    if extra:  # as parse_args rejects them, with the command's usage
-        command.error(f"unrecognized arguments: {' '.join(extra)}")
-    return options.pop("run"), options
+    options.command.error(f"unrecognized arguments: {' '.join(extra)}")
 
 
 def main(argv: Sequence[str] | None = None, prog_name: str = "heatglue",
          standalone_mode: bool = True) -> None:
     """Run the command line ``argv`` (``sys.argv[1:]`` when None); the
     command exits with its code through ``sys.exit``.  ``prog_name`` names
-    the program in usage and help.  A well-formed line is read from
-    ``_COMMANDS`` by :func:`_read_line`, with no parser built; any other
-    goes to the argparse parser of :func:`_build`, built for it.  In
+    the program in usage and help.  The line is read from ``_COMMANDS`` by
+    :func:`_read_line`, with no parser built, and that reading is the one
+    path to a runner; a line it declines goes to :func:`_parse`, whose
+    parser, built for it, writes help or the rejection.  In
     standalone mode unusable input prints ``Error: <message>`` to stderr
     and exits 2, and a closed stdout exits 1; otherwise the InputError
     reaches the caller."""

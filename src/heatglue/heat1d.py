@@ -108,11 +108,6 @@ def _lattice(families: Sequence[tuple], label: str) -> list[range]:
     return [range(int(lo), int(hi) + 1) for lo, hi in spans]
 
 
-def _floats(ns: range) -> np.ndarray:
-    """A range of :func:`_lattice` as np.arange forms it from its ends."""
-    return np.arange(float(ns.start), float(ns.stop))
-
-
 def _side_tail(a: float, period: float, t: float) -> float:
     """Bound on sum_(k >= 0) exp(-(a + k period)^2/4t), a >= 0, falling in
     a: (a + k period)^2 >= a^2 + k (2 a period + period^2)."""
@@ -470,8 +465,8 @@ def _echo_pulse(t_max: float, *lengths: float) -> _ImageSum:
     h_2kL, k >= 1, of each length out to _reach(t_max) (:func:`_lattice`)."""
     reach = _reach(t_max)
     ks = _lattice([(0.0, 2.0 * L, reach, 1) for L in lengths], "round trips")
-    d = np.concatenate([2.0 * L * _floats(k) for L, k in zip(lengths, ks)])
-    return _ImageSum("h", d, np.ones(d.size), reach)
+    d = [2.0 * L * k for L, kept in zip(lengths, ks) for k in kept]
+    return _ImageSum("h", d, [1.0] * len(d), reach)
 
 
 _R_SQRT_T = np.geomspace(1e-2, 1e4, 601)  # the Laplace tails' search grid
@@ -630,9 +625,9 @@ def _ring(kind: str, L: float, delta: float, reach: float,
     """sum_n k_|delta + nL| over the images within reach: the circle kernel
     (kind g) or the first-passage pulses around the circle (kind h) at
     offset delta, n from :func:`_lattice`; skip_zero leaves out n = 0."""
-    n = _floats(_lattice([(delta, L, reach)], "circle ring")[0])
-    n = n[n != 0] if skip_zero else n
-    return _ImageSum(kind, np.abs(delta + n * L), np.ones(n.size), reach)
+    (ns,) = _lattice([(delta, L, reach)], "circle ring")
+    d = [abs(delta + n * L) for n in ns if n or not skip_zero]
+    return _ImageSum(kind, d, [1.0] * len(d), reach)
 
 
 def _log_ring_transform(L: float, delta: float, r: np.ndarray,

@@ -13,7 +13,9 @@ kind the audit counts
   value or reference lies outside [0, 1] by more than its bound.
 
 ``FLOOR`` holds each count as it stands; a count may fall below it, and
-then the floor is tightened to it, never loosened.
+then the floor is tightened to it, never loosened.  ``MOVED`` holds, the
+same way, the lines per kind that numpy's choice of kernels moves (ROADMAP
+item 16): the pass again in an interpreter with the AVX512 kernels off.
 """
 
 import contextlib
@@ -25,8 +27,10 @@ import re
 import sys
 from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
 
+from conftest import fresh_python
 from heatglue import cli
 
 WORKLOADS_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
@@ -48,6 +52,10 @@ FLOOR = {
     "ray": (1, 0, 0, 0, 0),
 }
 COUNTS = ("bound_zero", "tol_only", "vacuous", "out_of_range")
+#: Per line kind, the ceiling of its lines whose status differs, or whose
+#: value or reference moves by more than twice its bound, with the AVX512
+#: kernels off; none in a kind not named.
+MOVED = {"cylinder": 13, "graph assembled glue": 204, "interval I": 20}
 
 
 def load_workloads():
@@ -120,19 +128,75 @@ def test_every_workload_case_is_a_kind_of_the_table(passes):
     assert kinds == set(cli._KINDS)
 
 
-def test_certificate_counts_stay_at_their_floor(passes, monkeypatch):
+@pytest.fixture(scope="module")
+def answered(passes):
+    """The report lines of each request of ``passes``, in order."""
     root, requests = passes
-    monkeypatch.chdir(root)
-    reports = []
-    for reqs in requests.values():
-        for req in reqs:
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        for req in (req for reqs in requests.values() for req in reqs):
             code, lines = verify(req.path)
             assert code in (0, 1), req.rid
             assert len(lines) == sum(c.reports for c in req.cases), req.rid
-            reports += lines
-    counts = audit(reports)
+            out.append((req.path, lines))
+    return out
+
+
+def test_certificate_counts_stay_at_their_floor(answered):
+    counts = audit([r for _, lines in answered for r in lines])
     assert counts.keys() == FLOOR.keys()
     for kind, (lines, *floor) in FLOOR.items():
         assert counts[kind][0] == lines, kind
         for key, count, ceiling in zip(COUNTS, counts[kind][1:], floor):
             assert count <= ceiling, (kind, key, count)
+
+
+#: Each request's stdout, and a probe of numpy's exp, in a fresh interpreter.
+AGAIN = """
+import contextlib, io, json, sys
+import numpy as np
+from heatglue import cli
+out = []
+for path in sys.argv[1:]:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(["verify", "--input", path])
+        except SystemExit:
+            pass
+    out.append(text.getvalue())
+print(json.dumps([out, np.exp(np.linspace(-50.0, 0.0, 2001)).tolist()]))
+"""
+
+
+def test_numpys_kernel_dispatch_moves_no_more_lines(passes, answered):
+    # numpy picks its kernels by CPU feature when it is imported; lines
+    # that follow that choice by more than their certificate are counted
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    off = [name for name, on in __cpu_features__.items()
+           if on and ("AVX512" in name or name == "X86_V4")]
+    if not any("AVX512" in name for name in off):
+        pytest.skip("no AVX512 on this host: both interpreters would take "
+                    "the same kernels, so the dispatch is not measured")
+    root, _ = passes
+    done = fresh_python(AGAIN, *(str(path) for path, _ in answered),
+                        cwd=root, capture_output=True, text=True,
+                        env={"NPY_DISABLE_CPU_FEATURES": " ".join(off)})
+    assert (done.returncode, done.stderr) == (0, "")
+    stdouts, probe = json.loads(done.stdout)
+    if probe == np.exp(np.linspace(-50.0, 0.0, 2001)).tolist():
+        pytest.skip("numpy's exp gave the same values with the AVX512 "
+                    "kernels off, so the dispatch is not measured")
+    moved = Counter()
+    for (_, lines), stdout in zip(answered, stdouts, strict=True):
+        again = [json.loads(line) for line in stdout.splitlines()]
+        assert [r["case"] for r in again] == [r["case"] for r in lines]
+        for r, s in zip(lines, again):
+            moved[line_kind(r)] += r["status"] != s["status"] or (
+                r["value"] is not None and any(
+                    abs(r[key] - s[key]) > 2.0 * r["bound"]
+                    for key in ("value", "reference")))
+    for kind, count in moved.items():
+        assert count <= MOVED.get(kind, 0), (kind, count)

@@ -1151,8 +1151,7 @@ def test_a_value_outside_its_type_or_choices_is_unusable_input(args, error):
     assert res.stderr == f"{GRAPH_GLUE_USAGE}Error: {error}\n"
 
 
-#: Texts that each type reads, and texts that it refuses ("--", which
-#: argparse drops, included).
+#: Texts that each type reads, and texts that it refuses.
 TEXTS = {
     float: st.one_of(st.floats().map(repr), st.sampled_from(
         ["1", "-2", "-1e-3", "-0.0", " 0.5 ", "inf", "-inf", "nan"])),
@@ -1160,45 +1159,48 @@ TEXTS = {
                    st.sampled_from(["+3", " 7", "-0"])),
     str: st.text(alphabet="ab1-=, ", max_size=5).filter(lambda s: s != "--"),
 }
-BAD_TEXTS = {float: ["", "x", "1,2", "--"], int: ["", "1.5", "x", "--"],
-             str: ["--"]}
+BAD_TEXTS = {float: ["", "x", "1,2"], int: ["", "1.5", "x"]}
 
 
 def option_text(o, good):
-    """A text that option o reads (good) or refuses."""
+    """A text that option o reads (good) or refuses; only an option with
+    choices or of a number type refuses any."""
     if o.choices:
-        return st.sampled_from(o.choices if good else ["", "x", "--"])
+        return st.sampled_from(o.choices if good else ["", "x"])
     if not o.many:
         return TEXTS[o.type] if good else st.sampled_from(BAD_TEXTS[o.type])
     if good:
         items = TEXTS[o.type].filter(lambda s: "," not in s)
         return st.lists(items, max_size=3).map(",".join)
-    return st.sampled_from(["0,x", "--"] if o.type is float else ["--"])
+    return st.just("0,x")
 
 
 @st.composite
 def command_lines(draw):
-    """(a command line, whether it is well formed): each option given once
-    or twice, every required one at least once, in any order and in either
+    """(a command line, its defect or None): each option given once or
+    twice, every required one at least once, in any order and in either
     form, and maybe one defect: a required option left out, a value of
-    the wrong type or choice, an unknown flag or word, help, or a flag
-    without a value at the end."""
+    the wrong type or choice, a value "--", an unknown flag or word,
+    help, or a flag without a value at the end."""
     command = draw(st.sampled_from(heatglue.cli._COMMANDS))
     required = [o for o in command.options
                 if o.default is heatglue.cli._REQUIRED]
     given = [(o, draw(option_text(o, True))) for o in command.options
              for _ in range(draw(st.integers(int(o in required), 2)))]
     defect = draw(st.sampled_from([None, None, "left out", "bad value",
-                                   "unknown", "help", "no value"]))
+                                   "dashes", "unknown", "help", "no value"]))
     if defect == "left out":
         dropped = draw(st.sampled_from(required))
         given = [(o, text) for o, text in given if o is not dropped]
     if defect == "bad value":
         # half of them on an option with choices, where a command has one
         choosing = [o for o in command.options if o.choices]
+        refusing = [o for o in command.options if o.choices or o.type is not str]
         o = draw(st.sampled_from(choosing if choosing and draw(st.booleans())
-                                 else command.options))
+                                 else refusing))
         given.append((o, draw(option_text(o, False))))
+    if defect == "dashes":
+        given.append((draw(st.sampled_from(command.options)), "--"))
     tokens = []
     for o, text in draw(st.permutations(given)):
         tokens += draw(st.sampled_from([[o.flag, text], [f"{o.flag}={text}"]]))
@@ -1211,43 +1213,71 @@ def command_lines(draw):
         tokens[at:at] = draw(st.sampled_from(stray[defect]))
     if defect == "no value":
         tokens.append(draw(st.sampled_from(command.options)).flag)
-    return [*command.name.split(), *tokens], defect is None
+    return [*command.name.split(), *tokens], defect
 
 
-def parser_reading(argv):
-    """The runner and arguments that the parser of ``cli._build`` gives
-    for argv, or None where it rejects it or prints help."""
+def answers(argv):
+    """What the reader and the argparse parser of ``cli`` make of argv:
+    each the runner and arguments it reads, "refused" for unusable input,
+    or None where the reader declines or "help" where the parser prints
+    help."""
+    try:
+        read = heatglue.cli._read_line(argv)
+    except InputError:
+        read = "refused"
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             options, extra = heatglue.cli._build("heatglue").parse_known_args(
                 heatglue.cli._attach_values(argv))
-    except (InputError, SystemExit):
-        return None
+    except InputError:
+        return read, "refused"
+    except SystemExit as stop:
+        assert stop.code == 0
+        return read, "help"
+    if extra:
+        return read, "refused"
     options = vars(options)
-    options.pop("command")
-    return None if extra else (options.pop("run"), options)
+    words = options.pop("command").prog.removeprefix("heatglue ")
+    return read, (RUNNERS[words], options)
 
 
 @settings(max_examples=300, deadline=None)
 @given(line=command_lines())
 def test_a_command_line_is_read_as_the_parser_reads_it(line):
-    # the reader of well-formed lines either declines a line, which then
-    # goes to the parser, or gives exactly what the parser gives; and it
-    # declines no line of the generator's well-formed ones
-    argv, well_formed = line
-    read = heatglue.cli._read_line(argv)
-    if read is not None:
-        parsed = parser_reading(argv)
-        assert parsed is not None, argv
+    # the reader gives a reading exactly where the parser gives one, and
+    # the same one; where it declines, the parser rejects the line or
+    # prints help; it reads every line of the generator without a defect,
+    # and a value "--" in either form is unusable input to both
+    argv, defect = line
+    read, parsed = answers(argv)
+    if isinstance(read, tuple):
+        assert isinstance(parsed, tuple), argv
         assert read[0] is parsed[0]
         # repr keeps a NaN equal to itself and -0.0 apart from 0.0
         assert repr(sorted(read[1].items())) == \
             repr(sorted(parsed[1].items())), argv
-    assert read is not None or not well_formed, argv
+    elif read is None:
+        assert parsed in ("refused", "help"), argv
+    else:
+        assert read == parsed == "refused", argv
+    assert isinstance(read, tuple) == (defect is None), argv
+    if defect == "dashes":
+        assert read == "refused", argv
+
+
+@pytest.mark.parametrize("args,flag", [
+    ("verify --input --", "--input"),
+    ("ray glue --x -- --y 1 --t 1", "--x"),
+    ("ray glue --x=-- --y 1 --t 1", "--x")])
+def test_a_value_of_two_dashes_is_unusable_input(args, flag):
+    # argparse would drop the "--" and hand the runner an empty list
+    assert invoke(args.split()) == (2, "", f"Error: bad {flag} value: '--'\n")
 
 
 #: The words of every command
 COMMANDS = [c.name for c in heatglue.cli._COMMANDS]
+#: The runner of every command, by its words
+RUNNERS = {c.name: c.run for c in heatglue.cli._COMMANDS}
 
 
 @pytest.mark.parametrize("words", [

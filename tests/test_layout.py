@@ -507,6 +507,23 @@ def test_a_well_formed_line_builds_no_parser(argv):
     assert after_rejected > 0
 
 
+def test_one_reader_applies_the_rules_of_an_option():
+    # cli._read alone applies an option's type, choices, default and
+    # required rule: the line reader calls it and names none of them, and
+    # the argparse parser hands no reading to a runner
+    tree = dict(modules())["cli"]
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    line = functions["_read_line"]
+    assert "_read" in called(line)
+    assert not {"choices", "default", "type", "_REQUIRED"} & set(named(line))
+    (defaults,) = [n for n in ast.walk(functions["_build"])
+                   if isinstance(n, ast.Call)
+                   and getattr(n.func, "attr", "") == "set_defaults"]
+    assert [k.arg for k in defaults.keywords] == ["command"]
+    assert not [n for n in ast.walk(functions["_parse"])
+                if isinstance(n, ast.Return)]
+
+
 def test_values_and_bound_of_the_series_are_one_walk(monkeypatch):
     walks = []
     walk = graph_heat.uniformized_walk
