@@ -11,17 +11,17 @@ certifies one, its bound; the cheap direct kernel that checks a gluing or
 cutting route (:func:`glue_direct`, :func:`arc_direct`) is the caller's to
 evaluate, and so is the residual.
 
-One cut rule for every 1d series: an image sum keeps each family's images
-within _reach(t) of its nearest one, a mode sum its modes with
-q k^2 <= q + 50, so a term left out is below e^-50 of the largest, and the
-rest is bounded in closed form.  One lattice builder, _lattice, gives every
-image family its kept n as a range, and one term budget, _MAX_IMAGES, holds
-for every sum and composition: past it, TruncationError before any term is
-formed.  The short sums, _images, _modes and _cylinder_joint, take each
-term by math and add the terms by math.fsum, whatever their order: none of
-their bits follows the CPU kernels numpy picks.  One rounding rule
-for every route that returns a bound: its Gaussian sums are evaluated at t
-by _ImageSum.at and added by math.fsum; and one rule,
+One cut rule for every 1d series: each interval and circle kernel and
+reference is an image sum, _images, keeping each family's images within
+_reach(t) of its nearest one, or a mode sum, _modes, keeping the modes
+with q k^2 <= q + 50: a term left out is below e^-50 of the largest, and
+the rest is bounded in closed form.  One lattice builder, _lattice, gives
+every image family its kept n as a range, and one term budget, _MAX_IMAGES,
+holds for every sum and composition: past it, TruncationError before any
+term is formed.  _images, _modes and _cylinder_joint take each term by math
+and add by math.fsum, so none of their bits follows numpy's CPU kernels.
+One rounding rule for every route that returns a bound: its Gaussian sums
+are evaluated at t by _ImageSum.at and added by math.fsum; and one rule,
 :func:`heatglue.errors.below_prior`, refuses a bound that certifies nothing.
 """
 
@@ -63,7 +63,10 @@ __all__ = [
 def k_line(x: float, y: float, t: float) -> float:
     """Free kernel (4 pi t)^(-1/2) exp(-(x-y)^2/4t)."""
     (t,) = positive(t=t)
-    return math.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+    try:  # a square past the float range raises; the kernel there is 0
+        return math.exp(-((x - y) ** 2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+    except OverflowError:
+        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -115,24 +118,26 @@ def _side_tail(a: float, period: float, t: float) -> float:
         / -math.expm1(-(2.0 * a + period) * period / (4.0 * t))
 
 
-def _images(t: float, period: float, families: Sequence[tuple[float, float]],
-            label: str) -> tuple[float, float]:
-    """(4 pi t)^(-1/2) sum_f sign_f sum_n exp(-(offset_f + n period)^2/4t)
-    over the families (offset, sign) of one lattice, each image by math.exp
-    and all added by one math.fsum: (value, bound on the images left out).
-    Each family keeps its images within _reach(t) of its nearest one
-    (:func:`_lattice`), so an image left out is below e^-50 times the
-    largest of its family and the cut is relative, however small the sum;
-    each side left out adds at most :func:`_side_tail` of its first image."""
-    ns = _lattice([(offset, period,
-                    abs(offset - period * round(offset / period)) + _reach(t))
-                   for offset, _ in families], label)
-    value = math.fsum([sign * math.exp(-(d := o + k * period) * d / (4.0 * t))
-                       for (o, sign), n in zip(families, ns) for k in n])
+def _images(t: float, families: Sequence[tuple], label: str
+            ) -> tuple[float, float]:
+    """(4 pi t)^(-1/2) sum_f sign_f sum_n exp(-(offset_f + n period_f)^2/4t)
+    over the families (offset, period, sign), all n, and (offset, period,
+    sign, first), n >= first, each image by math.exp and all added by one
+    math.fsum: (value, bound on the images left out).  Each family keeps
+    its images within _reach(t) of its nearest one (:func:`_lattice`), so
+    an image left out is below e^-50 times the largest of its family and
+    the cut is relative, however small the sum; each side cut there adds
+    at most :func:`_side_tail` of its first image."""
+    reach = _reach(t)
+    ns = _lattice([(o, p, abs(o + p * max([round(-o / p), *first])) + reach,
+                    *first) for o, p, _, *first in families], label)
+    value = math.fsum([sign * math.exp(-(d := o + k * p) * d / (4.0 * t))
+                       for (o, p, sign, *_), n in zip(families, ns) for k in n])
     bound = 0.0
-    for (o, _), n in zip(families, ns):
-        bound += _side_tail(o + (n[-1] + 1) * period, period, t)
-        bound += _side_tail(-(o + (n[0] - 1) * period), period, t)
+    for (o, p, _, *first), n in zip(families, ns):
+        bound += _side_tail(o + (n[-1] + 1) * p, p, t)
+        if n[0] not in first:  # a side cut at first leaves nothing out
+            bound += _side_tail(-(o + (n[0] - 1) * p), p, t)
     pref = 1.0 / math.sqrt(4.0 * math.pi * t)
     return pref * value, pref * bound
 
@@ -167,7 +172,7 @@ def k_interval(L: float, x: float, y: float, t: float,
     if rep == "auto":
         rep = "images" if t < L * L / math.pi else "spectral"
     if rep == "images":
-        return _images(t, 2.0 * L, ((x - y, 1.0), (x + y, -1.0)),
+        return _images(t, ((x - y, 2.0 * L, 1.0), (x + y, 2.0 * L, -1.0)),
                        "interval image sum")
     if rep == "spectral":
         return _modes(math.pi * math.pi * t / (L * L),
@@ -197,7 +202,7 @@ def k_circle(L: float, x: float, y: float, t: float,
     if rep == "auto":
         rep = "images" if t < L * L / (4.0 * math.pi) else "spectral"
     if rep == "images":
-        return _images(t, L, ((d, 1.0),), "circle image sum")
+        return _images(t, ((d, L, 1.0),), "circle image sum")
     if rep == "spectral":
         value, bound = _modes(4.0 * math.pi * math.pi * t / (L * L),
                               lambda k: math.cos(2.0 * math.pi * k * d / L),
@@ -233,36 +238,33 @@ def interface_two_intervals(L1: float, L2: float, t: float,
 
 
 def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
-    """K_S(L1 + x, L1 + y) - K_L2(x, y), S = L1 + L2, over the images of
-    both kernels: the check on both gluing routes.
+    """K_S(L1 + x, L1 + y) - K_L2(x, y), S = L1 + L2, the check on both
+    gluing routes, in the representation :func:`k_interval` takes at S.
 
-    With a = x - y and b = x + y - 2 L2, the joint kernel's images lie at
-    a + 2kS (+) and b + 2kS (-), those of the second piece at a + 2kL2 (-)
-    and b + 2kL2 (+).  The k = 0 images of the two kernels are the same and
-    cancel exactly, so they are left out, and the difference is never
-    taken between two kernel values that agree to many digits.  Each
-    family keeps the shifts |2kL2| <= _reach(t) + 6 L2 (:func:`_lattice`):
-    its images within _reach(t) of its nearest one past k = 0, and more.
-    Each b-image is formed from x + y and one shift, x + y + 2(k - 1) L2
-    and (x + y) + (2kS - 2 L2), so the nearest one, x + y at k = 1, is
-    exact and none loses x + y to rounding at the scale of 2 L2.  The
-    reference of both routes in ``heatglue interval glue``.
-    """
+    For t < S^2/pi, one image sum (:func:`_images`): with a = x - y and
+    b = x + y, K_S has images a + 2kS (+) and b - 2 L2 + 2kS (-), K_L2
+    a + 2kL2 (-) and b + 2(k - 1) L2 (+), k != 0, as the k = 0 images of
+    the two cancel.  Their k > 0 and k < 0 are eight half-families, each
+    offset +-a, b + 2 L1, 2 L2 - b or +-b formed from a or b and one shift,
+    so the nearest image, b, is exact.  For t >= S^2/pi, K_S - K_L2 by
+    :func:`_modes`, K_S at L2 - x and L2 - y from the shared end."""
     L1, L2, t = positive(L1=L1, L2=L2, t=t)
     if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
         raise ValueError("x and y must lie in [0, L2]")
-    # the four families, each counted, keep one range of shifts
-    ks = [float(k) for k in _lattice(
-        [(0.0, 2.0 * L2, _reach(t) + 6.0 * L2)] * 4, "direct difference")[0]
-        if k]
-    joint, side = 2.0 * (L1 + L2), 2.0 * L2
-    shift = np.array([joint * k for k in ks] + [side * k for k in ks])
-    mirror = np.array([joint * k - side for k in ks]
-                      + [side * (k - 1.0) for k in ks])
-    pulses = (np.exp(-np.square(x - y + shift) / (4.0 * t))
-              - np.exp(-np.square(x + y + mirror) / (4.0 * t)))
-    return float(np.array([1.0] * len(ks) + [-1.0] * len(ks)) @ pulses) \
-        / math.sqrt(4.0 * math.pi * t)
+    S = L1 + L2
+    if t < S * S / math.pi:
+        a, b, joint, side = x - y, x + y, 2.0 * S, 2.0 * L2
+        return _images(t, (
+            (a, joint, 1.0, 1), (-a, joint, 1.0, 1), (a, side, -1.0, 1),
+            (-a, side, -1.0, 1), (b + 2.0 * L1, joint, -1.0, 0),
+            (2.0 * L2 - b, joint, -1.0, 1), (b, side, 1.0, 0),
+            (-b, side, 1.0, 2)), "direct difference")[0]
+    joint, side = (_modes(math.pi * math.pi * t / (L * L),
+                          lambda k: math.sin(math.pi * k * p / L)
+                          * math.sin(math.pi * k * q / L), 2.0 / L,
+                          "direct difference")[0]
+                   for L, p, q in ((S, L2 - x, L2 - y), (L2, x, y)))
+    return joint - side
 
 
 def _flux_pair(L: float, x: float, y: float, cut: float
@@ -301,19 +303,18 @@ def _route_I(L1: float, L2: float, t: float,
 
     The flux pairs (:func:`_flux_pair`) are built first, then the junction
     sum once, the images of :func:`interface_two_intervals` folded onto
-    n >= 0: 0 (+1), 2nS (+2), 2(L1 + nS) (-1) and 2(nS - L1) (-1), n >= 1;
-    each pair composes with it, within the image budget, as one bilinear
-    form w_pair . exp(-(d_i + m_j)^2/4t) . w_mid (:func:`_check_terms`).  Both
-    are cut at _reach(t) + 2 L2 (:func:`_lattice`), so every path within
-    _reach(t) of the nearest one, x + y <= 2 L2, is kept.
+    n >= 0, exact at n = 0: 0 (+1), 2nS (+2, n >= 1), 2 L1 + 2nS (-1) and
+    2 L2 + 2nS (-1); each pair against it is one bilinear form
+    w_pair . exp(-(d_i + m_j)^2/4t) . w_mid in the image budget
+    (:func:`_check_terms`).  Both are cut at _reach(t) + 2 L2, so every
+    path within _reach(t) of the nearest one, x + y <= 2 L2, is kept.
     """
     S, cut = L1 + L2, _reach(t) + 2.0 * L2
     if not all(0.0 <= z <= L2 for depth in depths for z in depth):
         raise ValueError("x and y must lie in [0, L2]")
     pairs = [_flux_pair(L2, x, y, cut) for x, y in depths]
-    offsets, period = (0.0, 2.0 * L1, -2.0 * L1), 2.0 * S
-    ns = _lattice([(offset, period, cut, first)
-                   for offset, first in zip(offsets, (0, 0, 1))],
+    offsets, period = (0.0, 2.0 * L1, 2.0 * L2), 2.0 * S
+    ns = _lattice([(offset, period, cut, 0) for offset in offsets],
                   "junction sum")
     mid_d = np.array([o + float(n) * period
                       for o, kept in zip(offsets, ns) for n in kept])
@@ -334,13 +335,10 @@ def glue_intervals_I(L1: float, L2: float, x: float, y: float,
     """Glued-interval correction rebuilt from its convolution factors.
 
     The correction K_joint(L1+x, L1+y) - K_side2(x, y) for x, y in the
-    second piece is a triple convolution: flux pulses out of x, transport
-    through the junction, flux pulses into y.  All three factors are pulse
-    trains whose distances add under convolution, so the triple integral
-    collapses to one bilinear image sum: the flux pair in closed form
-    (:func:`_flux_pair`) against the junction sum, converging like
-    exp(-distance^2/4t).  Returns the value; its check is the direct
-    two-kernel difference :func:`glue_direct`.
+    second piece is a triple convolution of pulse trains, flux out of x,
+    transport through the junction and flux into y, whose distances add:
+    one bilinear image sum (:func:`_route_I`).  Returns the value; its
+    check is the direct two-kernel difference :func:`glue_direct`.
     """
     L1, L2, t = positive(L1=L1, L2=L2, t=t)
     return _route_I(L1, L2, t, [(x, y)])[0]
@@ -412,14 +410,15 @@ class _ImageSum:
         2 (steps + 1) U E; exp, the prefactor and the weight add at most
         8 U, and fsum rounds the total once.  So the error is at most
         U (sum_i (2 (steps_i + 1) E_i + 8) |w_i g_i| + |value|), which
-        weights every kept image by its own term.
+        weights every kept image by its own term, 0 where g_i is 0.
         """
         if self.kind != "g":
             raise ValueError("only a sum of Gaussians is evaluated at one time")
-        e = np.square(self.d) / (4.0 * t)
+        with np.errstate(over="ignore"):  # e is inf past the float range
+            e = np.square(self.d) / (4.0 * t)
         terms = self.w * np.exp(-e) / math.sqrt(4.0 * math.pi * t)
         value = math.fsum(terms.tolist())
-        kappa = 2.0 * (steps + 1.0) * e + 8.0
+        kappa = np.where(terms != 0.0, 2.0 * (steps + 1.0) * e + 8.0, 0.0)
         return value, _U * (float(kappa @ np.abs(terms)) + abs(value))
 
     def sup(self, t: float) -> float:

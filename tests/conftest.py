@@ -6,7 +6,8 @@ scaling-and-squaring Taylor sum, so they can serve as oracles for the exact
 algebra and the graph kernels.  The dense walk takes only the number of
 Taylor orders from the package, so that it sums the same terms.  The
 subprocess runner starts a fresh interpreter on this checkout's package,
-under an address-space limit where a test asks for one.
+under an address-space limit where a test asks for one.  Every test sees
+a terminal 80 columns wide.
 """
 
 from __future__ import annotations
@@ -18,12 +19,21 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import heatglue
 from heatglue.expmix import ExpMix, evaluate, structural_max_diff
 from heatglue.graph_heat import _poisson_order
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(120)
+
+
+@pytest.fixture(autouse=True)
+def terminal_width(monkeypatch):
+    """COLUMNS=80 for every test: argparse wraps its usage and help to the
+    width it reads there, and the tests hold those of an 80-column
+    terminal, whatever terminal runs them."""
+    monkeypatch.setenv("COLUMNS", "80")
 
 
 def gl_convolve_value(f: ExpMix, g: ExpMix, t: float) -> float:

@@ -637,6 +637,35 @@ def test_ray_glue_refuses_an_infinite_distance():
     assert res.stderr == "Error: x must be positive and finite\n"
 
 
+@pytest.mark.parametrize("args", ["--x 1e300 --y 1e300 --t 1",
+                                  "--x 1 --y 1 --t 1e-320",
+                                  "--x 30 --y 30 --t 1"])
+def test_a_ray_image_past_the_float_range_is_zero(args):
+    # (x + y)^2 past the float range, or d^2/4t past it at a subnormal t:
+    # the Gaussian is 0 and so is its rounding part, as where it underflows
+    res = invoke(f"ray glue {args}".split())
+    assert (res.exit_code, res.stderr) == (0, "")
+    (r,) = json_lines(res.stdout)
+    assert (r["status"], r["value"], r["reference"], r["bound"]) == (
+        "pass", 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("args", [
+    "--L1 1e12 --L2 0.7 --x 0.5 --y 0.3 --t 1",
+    "--L1 1e12 --L2 0.7 --x 0.5 --y 0.3 --t 1 --formula II",
+    "--L1 1e300 --L2 1 --x 0.5 --y 0.5 --t 1"])
+def test_interval_glue_passes_when_L1_far_exceeds_L2(args):
+    # route I forms its junction images 2 L2 + 2nS from 2 L2, so the
+    # nearest is exact however long the first piece is; it lost 2 L2 to
+    # rounding at the scale of 2 L1 and failed (residual 2.2e-6, and 0.0
+    # against 0.0623); route II is within its bound
+    res = invoke(f"interval glue {args}".split())
+    assert (res.exit_code, res.stderr) == (0, "")
+    (r,) = json_lines(res.stdout)
+    assert r["status"] == "pass"
+    assert r["residual"] <= max(r["bound"], 1e-12 * r["reference"])
+
+
 def test_circle_cut_reference_point():
     res = invoke(["circle", "cut", "--L", "2", "--cuts", "0,1", "--x", "0.3",
                   "--y", "0.7", "--t", "0.4", "--kmax", "4"])
@@ -766,10 +795,10 @@ def test_verify_bundled_problem_set_passes():
 
 
 def test_exit_one_on_tolerance_failure():
-    # formula I reports no bound, so its rounding residual (8.7e-19 here)
+    # formula I reports no bound, so its rounding residual (5.2e-18 here)
     # fails this tol
     res = invoke(["interval", "glue", "--L1", "1.078", "--L2", "1.974",
-                  "--x", "1.421", "--y", "1.633", "--t", "0.5",
+                  "--x", "1.421", "--y", "1.633", "--t", "1",
                   "--tol", "1e-30"])
     assert res.exit_code == 1
     (r,) = json_lines(res.stdout)

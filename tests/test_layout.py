@@ -347,6 +347,24 @@ def test_one_junction_kernel_and_one_rate_clamp():
     assert "_safe_rate" not in set(defined_names(trees["graph_heat"]))
 
 
+def test_the_direct_difference_is_one_image_or_two_mode_sums():
+    # glue_direct keeps no sum, array or cut of its own: below S^2/pi it is
+    # one _images call, from there on _modes at S minus _modes at L2, and
+    # it names no numpy and none of the cut's parts
+    trees = dict(modules())
+    direct = next(n for n in trees["heat1d"].body
+                  if getattr(n, "name", None) == "glue_direct")
+    calls = [getattr(n.func, "attr", getattr(n.func, "id", None))
+             for n in ast.walk(direct) if isinstance(n, ast.Call)]
+    assert sorted(set(calls) - {"positive", "ValueError"}) == [
+        "_images", "_modes", "sin"]
+    assert (calls.count("_images"), calls.count("_modes")) == (1, 1)
+    assert {"np", "_lattice", "_reach", "_check_terms", "round", "fsum",
+            "exp"} & set(named(direct)) == set()
+    branches = [n for n in ast.walk(direct) if isinstance(n, ast.If)]
+    assert len(branches) == 2  # the domain check and the crossover
+
+
 def test_every_graph_rate_comes_from_one_spectrum():
     # graph_heat eigendecomposes a matrix in _spectrum only, with its null
     # space exact; no other function reads eigenpairs, so no route clamps
