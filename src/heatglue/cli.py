@@ -343,6 +343,9 @@ def run_graph_glue(label: str, t: float, method: str, k_max: int,
         else:
             values, bound = graph_heat.glue_I_values(d, t), 0.0
         reference = np.empty(values.shape)
+        # the heat flow at t from the spectrum of L: the assembled method
+        # glues from that same kept spectrum, bit for bit, so its check
+        # shares it
         if len(given) < reference.size:
             reference = graph_heat.heat_values(d.ordered_graph, t)
         for (i, j), mix in given.items():

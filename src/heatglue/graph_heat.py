@@ -21,9 +21,11 @@ object holds a route's arguments until t arrives.
 Every route takes its Laplacian spectra from one function, whose null
 space is exact: one indicator per component, at rate exactly 0; the Schur
 cut's direct Green's matrix too, from the spectrum of the block off the cut.
-It calls :func:`~heatglue.symlin.eigh` once per spectrum, on the graph's
-Laplacian (validated once, by :attr:`Graph.laplacian`) and, for a block,
-the indices kept, and takes the read-only pair (w, q) that LAPACK returned.
+It calls :func:`~heatglue.symlin.eigh` on the graph's Laplacian (validated
+once, by :attr:`Graph.laplacian`) and, for a block, the indices kept, once
+per distinct matrix per process: it keeps the spectra it hands out,
+read-only, by the graph's edges and the indices kept, within a cap on
+their count and on the floats they hold.
 """
 
 from __future__ import annotations
@@ -346,30 +348,69 @@ class KernelMatrix:
 # ---------------------------------------------------------------------------
 
 
+# The spectra that _spectrum keeps, least recently used first, by
+# (n, edge_pairs, keep): the Laplacian, its blocks and its components are
+# functions of those alone, so no Graph is kept.  At most _SPECTRA_KEPT of
+# them are kept, holding at most _SPECTRA_FLOATS floats in all (256 KiB);
+# a larger spectrum is handed out and not kept.
+_SPECTRA_KEPT = 64
+_SPECTRA_FLOATS = 1 << 15
+_spectra: dict = {}
+_spectra_floats = 0  # the floats that _spectra holds
+
+
 def _spectrum(g: Graph, keep=None) -> tuple[np.ndarray, np.ndarray]:
     """(rates, vectors) of the Laplacian of g, or of its block on the vertex
-    indices ``keep``.  Its null space is spanned by the indicators of the
-    components of g wholly inside ``keep`` (Chung, Spectral Graph Theory,
-    AMS 1997, ch. 1): they come first, normalised, at rate exactly 0.0,
-    then the other eigenpairs of :func:`~heatglue.symlin.eigh`, projected
-    off them; one of their rates that is not positive is a failed solve,
-    a ConvergenceError."""
-    labels = g.components
-    sizes = np.bincount(labels)
-    if keep is None:  # every component is inside
-        sub, inside = labels, np.arange(sizes.size)
-    else:
-        sub = labels[keep]
-        inside = np.flatnonzero(np.bincount(sub, minlength=sizes.size) == sizes)
-    w, q = symlin.eigh(g.laplacian, keep)
-    r = inside.size
-    rates, vectors = w[r:], q[:, r:]
-    if rates.size and not rates[0] > 0.0:  # eigh sorts them ascending
-        raise ConvergenceError(f"Laplacian eigenvalue {float(rates[0])} "
-                               "off the null space is not positive")
-    z = (sub[:, None] == inside) / np.sqrt(sizes[inside])
-    return (np.concatenate((np.zeros(r), rates)),
-            np.concatenate((z, vectors - z @ (z.T @ vectors)), axis=1))
+    indices ``keep``, both read-only.  Its null space is spanned by the
+    indicators of the components of g wholly inside ``keep`` (Chung,
+    Spectral Graph Theory, AMS 1997, ch. 1): they come first, normalised,
+    at rate exactly 0.0, then the other eigenpairs of
+    :func:`~heatglue.symlin.eigh`, projected off them; one of their rates
+    that is not positive is a failed solve, a ConvergenceError.  Each
+    distinct matrix is solved once per process while its spectrum stays
+    within the caps of the kept spectra; a kept one is handed out again."""
+    key = (g.n, g.edge_pairs, None if keep is None else tuple(keep))
+    spectrum = _spectra.pop(key, None)
+    if spectrum is None:
+        labels = g.components
+        sizes = np.bincount(labels)
+        if keep is None:  # every component is inside
+            sub, inside = labels, np.arange(sizes.size)
+        else:
+            sub = labels[keep]
+            inside = np.flatnonzero(
+                np.bincount(sub, minlength=sizes.size) == sizes)
+        w, q = symlin.eigh(g.laplacian, keep)
+        r = inside.size
+        rates, vectors = w[r:], q[:, r:]
+        if rates.size and not rates[0] > 0.0:  # eigh sorts them ascending
+            raise ConvergenceError(f"Laplacian eigenvalue {float(rates[0])} "
+                                   "off the null space is not positive")
+        z = (sub[:, None] == inside) / np.sqrt(sizes[inside])
+        spectrum = (np.concatenate((np.zeros(r), rates)),
+                    np.concatenate((z, vectors - z @ (z.T @ vectors)), axis=1))
+        for a in spectrum:
+            a.setflags(write=False)
+        _cache_spectrum(key, spectrum)
+    else:  # last again: the most recently used
+        _spectra[key] = spectrum
+    return spectrum
+
+
+def _cache_spectrum(key: tuple,
+                    spectrum: tuple[np.ndarray, np.ndarray]) -> None:
+    """Keep a new spectrum last in _spectra, after dropping the least
+    recently used ones until both caps hold with it; one past the float
+    cap is not kept."""
+    global _spectra_floats
+    floats = spectrum[0].size + spectrum[1].size
+    if floats <= _SPECTRA_FLOATS:
+        _spectra_floats += floats
+        while (len(_spectra) >= _SPECTRA_KEPT
+               or _spectra_floats > _SPECTRA_FLOATS):
+            rates, vectors = _spectra.pop(next(iter(_spectra)))
+            _spectra_floats -= rates.size + vectors.size
+        _spectra[key] = spectrum
 
 
 def _spectral(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -776,7 +817,10 @@ def glue_I(d: Decomposition) -> KernelMatrix:
 # (McCurdy, Ng and Parlett, Math. Comp. 43, 1984).
 
 _PSI_BLOCK = 1 << 14  # entries of psi formed at once
-_INV_FACTORIAL = 1.0 / np.array([float(math.factorial(n)) for n in range(48)])
+#: 1 / n!, as Python floats for the series' order search, and as an array
+#: from which its coefficients are gathered
+_INV_FACTORIAL = [1.0 / float(math.factorial(n)) for n in range(48)]
+_INV_FACTORIAL_TABLE = np.array(_INV_FACTORIAL)
 
 
 def _h1(z: np.ndarray) -> np.ndarray:
@@ -830,7 +874,7 @@ def _psi(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
         while (k + 1) * top**k * _INV_FACTORIAL[k + 2] > 1e-18:
             k += 1
         powers = np.arange(k)
-        coef = _INV_FACTORIAL[np.add.outer(powers, powers) + 2]
+        coef = _INV_FACTORIAL_TABLE[np.add.outer(powers, powers) + 2]
         series = ((yn**powers @ coef) * qn**powers).sum(axis=1)
         with np.errstate(over="ignore"):  # e^{-inf} = 0
             tail = np.exp(-hi[near] * t) * series

@@ -7,7 +7,7 @@ algebra and the graph kernels.  The dense walk takes only the number of
 Taylor orders from the package, so that it sums the same terms.  The
 subprocess runner starts a fresh interpreter on this checkout's package,
 under an address-space limit where a test asks for one.  Every test sees
-a terminal 80 columns wide.
+a terminal 80 columns wide and an empty cache of Laplacian spectra.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import heatglue
+from heatglue import graph_heat
 from heatglue.expmix import ExpMix, evaluate, structural_max_diff
 from heatglue.graph_heat import _poisson_order
 
@@ -34,6 +35,22 @@ def terminal_width(monkeypatch):
     width it reads there, and the tests hold those of an 80-column
     terminal, whatever terminal runs them."""
     monkeypatch.setenv("COLUMNS", "80")
+
+
+def empty_spectra(monkeypatch):
+    """Empty the cache of Laplacian spectra until the test ends, when the
+    cache it replaced comes back."""
+    monkeypatch.setattr(graph_heat, "_spectra", {})
+    monkeypatch.setattr(graph_heat, "_spectra_floats", 0)
+
+
+@pytest.fixture(autouse=True)
+def cold_spectra(monkeypatch):
+    """An empty cache of Laplacian spectra for every test: a test that
+    counts or spoils eigensolves sees each distinct matrix solved on its
+    first use, whatever ran before it, and leaves the cache of the tests
+    after it as it found it."""
+    empty_spectra(monkeypatch)
 
 
 def gl_convolve_value(f: ExpMix, g: ExpMix, t: float) -> float:

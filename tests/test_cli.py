@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatglue.cli
-from conftest import fresh_python
+from conftest import empty_spectra, fresh_python
 from heatglue import errors, graph_heat, symlin
 from heatglue.cli import Axis, InputError, Reports, main
 from heatglue.graph_heat import KernelMatrix
@@ -128,6 +128,8 @@ def test_a_rate_off_the_null_space_below_zero_is_a_failed_eigensolve(
         return w - 2.0, q
 
     monkeypatch.setattr(symlin, "eigh", shifted)
+    # the cache of spectra starts empty (conftest), so the shifted solve
+    # is reached
     res = invoke(["graph", "glue", "--input", "line3", "--t", "1"])
     assert res.exit_code == 3
     (report,) = json_lines(res.stdout)
@@ -181,7 +183,9 @@ def test_graph_glue_series_walks_the_kernel_once_per_case(tmp_path,
 
 def test_graph_references_take_one_eigendecomposition(tmp_path, monkeypatch):
     # the reference is Q diag(e^{-wt}) Q^T from one eigh, and the assembled
-    # gluing its values at t from two; no case builds a KernelMatrix
+    # gluing its values at t from two, one of them the reference's; no case
+    # builds a KernelMatrix, and a case on a document already solved
+    # solves nothing
     calls = Counter()
     eigh, build = symlin.eigh, KernelMatrix.__init__
 
@@ -201,21 +205,60 @@ def test_graph_references_take_one_eigendecomposition(tmp_path, monkeypatch):
         "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]],
         "interface": ["b", "d"], "side1": ["a"], "side2": ["c"]}))
     problems = tmp_path / "problems.json"
-    for case, want in [
+    for case, cold in [
             ({"kind": "graph-glue", "t": 0.7, "method": "series", "kmax": 8},
-             {"eigh": 1}),
+             1),
             ({"kind": "graph-pathsum", "u": "a", "v": "c", "t": 0.7,
-              "eps": 1e-9}, {"eigh": 1}),
-            ({"kind": "graph-glue", "t": 0.7}, {"eigh": 3}),
+              "eps": 1e-9}, 1),
+            # L and its block off the interface; the reference reads the
+            # spectrum of L that the gluing took
+            ({"kind": "graph-glue", "t": 0.7}, 2),
             # the block off the interface and L, and no third solve
-            ({"kind": "graph-cut", "interface": ["b"], "m2": 0.5},
-             {"eigh": 2})]:
+            ({"kind": "graph-cut", "interface": ["b"], "m2": 0.5}, 2)]:
         problems.write_text(json.dumps({"cases": [
             {"id": "c", "input": str(square), **case}]}))
-        calls.clear()
-        res = invoke(["verify", "--input", str(problems)])
-        assert res.exit_code == 0
-        assert calls == want
+        empty_spectra(monkeypatch)
+        for want in (cold, 0):
+            calls.clear()
+            res = invoke(["verify", "--input", str(problems)])
+            assert res.exit_code == 0
+            assert (calls["eigh"], calls["KernelMatrix"]) == (want, 0), case
+
+
+def test_a_verify_set_solves_each_distinct_matrix_once(tmp_path, monkeypatch):
+    # line3 is split at its middle in vertex order, so the gluings at three
+    # times, the path sum's reference and the cut at the interface read two
+    # matrices: L and its block off the interface, each solved once
+    solved = []
+    eigh = symlin.eigh
+
+    def spy(a, keep=None):
+        m = a.entries if keep is None else a.entries[np.ix_(keep, keep)]
+        solved.append(m.tobytes())
+        return eigh(a, keep)
+
+    monkeypatch.setattr(symlin, "eigh", spy)
+    res = verify_cases(tmp_path, [
+        *({"id": f"g{t}", "kind": "graph-glue", "input": "line3", "t": t}
+          for t in (0.25, 1, 4)),
+        {"id": "p", "kind": "graph-pathsum", "input": "line3", "u": "1",
+         "v": "3", "t": 0.7, "eps": 1e-9},
+        {"id": "c", "kind": "graph-cut", "input": "line3", "interface": ["2"],
+         "m2": 1}])
+    assert res.exit_code == 0
+    assert len(solved) == len(set(solved)) == 2
+
+
+def test_warm_spectra_print_what_a_fresh_interpreter_prints():
+    # the README's graph lines, each run twice in this process (the second
+    # time on kept spectra), print the bytes of a fresh interpreter's run
+    lines = [args for args in readme_commands() if args[0] == "graph"]
+    assert len(lines) == 4
+    for args in lines:
+        fresh = fresh_python("from heatglue.cli import main; main()", *args,
+                             capture_output=True, text=True)
+        assert fresh.returncode == 0, fresh.stderr
+        assert invoke(args) == invoke(args) == (0, fresh.stdout, ""), args
 
 
 def test_a_graph_gluing_checks_every_graph_it_builds(tmp_path, monkeypatch):
@@ -794,15 +837,16 @@ def test_verify_bundled_problem_set_passes():
     assert all(r["status"] == "pass" for r in reports)
 
 
-def test_exit_one_on_tolerance_failure():
-    # formula I reports no bound, so its rounding residual (5.2e-18 here)
-    # fails this tol
-    res = invoke(["interval", "glue", "--L1", "1.078", "--L2", "1.974",
-                  "--x", "1.421", "--y", "1.633", "--t", "1",
-                  "--tol", "1e-30"])
+def test_exit_one_on_tolerance_failure(tmp_path):
+    # a frozen reference 1e-3 off the value fails the default tol whatever
+    # the bits of the value
+    res = verify_case(tmp_path, {
+        "id": "off", "kind": "interval-glue", "L1": 1, "L2": 1, "x": 0.5,
+        "y": 0.5, "t": 0.5, "reference": 0.13842211448158903 + 1e-3})
     assert res.exit_code == 1
     (r,) = json_lines(res.stdout)
     assert r["status"] == "fail"
+    assert r["residual"] == pytest.approx(1e-3, rel=1e-9)
 
 
 def test_exit_two_on_missing_input():

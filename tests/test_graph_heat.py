@@ -15,8 +15,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse.csgraph
 
-from conftest import allclose, dense_walk, taylor_expm
-from heatglue.errors import TruncationError
+from conftest import allclose, dense_walk, empty_spectra, taylor_expm
+from heatglue.errors import ConvergenceError, TruncationError
 from heatglue.expmix import ExpMix, evaluate, laplace, structural_max_diff
 from heatglue import graph_heat
 from heatglue.graph_heat import (
@@ -1122,7 +1122,8 @@ def psi_by_sort(a, b, c, t):
         while (k + 1) * top**k * graph_heat._INV_FACTORIAL[k + 2] > 1e-18:
             k += 1
         powers = np.arange(k)
-        coef = graph_heat._INV_FACTORIAL[np.add.outer(powers, powers) + 2]
+        coef = np.array(graph_heat._INV_FACTORIAL)[
+            np.add.outer(powers, powers) + 2]
         series = ((yn**powers @ coef) * qn**powers).sum(axis=1)
         out[near] = np.exp(-hi[near] * t) * series
     return t * t * out
@@ -1244,14 +1245,76 @@ def test_assembled_gluing_and_its_reference_share_one_laplacian(monkeypatch):
     d = random_decomposition(np.random.default_rng(2403), 12)
     og = d.ordered_graph
     glue_I_values(d, 1.0)
-    heat_values(og, 2.0)
+    warm = heat_values(og, 2.0)
     heat_values(og, 4.0)
-    # L, its block off the interface, then L again for each call of the
-    # reference: the one SymMatrix of the graph each time, and only the
-    # block names the indices it keeps
-    assert len(seen) == 4
+    # L and its block off the interface, each solved once: the reference
+    # reads the spectrum of L that the gluing took, on the one SymMatrix
+    # of the graph, and only the block names the indices it keeps
+    assert len(seen) == 2
     assert all(a is og.laplacian for a, _ in seen)
-    assert [keep is None for _, keep in seen] == [True, False, True, True]
+    assert [keep is None for _, keep in seen] == [True, False]
+    # a kept spectrum gives the bits of a fresh solve
+    empty_spectra(monkeypatch)
+    assert same_bits(heat_values(og, 2.0), warm) and len(seen) == 3
+
+
+def _kept_floats():
+    return sum(r.size + v.size for r, v in graph_heat._spectra.values())
+
+
+def test_kept_spectra_are_read_only_and_within_both_caps():
+    # drawn up to 60 vertices, the gluing's spectra fill the count cap
+    # first and the float cap later
+    rng = np.random.default_rng(53)
+    kept, counts = graph_heat._spectra, []
+    for n_max in range(3, 61):
+        graph_heat._glue_I_spectra(random_decomposition(rng, n_max))
+        assert not any(a.flags.writeable for s in kept.values() for a in s)
+        assert _kept_floats() == graph_heat._spectra_floats
+        assert graph_heat._spectra_floats <= graph_heat._SPECTRA_FLOATS
+        counts.append(len(kept))
+    assert max(counts) == graph_heat._SPECTRA_KEPT > counts[-1]
+    assert graph_heat._spectra_floats > graph_heat._SPECTRA_FLOATS // 2
+    # a spectrum past the float cap is handed out, and neither kept nor
+    # made room for
+    before = list(kept)
+    n = math.isqrt(graph_heat._SPECTRA_FLOATS) + 1
+    line = Graph(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)))
+    w, q = graph_heat._spectrum(line)
+    assert w.size + q.size > graph_heat._SPECTRA_FLOATS
+    assert not (w.flags.writeable or q.flags.writeable)
+    assert list(kept) == before
+
+
+def test_the_count_cap_drops_the_least_recently_used_spectrum():
+    # graphs on six vertices, one edge set each: far below the float cap
+    pairs = list(itertools.combinations(range(6), 2))
+    graphs = [Graph(tuple(range(6)), tuple(
+        p for bit, p in enumerate(pairs) if i >> bit & 1))
+        for i in range(graph_heat._SPECTRA_KEPT + 1)]
+    for g in graphs[:-1]:
+        graph_heat._spectrum(g)
+    graph_heat._spectrum(graphs[0])  # used again: now the most recent
+    graph_heat._spectrum(graphs[-1])
+    assert [key[1] for key in graph_heat._spectra] == [
+        g.edge_pairs for g in [*graphs[2:-1], graphs[0], graphs[-1]]]
+    assert _kept_floats() == graph_heat._spectra_floats
+
+
+def test_a_failed_eigensolve_is_not_kept(monkeypatch):
+    eigh = graph_heat.symlin.eigh
+
+    def shifted(a, keep=None):
+        w, q = eigh(a, keep)
+        return w - 2.0, q
+
+    monkeypatch.setattr(graph_heat.symlin, "eigh", shifted)
+    with pytest.raises(ConvergenceError, match="off the null space"):
+        graph_heat._spectrum(LINE3)
+    assert (graph_heat._spectra, graph_heat._spectra_floats) == ({}, 0)
+    monkeypatch.setattr(graph_heat.symlin, "eigh", eigh)
+    w, _ = graph_heat._spectrum(LINE3)
+    assert w[0] == 0.0 and len(graph_heat._spectra) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,116 @@ def test_one_checked_eigensolve_per_spectrum():
             and "SymMatrix" in called(n)] == ["laplacian"]
 
 
+#: The caps that bound the one cache of the package, graph_heat._spectra.
+CAPS = {"_SPECTRA_KEPT", "_SPECTRA_FLOATS"}
+#: The methods by which a dict, list or set grows.
+GROWS = {"setdefault", "update", "append", "add", "extend", "insert",
+         "__setitem__"}
+
+
+def containers(tree):
+    """The module-level names bound to a dict, list or set, by display,
+    comprehension or call."""
+    kinds = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+             ast.SetComp)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                isinstance(node.value, kinds)
+                or isinstance(node.value, ast.Call) and getattr(
+                    node.value.func, "id", getattr(node.value.func, "attr",
+                                                   None))
+                in {"dict", "list", "set", "OrderedDict", "defaultdict"}):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def unbounded_caches(tree):
+    """Where a module keeps values with no bound: functools' cache, an
+    lru_cache of maxsize None, and each store that grows a module-level
+    dict, list or set in a function that does not read both CAPS.  A
+    function that puts back the key it popped does not grow its cache."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.module == "functools":
+            yield from (f"imports {a.name}" for a in n.names
+                        if a.name == "cache")
+        elif isinstance(n, ast.Attribute) and n.attr == "cache" and getattr(
+                n.value, "id", None) == "functools":
+            yield "functools.cache"
+        elif isinstance(n, ast.Call) and getattr(
+                n.func, "id", getattr(n.func, "attr", None)) == "lru_cache":
+            size = [*n.args[:1], *(k.value for k in n.keywords
+                                   if k.arg == "maxsize")]
+            if any(isinstance(v, ast.Constant) and v.value is None
+                   for v in size):
+                yield "lru_cache(maxsize=None)"
+    names = set(containers(tree))
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        read = {n.id for n in ast.walk(f) if isinstance(n, ast.Name)}
+        popped = {(n.func.value.id, ast.dump(n.args[0])) for n in ast.walk(f)
+                  if isinstance(n, ast.Call) and n.args
+                  and getattr(n.func, "attr", None) == "pop"
+                  and getattr(n.func.value, "id", None) in names}
+        for n in ast.walk(f):
+            if (isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+                    and getattr(n.value, "id", None) in names):
+                name, grows = n.value.id, (
+                    n.value.id, ast.dump(n.slice)) not in popped
+            elif (isinstance(n, ast.Call) and getattr(n.func, "attr", None)
+                  in GROWS and getattr(n.func.value, "id", None) in names):
+                name, grows = n.func.value.id, True
+            else:
+                continue
+            if grows and not CAPS <= read:
+                yield f"{f.name} grows {name}"
+
+
+def test_every_module_cache_is_bounded():
+    # a cache with no bound is a defect: the package keeps values in one
+    # module-level dict, _spectrum's, bounded by two module constants that
+    # no function rebinds
+    trees = dict(modules())
+    assert [(stem, where) for stem, tree in trees.items()
+            for where in unbounded_caches(tree)] == []
+    assert [(stem, name) for stem, tree in trees.items()
+            for name in containers(tree) if any(
+                getattr(n.value, "id", None) == name for n in ast.walk(tree)
+                if isinstance(n, ast.Subscript)
+                and isinstance(n.ctx, ast.Store))] == [
+        ("graph_heat", "_spectra")]
+    assert all(isinstance(getattr(graph_heat, cap), int)
+               and getattr(graph_heat, cap) > 0 for cap in CAPS)
+    assert not CAPS & {name for n in ast.walk(trees["graph_heat"])
+                       if isinstance(n, ast.Global) for name in n.names}
+
+
+@pytest.mark.parametrize("source,found", [
+    ("import functools\n@functools.cache\ndef f(x): return x",
+     ["functools.cache"]),
+    ("from functools import cache\n@cache\ndef f(x): return x",
+     ["imports cache"]),
+    ("from functools import lru_cache\n@lru_cache(maxsize=None)\n"
+     "def f(x): return x", ["lru_cache(maxsize=None)"]),
+    ("import functools\nf = functools.lru_cache(None)(abs)",
+     ["lru_cache(maxsize=None)"]),
+    ("from functools import lru_cache\n@lru_cache(64)\ndef f(x): return x",
+     []),
+    ("_seen = {}\ndef f(x):\n    _seen[x] = x", ["f grows _seen"]),
+    ("_seen = set()\ndef f(x):\n    _seen.add(x)", ["f grows _seen"]),
+    ("_seen = dict()\ndef f(x):\n    _SPECTRA_KEPT\n    _seen[x] = x",
+     ["f grows _seen"]),
+    ("_seen = {}\ndef f(x):\n    _seen[x] = _seen.pop(x, None)", []),
+    ("_seen = {}\ndef f(x, y):\n    _seen[y] = _seen.pop(x, None)",
+     ["f grows _seen"]),
+    ("_seen = {}\ndef f(x):\n    if len(_seen) < _SPECTRA_KEPT "
+     "and _SPECTRA_FLOATS:\n        _seen[x] = x", []),
+])
+def test_an_unbounded_cache_is_found(source, found):
+    assert list(unbounded_caches(ast.parse(source))) == found
+
+
 def test_the_walk_forms_its_own_steps():
     # theta, the split of theta I - L into the steps that keep a layer and
     # those that advance it, and the Taylor orders kept are the walk's own:
