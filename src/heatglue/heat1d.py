@@ -22,7 +22,11 @@ term is formed.  _images, _modes and _cylinder_joint take each term by math
 and add by math.fsum, so none of their bits follows numpy's CPU kernels.
 One rounding rule for every route that returns a bound: its Gaussian sums
 are evaluated at t by _ImageSum.at and added by math.fsum; and one rule,
-:func:`heatglue.errors.below_prior`, refuses a bound that certifies nothing.
+:func:`heatglue.errors.below_prior`, refuses a bound that certifies nothing
+(route II applies it, and the caller of the circle cut).  One interface
+series, _interface_series, sums the second gluing formula for both of its
+1d routes: route II at the junction point, the circle cut at its two cut
+points.
 """
 
 from __future__ import annotations
@@ -237,6 +241,12 @@ def interface_two_intervals(L1: float, L2: float, t: float,
 # ---------------------------------------------------------------------------
 
 
+def _check_depths(L2: float, *depths: float) -> None:
+    """ValueError unless every depth lies in the second piece, [0, L2]."""
+    if not all(0.0 <= z <= L2 for z in depths):
+        raise ValueError("x and y must lie in [0, L2]")
+
+
 def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     """K_S(L1 + x, L1 + y) - K_L2(x, y), S = L1 + L2, the check on both
     gluing routes, in the representation :func:`k_interval` takes at S.
@@ -249,8 +259,7 @@ def glue_direct(L1: float, L2: float, x: float, y: float, t: float) -> float:
     so the nearest image, b, is exact.  For t >= S^2/pi, K_S - K_L2 by
     :func:`_modes`, K_S at L2 - x and L2 - y from the shared end."""
     L1, L2, t = positive(L1=L1, L2=L2, t=t)
-    if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
-        raise ValueError("x and y must lie in [0, L2]")
+    _check_depths(L2, x, y)
     S = L1 + L2
     if t < S * S / math.pi:
         a, b, joint, side = x - y, x + y, 2.0 * S, 2.0 * L2
@@ -310,8 +319,7 @@ def _route_I(L1: float, L2: float, t: float,
     path within _reach(t) of the nearest one, x + y <= 2 L2, is kept.
     """
     S, cut = L1 + L2, _reach(t) + 2.0 * L2
-    if not all(0.0 <= z <= L2 for depth in depths for z in depth):
-        raise ValueError("x and y must lie in [0, L2]")
+    _check_depths(L2, *(z for depth in depths for z in depth))
     pairs = [_flux_pair(L2, x, y, cut) for x, y in depths]
     offsets, period = (0.0, 2.0 * L1, 2.0 * L2), 2.0 * S
     ns = _lattice([(offset, period, cut, 0) for offset in offsets],
@@ -459,6 +467,37 @@ def _compose_sum(*pairs: tuple[_ImageSum, _ImageSum]) -> _ImageSum:
 _G0 = _ImageSum("g", [0.0], [1.0])  # the flat junction pulse
 
 
+def _interface_series(hops: Sequence[Sequence[_ImageSum]],
+                      closes: Sequence[_ImageSum],
+                      n_max: int) -> list[_ImageSum]:
+    """The interface series of the second gluing formula, at each interface
+    point u one image sum: sum_(n <= n_max) (-1)^n (H^n close)_u.
+
+    A path from an interface point to the far end crosses the interface
+    some number of times.  H_uv sums the hops from u to the next crossing,
+    at v (pulses of kind h, each at a positive distance with a positive
+    integer weight), and close_v the last leg, from v on.  The kernel's
+    interface part is the alternating Neumann series of (1 + H)^(-1) close,
+    the products being convolutions in time, and each is exact in image
+    sums: distances add and weights multiply (:class:`_ImageSum`).  Order n
+    is (H^n close)_u = sum_v H_uv * (H^(n-1) close)_v, the pairs of each u
+    composed and merged once (:func:`_compose_sum`).  Every hop moves a
+    path out, so once all sums of an order lie past the reach, so do those
+    of every later order, and the series stops there.  Each point's kept
+    orders, signed, are then merged once, at the least reach of the hops;
+    every weight stays an integer, so the merge adds them exactly.
+    TruncationError, from :func:`_compose_sum`, before a pair would form
+    more than _MAX_IMAGES images."""
+    orders = [list(closes)]
+    while len(orders) <= n_max and any(s.d.size for s in orders[-1]):
+        orders.append([_compose_sum(*zip(row, orders[-1])) for row in hops])
+    return [_ImageSum(sums[0].kind, np.concatenate([s.d for s in sums]),
+                      np.concatenate([(-1.0) ** n * s.w
+                                      for n, s in enumerate(sums)]),
+                      min(hop.reach for row in hops for hop in row))
+            for sums in zip(*orders)]
+
+
 def _echo_pulse(t_max: float, *lengths: float) -> _ImageSum:
     """Round trips across intervals of the given lengths: the pulses
     h_2kL, k >= 1, of each length out to _reach(t_max) (:func:`_lattice`)."""
@@ -487,6 +526,16 @@ def _geometric_tail(sup: float, t: float, r: np.ndarray, log_lam: np.ndarray,
     return sup * math.exp(least) if least < _LOG_MAX else math.inf
 
 
+def _log_geometric_sum(log_lam: np.ndarray, orders: int) -> np.ndarray:
+    """log sum_(k <= orders) lam^k in closed form, O(1) work per lam: with
+    a = |log lam|, the sum is e^(max(0, orders log lam)) (1 - e^(-(orders
+    + 1) a)) / (1 - e^(-a)), and no factor overflows on either side of 1.
+    At lam = 1 it is the limit orders + 1, from a floor of 1e-300 on a."""
+    a = np.maximum(np.abs(log_lam), 1e-300)
+    return (np.maximum(orders * log_lam, 0.0)
+            + np.log(-np.expm1(-(orders + 1.0) * a)) - np.log(-np.expm1(-a)))
+
+
 def _dropped_images(t: float, r: np.ndarray, log_lam: np.ndarray,
                     orders: int, *log_factors: np.ndarray) -> float:
     """Bound on the images past R = _reach(t) that a Gaussian sum of the
@@ -498,12 +547,9 @@ def _dropped_images(t: float, r: np.ndarray, log_lam: np.ndarray,
     least value over the fixed grid of r."""
     reach = _reach(t)
     near = r <= reach / (2.0 * t)
-    log_kept = np.logaddexp.reduce(
-        np.multiply.outer(np.arange(orders + 1.0), log_lam[near]), axis=0)
     log_drop = r[near] * reach - reach**2 / (4.0 * t)
-    for log_factor in log_factors:
+    for log_factor in (*log_factors, _log_geometric_sum(log_lam, orders)):
         log_drop = log_drop + log_factor[near]
-    log_drop = log_drop + log_kept
     return math.exp(float(log_drop.min())) / math.sqrt(4.0 * math.pi * t)
 
 
@@ -518,16 +564,14 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
                       n_max: int) -> tuple[float, float]:
     """Glued-interval correction as an alternating series of echo orders.
 
-    Term n convolves the flux pulse out of x, the echo chain E_n and the
-    flux pulse into y; the sign alternates with n.  E_n composes n round
-    trips phi = sum_k h_2kL1 + h_2kL2 (:func:`_echo_pulse`) with the flat
-    junction pulse g_0 into one exact Gaussian sum, and the kept orders
-    add, signed, into one Gaussian sum sum_n (-1)^n E_n.  The two flux
-    pulses compose into one signed sum (:func:`_flux_pair`), and that
-    composed with the echo sum is the series at t, one Gaussian sum with
-    no quadrature; at x = y = 0 the pair is the delta at the junction and
-    the series is the echo sum itself.  Images past _reach(t) are dropped,
-    and with them every order whose images all lie past it.
+    The interface is the junction point.  Its hop is the round trips
+    phi = sum_k h_2kL1 + h_2kL2 (:func:`_echo_pulse`) and its close the flat
+    junction pulse g_0, so :func:`_interface_series` gives the signed echo
+    sum, sum_(n <= n_max) (-1)^n phi^(*n) * g_0.  The flux pulses out of x
+    and into y compose into one signed sum (:func:`_flux_pair`), and that
+    composed with the echo sum is the series at t, one Gaussian sum with no
+    quadrature; at x = y = 0 the pair is the delta at the junction and the
+    series is the echo sum itself.
 
     Returns (value, bound); the check is the direct two-kernel difference
     :func:`glue_direct`, as for route I.  The bound adds the orders past
@@ -551,8 +595,7 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     pair.d.size (1 + phi.d.size) images.
     """
     L1, L2, t = positive(L1=L1, L2=L2, t=t)
-    if not (0.0 <= x <= L2 and 0.0 <= y <= L2):
-        raise ValueError("x and y must lie in [0, L2]")
+    _check_depths(L2, x, y)
     (n_max,) = nonnegative(n_max=n_max)
     label = f"echo series at order {n_max}"
     prior = k_line(x, y, t)
@@ -577,16 +620,7 @@ def glue_intervals_II(L1: float, L2: float, x: float, y: float, t: float,
     tail = below_prior(
         _geometric_tail(pulses.sup(t), t, r, log_lam, power)
         + _dropped_images(t, r, log_lam, n_max, *legs), prior, label)
-    chains = [_G0]
-    for _ in range(n_max):
-        chain = _compose_sum((phi, chains[-1]))
-        if not chain.d.size:  # every later order lies past the reach too
-            break
-        chains.append(chain)
-    total = _ImageSum("g", np.concatenate([c.d for c in chains]),
-                      np.concatenate([(-1.0) ** n * c.w
-                                      for n, c in enumerate(chains)]),
-                      phi.reach)
+    (total,) = _interface_series([[phi]], [_G0], n_max)
     series = total if pair is None else _compose_sum((pair, total))
     # a distance adds two flux legs, each off by at most 3 U, and at most
     # d / 2 min(L1, L2) round trips, each off by U, in as many roundings
@@ -668,8 +702,15 @@ def _cut_tail(L: float, cuts: Sequence[float], x: float, y: float,
         L, cuts[0] - cuts[1], r, log_gap))
     sup = max(c.sup(t) for c in close) \
         + 2.0 * _side_tail(_reach(t), L, t) / math.sqrt(4.0 * math.pi * t)
-    past = _geometric_tail(sup, t, r, log_lam, k_max + 1, log_a)
-    return past + _dropped_images(t, r, log_lam, k_max, log_a, log_b)
+    return _geometric_tail(sup, t, r, log_lam, k_max + 1, log_a) \
+        + _dropped_images(t, r, log_lam, k_max, log_a, log_b)
+
+
+def _spread_steps(spread: np.ndarray | float, d: np.ndarray) -> np.ndarray:
+    """2 spread / d at each distance d > 0, 0 at d = 0: the part of the
+    steps of :meth:`_ImageSum.at` that a ring offset adds to the rounding
+    of a distance (:func:`cut_circle_to_arc`)."""
+    return np.divide(2.0 * spread, d, out=np.zeros(d.size), where=d > 0.0)
 
 
 def arc_coordinates(L_total: float, cuts: Sequence[float], x: float,
@@ -708,34 +749,36 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     """Arc kernel rebuilt by cutting the circle at two points.
 
     The circle kernel, its images x - y + nL within _reach(t) of the
-    nearest one as :func:`k_circle` keeps them, minus the alternating
-    interface series.  Term k composes the flux state sum_n h_|x - c_u + nL|
-    at the cut points c_u, k hops sum_n h_|c_u - c_v + nL| (n != 0 when
-    u = v) and the close sum_n g_|c_u - y + nL| into one exact Gaussian sum
-    at t, images out to _reach(t); each new state and each close merges
-    its two compositions once (:func:`_compose_sum`).  The circle and each
-    close, all weights positive integers, go through :meth:`_ImageSum.at`
-    and their signed values are added by math.fsum.  Returns (value,
-    bound), checked by :func:`arc_direct`; the caller refuses a bound not
-    below the circle kernel (:func:`~heatglue.errors.below_prior`).  The
-    bound adds :func:`_cut_tail`, taken before anything is composed
-    (TruncationError when not finite), the circle's images past its cut
-    (:func:`_side_tail`), the rounding parts and U |value| for fsum.
+    nearest one as :func:`k_circle` keeps them, minus the interface series
+    at the two cut points c_u (:func:`_interface_series`): the hops are
+    H_uv = sum_n h_|c_u - c_v + nL| (n != 0 when u = v), the closes
+    sum_n g_|c_u - y + nL|, and the series is composed with the flux states
+    sum_n h_|x - c_u + nL| in one :func:`_compose_sum`, images out to
+    _reach(t).  The circle and that one signed sum, all weights integers,
+    go through :meth:`_ImageSum.at`.  Returns (value, bound), checked by
+    :func:`arc_direct`; the caller refuses a bound not below the circle
+    kernel (:func:`~heatglue.errors.below_prior`).  The bound adds
+    :func:`_cut_tail`, taken before anything is composed (TruncationError
+    when not finite), the circle's images past its cut (:func:`_side_tail`),
+    the rounding parts and U |value| for the difference.  The image budget
+    is checked before the tail, on each state with its close.
 
     A ring distance d = |delta + nL|, delta the float x - c, c - y,
     c_0 - c_1 or x - y, rounds in delta, nL and the sum, each by U times
     its result, and |nL| <= |delta| + d: d is off by at most
     U (2 |delta| + 3 d), however much delta + nL cancels near a cut.  A
-    close of order k adds k + 2 ring distances in k + 1 roundings, so D is
-    off by at most U (2 A + (k + 4) D) on every path merged into it,
-    A = max_u |x - c_u| + k |c_0 - c_1| + max_u |c_u - y|: its steps are
-    2 A / D + k + 4, the circle's 2 |x - y| / d + 3.  The square of that
-    error, at most (2 U A)^2/4t on an exponent, D = 0 included, adds
-    2 (U A)^2/t times each sum's positive value.
+    path of order k adds k + 2 ring distances in k + 1 roundings, so its
+    distance D is off by at most U (2 A + (k + 4) D),
+    A = max_u |x - c_u| + k |c_0 - c_1| + max_u |c_u - y|.  Each of its k
+    hops is at least the shortest kept one, L or the nearest cross hop, so
+    k <= min(k_max, D / shortest hop) for every path merged into D, and
+    that k gives D its steps, 2 A / D + k + 4; the circle's are
+    2 |x - y| / d + 3.  The square of that error, at most (2 U A)^2/4t on
+    an exponent, D = 0 included, adds 2 (U A)^2/t times |value| of each
+    sum, A the largest of the sum's.
     """
     arc_coordinates(L_total, cuts, x, y)  # both points inside one arc
-    L = float(L_total)
-    (t,) = positive(t=t)
+    L, t = positive(L_total=L_total, t=t)
     (k_max,) = nonnegative(k_max=k_max)
     reach = _reach(t)
     state = [_ring("h", L, x - c, reach) for c in cuts]
@@ -749,28 +792,21 @@ def cut_circle_to_arc(L_total: float, cuts: Sequence[float], x: float,
     if not math.isfinite(tail):
         raise TruncationError(f"circle cut at order {k_max}: its truncation "
                               f"tail has no finite bound", tail)
-
-    def at(sum_: _ImageSum, spread: float, adds: int) -> tuple[float, float]:
-        steps = np.divide(2.0 * spread, sum_.d, out=np.zeros(sum_.d.size),
-                          where=sum_.d > 0.0)
-        value, rounding = sum_.at(t, steps + adds + 3.0)
-        return value, rounding + 2.0 * (_U * spread) ** 2 / t * value
-
     delta = x - y
     near = abs(delta - L * round(delta / L))
-    parts = [at(_ring("g", L, delta, near + reach), abs(delta), 0)]
-    offsets = max(abs(x - c) for c in cuts) + max(abs(c - y) for c in cuts)
-    for k in range(k_max + 1):
-        if k:
-            state = [_compose_sum((state[0], same), (state[1], cross)),
-                     _compose_sum((state[0], cross), (state[1], same))]
-        term, rounding = at(
-            _compose_sum((state[0], close[0]), (state[1], close[1])),
-            offsets + k * abs(cuts[0] - cuts[1]), k + 1)
-        parts.append(((-1.0) ** (k + 1) * term, rounding))
-    value = math.fsum(v for v, _ in parts)
-    return value, tail + sum(r for _, r in parts) + _U * abs(value) \
-        + 2.0 * _side_tail(near + reach, L, t) / math.sqrt(4.0 * math.pi * t)
+    circle = _ring("g", L, delta, near + reach)
+    kernel, rounding = circle.at(t, _spread_steps(abs(delta), circle.d) + 3.0)
+    series = _compose_sum(*zip(state, _interface_series(
+        [[same, cross], [cross, same]], close, k_max)))
+    k = np.minimum(k_max, series.d / np.min(cross.d, initial=L))
+    spread = max(abs(x - c) for c in cuts) + k * abs(cuts[0] - cuts[1]) \
+        + max(abs(c - y) for c in cuts)
+    term, term_rounding = series.at(
+        t, _spread_steps(spread, series.d) + k + 4.0)
+    value, widest = kernel - term, float(np.max(spread, initial=0.0))
+    return value, tail + rounding + term_rounding + _U * abs(value) + 2.0 * (
+        _U**2 / t * (delta**2 * kernel + widest**2 * abs(term))
+        + _side_tail(near + reach, L, t) / math.sqrt(4.0 * math.pi * t))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -1014,6 +1016,38 @@ def test_echo_series_bound_is_informative_at_large_time():
     assert res <= bound < 1e-8
 
 
+@pytest.mark.parametrize("orders", [0, 1, 7, 10**5, 10**6])
+def test_the_kept_orders_sum_in_closed_form_on_both_sides_of_one(orders):
+    # log sum_(k <= orders) lam^k against 50 digits, lam below, at and
+    # above 1, with no overflow at lam^orders far past the float range
+    log_lam = np.array([-700.0, -50.0, -1.0, -1e-9, 0.0, 1e-9, 0.5, 700.0])
+    got = h._log_geometric_sum(log_lam, orders)
+    with mp.workdps(50):
+        want = [float(mp.log(orders + 1) if not v else mp.log(
+            mp.expm1((orders + 1) * mp.mpf(v)) / mp.expm1(mp.mpf(v))))
+            for v in log_lam.tolist()]
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_a_deep_order_keeps_the_dropped_images_bound_small():
+    # the bound on the images past the reach sums the kept orders in closed
+    # form: while it formed one exponent per order and grid point, each
+    # route peaked at 229 MB at 10^5 orders, and route II ran 0.9 s
+    for call in (lambda: h.glue_intervals_II(1.0, 2.0, 0.5, 0.7, 0.4, 10**5),
+                 lambda: h.cut_circle_to_arc(2.0, (0.0, 1.0), 1.3, 1.7, 0.4,
+                                             10**5)):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            value, bound = call()
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6 and elapsed < 1.0
+        assert 0.0 < bound < 1e-13 < value
+
+
 def added(a, b):
     """Two image sums of one kind added and merged: the sum's own merge of
     the two concatenated."""
@@ -1031,6 +1065,68 @@ def signed_echo_sum(L1, L2, t, n_max):
         total = added(total, h._ImageSum("g", chain.d, (-1.0) ** n * chain.w,
                                          chain.reach))
     return total
+
+
+def echo_chain_total(phi, n_max):
+    """Route II's signed echo sum as its own loop formed it: each order
+    composed with the round trips, stopped at the first order past the
+    reach, and the signed orders merged once."""
+    chains = [h._G0]
+    for _ in range(n_max):
+        chain = h._compose_sum((phi, chains[-1]))
+        if not chain.d.size:
+            break
+        chains.append(chain)
+    return h._ImageSum("g", np.concatenate([c.d for c in chains]),
+                       np.concatenate([(-1.0) ** n * c.w
+                                       for n, c in enumerate(chains)]),
+                       phi.reach)
+
+
+@pytest.mark.parametrize("L1,L2,t", [(1.0, 1.0, 0.7), (1.0, 2.0, 0.2),
+                                     (0.6, 1.3, 2.0), (0.376, 1.022, 0.0116),
+                                     (0.05, 0.07, 0.3)])
+def test_interface_series_at_one_point_is_the_echo_chain(L1, L2, t):
+    # at the one junction point, with H = [[phi]] and close [g_0], the
+    # shared series is route II's echo chain, distances and weights bit
+    # for bit, at every order, those past the reach included
+    phi = h._echo_pulse(t, L1, L2)
+    for n_max in (0, 1, 2, 6, 10, 40):
+        (got,) = h._interface_series([[phi]], [h._G0], n_max)
+        want = echo_chain_total(phi, n_max)
+        assert (got.kind, got.reach) == (want.kind, want.reach)
+        assert got.d.tobytes() == want.d.tobytes(), n_max
+        assert got.w.tobytes() == want.w.tobytes(), n_max
+
+
+def test_interface_series_stops_at_the_first_order_past_the_reach(
+        monkeypatch):
+    # the README cut's orders all lie past the reach from order 9 on: at
+    # any deeper k_max the series composes the same nine orders, two sums
+    # each, and returns the same sums
+    calls = [0]
+    fuse = h._compose_sum
+
+    def counted(*pairs):
+        calls[0] += 1
+        return fuse(*pairs)
+
+    L, cuts, _, y, t = README_CUT
+    reach = h._reach(t)
+    same = h._ring("h", L, 0.0, reach, skip_zero=True)
+    cross = h._ring("h", L, cuts[0] - cuts[1], reach)
+    close = [h._ring("g", L, c - y, reach) for c in cuts]
+    monkeypatch.setattr(h, "_compose_sum", counted)
+    sums = []
+    for n_max in (9, 10, 10**5):
+        calls[0] = 0
+        sums.append(h._interface_series([[same, cross], [cross, same]],
+                                        close, n_max))
+        assert calls[0] == 2 * min(n_max, 9)
+    for other in sums[1:]:
+        for a, b in zip(sums[0], other):
+            assert a.d.tobytes() == b.d.tobytes()
+            assert a.w.tobytes() == b.w.tobytes()
 
 
 def test_echo_terms_match_the_exact_composition_on_the_gate_08_cases():
@@ -1412,79 +1508,88 @@ def cut_sums_one_by_one(L, cuts, x, y, t, k_max):
     return sums
 
 
-def fused_cut_sums(monkeypatch, L, cuts, x, y, t, k_max):
-    """The sums that cut_circle_to_arc composes, in the order it forms
-    them, the sums it evaluates at t with their values, in order, and the
-    value it returns."""
-    sums, evaluated = [], []
-    fuse, at = h._compose_sum, h._ImageSum.at
-
-    def record(*pairs):
-        sums.append(fuse(*pairs))
-        return sums[-1]
+def evaluated_cut(monkeypatch, L, cuts, x, y, t, k_max):
+    """The sums that cut_circle_to_arc evaluates at t, in order, each with
+    what _ImageSum.at gave it, and the value the cut returns."""
+    evaluated, at = [], h._ImageSum.at
 
     def record_at(self, *args):
-        evaluated.append((self, at(self, *args)[0]))
-        return at(self, *args)
+        evaluated.append((self, at(self, *args)))
+        return evaluated[-1][1]
 
     with monkeypatch.context() as m:
-        m.setattr(h, "_compose_sum", record)
         m.setattr(h._ImageSum, "at", record_at)
         value, _ = h.cut_circle_to_arc(L, cuts, x, y, t, k_max)
-    return sums, evaluated, value
+    return evaluated, value
 
 
 def test_cut_sums_merged_once_are_the_sums_merged_one_by_one(monkeypatch):
-    # every weight is an integer, so one merge of the two compositions of a
-    # state or a close gives, byte for byte, what merging each composition
-    # and then their sum gave; the cut evaluates the circle's images and
-    # each close once, by _ImageSum.at, and adds the signed values by fsum
+    # the cut evaluates two sums, the circle's images and its interface
+    # series composed with the two states, all orders merged once; the
+    # closes of the orders, composed and merged one by one, evaluated one
+    # by one and added by fsum, give the same value to within the rounding
+    # part of the merged series (relative to the value, up to 1.9e-12 where
+    # the value is 1/7000 of the circle kernel)
+    worst = 0.0
     for case in [*continuum_cuts(7919, 30), README_CUT]:
-        L, _, x, y, t = case
-        want = cut_sums_one_by_one(*case, 8)
-        circle, _ = h.k_circle(L, x, y, t, "images")
+        t = case[-1]
+        closes = cut_sums_one_by_one(*case, 8)[::3]
         for k_max in range(9):
-            got, evaluated, value = fused_cut_sums(monkeypatch, *case, k_max)
-            assert len(got) == 3 * k_max + 1
-            for g, w in zip(got, want):
-                assert (g.kind, g.reach) == (w.kind, w.reach)
-                assert g.d.tobytes() == w.d.tobytes(), (case, k_max)
-                assert g.w.tobytes() == w.w.tobytes(), (case, k_max)
-            assert [s for s, _ in evaluated[1:]] == got[::3]
-            assert abs(evaluated[0][1] - circle) <= 1e-15 * circle
-            assert value == math.fsum(
-                [evaluated[0][1]] + [(-1.0) ** (k + 1) * term for k, (_, term)
-                                     in enumerate(evaluated[1:])])
+            evaluated, value = evaluated_cut(monkeypatch, *case, k_max)
+            (_, (circle, _)), (series, (term, rounding)) = evaluated
+            assert series.kind == "g" and value == circle - term
+            one_by_one = math.fsum(
+                [circle] + [(-1.0) ** (k + 1) * close.at(t, 0.0)[0]
+                            for k, close in enumerate(closes[:k_max + 1])])
+            assert abs(value - one_by_one) <= rounding, (case, k_max)
+            worst = max(worst, abs(value - one_by_one) / circle)
+    assert worst < 1e-15  # of the circle kernel, which bounds the arc's
 
 
-def test_cut_refuses_at_the_image_budget_where_one_by_one_did(monkeypatch):
+def test_cut_refuses_at_the_image_budget_before_forming_the_pair(monkeypatch):
     # each pair is checked against the budget before it is formed, so a
-    # lowered budget refuses the same cuts, at the same pair, as before
+    # lowered budget refuses before a composition forms any sum, and the
+    # refusal names a pair past the budget
     outcomes = []
+    merge, fuse = h._ImageSum.__post_init__, h._compose_sum
+    merges = [0]
+
+    def counted(self):
+        merges[0] += 1
+        merge(self)
+
+    def checked(*pairs):
+        before = merges[0]
+        try:
+            return fuse(*pairs)
+        except h.TruncationError:
+            assert merges[0] == before
+            raise
+
+    monkeypatch.setattr(h._ImageSum, "__post_init__", counted)
+    monkeypatch.setattr(h, "_compose_sum", checked)
     for budget in (40, 150, 400, 1200, 4000):
         monkeypatch.setattr(h, "_MAX_IMAGES", budget)
         for case in [*continuum_cuts(7919, 30), README_CUT]:
             for k_max in (0, 2, 4, 8):
-                refusals = []
-                for build in (cut_sums_one_by_one,
-                              lambda *a: fused_cut_sums(monkeypatch, *a)[0]):
-                    try:
-                        build(*case, k_max)
-                        refusals.append(None)
-                    except h.TruncationError as exc:
-                        assert "past the budget" in str(exc)
-                        refusals.append(str(exc))
-                assert refusals[0] == refusals[1], (budget, case, k_max)
-                outcomes.append(refusals[0] is None)
+                try:
+                    h.cut_circle_to_arc(*case, k_max)
+                    outcomes.append(True)
+                except h.TruncationError as exc:
+                    assert f"past the budget of {budget}" in str(exc)
+                    pair = re.match(r"composing (\d+) by (\d+) images",
+                                    str(exc))
+                    assert pair is None or \
+                        int(pair[1]) * int(pair[2]) > budget, exc
+                    outcomes.append(False)
     assert 0 < sum(outcomes) < len(outcomes)
 
 
 @pytest.mark.parametrize("k_max", range(9))
 def test_cut_merges_each_state_and_close_once(monkeypatch, k_max):
-    # six rings and the circle's images, then one close at order 0 and two
-    # states and a close at every later order: 8 + 3 k_max image sums, 20
-    # at k_max 4 (it was 45 while each composition was merged before the
-    # two were added, and one less while the circle was k_circle's)
+    # six rings and the circle's images, then the two sums of every kept
+    # order of the interface series, each point's signed orders, and the
+    # series composed with the two states: at most 10 + 2 k_max image sums
     merge = h._ImageSum.__post_init__
     count = [0]
 
@@ -1496,7 +1601,9 @@ def test_cut_merges_each_state_and_close_once(monkeypatch, k_max):
     for case in [README_CUT, *continuum_cuts(7919, 3)]:
         count[0] = 0
         h.cut_circle_to_arc(*case, k_max)
-        assert count[0] <= 8 + 3 * k_max, case
+        assert count[0] <= 10 + 2 * k_max, case
+        if case == README_CUT:  # no order of it lies past the reach by 8
+            assert count[0] == 10 + 2 * k_max
 
 
 def test_grid_factors_are_taken_once(monkeypatch):

@@ -350,19 +350,42 @@ def test_one_junction_kernel_and_one_rate_clamp():
 def test_the_direct_difference_is_one_image_or_two_mode_sums():
     # glue_direct keeps no sum, array or cut of its own: below S^2/pi it is
     # one _images call, from there on _modes at S minus _modes at L2, and
-    # it names no numpy and none of the cut's parts
+    # it names no numpy and none of the cut's parts; its domain check is
+    # _check_depths, the one that route I and route II call too
     trees = dict(modules())
     direct = next(n for n in trees["heat1d"].body
                   if getattr(n, "name", None) == "glue_direct")
     calls = [getattr(n.func, "attr", getattr(n.func, "id", None))
              for n in ast.walk(direct) if isinstance(n, ast.Call)]
-    assert sorted(set(calls) - {"positive", "ValueError"}) == [
+    assert sorted(set(calls) - {"positive", "_check_depths"}) == [
         "_images", "_modes", "sin"]
     assert (calls.count("_images"), calls.count("_modes")) == (1, 1)
     assert {"np", "_lattice", "_reach", "_check_terms", "round", "fsum",
             "exp"} & set(named(direct)) == set()
     branches = [n for n in ast.walk(direct) if isinstance(n, ast.If)]
-    assert len(branches) == 2  # the domain check and the crossover
+    assert len(branches) == 1  # the crossover
+
+
+def test_one_interface_series_for_both_1d_formula_II_routes():
+    # the second gluing formula's series over interface crossings is summed
+    # once in 1d: only _interface_series composes image sums in a loop over
+    # orders, and route II and the circle cut each call it once; the depth
+    # check of the interval gluings is one helper with its one message
+    tree = dict(modules())["heat1d"]
+    functions = {n.name: n for n in tree.body
+                 if isinstance(n, ast.FunctionDef)}
+    looping = {name for name, f in functions.items()
+               for loop in ast.walk(f) if isinstance(loop, (ast.For, ast.While))
+               if "_compose_sum" in called(loop)}
+    assert looping == {"_interface_series"}
+    for route in ("glue_intervals_II", "cut_circle_to_arc"):
+        calls = [n for n in ast.walk(functions[route])
+                 if isinstance(n, ast.Call)
+                 and getattr(n.func, "id", None) == "_interface_series"]
+        assert len(calls) == 1, route
+    assert [name for name, f in functions.items() for n in ast.walk(f)
+            if isinstance(n, ast.Constant)
+            and "must lie in [0, L2]" in str(n.value)] == ["_check_depths"]
 
 
 def test_every_graph_rate_comes_from_one_spectrum():
