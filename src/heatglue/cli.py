@@ -68,7 +68,6 @@ _NUMERICAL = (
     errors.TruncationError,
     errors.ConvergenceError,
     errors.ConfluentOverflowError,
-    errors.LengthCapError,
     FloatingPointError,
     OverflowError,
 )
@@ -317,13 +316,15 @@ def _guarded(case: str, geometry: str, inputs: dict,
         raise InputError(str(exc)) from exc
 
 
-def run_graph_glue(label: str, t: float, method: str, k_max: int,
+def run_graph_glue(label: str, t: float, method: str, k_max: int | None,
                    tol: float, prefix: str = "") -> list[Reports]:
     """Glued heat kernel of a decomposed graph, one report per entry."""
-    doc = _load_input(label)
     base = {"input": label, "t": t, "method": method, "tol": tol}
     if method == "series":
-        base["kmax"] = k_max
+        base["kmax"] = k_max = 12 if k_max is None else k_max
+    elif k_max is not None:
+        raise InputError("kmax applies to the series method only")
+    doc = _load_input(label)
 
     def run():
         d = graph_heat.decomposition_from_dict(doc)
@@ -367,7 +368,7 @@ def run_graph_pathsum(label: str, u: str, v: str, t: float, eps: float,
     def run():
         g = graph_heat.graph_from_dict(doc)
         value, cutoff, tail = path_sum.pathsum_heat(g, u, v, t, eps)
-        ref = float(graph_heat.heat_values(g, t)[g.index[u], g.index[v]])
+        ref = float(graph_heat.heat_values(g, t)[tuple(g.indices((u, v)))])
         extra = {"u": u, "v": v, "t": t, "cutoff": cutoff, "tail_bound": tail}
         return [Reports(case, "graph", inputs, value, ref, tail, extra=extra)]
 
@@ -427,8 +428,7 @@ def _green_sinh_reports(g, interface, direct, m2, base, prefix) -> Reports:
     th = 2.0 * math.asinh(0.5 * math.sqrt(m2))
     sinh = [math.sinh(th * k) for k in range(n_top + 1)]
     denom = math.sinh(th) * sinh[n_top]
-    killed = set(interface)
-    comp = [v for v in g.vertices if v not in killed]
+    comp = [g.vertices[i] for i in g.split(interface)[1]]
     pos = [positions[v] for v in comp]
     reference = [sinh[min(p, q)] * sinh[n_top - max(p, q)] / denom
                  for p in pos for q in pos]
@@ -437,14 +437,16 @@ def _green_sinh_reports(g, interface, direct, m2, base, prefix) -> Reports:
 
 
 def run_interval_glue(L1: float, L2: float, x: float, y: float, t: float,
-                      formula: str, n_max: int, tol: float,
+                      formula: str, n_max: int | None, tol: float,
                       reference: float | None = None,
                       case: str = "interval-glue") -> list[Reports]:
     """Glued interval kernel against the direct two-kernel difference."""
     inputs = {"L1": L1, "L2": L2, "formula": formula, "tol": tol,
               "x": x, "y": y, "t": t}
     if formula == "II":
-        inputs["nmax"] = n_max
+        inputs["nmax"] = n_max = 6 if n_max is None else n_max
+    elif n_max is not None:
+        raise InputError("nmax applies to formula II only")
 
     def run():
         ref = heat1d.glue_direct(L1, L2, x, y, t) if reference is None \
@@ -716,9 +718,10 @@ _COMMANDS = (
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--method", "method", "Interface kernel route.", str,
             "assembled", ("assembled", "series")),
-        _Option("--kmax", "k_max", "Series truncation order (series method "
-            "only).  A larger order leaves less out, so the certified bound "
-            "shrinks with it down to rounding level.", int, 12),
+        _Option("--kmax", "k_max", "Series truncation order, 12 by default "
+            "(series method only).  A larger order leaves less out, so the "
+            "certified bound shrinks with it down to rounding level.", int,
+            None),
         _tol(1e-10))),
     _Command("graph pathsum", run_graph_pathsum, (
         _Option("--input", "label", "Graph JSON file or bundled fixture name."),
@@ -743,8 +746,8 @@ _COMMANDS = (
         _Option("--t", "t", "Evaluation time.", float),
         _Option("--formula", "formula", "Reflection route or echo series.", str,
             "I", ("I", "II")),
-        _Option("--nmax", "n_max", "Echo series truncation (formula II only).",
-            int, 6),
+        _Option("--nmax", "n_max", "Echo series truncation, 6 by default "
+            "(formula II only).", int, None),
         _tol(1e-8))),
     _Command("interval interface", run_interval_interface, (
         _Option("--L1", "L1", "First length.", float),

@@ -19,7 +19,6 @@ __all__ = [
     "TruncationError",
     "ConvergenceError",
     "ConfluentOverflowError",
-    "LengthCapError",
     "below_prior",
     "positive",
     "nonnegative",
@@ -27,10 +26,11 @@ __all__ = [
 
 
 class TruncationError(RuntimeError):
-    """A sum or composition would keep more terms than its budget, or its
-    bound certifies nothing (it is not finite, or not below an a-priori
-    bound of the quantity); achievable is that bound, infinite when none
-    was taken."""
+    """A sum or composition would keep more terms than its budget (a 1d
+    term budget, or the path length cap of :mod:`heatglue.path_sum`), or
+    its bound certifies nothing (it is not finite, or not below an
+    a-priori bound of the quantity); achievable is the best bound it
+    reached, infinite when none was taken."""
 
     def __init__(self, message: str, achievable: float = math.inf):
         super().__init__(message)
@@ -50,20 +50,6 @@ class ConfluentOverflowError(ValueError):
     per factor; hitting the cap usually means either the cap is too low for
     the series being summed or two rates that should be distinct were merged.
     """
-
-
-class LengthCapError(ValueError):
-    """Raised when a requested accuracy needs paths longer than the cap of
-    :mod:`heatglue.path_sum`.
-
-    ``achievable`` holds the row-sum deficit at the cap, the best
-    truncation bound reachable there, so the caller can decide whether the
-    truncated answer is still useful.
-    """
-
-    def __init__(self, message: str, achievable: float | None = None) -> None:
-        super().__init__(message)
-        self.achievable = achievable
 
 
 def below_prior(bound: float, prior: float, label: str) -> float:

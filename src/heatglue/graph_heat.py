@@ -167,6 +167,14 @@ class Graph:
         except KeyError as exc:
             raise ValueError(f"vertex {exc.args[0]!r} not in graph") from None
 
+    def split(self, labels: Iterable) -> tuple[list[int], list[int]]:
+        """The indices of ``labels``, read by :meth:`indices`, and those of
+        every other vertex, in vertex order: the one complement of a vertex
+        set in the package."""
+        inside = self.indices(labels)
+        chosen = set(inside)
+        return inside, [i for i in range(self.n) if i not in chosen]
+
     def induced(self, labels: Sequence) -> "Graph":
         labels = tuple(labels)
         self.indices(labels)
@@ -239,18 +247,21 @@ class Decomposition:
             raise ValueError("interface must be nonempty")
         if len(set(y)) != len(y):
             raise ValueError("duplicate interface labels")
-        g.indices(y)
-        yset = set(y)
-        rest = [v for v in g.vertices if v not in yset]
-        if not rest:
+
+        def rest(*labels) -> tuple:
+            """The vertices off ``labels``, in vertex order."""
+            return tuple(g.vertices[i] for i in g.split(labels)[1])
+
+        off = rest(*y)
+        if not off:
             raise ValueError("interface equals the whole vertex set")
 
         s1, s2 = self.side1, self.side2
         if s1 is None and s2 is None:
-            labels = g.induced(rest).components
-            s1 = [v for v, c in zip(rest, labels) if c == 0]
-        s1 = tuple(v for v in rest if v not in s2) if s1 is None else tuple(s1)
-        s2 = tuple(v for v in rest if v not in s1) if s2 is None else tuple(s2)
+            labels = g.induced(off).components
+            s1 = [v for v, c in zip(off, labels) if c == 0]
+        s1 = rest(*y, *s2) if s1 is None else tuple(s1)
+        s2 = rest(*y, *s1) if s2 is None else tuple(s2)
 
         if sorted(g.indices(s1 + y + s2)) != list(range(g.n)):
             raise ValueError("side1, interface, side2 must partition the vertex set")
@@ -265,6 +276,17 @@ class Decomposition:
     @cached_property
     def ordered_graph(self) -> Graph:
         return self.graph.with_vertex_order(self.side1 + self.interface + self.side2)
+
+    @cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """The interface and off-interface indices in decomposition order,
+        read-only: :meth:`Graph.split` of :attr:`ordered_graph`, formed
+        once per decomposition."""
+        y, c = (np.array(i, dtype=np.intp)
+                for i in self.ordered_graph.split(self.interface))
+        y.setflags(write=False)
+        c.setflags(write=False)
+        return y, c
 
     @cached_property
     def side_graphs(self) -> tuple[Graph, Graph]:
@@ -448,8 +470,7 @@ def heat_values(g: Graph, t: float) -> np.ndarray:
 def relative_heat_kernel(g: Graph, y: Sequence) -> KernelMatrix:
     """Heat flow killed on y: the complement block keeps its full valencies,
     and rows/columns in y are identically zero."""
-    killed = set(g.indices(y))
-    comp = [i for i in range(g.n) if i not in killed]
+    _, comp = g.split(y)
     if not comp:
         raise ValueError("y must be a proper subset of the vertex set")
     universe, small = _spectral(*_spectrum(g, comp))
@@ -469,7 +490,7 @@ def extension_kernel(g: Graph, y: Sequence) -> KernelMatrix:
     if not y:
         raise ValueError("y must be nonempty")
     rel = relative_heat_kernel(g, y)
-    yidx = [g.index[v] for v in y]
+    yidx = g.indices(y)
     coef = np.einsum("ikxp,kj->ijxp", rel.coef, g.adjacency[:, yidx])
     atom = np.zeros((g.n, len(y)))
     atom[yidx, np.arange(len(y))] = 1.0
@@ -491,27 +512,24 @@ def interface_kernel(d: Decomposition) -> KernelMatrix:
     identity atom on the interface columns.
     """
     w, q = _spectrum(d.ordered_graph)
-    n1, ny = len(d.side1), len(d.interface)
-    universe, coef = _spectral(w, q[n1:n1 + ny])
-    return KernelMatrix(d.interface, d.interface, universe, coef, np.zeros((ny, ny)))
+    y, _ = d.split
+    universe, coef = _spectral(w, q[y])
+    return KernelMatrix(d.interface, d.interface, universe, coef,
+                        np.zeros((y.size, y.size)))
 
 
 def one_step_interface_kernel(d: Decomposition) -> KernelMatrix:
-    """One-step interface update: delta times A restricted to the interface,
-    plus the relative kernel of each side sandwiched between the adjacency
-    rows of the interface into that side, as an interface-indexed matrix.
+    """One-step interface update as an interface-indexed matrix: delta
+    times A_YY, plus A_YC K_rel A_CY, the relative kernel off the interface
+    (both sides, which share no edge) between the adjacency blocks.  With
+    (mu, B) of formula I (:func:`_glue_I_spectra`), that is
+    B^T e^{-mu t} B.
 
     The exact reference for the ``dn_prime`` path-sum operator."""
-    og = d.ordered_graph
-    n1, ny = len(d.side1), len(d.interface)
-    rel = relative_heat_kernel(og, d.interface)
-    y = np.arange(n1, n1 + ny)
-    coef = np.zeros((ny, ny) + rel.coef.shape[2:])
-    for side in (np.arange(n1), np.arange(n1 + ny, og.n)):
-        ays = og.adjacency[np.ix_(y, side)]
-        coef += np.einsum("pu,uvxw,qv->pqxw", ays, rel.coef[np.ix_(side, side)], ays)
-    return KernelMatrix(d.interface, d.interface, rel.universe, coef,
-                        og.adjacency[np.ix_(y, y)])
+    y, _, _, _, mu, _, b = _glue_I_spectra(d)
+    universe, coef = _spectral(mu, b.T)
+    return KernelMatrix(d.interface, d.interface, universe, coef,
+                        d.ordered_graph.adjacency[np.ix_(y, y)])
 
 
 # ---------------------------------------------------------------------------
@@ -744,8 +762,7 @@ def glue_II_values(d: Decomposition, t: float,
     (k_max,) = nonnegative(k_max=k_max)
     (t,) = positive(t=t)
     og = d.ordered_graph
-    n1, ny = len(d.side1), len(d.interface)
-    y = np.arange(n1, n1 + ny)
+    y, _ = d.split
     # a step off an interface vertex starts the next term of the series
     layers, gamma = uniformized_walk(og, np.eye(og.n), k_max + 2, t,
                                      advancing=y)
@@ -764,17 +781,16 @@ def glue_II_values(d: Decomposition, t: float,
 
 def _glue_I_spectra(d: Decomposition) -> tuple[np.ndarray, ...]:
     """(y, c, w, Q_Y, mu, V, B) of formula I: the interface and off-interface
-    indices in decomposition order, L = Q diag(w) Q^T, L_C = V diag(mu) V^T
-    (both from :func:`_spectrum`) and B = V^T A_CY."""
+    indices in decomposition order (:attr:`Decomposition.split`),
+    L = Q diag(w) Q^T, L_C = V diag(mu) V^T (both from :func:`_spectrum`)
+    and B = V^T A_CY."""
     og = d.ordered_graph
-    n, n1, ny = og.n, len(d.side1), len(d.interface)
-    y = np.arange(n1, n1 + ny)
-    c = np.concatenate((np.arange(n1), np.arange(n1 + ny, n)))
+    y, c = d.split
     w, q = _spectrum(og)
     mu, v = _spectrum(og, c)
     # a C-ordered copy: the order in which BLAS sums follows the layout
-    a_cy = og.adjacency[c, n1:n1 + ny]
-    return y, c, w, q[n1:n1 + ny], mu, v, v.T @ a_cy
+    a_cy = og.adjacency[np.ix_(c, y)]
+    return y, c, w, q[y], mu, v, v.T @ a_cy
 
 
 def glue_I(d: Decomposition) -> KernelMatrix:
@@ -942,12 +958,9 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
     be nonempty, as the interface of a :class:`Decomposition` is.
     """
     (m2,) = positive(m2=m2)
-    y = tuple(y)
-    yset = set(y)
+    y, a = g.split(y)
     if not y:
         raise ValueError("interface must be nonempty")
-    g.indices(y)
-    a = [i for i, v in enumerate(g.vertices) if v not in yset]
     if not a:
         return np.zeros((0, 0)), 0.0
 
@@ -955,8 +968,8 @@ def schur_cut(g: Graph, y: Sequence, m2: float) -> tuple[np.ndarray, float]:
     direct = (u / (mu + m2)) @ u.T
 
     labels = g.components
-    touched = set(labels[a])
-    b = [i for i, v in enumerate(g.vertices) if v in yset and labels[i] in touched]
+    touched = set(labels[a].tolist())
+    b = [i for i in sorted(set(y)) if labels[i] in touched]
     r = int(labels.max()) + 1
     w, vectors = _spectrum(g)
     z, q = vectors[:, :r], vectors[:, r:]
@@ -984,16 +997,13 @@ def random_decomposition(rng: np.random.Generator, n_max: int = 12) -> Decomposi
     ny = int(rng.integers(1, min(3, n_max - 2) + 1))
     n1 = int(rng.integers(1, n_max - ny - 1 + 1))
     n2 = int(rng.integers(1, n_max - ny - n1 + 1))
-    n = n1 + ny + n2
+    n = n1 + n2 + ny
     labels = tuple(f"v{i}" for i in range(n))
-    side1 = labels[:n1]
-    inter = labels[n1 : n1 + ny]
-    side2 = labels[n1 + ny :]
+    side1, inter, side2 = labels[:n1], labels[n1:n - n2], labels[n - n2:]
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            cross = (i < n1 and j >= n1 + ny) or (j < n1 and i >= n1 + ny)
-            if cross:
+            if i < n1 and j >= n - n2:  # side1 x side2
                 continue
             if rng.random() < 0.5:
                 edges.append((labels[i], labels[j]))

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from heatglue.errors import LengthCapError, below_prior, nonnegative, positive
+from heatglue.errors import TruncationError, below_prior, nonnegative, positive
 from heatglue.graph_heat import Decomposition, Graph, uniformized_walk
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "pathsum_operator_values",
 ]
 
-#: Hard ceiling on the path length of a sum; see :class:`LengthCapError`.
+#: Hard ceiling on the path length of a sum: past it, TruncationError.
 LENGTH_CAP = 24
 
 
@@ -90,10 +90,10 @@ def pathsum_heat(g: Graph, u, v, t: float,
     cutoff plus a rounding part, 3 gamma max(1, row sum) with gamma the
     relative rounding error that the walk counts, as in
     :func:`heatglue.graph_heat.glue_II_values`.  Raises
-    :class:`LengthCapError` carrying the deficit at the cap when no cutoff
-    within it qualifies.  An entry of e^{-tL} lies in [0, 1], so a bound
-    of 1 or more proves nothing: it raises
-    :class:`~heatglue.errors.TruncationError` by
+    :class:`~heatglue.errors.TruncationError` carrying the deficit at the
+    cap as its ``achievable`` when no cutoff within it qualifies.  An entry
+    of e^{-tL} lies in [0, 1], so a bound of 1 or more proves nothing: it
+    raises TruncationError on it too, by
     :func:`~heatglue.errors.below_prior`, as the graph series does.
     """
     t, eps = positive(t=t, eps=eps)
@@ -117,7 +117,7 @@ def pathsum_heat(g: Graph, u, v, t: float,
             value = math.fsum(r[iv] for r in rows[: k + 1])
             return value, k, below_prior(deficit + rounding, 1.0,
                                          f"path sum at length {k}")
-    raise LengthCapError(
+    raise TruncationError(
         f"eps={eps:g} needs paths longer than the cap {LENGTH_CAP}; "
         f"row-sum deficit there is {deficit:g}", deficit)
 
@@ -160,16 +160,14 @@ def pathsum_operator_values(d: Decomposition, which: str, max_length: int,
         raise ValueError(f"unknown operator {which!r}")
     (max_length,) = nonnegative(max_length=max_length)
     if max_length > LENGTH_CAP:
-        raise LengthCapError(f"max_length {max_length} exceeds cap {LENGTH_CAP}")
+        raise TruncationError(f"max_length {max_length} exceeds cap {LENGTH_CAP}")
     (t,) = positive(t=t)
 
     og = d.ordered_graph
-    y = d.interface
-    yi = np.array([og.index[w] for w in y])
-    ci = np.setdiff1d(np.arange(og.n), yi)
+    yi, ci = d.split
     a = og.adjacency
     eye = np.eye(og.n)
-    no_atom = np.zeros((len(y), len(y)))
+    no_atom = np.zeros((yi.size, yi.size))
     a_cy = a[np.ix_(ci, yi)]
     if which == "interface":
         inside, start, close, layers, atom = (np.arange(og.n), eye[yi],

@@ -283,7 +283,9 @@ def test_a_graph_gluing_checks_every_graph_it_builds(tmp_path, monkeypatch):
                                        ("a", "b", "d", "c")])]:
         for method in ("assembled", "series"):
             checks.clear()
-            (rep,) = heatglue.cli.run_graph_glue(name, 0.7, method, 8, 1e-8)
+            k_max = 8 if method == "series" else None
+            (rep,) = heatglue.cli.run_graph_glue(name, 0.7, method, k_max,
+                                                 1e-8)
             assert checks == built
             assert set(rep.status) == {"pass"}
 
@@ -430,6 +432,9 @@ LINE3 = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["2", "3"]],
 GLUE, PATHSUM = "graph glue --t 1", "graph pathsum --u 1 --v 3 --t 1 --eps 1e-9"
 ENTRY = "references.entries['1,1']"
 TERM = "{'coef': number, 'power': integer, 'rate': number}"
+CUT = "graph cut --m2 1"
+PATH_ABC = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]],
+            "boundary": ["a", "c"], "references": {"green_sinh": True}}
 
 
 def with_entry(mix, key="1,1"):
@@ -485,12 +490,25 @@ def with_entry(mix, key="1,1"):
      f"{ENTRY} has an integer term rate past the float range"),
     (GLUE, with_entry({"atom": 10**400, "terms": []}),
      f"{ENTRY} has an integer atom past the float range"),
+    (GLUE, 3, "g.json: expected a JSON object"),
+    (PATHSUM, {"edges": []}, 'expected {"vertices": [...], "edges": [...]}'),
+    (GLUE, {**LINE3, "interface": []}, "interface must be nonempty"),
+    (GLUE, {**LINE3, "interface": ["2", "2"]}, "duplicate interface labels"),
+    (GLUE, {"vertices": ["1", "2"], "edges": [["1", "2"]]},
+     'decomposition JSON needs an "interface" list'),
+    (CUT, PATH_ABC, "green_sinh reference needs integer vertex labels"),
+    (CUT, {**PATH_ABC, "vertices": ["0", "1", "5"],
+           "edges": [["0", "1"], ["1", "5"]], "boundary": ["0", "5"]},
+     "green_sinh reference needs labels 0..N"),
 ], ids=["vertices-5", "edges-7", "interface-2", "vertex-a-list", "pathsum-5",
         "entries-text", "edge-text", "edge-end-true", "edge-of-three",
         "side1-text", "interface-null", "cut-vertices-object", "terms-5",
         "term-no-rate", "term-coef-true", "term-power-fraction", "term-5",
         "entry-no-atom", "entry-of-no-pair", "coef-past-floats",
-        "rate-past-floats", "atom-past-floats"])
+        "rate-past-floats", "atom-past-floats", "document-3",
+        "graph-no-vertices", "interface-empty", "interface-repeated",
+        "decomposition-no-interface", "green-sinh-text-labels",
+        "green-sinh-labels-not-0-to-N"])
 def test_a_malformed_graph_document_is_unusable_input(tmp_path, monkeypatch,
                                                       command, doc, message):
     # the shapes of a graph document are checked once, where it is read,
@@ -501,6 +519,30 @@ def test_a_malformed_graph_document_is_unusable_input(tmp_path, monkeypatch,
     res = invoke([*words[:2], "--input", "g.json", *words[2:]])
     assert (res.exit_code, res.stdout, res.stderr) == (
         2, "", f"Error: {message}\n")
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"cases": 3}, "p.json: expected a cases list"),
+    ({"tests": []}, "p.json: expected a cases list"),
+    ([{"kind": "ray-glue", "x": 1, "y": 1}], "case case000: missing field 't'"),
+], ids=["cases-3", "no-cases", "case-without-t"])
+def test_every_rejection_of_a_problem_set_is_reached(tmp_path, monkeypatch,
+                                                     doc, message):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("p.json").write_text(json.dumps(doc))
+    res = invoke(["verify", "--input", "p.json"])
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", f"Error: {message}\n")
+
+
+def test_a_cut_that_kills_every_vertex_has_gap_zero():
+    # nothing is left off the interface: the killed Green's matrix is
+    # empty, and so is its gap
+    res = invoke("graph cut --input line3 --interface 1,2,3 --m2 1".split())
+    assert (res.exit_code, res.stderr) == (0, "")
+    (r,) = json_lines(res.stdout)
+    assert (r["case"], r["value"], r["residual"], r["status"]) == (
+        "schur-gap", 0.0, 0.0, "pass")
 
 
 def test_numeric_vertex_labels_are_read_as_text(tmp_path, monkeypatch):
@@ -985,6 +1027,41 @@ def test_every_valid_case_passes(tmp_path):
         res = verify_case(tmp_path, case)
         assert res.exit_code == 0, case
         assert {r["status"] for r in json_lines(res.stdout)} == {"pass"}
+
+
+@pytest.mark.parametrize("args,case,message", [
+    ("graph glue --input line3 --t 1 --kmax 80",
+     dict(VALID["graph-glue"], method="assembled"),
+     "kmax applies to the series method only"),
+    ("interval glue --L1 1 --L2 2 --x 0.5 --y 0.7 --t 0.4 --nmax 3",
+     dict(VALID["interval-glue"], formula="I"),
+     "nmax applies to formula II only")], ids=["kmax", "nmax"])
+def test_an_order_that_its_route_never_reads_is_unusable_input(
+        tmp_path, args, case, message):
+    # the assembled gluing and route I read no truncation order, so one
+    # given to them is refused, not echoed nor ignored
+    res = invoke(args.split())
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", f"Error: {message}\n")
+    res = verify_case(tmp_path, case)
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", f"Error: case {case['id']}: {message}\n")
+
+
+def test_the_route_that_reads_an_order_applies_its_default():
+    for args, key, default in [
+            ("graph glue --input line3 --t 1 --method series", "kmax", 12),
+            ("interval glue --L1 1 --L2 2 --x 0.5 --y 0.7 --t 0.4 "
+             "--formula II", "nmax", 6)]:
+        res = invoke(args.split())
+        assert res.exit_code == 0
+        assert {r["inputs"][key] for r in json_lines(res.stdout)} == {default}
+        given = invoke(f"{args} --{key} {default}".split())
+        assert given.stdout == res.stdout
+        # the other route echoes no order
+        other = invoke(args.rsplit(" ", 2)[0].split())
+        assert other.exit_code == 0
+        assert all(key not in r["inputs"] for r in json_lines(other.stdout))
 
 
 @pytest.mark.parametrize("kind,field,value,message", [
@@ -1911,6 +1988,14 @@ def test_the_readme_library_example_runs_as_written():
             exec(compile(ast.Module([node], []), "README.md", "exec"),
                  namespace)
     assert shown == [("0.15769145747558952", "0.15769145747558952")]
+    # and each other claim of its comments: the extension's atom is the
+    # identity on the interface rows and nothing elsewhere, and the 1d
+    # check holds (its assert ran above)
+    d, atom = namespace["d"], namespace["atom"]
+    on = np.isin(d.ordered_graph.vertices, d.interface)
+    assert np.array_equal(atom[on], np.eye(len(d.interface)))
+    assert not atom[~on].any()
+    assert namespace["residual"] <= namespace["bound"]
 
 
 def test_every_readme_command_line_passes():

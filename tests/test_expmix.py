@@ -400,6 +400,13 @@ def test_simplex_convolve_matches_residues_on_random_factors():
             assert abs(evaluate(got, t) - float(residue_convolve(mixes, t))) < 1e-10
 
 
+def test_laplace_needs_a_finite_s():
+    f = ExpMix(0.25, ((2.0, 2, 1.0),))
+    for s in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="need finite s"):
+            laplace(f, s)
+
+
 def test_ill_conditioned_mixture_reference():
     # four factors with two nearly equal rates (2.4318 against 2.4195): the
     # convolution, folded factor by factor, loses about 2.5e-10 to

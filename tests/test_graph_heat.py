@@ -32,6 +32,7 @@ from heatglue.graph_heat import (
     heat_kernel,
     heat_values,
     interface_kernel,
+    one_step_interface_kernel,
     random_decomposition,
     relative_heat_kernel,
     schur_cut,
@@ -333,6 +334,11 @@ def mass(f: ExpMix, t: float) -> float:
     s = 0.5 * t * (nodes + 1.0)
     return f.atom + 0.5 * t * float(np.dot(weights,
                                            [evaluate(f, si) for si in s]))
+
+
+def test_extension_rejects_an_empty_interface():
+    with pytest.raises(ValueError, match="y must be nonempty"):
+        extension_kernel(LINE3, ())
 
 
 def test_extension_solves_boundary_value_problem():
@@ -718,6 +724,36 @@ def test_interface_kernel_laplace_inverts_dn():
         lap_mat = laplace_matrix(ifk, m2)
         dn = dn_total(g1, g2, d.interface, m2)
         assert np.abs(lap_mat @ dn - np.eye(len(d.interface))).max() < 1e-9
+
+
+def one_step_by_sides(d: Decomposition) -> KernelMatrix:
+    """The one-step kernel summed side by side: the atom A_YY, and for each
+    side S the block of the relative kernel on S between A_YS and A_SY."""
+    og = d.ordered_graph
+    n1, ny = len(d.side1), len(d.interface)
+    rel = relative_heat_kernel(og, d.interface)
+    y = np.arange(n1, n1 + ny)
+    coef = np.zeros((ny, ny) + rel.coef.shape[2:])
+    for side in (np.arange(n1), np.arange(n1 + ny, og.n)):
+        ays = og.adjacency[np.ix_(y, side)]
+        coef += np.einsum("pu,uvxw,qv->pqxw", ays,
+                          rel.coef[np.ix_(side, side)], ays)
+    return KernelMatrix(d.interface, d.interface, rel.universe, coef,
+                        og.adjacency[np.ix_(y, y)])
+
+
+def test_one_step_kernel_is_the_sum_over_both_sides():
+    # B^T e^{-mu t} B of formula I's spectra is the two sides' sandwiches
+    # of the relative kernel: the same atoms and rates, bit for bit, and
+    # values within 1e-15 of the largest
+    for seed in range(200):
+        d = random_decomposition(np.random.default_rng(seed), 12)
+        got, want = one_step_interface_kernel(d), one_step_by_sides(d)
+        assert bits(got.universe).tolist() == bits(want.universe).tolist()
+        assert bits(got.atom).tolist() == bits(want.atom).tolist()
+        for t in (0.25, 1.0, 4.0):
+            a, b = got.evaluate(t), want.evaluate(t)
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max(), (seed, t)
 
 
 def test_series_line3_partial_sums_converge():
@@ -1426,6 +1462,32 @@ def test_decomposition_infers_side1_from_side2():
     assert Decomposition(PATH5, ("y", "z")).side1 == ("c",)
     with pytest.raises(ValueError, match="partition the vertex set"):
         Decomposition(PATH5, ("y", "z"), side2=("a", "y"))
+
+
+def test_split_is_the_indices_and_every_other_vertex_in_vertex_order():
+    assert PATH5.split(("z", "a")) == ([4, 1], [0, 2, 3])
+    assert PATH5.split(()) == ([], [0, 1, 2, 3, 4])
+    assert PATH5.split(("y", "y")) == ([2, 2], [0, 1, 3, 4])
+    with pytest.raises(ValueError, match="vertex 'q' not in graph"):
+        PATH5.split(("a", "q"))
+
+
+def test_a_decomposition_keeps_its_split_in_decomposition_order():
+    rng = np.random.default_rng(55)
+    decompositions = [Decomposition(PATH5, ("y", "z"), side1=("b", "a")),
+                      *(random_decomposition(rng, 12) for _ in range(40))]
+    for d in decompositions:
+        n1, ny = len(d.side1), len(d.interface)
+        y, c = d.split
+        assert y.tolist() == list(range(n1, n1 + ny))
+        assert c.tolist() == [*range(n1), *range(n1 + ny, d.graph.n)]
+        assert d.split is d.split
+        assert not (y.flags.writeable or c.flags.writeable)
+
+
+def test_random_decomposition_needs_three_vertices():
+    with pytest.raises(ValueError, match="need room"):
+        random_decomposition(np.random.default_rng(0), 2)
 
 
 def test_decomposition_ordered_graph():

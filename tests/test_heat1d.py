@@ -1810,3 +1810,23 @@ def test_dn_cylinder_validation():
         h.dn_cylinder(1.0, [-1.0], 1.0)
     with pytest.raises(ValueError, match="L must be"):
         h.dn_cylinder(0.0, [0.0], 1.0)
+
+
+def test_an_interval_kernel_needs_its_points_inside():
+    for x, y in ((-0.1, 0.5), (0.5, 1.1)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, L\]"):
+            h.k_interval(1.0, x, y, 0.5)
+
+
+def test_image_sums_refuse_what_they_do_not_hold():
+    # a kind other than g or h; a time value of first-passage densities;
+    # a composition with no density; and one sum of two kinds
+    g, dens = h._ImageSum("g", [1.0], [1.0]), h._ImageSum("h", [1.0], [1.0])
+    for build, message in [
+            (lambda: h._ImageSum("x", [1.0], [1.0]), "unknown kernel kind 'x'"),
+            (lambda: dens.at(0.5, 0.0), "only a sum of Gaussians"),
+            (lambda: h._compose_sum((g, g)), "Gaussians do not compose"),
+            (lambda: h._compose_sum((g, dens), (dens, dens)),
+             "only sums of one kind add")]:
+        with pytest.raises(ValueError, match=message):
+            build()

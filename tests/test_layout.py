@@ -12,6 +12,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import sys
 
 import pytest
@@ -414,6 +415,42 @@ def test_every_graph_rate_comes_from_one_spectrum():
         assert len(calls(name, "_spectrum")) == count, name
     assert not {"_safe_rates", "spectral_apply", "_component_labels"} & set(
         named(tree))
+
+
+def complement_sources(tree):
+    """(function, source) of each ``setdiff1d``, each ``n1 + ny`` and each
+    comprehension that filters a graph's vertices or its indices
+    ``range(g.n)``, by the innermost class or function that holds it."""
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        if (isinstance(node, ast.comprehension) and node.ifs
+                and re.search(r"\.vertices\b|range\(\w+\.n\)",
+                              ast.unparse(node.iter))
+                or getattr(node, "attr", None) == "setdiff1d"
+                or isinstance(node, ast.BinOp) and {
+                    getattr(node.left, "id", None),
+                    getattr(node.right, "id", None)} == {"n1", "ny"}):
+            yield where, ast.unparse(node)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+    return list(visit(tree, ""))
+
+
+def test_graph_split_is_the_one_complement_of_a_vertex_set():
+    # every graph route takes an interface's or a killed set's complement
+    # from Graph.split, and a decomposition's index sets from its own split,
+    # so graph_heat, path_sum and cli hold no other complement; the one-step
+    # kernel is read off the spectra of formula I, with no relative kernel
+    trees = dict(modules())
+    assert [(stem, where) for stem in ("graph_heat", "path_sum", "cli")
+            for where, _ in complement_sources(trees[stem])] == [
+        ("graph_heat", "Graph.split")]
+    functions = {n.name: n for n in ast.walk(trees["graph_heat"])
+                 if isinstance(n, ast.FunctionDef)}
+    step = called(functions["one_step_interface_kernel"])
+    assert "_glue_I_spectra" in step
+    assert not {"relative_heat_kernel", "einsum"} & step
 
 
 def test_one_checked_eigensolve_per_spectrum():

@@ -13,6 +13,7 @@ import scipy.linalg
 from conftest import dense_walk, taylor_expm
 from mpmath import mp
 
+from heatglue.errors import TruncationError
 from heatglue.graph_heat import (
     Decomposition,
     Graph,
@@ -24,7 +25,6 @@ from heatglue.graph_heat import (
 )
 from heatglue.path_sum import (
     LENGTH_CAP,
-    LengthCapError,
     exp_tail,
     pathsum_heat,
     pathsum_operator_values,
@@ -137,7 +137,7 @@ def test_pathsum_monotone_in_cutoff():
 
 
 def test_pathsum_cap_error_carries_bound():
-    with pytest.raises(LengthCapError) as info:
+    with pytest.raises(TruncationError) as info:
         pathsum_heat(LINE3, "1", "3", 40.0, 1e-10)
     err = info.value
     assert 0.0 < err.achievable <= 1.0
@@ -154,7 +154,7 @@ def test_pathsum_past_the_order_cap_raises_within_a_time_budget():
     # d_max t = 140000 passes the walk's 65536 Taylor orders, which hold
     # almost none of the Poisson weight: no length reaches eps
     t0 = time.perf_counter()
-    with pytest.raises(LengthCapError):
+    with pytest.raises(TruncationError):
         pathsum_heat(LINE3, "1", "3", 70000.0, 1e-6)
     assert time.perf_counter() - t0 < 5.0
 
@@ -329,13 +329,18 @@ def test_operator_dn_prime_matches_one_step_factor():
             assert np.array_equal(atom, exact.atom)
 
 
+def test_exp_tail_of_no_growth_is_zero():
+    for x in (0.0, -1.0):
+        assert exp_tail(x, 3) == 0.0
+
+
 def test_operator_validation():
     d = LINE3_SPLIT
     with pytest.raises(ValueError):
         pathsum_operator_values(d, "schur", 5, 1.0)
     with pytest.raises(ValueError):
         pathsum_operator_values(d, "interface", -1, 1.0)
-    with pytest.raises(LengthCapError):
+    with pytest.raises(TruncationError):
         pathsum_operator_values(d, "interface", LENGTH_CAP + 1, 1.0)
     with pytest.raises(ValueError):
         pathsum_operator_values(d, "interface", 5, 0.0)
